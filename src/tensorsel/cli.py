@@ -34,17 +34,20 @@ class DiffTestResult:
                 "divergence": self.divergence}
 
 
+def _usage_error(msg):
+    print(f"error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path):
     try:
         text = Path(path).read_text()
     except OSError as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"cannot read {path}: {e}")
     try:
         return ir.parse_program(text)
     except ir.ParseError as e:
-        print(f"error: {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(f"{path}: {e}")
 
 
 def _check(path):
@@ -53,17 +56,20 @@ def _check(path):
     return prog, report
 
 
-def _node_budget(args):
+def _config(args):
+    budget = args.node_budget
     env = os.environ.get("TENSORSEL_NODE_BUDGET")
     if env:
-        return int(env)
-    return args.node_budget
-
-
-def _config(args):
-    return selector.SelectionConfig(
-        target=args.target, iterations=args.iters,
-        node_budget=_node_budget(args), dump_egraph=args.dump_egraph)
+        try:
+            budget = int(env)
+        except ValueError:
+            _usage_error(f"TENSORSEL_NODE_BUDGET must be an integer, got {env!r}")
+    try:
+        return selector.SelectionConfig(
+            target=args.target, iterations=args.iters,
+            node_budget=budget, dump_egraph=args.dump_egraph)
+    except ValueError as e:
+        _usage_error(e)
 
 
 def cmd_check(args):
@@ -175,7 +181,7 @@ def run_difftest(prog, name, trials, seed, config, ulps=0, ruleset=None):
             same = (_ulp_equal(a, b, ulps) if ulps
                     else a.tobytes() == b.tobytes())
             if not same:
-                lane = int(np.nonzero(a != b)[0][0])
+                lane = interp.first_differing_lane(a, b)
                 result.divergence = {
                     "seed": s, "buffer": prm.name, "lane": lane,
                     "lhs": float(a[lane]), "rhs": float(b[lane])}

@@ -2,7 +2,7 @@
 
 E-nodes are (op, child-ids) with hashconsing; literals are their own
 nullary nodes.  Alongside the term graph, a fact store holds Datalog-style
-relation tuples (has-type, amx-B-tile, AMXShape, ...) whose arguments are
+relation tuples (has-type, amx-b-tile, amx-shape, ...) whose arguments are
 class ids; facts are canonicalized on rebuild.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
@@ -90,7 +90,6 @@ class EGraph:
         self._class_nodes = {}  # root -> dict[node -> None]
         self._op_index = {}  # op -> set of roots (refreshed on rebuild)
         self.facts = {}  # relation name -> set of arg tuples
-        self._dirty = []
         self.version = 0
         self.on_add = on_add
 
@@ -111,7 +110,6 @@ class EGraph:
         self._parent[rb] = ra
         nodes = self._class_nodes.pop(rb, {})
         self._class_nodes.setdefault(ra, {}).update(nodes)
-        self._dirty.append(ra)
         self.version += 1
         return ra
 
@@ -167,7 +165,6 @@ class EGraph:
             self._op_index.setdefault(node[0], set()).add(root)
         for name, tuples in self.facts.items():
             self.facts[name] = {tuple(self.find(a) for a in t) for t in tuples}
-        self._dirty.clear()
 
     # -- inspection ---------------------------------------------------------
 
@@ -203,11 +200,6 @@ class EGraph:
     @property
     def n_nodes(self):
         return len(self._hashcons)
-
-    def has_fact(self, name, *args):
-        tup = tuple(self.find(a) for a in args)
-        return tup in {tuple(self.find(a) for a in t)
-                       for t in self.facts.get(name, ())}
 
     def dump(self):
         classes = []
@@ -394,12 +386,9 @@ class CostModel:
     returns a movement-free (realizable) term whenever one is represented;
     among those the choice is plain AST size."""
 
-    node_cost: object = None
     movement_cost: int = 1000
 
     def cost(self, op, arity):
-        if self.node_cost:
-            return self.node_cost(op, arity)
         if op[0] == "l2l":
             return self.movement_cost
         return 1 + arity if op[0] == "call" else 1

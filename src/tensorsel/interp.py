@@ -149,6 +149,13 @@ class Env:
     lints: list = field(default_factory=list)
 
 
+def first_differing_lane(a, b):
+    """Index of the first lane whose bytes differ between two arrays of one
+    dtype whose bytes are known to differ; +0.0 against -0.0 counts."""
+    bits = f"u{a.dtype.itemsize}"
+    return int(np.flatnonzero(a.view(bits) != b.view(bits))[0])
+
+
 def _dtype_of(kind):
     return np.int64 if kind == "i32" else np.float32
 
@@ -311,8 +318,6 @@ INTRINSICS = {
     "PolyphaseShuffle": ("mem", ("buffer", "expr", "imm", "imm", "imm", "imm")),
 }
 
-SHUFFLE_INTRINSICS = ("ConvolutionShuffle", "KWayInterleave", "PolyphaseShuffle")
-
 
 def is_intrinsic(name):
     return name in INTRINSICS
@@ -328,10 +333,6 @@ def intrinsic_location(name):
 
 def buffer_arg_positions(name):
     return tuple(i for i, role in enumerate(INTRINSICS[name][1]) if role == "buffer")
-
-
-def tile_arg_positions(name):
-    return tuple(i for i, role in enumerate(INTRINSICS[name][1]) if role == "tile")
 
 
 def _imm_int(e):

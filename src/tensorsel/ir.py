@@ -327,8 +327,43 @@ def _children(e):
     return ()
 
 
+def map_expr(e, f):
+    """`e` rebuilt with `f` applied to each direct child (the children
+    `_children` lists); leaves come back as they are."""
+    if isinstance(e, Load):
+        return Load(e.buffer, e.vtype, f(e.index))
+    if isinstance(e, Cast):
+        return Cast(e.vtype, f(e.operand))
+    if isinstance(e, Broadcast):
+        return Broadcast(f(e.operand), e.copies)
+    if isinstance(e, VectorReduceAdd):
+        return VectorReduceAdd(e.result_lanes, f(e.operand))
+    if isinstance(e, LocToLoc):
+        return LocToLoc(e.src, e.dst, f(e.operand))
+    if isinstance(e, ExprVar):
+        return ExprVar(f(e.operand))
+    if isinstance(e, Bop):
+        return Bop(e.op, f(e.lhs), f(e.rhs))
+    if isinstance(e, Ramp):
+        return Ramp(f(e.base), f(e.stride), e.steps)
+    if isinstance(e, Call):
+        return Call(e.name, tuple(f(a) for a in e.args))
+    if isinstance(e, Shuffle):
+        return Shuffle(f(e.source), e.indices)
+    return e
+
+
 def free_vars(e):
     return {x.name for x in walk_exprs(e) if isinstance(x, Var)}
+
+
+def stmt_exprs(s):
+    """The expressions a statement evaluates, index before value."""
+    if isinstance(s, Store):
+        return (s.index, s.value)
+    if isinstance(s, Evaluate):
+        return (s.value,)
+    return ()
 
 
 def walk_stmts(body, path="body"):
@@ -338,6 +373,19 @@ def walk_stmts(body, path="body"):
         yield p, s
         if isinstance(s, For):
             yield from walk_stmts(s.body, p + ".body")
+
+
+def map_stmts(body, f, path="body"):
+    """Rebuilds a statement sequence: each statement is replaced by the
+    tuple `f(path, stmt)` returns.  A loop reaches `f` after its body has
+    been rebuilt.  Paths are those of `walk_stmts`."""
+    out = []
+    for i, s in enumerate(body):
+        p = f"{path}[{i}]"
+        if isinstance(s, For):
+            s = For(s.var, s.min, s.extent, map_stmts(s.body, f, p + ".body"))
+        out.extend(f(p, s))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ Categories:
                   (amx-a-tile, wmma-b-tile, ...) and construct loader
                   terms, never unioning the matched expression.
   lowering     -- emit accelerator intrinsics and cancel data movement.
-  supporting   -- type derivation and MultiplyLanes resolution; run to
-                  fixpoint between iterations.
+  supporting   -- type derivation (has-type facts); run to fixpoint
+                  between iterations.
 
 MatMul rules are parameterized over registered (M, K, N) shape facts
 rather than hard-coded lane counts, so small shapes fuzz against
@@ -557,17 +557,6 @@ def _supporting_rules(rs):
         return rs.add(RuleDef(name=name, category="supporting", query=tuple(query),
                               action=action, doc=doc, semantic=False))
 
-    def ml(g, env):
-        ty = class_type(g, env["t"])
-        l = g.class_int(env["l"])
-        if ty and l is not None:
-            g.union(env["m"], mk_type(g, ty[0], ty[1] * l))
-
-    supp("multiply-lanes",
-         [Bind("m", P(("mullanes",), V("t"), V("l")))],
-         ml,
-         "(MultiplyLanes (kind l0) l) resolves to (kind (* l0 l)), any kind")
-
     supp("type-of-load",
          [Bind("e", pload(V("n"), V("t"), V("i"))),
           Guard(lambda g, env: class_type(g, env["t"]) is not None, "concrete type")],
@@ -1053,7 +1042,6 @@ class FuzzInstance:
     lhs: object
     rhs: object
     buffers: dict = field(default_factory=dict)
-    bindings: dict = field(default_factory=dict)
     shapes: tuple = ()
 
 
@@ -1093,7 +1081,7 @@ def _run_instance(inst):
         for prm in inst.lhs.params:
             a, b = out_a[prm.name], out_b[prm.name]
             if a.data.tobytes() != b.data.tobytes():
-                lane = int(np.nonzero(a.data != b.data)[0][0])
+                lane = interp.first_differing_lane(a.data, b.data)
                 return False, (prm.name, lane, a.data[lane], b.data[lane])
         return True, None
     store = interp.BufferStore()
@@ -1101,13 +1089,13 @@ def _run_instance(inst):
         store[name] = interp.Buffer(buf.kind, buf.location, buf.data.copy())
     shapes = frozenset((s.target, s.m, s.k, s.n)
                        for s in tuple(interp.HARDWARE_SHAPES) + tuple(inst.shapes))
-    env = interp.Env(buffers=store, bindings=dict(inst.bindings), shapes=shapes)
+    env = interp.Env(buffers=store, shapes=shapes)
     va = interp.eval_expr(inst.lhs, env)
     vb = interp.eval_expr(inst.rhs, env)
     if va.kind != vb.kind or va.lanes != vb.lanes:
         return False, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
     if va.data.tobytes() != vb.data.tobytes():
-        lane = int(np.nonzero(va.data != vb.data)[0][0])
+        lane = interp.first_differing_lane(va.data, vb.data)
         return False, ("value", lane, va.data[lane], vb.data[lane])
     return True, None
 
@@ -1135,10 +1123,6 @@ def check_rule_soundness(rule, trials=500, seed=0):
     if misses == trials:
         report.guard_unsatisfiable = True
     return report
-
-
-def check_ruleset_soundness(rs, trials=500, seed=0):
-    return [check_rule_soundness(r, trials, seed) for r in rs if r.semantic]
 
 
 # -- per-rule instance generators --------------------------------------------

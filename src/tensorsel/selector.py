@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import interp, ir, layout, rules
 from .egraph import CostModel, NodeBudgetExceeded, extract_best, run_schedule
@@ -39,8 +40,11 @@ class SelectionConfig:
     dump_egraph: bool = False
 
     def __post_init__(self):
-        assert self.iterations >= 1
-        assert self.node_budget >= 1000
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        if self.node_budget < 1000:
+            raise ValueError(
+                f"node budget must be at least 1000, got {self.node_budget}")
 
 
 @dataclass
@@ -102,28 +106,13 @@ def static_loc(e, buffers):
     return "mem"
 
 
-def _rebuild(e, f):
-    if isinstance(e, ir.Cast):
-        return ir.Cast(e.vtype, f(e.operand))
-    if isinstance(e, ir.Bop):
-        return ir.Bop(e.op, f(e.lhs), f(e.rhs))
-    if isinstance(e, ir.Ramp):
-        return ir.Ramp(f(e.base), f(e.stride), e.steps)
-    if isinstance(e, ir.Broadcast):
-        return ir.Broadcast(f(e.operand), e.copies)
-    if isinstance(e, ir.VectorReduceAdd):
-        return ir.VectorReduceAdd(e.result_lanes, f(e.operand))
-    if isinstance(e, ir.LocToLoc):
-        return ir.LocToLoc(e.src, e.dst, f(e.operand))
-    if isinstance(e, ir.ExprVar):
-        return ir.ExprVar(f(e.operand))
-    if isinstance(e, ir.Shuffle):
-        return ir.Shuffle(f(e.source), e.indices)
-    if isinstance(e, ir.Load):
-        return ir.Load(e.buffer, e.vtype, f(e.index))
-    if isinstance(e, ir.Call):
-        return ir.Call(e.name, tuple(f(a) for a in e.args))
-    return e
+def _map_exprs(s, f):
+    """`s` with `f` applied to each expression it evaluates."""
+    if isinstance(s, ir.Store):
+        return ir.Store(s.buffer, f(s.index), f(s.value))
+    if isinstance(s, ir.Evaluate):
+        return ir.Evaluate(f(s.value))
+    return s
 
 
 def inject_data_movement(p):
@@ -144,9 +133,9 @@ def inject_data_movement(p):
             return e
         if isinstance(e, ir.LocToLoc):
             return e
-        return _rebuild(e, lambda c: wrap_reads(c, store_loc))
+        return ir.map_expr(e, lambda c: wrap_reads(c, store_loc))
 
-    def inject_stmt(s, path):
+    def inject_stmt(path, s):
         if isinstance(s, ir.Store):
             loc = buffers.get(s.buffer, ("", 0, "mem"))[2]
             val = wrap_reads(s.value, loc)
@@ -157,16 +146,12 @@ def inject_data_movement(p):
                         f"{path}: value on {vloc} stored into {loc} buffer "
                         f"{s.buffer!r}")
                 val = ir.LocToLoc(vloc, loc, val)
-            return ir.Store(s.buffer, wrap_reads(s.index, "mem"), val)
+            return (ir.Store(s.buffer, wrap_reads(s.index, "mem"), val),)
         if isinstance(s, ir.Evaluate):
-            return ir.Evaluate(wrap_reads(s.value, "mem"))
-        if isinstance(s, ir.For):
-            return ir.For(s.var, s.min, s.extent,
-                          tuple(inject_stmt(b, f"{path}.body") for b in s.body))
-        return s
+            return (ir.Evaluate(wrap_reads(s.value, "mem")),)
+        return (s,)
 
-    body = tuple(inject_stmt(s, f"body[{i}]") for i, s in enumerate(p.body))
-    return ir.Program(p.params, body, p.shapes)
+    return ir.Program(p.params, ir.map_stmts(p.body, inject_stmt), p.shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +206,7 @@ def realizability_check(s, buffers):
 
 def _movement_nodes(s):
     out = []
-    exprs = [s.index, s.value] if isinstance(s, ir.Store) else [s.value]
-    for e in exprs:
+    for e in ir.stmt_exprs(s):
         for sub in ir.walk_exprs(e):
             if isinstance(sub, ir.LocToLoc):
                 out.append(f"{sub.src}->{sub.dst}")
@@ -240,10 +224,9 @@ def _intrinsic_names(s):
 
 
 def _touches_accel(s, buffers):
-    exprs = [s.index, s.value] if isinstance(s, ir.Store) else [s.value]
     if isinstance(s, ir.Store) and buffers.get(s.buffer, ("", 0, "mem"))[2] != "mem":
         return True
-    for e in exprs:
+    for e in ir.stmt_exprs(s):
         for sub in ir.walk_exprs(e):
             if isinstance(sub, ir.LocToLoc):
                 return True
@@ -311,20 +294,15 @@ def lower_exprvars(p):
     an allocation at program top plus one initializing store hoisted to the
     outermost position where the operand's free variables are bound."""
     buffers = ir.buffer_table(p)
-    order, names = [], {}
-
-    def note(e):
-        for sub in ir.walk_exprs(e):
-            if isinstance(sub, ir.ExprVar) and sub.operand not in names:
-                names[sub.operand] = f"swizzle{len(names)}"
-                order.append(sub.operand)
-
-    for _, s in ir.walk_stmts(p.body):
-        if isinstance(s, ir.Store):
-            note(s.index)
-            note(s.value)
-        elif isinstance(s, ir.Evaluate):
-            note(s.value)
+    names, first_use, loop_vars = {}, {}, {}
+    for path, s in ir.walk_stmts(p.body):
+        if isinstance(s, ir.For):
+            loop_vars[path] = s.var
+        for e in ir.stmt_exprs(s):
+            for sub in ir.walk_exprs(e):
+                if isinstance(sub, ir.ExprVar) and sub.operand not in names:
+                    names[sub.operand] = f"swizzle{len(names)}"
+                    first_use[sub.operand] = path
     if not names:
         return p, []
 
@@ -340,63 +318,30 @@ def lower_exprvars(p):
                 if i in bufpos and isinstance(a, ir.ExprVar) else replace(a)
                 for i, a in enumerate(e.args))
             return ir.Call(e.name, args)
-        return _rebuild(e, replace)
+        return ir.map_expr(e, replace)
 
-    # first-use paths, walked the same way the rebuild below walks
-    first_use = {}
-
-    def scan(body, prefix, bound):
-        for i, s in enumerate(body):
-            here = prefix + (i,)
-            if isinstance(s, ir.For):
-                scan(s.body, here, bound + ((s.var,),))
-            elif isinstance(s, (ir.Store, ir.Evaluate)):
-                exprs = [s.index, s.value] if isinstance(s, ir.Store) else [s.value]
-                for e in exprs:
-                    for sub in ir.walk_exprs(e):
-                        if isinstance(sub, ir.ExprVar) and sub.operand not in first_use:
-                            first_use[sub.operand] = (here, bound)
-
-    scan(p.body, (), ())
-
-    temps, inits = [], {}
-    for operand in order:
-        name = names[operand]
+    temps, allocs, inits = [], [], {}
+    for operand, name in names.items():
         t = ir.type_of(operand, buffers)
-        use_path, bound_stack = first_use[operand]
+        # the enclosing loops of the first use, outermost first, then the use
+        sites = list(accumulate(first_use[operand].split("."),
+                                lambda a, b: f"{a}.{b}"))
         fv = ir.free_vars(operand) - set(buffers)
-        depth = 0
-        seen = set()
-        while depth < len(bound_stack) and not fv <= seen:
-            seen |= set(bound_stack[depth])
+        depth, bound = 0, set()
+        while depth < len(sites) - 1 and not fv <= bound:
+            bound.add(loop_vars[sites[depth]])
             depth += 1
-        if not fv <= seen:
-            depth = len(bound_stack)  # place at the use site
-        insert_at = use_path[:depth + 1]
         init = ir.Store(name, ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), t.lanes),
                         replace(operand))
-        inits.setdefault(insert_at, []).append(init)
+        inits.setdefault(sites[depth], []).append(init)
+        allocs.append(ir.Allocate(name, t.kind, t.lanes, "mem"))
         temps.append({"name": name, "lanes": t.lanes, "hoist_depth": depth})
 
-    def rebuild(body, prefix):
-        out = []
-        for i, s in enumerate(body):
-            here = prefix + (i,)
-            out.extend(inits.get(here, ()))
-            if isinstance(s, ir.For):
-                out.append(ir.For(s.var, s.min, s.extent, tuple(rebuild(s.body, here))))
-            elif isinstance(s, ir.Store):
-                out.append(ir.Store(s.buffer, replace(s.index), replace(s.value)))
-            elif isinstance(s, ir.Evaluate):
-                out.append(ir.Evaluate(replace(s.value)))
-            else:
-                out.append(s)
-        return out
+    def rebuild(path, s):
+        return (*inits.get(path, ()), _map_exprs(s, replace))
 
-    allocs = tuple(ir.Allocate(names[op], ir.type_of(op, buffers).kind,
-                               ir.type_of(op, buffers).lanes, "mem")
-                   for op in order)
-    return ir.Program(p.params, allocs + tuple(rebuild(p.body, ())), p.shapes), temps
+    body = tuple(allocs) + ir.map_stmts(p.body, rebuild)
+    return ir.Program(p.params, body, p.shapes), temps
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +385,10 @@ def desugar_shuffles(p):
                 return ir.Shuffle(v, tuple(perm))
             if e.name in ("ConvolutionShuffle", "PolyphaseShuffle"):
                 return spec_shuffle(e)
-            return ir.Call(e.name, tuple(desugar(a) for a in e.args))
-        return _rebuild(e, desugar)
+        return ir.map_expr(e, desugar)
 
-    def on_stmt(s):
-        if isinstance(s, ir.Store):
-            return ir.Store(s.buffer, desugar(s.index), desugar(s.value))
-        if isinstance(s, ir.Evaluate):
-            return ir.Evaluate(desugar(s.value))
-        if isinstance(s, ir.For):
-            return ir.For(s.var, s.min, s.extent, tuple(on_stmt(b) for b in s.body))
-        return s
-
-    return ir.Program(p.params, tuple(on_stmt(s) for s in p.body), p.shapes)
+    body = ir.map_stmts(p.body, lambda path, s: (_map_exprs(s, desugar),))
+    return ir.Program(p.params, body, p.shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +412,16 @@ def select_program(p, config=None, ruleset=None):
     param_names = {prm.name for prm in p.params}
 
     outcomes = []
-    counter = [0]
 
-    def walk(body, path):
-        out = []
-        for i, s in enumerate(body):
-            here = f"{path}[{i}]"
-            if isinstance(s, ir.For):
-                out.append(ir.For(s.var, s.min, s.extent,
-                                  tuple(walk(s.body, here + ".body"))))
-            elif isinstance(s, (ir.Store, ir.Evaluate)):
-                idx = counter[0]
-                counter[0] += 1
-                new_s, oc = select_statement(s, buffers, ruleset, config,
-                                             param_names, here, idx)
-                outcomes.append(oc)
-                out.append(new_s)
-            else:
-                out.append(s)
-        return out
+    def select(path, s):
+        if not isinstance(s, (ir.Store, ir.Evaluate)):
+            return (s,)
+        new_s, oc = select_statement(s, buffers, ruleset, config,
+                                     param_names, path, len(outcomes))
+        outcomes.append(oc)
+        return (new_s,)
 
-    lowered = ir.Program(inj.params, tuple(walk(inj.body, "body")), inj.shapes)
+    lowered = ir.Program(inj.params, ir.map_stmts(inj.body, select), inj.shapes)
     lowered, temps = lower_exprvars(lowered)
     if config.desugar:
         lowered = desugar_shuffles(lowered)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tensorsel import cli, interp, ir, rules, selector
 
 from conftest import CORPUS
@@ -142,6 +144,25 @@ class TestSelect:
         assert run_cli("select", corpus("matmul_vnni"), "--target", "amx",
                        "-o", "/dev/null") == 0
         assert seen["budget"] == 4321
+
+
+class TestBadLimits:
+    @pytest.mark.parametrize("env, flags", [
+        ("abc", ()),
+        ("5", ()),
+        (None, ("--node-budget", "10")),
+        (None, ("--iters", "0")),
+    ])
+    @pytest.mark.parametrize("command", ["select", "difftest"])
+    def test_exits_two_with_one_line(self, command, env, flags, capsys,
+                                     monkeypatch):
+        if env is None:
+            monkeypatch.delenv("TENSORSEL_NODE_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("TENSORSEL_NODE_BUDGET", env)
+        assert run_cli(command, corpus("matmul_vnni"), *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDifftest:

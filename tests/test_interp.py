@@ -84,6 +84,17 @@ class TestRounding:
         assert math.isnan(interp.round_f16(math.nan))
 
 
+class TestFirstDifferingLane:
+    def test_signed_zero_differs(self):
+        a = np.array([1.0, 0.0, 2.0], np.float32)
+        b = np.array([1.0, -0.0, 3.0], np.float32)
+        assert interp.first_differing_lane(a, b) == 1
+
+    def test_i32_lanes(self):
+        a = np.array([4, 5, 6], np.int64)
+        assert interp.first_differing_lane(a, a + (a == 6)) == 2
+
+
 class TestSplitMix64:
     def test_reference_sequence(self):
         rng = interp.SplitMix64(0)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorsel import interp, ir
-from tensorsel.ir import (Bop, Broadcast, Cast, Imm, Load, Param, Program,
+from tensorsel.ir import (Allocate, Bop, Broadcast, Call, Cast, Evaluate,
+                          ExprVar, For, Imm, Load, LocToLoc, Param, Program,
                           Ramp, Shuffle, Store, Var, VecType,
                           VectorReduceAdd)
 
@@ -76,6 +77,76 @@ class TestTypes:
         e = Load("Q", VecType("f32", 1), Ramp(i32(0), i32(1), 1))
         with pytest.raises(ir.UnknownBuffer):
             ir.type_of(e, buffers={})
+
+
+def _flat_load(buf, kind, n):
+    return Load(buf, VecType(kind, n), Ramp(i32(0), i32(1), n))
+
+
+class TestTraversal:
+    EXPRS = (
+        i32(7),
+        Var("x"),
+        _flat_load("a", "f32", 4),
+        Cast(VecType("f32", 4), _flat_load("b", "bf16", 4)),
+        Bop("+", Var("x"), i32(1)),
+        Ramp(Var("x"), i32(2), 4),
+        Broadcast(i32(3), 2),
+        VectorReduceAdd(2, _flat_load("a", "f32", 4)),
+        Call("KWayInterleave", (i32(2), i32(2), _flat_load("a", "f32", 4))),
+        LocToLoc("amx", "mem", _flat_load("t", "f32", 4)),
+        ExprVar(Broadcast(Imm("f16", 0.5), 4)),
+        Shuffle(_flat_load("a", "f32", 4), (3, -1, 0)),
+    )
+
+    def test_every_expr_class_has_an_instance(self):
+        assert {type(e) for e in self.EXPRS} == set(ir.Expr.__subclasses__())
+
+    @pytest.mark.parametrize("e", EXPRS, ids=lambda e: type(e).__name__)
+    def test_map_expr_identity_visits_the_children(self, e):
+        seen = []
+        assert ir.map_expr(e, lambda c: seen.append(c) or c) == e
+        assert tuple(seen) == tuple(ir._children(e))
+
+    BODY = (
+        Allocate("t", "f32", 4, "mem"),
+        For("i", 0, 2, (
+            Store("t", Ramp(i32(0), i32(1), 4), _flat_load("a", "f32", 4)),
+            For("j", 0, 3, (Evaluate(Var("j")),)),
+            Store("t", Ramp(i32(0), i32(1), 4), _flat_load("t", "f32", 4)))),
+        Evaluate(Var("x")),
+    )
+
+    def test_map_stmts_paths_are_walk_stmts_paths(self):
+        seen = []
+
+        def record(path, s):
+            seen.append(path)
+            return (s,)
+
+        assert ir.map_stmts(self.BODY, record) == self.BODY
+        assert sorted(seen) == sorted(path for path, _ in ir.walk_stmts(self.BODY))
+
+    def test_map_stmts_splices_and_passes_rebuilt_loops(self):
+        loops = []
+
+        def f(path, s):
+            if isinstance(s, For):
+                loops.append((path, s.body))
+            if isinstance(s, Evaluate):
+                return ()
+            return (s, s) if isinstance(s, Allocate) else (s,)
+
+        out = ir.map_stmts(self.BODY, f)
+        assert [type(s) for s in out] == [Allocate, Allocate, For]
+        assert loops[0] == ("body[1].body[1]", ())
+        assert loops[1][0] == "body[1]" and loops[1][1][1] == For("j", 0, 3, ())
+
+    def test_stmt_exprs(self):
+        store = self.BODY[1].body[0]
+        assert ir.stmt_exprs(store) == (store.index, store.value)
+        assert ir.stmt_exprs(Evaluate(Var("x"))) == (Var("x"),)
+        assert ir.stmt_exprs(self.BODY[0]) == ir.stmt_exprs(self.BODY[1]) == ()
 
 
 class TestValidate:

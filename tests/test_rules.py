@@ -40,7 +40,7 @@ class TestCatalog:
     def test_catalog_serializes(self, default_ruleset):
         text = default_ruleset.catalog_text()
         for name in ("broadcast-flatten", "amx-b-vnni", "amx-matmul",
-                     "multiply-lanes", "conv-toeplitz"):
+                     "type-of-ramp", "conv-toeplitz"):
             assert name in text
 
     def test_target_filter(self, default_ruleset):
@@ -145,6 +145,13 @@ class TestSoundness:
         rep = rules.check_rule_soundness(bad, trials=200, seed=0)
         assert rep.counterexample is not None
         assert rep.checked <= 200
+
+    def test_signed_zero_is_a_counterexample(self):
+        # the bytes differ although no lane compares unequal
+        inst = rules.FuzzInstance(Imm("f32", 0.0), Imm("f32", -0.0))
+        ok, detail = rules._run_instance(inst)
+        assert not ok
+        assert detail[:2] == ("value", 0)
 
     def test_relational_rules_skipped(self, default_ruleset):
         rule = default_ruleset.named("amx-b-vnni")

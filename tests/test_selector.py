@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tensorsel import interp, ir, rules, selector
@@ -9,11 +12,16 @@ from tensorsel.selector import (SelectionConfig, inject_data_movement,
                                 lower_exprvars, realizability_check,
                                 select_program)
 
-from conftest import EXPECTED_FAIL, corpus_names, corpus_program, target_for
+from conftest import (EXPECTED_FAIL, ROOT, corpus_names, corpus_program,
+                      target_for)
 
 
 def i32(v):
     return Imm("i32", v)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def flat(n, base=0):
@@ -342,6 +350,24 @@ class TestCorpusDifftests:
         low, rep = select_program(prog, SelectionConfig(target=target_for(name)))
         assert rep.ok == (name not in EXPECTED_FAIL), name
         difftest(prog, low, range(100))
+
+
+class TestGoldens:
+    """The selector's output, byte for byte, as the benchmark pins it."""
+
+    GOLDENS = json.loads(
+        (ROOT / "perfbench" / "goldens.json").read_text())["programs"]
+
+    def test_goldens_cover_the_corpus(self):
+        assert sorted(self.GOLDENS) == corpus_names()
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_output_matches_golden(self, name):
+        low, rep = select_program(corpus_program(name),
+                                  SelectionConfig(target=target_for(name)))
+        golden = self.GOLDENS[name]
+        assert sha256(ir.print_program(low)) == golden["lowered_sha256"]
+        assert sha256(rep.to_json(timing=False)) == golden["report_sha256"]
 
 
 class TestSelectionErrors:
