@@ -217,17 +217,20 @@ def cmd_difftest(args):
 
 
 def cmd_layout(args):
-    if args.generator == "interleave":
-        idx = layout.kway_interleave_indices(args.p or 2, args.k, args.l)
-        payload = {"indices": idx}
-    else:
-        spec = layout.ToeplitzSpec(l=args.l, k=args.k, s=args.s, p=args.p)
-        rows = layout.matrix_rows(spec)
-        taps = [[layout.kernel_taps(spec, y, x) for x in range(spec.k)]
-                for y in range(rows)]
-        idx = layout.shuffle_indices_for(spec, 0, spec.kernel_length)
-        payload = {"mode": spec.mode, "rows": rows, "cols": spec.k,
-                   "taps": taps, "shuffle_indices": idx}
+    try:  # the generators reject sizes that form no matrix
+        if args.generator == "interleave":
+            idx = layout.kway_interleave_indices(args.p, args.k, args.l)
+            payload = {"indices": idx}
+        else:
+            spec = layout.ToeplitzSpec(l=args.l, k=args.k, s=args.s, p=args.p)
+            rows = layout.matrix_rows(spec)
+            taps = [[layout.kernel_taps(spec, y, x) for x in range(spec.k)]
+                    for y in range(rows)]
+            idx = layout.shuffle_indices_for(spec, 0, spec.kernel_length)
+            payload = {"mode": spec.mode, "rows": rows, "cols": spec.k,
+                       "taps": taps, "shuffle_indices": idx}
+    except ValueError as e:
+        _usage_error(e)
     if args.json:
         print(json.dumps(payload, indent=2))
     elif args.generator == "interleave":

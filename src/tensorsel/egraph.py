@@ -37,10 +37,6 @@ class PNode:
     children: tuple = ()
 
 
-def PLit(v):
-    return PNode(("int", int(v)))
-
-
 @dataclass(frozen=True)
 class Bind:
     """Query atom: `var`'s class contains a term matching `pattern`."""

@@ -9,6 +9,10 @@ bit-exact against its source program.
 Accelerator tiles and fragments are modeled as plain vectors; loc_to_loc is
 the identity on values.  Emulated intrinsics accept any registered (M, K, N)
 shape; strict mode admits only the hardware shapes.
+
+An intrinsic's signature -- argument roles, sizes, result kind and lanes --
+is its `ir.INTRINSICS` record, checked by `ir.validate_program`; this module
+holds only what each intrinsic computes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ir
+from . import ir, layout
 
 HARDWARE_SHAPES = (
     ir.ShapeDecl("amx", 16, 32, 16),
@@ -235,13 +239,16 @@ def eval_expr(e, env):
     raise EvalError(f"cannot evaluate {e!r}")
 
 
+def _check_bounds(name, idx, length):
+    if idx.size and (idx.min() < 0 or idx.max() >= length):
+        raise OutOfBounds(name, int(idx[(idx < 0) | (idx >= length)][0]))
+
+
 def _gather(name, idx, env, kind=None):
     if name not in env.buffers:
         raise EvalError(f"load from undeclared buffer {name!r}")
     buf = env.buffers[name]
-    if idx.size and (idx.min() < 0 or idx.max() >= len(buf.data)):
-        bad = idx[(idx < 0) | (idx >= len(buf.data))][0]
-        raise OutOfBounds(name, int(bad))
+    _check_bounds(name, idx, len(buf.data))
     return VectorValue(kind or buf.kind, buf.data[idx].copy())
 
 
@@ -292,107 +299,7 @@ def _bop(op, a, b):
 
 
 # ---------------------------------------------------------------------------
-# intrinsic catalog
-#
-# Canonical hardware shapes: AMX 16x32x16 over bf16 (B tiles in the VNNI
-# layout), WMMA m32n8k16 and m16n16k16 over f16 (row-major fragments).
-# Loads and stores carry explicit (rows, cols) so a lowered program is
-# self-describing; matmul shapes are derived from operand lane counts.
-
-_LOAD_SIG = ("buffer", "expr", "expr", "imm", "imm")
-
-INTRINSICS = {
-    # name: (result location, arg roles)
-    "tile_zero": ("amx", ("imm", "imm")),
-    "tile_load": ("amx", _LOAD_SIG),
-    "tile_matmul": ("amx", ("tile", "tile", "tile")),
-    "tile_store": ("amx", ("buffer", "expr", "expr", "imm", "tile")),
-    "wmma_load_a": ("wmma", _LOAD_SIG),
-    "wmma_load_b": ("wmma", _LOAD_SIG),
-    "wmma_load_c": ("wmma", _LOAD_SIG),
-    "wmma_zero": ("wmma", ("imm", "imm")),
-    "wmma_mma": ("wmma", ("tile", "tile", "tile")),
-    "wmma_store": ("wmma", ("buffer", "expr", "expr", "imm", "tile")),
-    "ConvolutionShuffle": ("mem", ("buffer", "expr", "imm", "imm")),
-    "KWayInterleave": ("mem", ("imm", "imm", "expr")),
-    "PolyphaseShuffle": ("mem", ("buffer", "expr", "imm", "imm", "imm", "imm")),
-}
-
-
-def is_intrinsic(name):
-    return name in INTRINSICS
-
-
-def intrinsic_location(name):
-    if name not in INTRINSICS:
-        raise UnknownIntrinsic(name)
-    if name in ("tile_store", "wmma_store"):
-        return "mem"  # side effect into memory; the produced value is spent
-    return INTRINSICS[name][0]
-
-
-def buffer_arg_positions(name):
-    return tuple(i for i, role in enumerate(INTRINSICS[name][1]) if role == "buffer")
-
-
-def _imm_int(e):
-    if isinstance(e, ir.Imm) and e.kind == "i32":
-        return int(e.value)
-    raise ir.LaneMismatch(f"expected an i32 immediate argument, got {e!r}")
-
-
-def _buffer_name(e):
-    if isinstance(e, ir.Var):
-        return e.name
-    raise EvalError(f"expected a buffer reference, got {e!r}")
-
-
-def intrinsic_result_lanes(call, path="e"):
-    name, args = call.name, call.args
-    if name not in INTRINSICS:
-        raise ir.LaneMismatch(f"unknown intrinsic {name!r}", path)
-    if len(args) != len(INTRINSICS[name][1]):
-        raise ir.LaneMismatch(
-            f"{name} takes {len(INTRINSICS[name][1])} arguments, got {len(args)}", path)
-    if name in ("tile_zero", "wmma_zero"):
-        return _imm_int(args[0]) * _imm_int(args[1])
-    if name in ("tile_load", "wmma_load_a", "wmma_load_b", "wmma_load_c"):
-        return _imm_int(args[3]) * _imm_int(args[4])
-    if name == "tile_matmul":
-        return ir.lanes_of(args[0], path + ".acc")
-    if name == "wmma_mma":
-        return ir.lanes_of(args[2], path + ".acc")
-    if name in ("tile_store", "wmma_store"):
-        return ir.lanes_of(args[4], path + ".tile")
-    if name == "ConvolutionShuffle":
-        return _imm_int(args[2]) * _imm_int(args[3])
-    if name == "KWayInterleave":
-        return ir.lanes_of(args[2], path + ".input")
-    if name == "PolyphaseShuffle":
-        l, k, p, s = (_imm_int(a) for a in args[2:6])
-        from .layout import ToeplitzSpec, matrix_rows
-        return matrix_rows(ToeplitzSpec(l=l, k=k, s=s, p=p)) * k
-    raise ir.LaneMismatch(f"unhandled intrinsic {name!r}", path)
-
-
-def intrinsic_result_kind(call, buffers=None, path="e"):
-    name = call.name
-    if name in ("tile_zero", "wmma_zero", "tile_matmul", "wmma_mma",
-                "tile_store", "wmma_store", "wmma_load_c"):
-        return "f32"
-    if name in ("tile_load", "ConvolutionShuffle", "PolyphaseShuffle",
-                "wmma_load_a", "wmma_load_b"):
-        if isinstance(call.args[0], ir.ExprVar):  # pre-materialization form
-            return ir._kind_of(call.args[0].operand, buffers, path)
-        bufname = _buffer_name(call.args[0])
-        if buffers is not None:
-            if bufname not in buffers:
-                raise ir.UnknownBuffer(bufname)
-            return buffers[bufname][0]
-        return "f16" if name.startswith("wmma") else "bf16"
-    if name == "KWayInterleave":
-        return ir._kind_of(call.args[2], buffers, path)
-    raise UnknownIntrinsic(name)
+# intrinsic semantics (signatures live in ir.INTRINSICS)
 
 
 def _derive_mkn(la, lb, lc):
@@ -406,55 +313,52 @@ def _derive_mkn(la, lb, lc):
     return m, k, n
 
 
-def _tile_gather(env, name, base, stride, rows, cols, kind=None):
-    buf_idx = base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols)
-    return _gather(name, buf_idx.reshape(-1), env, kind)
-
-
 def _scalar_int(v):
     if v.kind != "i32" or v.lanes != 1:
         raise EvalError(f"expected a scalar i32 argument, got {v.kind}x{v.lanes}")
     return int(v.data[0])
 
 
+def _tile_index(args, env, rows, cols):
+    """Addresses base + stride*row + col of a rows x cols tile, row-major,
+    for the (buffer, base, stride, ...) arguments of a load or store."""
+    base = _scalar_int(eval_expr(args[1], env))
+    stride = _scalar_int(eval_expr(args[2], env))
+    return (base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols)).reshape(-1)
+
+
+def _read(arg, idx, env):
+    """Lanes `idx` of a buffer argument: a named buffer, or the value an
+    ExprVar materializes (the pre-materialization form)."""
+    if isinstance(arg, ir.ExprVar):
+        src = eval_expr(arg, env)
+        _check_bounds("<exprvar>", idx, src.lanes)
+        return VectorValue(src.kind, src.data[idx].copy())
+    return _gather(arg.name, idx, env)
+
+
 def eval_intrinsic(name, args, env):
-    if name not in INTRINSICS:
+    """Value of an intrinsic call whose arguments match its ir.INTRINSICS
+    signature (ir.validate_program checks every call)."""
+    sig = ir.INTRINSICS.get(name)
+    if sig is None:
         raise UnknownIntrinsic(name)
+    sizes = [int(args[i].value) for i in sig.size_args]
 
     if name in ("tile_zero", "wmma_zero"):
-        m, n = _imm_int(args[0]), _imm_int(args[1])
-        return VectorValue("f32", np.zeros(m * n, np.float32))
+        return VectorValue("f32", np.zeros(math.prod(sizes), np.float32))
 
     if name in ("tile_load", "wmma_load_a", "wmma_load_b", "wmma_load_c"):
-        base = _scalar_int(eval_expr(args[1], env))
-        stride = _scalar_int(eval_expr(args[2], env))
-        rows, cols = _imm_int(args[3]), _imm_int(args[4])
-        if isinstance(args[0], ir.ExprVar):
-            # pre-materialization form: gather from the would-be temporary
-            src = eval_expr(args[0], env)
-            idx = (base + stride * np.arange(rows).reshape(-1, 1)
-                   + np.arange(cols)).reshape(-1)
-            if idx.min() < 0 or idx.max() >= src.lanes:
-                raise OutOfBounds("<exprvar>", int(idx.max()))
-            v = VectorValue(src.kind, src.data[idx].copy())
-        else:
-            v = _tile_gather(env, _buffer_name(args[0]), base, stride, rows, cols)
+        v = _read(args[0], _tile_index(args, env, *sizes), env)
         if v.kind != "i32":
             v = VectorValue(v.kind, round_to_kind(v.data, v.kind))
         return v
 
     if name in ("tile_store", "wmma_store"):
-        buf = _buffer_name(args[0])
-        base = _scalar_int(eval_expr(args[1], env))
-        stride = _scalar_int(eval_expr(args[2], env))
-        cols = _imm_int(args[3])
+        (cols,) = sizes
         tile = eval_expr(args[4], env)
-        if cols < 1 or tile.lanes % cols:
-            raise EvalError(f"{name}: {tile.lanes}-lane tile not divisible "
-                            f"into {cols}-wide rows")
-        rows = tile.lanes // cols
-        idx = (base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols)).reshape(-1)
-        _scatter(buf, idx, tile, env)
+        _scatter(args[0].name, _tile_index(args, env, tile.lanes // cols, cols),
+                 tile, env)
         return tile
 
     if name in ("tile_matmul", "wmma_mma"):
@@ -467,9 +371,8 @@ def eval_intrinsic(name, args, env):
             raise ShapeUnregistered(
                 f"{name}: no (M,K,N) fits lanes A={a.lanes} B={b.lanes} C={c.lanes}")
         m, k, n = mkn
-        target = "amx" if name == "tile_matmul" else "wmma"
-        if (target, m, k, n) not in env.shapes:
-            raise ShapeUnregistered(f"{name}: shape {target} {m}x{k}x{n} not registered")
+        if (sig.accel, m, k, n) not in env.shapes:
+            raise ShapeUnregistered(f"{name}: shape {sig.accel} {m}x{k}x{n} not registered")
         am = a.data.reshape(m, k)
         if name == "tile_matmul":
             # b holds the VNNI pack: b[(k//2)*2N + 2j + k%2] = B[k][j]
@@ -486,26 +389,15 @@ def eval_intrinsic(name, args, env):
         out = c.data.reshape(m, n) + s
         return VectorValue("f32", out.reshape(-1))
 
-    if name == "ConvolutionShuffle":
-        buf = _buffer_name(args[0])
+    if name in ("ConvolutionShuffle", "PolyphaseShuffle"):
+        spec = ir.shuffle_spec(ir.Call(name, args))
         base = _scalar_int(eval_expr(args[1], env))
-        rows, cols = _imm_int(args[2]), _imm_int(args[3])
-        from .layout import ToeplitzSpec
-        return _shuffle_matrix(env, buf, base, ToeplitzSpec(l=rows - cols, k=cols))
-
-    if name == "PolyphaseShuffle":
-        buf = _buffer_name(args[0])
-        base = _scalar_int(eval_expr(args[1], env))
-        l, k, p, s = (_imm_int(a) for a in args[2:6])
-        from .layout import ToeplitzSpec
-        return _shuffle_matrix(env, buf, base, ToeplitzSpec(l=l, k=k, s=s, p=p))
+        kern = _read(args[0], base + np.arange(spec.kernel_length), env)
+        return VectorValue(kern.kind, layout.matrix_for(kern.data, spec).reshape(-1))
 
     if name == "KWayInterleave":
-        k = _imm_int(args[0])
-        row_len = _imm_int(args[1])
+        k, row_len = sizes
         v = eval_expr(args[2], env)
-        if v.lanes % (k * row_len):
-            raise EvalError(f"KWayInterleave: {v.lanes} lanes not divisible")
         rows = v.lanes // row_len
         inp = v.data.reshape(rows, row_len)
         out = np.empty((rows // k, k * row_len), v.data.dtype)
@@ -516,32 +408,11 @@ def eval_intrinsic(name, args, env):
     raise UnknownIntrinsic(name)
 
 
-def _shuffle_matrix(env, bufname, base, spec):
-    from .layout import kernel_taps, matrix_rows
-    buf = env.buffers.get(bufname)
-    if buf is None:
-        raise EvalError(f"kernel buffer {bufname!r} undeclared")
-    total = spec.kernel_length
-    if base < 0 or base + total > len(buf.data):
-        raise OutOfBounds(bufname, base + total - 1)
-    kern = buf.data[base:base + total]
-    rows = matrix_rows(spec)
-    out = np.zeros((rows, spec.k), buf.data.dtype)
-    for y in range(rows):
-        for x in range(spec.k):
-            t = kernel_taps(spec, y, x)
-            if t is not None:
-                out[y, x] = kern[t]
-    return VectorValue(buf.kind, out.reshape(-1))
-
-
 def _scatter(name, idx, value, env):
     if name not in env.buffers:
         raise EvalError(f"store into undeclared buffer {name!r}")
     buf = env.buffers[name]
-    if idx.size and (idx.min() < 0 or idx.max() >= len(buf.data)):
-        bad = idx[(idx < 0) | (idx >= len(buf.data))][0]
-        raise OutOfBounds(name, int(bad))
+    _check_bounds(name, idx, len(buf.data))
     data = value.data
     if buf.kind == "i32" and value.kind != "i32":
         data = np.trunc(data).astype(np.int64)

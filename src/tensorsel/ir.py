@@ -9,11 +9,19 @@ and modulus.
 
 Shuffle carries a literal index sequence; index -1 selects a constant zero
 lane (codegen would realize it by prepending one zero lane to the source).
+
+Every static fact about an intrinsic -- argument roles, where its operands
+and result live, its result kind and lane count -- is one `INTRINSICS`
+record.  `lanes_of` checks each Call against its record, so intrinsic calls
+are typed like every other node; `interp` holds only what they compute.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+from . import layout
 
 SCALAR_KINDS = ("bf16", "f16", "f32", "i32")
 LOCATIONS = ("mem", "amx", "wmma")
@@ -32,13 +40,15 @@ _ATOM_OF_MOVE = {v: k for k, v in _MOVE_ATOMS.items()}
 
 
 class IRError(Exception):
-    pass
+    """`msg` about the node at `path` (such as body[0].value.lhs), if known."""
+
+    def __init__(self, msg, path=""):
+        super().__init__(f"{path}: {msg}" if path else msg)
+        self.msg, self.path = msg, path
 
 
 class LaneMismatch(IRError):
-    def __init__(self, msg, path=""):
-        super().__init__(f"{path}: {msg}" if path else msg)
-        self.path = path
+    pass
 
 
 class KindMismatch(IRError):
@@ -210,13 +220,125 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
+# intrinsic signatures
+#
+# Canonical hardware shapes: AMX 16x32x16 over bf16 (B tiles in the VNNI
+# layout), WMMA m32n8k16 and m16n16k16 over f16 (row-major fragments).
+# Loads and stores carry explicit (rows, cols) so a lowered program is
+# self-describing; matmul shapes are derived from operand lane counts.
+
+
+@dataclass(frozen=True)
+class Intrinsic:
+    """Static signature of one intrinsic.
+
+    roles: per argument, "buffer" (a Var naming a buffer, or an ExprVar
+        before materialization), "expr" (a memory value), "imm" (an i32
+        immediate >= 1, a size) or "tile" (a value living on `accel`).
+    accel: where the tile operands live.
+    loc: where the result lives; a store's value is spent into memory.
+    kind: the result kind, or the position of the argument whose kind it
+        has (for a buffer argument, the buffer's kind).
+    lanes: "sizes" for the product of the sizes, "spec" for the kernel
+        matrix of `shuffle_spec`, or the position of the argument whose
+        lanes it has; those lanes must split into blocks of the sizes.
+    """
+
+    roles: tuple
+    accel: str
+    loc: str
+    kind: str | int
+    lanes: str | int
+
+    @property
+    def size_args(self):
+        """Positions of the "imm" arguments."""
+        return tuple(i for i, r in enumerate(self.roles) if r == "imm")
+
+
+_LOAD = ("buffer", "expr", "expr", "imm", "imm")
+_STORE = ("buffer", "expr", "expr", "imm", "tile")
+
+INTRINSICS = {
+    "tile_zero": Intrinsic(("imm", "imm"), "amx", "amx", "f32", "sizes"),
+    "tile_load": Intrinsic(_LOAD, "amx", "amx", 0, "sizes"),
+    "tile_matmul": Intrinsic(("tile",) * 3, "amx", "amx", "f32", 0),  # C, A, B
+    "tile_store": Intrinsic(_STORE, "amx", "mem", "f32", 4),
+    "wmma_load_a": Intrinsic(_LOAD, "wmma", "wmma", 0, "sizes"),
+    "wmma_load_b": Intrinsic(_LOAD, "wmma", "wmma", 0, "sizes"),
+    "wmma_load_c": Intrinsic(_LOAD, "wmma", "wmma", "f32", "sizes"),
+    "wmma_zero": Intrinsic(("imm", "imm"), "wmma", "wmma", "f32", "sizes"),
+    "wmma_mma": Intrinsic(("tile",) * 3, "wmma", "wmma", "f32", 2),  # A, B, C
+    "wmma_store": Intrinsic(_STORE, "wmma", "mem", "f32", 4),
+    "ConvolutionShuffle": Intrinsic(  # kernel, base, rows, cols
+        ("buffer", "expr", "imm", "imm"), "mem", "mem", 0, "spec"),
+    "KWayInterleave": Intrinsic(("imm", "imm", "expr"), "mem", "mem", 2, 2),
+    "PolyphaseShuffle": Intrinsic(  # kernel, base, l, k, p, s
+        ("buffer", "expr", "imm", "imm", "imm", "imm"), "mem", "mem", 0, "spec"),
+}
+
+
+def _signature(call, path):
+    sig = INTRINSICS.get(call.name)
+    if sig is None:
+        raise LaneMismatch(f"unknown intrinsic {call.name!r}", path)
+    if len(call.args) != len(sig.roles):
+        raise LaneMismatch(f"{call.name} takes {len(sig.roles)} arguments, "
+                           f"got {len(call.args)}", path)
+    return sig
+
+
+def _call_lanes(call, path):
+    """Lane count of an intrinsic call, checking it against its signature."""
+    sig = _signature(call, path)
+    lanes = []
+    for i, (a, role) in enumerate(zip(call.args, sig.roles)):
+        if role == "buffer" and not isinstance(a, (Var, ExprVar)):
+            raise LaneMismatch(f"{call.name} argument {i} must name a buffer, "
+                               f"got {print_expr(a)}", path)
+        if role == "imm" and not (isinstance(a, Imm) and a.kind == "i32"
+                                  and int(a.value) >= 1):
+            raise LaneMismatch(f"{call.name} argument {i} must be an i32 "
+                               f"immediate >= 1, got {print_expr(a)}", path)
+        lanes.append(lanes_of(a, f"{path}.args[{i}]"))
+    if sig.lanes == "spec":
+        spec = shuffle_spec(call, path)
+        return layout.matrix_rows(spec) * spec.k
+    sizes = math.prod(int(call.args[i].value) for i in sig.size_args)
+    if sig.lanes == "sizes":
+        return sizes
+    n = lanes[sig.lanes]
+    if n % sizes:
+        raise LaneMismatch(f"{call.name} argument {sig.lanes} has {n} lanes, "
+                           f"not a multiple of {sizes}", path)
+    return n
+
+
+def shuffle_spec(call, path="e"):
+    """The layout.ToeplitzSpec of a ConvolutionShuffle or PolyphaseShuffle
+    call whose sizes are positive i32 immediates."""
+    sizes = [int(a.value) for a in call.args[2:]]
+    if call.name == "ConvolutionShuffle":
+        rows, cols = sizes
+        if rows <= cols:
+            raise LaneMismatch(f"ConvolutionShuffle needs rows > cols, "
+                               f"got {rows} and {cols}", path)
+        return layout.ToeplitzSpec(l=rows - cols, k=cols)
+    l, k, p, s = sizes
+    if p > 1 and s > 1:
+        raise LaneMismatch(f"PolyphaseShuffle phases {p} and stride {s} "
+                           f"are exclusive", path)
+    return layout.ToeplitzSpec(l=l, k=k, s=s, p=p)
+
+
+# ---------------------------------------------------------------------------
 # lane and kind analysis
 
 
 def lanes_of(e, path="e"):
     """Lane count of `e`, raising LaneMismatch (with a node path) on any
     violation of the lane constraints."""
-    if isinstance(e, (Imm, Var, ExprVar)):
+    if isinstance(e, (Imm, Var)):
         return 1
     if isinstance(e, Load):
         n = lanes_of(e.index, path + ".index")
@@ -254,7 +376,7 @@ def lanes_of(e, path="e"):
             raise LaneMismatch(
                 f"cannot reduce {n} lanes to {e.result_lanes}", path)
         return e.result_lanes
-    if isinstance(e, LocToLoc):
+    if isinstance(e, (LocToLoc, ExprVar)):
         return lanes_of(e.operand, path + ".operand")
     if isinstance(e, Shuffle):
         src = lanes_of(e.source, path + ".source")
@@ -265,9 +387,8 @@ def lanes_of(e, path="e"):
             raise LaneMismatch("empty shuffle", path)
         return len(e.indices)
     if isinstance(e, Call):
-        from .interp import intrinsic_result_lanes  # avoids a hard dependency cycle
-        return intrinsic_result_lanes(e, path)
-    raise IRError(f"{path}: not an Expr: {e!r}")
+        return _call_lanes(e, path)
+    raise IRError(f"not an Expr: {e!r}", path)
 
 
 def type_of(e, buffers=None, path="e"):
@@ -291,7 +412,7 @@ def _kind_of(e, buffers, path):
         kl = _kind_of(e.lhs, buffers, path + ".lhs")
         kr = _kind_of(e.rhs, buffers, path + ".rhs")
         if kl != kr:
-            raise KindMismatch(f"{path}: {e.op} over {kl} and {kr}")
+            raise KindMismatch(f"{e.op} over {kl} and {kr}", path)
         return kl
     if isinstance(e, Ramp):
         return _kind_of(e.base, buffers, path + ".base")
@@ -300,9 +421,18 @@ def _kind_of(e, buffers, path):
     if isinstance(e, Shuffle):
         return _kind_of(e.source, buffers, path + ".source")
     if isinstance(e, Call):
-        from .interp import intrinsic_result_kind
-        return intrinsic_result_kind(e, buffers, path)
-    raise IRError(f"{path}: not an Expr: {e!r}")
+        sig = _signature(e, path)
+        if isinstance(sig.kind, str):
+            return sig.kind
+        arg = e.args[sig.kind]
+        if sig.roles[sig.kind] != "buffer" or not isinstance(arg, Var):
+            return _kind_of(arg, buffers, f"{path}.args[{sig.kind}]")
+        if buffers is None:
+            raise IRError(f"the kind of {e.name} needs a buffer table", path)
+        if arg.name not in buffers:
+            raise UnknownBuffer(arg.name)
+        return buffers[arg.name][0]
+    raise IRError(f"not an Expr: {e!r}", path)
 
 
 def walk_exprs(e):
@@ -441,14 +571,9 @@ def validate_program(p):
 
     def check_expr(e, path, bound):
         try:
-            lanes_of(e, path)
-        except LaneMismatch as err:
-            rep.errors.append((path, str(err)))
-            return
-        try:
             type_of(e, buffers, path)
-        except (KindMismatch, UnknownBuffer, IRError) as err:
-            rep.errors.append((path, str(err)))
+        except IRError as err:
+            rep.errors.append((err.path or path, err.msg))
         for sub in walk_exprs(e):
             if isinstance(sub, Load):
                 if sub.buffer not in buffers:
@@ -658,7 +783,10 @@ def _parse_type(node):
     items, tok = node
     if isinstance(items, _Tok) or len(items) != 2:
         _fail(tok, "expected (KIND N) type", ("(kind lanes)",))
-    return VecType(_kind_atom(items[0]), _int_atom(items[1], "lane count"))
+    kind, lanes = _kind_atom(items[0]), _int_atom(items[1], "lane count")
+    if lanes < 1:
+        _fail(items[1][1], f"lane count must be >= 1, got {lanes}")
+    return VecType(kind, lanes)
 
 
 def _parse_expr(node):

@@ -37,8 +37,12 @@ class ToeplitzSpec:
     p: int = 1  # phases (upsample factor)
 
     def __post_init__(self):
-        assert self.l >= 1 and self.k >= 1 and self.s >= 1 and self.p >= 1
-        assert self.s == 1 or self.p == 1, "stride and phases are exclusive"
+        if min(self.l, self.k, self.s, self.p) < 1:
+            raise ValueError(f"taps, width, stride and phases must be >= 1, "
+                             f"got l={self.l} k={self.k} s={self.s} p={self.p}")
+        if self.s > 1 and self.p > 1:
+            raise ValueError(f"stride and phases are exclusive, "
+                             f"got s={self.s} p={self.p}")
 
     @property
     def kernel_length(self):
@@ -126,7 +130,8 @@ def kway_interleave_indices(k, rows, row_len):
     """Gather permutation for the k-way row interleave over `rows` input
     rows of `row_len` elements; k=2 is the VNNI pack
     (out[p][2j+d] = in[k*p+d][j])."""
-    assert rows % k == 0
+    if k < 1 or rows % k:
+        raise ValueError(f"{rows} rows do not interleave {k} ways")
     ordered = [0] * (rows * row_len)
     for p in range(rows // k):
         for j in range(row_len):

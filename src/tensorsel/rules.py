@@ -73,7 +73,10 @@ def mk_name(g, s):
 
 def encode_expr(g, e):
     if isinstance(e, ir.Imm):
-        return g.add(("imm", e.kind, e.value))
+        if e.kind == "i32":
+            return g.add(("imm", "i32", e.value))
+        # 0.0 == -0.0, so the sign bit keeps the two zeros in separate classes
+        return g.add(("imm", e.kind, e.value, math.copysign(1.0, e.value) < 0))
     if isinstance(e, ir.Var):
         return g.add(("var", e.name))
     if isinstance(e, ir.Load):
@@ -217,10 +220,6 @@ def pl2l(src, dst, e):
     return P(("l2l", src, dst), e)
 
 
-def pcall(fname, *args):
-    return P(("call", fname), *args)
-
-
 def ploc(loc):
     return P(("loc", loc))
 
@@ -253,10 +252,11 @@ def expr_type(g, cid):
 
 
 def _tile_dims(g, cid):
+    """(rows, cols) of an accelerator tile built from its sizes in `cid`."""
     for op, ch in g.class_nodes(cid):
-        if op[0] == "call" and op[1] in ("tile_load", "wmma_load_a",
-                                         "wmma_load_b", "wmma_load_c"):
-            r, c = g.class_int(ch[3]), g.class_int(ch[4])
+        sig = ir.INTRINSICS.get(op[1]) if op[0] == "call" else None
+        if sig and sig.loc != "mem" and sig.lanes == "sizes":
+            r, c = (g.class_int(ch[i]) for i in sig.size_args)
             if r is not None and c is not None:
                 return r, c
     return None
@@ -622,27 +622,6 @@ def _supporting_rules(rs):
 
 
 # -- application -------------------------------------------------------------
-
-
-def canonical_a_index(base, stride, m, k, n):
-    """Three-level A access: x (rows, stride) outer, y broadcast, r inner."""
-    return ir.Ramp(ir.Broadcast(ir.Ramp(base, ir.Imm("i32", 1), k), n),
-                   ir.Broadcast(stride, k * n), m)
-
-
-def canonical_b_standard_index(base, stride, m, k, n):
-    """Three-level standard-layout B access: x broadcast, y (stride 1), r."""
-    return ir.Broadcast(ir.Ramp(ir.Ramp(base, stride, k),
-                                ir.Broadcast(ir.Imm("i32", 1), k), n), m)
-
-
-def canonical_b_vnni_index(base, vstride, m, k, n):
-    """Four-level VNNI B access: x broadcast; then j (stride 2), k/2
-    (stride = VNNI row stride), k%2 (stride 1), outermost first."""
-    pair = ir.Ramp(base, ir.Imm("i32", 1), 2)
-    rows = ir.Ramp(pair, ir.Broadcast(vstride, 2), k // 2)
-    cols = ir.Ramp(rows, ir.Broadcast(ir.Imm("i32", 2), k), n)
-    return ir.Broadcast(cols, m)
 
 
 def _pat_a_index(idx_var):
@@ -1287,13 +1266,14 @@ def _matmul_source(rng, buffers, target, m, k, n):
     c_buf = _fresh_vec(rng, buffers, m * n, "f32", "C").buffer
     zero = ir.Imm("i32", 0)
     a_load = ir.Load(a_buf, ir.VecType(kind, m * k * n),
-                     canonical_a_index(zero, ir.Imm("i32", astride), m, k, n))
+                     ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
     c_load = ir.Load(c_buf, ir.VecType("f32", m * n),
                      ir.Ramp(zero, ir.Imm("i32", 1), m * n))
     if target == "amx":
         b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
         b_load = ir.Load(b_buf, ir.VecType(kind, m * k * n),
-                         canonical_b_vnni_index(zero, ir.Imm("i32", 2 * n), m, k, n))
+                         ir.canonical_index([(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)],
+                                            zero))
         tb = ir.Call("tile_load", (ir.Var(b_buf), zero, ir.Imm("i32", 2 * n),
                                    ir.Imm("i32", k // 2), ir.Imm("i32", 2 * n)))
         ta = ir.Call("tile_load", (ir.Var(a_buf), zero, ir.Imm("i32", astride),
@@ -1301,7 +1281,7 @@ def _matmul_source(rng, buffers, target, m, k, n):
     else:
         b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
         b_load = ir.Load(b_buf, ir.VecType(kind, m * k * n),
-                         canonical_b_standard_index(zero, ir.Imm("i32", n), m, k, n))
+                         ir.canonical_index([(m, 0), (n, 1), (k, n)], zero))
         tb = ir.Call("wmma_load_b", (ir.Var(b_buf), zero, ir.Imm("i32", n),
                                      ir.Imm("i32", k), ir.Imm("i32", n)))
         ta = ir.Call("wmma_load_a", (ir.Var(a_buf), zero, ir.Imm("i32", astride),

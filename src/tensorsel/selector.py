@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from . import interp, ir, layout, rules
+from . import ir, layout, rules
 from .egraph import CostModel, NodeBudgetExceeded, extract_best, run_schedule
 
 
@@ -101,8 +101,8 @@ def static_loc(e, buffers):
     if isinstance(e, ir.Load):
         entry = buffers.get(e.buffer)
         return entry[2] if entry else "mem"
-    if isinstance(e, ir.Call) and interp.is_intrinsic(e.name):
-        return interp.intrinsic_location(e.name)
+    if isinstance(e, ir.Call) and e.name in ir.INTRINSICS:
+        return ir.INTRINSICS[e.name].loc
     return "mem"
 
 
@@ -129,7 +129,7 @@ def inject_data_movement(p):
             if loc != "mem" and loc != store_loc:
                 return ir.LocToLoc(loc, "mem", e)
             return e
-        if isinstance(e, ir.Call) and interp.is_intrinsic(e.name):
+        if isinstance(e, ir.Call) and e.name in ir.INTRINSICS:
             return e
         if isinstance(e, ir.LocToLoc):
             return e
@@ -169,18 +169,15 @@ def realizability_check(s, buffers):
             diags.append(f"{path}: unresolved {e.src}->{e.dst} data movement")
             check(e.operand, e.src, path + ".operand")
             return
-        if isinstance(e, ir.Call) and interp.is_intrinsic(e.name):
-            produced = interp.intrinsic_location(e.name)
-            if produced != expected:
-                diags.append(f"{path}: {e.name} yields a {produced} value "
+        if isinstance(e, ir.Call) and e.name in ir.INTRINSICS:
+            sig = ir.INTRINSICS[e.name]
+            if sig.loc != expected:
+                diags.append(f"{path}: {e.name} yields a {sig.loc} value "
                              f"in a {expected} context")
-            roles = interp.INTRINSICS[e.name][1]
-            accel = "amx" if e.name.startswith("tile") else "wmma"
-            for i, (arg, role) in enumerate(zip(e.args, roles)):
-                if role == "buffer":
-                    continue
-                want = accel if role == "tile" else "mem"
-                check(arg, want, f"{path}.args[{i}]")
+            for i, (arg, role) in enumerate(zip(e.args, sig.roles)):
+                if role != "buffer":
+                    check(arg, sig.accel if role == "tile" else "mem",
+                          f"{path}.args[{i}]")
             return
         if isinstance(e, ir.Load):
             loc = buffers.get(e.buffer, ("", 0, "mem"))[2]
@@ -218,7 +215,7 @@ def _intrinsic_names(s):
     exprs = [s.value] if isinstance(s, (ir.Store, ir.Evaluate)) else []
     for e in exprs:
         for sub in ir.walk_exprs(e):
-            if isinstance(sub, ir.Call) and interp.is_intrinsic(sub.name):
+            if isinstance(sub, ir.Call) and sub.name in ir.INTRINSICS:
                 names.append(sub.name)
     return sorted(set(names))
 
@@ -233,7 +230,7 @@ def _touches_accel(s, buffers):
             if isinstance(sub, ir.Load) and \
                     buffers.get(sub.buffer, ("", 0, "mem"))[2] != "mem":
                 return True
-            if isinstance(sub, ir.Call) and interp.is_intrinsic(sub.name):
+            if isinstance(sub, ir.Call) and sub.name in ir.INTRINSICS:
                 return True
     return False
 
@@ -311,13 +308,12 @@ def lower_exprvars(p):
             t = ir.type_of(e.operand, buffers)
             return ir.Load(names[e.operand], t,
                            ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), t.lanes))
-        if isinstance(e, ir.Call) and interp.is_intrinsic(e.name):
-            bufpos = interp.buffer_arg_positions(e.name)
-            args = tuple(
+        if isinstance(e, ir.Call) and e.name in ir.INTRINSICS:
+            roles = ir.INTRINSICS[e.name].roles
+            return ir.Call(e.name, tuple(
                 ir.Var(names[a.operand])
-                if i in bufpos and isinstance(a, ir.ExprVar) else replace(a)
-                for i, a in enumerate(e.args))
-            return ir.Call(e.name, args)
+                if role == "buffer" and isinstance(a, ir.ExprVar) else replace(a)
+                for a, role in zip(e.args, roles)))
         return ir.map_expr(e, replace)
 
     temps, allocs, inits = [], [], {}
@@ -355,24 +351,15 @@ def desugar_shuffles(p):
     buffers = ir.buffer_table(p)
 
     def spec_shuffle(e):
-        name = e.args[0]
-        base = e.args[1]
-        if e.name == "ConvolutionShuffle":
-            rows, cols = (int(a.value) for a in e.args[2:4])
-            spec = layout.ToeplitzSpec(l=rows - cols, k=cols)
-        else:
-            l, k, p_, s_ = (int(a.value) for a in e.args[2:6])
-            spec = layout.ToeplitzSpec(l=l, k=k, s=s_, p=p_)
+        # the kernel window's bounds are checked when the program runs, as
+        # they are for the call it replaces
+        spec = ir.shuffle_spec(e)
         total = spec.kernel_length
-        bufname = name.name
-        kind, length, _ = buffers[bufname]
-        base_val = int(base.value) if isinstance(base, ir.Imm) else None
-        raw = layout.shuffle_indices_for(
-            spec, base_val if base_val is not None else 0,
-            length if base_val is not None else total)
+        bufname = e.args[0].name
+        raw = layout.shuffle_indices_for(spec, 0, total)
         indices = tuple(i - 1 if i >= 1 else -1 for i in raw)
-        load = ir.Load(bufname, ir.VecType(kind, total),
-                       ir.Ramp(desugar(base), ir.Imm("i32", 1), total))
+        load = ir.Load(bufname, ir.VecType(buffers[bufname][0], total),
+                       ir.Ramp(desugar(e.args[1]), ir.Imm("i32", 1), total))
         return ir.Shuffle(load, indices)
 
     def desugar(e):

@@ -28,6 +28,13 @@ class TestCheck:
         bad.write_text("(param x bf16 4")
         assert run_cli("check", str(bad)) == 2
 
+    def test_zero_lane_type_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "z.sexp"
+        bad.write_text("(evaluate (cast (f32 0) (imm f32 1.0)))\n")
+        assert run_cli("check", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_lane_mismatch_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.sexp"
         bad.write_text("(param o f32 512 mem)\n"
@@ -35,6 +42,41 @@ class TestCheck:
                        "(broadcast (imm f32 0.0) 256))\n")
         assert run_cli("check", str(bad)) == 1
         assert "lanes" in capsys.readouterr().out
+
+
+MALFORMED_CALLS = {
+    "buffer-is-immediate": (
+        "(param A bf16 512 mem)\n(allocate t bf16 512 amx)\n"
+        "(store t (ramp (imm i32 0) (imm i32 1) 512) (call tile_load (imm i32 0) "
+        "(imm i32 0) (imm i32 32) (imm i32 16) (imm i32 32)))\n",
+        "body[1].value: tile_load argument 0 must name a buffer"),
+    "interleave-zero-ways": (
+        "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 16) "
+        "(call KWayInterleave (imm i32 0) (imm i32 4) "
+        "(load A (f32 16) (ramp (imm i32 0) (imm i32 1) 16))))\n",
+        "body[0].value: KWayInterleave argument 0 must be an i32 immediate >= 1"),
+    "negative-tile-size": (
+        "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 4) "
+        "(call tile_zero (imm i32 2) (imm i32 -2)))\n",
+        "body[0].value: tile_zero argument 1 must be an i32 immediate >= 1"),
+    "stride-and-phases": (
+        "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 4) "
+        "(call PolyphaseShuffle (var A) (imm i32 0) (imm i32 2) (imm i32 4) "
+        "(imm i32 2) (imm i32 2)))\n",
+        "body[0].value: PolyphaseShuffle phases 2 and stride 2 are exclusive"),
+}
+
+
+class TestMalformedCalls:
+    @pytest.mark.parametrize("command", ["check", "run", "select"])
+    @pytest.mark.parametrize("case", MALFORMED_CALLS)
+    def test_exits_one_naming_the_argument(self, case, command, tmp_path, capsys):
+        text, msg = MALFORMED_CALLS[case]
+        bad = tmp_path / "bad.sexp"
+        bad.write_text(text)
+        assert run_cli(command, str(bad)) == 1
+        out = capsys.readouterr()
+        assert f"error: {msg}" in out.out + out.err
 
 
 class TestRun:
@@ -102,6 +144,17 @@ class TestSelect:
         reparsed = ir.parse_program(text)
         assert ir.print_program(reparsed) == text
         assert run_cli("run", str(out), "--seed", "5") == 0
+
+    def test_kernel_window_is_checked_at_run_time(self, tmp_path, capsys):
+        prog, low = tmp_path / "conv.sexp", tmp_path / "low.sexp"
+        prog.write_text(
+            "(param K f32 3 mem)\n(param O f32 10 mem)\n"
+            "(store O (ramp (imm i32 0) (imm i32 1) 10) (call ConvolutionShuffle "
+            "(var K) (imm i32 100) (imm i32 5) (imm i32 2)))\n")
+        assert run_cli("select", str(prog), "-o", str(low)) == 0
+        for path in (prog, low):
+            assert run_cli("run", str(path)) == 1
+            assert "'K' index 100 out of bounds" in capsys.readouterr().err
 
     def test_preload_b_standard_fails(self, capsys):
         assert run_cli("select", corpus("matmul_preloadB_standard"),
@@ -195,6 +248,19 @@ class TestDifftest:
         assert result.divergence is None
 
 
+    def test_signed_zeros_stay_apart(self, tmp_path, capsys):
+        # -0.0 and 0.0 once shared an e-class, so -0.0 - 0.0 became -0.0 - -0.0
+        prog = tmp_path / "zeros.sexp"
+        prog.write_text(
+            "(param O f32 4 mem)\n(allocate T f32 4 mem)\n"
+            "(store T (ramp (imm i32 0) (imm i32 1) 4) (sub (broadcast (broadcast "
+            "(imm f32 -0.0) 2) 2) (broadcast (imm f32 0.0) 4)))\n"
+            "(store O (ramp (imm i32 0) (imm i32 1) 4) "
+            "(load T (f32 4) (ramp (imm i32 0) (imm i32 1) 4)))\n")
+        assert run_cli("difftest", str(prog), "--trials", "100") == 0
+        assert "100 trials: ok" in capsys.readouterr().out
+
+
 class TestLayout:
     def test_toeplitz_text(self, capsys):
         assert run_cli("layout", "toeplitz", "--l", "3", "--k", "2") == 0
@@ -216,3 +282,15 @@ class TestLayout:
 
     def test_usage_error_exit_code(self):
         assert run_cli("layout", "toeplitz") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("toeplitz", "--l", "0", "--k", "4"),
+        ("toeplitz", "--l", "3", "--k", "4", "--s", "2", "--p", "2"),
+        ("interleave", "--l", "3", "--k", "3", "--p", "2"),
+        ("interleave", "--l", "2", "--k", "4", "--p", "0"),
+    ])
+    def test_sizes_forming_no_matrix_exit_two(self, argv, capsys):
+        assert run_cli("layout", *argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert not out.out

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsel import interp, ir
+from tensorsel import interp, ir, layout
 from tensorsel.ir import (Allocate, Bop, Broadcast, Call, Cast, Evaluate,
                           ExprVar, For, Imm, Load, LocToLoc, Param, Program,
                           Ramp, Shuffle, Store, Var, VecType,
@@ -149,6 +150,83 @@ class TestTraversal:
         assert ir.stmt_exprs(self.BODY[0]) == ir.stmt_exprs(self.BODY[1]) == ()
 
 
+def _flat_load(buf, kind, n):
+    return Load(buf, VecType(kind, n), Ramp(i32(0), i32(1), n))
+
+
+# One well-formed call of each intrinsic over BUFFERS; matmuls at 2x2x2.
+BUFFERS = {"K": ("bf16", 64, "mem"), "C": ("f32", 64, "mem")}
+CALLS = {
+    "tile_zero": (i32(2), i32(4)),
+    "tile_load": (Var("K"), i32(1), i32(8), i32(2), i32(4)),
+    "tile_matmul": (_flat_load("C", "f32", 4), _flat_load("K", "bf16", 4),
+                    _flat_load("K", "bf16", 4)),
+    "tile_store": (Var("C"), i32(0), i32(4), i32(2), _flat_load("C", "f32", 8)),
+    "wmma_load_a": (Var("K"), i32(0), i32(4), i32(2), i32(2)),
+    "wmma_load_b": (ExprVar(_flat_load("K", "bf16", 8)), i32(0), i32(4),
+                    i32(2), i32(2)),
+    "wmma_load_c": (Var("C"), i32(0), i32(2), i32(2), i32(2)),
+    "wmma_zero": (i32(4), i32(2)),
+    "wmma_mma": (_flat_load("K", "bf16", 4), _flat_load("K", "bf16", 4),
+                 _flat_load("C", "f32", 4)),
+    "wmma_store": (Var("C"), i32(8), i32(2), i32(2), _flat_load("C", "f32", 4)),
+    "ConvolutionShuffle": (Var("K"), i32(0), i32(5), i32(2)),
+    "KWayInterleave": (i32(2), i32(2), _flat_load("K", "bf16", 8)),
+    "PolyphaseShuffle": (Var("K"), i32(0), i32(2), i32(4), i32(2), i32(1)),
+}
+
+
+class TestIntrinsics:
+    def test_every_intrinsic_has_a_call(self):
+        assert set(CALLS) == set(ir.INTRINSICS)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_signature_types_what_interp_computes(self, name):
+        # signatures live in ir and semantics in interp; this keeps them in step
+        call = Call(name, CALLS[name])
+        store = interp.BufferStore()
+        for buf, (kind, length, loc) in BUFFERS.items():
+            store[buf] = interp.Buffer(kind, loc, np.arange(length, dtype=np.float32))
+        env = interp.Env(buffers=store, shapes=frozenset(
+            {("amx", 2, 2, 2), ("wmma", 2, 2, 2)}))
+        v = interp.eval_expr(call, env)
+        assert ir.type_of(call, BUFFERS) == VecType(v.kind, v.lanes)
+
+    @pytest.mark.parametrize("name, args, msg", [
+        ("tile_load", (i32(0), i32(0), i32(32), i32(16), i32(32)),
+         "tile_load argument 0 must name a buffer"),
+        ("KWayInterleave", (i32(0), i32(4), _flat_load("A", "f32", 16)),
+         "KWayInterleave argument 0 must be an i32 immediate >= 1"),
+        ("tile_zero", (i32(2), i32(-2)),
+         "tile_zero argument 1 must be an i32 immediate >= 1"),
+        ("tile_zero", (i32(2), Imm("f32", 2.0)),
+         "tile_zero argument 1 must be an i32 immediate >= 1"),
+        ("PolyphaseShuffle", (Var("A"), i32(0), i32(2), i32(4), i32(2), i32(2)),
+         "PolyphaseShuffle phases 2 and stride 2 are exclusive"),
+        ("ConvolutionShuffle", (Var("A"), i32(0), i32(2), i32(2)),
+         "ConvolutionShuffle needs rows > cols"),
+        ("KWayInterleave", (i32(3), i32(2), _flat_load("A", "f32", 16)),
+         "KWayInterleave argument 2 has 16 lanes, not a multiple of 6"),
+        ("tile_zero", (i32(2),), "tile_zero takes 2 arguments, got 1"),
+        ("frobnicate", (), "unknown intrinsic 'frobnicate'"),
+    ])
+    def test_malformed_call_is_a_lane_mismatch(self, name, args, msg):
+        with pytest.raises(ir.LaneMismatch) as exc:
+            ir.lanes_of(Call(name, args), "v")
+        assert exc.value.path == "v" and exc.value.msg.startswith(msg)
+
+    def test_check_reaches_calls_inside_exprvars(self):
+        bad = ExprVar(Call("tile_zero", (i32(0), i32(4))))
+        with pytest.raises(ir.LaneMismatch, match="argument 0"):
+            ir.lanes_of(bad)
+
+    def test_shuffle_spec(self):
+        conv = Call("ConvolutionShuffle", CALLS["ConvolutionShuffle"])
+        poly = Call("PolyphaseShuffle", CALLS["PolyphaseShuffle"])
+        assert ir.shuffle_spec(conv) == layout.ToeplitzSpec(l=3, k=2)
+        assert ir.shuffle_spec(poly) == layout.ToeplitzSpec(l=2, k=4, p=2)
+
+
 class TestValidate:
     def test_corpus_is_clean(self):
         for name in corpus_names():
@@ -187,6 +265,21 @@ class TestValidate:
         rep = ir.validate_program(p)
         assert any("exprvar" in msg for _, msg in rep.errors)
 
+    @pytest.mark.parametrize("value, path", [
+        (Broadcast(Imm("f32", 1.0), 0), "body[0].value"),
+        (Bop("+", Broadcast(Imm("f32", 1.0), 4), Ramp(i32(0), i32(1), 4)),
+         "body[0].value"),
+        (Bop("+", Broadcast(Imm("f32", 1.0), 4),
+             Broadcast(Broadcast(Imm("f32", 1.0), 0), 4)), "body[0].value.rhs.operand"),
+        (Call("tile_zero", (i32(2), i32(-2))), "body[0].value"),
+    ])
+    def test_error_names_its_path_once(self, value, path):
+        p = Program((Param("o", "f32", 4),),
+                    (Store("o", Ramp(i32(0), i32(1), 4), value),))
+        rep = ir.validate_program(p)
+        assert rep.errors and rep.errors[0][0] == path
+        assert str(rep).splitlines()[0].count(path) == 1
+
     def test_loop_shadowing(self):
         body = (ir.For("i", 0, 2, (ir.For("i", 0, 2, ()),)),)
         rep = ir.validate_program(Program((), body))
@@ -221,6 +314,14 @@ class TestParsePrint:
             text = ir.print_program(prog)
             assert ir.parse_program(text) == prog
             assert ir.print_program(ir.parse_program(text)) == text
+
+    @pytest.mark.parametrize("text", [
+        "(evaluate (cast (f32 0) (imm f32 1.0)))",
+        "(evaluate (load x (f32 -4) (imm i32 0)))",
+    ])
+    def test_zero_lane_type_is_a_parse_error(self, text):
+        with pytest.raises(ir.ParseError, match="lane count must be >= 1"):
+            ir.parse_program(text)
 
     def test_printer_is_canonical(self):
         text = "(evaluate   (broadcast(imm f32 1.5)   3))"

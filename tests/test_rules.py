@@ -1,3 +1,5 @@
+import math
+
 from tensorsel import ir, rules
 from tensorsel.egraph import CostModel, ematch, extract_best, run_schedule
 from tensorsel.ir import Broadcast, Imm
@@ -172,6 +174,14 @@ class TestEncodeDecode:
         g = rules.new_graph()
         cid = rules.encode_expr(g, e)
         assert rules.decode_term(extract_best(g, cid)) == e
+
+
+    def test_signed_zeros_get_separate_classes(self):
+        g = rules.new_graph()
+        pos, neg = (rules.encode_expr(g, Imm("f32", v)) for v in (0.0, -0.0))
+        assert g.find(pos) != g.find(neg)
+        got = rules.decode_term(extract_best(g, neg)).value
+        assert math.copysign(1.0, got) == -1.0
 
 
 class TestCatalogFile:

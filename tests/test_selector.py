@@ -295,8 +295,8 @@ class TestSelectProgram:
 
 class TestSpeculativeOffload:
     def _program(self, dest_is_param):
-        a_idx = rules.canonical_a_index(i32(0), i32(32), 16, 32, 16)
-        b_idx = rules.canonical_b_vnni_index(i32(0), i32(32), 16, 32, 16)
+        a_idx = ir.canonical_index([(16, 32), (16, 0), (32, 1)], i32(0))
+        b_idx = ir.canonical_index([(16, 0), (16, 2), (16, 32), (2, 1)], i32(0))
         wide = VecType("f32", 8192)
         mul = Bop("*",
                   Cast(wide, Load("A", VecType("bf16", 8192), a_idx)),
@@ -350,6 +350,61 @@ class TestCorpusDifftests:
         low, rep = select_program(prog, SelectionConfig(target=target_for(name)))
         assert rep.ok == (name not in EXPECTED_FAIL), name
         difftest(prog, low, range(100))
+
+
+def _matmul16_f16(acc_loc):
+    """matmul_standard at M=K=N=16 over f16, accumulator on `acc_loc`."""
+    m = k = n = 16
+    wide = VecType("f32", m * k * n)
+    a_idx = Bop("+", Ramp(Broadcast(i32(0), k * n), Broadcast(i32(k), k * n), m),
+                Broadcast(flat(k), m * n))
+    b_idx = Ramp(Ramp(i32(0), i32(n), k), Broadcast(i32(1), k), n)
+    a = Cast(wide, Load("A", VecType("f16", m * k * n), a_idx))
+    b = Broadcast(Cast(VecType("f32", k * n), Load("B", VecType("f16", k * n), b_idx)), m)
+    acc = Load("matmul", VecType("f32", m * n), flat(m * n))
+    return Program(
+        (Param("A", "f16", m * k), Param("B", "f16", k * n),
+         Param("matmul_wrapper", "f32", m * n)),
+        (Allocate("matmul", "f32", m * n, acc_loc),
+         Store("matmul", flat(m * n), Broadcast(Imm("f32", 0.0), m * n)),
+         Store("matmul", flat(m * n),
+               Bop("+", VectorReduceAdd(m * n, Bop("*", a, b)), acc)),
+         Store("matmul_wrapper", flat(m * n), acc)))
+
+
+class TestRulesOffTheCorpus:
+    """Variants that lower through rules no corpus program fires."""
+
+    def _select(self, prog, target):
+        rs = rules.build_default_ruleset(tuple(rules.DEFAULT_SHAPES) + prog.shapes)
+        fired = set()
+        for rule in rs:
+            rule.action = (lambda act, name: lambda g, env: (
+                fired.add(name), act(g, env)))(rule.action, rule.name)
+        low, rep = select_program(prog, SelectionConfig(target=target), ruleset=rs)
+        difftest(prog, low, range(3))
+        return rep, fired
+
+    def test_amx_accumulator_in_memory(self):
+        text = (ROOT / "corpus" / "matmul_vnni.sexp").read_text().replace(
+            "(allocate matmul f32 256 amx)", "(allocate matmul f32 256 mem)")
+        rep, fired = self._select(ir.parse_program(text), "amx")
+        assert [s.outcome for s in rep.statements] == ["unchanged", "lowered", "unchanged"]
+        assert rep.statements[1].intrinsics == ["tile_load", "tile_matmul", "tile_store"]
+        assert "amx-acc-load-flat" in fired
+
+    def test_wmma_standard_layout(self):
+        rep, fired = self._select(_matmul16_f16("wmma"), "wmma")
+        assert [s.intrinsics for s in rep.statements] == [
+            ["wmma_zero"], ["wmma_load_a", "wmma_load_b", "wmma_mma"], ["wmma_store"]]
+        assert {"wmma-a-standard", "wmma-b-standard", "wmma-mma"} <= fired
+
+    def test_wmma_accumulator_in_memory(self):
+        rep, fired = self._select(_matmul16_f16("mem"), "wmma")
+        assert [s.outcome for s in rep.statements] == ["unchanged", "lowered", "unchanged"]
+        assert rep.statements[1].intrinsics == [
+            "wmma_load_a", "wmma_load_b", "wmma_load_c", "wmma_mma", "wmma_store"]
+        assert "wmma-acc-load-flat" in fired
 
 
 class TestGoldens:
