@@ -3,19 +3,16 @@
 Exit codes: 0 success, 1 semantic/selection/divergence failure, 2 usage or
 parse failure.  All reports go to stdout, as JSON with --json, human text
 otherwise; --no-timing drops wall-clock fields so reports are byte-stable.
-The saturation class budget can be overridden with TENSORSEL_NODE_BUDGET.
+difftest compares outputs bit for bit; --trials 0 only selects.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import interp, ir, layout, selector
 
@@ -57,17 +54,10 @@ def _check(path):
 
 
 def _config(args):
-    budget = args.node_budget
-    env = os.environ.get("TENSORSEL_NODE_BUDGET")
-    if env:
-        try:
-            budget = int(env)
-        except ValueError:
-            _usage_error(f"TENSORSEL_NODE_BUDGET must be an integer, got {env!r}")
     try:
         return selector.SelectionConfig(
             target=args.target, iterations=args.iters,
-            node_budget=budget, dump_egraph=args.dump_egraph)
+            node_budget=args.node_budget, dump_egraph=args.dump_egraph)
     except ValueError as e:
         _usage_error(e)
 
@@ -89,7 +79,10 @@ def cmd_run(args):
         print(report, file=sys.stderr)
         return 1
     if args.inputs:
-        inputs = interp.load_buffers(args.inputs)
+        try:
+            inputs = interp.load_buffers(args.inputs)
+        except (OSError, interp.EvalError) as e:
+            _usage_error(f"--inputs {args.inputs}: {e}")
         for prm in prog.params:
             if prm.name not in inputs:
                 print(f"error: inputs are missing {prm.name!r}", file=sys.stderr)
@@ -110,7 +103,10 @@ def cmd_run(args):
     for lint in lints:
         print(f"warning: {lint}", file=sys.stderr)
     if args.output:
-        interp.save_buffers(out, args.output)
+        try:
+            interp.save_buffers(out, args.output)
+        except OSError as e:
+            _usage_error(f"cannot write {args.output}: {e}")
     summary = {name: {"kind": buf.kind, "length": len(buf.data)}
                for name, buf in sorted(out.items())}
     if args.json:
@@ -133,8 +129,11 @@ def cmd_select(args):
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.output:
-        Path(args.output).write_text(ir.print_program(lowered))
-    payload = rep.as_dict(timing=not args.no_timing, dumps=args.dump_egraph)
+        try:
+            Path(args.output).write_text(ir.print_program(lowered))
+        except OSError as e:
+            _usage_error(f"cannot write {args.output}: {e}")
+    payload = rep.as_dict(timing=not args.no_timing)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -154,19 +153,9 @@ def cmd_select(args):
     return 0
 
 
-def _ulp_equal(a, b, ulps):
-    if a.dtype == np.int64:
-        return np.array_equal(a, b)
-    ai = a.view(np.int32).astype(np.int64)
-    bi = b.view(np.int32).astype(np.int64)
-    ai = np.where(ai < 0, -(2**31) - ai, ai)
-    bi = np.where(bi < 0, -(2**31) - bi, bi)
-    return bool(np.all(np.abs(ai - bi) <= ulps))
-
-
-def run_difftest(prog, name, trials, seed, config, ulps=0, ruleset=None):
+def run_difftest(prog, name, trials, seed, config, ruleset=None):
     """Select, then run source and lowered programs over `trials` seeds and
-    compare every output parameter bitwise (or within --ulp)."""
+    compare every output parameter bit for bit."""
     result = DiffTestResult(program=name, trials=trials)
     lowered, rep = selector.select_program(prog, config, ruleset=ruleset)
     result.selection_ok = rep.ok
@@ -178,9 +167,7 @@ def run_difftest(prog, name, trials, seed, config, ulps=0, ruleset=None):
         out_b = interp.run_program(lowered, inputs)
         for prm in prog.params:
             a, b = out_a[prm.name].data, out_b[prm.name].data
-            same = (_ulp_equal(a, b, ulps) if ulps
-                    else a.tobytes() == b.tobytes())
-            if not same:
+            if a.tobytes() != b.tobytes():
                 lane = interp.first_differing_lane(a, b)
                 result.divergence = {
                     "seed": s, "buffer": prm.name, "lane": lane,
@@ -190,6 +177,8 @@ def run_difftest(prog, name, trials, seed, config, ulps=0, ruleset=None):
 
 
 def cmd_difftest(args):
+    if args.trials < 0:
+        _usage_error(f"--trials must be at least 0, got {args.trials}")
     prog, report = _check(args.file)
     if not report.ok:
         print(report, file=sys.stderr)
@@ -197,7 +186,7 @@ def cmd_difftest(args):
     config = _config(args)
     try:
         result, rep = run_difftest(prog, Path(args.file).stem, args.trials,
-                                   args.seed, config, args.ulp)
+                                   args.seed, config)
     except (selector.SelectionError, interp.EvalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -247,10 +236,13 @@ def _add_common(p):
 
 
 def _add_select_opts(p):
-    p.add_argument("--target", choices=("amx", "wmma", "all"), default="all")
-    p.add_argument("--iters", type=int, default=6,
-                   help="saturation iterations (default 6)")
-    p.add_argument("--node-budget", type=int, default=1_000_000)
+    defaults = selector.SelectionConfig
+    p.add_argument("--target", choices=("amx", "wmma", "all"),
+                   default=defaults.target)
+    p.add_argument("--iters", type=int, default=defaults.iterations,
+                   help="saturation iterations (default %(default)s)")
+    p.add_argument("--node-budget", type=int, default=defaults.node_budget,
+                   help="e-class limit per statement (default %(default)s)")
     p.add_argument("--dump-egraph", action="store_true",
                    help="include e-graph dumps in the JSON report")
     p.add_argument("--no-timing", action="store_true",
@@ -288,10 +280,9 @@ def main(argv=None):
     p = sub.add_parser("difftest",
                        help="select, then compare source and lowered programs")
     p.add_argument("file")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100,
+                   help="input seeds to compare (0: select only)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ulp", type=int, default=0,
-                   help="tolerate this many ULPs (default: bitwise)")
     _add_select_opts(p)
     _add_common(p)
     p.set_defaults(fn=cmd_difftest)

@@ -73,10 +73,13 @@ class RuleDef:
     query: tuple
     action: object  # fn(graph, env) -> None
     doc: str = ""
-    semantic: bool = False  # unions value terms; subject to soundness fuzzing
     target: str = ""  # "", "amx", or "wmma"
     fuzz: object = None  # optional fn(rng) -> (lhs Expr, rhs Expr, env inputs)
-    enabled: bool = True
+
+    @property
+    def semantic(self):
+        """Unions value terms, so it is subject to soundness fuzzing."""
+        return self.category in ("axiomatic", "lowering")
 
 
 class EGraph:
@@ -305,13 +308,11 @@ class SaturationReport:
     ms: float = 0.0
     budget_exceeded: bool = False
 
-    def as_dict(self, timing=True):
-        d = {"iters": self.iterations, "classes": self.n_classes,
-             "nodes": self.n_nodes, "matches": dict(self.matches),
-             "budget_exceeded": self.budget_exceeded}
-        if timing:
-            d["ms"] = round(self.ms, 3)
-        return d
+    def as_dict(self):
+        return {"iters": self.iterations, "classes": self.n_classes,
+                "nodes": self.n_nodes, "matches": dict(self.matches),
+                "budget_exceeded": self.budget_exceeded,
+                "ms": round(self.ms, 3)}
 
 
 CATEGORY_ORDER = ("axiomatic", "application", "lowering")
@@ -328,20 +329,20 @@ def _apply_rule(g, rule, report):
             report.applications.get(rule.category, 0) + 1)
 
 
-def run_schedule(g, rules, iterations, node_budget=1_000_000):
+def run_schedule(g, rules, iterations, node_budget=None):
     """Fixed-iteration schedule: supporting rules to fixpoint, then one
     round of axiomatic + application + lowering, then rebuild.  Raises
     NodeBudgetExceeded (leaving the partial graph intact) when the class
-    count passes the budget."""
+    count passes `node_budget`; None sets no limit (the selector always
+    passes its configured budget)."""
     t0 = time.perf_counter()
     report = SaturationReport()
-    active = [r for r in rules if r.enabled]
-    supporting = [r for r in active if r.category == "supporting"]
-    rounds = {cat: [r for r in active if r.category == cat]
+    supporting = [r for r in rules if r.category == "supporting"]
+    rounds = {cat: [r for r in rules if r.category == cat]
               for cat in CATEGORY_ORDER}
 
     def check_budget():
-        if g.n_classes > node_budget:
+        if node_budget is not None and g.n_classes > node_budget:
             report.ms = (time.perf_counter() - t0) * 1e3
             report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
             report.budget_exceeded = True
@@ -362,7 +363,6 @@ def run_schedule(g, rules, iterations, node_budget=1_000_000):
             for rule in rounds[cat]:
                 _apply_rule(g, rule, report)
             check_budget()
-        before = g.version
         g.rebuild()
         check_budget()
     report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
@@ -374,27 +374,21 @@ def run_schedule(g, rules, iterations, node_budget=1_000_000):
 # extraction
 
 
-@dataclass
-class CostModel:
-    """AST-size by default: every node costs 1, intrinsic calls 1 + arity.
+def node_cost(op, arity):
+    """AST size: every node costs 1, intrinsic calls 1 + arity.
 
     Unresolved data-movement nodes carry a prohibitive cost so extraction
     returns a movement-free (realizable) term whenever one is represented;
     among those the choice is plain AST size."""
-
-    movement_cost: int = 1000
-
-    def cost(self, op, arity):
-        if op[0] == "l2l":
-            return self.movement_cost
-        return 1 + arity if op[0] == "call" else 1
+    if op[0] == "l2l":
+        return 1000
+    return 1 + arity if op[0] == "call" else 1
 
 
-def extract_best(g, root, cost_model=None):
+def extract_best(g, root):
     """Minimal-cost term represented in `root`'s class, as a nested
     (op, children) tree.  Ties break on the smallest operator then the
     smallest child ids, so extraction is deterministic."""
-    cm = cost_model or CostModel()
     root = g.find(root)
     best = {}  # class -> (cost, op tiebreak key, child ids, node)
 
@@ -405,7 +399,7 @@ def extract_best(g, root, cost_model=None):
             for op, children in g.class_nodes(cid):
                 if any(g.find(c) not in best for c in children):
                     continue
-                total = cm.cost(op, len(children)) + sum(
+                total = node_cost(op, len(children)) + sum(
                     best[g.find(c)][0] for c in children)
                 cand = (total, repr(op), children)
                 cur = best.get(cid)

@@ -529,15 +529,25 @@ def save_buffers(store, dirpath):
 
 
 def load_buffers(dirpath):
+    """Read a directory written by `save_buffers`.  A missing file raises
+    OSError; a malformed manifest or buffer file, EvalError."""
     d = Path(dirpath)
-    manifest = json.loads((d / "manifest.json").read_text())
+    try:
+        manifest = json.loads((d / "manifest.json").read_text())
+        entries = [(e["name"], e["kind"], e["length"], e.get("location", "mem"))
+                   for e in manifest["buffers"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise EvalError(f"malformed manifest.json: {e!r}") from None
     out = BufferStore()
-    for entry in manifest["buffers"]:
-        name, kind = entry["name"], entry["kind"]
-        raw = np.frombuffer((d / f"{name}.bin").read_bytes(), _NP_DTYPE[kind])
-        if len(raw) != entry["length"]:
-            raise EvalError(f"{name}.bin has {len(raw)} elements, "
-                            f"manifest says {entry['length']}")
+    for name, kind, length, location in entries:
+        if kind not in ir.SCALAR_KINDS or not isinstance(length, int):
+            raise EvalError(f"buffer {name!r} has kind {kind!r} and length "
+                            f"{length!r}, not a known kind and an integer")
+        blob = (d / f"{name}.bin").read_bytes()
+        if len(blob) != length * np.dtype(_NP_DTYPE[kind]).itemsize:
+            raise EvalError(f"{name}.bin has {len(blob)} bytes, manifest says "
+                            f"{length} {kind} elements")
+        raw = np.frombuffer(blob, _NP_DTYPE[kind])
         if kind == "bf16":
             data = (raw.astype(np.uint32) << 16).view(np.float32).copy()
         elif kind == "f16":
@@ -546,5 +556,5 @@ def load_buffers(dirpath):
             data = raw.astype(np.int64)
         else:
             data = raw.astype(np.float32)
-        out[name] = Buffer(kind, entry.get("location", "mem"), data)
+        out[name] = Buffer(kind, location, data)
     return out

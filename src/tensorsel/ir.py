@@ -25,7 +25,6 @@ from . import layout
 
 SCALAR_KINDS = ("bf16", "f16", "f32", "i32")
 LOCATIONS = ("mem", "amx", "wmma")
-BOPS = ("+", "-", "*", "/", "%")
 
 _BOP_ATOMS = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%"}
 _ATOM_OF_BOP = {v: k for k, v in _BOP_ATOMS.items()}

@@ -316,7 +316,7 @@ class RuleSet:
         return [r for r in self.rules if r.category == category]
 
     def for_target(self, target):
-        """Enabled-rule view filtered by accelerator target."""
+        """The rules of `target` plus the target-neutral ones."""
         out = []
         for r in self.rules:
             if r.target and target != "all" and r.target != target:
@@ -369,7 +369,7 @@ def build_default_ruleset(shapes=DEFAULT_SHAPES):
 def _axiomatic_rules(rs):
     def axiom(name, query, action, doc, fuzz=None):
         return rs.add(RuleDef(name=name, category="axiomatic", query=tuple(query),
-                              action=action, doc=doc, semantic=True, fuzz=fuzz))
+                              action=action, doc=doc, fuzz=fuzz))
 
     def bcast_flatten(g, env):
         g.union(env["e"], g.add(("bcast",), (
@@ -555,7 +555,7 @@ def _both_i32_imms(g, env):
 def _supporting_rules(rs):
     def supp(name, query, action, doc):
         return rs.add(RuleDef(name=name, category="supporting", query=tuple(query),
-                              action=action, doc=doc, semantic=False))
+                              action=action, doc=doc))
 
     supp("type-of-load",
          [Bind("e", pload(V("n"), V("t"), V("i"))),
@@ -646,7 +646,7 @@ def _pat_b_vnni_index(idx_var):
 def _application_rules(rs):
     def app(name, target, query, action, doc):
         return rs.add(RuleDef(name=name, category="application", query=tuple(query),
-                              action=action, doc=doc, semantic=False, target=target))
+                              action=action, doc=doc, target=target))
 
     def a_tile_action(loader, fact):
         def act(g, env):
@@ -825,8 +825,7 @@ def _is_zero_imm(g, env):
 def _lowering_rules(rs):
     def low(name, target, query, action, doc, fuzz=None):
         return rs.add(RuleDef(name=name, category="lowering", query=tuple(query),
-                              action=action, doc=doc, semantic=True, target=target,
-                              fuzz=fuzz))
+                              action=action, doc=doc, target=target, fuzz=fuzz))
 
     # MatMul lowering: e = C + vra(Mul(cast A, cast B)) with tile facts.
     def matmul_act(target):
@@ -1458,7 +1457,7 @@ def corrupted_ramp_rule():
     return RuleDef(name="corrupted-ramp-plus-broadcast", category="axiomatic",
                    query=(), action=lambda g, env: None,
                    doc="deliberately wrong: result stride off by one",
-                   semantic=True, fuzz=bad_gen)
+                   fuzz=bad_gen)
 
 
 def corrupted_ruleset(shapes=DEFAULT_SHAPES):

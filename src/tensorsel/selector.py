@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import ir, layout, rules
-from .egraph import CostModel, NodeBudgetExceeded, extract_best, run_schedule
+from .egraph import NodeBudgetExceeded, extract_best, run_schedule
 
 
 class SelectionError(Exception):
@@ -31,11 +31,6 @@ class SelectionConfig:
     target: str = "all"  # amx | wmma | all
     iterations: int = 6
     node_budget: int = 1_000_000
-    # Speculative offload: lower MatMuls whose destination the user left in
-    # memory.  Applies to allocated intermediates by default; widening to
-    # user-visible output parameters is opt-in.
-    speculative: bool = True
-    speculative_user_outputs: bool = False
     desugar: bool = True
     dump_egraph: bool = False
 
@@ -71,7 +66,7 @@ class SelectionReport:
     def failed(self):
         return [s for s in self.statements if s.outcome.startswith("failed")]
 
-    def as_dict(self, timing=True, dumps=False):
+    def as_dict(self, timing=True):
         stmts = []
         for s in self.statements:
             d = {"index": s.index, "outcome": s.outcome,
@@ -80,14 +75,14 @@ class SelectionReport:
                             if timing or k != "ms"}}
             if s.residual:
                 d["residual"] = list(s.residual)
-            if dumps and s.dump is not None:
+            if s.dump is not None:
                 d["egraph_dump"] = s.dump
             stmts.append(d)
         return {"statements": stmts,
                 "temporaries": [dict(t) for t in self.temporaries]}
 
-    def to_json(self, timing=True, dumps=False):
-        return json.dumps(self.as_dict(timing, dumps), indent=2)
+    def to_json(self, timing=True):
+        return json.dumps(self.as_dict(timing), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +236,12 @@ def _touches_accel(s, buffers):
 
 def select_statement(s, buffers, ruleset, config, param_names=(), path="", index=0):
     outcome = StatementOutcome(index=index, path=path, outcome="unchanged")
-    speculative_ok = False
-    if isinstance(s, ir.Store) and not _touches_accel(s, buffers):
-        is_param = s.buffer in param_names
-        speculative_ok = config.speculative and (
-            not is_param or config.speculative_user_outputs)
-        if not speculative_ok:
-            return s, outcome
+    # Speculative offload: a store that touches no accelerator may still
+    # lower when it writes an allocated intermediate; a parameter is the
+    # user's output and stays as written.
+    if isinstance(s, ir.Store) and not _touches_accel(s, buffers) \
+            and s.buffer in param_names:
+        return s, outcome
 
     g = rules.new_graph()
     root = rules.encode_stmt(g, s)
@@ -267,7 +261,7 @@ def select_statement(s, buffers, ruleset, config, param_names=(), path="", index
     if witness is not None:
         raise SelectionError(f"type facts disagree after saturation: {witness}")
 
-    extracted = rules.decode_term(extract_best(g, root, CostModel()))
+    extracted = rules.decode_term(extract_best(g, root))
     ok, diags = realizability_check(extracted, buffers)
 
     if not ok:

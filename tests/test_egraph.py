@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from tensorsel.egraph import (Bind, CostModel, EGraph, Guard, NoFiniteCost,
-                              NodeBudgetExceeded,
-                              PNode, PVar, RuleDef, ematch, extract_best,
-                              run_schedule)
+from tensorsel.egraph import (Bind, EGraph, Guard, NoFiniteCost,
+                              NodeBudgetExceeded, PNode, PVar, RuleDef,
+                              ematch, extract_best, node_cost, run_schedule)
 
 
 def leaf(g, name):
@@ -225,7 +224,6 @@ def _random_graph(rng):
 def _brute_force_min(g, root, max_depth=8):
     """Minimum cost over all represented terms of bounded depth, by
     depth-indexed enumeration (independent of the extraction fixpoint)."""
-    cm = CostModel()
     best = {}
     for _ in range(max_depth):
         nxt = dict(best)
@@ -233,7 +231,7 @@ def _brute_force_min(g, root, max_depth=8):
             for op, children in g.class_nodes(cid):
                 if any(g.find(c) not in best for c in children):
                     continue
-                cost = cm.cost(op, len(children)) + sum(
+                cost = node_cost(op, len(children)) + sum(
                     best[g.find(c)] for c in children)
                 if cid not in nxt or cost < nxt[cid]:
                     nxt[cid] = cost
@@ -243,8 +241,7 @@ def _brute_force_min(g, root, max_depth=8):
 
 def _term_cost(term):
     op, kids = term
-    cm = CostModel()
-    return cm.cost(op, len(kids)) + sum(_term_cost(k) for k in kids)
+    return node_cost(op, len(kids)) + sum(_term_cost(k) for k in kids)
 
 
 class TestExtraction:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from tensorsel import interp, ir, rules, selector
-from tensorsel.egraph import CostModel, extract_best
+from tensorsel.egraph import extract_best
 from tensorsel.ir import (Allocate, Bop, Broadcast, Call, Cast, Evaluate,
                           Imm, Load, LocToLoc, Param, Program, Ramp, Store,
                           Var, VecType, VectorReduceAdd)
@@ -39,17 +39,16 @@ def count_movements(p):
 
 
 def ast_size(stmt):
-    """Plain AST size via the e-graph term encoding (movement unpenalized)."""
+    """Plain AST size via the e-graph term encoding (movement unpenalized):
+    every node costs 1, intrinsic calls 1 + arity."""
     g = rules.new_graph()
     root = rules.encode_stmt(g, stmt)
-    term = extract_best(g, root, CostModel(movement_cost=1))
 
     def cost(t):
         op, kids = t
-        cm = CostModel(movement_cost=1)
-        return cm.cost(op, len(kids)) + sum(cost(k) for k in kids)
+        return (1 + len(kids) if op[0] == "call" else 1) + sum(map(cost, kids))
 
-    return cost(term)
+    return cost(extract_best(g, root))
 
 
 def difftest(prog, lowered, seeds):
@@ -328,19 +327,6 @@ class TestSpeculativeOffload:
         assert all(not s.intrinsics for s in rep.statements)
         assert low.body == prog.body
 
-    def test_user_output_offloads_when_widened(self):
-        prog = self._program(dest_is_param=True)
-        cfg = SelectionConfig(target="amx", speculative_user_outputs=True)
-        low, rep = select_program(prog, cfg)
-        emitted = {n for s in rep.statements for n in s.intrinsics}
-        assert "tile_matmul" in emitted
-        difftest(prog, low, range(3))
-
-    def test_disabled_flag_blocks_intermediates(self):
-        prog = self._program(dest_is_param=False)
-        cfg = SelectionConfig(target="amx", speculative=False)
-        low, rep = select_program(prog, cfg)
-        assert all(not s.intrinsics for s in rep.statements)
 
 
 class TestCorpusDifftests:
