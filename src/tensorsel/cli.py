@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 semantic/selection/divergence failure, 2 usage or
 parse failure.  All reports go to stdout, as JSON with --json, human text
-otherwise; --no-timing drops wall-clock fields so reports are byte-stable.
-difftest compares outputs bit for bit; --trials 0 only selects.
+otherwise; select --no-timing drops wall-clock fields so reports are
+byte-stable.  difftest compares outputs bit for bit; --trials 0 only selects.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def _check(path):
     return prog, report
 
 
-def _config(args):
+def _config(args, dump_egraph):
     try:
         return selector.SelectionConfig(
             target=args.target, iterations=args.iters,
-            node_budget=args.node_budget, dump_egraph=args.dump_egraph)
+            node_budget=args.node_budget, dump_egraph=dump_egraph)
     except ValueError as e:
         _usage_error(e)
 
@@ -122,7 +122,7 @@ def cmd_select(args):
     if not report.ok:
         print(report, file=sys.stderr)
         return 1
-    config = _config(args)
+    config = _config(args, args.dump_egraph)
     try:
         lowered, rep = selector.select_program(prog, config)
     except selector.SelectionError as e:
@@ -183,7 +183,7 @@ def cmd_difftest(args):
     if not report.ok:
         print(report, file=sys.stderr)
         return 1
-    config = _config(args)
+    config = _config(args, dump_egraph=False)
     try:
         result, rep = run_difftest(prog, Path(args.file).stem, args.trials,
                                    args.seed, config)
@@ -243,10 +243,6 @@ def _add_select_opts(p):
                    help="saturation iterations (default %(default)s)")
     p.add_argument("--node-budget", type=int, default=defaults.node_budget,
                    help="e-class limit per statement (default %(default)s)")
-    p.add_argument("--dump-egraph", action="store_true",
-                   help="include e-graph dumps in the JSON report")
-    p.add_argument("--no-timing", action="store_true",
-                   help="omit wall-clock fields for byte-stable reports")
 
 
 def main(argv=None):
@@ -273,6 +269,10 @@ def main(argv=None):
     p = sub.add_parser("select", help="run the tile-extractor pipeline")
     p.add_argument("file")
     p.add_argument("-o", "--output", help="file for the lowered program")
+    p.add_argument("--dump-egraph", action="store_true",
+                   help="include e-graph dumps in the JSON report")
+    p.add_argument("--no-timing", action="store_true",
+                   help="omit wall-clock fields for byte-stable reports")
     _add_select_opts(p)
     _add_common(p)
     p.set_defaults(fn=cmd_select)

@@ -329,12 +329,11 @@ def _apply_rule(g, rule, report):
             report.applications.get(rule.category, 0) + 1)
 
 
-def run_schedule(g, rules, iterations, node_budget=None):
+def run_schedule(g, rules, iterations, node_budget):
     """Fixed-iteration schedule: supporting rules to fixpoint, then one
     round of axiomatic + application + lowering, then rebuild.  Raises
     NodeBudgetExceeded (leaving the partial graph intact) when the class
-    count passes `node_budget`; None sets no limit (the selector always
-    passes its configured budget)."""
+    count passes `node_budget`."""
     t0 = time.perf_counter()
     report = SaturationReport()
     supporting = [r for r in rules if r.category == "supporting"]
@@ -342,7 +341,7 @@ def run_schedule(g, rules, iterations, node_budget=None):
               for cat in CATEGORY_ORDER}
 
     def check_budget():
-        if node_budget is not None and g.n_classes > node_budget:
+        if g.n_classes > node_budget:
             report.ms = (time.perf_counter() - t0) * 1e3
             report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
             report.budget_exceeded = True

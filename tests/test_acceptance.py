@@ -14,6 +14,7 @@ from tensorsel.egraph import ematch, extract_best, run_schedule
 from conftest import CORPUS, corpus_names, corpus_program, target_for
 
 SEEDS_100 = range(100)
+BUDGET = selector.SelectionConfig().node_budget
 
 
 def _difftest(prog, lowered, seeds):
@@ -179,7 +180,7 @@ def test_criterion_7_phase_ordering_ablation():
         rules.encode_stmt(g, stmt)
         rules.seed_facts(g, buffers, rs.shapes)
         active = [r for r in rs.for_target("amx") if r.category in categories]
-        run_schedule(g, active, 6)
+        run_schedule(g, active, 6, BUDGET)
         return g
 
     without = saturate(("supporting",))

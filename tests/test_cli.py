@@ -267,6 +267,12 @@ class TestDifftest:
         assert run_cli("difftest", corpus("matmul_preloadB_standard"),
                        "--target", "amx", "--trials", "0") == 1
 
+    @pytest.mark.parametrize("flag", ["--dump-egraph", "--no-timing"])
+    def test_report_flags_are_select_only(self, flag, capsys):
+        # difftest prints no selection report, so these flags would do nothing
+        assert run_cli("difftest", corpus("matmul_vnni"), flag) == 2
+        assert flag in capsys.readouterr().err
+
     def test_mutated_ruleset_diverges(self):
         prog = ir.parse_program((CORPUS / "matmul_vnni.sexp").read_text())
         bad_rules = rules.corrupted_ruleset(

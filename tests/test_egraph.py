@@ -5,6 +5,9 @@ import pytest
 from tensorsel.egraph import (Bind, EGraph, Guard, NoFiniteCost,
                               NodeBudgetExceeded, PNode, PVar, RuleDef,
                               ematch, extract_best, node_cost, run_schedule)
+from tensorsel.selector import SelectionConfig
+
+BUDGET = SelectionConfig().node_budget
 
 
 def leaf(g, name):
@@ -114,12 +117,12 @@ class TestMulDivExample:
 
     def test_rules_prove_root_equals_a(self):
         g, a, two, root = _mul_div_graph()
-        run_schedule(g, _mul_div_rules(), iterations=4)
+        run_schedule(g, _mul_div_rules(), iterations=4, node_budget=BUDGET)
         assert g.find(root) == g.find(a)
 
     def test_extract_picks_a(self):
         g, a, two, root = _mul_div_graph()
-        run_schedule(g, _mul_div_rules(), iterations=4)
+        run_schedule(g, _mul_div_rules(), iterations=4, node_budget=BUDGET)
         assert extract_best(g, root) == (("a",), ())
 
 
@@ -179,7 +182,7 @@ class TestSchedule:
 
         rule = RuleDef("derive", "supporting",
                        (Bind("x", PNode(("a",))),), derive)
-        rep = run_schedule(g, [rule], iterations=2)
+        rep = run_schedule(g, [rule], iterations=2, node_budget=BUDGET)
         assert rep.iterations == 2
         assert len(g.facts["seen2"]) == 1
 

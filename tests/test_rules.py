@@ -3,8 +3,12 @@ import math
 from tensorsel import ir, rules
 from tensorsel.egraph import ematch, extract_best, run_schedule
 from tensorsel.ir import Broadcast, Imm
+from tensorsel.selector import SelectionConfig
 
 from conftest import corpus_program
+
+
+BUDGET = SelectionConfig().node_budget
 
 
 def i32(v):
@@ -28,7 +32,7 @@ def saturate(stmt, rs, iterations=6, categories=None):
     rules.seed_facts(g, MATMUL_BUFFERS, rs.shapes)
     active = [r for r in rs.for_target("amx")
               if categories is None or r.category in categories]
-    run_schedule(g, active, iterations)
+    run_schedule(g, active, iterations, BUDGET)
     return g, root
 
 
@@ -71,7 +75,7 @@ class TestInstances:
                                     g.add_int(3)))
         flat = g.add(("bcast",), (v, g.add_int(6)))
         run_schedule(g, default_ruleset.by_category("axiomatic")
-                     + default_ruleset.by_category("supporting"), 2)
+                     + default_ruleset.by_category("supporting"), 2, BUDGET)
         assert g.find(nested) == g.find(flat)
 
     def test_movement_cancellation_instance(self, default_ruleset):
@@ -79,7 +83,7 @@ class TestInstances:
         t = g.add(("var", "t"))
         wrapped = g.add(("l2l", "mem", "amx"),
                         (g.add(("l2l", "amx", "mem"), (t,)),))
-        run_schedule(g, default_ruleset.by_category("lowering"), 1)
+        run_schedule(g, default_ruleset.by_category("lowering"), 1, BUDGET)
         assert g.find(wrapped) == g.find(t)
 
     def test_application_rules_never_union(self, default_ruleset):
