@@ -87,6 +87,10 @@ def cmd_run(args):
             if prm.name not in inputs:
                 print(f"error: inputs are missing {prm.name!r}", file=sys.stderr)
                 return 1
+            if inputs[prm.name].kind != prm.kind:
+                print(f"error: input {prm.name!r} has kind {inputs[prm.name].kind}, "
+                      f"program declares {prm.kind}", file=sys.stderr)
+                return 1
             if len(inputs[prm.name].data) != prm.length:
                 print(f"error: input {prm.name!r} has length "
                       f"{len(inputs[prm.name].data)}, manifest/program disagree",

@@ -3,7 +3,14 @@
 E-nodes are (op, child-ids) with hashconsing; literals are their own
 nullary nodes.  Alongside the term graph, a fact store holds Datalog-style
 relation tuples (has-type, amx-b-tile, amx-shape, ...) whose arguments are
-class ids; facts are canonicalized on rebuild.
+class ids; facts are canonicalized on rebuild.  A fact index files each
+tuple under the root of its first argument and relation; `union` moves the
+losing root's tuples to the winner at once, so a relation atom whose first
+term is already bound is a hash lookup, even between a union and the next
+rebuild.  E-matching iterates classes, nodes and tuples unsorted; `ematch`
+orders its result once at the end.  `rebuild` returns at once when no
+union happened since the last one: `add` and `assert_fact` canonicalize
+their arguments, so a graph without unions is already congruence-closed.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
 guards) with an imperative action that may construct terms, union classes,
@@ -89,6 +96,8 @@ class EGraph:
         self._class_nodes = {}  # root -> dict[node -> None]
         self._op_index = {}  # op -> set of roots (refreshed on rebuild)
         self.facts = {}  # relation name -> set of arg tuples
+        self._fact_index = {}  # root of first arg -> {relation -> arg tuples}
+        self._merged = False  # a union happened since the last rebuild
         self.version = 0
         self.on_add = on_add
 
@@ -109,6 +118,9 @@ class EGraph:
         self._parent[rb] = ra
         nodes = self._class_nodes.pop(rb, {})
         self._class_nodes.setdefault(ra, {}).update(nodes)
+        for name, tuples in self._fact_index.pop(rb, {}).items():
+            self._fact_index.setdefault(ra, {}).setdefault(name, set()).update(tuples)
+        self._merged = True
         self.version += 1
         return ra
 
@@ -137,11 +149,18 @@ class EGraph:
         store = self.facts.setdefault(name, set())
         if tup not in store:
             store.add(tup)
+            self._index_fact(name, tup)
             self.version += 1
+
+    def _index_fact(self, name, tup):
+        if tup:
+            self._fact_index.setdefault(tup[0], {}).setdefault(name, set()).add(tup)
 
     # -- congruence ---------------------------------------------------------
 
     def rebuild(self):
+        if not self._merged:
+            return
         while True:
             changed = False
             new_hashcons = {}
@@ -162,10 +181,18 @@ class EGraph:
             root = self.find(cid)
             self._class_nodes.setdefault(root, {})[node] = None
             self._op_index.setdefault(node[0], set()).add(root)
+        self._fact_index = {}
         for name, tuples in self.facts.items():
             self.facts[name] = {tuple(self.find(a) for a in t) for t in tuples}
+            for t in self.facts[name]:
+                self._index_fact(name, t)
+        self._merged = False
 
     # -- inspection ---------------------------------------------------------
+
+    def facts_about(self, name, cid):
+        """The `name` tuples whose first argument is in `cid`'s class."""
+        return self._fact_index.get(self.find(cid), {}).get(name, ())
 
     def class_ids(self):
         return sorted(self._class_nodes)
@@ -173,9 +200,6 @@ class EGraph:
     def class_nodes(self, cid):
         return sorted(self._class_nodes.get(self.find(cid), ()),
                       key=lambda n: (repr(n[0]), n[1]))
-
-    def classes_with_op(self, op):
-        return sorted({self.find(c) for c in self._op_index.get(op, ())})
 
     def class_int(self, cid):
         for op, _ in self.class_nodes(cid):
@@ -228,7 +252,7 @@ def _match_pattern(g, pat, cid, env):
         return [out]
     assert isinstance(pat, PNode)
     results = []
-    for op, children in g.class_nodes(cid):
+    for op, children in g._class_nodes.get(cid, ()):
         if op != pat.op or len(children) != len(pat.children):
             continue
         envs = [env]
@@ -242,8 +266,8 @@ def _match_pattern(g, pat, cid, env):
 
 def _candidate_classes(g, pat):
     if isinstance(pat, PNode):
-        return g.classes_with_op(pat.op)
-    return g.class_ids()
+        return {g.find(c) for c in g._op_index.get(pat.op, ())}
+    return g._class_nodes
 
 
 def _match_atom(g, atom, env):
@@ -258,8 +282,12 @@ def _match_atom(g, atom, env):
             out.extend(_match_pattern(g, atom.pattern, cid, e2))
         return out
     if isinstance(atom, Rel):
+        first = atom.terms[0] if atom.terms else None
+        bound = env.get(first.name) if isinstance(first, PVar) else None
+        tuples = (g.facts.get(atom.name, ()) if bound is None
+                  else g.facts_about(atom.name, bound))
         out = []
-        for tup in sorted(g.facts.get(atom.name, ())):
+        for tup in tuples:
             if len(tup) != len(atom.terms):
                 continue
             envs = [env]

@@ -241,9 +241,14 @@ def class_type(g, cid):
 
 
 def expr_type(g, cid):
-    """(kind, lanes) from the has-type facts of `cid`'s class, or None."""
+    """(kind, lanes) from the has-type facts of `cid`'s class, or None.
+    A class with several facts scans the whole relation, so the first
+    concrete one in the relation's order wins, should they disagree."""
+    facts = g.facts_about("has-type", cid)
+    if len(facts) > 1:
+        facts = g.facts["has-type"]
     cid = g.find(cid)
-    for e, t in g.facts.get("has-type", ()):
+    for e, t in facts:
         if g.find(e) == cid:
             ty = class_type(g, t)
             if ty is not None:

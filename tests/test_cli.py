@@ -125,6 +125,17 @@ class TestRun:
         assert run_cli("run", corpus("conv1d_k8"),
                        "--inputs", str(tmp_path / "ins")) == 1
 
+    def test_inputs_with_wrong_kind(self, tmp_path, capsys):
+        prog = ir.parse_program((CORPUS / "conv1d_k8.sexp").read_text())
+        ins = interp.random_inputs(prog, 3)
+        ins["K"] = interp.Buffer("f32", "mem", ins["K"].data)
+        interp.save_buffers(ins, tmp_path / "ins")
+        assert run_cli("run", corpus("conv1d_k8"),
+                       "--inputs", str(tmp_path / "ins")) == 1
+        out = capsys.readouterr()
+        assert out.err == "error: input 'K' has kind f32, program declares f16\n"
+        assert not out.out
+
     @pytest.mark.parametrize("breakage", BROKEN_INPUT_DIRS)
     def test_broken_input_dir_exits_two(self, breakage, tmp_path, capsys):
         prog = ir.parse_program((CORPUS / "conv1d_k8.sexp").read_text())

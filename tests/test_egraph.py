@@ -1,10 +1,15 @@
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tensorsel import rules
 from tensorsel.egraph import (Bind, EGraph, Guard, NoFiniteCost,
-                              NodeBudgetExceeded, PNode, PVar, RuleDef,
-                              ematch, extract_best, node_cost, run_schedule)
+                              NodeBudgetExceeded, PNode, PVar, Rel, RuleDef,
+                              ematch, extract_best, node_cost, rel,
+                              run_schedule)
 from tensorsel.selector import SelectionConfig
 
 BUDGET = SelectionConfig().node_budget
@@ -169,6 +174,171 @@ class TestEmatch:
              Guard(lambda g_, env: g_.class_int(env["n"]) > 4, "n > 4"))
         hits = ematch(g, q)
         assert len(hits) == 1 and g.class_int(hits[0]["n"]) == 8
+
+
+# -- reference matcher: sorted full scans, no index --------------------------
+
+
+def _ref_match_pattern(g, pat, cid, env):
+    cid = g.find(cid)
+    if isinstance(pat, PVar):
+        bound = env.get(pat.name)
+        if bound is not None:
+            return [env] if g.find(bound) == cid else []
+        return [{**env, pat.name: cid}]
+    results = []
+    for op, children in g.class_nodes(cid):
+        if op != pat.op or len(children) != len(pat.children):
+            continue
+        envs = [env]
+        for cpat, ccid in zip(pat.children, children):
+            envs = [e2 for e in envs for e2 in _ref_match_pattern(g, cpat, ccid, e)]
+        results.extend(envs)
+    return results
+
+
+def _ref_match_atom(g, atom, env):
+    if isinstance(atom, Bind):
+        bound = env.get(atom.var)
+        if bound is not None:
+            return _ref_match_pattern(g, atom.pattern, bound, env)
+        return [e2 for cid in g.class_ids()
+                for e2 in _ref_match_pattern(g, atom.pattern, cid,
+                                             {**env, atom.var: cid})]
+    if isinstance(atom, Rel):
+        out = []
+        for tup in sorted(g.facts.get(atom.name, ())):
+            if len(tup) != len(atom.terms):
+                continue
+            envs = [env]
+            for term, cid in zip(atom.terms, tup):
+                envs = [e2 for e in envs for e2 in _ref_match_pattern(g, term, cid, e)]
+            out.extend(envs)
+        return out
+    return [env] if atom.fn(g, env) else []
+
+
+def _ref_ematch(g, query):
+    envs = [{}]
+    for atom in query:
+        envs = [e2 for env in envs for e2 in _ref_match_atom(g, atom, env)]
+    canon = {tuple(sorted((k, g.find(v)) for k, v in env.items())) for env in envs}
+    return [dict(key) for key in sorted(canon)]
+
+
+OPS = (("a", 0), ("b", 0), ("f", 1), ("g", 2))
+RELATIONS = (("r", 1), ("s", 2))
+VARS = ("x", "y")
+
+
+@st.composite
+def _graphs(draw):
+    """An e-graph built by a random mix of add, assert_fact, union and
+    rebuild, ending with or without a rebuild."""
+    g = EGraph()
+    ids = [g.add(("a",)), g.add(("b",))]
+    for _ in range(draw(st.integers(0, 30))):
+        step = draw(st.sampled_from(("add", "add", "fact", "fact", "union", "rebuild")))
+        pick = st.sampled_from(ids)
+        if step == "add":
+            op, arity = draw(st.sampled_from(OPS))
+            ids.append(g.add((op,), tuple(draw(pick) for _ in range(arity))))
+        elif step == "fact":
+            name, arity = draw(st.sampled_from(RELATIONS))
+            g.assert_fact(name, *(draw(pick) for _ in range(arity)))
+        elif step == "union":
+            g.union(draw(pick), draw(pick))
+        else:
+            g.rebuild()
+    return g
+
+
+def _patterns(depth=2):
+    leaf = st.one_of(st.sampled_from(VARS).map(PVar),
+                     st.sampled_from(("a", "b")).map(lambda op: PNode((op,))))
+    if depth == 0:
+        return leaf
+    kid = _patterns(depth - 1)
+    return st.one_of(leaf,
+                     kid.map(lambda c: PNode(("f",), (c,))),
+                     st.tuples(kid, kid).map(lambda cs: PNode(("g",), cs)))
+
+
+def _even_sum(g, env):
+    return sum(g.find(v) for v in env.values()) % 2 == 0
+
+
+_atoms = st.one_of(
+    st.builds(Bind, st.sampled_from(VARS), _patterns()),
+    st.sampled_from(RELATIONS).flatmap(lambda r: st.builds(
+        Rel, st.just(r[0]), st.tuples(
+            st.one_of(st.sampled_from(VARS).map(PVar), _patterns(1)),
+            *[_patterns(1)] * (r[1] - 1)))),
+    st.just(Guard(_even_sum, "sum of bound ids is even")))
+
+
+class TestIndexedMatching:
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs(), st.lists(_atoms, min_size=2, max_size=4))
+    def test_equals_sorted_scan_reference(self, g, query):
+        assert ematch(g, tuple(query)) == _ref_ematch(g, tuple(query))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graphs())
+    def test_index_files_each_fact_under_its_first_root(self, g):
+        for name, tuples in g.facts.items():
+            for cid in g.class_ids():
+                want = {t for t in tuples if g.find(t[0]) == cid}
+                assert set(g.facts_about(name, cid)) == want
+
+    def test_union_before_rebuild_keeps_facts_reachable(self):
+        g = EGraph()
+        b = leaf(g, "b")
+        a = leaf(g, "a")  # the larger id: union(a, b) moves a's root to b
+        ty = g.add(("type", "f32"), (g.add_int(8),))
+        g.assert_fact("has-type", a, ty)
+        g.union(a, b)
+        assert g.find(a) == b
+        hits = ematch(g, (Bind("x", PNode(("a",))),
+                          rel("has-type", PVar("x"), PVar("t"))))
+        assert hits == [{"x": b, "t": ty}]
+        assert rules.expr_type(g, b) == ("f32", 8)
+
+
+def _state(g):
+    return (list(g._hashcons.items()),
+            [(cid, list(nodes)) for cid, nodes in g._class_nodes.items()],
+            g._op_index, g.facts, g._fact_index)
+
+
+class TestRebuildSkip:
+    def _forced(self, g):
+        full = copy.deepcopy(g)
+        full._merged = True
+        full.rebuild()
+        return full
+
+    def test_skip_after_adds_and_facts_equals_full_pass(self):
+        g = EGraph()
+        a, b = leaf(g, "a"), leaf(g, "b")
+        g.assert_fact("r", node(g, "f", a), b)
+        g.union(a, b)
+        g.rebuild()
+        c = node(g, "g", a, node(g, "f", b))
+        g.assert_fact("r", c, a)
+        g.assert_fact("s", b)
+        full = self._forced(g)
+        hashcons = g._hashcons
+        g.rebuild()
+        assert g._hashcons is hashcons  # skipped: no union since the last
+        assert _state(g) == _state(full)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graphs())
+    def test_rebuild_equals_full_pass(self, g):
+        full = self._forced(g)
+        g.rebuild()
+        assert _state(g) == _state(full)
 
 
 class TestSchedule:

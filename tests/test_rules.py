@@ -108,7 +108,8 @@ class TestInstances:
 
     def test_default_schedule_constructs_tile_matmul(self, default_ruleset):
         g, root = saturate(matmul_update_stmt(), default_ruleset)
-        assert g.classes_with_op(("call", "tile_matmul"))
+        assert any(op == ("call", "tile_matmul")
+                   for cid in g.class_ids() for op, _ in g.class_nodes(cid))
         # and the construction landed in the statement's own class via the
         # value union + movement cancellation
         term = extract_best(g, root)
