@@ -242,17 +242,12 @@ def class_type(g, cid):
 
 def expr_type(g, cid):
     """(kind, lanes) from the has-type facts of `cid`'s class, or None.
-    A class with several facts scans the whole relation, so the first
-    concrete one in the relation's order wins, should they disagree."""
-    facts = g.facts_about("has-type", cid)
-    if len(facts) > 1:
-        facts = g.facts["has-type"]
-    cid = g.find(cid)
-    for e, t in facts:
-        if g.find(e) == cid:
-            ty = class_type(g, t)
-            if ty is not None:
-                return ty
+    Should several facts disagree, the one with the least tuple wins;
+    check_type_consistency rejects such a class after saturation."""
+    for _, t in sorted(g.facts_about("has-type", cid)):
+        ty = class_type(g, t)
+        if ty is not None:
+            return ty
     return None
 
 
