@@ -11,6 +11,8 @@ rebuild.  E-matching iterates classes, nodes and tuples unsorted; `ematch`
 orders its result once at the end.  `rebuild` returns at once when no
 union happened since the last one: `add` and `assert_fact` canonicalize
 their arguments, so a graph without unions is already congruence-closed.
+Each class also keeps its nodes of fewer than two children in
+`class_nodes` order, so constant, name and type reads never sort.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
 guards) with an imperative action that may construct terms, union classes,
@@ -94,6 +96,7 @@ class EGraph:
         self._parent = []
         self._hashcons = {}
         self._class_nodes = {}  # root -> dict[node -> None]
+        self._small = {}  # root -> its nodes of < 2 children, class_nodes order
         self._op_index = {}  # op -> set of roots (refreshed on rebuild)
         self.facts = {}  # relation name -> set of arg tuples
         self._fact_index = {}  # root of first arg -> {relation -> arg tuples}
@@ -118,6 +121,9 @@ class EGraph:
         self._parent[rb] = ra
         nodes = self._class_nodes.pop(rb, {})
         self._class_nodes.setdefault(ra, {}).update(nodes)
+        small = self._small.pop(rb, [])
+        if small:
+            self._small[ra] = sorted(self._small.get(ra, []) + small, key=_node_key)
         for name, tuples in self._fact_index.pop(rb, {}).items():
             self._fact_index.setdefault(ra, {}).setdefault(name, set()).update(tuples)
         self._merged = True
@@ -135,6 +141,8 @@ class EGraph:
         self._parent.append(cid)
         self._hashcons[node] = cid
         self._class_nodes[cid] = {node: None}
+        if len(node[1]) < 2:
+            self._small[cid] = [node]
         self._op_index.setdefault(op, set()).add(cid)
         self.version += 1
         if self.on_add:
@@ -181,6 +189,11 @@ class EGraph:
             root = self.find(cid)
             self._class_nodes.setdefault(root, {})[node] = None
             self._op_index.setdefault(node[0], set()).add(root)
+        self._small = {}
+        for root, nodes in self._class_nodes.items():
+            small = [n for n in nodes if len(n[1]) < 2]
+            if small:
+                self._small[root] = sorted(small, key=_node_key)
         self._fact_index = {}
         for name, tuples in self.facts.items():
             self.facts[name] = {tuple(self.find(a) for a in t) for t in tuples}
@@ -198,20 +211,25 @@ class EGraph:
         return sorted(self._class_nodes)
 
     def class_nodes(self, cid):
-        return sorted(self._class_nodes.get(self.find(cid), ()),
-                      key=lambda n: (repr(n[0]), n[1]))
+        return sorted(self._class_nodes.get(self.find(cid), ()), key=_node_key)
+
+    def small_nodes(self, cid):
+        """The class's nodes with fewer than two children (literals, names,
+        types), in `class_nodes` order but without sorting."""
+        return self._small.get(self.find(cid), ())
 
     def class_int(self, cid):
-        for op, _ in self.class_nodes(cid):
+        small = self.small_nodes(cid)
+        for op, _ in small:
             if op[0] == "int":
                 return op[1]
-        for op, _ in self.class_nodes(cid):
+        for op, _ in small:
             if op[0] == "imm" and op[1] == "i32":
                 return int(op[2])
         return None
 
     def class_imm(self, cid):
-        for op, _ in self.class_nodes(cid):
+        for op, _ in self.small_nodes(cid):
             if op[0] == "imm":
                 return op[1], op[2]
         return None
@@ -235,6 +253,10 @@ class EGraph:
         facts = {name: sorted(list(t) for t in tuples)
                  for name, tuples in sorted(self.facts.items())}
         return {"classes": classes, "facts": facts}
+
+
+def _node_key(node):
+    return repr(node[0]), node[1]
 
 
 # ---------------------------------------------------------------------------

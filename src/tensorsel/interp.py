@@ -12,7 +12,8 @@ shape; strict mode admits only the hardware shapes.
 
 An intrinsic's signature -- argument roles, sizes, result kind and lanes --
 is its `ir.INTRINSICS` record, checked by `ir.validate_program`; this module
-holds only what each intrinsic computes.
+holds only what each intrinsic computes.  `Shuffle` and the layout
+intrinsics read lanes through `layout.gather`, whose index -1 is a zero lane.
 """
 
 from __future__ import annotations
@@ -95,28 +96,16 @@ def round_to_kind(x, kind):
 # deterministic pseudo-random fill
 
 
-class SplitMix64:
-    """Documented generator for seeded buffer fills."""
+_GAMMA = 0x9E3779B97F4A7C15
 
-    MASK = 0xFFFFFFFFFFFFFFFF
 
-    def __init__(self, seed):
-        self.state = seed & self.MASK
-
-    def next_u64(self):
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
-        return z ^ (z >> 31)
-
-    def uniform(self):
-        """Uniform float in [-1, 1]."""
-        return (self.next_u64() >> 11) / float(1 << 53) * 2.0 - 1.0
-
-    def small_int(self):
-        """Uniform integer in [0, 16)."""
-        return self.next_u64() >> 60
+def _splitmix64(state, n):
+    """The next `n` draws of the SplitMix64 stream at `state`: draw i (from 1)
+    mixes state + i*_GAMMA, so wrapping uint64 array arithmetic yields them all."""
+    z = np.uint64(state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +219,7 @@ def eval_expr(e, env):
         return env.exprvar_cache[key]
     if isinstance(e, ir.Shuffle):
         src = eval_expr(e.source, env)
-        out = np.empty(len(e.indices), dtype=src.data.dtype)
-        for pos, i in enumerate(e.indices):
-            out[pos] = 0 if i == -1 else src.data[i]
-        return VectorValue(src.kind, out)
+        return VectorValue(src.kind, layout.gather(src.data, e.indices))
     if isinstance(e, ir.Call):
         return eval_intrinsic(e.name, e.args, env)
     raise EvalError(f"cannot evaluate {e!r}")
@@ -398,12 +384,8 @@ def eval_intrinsic(name, args, env):
     if name == "KWayInterleave":
         k, row_len = sizes
         v = eval_expr(args[2], env)
-        rows = v.lanes // row_len
-        inp = v.data.reshape(rows, row_len)
-        out = np.empty((rows // k, k * row_len), v.data.dtype)
-        for d in range(k):
-            out[:, d::k] = inp[d::k, :]
-        return VectorValue(v.kind, out.reshape(-1))
+        perm = layout.kway_interleave_indices(k, v.lanes // row_len, row_len)
+        return VectorValue(v.kind, layout.gather(v.data, perm))
 
     raise UnknownIntrinsic(name)
 
@@ -493,14 +475,18 @@ def _exec_stmts(body, env, path):
 
 def random_inputs(p, seed):
     """Deterministic parameter fill: one SplitMix64 stream per program seed,
-    consumed in parameter declaration order."""
-    rng = SplitMix64(seed)
+    consumed in parameter declaration order.  An i32 lane is a draw's top 4
+    bits; a float lane is (draw >> 11) / 2^53 * 2 - 1 in float64, rounded to
+    f32 and then to the parameter's kind."""
+    state = seed % 2**64
     out = {}
     for prm in p.params:
+        z = _splitmix64(state, prm.length)
+        state = (state + prm.length * _GAMMA) % 2**64
         if prm.kind == "i32":
-            data = np.array([rng.small_int() for _ in range(prm.length)], np.int64)
+            data = (z >> np.uint64(60)).astype(np.int64)
         else:
-            raw = np.array([rng.uniform() for _ in range(prm.length)], np.float32)
+            raw = ((z >> np.uint64(11)) / 2.0**53 * 2.0 - 1.0).astype(np.float32)
             data = round_to_kind(raw, prm.kind)
         out[prm.name] = Buffer(prm.kind, prm.location, data)
     return out

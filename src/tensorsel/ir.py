@@ -559,6 +559,8 @@ def validate_program(p):
         if prm.location != "mem":
             rep.errors.append(
                 ("params", f"external parameter {prm.name!r} must be mem-located"))
+        if prm.length < 1:
+            rep.errors.append(("params", f"parameter {prm.name!r} of length {prm.length}"))
         buffers[prm.name] = (prm.kind, prm.length, prm.location)
 
     for path, s in walk_stmts(p.body):

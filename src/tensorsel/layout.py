@@ -11,7 +11,9 @@ outputs:
 
 Matrices are row-major with the window axis as rows, so the product
 window . A is well-typed.  Structural zeros come from a dedicated zero
-lane in the gather form (index -1), not from masked loads.
+lane in the gather form (index -1), not from masked loads.  The tap map
+is `shuffle_indices_for` alone: desugaring, `tensorsel layout` and
+`matrix_for` (so the interpreter) read it; `gather` reads the zero lane.
 """
 
 from __future__ import annotations
@@ -61,31 +63,22 @@ def matrix_rows(spec):
     return spec.s * spec.k + spec.l
 
 
-def kernel_taps(spec, y, x):
-    """Kernel index feeding matrix entry (row y, column x), or None for a
-    structural zero."""
-    if spec.p > 1:
-        u = y - x // spec.p
-        if 0 <= u < spec.l:
-            return spec.p * u + x % spec.p
-        return None
-    t = y - spec.s * x
-    return t if 0 <= t < spec.l else None
+def gather(src, indices):
+    """Lanes `indices` of the 1-D array `src`; index -1 reads a zero lane
+    appended after the last one."""
+    return np.concatenate([src, np.zeros(1, src.dtype)])[np.asarray(indices, np.intp)]
 
 
 def matrix_for(kernel, spec):
+    """The rows x k matrix of `spec` over `kernel`: the zero-extended kernel
+    gathered with `shuffle_indices_for`, so structural zeros are +0.0."""
     kernel = np.asarray(kernel)
     if len(kernel) != spec.kernel_length:
         raise PhaseMismatch(
             f"kernel has {len(kernel)} taps, spec needs {spec.kernel_length}")
-    rows = matrix_rows(spec)
-    out = np.zeros((rows, spec.k), dtype=kernel.dtype)
-    for y in range(rows):
-        for x in range(spec.k):
-            t = kernel_taps(spec, y, x)
-            if t is not None:
-                out[y, x] = kernel[t]
-    return out
+    idx = shuffle_indices_for(spec, 0, spec.kernel_length)
+    padded = np.concatenate([np.zeros(1, kernel.dtype), kernel])
+    return gather(padded, idx).reshape(matrix_rows(spec), spec.k)
 
 
 def toeplitz_matrix(kernel, k):
@@ -118,12 +111,11 @@ def shuffle_indices_for(spec, base, buffer_length):
         raise OutOfBounds(
             f"kernel window [{base}, {base + total}) exceeds buffer "
             f"of length {buffer_length}")
-    out = []
-    for y in range(matrix_rows(spec)):
-        for x in range(spec.k):
-            t = kernel_taps(spec, y, x)
-            out.append(-1 if t is None else t + 1)
-    return out
+    y = np.arange(matrix_rows(spec)).reshape(-1, 1)
+    x = np.arange(spec.k)
+    u = y - spec.s * (x // spec.p)  # tap within the phase; s or p is 1
+    taps = spec.p * u + x % spec.p
+    return np.where((0 <= u) & (u < spec.l), taps + 1, -1).reshape(-1).tolist()
 
 
 def kway_interleave_indices(k, rows, row_len):
@@ -132,9 +124,5 @@ def kway_interleave_indices(k, rows, row_len):
     (out[p][2j+d] = in[k*p+d][j])."""
     if k < 1 or rows % k:
         raise ValueError(f"{rows} rows do not interleave {k} ways")
-    ordered = [0] * (rows * row_len)
-    for p in range(rows // k):
-        for j in range(row_len):
-            for d in range(k):
-                ordered[p * k * row_len + k * j + d] = (k * p + d) * row_len + j
-    return ordered
+    src = np.arange(rows * row_len).reshape(rows // k, k, row_len)  # [p][d][j]
+    return src.transpose(0, 2, 1).reshape(-1).tolist()

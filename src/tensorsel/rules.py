@@ -225,14 +225,14 @@ def ploc(loc):
 
 
 def class_name(g, cid):
-    for op, _ in g.class_nodes(cid):
+    for op, _ in g.small_nodes(cid):
         if op[0] == "name":
             return op[1]
     return None
 
 
 def class_type(g, cid):
-    for op, ch in g.class_nodes(cid):
+    for op, ch in g.small_nodes(cid):
         if op[0] == "type":
             lanes = g.class_int(ch[0])
             if lanes is not None:
@@ -523,30 +523,29 @@ def _axiomatic_rules(rs):
               f"commutativity of {sym}",
               fuzz=_fz_commute(sym))
 
-        def fold(sym):
-            def act(g, env):
-                va, vb = g.class_imm(env["a"]), g.class_imm(env["b"])
-                out = va[1] + vb[1] if sym == "+" else va[1] * vb[1]
-                g.union(env["e"], mk_imm(g, out))
-            return act
-
+        fold = _i32_fold(sym)
         axiom(f"int-{opname}-fold",
               [Bind("e", P(("bop", sym), V("a"), V("b"))),
-               Guard((lambda sym: lambda g, env: _both_i32_imms(g, env))(sym),
-                     "both operands are i32 immediates")],
-              fold(sym),
+               Guard(lambda g, env, fold=fold: fold(g, env) is not None,
+                     "both operands and the result are i32 immediates")],
+              lambda g, env, fold=fold: g.union(env["e"], mk_imm(g, fold(g, env))),
               f"constant-fold scalar i32 {sym}",
               fuzz=_fz_int_fold(sym))
 
 
-def _both_i32_imms(g, env):
-    for v in ("a", "b"):
-        im = g.class_imm(env[v])
-        if im is None or im[0] != "i32":
-            return False
-        if not -(2**31) <= int(im[1]) < 2**31:
-            return False
-    return True
+def _i32_fold(sym):
+    """fn(g, env) -> `a sym b` over the i32 immediates in classes a and b,
+    or None when either is not one or the result leaves the i32 range."""
+    def fold(g, env):
+        vals = []
+        for v in ("a", "b"):
+            im = g.class_imm(env[v])
+            if im is None or im[0] != "i32" or not -(2**31) <= int(im[1]) < 2**31:
+                return None
+            vals.append(int(im[1]))
+        out = vals[0] + vals[1] if sym == "+" else vals[0] * vals[1]
+        return out if -(2**31) <= out < 2**31 else None
+    return fold
 
 
 # -- supporting --------------------------------------------------------------

@@ -45,6 +45,19 @@ class TestCheck:
         assert "lanes" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("command", ["check", "run", "select"])
+    def test_param_length_below_one_exits_one(self, command, tmp_path, capsys):
+        bad = tmp_path / "neg.sexp"
+        bad.write_text("(param x f32 -3 mem)\n(param o f32 4 mem)\n"
+                       "(store o (ramp (imm i32 0) (imm i32 1) 4) "
+                       "(broadcast (imm f32 1.0) 4))\n")
+        assert run_cli(command, str(bad)) == 1
+        out = capsys.readouterr()
+        lines = (out.out + out.err).splitlines()
+        assert [ln for ln in lines if ln.startswith("error:")] == [
+            "error: params: parameter 'x' of length -3"]
+
+
 MALFORMED_CALLS = {
     "buffer-is-immediate": (
         "(param A bf16 512 mem)\n(allocate t bf16 512 amx)\n"
@@ -308,6 +321,41 @@ class TestDifftest:
             "(load T (f32 4) (ramp (imm i32 0) (imm i32 1) 4)))\n")
         assert run_cli("difftest", str(prog), "--trials", "100") == 0
         assert "100 trials: ok" in capsys.readouterr().out
+
+
+I32_FOLD_OVERFLOWS = {
+    "add": ("(add (imm i32 2147483647) (imm i32 1))", 2**31),
+    "mul": ("(mul (imm i32 65536) (imm i32 65536))", 2**32),
+}
+
+
+class TestI32FoldOverflow:
+    """A constant expression whose value leaves i32 is left unfolded, so
+    selection succeeds and the overflow shows when the program runs."""
+
+    def _program(self, tmp_path, op):
+        prog = tmp_path / f"{op}.sexp"
+        prog.write_text(
+            "(param O i32 1 mem)\n(allocate T i32 1 mem)\n"
+            f"(store T (ramp (imm i32 0) (imm i32 1) 1) {I32_FOLD_OVERFLOWS[op][0]})\n"
+            "(store O (ramp (imm i32 0) (imm i32 1) 1) "
+            "(load T (i32 1) (ramp (imm i32 0) (imm i32 1) 1)))\n")
+        return str(prog)
+
+    @pytest.mark.parametrize("op", I32_FOLD_OVERFLOWS)
+    def test_select_leaves_it_unfolded(self, op, tmp_path, capsys):
+        assert run_cli("select", self._program(tmp_path, op)) == 0
+        out = capsys.readouterr().out
+        assert "statement 1: unchanged" in out
+        assert f"(imm i32 {I32_FOLD_OVERFLOWS[op][1]})" not in out
+
+    @pytest.mark.parametrize("command", ["run", "difftest"])
+    @pytest.mark.parametrize("op", I32_FOLD_OVERFLOWS)
+    def test_overflow_reported_at_run_time(self, op, command, tmp_path, capsys):
+        assert run_cli(command, self._program(tmp_path, op)) == 1
+        value = I32_FOLD_OVERFLOWS[op][1]
+        assert capsys.readouterr().err == (
+            f"error: body[1]: i32 range exceeded (max {value}, min {value})\n")
 
 
 class TestLayout:

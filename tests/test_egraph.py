@@ -308,7 +308,7 @@ class TestIndexedMatching:
 def _state(g):
     return (list(g._hashcons.items()),
             [(cid, list(nodes)) for cid, nodes in g._class_nodes.items()],
-            g._op_index, g.facts, g._fact_index)
+            g._op_index, g.facts, g._fact_index, g._small)
 
 
 class TestRebuildSkip:
@@ -339,6 +339,92 @@ class TestRebuildSkip:
         full = self._forced(g)
         g.rebuild()
         assert _state(g) == _state(full)
+
+
+def _ref_class_int(g, cid):
+    for op, _ in g.class_nodes(cid):
+        if op[0] == "int":
+            return op[1]
+    for op, _ in g.class_nodes(cid):
+        if op[0] == "imm" and op[1] == "i32":
+            return int(op[2])
+    return None
+
+
+def _ref_class_imm(g, cid):
+    for op, _ in g.class_nodes(cid):
+        if op[0] == "imm":
+            return op[1], op[2]
+    return None
+
+
+def _ref_class_name(g, cid):
+    for op, _ in g.class_nodes(cid):
+        if op[0] == "name":
+            return op[1]
+    return None
+
+
+def _ref_class_type(g, cid):
+    for op, ch in g.class_nodes(cid):
+        if op[0] == "type":
+            lanes = _ref_class_int(g, ch[0])
+            if lanes is not None:
+                return op[1], lanes
+    return None
+
+
+# Leaves whose repr order differs from their value order (9 < 10, "'f32'" <
+# "'i32'"), unary type nodes, and a binary node, none of which the readers see.
+_LEAVES = ([("int", v) for v in (-3, 9, 10, 100)]
+           + [("imm", "i32", v) for v in (-1, 7, 65536)]
+           + [("imm", "f32", v, v < 0) for v in (-0.5, 0.5)]
+           + [("name", n) for n in ("A", "K", "b")])
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("leaf"), st.sampled_from(_LEAVES)),
+    st.tuples(st.just("type"), st.sampled_from(("f32", "i32", "bf16")), st.integers()),
+    st.tuples(st.just("add"), st.integers(), st.integers()),
+    st.tuples(st.just("union"), st.integers(), st.integers()),
+    st.just(("rebuild",))), max_size=40)
+
+
+class TestSmallNodeReaders:
+    @settings(max_examples=300, deadline=None)
+    @given(_STEPS)
+    def test_readers_equal_sorted_scan(self, steps):
+        g = EGraph()
+        ids = [g.add_int(8)]
+
+        def pick(i):
+            return ids[i % len(ids)]
+
+        for step in steps:
+            if step[0] == "leaf":
+                ids.append(g.add(step[1]))
+            elif step[0] == "type":
+                ids.append(g.add(("type", step[1]), (pick(step[2]),)))
+            elif step[0] == "add":
+                ids.append(g.add(("bop", "+"), (pick(step[1]), pick(step[2]))))
+            elif step[0] == "union":
+                g.union(pick(step[1]), pick(step[2]))
+            else:
+                g.rebuild()
+            for cid in g.class_ids():
+                assert g.class_int(cid) == _ref_class_int(g, cid)
+                assert g.class_imm(cid) == _ref_class_imm(g, cid)
+                assert rules.class_name(g, cid) == _ref_class_name(g, cid)
+                assert rules.class_type(g, cid) == _ref_class_type(g, cid)
+
+    def test_type_order_follows_children_canonical_after_rebuild(self):
+        g = EGraph()
+        x = g.add(("name", "x"))
+        a, b = g.add_int(8), g.add_int(16)
+        t = g.union(g.add(("type", "f32"), (a,)), g.add(("type", "f32"), (b,)))
+        assert rules.class_type(g, t) == ("f32", 8)
+        g.union(b, x)  # b's root becomes x, below a: its type node now sorts first
+        assert rules.class_type(g, t) == _ref_class_type(g, t) == ("f32", 8)
+        g.rebuild()
+        assert rules.class_type(g, t) == _ref_class_type(g, t) == ("f32", 16)
 
 
 class TestSchedule:

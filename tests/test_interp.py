@@ -1,9 +1,13 @@
+import hashlib
 import math
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorsel import interp, ir
 from tensorsel.ir import (Bop, Broadcast, Call, For, Imm, Load, Param,
@@ -95,19 +99,116 @@ class TestFirstDifferingLane:
         assert interp.first_differing_lane(a, a + (a == 6)) == 2
 
 
+class SplitMix64:
+    """Scalar reference for the input stream: SplitMix64 (Steele, Lea and
+    Flood, OOPSLA 2014), one draw per call."""
+
+    MASK = 0xFFFFFFFFFFFFFFFF
+
+    def __init__(self, seed):
+        self.state = seed & self.MASK
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        """Uniform float in [-1, 1]."""
+        return (self.next_u64() >> 11) / float(1 << 53) * 2.0 - 1.0
+
+    def small_int(self):
+        """Uniform integer in [0, 16)."""
+        return self.next_u64() >> 60
+
+
+def reference_inputs(p, seed):
+    """`interp.random_inputs` drawn lane by lane from the scalar reference."""
+    rng = SplitMix64(seed)
+    out = {}
+    for prm in p.params:
+        if prm.kind == "i32":
+            data = np.array([rng.small_int() for _ in range(prm.length)], np.int64)
+        else:
+            raw = np.array([rng.uniform() for _ in range(prm.length)], np.float32)
+            data = interp.round_to_kind(raw, prm.kind)
+        out[prm.name] = interp.Buffer(prm.kind, prm.location, data)
+    return out
+
+
+def assert_same_buffers(got, want):
+    assert list(got) == list(want)
+    for name, buf in want.items():
+        assert (got[name].kind, got[name].location) == (buf.kind, buf.location)
+        assert got[name].data.dtype == buf.data.dtype, name
+        assert got[name].data.tobytes() == buf.data.tobytes(), name
+
+
 class TestSplitMix64:
     def test_reference_sequence(self):
-        rng = interp.SplitMix64(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
-        assert rng.next_u64() == 0x6E789E6AA1B965F4
-        assert rng.next_u64() == 0x06C45D188009454F
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in want] == want
+        assert interp._splitmix64(0, 3).tolist() == want
 
     def test_ranges(self):
-        rng = interp.SplitMix64(42)
-        for _ in range(200):
-            assert -1.0 <= rng.uniform() <= 1.0
-        for _ in range(200):
-            assert 0 <= rng.small_int() < 16
+        prog = Program((Param("f", "f32", 200), Param("n", "i32", 200)), ())
+        ins = interp.random_inputs(prog, 42)
+        assert ((-1.0 <= ins["f"].data) & (ins["f"].data <= 1.0)).all()
+        assert ((0 <= ins["n"].data) & (ins["n"].data < 16)).all()
+
+
+# sha256 (first 16 hex digits) of each corpus program's `random_inputs` at
+# seeds 0 and 2**64 - 1, over name, dtype and bytes of every buffer.  Any
+# change to the input stream changes these.
+PINNED_FILLS = {
+    "conv1d_k16": ("56803f35da06301e", "4cb156a044032fe8"),
+    "conv1d_k8": ("eb76d379ef42bb29", "884764c2a7233cef"),
+    "conv2d_outer_ry": ("022b9f849c0a1aeb", "f4c75261b8279d34"),
+    "downsample2_1d": ("a4a29b8f1b45c3c1", "1c9803bb70162684"),
+    "matmul_preloadA_standard": ("784e7a4ed625463c", "297527c7f48cd3ed"),
+    "matmul_preloadA_vnni": ("784e7a4ed625463c", "297527c7f48cd3ed"),
+    "matmul_preloadB_standard": ("784e7a4ed625463c", "297527c7f48cd3ed"),
+    "matmul_preloadB_vnni": ("784e7a4ed625463c", "297527c7f48cd3ed"),
+    "matmul_reordered_standard": ("2b5ed7dd85922b04", "2b5f4c03a6d3e96b"),
+    "matmul_reordered_vnni": ("2b5ed7dd85922b04", "2b5f4c03a6d3e96b"),
+    "matmul_standard": ("784e7a4ed625463c", "297527c7f48cd3ed"),
+    "matmul_vnni": ("784e7a4ed625463c", "297527c7f48cd3ed"),
+    "upsample2_1d": ("283fbeaaf4d46676", "2ff8e3157bae705f"),
+}
+
+_params = st.lists(
+    st.tuples(st.sampled_from(ir.SCALAR_KINDS),
+              st.one_of(st.sampled_from((0, 1)), st.integers(0, 70))),
+    max_size=7)
+_seeds = st.one_of(st.sampled_from((0, -1, -7, 2**64 - 1, 2**64, 2**70 + 3)),
+                   st.integers(-2**70, 2**70))
+
+
+class TestRandomInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(_params, _seeds)
+    def test_equals_scalar_reference(self, params, seed):
+        prog = Program(tuple(Param(f"p{i}", kind, n)
+                             for i, (kind, n) in enumerate(params)), ())
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = interp.random_inputs(prog, seed)
+        assert_same_buffers(got, reference_inputs(prog, seed))
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FILLS))
+    def test_corpus_fills_are_pinned(self, name):
+        prog = corpus_program(name)
+        digests = []
+        for seed in (0, 2**64 - 1):
+            h = hashlib.sha256()
+            for buf_name, buf in interp.random_inputs(prog, seed).items():
+                h.update(f"{buf_name}:{buf.data.dtype.str}:".encode())
+                h.update(buf.data.tobytes())
+            digests.append(h.hexdigest()[:16])
+        assert tuple(digests) == PINNED_FILLS[name]
 
 
 class TestEvalExpr:
@@ -163,6 +264,24 @@ class TestEvalExpr:
         env = env_with(v=("f32", [5.0, 6.0]))
         e = Shuffle(Load("v", VecType("f32", 2), flat(2)), (1, -1, 0))
         assert list(interp.eval_expr(e, env).data) == [6.0, 0.0, 5.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shuffle_equals_per_lane_reference(self, data):
+        kind = data.draw(st.sampled_from(("i32", "f32")))
+        lane = (st.integers(-2**31, 2**31 - 1) if kind == "i32"
+                else st.one_of(st.just(-0.0), st.floats(width=32)))
+        src = data.draw(st.lists(lane, min_size=1, max_size=12))
+        idx = data.draw(st.lists(st.integers(-1, len(src) - 1), min_size=1, max_size=20))
+        env = env_with(v=(kind, src))
+        e = Shuffle(Load("v", VecType(kind, len(src)), flat(len(src))), tuple(idx))
+        got = interp.eval_expr(e, env)
+        lanes = env.buffers["v"].data
+        want = np.empty(len(idx), lanes.dtype)
+        for pos, i in enumerate(idx):
+            want[pos] = 0 if i == -1 else lanes[i]
+        assert got.kind == kind and got.data.dtype == want.dtype
+        assert got.data.tobytes() == want.tobytes()
 
     def test_exprvar_cache_tracks_bindings(self):
         env = env_with(k=("f32", [1, 2, 3, 4]))

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorsel import interp, layout
 from tensorsel.layout import (PhaseMismatch, ToeplitzSpec,
@@ -149,7 +151,76 @@ class TestRandomOracles:
             assert (np.count_nonzero(mat, axis=0) <= spec.l).all()
 
 
+def kernel_taps(spec, y, x):
+    """Kernel index feeding matrix entry (row y, column x), or None for a
+    structural zero: the module docstring's formulas, one entry at a time."""
+    if spec.p > 1:
+        u = y - x // spec.p
+        if 0 <= u < spec.l:
+            return spec.p * u + x % spec.p
+        return None
+    t = y - spec.s * x
+    return t if 0 <= t < spec.l else None
+
+
+def _ref_matrix(kernel, spec):
+    """`matrix_for` entry by entry from `kernel_taps`."""
+    out = np.zeros((matrix_rows(spec), spec.k), kernel.dtype)
+    for y in range(matrix_rows(spec)):
+        for x in range(spec.k):
+            t = kernel_taps(spec, y, x)
+            if t is not None:
+                out[y, x] = kernel[t]
+    return out
+
+
+@st.composite
+def _specs(draw):
+    s = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((1, 2, 4))) if s == 1 else 1
+    return ToeplitzSpec(l=draw(st.integers(1, 9)), k=draw(st.integers(1, 17)), s=s, p=p)
+
+
+class TestMatrixFor:
+    @settings(max_examples=300, deadline=None)
+    @given(_specs(), st.sampled_from((np.float32, np.float16, np.int64)), st.data())
+    def test_equals_per_entry_reference(self, spec, dtype, data):
+        taps = data.draw(st.lists(st.sampled_from((-0.0, 0.0, 1.5, -2.25, 7.0)),
+                                  min_size=spec.kernel_length,
+                                  max_size=spec.kernel_length))
+        kern = np.array(taps, dtype)
+        got, want = matrix_for(kern, spec), _ref_matrix(kern, spec)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_tap_kept_structural_zero_positive(self):
+        spec = ToeplitzSpec(l=2, k=2)
+        got = matrix_for(np.array([-0.0, 3.0], np.float32), spec)
+        assert np.signbit(got).tolist() == [[True, False], [False, True],
+                                            [False, False], [False, False]]
+
+
 class TestShuffleIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(_specs())
+    def test_equals_per_entry_reference(self, spec):
+        want = [-1 if t is None else t + 1
+                for y in range(matrix_rows(spec)) for x in range(spec.k)
+                for t in [kernel_taps(spec, y, x)]]
+        got = shuffle_indices_for(spec, 0, spec.kernel_length)
+        assert got == want and all(type(i) is int for i in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 8))
+    def test_interleave_equals_per_lane_reference(self, k, groups, row_len):
+        want = [0] * (k * groups * row_len)
+        for p in range(groups):
+            for j in range(row_len):
+                for d in range(k):
+                    want[p * k * row_len + k * j + d] = (k * p + d) * row_len + j
+        got = kway_interleave_indices(k, k * groups, row_len)
+        assert got == want and all(type(i) is int for i in got)
+
     def test_toeplitz_indices_match_example(self):
         spec = ToeplitzSpec(l=3, k=2)
         got = shuffle_indices_for(spec, 0, 3)
