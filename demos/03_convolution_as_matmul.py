@@ -53,7 +53,7 @@ def main():
     spec = layout.ToeplitzSpec(l=3, k=2)
     print("\n== gather indices for the plain matrix "
           "(-1 selects the constant zero lane)")
-    print("  ", layout.shuffle_indices_for(spec, 0, 3))
+    print("  ", layout.shuffle_indices_for(spec))
 
     print("\n== lowering the convolution corpus")
     lowered = lower_and_difftest("conv1d_k8")

@@ -217,7 +217,7 @@ def cmd_layout(args):
         else:
             spec = layout.ToeplitzSpec(l=args.l, k=args.k, s=args.s, p=args.p)
             rows = layout.matrix_rows(spec)
-            idx = layout.shuffle_indices_for(spec, 0, spec.kernel_length)
+            idx = layout.shuffle_indices_for(spec)
             taps = [[None if i == -1 else i - 1 for i in idx[r:r + spec.k]]
                     for r in range(0, len(idx), spec.k)]
             payload = {"mode": spec.mode, "rows": rows, "cols": spec.k,

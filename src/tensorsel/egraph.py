@@ -7,8 +7,10 @@ class ids; facts are canonicalized on rebuild.  A fact index files each
 tuple under the root of its first argument and relation; `union` moves the
 losing root's tuples to the winner at once, so a relation atom whose first
 term is already bound is a hash lookup, even between a union and the next
-rebuild.  E-matching iterates classes, nodes and tuples unsorted; `ematch`
-orders its result once at the end.  `rebuild` returns at once when no
+rebuild.  E-matching backtracks over one environment: each atom binds
+variables in place for the atoms after it and unbinds them on the way
+back; classes, nodes and tuples are iterated unsorted and `ematch` orders
+its result once at the end.  `rebuild` returns at once when no
 union happened since the last one: `add` and `assert_fact` canonicalize
 their arguments, so a graph without unions is already congruence-closed.
 Each class also keeps its nodes of fewer than two children in
@@ -69,7 +71,8 @@ def rel(name, *terms):
 @dataclass(frozen=True)
 class Guard:
     """Query atom: `fn(graph, env)` is truthy.  All referenced variables
-    must be bound by earlier atoms."""
+    must be bound by earlier atoms.  `env` is the matcher's live
+    environment: read it, never keep or change it."""
 
     fn: object
     doc: str = ""
@@ -263,85 +266,69 @@ def _node_key(node):
 # e-matching
 
 
-def _match_pattern(g, pat, cid, env):
-    cid = g.find(cid)
-    if isinstance(pat, PVar):
-        bound = env.get(pat.name)
-        if bound is not None:
-            return [env] if g.find(bound) == cid else []
-        out = dict(env)
-        out[pat.name] = cid
-        return [out]
-    assert isinstance(pat, PNode)
-    results = []
-    for op, children in g._class_nodes.get(cid, ()):
-        if op != pat.op or len(children) != len(pat.children):
-            continue
-        envs = [env]
-        for cpat, ccid in zip(pat.children, children):
-            envs = [e2 for e in envs for e2 in _match_pattern(g, cpat, ccid, e)]
-            if not envs:
-                break
-        results.extend(envs)
-    return results
-
-
-def _candidate_classes(g, pat):
-    if isinstance(pat, PNode):
-        return {g.find(c) for c in g._op_index.get(pat.op, ())}
-    return g._class_nodes
-
-
-def _match_atom(g, atom, env):
-    if isinstance(atom, Bind):
-        bound = env.get(atom.var)
-        if bound is not None:
-            return _match_pattern(g, atom.pattern, bound, env)
-        out = []
-        for cid in _candidate_classes(g, atom.pattern):
-            e2 = dict(env)
-            e2[atom.var] = cid
-            out.extend(_match_pattern(g, atom.pattern, cid, e2))
-        return out
-    if isinstance(atom, Rel):
-        first = atom.terms[0] if atom.terms else None
-        bound = env.get(first.name) if isinstance(first, PVar) else None
-        tuples = (g.facts.get(atom.name, ()) if bound is None
-                  else g.facts_about(atom.name, bound))
-        out = []
-        for tup in tuples:
-            if len(tup) != len(atom.terms):
-                continue
-            envs = [env]
-            for term, cid in zip(atom.terms, tup):
-                envs = [e2 for e in envs for e2 in _match_pattern(g, term, cid, e)]
-                if not envs:
-                    break
-            out.extend(envs)
-        return out
-    if isinstance(atom, Guard):
-        return [env] if atom.fn(g, env) else []
-    raise TypeError(f"not a query atom: {atom!r}")
-
-
 def ematch(g, query):
     """All substitutions (variable -> canonical class id) satisfying the
-    query's atoms, deduplicated and deterministically ordered."""
-    envs = [{}]
-    for atom in query:
-        envs = [e2 for env in envs for e2 in _match_atom(g, atom, env)]
-        if not envs:
-            return []
-    seen, out = set(), []
-    for env in envs:
-        key = tuple(sorted((k, g.find(v) if isinstance(v, int) else v)
-                           for k, v in env.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append({k: (g.find(v) if isinstance(v, int) else v)
-                        for k, v in env.items()})
-    out.sort(key=lambda e: tuple(sorted(e.items())))
-    return out
+    query's atoms, deduplicated and deterministically ordered.
+
+    A backtracking search over one environment: each atom extends the
+    bindings of the atoms before it, and a binding is undone when its
+    branch is exhausted."""
+    env, found = {}, set()
+
+    def match(pairs, i):
+        """Match each (pattern, class) of `pairs` left to right, then the
+        atoms from `i` on."""
+        if not pairs:
+            solve(i)
+            return
+        (pat, cid), rest = pairs[0], pairs[1:]
+        cid = g.find(cid)
+        if isinstance(pat, PVar):
+            bound = env.get(pat.name)
+            if bound is None:
+                env[pat.name] = cid
+                match(rest, i)
+                del env[pat.name]
+            elif bound == cid:
+                match(rest, i)
+            return
+        for op, children in g._class_nodes.get(cid, ()):
+            if op == pat.op and len(children) == len(pat.children):
+                match(tuple(zip(pat.children, children)) + rest, i)
+
+    def solve(i):
+        """Match the atoms from `i` on under the bindings made so far."""
+        if i == len(query):
+            found.add(tuple(sorted(env.items())))
+            return
+        atom = query[i]
+        if isinstance(atom, Bind):
+            pat, bound = atom.pattern, env.get(atom.var)
+            if bound is not None:
+                match(((pat, bound),), i + 1)
+                return
+            candidates = (g._class_nodes if isinstance(pat, PVar)
+                          else {g.find(c) for c in g._op_index.get(pat.op, ())})
+            for cid in candidates:
+                env[atom.var] = cid
+                match(((pat, cid),), i + 1)
+            env.pop(atom.var, None)  # bound by the last candidate, if any
+        elif isinstance(atom, Rel):
+            first = atom.terms[0] if atom.terms else None
+            bound = env.get(first.name) if isinstance(first, PVar) else None
+            tuples = (g.facts.get(atom.name, ()) if bound is None
+                      else g.facts_about(atom.name, bound))
+            for tup in tuples:
+                if len(tup) == len(atom.terms):
+                    match(tuple(zip(atom.terms, tup)), i + 1)
+        elif isinstance(atom, Guard):
+            if atom.fn(g, env):
+                solve(i + 1)
+        else:
+            raise TypeError(f"not a query atom: {atom!r}")
+
+    solve(0)
+    return [dict(key) for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

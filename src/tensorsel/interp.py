@@ -7,8 +7,8 @@ its group/k dimension left to right, so a correctly matched lowering is
 bit-exact against its source program.
 
 Accelerator tiles and fragments are modeled as plain vectors; loc_to_loc is
-the identity on values.  Emulated intrinsics accept any registered (M, K, N)
-shape; strict mode admits only the hardware shapes.
+the identity on values.  Emulated intrinsics accept the hardware shapes
+and the (M, K, N) shapes the program declares.
 
 An intrinsic's signature -- argument roles, sizes, result kind and lanes --
 is its `ir.INTRINSICS` record, checked by `ir.validate_program`; this module
@@ -26,13 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import ir, layout
-
-HARDWARE_SHAPES = (
-    ir.ShapeDecl("amx", 16, 32, 16),
-    ir.ShapeDecl("wmma", 32, 16, 8),
-    ir.ShapeDecl("wmma", 16, 16, 16),
-)
-
 
 class EvalError(Exception):
     pass
@@ -133,12 +126,17 @@ class BufferStore(dict):
     """Map buffer name -> Buffer."""
 
 
+def shape_registry(p):
+    """The (target, M, K, N) keys of `ir.program_shapes(p)`."""
+    return frozenset((s.target, s.m, s.k, s.n) for s in ir.program_shapes(p))
+
+
 @dataclass
 class Env:
     buffers: BufferStore
     bindings: dict = field(default_factory=dict)
     exprvar_cache: dict = field(default_factory=dict)
-    shapes: frozenset = frozenset((s.target, s.m, s.k, s.n) for s in HARDWARE_SHAPES)
+    shapes: frozenset = shape_registry(ir.Program())
     lints: list = field(default_factory=list)
 
 
@@ -413,15 +411,7 @@ def _scatter(name, idx, value, env):
 # program execution
 
 
-def shape_registry(p, extra_shapes=(), strict=False):
-    if strict:
-        decls = HARDWARE_SHAPES
-    else:
-        decls = tuple(HARDWARE_SHAPES) + tuple(p.shapes) + tuple(extra_shapes)
-    return frozenset((s.target, s.m, s.k, s.n) for s in decls)
-
-
-def run_program(p, inputs, extra_shapes=(), strict=False, lint_sink=None):
+def run_program(p, inputs, lint_sink=None):
     """Execute `p` over the given parameter buffers; returns the final
     buffer state (parameters, allocations, and temporaries).  Runtime lints
     (store-lane collisions) are appended to `lint_sink` when given."""
@@ -436,7 +426,7 @@ def run_program(p, inputs, extra_shapes=(), strict=False, lint_sink=None):
             raise EvalError(
                 f"input {prm.name!r} has length {len(data)}, declared {prm.length}")
         store[prm.name] = Buffer(prm.kind, prm.location, data)
-    env = Env(buffers=store, shapes=shape_registry(p, extra_shapes, strict))
+    env = Env(buffers=store, shapes=shape_registry(p))
     if lint_sink is not None:
         env.lints = lint_sink
     _exec_stmts(p.body, env, "body")

@@ -218,6 +218,19 @@ class Program:
     shapes: tuple = ()
 
 
+HARDWARE_SHAPES = (
+    ShapeDecl("amx", 16, 32, 16),
+    ShapeDecl("wmma", 32, 16, 8),
+    ShapeDecl("wmma", 16, 16, 16),
+)
+
+
+def program_shapes(p):
+    """The shapes `p` may use: the hardware shapes, then the ones `p`
+    declares (a Program, or anything else with declared `shapes`)."""
+    return HARDWARE_SHAPES + tuple(p.shapes)
+
+
 # ---------------------------------------------------------------------------
 # intrinsic signatures
 #
@@ -322,12 +335,17 @@ def shuffle_spec(call, path="e"):
         if rows <= cols:
             raise LaneMismatch(f"ConvolutionShuffle needs rows > cols, "
                                f"got {rows} and {cols}", path)
-        return layout.ToeplitzSpec(l=rows - cols, k=cols)
-    l, k, p, s = sizes
-    if p > 1 and s > 1:
-        raise LaneMismatch(f"PolyphaseShuffle phases {p} and stride {s} "
-                           f"are exclusive", path)
-    return layout.ToeplitzSpec(l=l, k=k, s=s, p=p)
+        fields = {"l": rows - cols, "k": cols}
+    else:
+        l, k, p, s = sizes
+        if p > 1 and s > 1:
+            raise LaneMismatch(f"PolyphaseShuffle phases {p} and stride {s} "
+                               f"are exclusive", path)
+        fields = {"l": l, "k": k, "s": s, "p": p}
+    try:
+        return layout.ToeplitzSpec(**fields)
+    except ValueError as e:  # the matrix is too large
+        raise LaneMismatch(f"{call.name}: {e}", path) from None
 
 
 # ---------------------------------------------------------------------------

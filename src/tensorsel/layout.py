@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+MAX_MATRIX_ENTRIES = 1 << 20  # bounds a matrix's memory; the corpus needs 192
+
+
 class PhaseMismatch(Exception):
-    pass
-
-
-class OutOfBounds(Exception):
     pass
 
 
@@ -45,6 +44,10 @@ class ToeplitzSpec:
         if self.s > 1 and self.p > 1:
             raise ValueError(f"stride and phases are exclusive, "
                              f"got s={self.s} p={self.p}")
+        rows = matrix_rows(self)
+        if rows * self.k > MAX_MATRIX_ENTRIES:
+            raise ValueError(f"a {rows} x {self.k} kernel matrix exceeds "
+                             f"{MAX_MATRIX_ENTRIES} entries")
 
     @property
     def kernel_length(self):
@@ -76,7 +79,7 @@ def matrix_for(kernel, spec):
     if len(kernel) != spec.kernel_length:
         raise PhaseMismatch(
             f"kernel has {len(kernel)} taps, spec needs {spec.kernel_length}")
-    idx = shuffle_indices_for(spec, 0, spec.kernel_length)
+    idx = shuffle_indices_for(spec)
     padded = np.concatenate([np.zeros(1, kernel.dtype), kernel])
     return gather(padded, idx).reshape(matrix_rows(spec), spec.k)
 
@@ -100,17 +103,12 @@ def polyphase_toeplitz(kernel, k, p):
     return matrix_for(kernel, ToeplitzSpec(l=len(kernel) // p, k=k, p=p))
 
 
-def shuffle_indices_for(spec, base, buffer_length):
+def shuffle_indices_for(spec):
     """Gather indices materializing the flattened matrix from a kernel load.
 
-    Indices address a zero-extended load: lane 0 is a constant zero and
-    kernel tap t sits at lane t+1; -1 is the sentinel alias for the zero
-    lane.  The kernel is read from [base, base + kernel_length)."""
-    total = spec.kernel_length
-    if base < 0 or base + total > buffer_length:
-        raise OutOfBounds(
-            f"kernel window [{base}, {base + total}) exceeds buffer "
-            f"of length {buffer_length}")
+    Indices address a zero-extended load of the kernel's taps: lane 0 is a
+    constant zero and kernel tap t sits at lane t+1; -1 is the sentinel
+    alias for the zero lane."""
     y = np.arange(matrix_rows(spec)).reshape(-1, 1)
     x = np.arange(spec.k)
     u = y - spec.s * (x // spec.p)  # tap within the phase; s or p is 1

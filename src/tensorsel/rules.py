@@ -39,9 +39,6 @@ from .egraph import Bind, EGraph, Guard, PNode, PVar, RuleDef, rel
 EXPR_OPS = {"imm", "var", "load", "cast", "bop", "ramp", "bcast", "vra",
             "call", "l2l", "exprvar", "shuffle"}
 
-DEFAULT_SHAPES = interp.HARDWARE_SHAPES
-
-
 # ---------------------------------------------------------------------------
 # IR <-> term encoding
 
@@ -116,7 +113,8 @@ def encode_stmt(g, s):
 
 
 def seed_facts(g, buffers, shapes):
-    """Buffer locations and registered accelerator shapes as relations."""
+    """Buffer locations and accelerator shapes as relations; `shapes` is
+    `ir.program_shapes` of the statement's program."""
     for name, (kind, length, loc) in sorted(buffers.items()):
         g.assert_fact("buffer-loc", mk_name(g, name), g.add(("loc", loc)))
     for sh in shapes:
@@ -297,7 +295,6 @@ def guard_scalar(var):
 @dataclass
 class RuleSet:
     rules: list = field(default_factory=list)
-    shapes: tuple = DEFAULT_SHAPES
 
     def add(self, rule):
         self.rules.append(rule)
@@ -354,8 +351,8 @@ def _render_atom(atom):
             f"{' '.join(_render_pattern(t) for t in atom.terms)})")
 
 
-def build_default_ruleset(shapes=DEFAULT_SHAPES):
-    rs = RuleSet(shapes=tuple(shapes))
+def build_default_ruleset():
+    rs = RuleSet()
     _axiomatic_rules(rs)
     _supporting_rules(rs)
     _application_rules(rs)
@@ -1016,6 +1013,9 @@ def _lowering_rules(rs):
 
 @dataclass
 class FuzzInstance:
+    """Two sides to compare: expressions, or programs carrying their own
+    shapes.  `shapes` are the extra shapes an expression pair may use."""
+
     lhs: object
     rhs: object
     buffers: dict = field(default_factory=dict)
@@ -1053,8 +1053,8 @@ def _rand_kind(rng):
 
 def _run_instance(inst):
     if isinstance(inst.lhs, ir.Program):
-        out_a = interp.run_program(inst.lhs, inst.buffers, extra_shapes=inst.shapes)
-        out_b = interp.run_program(inst.rhs, inst.buffers, extra_shapes=inst.shapes)
+        out_a = interp.run_program(inst.lhs, inst.buffers)
+        out_b = interp.run_program(inst.rhs, inst.buffers)
         for prm in inst.lhs.params:
             a, b = out_a[prm.name], out_b[prm.name]
             if a.data.tobytes() != b.data.tobytes():
@@ -1064,9 +1064,7 @@ def _run_instance(inst):
     store = interp.BufferStore()
     for name, buf in inst.buffers.items():
         store[name] = interp.Buffer(buf.kind, buf.location, buf.data.copy())
-    shapes = frozenset((s.target, s.m, s.k, s.n)
-                       for s in tuple(interp.HARDWARE_SHAPES) + tuple(inst.shapes))
-    env = interp.Env(buffers=store, shapes=shapes)
+    env = interp.Env(buffers=store, shapes=interp.shape_registry(inst))
     va = interp.eval_expr(inst.lhs, env)
     vb = interp.eval_expr(inst.rhs, env)
     if va.kind != vb.kind or va.lanes != vb.lanes:
@@ -1414,24 +1412,24 @@ def _fz_stage(target, loader, b_shape=False):
         load_src = ir.Load("src", ir.VecType(kind, length), idx)
         read_back = ir.Store("out", idx,
                              ir.Load("stage", ir.VecType(kind, length), idx))
+        shapes = (ir.ShapeDecl(target, m, k, n),)
         lhs = ir.Program(params, (
             ir.Allocate("stage", kind, length, target),
             ir.Store("stage", idx, ir.LocToLoc("mem", target, load_src)),
-            read_back))
+            read_back), shapes)
         rhs = ir.Program(params, (
             ir.Allocate("stage", kind, length, target),
             ir.Store("stage", idx, ir.Call(loader, (
                 ir.Var("src"), zero, ir.Imm("i32", cols), ir.Imm("i32", rows),
                 ir.Imm("i32", cols)))),
-            read_back))
+            read_back), shapes)
         buffers = {}
         for prm in params:
             raw = np.array([rng.uniform(-1, 1) for _ in range(prm.length)],
                            np.float32)
             buffers[prm.name] = interp.Buffer(kind, "mem",
                                               interp.round_to_kind(raw, kind))
-        return FuzzInstance(lhs, rhs, buffers,
-                            shapes=(ir.ShapeDecl(target, m, k, n),))
+        return FuzzInstance(lhs, rhs, buffers)
     return gen
 
 
@@ -1459,11 +1457,11 @@ def corrupted_ramp_rule():
                    fuzz=bad_gen)
 
 
-def corrupted_ruleset(shapes=DEFAULT_SHAPES):
+def corrupted_ruleset():
     """Default ruleset with the VNNI tile load using a row stride two short:
     selection still succeeds and stays in bounds, but difftests must catch
     the divergent lanes."""
-    rs = build_default_ruleset(shapes)
+    rs = build_default_ruleset()
     rule = rs.named("amx-b-vnni")
 
     def bad_act(g, env):

@@ -31,7 +31,6 @@ class SelectionConfig:
     target: str = "all"  # amx | wmma | all
     iterations: int = 6
     node_budget: int = 1_000_000
-    desugar: bool = True
     dump_egraph: bool = False
 
     def __post_init__(self):
@@ -234,7 +233,8 @@ def _touches_accel(s, buffers):
 # per-statement selection
 
 
-def select_statement(s, buffers, ruleset, config, param_names=(), path="", index=0):
+def select_statement(s, buffers, shapes, ruleset, config, param_names=(), path="",
+                     index=0):
     outcome = StatementOutcome(index=index, path=path, outcome="unchanged")
     # Speculative offload: a store that touches no accelerator may still
     # lower when it writes an allocated intermediate; a parameter is the
@@ -245,7 +245,7 @@ def select_statement(s, buffers, ruleset, config, param_names=(), path="", index
 
     g = rules.new_graph()
     root = rules.encode_stmt(g, s)
-    rules.seed_facts(g, buffers, ruleset.shapes)
+    rules.seed_facts(g, buffers, shapes)
     try:
         rep = run_schedule(g, ruleset.for_target(config.target),
                            config.iterations, config.node_budget)
@@ -350,7 +350,7 @@ def desugar_shuffles(p):
         spec = ir.shuffle_spec(e)
         total = spec.kernel_length
         bufname = e.args[0].name
-        raw = layout.shuffle_indices_for(spec, 0, total)
+        raw = layout.shuffle_indices_for(spec)
         indices = tuple(i - 1 if i >= 1 else -1 for i in raw)
         load = ir.Load(bufname, ir.VecType(buffers[bufname][0], total),
                        ir.Ramp(desugar(e.args[1]), ir.Imm("i32", 1), total))
@@ -386,10 +386,10 @@ def select_program(p, config=None, ruleset=None):
     if not vrep.ok:
         raise SelectionError(f"input does not validate:\n{vrep}")
     if ruleset is None:
-        ruleset = rules.build_default_ruleset(
-            tuple(rules.DEFAULT_SHAPES) + tuple(p.shapes))
+        ruleset = rules.build_default_ruleset()
     inj = inject_data_movement(p)
     buffers = ir.buffer_table(inj)
+    shapes = ir.program_shapes(p)
     param_names = {prm.name for prm in p.params}
 
     outcomes = []
@@ -397,15 +397,14 @@ def select_program(p, config=None, ruleset=None):
     def select(path, s):
         if not isinstance(s, (ir.Store, ir.Evaluate)):
             return (s,)
-        new_s, oc = select_statement(s, buffers, ruleset, config,
+        new_s, oc = select_statement(s, buffers, shapes, ruleset, config,
                                      param_names, path, len(outcomes))
         outcomes.append(oc)
         return (new_s,)
 
     lowered = ir.Program(inj.params, ir.map_stmts(inj.body, select), inj.shapes)
     lowered, temps = lower_exprvars(lowered)
-    if config.desugar:
-        lowered = desugar_shuffles(lowered)
+    lowered = desugar_shuffles(lowered)
     out_rep = ir.validate_program(lowered)
     if not out_rep.ok:
         raise SelectionError(f"selection produced an invalid program:\n{out_rep}")

@@ -65,10 +65,12 @@ def test_criterion_2_support_matrix():
                "preload-B lowers in VNNI and fails cleanly in standard (7+1)")
 
 
-def test_criterion_3_convolution_lowering():
+def test_criterion_3_convolution_lowering(monkeypatch):
     prog = corpus_program("conv1d_k8")
-    cfg = selector.SelectionConfig(target="wmma", desugar=False)
-    low, rep = selector.select_program(prog, cfg)
+    cfg = selector.SelectionConfig(target="wmma")
+    with monkeypatch.context() as m:  # stop before shuffle desugaring
+        m.setattr(selector, "desugar_shuffles", lambda p: p)
+        low, rep = selector.select_program(prog, cfg)
     assert rep.ok
     update = next(s for _, s in ir.walk_stmts(low.body)
                   if isinstance(s, ir.Store) and s.buffer == "conv"
@@ -178,7 +180,7 @@ def test_criterion_7_phase_ordering_ablation():
     def saturate(categories):
         g = rules.new_graph()
         rules.encode_stmt(g, stmt)
-        rules.seed_facts(g, buffers, rs.shapes)
+        rules.seed_facts(g, buffers, ir.HARDWARE_SHAPES)
         active = [r for r in rs.for_target("amx") if r.category in categories]
         run_schedule(g, active, 6, BUDGET)
         return g
@@ -193,15 +195,12 @@ def test_criterion_7_phase_ordering_ablation():
 
 def test_criterion_8_saturation_budget():
     budget = 1_000_000
-    rs_cache = {}
+    rs = rules.build_default_ruleset()
     for name in corpus_names():
         prog = corpus_program(name)
         inj = selector.inject_data_movement(prog)
         buffers = ir.buffer_table(inj)
-        shapes = tuple(rules.DEFAULT_SHAPES) + tuple(prog.shapes)
-        if shapes not in rs_cache:
-            rs_cache[shapes] = rules.build_default_ruleset(shapes)
-        rs = rs_cache[shapes]
+        shapes = ir.program_shapes(prog)
         for _, s in ir.walk_stmts(inj.body):
             if not isinstance(s, (ir.Store, ir.Evaluate)):
                 continue
@@ -231,11 +230,10 @@ def test_criterion_8_saturation_budget():
                     ir.LocToLoc("mem", "wmma", ir.Bop(
                         "+", ir.VectorReduceAdd(256, ir.Bop("*", i_op, k_op)),
                         acc)))
-    rs = rules.build_default_ruleset()
     g = rules.new_graph()
     root = rules.encode_stmt(g, stmt)
     rules.seed_facts(g, {"I": ("f16", 8500, "mem"), "K": ("f16", 32, "mem"),
-                         "conv": ("f32", 256, "wmma")}, rs.shapes)
+                         "conv": ("f32", 256, "wmma")}, ir.HARDWARE_SHAPES)
     t0 = time.perf_counter()
     rep = run_schedule(g, rs.for_target("wmma"), 6, budget)
     extract_best(g, root)

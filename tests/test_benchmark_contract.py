@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/spans.py) rebinds public entry points of
 the tensorsel modules by name.  Installing it here makes a rename of one of
-them fail this suite, not only the benchmark's own tests."""
+them, or a call path that goes round a rebound name, fail this suite, not
+only the benchmark's own tests."""
 
 import sys
 
@@ -10,7 +11,7 @@ from conftest import ROOT, corpus_program
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from spans import NAME, Tracer  # noqa: E402
+from spans import CATEGORIES, NAME, Tracer  # noqa: E402
 from workloads import import_tensorsel  # noqa: E402
 
 
@@ -28,10 +29,27 @@ def test_tracer_installs_and_uninstalls_on_current_modules():
     try:
         assert _bindings(ts) != before
         ts.interp.random_inputs(prog, 0)
-        ts.layout.shuffle_indices_for(layout.ToeplitzSpec(l=2, k=4), 0, 2)
+        ts.layout.shuffle_indices_for(layout.ToeplitzSpec(l=2, k=4))
     finally:
         tracer.uninstall()
     assert _bindings(ts) == before
     spans, _, _ = tracer.take()
     assert [s[NAME] for s in spans] == ["interp.random_inputs",
                                         "layout.shuffle_indices_for"]
+
+
+def test_every_ematch_call_is_traced_with_its_rule_category():
+    ts = import_tensorsel(ROOT)
+    prog = corpus_program("upsample2_1d")
+    tracer = Tracer()
+    tracer.install(ts, frozenset())
+    try:
+        ts.selector.select_program(prog, ts.selector.SelectionConfig(target="wmma"))
+    finally:
+        tracer.uninstall()
+    spans, counts, _ = tracer.take()
+    names = {s[NAME] for s in spans if s[NAME].startswith("egraph.ematch")}
+    assert names == {f"egraph.ematch.{c}" for c in CATEGORIES}
+    calls = {c: counts[None][f"egraph.ematch.{c}.calls"] for c in CATEGORIES}
+    assert calls == {"axiomatic": 342, "application": 72, "lowering": 198,
+                     "supporting": 390}

@@ -78,6 +78,12 @@ MALFORMED_CALLS = {
         "(call PolyphaseShuffle (var A) (imm i32 0) (imm i32 2) (imm i32 4) "
         "(imm i32 2) (imm i32 2)))\n",
         "body[0].value: PolyphaseShuffle phases 2 and stride 2 are exclusive"),
+    "oversized-kernel-matrix": (
+        "(param K f32 16 mem)\n(param A f32 16 mem)\n"
+        "(store A (ramp (imm i32 0) (imm i32 1) 4) "
+        "(call ConvolutionShuffle (var K) (imm i32 0) (imm i32 8000) (imm i32 5000)))\n",
+        "body[0].value: ConvolutionShuffle: a 8000 x 5000 kernel matrix exceeds "
+        "1048576 entries"),
 }
 
 
@@ -299,8 +305,7 @@ class TestDifftest:
 
     def test_mutated_ruleset_diverges(self):
         prog = ir.parse_program((CORPUS / "matmul_vnni.sexp").read_text())
-        bad_rules = rules.corrupted_ruleset(
-            tuple(rules.DEFAULT_SHAPES) + tuple(prog.shapes))
+        bad_rules = rules.corrupted_ruleset()
         cfg = selector.SelectionConfig(target="amx")
         result, rep = cli.run_difftest(prog, "mutated", 5, 0, cfg,
                                        ruleset=bad_rules)
@@ -385,6 +390,7 @@ class TestLayout:
         ("toeplitz", "--l", "3", "--k", "4", "--s", "2", "--p", "2"),
         ("interleave", "--l", "3", "--k", "3", "--p", "2"),
         ("interleave", "--l", "2", "--k", "4", "--p", "0"),
+        ("toeplitz", "--l", "4000", "--k", "4000"),
     ])
     def test_sizes_forming_no_matrix_exit_two(self, argv, capsys):
         assert run_cli("layout", *argv) == 2

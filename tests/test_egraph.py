@@ -175,6 +175,39 @@ class TestEmatch:
         hits = ematch(g, q)
         assert len(hits) == 1 and g.class_int(hits[0]["n"]) == 8
 
+    def test_guard_sees_exactly_earlier_bindings(self):
+        from tensorsel.egraph import rel
+        g = EGraph()
+        a, b = leaf(g, "a"), leaf(g, "b")
+        node(g, "f", a)
+        node(g, "f", b)
+        g.assert_fact("tagged", a, b)
+        seen = []
+
+        def spy(want):
+            return Guard(lambda g_, env: seen.append((want, dict(env))) or True)
+
+        q = (spy(set()),
+             Bind("e", PNode(("f",), (PVar("x"),))),
+             spy({"e", "x"}),
+             rel("tagged", PVar("x"), PVar("y")),
+             spy({"e", "x", "y"}))
+        hits = ematch(g, q)
+        assert [set(h) for h in hits] == [{"e", "x", "y"}]
+        assert seen and all(set(env) == want for want, env in seen)
+
+    def test_results_are_independent(self):
+        g = EGraph()
+        node(g, "f", g.add_int(3))
+        node(g, "f", g.add_int(8))
+        hits = ematch(g, (Bind("e", PNode(("f",), (PVar("n"),))),))
+        assert len(hits) == 2
+        before = [dict(h) for h in hits]
+        hits[0]["n"] = -1
+        hits[0]["extra"] = 0
+        assert hits[1] == before[1]
+        assert ematch(g, (Bind("e", PNode(("f",), (PVar("n"),))),)) == before
+
 
 # -- reference matcher: sorted full scans, no index --------------------------
 

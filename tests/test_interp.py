@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ def env_with(shapes=(), **buffers):
         arr = np.array(data, np.int64 if kind == "i32" else np.float32)
         store[name] = interp.Buffer(kind, "mem", arr)
     reg = frozenset((s.target, s.m, s.k, s.n)
-                    for s in tuple(interp.HARDWARE_SHAPES) + tuple(shapes))
+                    for s in ir.HARDWARE_SHAPES + tuple(shapes))
     return interp.Env(buffers=store, shapes=reg)
 
 
@@ -460,9 +461,9 @@ class TestRunProgram:
             prog, selector.SelectionConfig(target="wmma"))
         assert rep.ok
         ins = interp.random_inputs(prog, 0)
-        interp.run_program(low, ins)  # non-strict: declared shape admitted
+        interp.run_program(low, ins)  # the declared shape is admitted
         with pytest.raises(interp.ShapeUnregistered):
-            interp.run_program(low, ins, strict=True)
+            interp.run_program(replace(low, shapes=()), ins)
 
     def test_strict_mode_admits_hardware_shapes(self):
         from tensorsel import selector
@@ -473,7 +474,7 @@ class TestRunProgram:
                 prog, selector.SelectionConfig(target=target))
             ins = interp.random_inputs(prog, 0)
             a = interp.run_program(prog, ins)
-            b = interp.run_program(low, ins, strict=True)
+            b = interp.run_program(replace(low, shapes=()), ins)
             for prm in prog.params:
                 assert a[prm.name].data.tobytes() == b[prm.name].data.tobytes()
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsel import interp, layout
+from tensorsel import interp
+from tensorsel.ir import Imm, Load, Ramp, Var, VecType
 from tensorsel.layout import (PhaseMismatch, ToeplitzSpec,
                               kway_interleave_indices, matrix_for,
                               matrix_rows, polyphase_toeplitz,
@@ -114,6 +115,15 @@ class TestPolyphase:
             assert got[x] == direct_upsample(sig, kern, x, p), x
 
 
+class TestSpecBound:
+    def test_matrix_of_at_most_2_20_entries(self):
+        assert matrix_rows(ToeplitzSpec(l=1536, k=512)) * 512 == 1 << 20
+        with pytest.raises(ValueError, match="2049 x 512 kernel matrix"):
+            ToeplitzSpec(l=1537, k=512)
+        with pytest.raises(ValueError, match="exceeds"):
+            ToeplitzSpec(l=4000, k=4000, p=2)
+
+
 class TestRandomOracles:
     def test_all_generators_match_direct_summation(self):
         # the acceptance-grade invariant at reduced trial count
@@ -200,15 +210,30 @@ class TestMatrixFor:
                                             [False, False], [False, False]]
 
 
+def _intrinsic(name, buffer, *args):
+    """The interpreter's value of intrinsic `name` over f32 `buffer`, bound
+    to `v`, and `args` (ints become i32 immediates)."""
+    env = interp.Env(buffers=interp.BufferStore(
+        v=interp.Buffer("f32", "mem", np.asarray(buffer, np.float32))))
+    return interp.eval_intrinsic(
+        name, tuple(Imm("i32", a) if isinstance(a, int) else a for a in args), env)
+
+
 class TestShuffleIndices:
     @settings(max_examples=300, deadline=None)
-    @given(_specs())
-    def test_equals_per_entry_reference(self, spec):
+    @given(_specs(), st.integers(0, 3))
+    def test_equals_per_entry_reference(self, spec, base):
         want = [-1 if t is None else t + 1
                 for y in range(matrix_rows(spec)) for x in range(spec.k)
                 for t in [kernel_taps(spec, y, x)]]
-        got = shuffle_indices_for(spec, 0, spec.kernel_length)
+        got = shuffle_indices_for(spec)
         assert got == want and all(type(i) is int for i in got)
+        # the intrinsic builds the matrix of the kernel window at `base`
+        buf = np.arange(1, base + spec.kernel_length + 3, dtype=np.float32)
+        mat = _intrinsic("PolyphaseShuffle", buf, Var("v"), base,
+                         spec.l, spec.k, spec.p, spec.s)
+        window = buf[base:base + spec.kernel_length]
+        assert mat.data.tobytes() == _ref_matrix(window, spec).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 8))
@@ -220,45 +245,16 @@ class TestShuffleIndices:
                     want[p * k * row_len + k * j + d] = (k * p + d) * row_len + j
         got = kway_interleave_indices(k, k * groups, row_len)
         assert got == want and all(type(i) is int for i in got)
+        n = len(want)
+        packed = _intrinsic("KWayInterleave", np.arange(n), k, row_len,
+                            Load("v", VecType("f32", n), Ramp(Imm("i32", 0),
+                                                              Imm("i32", 1), n)))
+        assert packed.data.tolist() == want
 
     def test_toeplitz_indices_match_example(self):
         spec = ToeplitzSpec(l=3, k=2)
-        got = shuffle_indices_for(spec, 0, 3)
+        got = shuffle_indices_for(spec)
         assert got == [1, -1, 2, 1, 3, 2, -1, 3, -1, -1]
-
-    def test_indices_materialize_dense_matrix(self):
-        rng = random.Random(6)
-        for _ in range(30):
-            s = rng.choice((1, 2))
-            p = rng.choice((1, 2)) if s == 1 else 1
-            spec = ToeplitzSpec(l=rng.randrange(1, 9),
-                                k=rng.randrange(1, 17), s=s, p=p)
-            base = rng.randrange(0, 3)
-            kern_buf = _rand_f32(rng, base + spec.kernel_length + 2)
-            idx = shuffle_indices_for(spec, base, len(kern_buf))
-            window = kern_buf[base:base + spec.kernel_length]
-            extended = np.concatenate(([np.float32(0.0)], window))
-            got = extended[[0 if i == -1 else i for i in idx]]
-            want = matrix_for(window, spec).reshape(-1)
-            assert got.tobytes() == want.tobytes()
-
-    def test_out_of_bounds(self):
-        with pytest.raises(layout.OutOfBounds):
-            shuffle_indices_for(ToeplitzSpec(l=4, k=2), 1, 4)
 
     def test_vnni_pack_permutation(self):
         assert kway_interleave_indices(2, 4, 2) == [0, 2, 1, 3, 4, 6, 5, 7]
-
-    def test_interleave_matches_intrinsic(self):
-        rng = random.Random(7)
-        k, rows, row_len = 2, 8, 4
-        data = _rand_f32(rng, rows * row_len)
-        idx = kway_interleave_indices(k, rows, row_len)
-        from tensorsel.ir import Imm, Load, Ramp, VecType
-        env = interp.Env(buffers=interp.BufferStore(
-            v=interp.Buffer("f32", "mem", data)))
-        got = interp.eval_intrinsic("KWayInterleave", (
-            Imm("i32", k), Imm("i32", row_len),
-            Load("v", VecType("f32", rows * row_len),
-                 Ramp(Imm("i32", 0), Imm("i32", 1), rows * row_len))), env)
-        assert got.data.tobytes() == data[idx].tobytes()

@@ -29,7 +29,7 @@ def matmul_update_stmt():
 def saturate(stmt, rs, iterations=6, categories=None):
     g = rules.new_graph()
     root = rules.encode_stmt(g, stmt)
-    rules.seed_facts(g, MATMUL_BUFFERS, rs.shapes)
+    rules.seed_facts(g, MATMUL_BUFFERS, ir.HARDWARE_SHAPES)
     active = [r for r in rs.for_target("amx")
               if categories is None or r.category in categories]
     run_schedule(g, active, iterations, BUDGET)

@@ -28,6 +28,12 @@ def flat(n, base=0):
     return Ramp(i32(base), i32(1), n)
 
 
+@pytest.fixture
+def no_desugar(monkeypatch):
+    """Selection stops before shuffle desugaring."""
+    monkeypatch.setattr(selector, "desugar_shuffles", lambda p: p)
+
+
 def count_movements(p):
     n = 0
     for _, s in ir.walk_stmts(p.body):
@@ -161,21 +167,21 @@ class TestExprVarLowering:
                  if isinstance(s, Store) and s.buffer == temps[0]["name"]]
         assert len(allocs) == 1 and len(inits) == 1
 
-    def test_materialized_equals_cached_execution(self):
+    def test_materialized_equals_cached_execution(self, no_desugar):
         # hoisted initialization inside the loop reproduces the cached
         # ExprVar evaluation
         prog = corpus_program("conv2d_outer_ry")
-        cfg = SelectionConfig(target="wmma", desugar=False)
-        low, rep = select_program(prog, cfg)
+        low, rep = select_program(prog, SelectionConfig(target="wmma"))
         assert rep.temporaries[0]["hoist_depth"] == 1
         difftest(prog, low, range(3))
 
 
 class TestDesugar:
-    def test_conv_shuffle_desugars_to_gather(self):
+    def test_conv_shuffle_desugars_to_gather(self, monkeypatch):
         prog = corpus_program("conv1d_k8")
-        sugar, _ = select_program(prog, SelectionConfig(target="wmma",
-                                                        desugar=False))
+        with monkeypatch.context() as m:
+            m.setattr(selector, "desugar_shuffles", lambda p: p)
+            sugar, _ = select_program(prog, SelectionConfig(target="wmma"))
         plain, _ = select_program(prog, SelectionConfig(target="wmma"))
         assert any(isinstance(e, Call) and e.name == "ConvolutionShuffle"
                    for _, s in ir.walk_stmts(sugar.body)
@@ -224,10 +230,9 @@ class TestSelectProgram:
         assert {"tile_zero", "tile_matmul", "tile_store"} <= set(emitted)
         difftest(prog, low, range(5))
 
-    def test_conv_lowering_shape_and_temporary(self):
+    def test_conv_lowering_shape_and_temporary(self, no_desugar):
         prog = corpus_program("conv1d_k8")
-        low, rep = select_program(prog, SelectionConfig(target="wmma",
-                                                        desugar=False))
+        low, rep = select_program(prog, SelectionConfig(target="wmma"))
         update = next(s for _, s in ir.walk_stmts(low.body)
                       if isinstance(s, Store) and s.buffer == "conv"
                       and isinstance(s.value, Call)
@@ -240,6 +245,14 @@ class TestSelectProgram:
         assert [int(x.value) for x in b.args[3:]] == [16, 8]  # k16 n8
         assert isinstance(c, Load) and c.buffer == "conv"
         difftest(prog, low, range(5))
+
+    def test_given_ruleset_keeps_the_programs_own_shapes(self):
+        # downsample2_1d declares the 32x24x8 shape its strided window needs
+        prog = corpus_program("downsample2_1d")
+        low, rep = select_program(prog, SelectionConfig(target="wmma"),
+                                  ruleset=rules.build_default_ruleset())
+        assert [s.outcome for s in rep.statements] == ["lowered"] * 3
+        difftest(prog, low, range(3))
 
     def test_partial_failure_keeps_program_running(self):
         prog = corpus_program("matmul_preloadB_standard")
@@ -262,13 +275,13 @@ class TestSelectProgram:
                                     SelectionConfig(target="amx"))
             assert rep.ok == should_pass, name
 
-    def test_monotone_cost(self):
+    def test_monotone_cost(self, no_desugar):
         # extracted statements stay within the movement-cancellation slack
         for name in corpus_names():
             prog = corpus_program(name)
             inj = inject_data_movement(prog)
             low, rep = select_program(
-                prog, SelectionConfig(target=target_for(name), desugar=False))
+                prog, SelectionConfig(target=target_for(name)))
             orig_stmts = [s for _, s in ir.walk_stmts(inj.body)
                           if isinstance(s, (Store, Evaluate))]
             new_stmts = [s for _, s in ir.walk_stmts(low.body)
@@ -362,7 +375,7 @@ class TestRulesOffTheCorpus:
     """Variants that lower through rules no corpus program fires."""
 
     def _select(self, prog, target):
-        rs = rules.build_default_ruleset(tuple(rules.DEFAULT_SHAPES) + prog.shapes)
+        rs = rules.build_default_ruleset()
         fired = set()
         for rule in rs:
             rule.action = (lambda act, name: lambda g, env: (
