@@ -256,5 +256,31 @@ class TestShuffleIndices:
         got = shuffle_indices_for(spec)
         assert got == [1, -1, 2, 1, 3, 2, -1, 3, -1, -1]
 
+    def test_indices_materialize_dense_matrix(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            s = rng.choice((1, 2))
+            p = rng.choice((1, 2)) if s == 1 else 1
+            spec = ToeplitzSpec(l=rng.randrange(1, 9),
+                                k=rng.randrange(1, 17), s=s, p=p)
+            base = rng.randrange(0, 3)
+            kern_buf = _rand_f32(rng, base + spec.kernel_length + 2)
+            idx = shuffle_indices_for(spec)
+            window = kern_buf[base:base + spec.kernel_length]
+            extended = np.concatenate(([np.float32(0.0)], window))
+            got = extended[[0 if i == -1 else i for i in idx]]
+            want = matrix_for(window, spec).reshape(-1)
+            assert got.tobytes() == want.tobytes()
+
     def test_vnni_pack_permutation(self):
         assert kway_interleave_indices(2, 4, 2) == [0, 2, 1, 3, 4, 6, 5, 7]
+
+    def test_interleave_matches_intrinsic(self):
+        rng = random.Random(7)
+        k, rows, row_len = 2, 8, 4
+        data = _rand_f32(rng, rows * row_len)
+        idx = kway_interleave_indices(k, rows, row_len)
+        got = _intrinsic("KWayInterleave", data, k, row_len,
+                         Load("v", VecType("f32", rows * row_len),
+                              Ramp(Imm("i32", 0), Imm("i32", 1), rows * row_len)))
+        assert got.data.tobytes() == data[idx].tobytes()
