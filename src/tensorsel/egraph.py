@@ -7,10 +7,15 @@ class ids; facts are canonicalized on rebuild.  A fact index files each
 tuple under the root of its first argument and relation; `union` moves the
 losing root's tuples to the winner at once, so a relation atom whose first
 term is already bound is a hash lookup, even between a union and the next
-rebuild.  E-matching backtracks over one environment: each atom binds
-variables in place for the atoms after it and unbinds them on the way
-back; classes, nodes and tuples are iterated unsorted and `ematch` orders
-its result once at the end.  `rebuild` returns at once when no
+rebuild.  E-matching runs join plans, as in relational e-matching
+(Zhang et al., POPL 2022): a `RuleDef` compiles its query once, when it
+is built, into a chain of atoms over one list of variable slots.  Each
+`PNode` is an e-node atom (class slot, op, arity, child slots), each
+`Rel` a fact atom that reads the fact index when its first slot is bound,
+and whether a slot is already bound is settled at compile time, so a
+match checks bound slots with `==` and binds free ones by assignment.
+Classes, nodes and tuples are iterated unsorted and `ematch` orders its
+result once at the end.  `rebuild` returns at once when no
 union happened since the last one: `add` and `assert_fact` canonicalize
 their arguments, so a graph without unions is already congruence-closed.
 Each class also keeps its nodes of fewer than two children in
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class NodeBudgetExceeded(Exception):
@@ -71,8 +77,8 @@ def rel(name, *terms):
 @dataclass(frozen=True)
 class Guard:
     """Query atom: `fn(graph, env)` is truthy.  All referenced variables
-    must be bound by earlier atoms.  `env` is the matcher's live
-    environment: read it, never keep or change it."""
+    must be bound by earlier atoms; `env` maps every variable they bind
+    to its class."""
 
     fn: object
     doc: str = ""
@@ -87,6 +93,13 @@ class RuleDef:
     doc: str = ""
     target: str = ""  # "", "amx", or "wmma"
     fuzz: object = None  # optional fn(rng) -> (lhs Expr, rhs Expr, env inputs)
+
+    def __post_init__(self):
+        if not isinstance(self.query, Query):
+            try:
+                self.query = Query(self.query)
+            except TypeError as e:
+                raise TypeError(f"rule {self.name!r}: {e}") from None
 
     @property
     def semantic(self):
@@ -266,69 +279,205 @@ def _node_key(node):
 # e-matching
 
 
+class Query(tuple):
+    """A query's atoms, carrying the join plan they compile to as `plan`."""
+
+    def __new__(cls, atoms):
+        query = super().__new__(cls, atoms)
+        query.plan = compile_query(query)
+        return query
+
+
 def ematch(g, query):
     """All substitutions (variable -> canonical class id) satisfying the
-    query's atoms, deduplicated and deterministically ordered.
+    query's atoms, deduplicated and deterministically ordered.  A `Query`
+    runs its own plan; a plain tuple of atoms is compiled first."""
+    plan = query.plan if isinstance(query, Query) else compile_query(query)
+    return plan(g)
 
-    A backtracking search over one environment: each atom extends the
-    bindings of the atoms before it, and a binding is undone when its
-    branch is exhausted."""
-    env, found = {}, set()
 
-    def match(pairs, i):
-        """Match each (pattern, class) of `pairs` left to right, then the
-        atoms from `i` on."""
-        if not pairs:
-            solve(i)
-            return
-        (pat, cid), rest = pairs[0], pairs[1:]
-        cid = g.find(cid)
-        if isinstance(pat, PVar):
-            bound = env.get(pat.name)
-            if bound is None:
-                env[pat.name] = cid
-                match(rest, i)
-                del env[pat.name]
-            elif bound == cid:
-                match(rest, i)
-            return
-        for op, children in g._class_nodes.get(cid, ()):
-            if op == pat.op and len(children) == len(pat.children):
-                match(tuple(zip(pat.children, children)) + rest, i)
+def compile_query(query):
+    """The join plan of `query`: a function of a graph returning the
+    query's matches.  Raises TypeError on anything but a query atom.
 
-    def solve(i):
-        """Match the atoms from `i` on under the bindings made so far."""
-        if i == len(query):
-            found.add(tuple(sorted(env.items())))
-            return
-        atom = query[i]
+    Variables become slots of one list, in the order atoms first bind
+    them; a `Bind` of one variable to another gives both the same slot.
+    A `PNode` becomes an e-node atom over a class slot and its
+    children's slots (a nested `PNode` gets an anonymous slot and its own
+    atom after its parent's); a `Rel` becomes a fact atom over its terms'
+    slots, read through the fact index when its first slot is bound.
+    Whether a slot is bound when its atom runs is known here, so matching
+    checks a bound slot with `==` and binds a free one by assignment,
+    never undoing it: the next candidate overwrites it.  A guard gets the
+    named variables bound by the atoms before it."""
+    slots = {}  # variable name -> its slot, from the atom that binds it on
+    size = 0
+    steps = []  # (step factory, its arguments) in match order
+
+    def new_slot():
+        nonlocal size
+        size += 1
+        return size - 1
+
+    def positions(pats, indexed=False):
+        """(position, slot) pairs of `pats` binding a free slot and checking
+        a bound one, and the nested PNodes with the slots they match in.
+        An `indexed` position 0 is neither: the index lookup matched it."""
+        binds, checks, nested = [], [], []
+        for i, pat in enumerate(pats):
+            if isinstance(pat, PVar):
+                k = slots.get(pat.name)
+                if k is None:
+                    k = slots[pat.name] = new_slot()
+                    binds.append((i, k))
+                elif i or not indexed:
+                    checks.append((i, k))
+            elif isinstance(pat, PNode):
+                k = new_slot()
+                binds.append((i, k))
+                nested.append((pat, k))
+            else:
+                raise TypeError(f"not a pattern: {pat!r}")
+        return binds, checks, nested
+
+    def enode(pat, c, scan):
+        binds, checks, nested = positions(pat.children)
+        steps.append((_enode_step, c, scan, pat.op, len(pat.children), binds, checks))
+        for child, k in nested:
+            enode(child, k, False)
+
+    for atom in query:
         if isinstance(atom, Bind):
-            pat, bound = atom.pattern, env.get(atom.var)
-            if bound is not None:
-                match(((pat, bound),), i + 1)
-                return
-            candidates = (g._class_nodes if isinstance(pat, PVar)
-                          else {g.find(c) for c in g._op_index.get(pat.op, ())})
-            for cid in candidates:
-                env[atom.var] = cid
-                match(((pat, cid),), i + 1)
-            env.pop(atom.var, None)  # bound by the last candidate, if any
+            c = slots.get(atom.var)
+            scan = c is None
+            if scan:
+                c = slots[atom.var] = new_slot()
+            if isinstance(atom.pattern, PNode):
+                enode(atom.pattern, c, scan)
+            elif isinstance(atom.pattern, PVar):  # one class: share a slot
+                v = slots.setdefault(atom.pattern.name, c)
+                if scan and v != c:
+                    slots[atom.var] = v
+                elif scan:
+                    steps.append((_class_step, c))
+                elif v != c:
+                    steps.append((_same_step, c, v))
+            else:
+                raise TypeError(f"not a pattern: {atom.pattern!r}")
         elif isinstance(atom, Rel):
             first = atom.terms[0] if atom.terms else None
-            bound = env.get(first.name) if isinstance(first, PVar) else None
-            tuples = (g.facts.get(atom.name, ()) if bound is None
-                      else g.facts_about(atom.name, bound))
-            for tup in tuples:
-                if len(tup) == len(atom.terms):
-                    match(tuple(zip(atom.terms, tup)), i + 1)
+            lookup = slots.get(first.name) if isinstance(first, PVar) else None
+            binds, checks, nested = positions(atom.terms, lookup is not None)
+            steps.append((_fact_step, atom.name, lookup, len(atom.terms), binds, checks))
+            for child, k in nested:
+                enode(child, k, False)
         elif isinstance(atom, Guard):
-            if atom.fn(g, env):
-                solve(i + 1)
+            steps.append((_guard_step, atom.fn, list(slots.items())))
         else:
             raise TypeError(f"not a query atom: {atom!r}")
 
-    solve(0)
-    return [dict(key) for key in sorted(found)]
+    names = sorted(slots)
+    order = [slots[n] for n in names]
+    # itemgetter returns a single slot bare and needs at least one
+    key = (itemgetter(*order) if len(order) > 1
+           else lambda s: tuple(s[k] for k in order))
+
+    def done(g, s, found):
+        found.add(key(s))
+
+    run = done
+    for factory, *args in reversed(steps):
+        run = factory(*args, run)
+
+    def plan(g):
+        found = set()
+        run(g, [None] * size, found)
+        return [dict(zip(names, k)) for k in sorted(found)]
+
+    return plan
+
+
+# Each step factory returns `step(g, slots, found)`, which matches one atom
+# under the slots bound so far and calls `run` for every way it matches.
+# After a union and before the next rebuild (`g._merged`), node children
+# and fact arguments may be stale ids, so they are canonicalized first;
+# otherwise every id in the graph is a root.  The e-node and fact steps
+# repeat one bind-and-check loop inline, as a shared helper would cost a
+# call per candidate.
+
+
+def _enode_step(c, scan, op, arity, binds, checks, run):
+    def step(g, s, found):
+        parent = g._parent if g._merged else None
+        for o, ids in g._class_nodes.get(s[c], ()):
+            if o == op and len(ids) == arity:
+                if parent is not None:
+                    ids = [x if parent[x] == x else g.find(x) for x in ids]
+                for i, k in binds:
+                    s[k] = ids[i]
+                for i, k in checks:
+                    if s[k] != ids[i]:
+                        break
+                else:
+                    run(g, s, found)
+
+    if not scan:
+        return step
+
+    def scan_step(g, s, found):
+        classes = g._op_index.get(op, ())
+        if g._merged:
+            classes = {g.find(x) for x in classes}
+        for cid in classes:
+            s[c] = cid
+            step(g, s, found)
+
+    return scan_step
+
+
+def _fact_step(name, lookup, arity, binds, checks, run):
+    def step(g, s, found):
+        parent = g._parent if g._merged else None
+        tuples = (g.facts.get(name, ()) if lookup is None
+                  else g._fact_index.get(s[lookup], {}).get(name, ()))
+        for ids in tuples:
+            if len(ids) == arity:
+                if parent is not None:
+                    ids = [x if parent[x] == x else g.find(x) for x in ids]
+                for i, k in binds:
+                    s[k] = ids[i]
+                for i, k in checks:
+                    if s[k] != ids[i]:
+                        break
+                else:
+                    run(g, s, found)
+
+    return step
+
+
+def _class_step(c, run):
+    def step(g, s, found):
+        for cid in g._class_nodes:
+            s[c] = cid
+            run(g, s, found)
+
+    return step
+
+
+def _same_step(a, b, run):
+    def step(g, s, found):
+        if s[a] == s[b]:
+            run(g, s, found)
+
+    return step
+
+
+def _guard_step(fn, named, run):
+    def step(g, s, found):
+        if fn(g, {name: s[k] for name, k in named}):
+            run(g, s, found)
+
+    return step
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,12 @@ def _call_lanes(call, path):
     if n % sizes:
         raise LaneMismatch(f"{call.name} argument {sig.lanes} has {n} lanes, "
                            f"not a multiple of {sizes}", path)
+    if call.name == "KWayInterleave":
+        k, row_len = (int(call.args[i].value) for i in sig.size_args)
+        try:
+            layout.check_interleave(k, n // row_len, row_len)
+        except ValueError as e:  # too many entries
+            raise LaneMismatch(f"{call.name}: {e}", path) from None
     return n
 
 

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-MAX_MATRIX_ENTRIES = 1 << 20  # bounds a matrix's memory; the corpus needs 192
+# bounds the memory of a kernel matrix or an interleave; the corpus needs
+# 192 and 512 entries
+MAX_MATRIX_ENTRIES = 1 << 20
 
 
 class PhaseMismatch(Exception):
@@ -116,11 +118,23 @@ def shuffle_indices_for(spec):
     return np.where((0 <= u) & (u < spec.l), taps + 1, -1).reshape(-1).tolist()
 
 
+def check_interleave(k, rows, row_len):
+    """Raise ValueError unless `rows` rows of `row_len` elements, at most
+    MAX_MATRIX_ENTRIES in all, interleave `k` ways."""
+    if min(rows, row_len) < 1:
+        raise ValueError(f"rows and row length must be >= 1, "
+                         f"got {rows} rows of {row_len}")
+    if k < 1 or rows % k:
+        raise ValueError(f"{rows} rows do not interleave {k} ways")
+    if rows * row_len > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"{rows} rows of {row_len} exceed "
+                         f"{MAX_MATRIX_ENTRIES} entries")
+
+
 def kway_interleave_indices(k, rows, row_len):
     """Gather permutation for the k-way row interleave over `rows` input
     rows of `row_len` elements; k=2 is the VNNI pack
     (out[p][2j+d] = in[k*p+d][j])."""
-    if k < 1 or rows % k:
-        raise ValueError(f"{rows} rows do not interleave {k} ways")
+    check_interleave(k, rows, row_len)
     src = np.arange(rows * row_len).reshape(rows // k, k, row_len)  # [p][d][j]
     return src.transpose(0, 2, 1).reshape(-1).tolist()

@@ -84,6 +84,11 @@ MALFORMED_CALLS = {
         "(call ConvolutionShuffle (var K) (imm i32 0) (imm i32 8000) (imm i32 5000)))\n",
         "body[0].value: ConvolutionShuffle: a 8000 x 5000 kernel matrix exceeds "
         "1048576 entries"),
+    "oversized-interleave": (
+        "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 4) "
+        "(call KWayInterleave (imm i32 2) (imm i32 1) "
+        "(ramp (imm i32 0) (imm i32 1) 2097152)))\n",
+        "body[0].value: KWayInterleave: 2097152 rows of 1 exceed 1048576 entries"),
 }
 
 
@@ -391,6 +396,9 @@ class TestLayout:
         ("interleave", "--l", "3", "--k", "3", "--p", "2"),
         ("interleave", "--l", "2", "--k", "4", "--p", "0"),
         ("toeplitz", "--l", "4000", "--k", "4000"),
+        ("interleave", "--l", "100000", "--k", "100000", "--p", "2"),
+        ("interleave", "--l", "-3", "--k", "4", "--p", "2"),
+        ("interleave", "--l", "2", "--k", "-4", "--p", "2"),
     ])
     def test_sizes_forming_no_matrix_exit_two(self, argv, capsys):
         assert run_cli("layout", *argv) == 2

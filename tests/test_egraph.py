@@ -1,16 +1,20 @@
 import copy
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsel import rules
+from tensorsel import ir, rules
 from tensorsel.egraph import (Bind, EGraph, Guard, NoFiniteCost,
-                              NodeBudgetExceeded, PNode, PVar, Rel, RuleDef,
-                              ematch, extract_best, node_cost, rel,
+                              NodeBudgetExceeded, PNode, PVar, Query, Rel,
+                              RuleDef, ematch, extract_best, node_cost, rel,
                               run_schedule)
-from tensorsel.selector import SelectionConfig
+from tensorsel.selector import SelectionConfig, inject_data_movement
+
+from conftest import corpus_program, target_for
 
 BUDGET = SelectionConfig().node_budget
 
@@ -196,6 +200,22 @@ class TestEmatch:
         assert [set(h) for h in hits] == [{"e", "x", "y"}]
         assert seen and all(set(env) == want for want, env in seen)
 
+    @pytest.mark.parametrize("query, n_hits", [
+        ((Bind("x", PVar("y")),), 3),  # neither bound: every class
+        ((Bind("y", PNode(("a",))), Bind("x", PVar("y"))), 1),
+        ((Bind("x", PNode(("a",))), Bind("x", PVar("y"))), 1),
+        ((Bind("x", PNode(("a",))), Bind("y", PNode(("b",))), Bind("x", PVar("y"))), 0),
+    ])
+    def test_bind_to_a_variable_equates_classes(self, query, n_hits):
+        g = EGraph()
+        a, b = leaf(g, "a"), leaf(g, "b")
+        node(g, "f", a)
+        hits = ematch(g, query)
+        assert hits == _ref_ematch(g, query) and len(hits) == n_hits
+        assert all(h["x"] == h["y"] for h in hits)
+        g.union(a, b)
+        assert ematch(g, query) == _ref_ematch(g, query) != []
+
     def test_results_are_independent(self):
         g = EGraph()
         node(g, "f", g.add_int(3))
@@ -316,6 +336,12 @@ class TestIndexedMatching:
     def test_equals_sorted_scan_reference(self, g, query):
         assert ematch(g, tuple(query)) == _ref_ematch(g, tuple(query))
 
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs(), st.lists(_atoms, min_size=2, max_size=4))
+    def test_rule_plan_equals_sorted_scan_reference(self, g, query):
+        rule = RuleDef("random", "axiomatic", tuple(query), lambda g_, env: None)
+        assert ematch(g, rule.query) == _ref_ematch(g, tuple(query))
+
     @settings(max_examples=200, deadline=None)
     @given(_graphs())
     def test_index_files_each_fact_under_its_first_root(self, g):
@@ -336,6 +362,58 @@ class TestIndexedMatching:
                           rel("has-type", PVar("x"), PVar("t"))))
         assert hits == [{"x": b, "t": ty}]
         assert rules.expr_type(g, b) == ("f32", 8)
+
+
+class TestPlansOnRules:
+    """Every default rule's compiled plan against the reference matcher, on
+    graphs saturated from corpus statements: guards, nested patterns and
+    relation terms such as `(buffer-loc ?bn (loc mem))`."""
+
+    def _saturated(self, name, rs, iterations):
+        prog = corpus_program(name)
+        inj = inject_data_movement(prog)
+        g = rules.new_graph()
+        rules.encode_stmt(g, inj.body[2])  # the statement that lowers
+        rules.seed_facts(g, ir.buffer_table(inj), ir.program_shapes(prog))
+        run_schedule(g, rs.for_target(target_for(name)), iterations, BUDGET)
+        return g
+
+    def _check(self, g, rs):
+        for rule in rs:
+            assert ematch(g, rule.query) == _ref_ematch(g, tuple(rule.query)), rule.name
+
+    @pytest.mark.parametrize("name", ["matmul_standard", "conv1d_k8", "downsample2_1d"])
+    def test_after_rebuild_and_mid_round(self, name):
+        rs = rules.build_default_ruleset()
+        # the selector's six iterations: every tile and MatMul rule matches
+        self._check(self._saturated(name, rs, SelectionConfig().iterations), rs)
+        g = self._saturated(name, rs, 2)
+        for rule in rs.by_category("axiomatic"):
+            for env in ematch(g, rule.query):
+                rule.action(g, env)
+            if g._merged:  # unions since the last rebuild
+                break
+        assert g._merged
+        self._check(g, rs)
+
+
+class TestRuleConstruction:
+    @pytest.mark.parametrize("atom, what", [
+        ("e", "not a query atom: 'e'"),
+        (Bind("e", "f"), "not a pattern: 'f'"),
+        (Bind("e", PNode(("f",), (PVar("x"), 3))), "not a pattern: 3"),
+        (rel("r", PVar("x"), None), "not a pattern: None"),
+    ])
+    def test_bad_atom_raises_naming_the_rule(self, atom, what):
+        query = (Bind("e", PNode(("f",), (PVar("x"),))), atom)
+        with pytest.raises(TypeError, match=f"^rule 'bad': {re.escape(what)}$"):
+            RuleDef("bad", "axiomatic", query, lambda g, env: None)
+
+    def test_query_compiles_once(self):
+        query = (Bind("e", PNode(("f",), (PVar("x"),))),)
+        rule = RuleDef("f", "axiomatic", query, lambda g, env: None)
+        assert rule.query == query and isinstance(rule.query, Query)
+        assert replace(rule, name="g").query is rule.query
 
 
 def _state(g):
