@@ -157,26 +157,44 @@ def cmd_select(args):
     return 0
 
 
+DIFFTEST_CHUNK = 8  # seeds per interpreter run; each buffer holds a row per seed
+
+
 def run_difftest(prog, name, trials, seed, config, ruleset=None):
     """Select, then run source and lowered programs over `trials` seeds and
-    compare every output parameter bit for bit."""
+    compare every output parameter bit for bit, seed by seed.
+
+    The seeds run DIFFTEST_CHUNK at a time, as one batched run of each
+    program.  A chunk that raises is replayed one seed at a time, so an
+    earlier divergence still wins and an error is the first failing seed's."""
     result = DiffTestResult(program=name, trials=trials)
     lowered, rep = selector.select_program(prog, config, ruleset=ruleset)
     result.selection_ok = rep.ok
-    for t in range(trials):
-        s = seed + t
-        result.seeds.append(s)
-        inputs = interp.random_inputs(prog, s)
-        out_a = interp.run_program(prog, inputs)
-        out_b = interp.run_program(lowered, inputs)
-        for prm in prog.params:
-            a, b = out_a[prm.name].data, out_b[prm.name].data
-            if a.tobytes() != b.tobytes():
-                lane = interp.first_differing_lane(a, b)
-                result.divergence = {
-                    "seed": s, "buffer": prm.name, "lane": lane,
-                    "lhs": float(a[lane]), "rhs": float(b[lane])}
-                return result, rep
+
+    def run_both(seeds):
+        inputs = interp.random_inputs(prog, seeds)
+        return interp.run_program(prog, inputs), interp.run_program(lowered, inputs)
+
+    end = seed + trials
+    for start in range(seed, end, DIFFTEST_CHUNK):
+        chunk = range(start, min(start + DIFFTEST_CHUNK, end))
+        try:
+            batch = run_both(list(chunk))
+        except interp.EvalError:
+            batch = None
+        for row, s in enumerate(chunk):
+            result.seeds.append(s)
+            # a replayed seed runs unbatched: data[()] is all of its 1-D data
+            out_a, out_b = batch or run_both(s)
+            at = row if batch else ()
+            for prm in prog.params:
+                a, b = out_a[prm.name].data[at], out_b[prm.name].data[at]
+                if a.tobytes() != b.tobytes():
+                    lane = interp.first_differing_lane(a, b)
+                    result.divergence = {
+                        "seed": s, "buffer": prm.name, "lane": lane,
+                        "lhs": float(a[lane]), "rhs": float(b[lane])}
+                    return result, rep
     return result, rep
 
 

@@ -6,6 +6,13 @@ for i32.  Every reduction — VectorReduceAdd, tile_matmul, wmma_mma — sums
 its group/k dimension left to right, so a correctly matched lowering is
 bit-exact against its source program.
 
+A value's or buffer's lanes are the last axis of its array.  Data may carry
+leading axes, one row per trial: `run_program` over inputs with a leading
+trial axis runs every trial at once, and each row equals the run of that
+trial alone.  Control flow and addresses built from loop variables and
+immediates are shared by the trials and stay 1-D; an address read from
+data (an i32 buffer) has the leading axes too and is applied per trial.
+
 Accelerator tiles and fragments are modeled as plain vectors; loc_to_loc is
 the identity on values.  Emulated intrinsics accept the hardware shapes
 and the (M, K, N) shapes the program declares.
@@ -70,7 +77,7 @@ def round_bf16(x):
 def round_f16(x):
     """Round-to-nearest-even into the IEEE binary16 value set (f32 carrier)."""
     a = np.asarray(x, dtype=np.float32)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):  # both round as IEEE says
         out = a.astype(np.float16).astype(np.float32)
     return out if out.ndim else np.float32(out)
 
@@ -93,9 +100,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(state, n):
-    """The next `n` draws of the SplitMix64 stream at `state`: draw i (from 1)
+    """The next `n` draws of the SplitMix64 stream at `state` (an int, or an
+    array of states with the draws along a new last axis): draw i (from 1)
     mixes state + i*_GAMMA, so wrapping uint64 array arithmetic yields them all."""
-    z = np.uint64(state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (np.asarray(state, np.uint64)
+         + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -108,11 +117,11 @@ def _splitmix64(state, n):
 @dataclass
 class VectorValue:
     kind: str
-    data: np.ndarray  # float32 for float kinds, int64 for i32
+    data: np.ndarray  # float32 for float kinds, int64 for i32; lanes last
 
     @property
     def lanes(self):
-        return len(self.data)
+        return self.data.shape[-1]
 
 
 @dataclass
@@ -138,6 +147,7 @@ class Env:
     exprvar_cache: dict = field(default_factory=dict)
     shapes: frozenset = shape_registry(ir.Program())
     lints: list = field(default_factory=list)
+    lead: tuple = ()  # the inputs' leading (trial) axes, which allocations take
 
 
 def first_differing_lane(a, b):
@@ -158,11 +168,24 @@ def _check_i32(arr):
 
 
 def _foldl(groups):
-    """Left-to-right sum along axis 1 of a 2-D array."""
-    acc = groups[:, 0].copy()
-    for j in range(1, groups.shape[1]):
-        acc = acc + groups[:, j]
+    """Left-to-right sum along the last axis."""
+    acc = groups[..., 0].copy()
+    for j in range(1, groups.shape[-1]):
+        acc = acc + groups[..., j]
     return acc
+
+
+# Reshapes of the lanes axis; a single run's 1-D data takes the cheaper call.
+
+
+def _split(a, *shape):
+    """`a` with its last axis split into `shape`."""
+    return a.reshape(shape) if a.ndim == 1 else a.reshape(a.shape[:-1] + shape)
+
+
+def _flat(a):
+    """`a` with its last two axes merged into one."""
+    return a.reshape(-1) if a.ndim == 2 else a.reshape(a.shape[:-2] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +213,13 @@ def eval_expr(e, env):
         base = eval_expr(e.base, env)
         stride = eval_expr(e.stride, env)
         steps = np.arange(e.steps).reshape(-1, 1)
+        b, s = base.data, stride.data
+        if b.ndim > 1 or s.ndim > 1:  # per trial: (..., steps, lanes)
+            b, s = b[..., None, :], s[..., None, :]
         if base.kind == "i32":
-            out = _check_i32((base.data + steps * stride.data).reshape(-1))
+            out = _check_i32(_flat(b + steps * s))
         else:
-            out = (base.data + steps.astype(np.float32) * stride.data).reshape(-1)
+            out = _flat(b + steps.astype(np.float32) * s)
         return VectorValue(base.kind, out)
     if isinstance(e, ir.Broadcast):
         v = eval_expr(e.operand, env)
@@ -202,7 +228,7 @@ def eval_expr(e, env):
         v = eval_expr(e.operand, env)
         if v.lanes % e.result_lanes:
             raise EvalError(f"cannot reduce {v.lanes} lanes to {e.result_lanes}")
-        groups = v.data.reshape(e.result_lanes, -1)
+        groups = _split(v.data, e.result_lanes, -1)
         out = _foldl(groups)
         if v.kind == "i32":
             _check_i32(out)
@@ -228,12 +254,20 @@ def _check_bounds(name, idx, length):
         raise OutOfBounds(name, int(idx[(idx < 0) | (idx >= length)][0]))
 
 
+def _take(data, idx):
+    """Lanes `idx` of `data`, a new array; an address with leading axes
+    picks each trial's lanes from that trial's row."""
+    if idx.ndim > 1 and data.ndim > 1:
+        return np.take_along_axis(data, idx, axis=-1)
+    return data.take(idx, axis=-1)  # a quarter of the time of data[..., idx]
+
+
 def _gather(name, idx, env, kind=None):
     if name not in env.buffers:
         raise EvalError(f"load from undeclared buffer {name!r}")
     buf = env.buffers[name]
-    _check_bounds(name, idx, len(buf.data))
-    return VectorValue(kind or buf.kind, buf.data[idx].copy())
+    _check_bounds(name, idx, buf.data.shape[-1])
+    return VectorValue(kind or buf.kind, _take(buf.data, idx))
 
 
 def _cast(v, kind):
@@ -298,9 +332,11 @@ def _derive_mkn(la, lb, lc):
 
 
 def _scalar_int(v):
+    """A scalar i32 argument: an int, or an array of one lane per trial when
+    it was read from data."""
     if v.kind != "i32" or v.lanes != 1:
         raise EvalError(f"expected a scalar i32 argument, got {v.kind}x{v.lanes}")
-    return int(v.data[0])
+    return int(v.data[0]) if v.data.ndim == 1 else v.data
 
 
 def _tile_index(args, env, rows, cols):
@@ -308,7 +344,10 @@ def _tile_index(args, env, rows, cols):
     for the (buffer, base, stride, ...) arguments of a load or store."""
     base = _scalar_int(eval_expr(args[1], env))
     stride = _scalar_int(eval_expr(args[2], env))
-    return (base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols)).reshape(-1)
+    if isinstance(base, np.ndarray) or isinstance(stride, np.ndarray):
+        # per trial: (..., rows, cols)
+        base, stride = np.expand_dims(base, -1), np.expand_dims(stride, -1)
+    return _flat(base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols))
 
 
 def _read(arg, idx, env):
@@ -317,7 +356,7 @@ def _read(arg, idx, env):
     if isinstance(arg, ir.ExprVar):
         src = eval_expr(arg, env)
         _check_bounds("<exprvar>", idx, src.lanes)
-        return VectorValue(src.kind, src.data[idx].copy())
+        return VectorValue(src.kind, _take(src.data, idx))
     return _gather(arg.name, idx, env)
 
 
@@ -357,27 +396,27 @@ def eval_intrinsic(name, args, env):
         m, k, n = mkn
         if (sig.accel, m, k, n) not in env.shapes:
             raise ShapeUnregistered(f"{name}: shape {sig.accel} {m}x{k}x{n} not registered")
-        am = a.data.reshape(m, k)
+        am = _split(a.data, m, k)
         if name == "tile_matmul":
             # b holds the VNNI pack: b[(k//2)*2N + 2j + k%2] = B[k][j]
-            bv = b.data.reshape(k // 2, 2 * n)
-            bm = np.empty((k, n), np.float32)
-            bm[0::2, :] = bv[:, 0::2]
-            bm[1::2, :] = bv[:, 1::2]
+            bv = _split(b.data, k // 2, 2 * n)
+            bm = np.empty(bv.shape[:-2] + (k, n), np.float32)
+            bm[..., 0::2, :] = bv[..., 0::2]
+            bm[..., 1::2, :] = bv[..., 1::2]
         else:
-            bm = b.data.reshape(k, n)
-        prods = am[:, :, None] * bm[None, :, :]  # (m, k, n), f32
-        s = prods[:, 0, :].copy()
+            bm = _split(b.data, k, n)
+        prods = am[..., None] * bm[..., None, :, :]  # (..., m, k, n), f32
+        s = prods[..., 0, :].copy()
         for kk in range(1, k):
-            s = s + prods[:, kk, :]
-        out = c.data.reshape(m, n) + s
-        return VectorValue("f32", out.reshape(-1))
+            s = s + prods[..., kk, :]
+        out = _split(c.data, m, n) + s
+        return VectorValue("f32", _flat(out))
 
     if name in ("ConvolutionShuffle", "PolyphaseShuffle"):
         spec = ir.shuffle_spec(ir.Call(name, args))
         base = _scalar_int(eval_expr(args[1], env))
         kern = _read(args[0], base + np.arange(spec.kernel_length), env)
-        return VectorValue(kern.kind, layout.matrix_for(kern.data, spec).reshape(-1))
+        return VectorValue(kern.kind, _flat(layout.matrix_for(kern.data, spec)))
 
     if name == "KWayInterleave":
         k, row_len = sizes
@@ -392,19 +431,34 @@ def _scatter(name, idx, value, env):
     if name not in env.buffers:
         raise EvalError(f"store into undeclared buffer {name!r}")
     buf = env.buffers[name]
-    _check_bounds(name, idx, len(buf.data))
+    _check_bounds(name, idx, buf.data.shape[-1])
     data = value.data
     if buf.kind == "i32" and value.kind != "i32":
         data = np.trunc(data).astype(np.int64)
     elif buf.kind != "i32" and value.kind == "i32":
         data = data.astype(np.float32)
-    uniq = np.unique(idx)
-    if len(uniq) != len(idx):
+    if idx.ndim == 1:
+        collided = _put(buf.data, idx, data)
+    else:  # an address read from data: each trial's row on its own
+        data = np.broadcast_to(data, idx.shape)
+        collided = False
+        for t in np.ndindex(idx.shape[:-1]):
+            collided |= _put(buf.data[t], idx[t], data[t])
+    if collided:
         env.lints.append(f"store into {name!r} has colliding lanes (last wins)")
-        for pos in range(len(idx)):  # last-lane-wins, explicitly ordered
-            buf.data[idx[pos]] = data[pos]
-    else:
-        buf.data[idx] = data
+
+
+def _put(dst, idx, data):
+    """dst[..., idx] = data along the last axis; True if lanes collided."""
+    if len(np.unique(idx)) == len(idx):
+        if dst.ndim == 1:  # dst[..., idx] takes a single run 1 us more
+            dst[idx] = data
+        else:
+            dst[..., idx] = data
+        return False
+    for pos in range(len(idx)):  # last-lane-wins, explicitly ordered
+        dst[..., idx[pos]] = data[..., pos]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +468,30 @@ def _scatter(name, idx, value, env):
 def run_program(p, inputs, lint_sink=None):
     """Execute `p` over the given parameter buffers; returns the final
     buffer state (parameters, allocations, and temporaries).  Runtime lints
-    (store-lane collisions) are appended to `lint_sink` when given."""
+    (store-lane collisions) are appended to `lint_sink` when given.
+
+    Inputs may carry leading axes before their lanes, the same for every
+    parameter: then every buffer has them, and each row is the run of that
+    row's inputs alone.  A batch raises if any row would; the error's text
+    is the first failing statement's over all rows."""
     store = BufferStore()
+    lead = None
     for prm in p.params:
         if prm.name not in inputs:
             raise EvalError(f"missing input buffer {prm.name!r}")
         src = inputs[prm.name]
         data = np.array(src.data if isinstance(src, Buffer) else src,
                         dtype=_dtype_of(prm.kind))
-        if len(data) != prm.length:
-            raise EvalError(
-                f"input {prm.name!r} has length {len(data)}, declared {prm.length}")
+        if data.shape[-1:] != (prm.length,):
+            raise EvalError(f"input {prm.name!r} has length "
+                            f"{data.shape[-1] if data.ndim else 0}, declared {prm.length}")
+        if lead is None:
+            lead = data.shape[:-1]
+        elif data.shape[:-1] != lead:
+            raise EvalError(f"input {prm.name!r} has leading axes {data.shape[:-1]}, "
+                            f"other inputs {lead}")
         store[prm.name] = Buffer(prm.kind, prm.location, data)
-    env = Env(buffers=store, shapes=shape_registry(p))
+    env = Env(buffers=store, shapes=shape_registry(p), lead=lead or ())
     if lint_sink is not None:
         env.lints = lint_sink
     _exec_stmts(p.body, env, "body")
@@ -438,8 +503,8 @@ def _exec_stmts(body, env, path):
         sp = f"{path}[{i}]"
         try:
             if isinstance(s, ir.Allocate):
-                env.buffers[s.name] = Buffer(
-                    s.kind, s.location, np.zeros(s.length, _dtype_of(s.kind)))
+                env.buffers[s.name] = Buffer(s.kind, s.location, np.zeros(
+                    (*env.lead, s.length), _dtype_of(s.kind)))
             elif isinstance(s, ir.Store):
                 idx = eval_expr(s.index, env)
                 val = eval_expr(s.value, env)
@@ -467,18 +532,22 @@ def random_inputs(p, seed):
     """Deterministic parameter fill: one SplitMix64 stream per program seed,
     consumed in parameter declaration order.  An i32 lane is a draw's top 4
     bits; a float lane is (draw >> 11) / 2^53 * 2 - 1 in float64, rounded to
-    f32 and then to the parameter's kind."""
-    state = seed % 2**64
+    f32 and then to the parameter's kind.  Given a sequence of seeds, each
+    buffer has one row per seed, equal to that seed's fill."""
+    batch = np.ndim(seed) > 0
+    # one stream state per seed, a column so draws run along the rows
+    state = np.array([int(s) % 2**64 for s in (seed if batch else [seed])],
+                     np.uint64).reshape(-1, 1)
     out = {}
     for prm in p.params:
         z = _splitmix64(state, prm.length)
-        state = (state + prm.length * _GAMMA) % 2**64
+        state = state + np.uint64(prm.length * _GAMMA % 2**64)  # wraps mod 2^64
         if prm.kind == "i32":
             data = (z >> np.uint64(60)).astype(np.int64)
         else:
             raw = ((z >> np.uint64(11)) / 2.0**53 * 2.0 - 1.0).astype(np.float32)
             data = round_to_kind(raw, prm.kind)
-        out[prm.name] = Buffer(prm.kind, prm.location, data)
+        out[prm.name] = Buffer(prm.kind, prm.location, data if batch else data[0])
     return out
 
 

@@ -68,22 +68,28 @@ def matrix_rows(spec):
     return spec.s * spec.k + spec.l
 
 
+def _zero_lane(a):
+    return np.zeros((*a.shape[:-1], 1), a.dtype)
+
+
 def gather(src, indices):
-    """Lanes `indices` of the 1-D array `src`; index -1 reads a zero lane
-    appended after the last one."""
-    return np.concatenate([src, np.zeros(1, src.dtype)])[np.asarray(indices, np.intp)]
+    """Lanes `indices` of the array `src` along its last axis; index -1 reads
+    a zero lane appended after the last one."""
+    padded = np.concatenate([src, _zero_lane(src)], axis=-1)
+    return padded.take(np.asarray(indices, np.intp), axis=-1)
 
 
 def matrix_for(kernel, spec):
-    """The rows x k matrix of `spec` over `kernel`: the zero-extended kernel
-    gathered with `shuffle_indices_for`, so structural zeros are +0.0."""
+    """The rows x k matrix of `spec` over `kernel` (its taps on the last axis,
+    any leading axes kept): the zero-extended kernel gathered with
+    `shuffle_indices_for`, so structural zeros are +0.0."""
     kernel = np.asarray(kernel)
-    if len(kernel) != spec.kernel_length:
+    if kernel.shape[-1] != spec.kernel_length:
         raise PhaseMismatch(
-            f"kernel has {len(kernel)} taps, spec needs {spec.kernel_length}")
+            f"kernel has {kernel.shape[-1]} taps, spec needs {spec.kernel_length}")
     idx = shuffle_indices_for(spec)
-    padded = np.concatenate([np.zeros(1, kernel.dtype), kernel])
-    return gather(padded, idx).reshape(matrix_rows(spec), spec.k)
+    padded = np.concatenate([_zero_lane(kernel), kernel], axis=-1)
+    return gather(padded, idx).reshape(*kernel.shape[:-1], matrix_rows(spec), spec.k)
 
 
 def toeplitz_matrix(kernel, k):

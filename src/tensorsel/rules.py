@@ -278,9 +278,10 @@ def guard_ints(doc, fn, *names):
 
 
 def guard_i32(var):
-    return Guard(lambda g, env: expr_type(g, env[var]) is not None
-                 and expr_type(g, env[var])[0] == "i32",
-                 f"{var} has integer kind")
+    def is_i32(g, env):
+        t = expr_type(g, env[var])
+        return t is not None and t[0] == "i32"
+    return Guard(is_i32, f"{var} has integer kind")
 
 
 def guard_scalar(var):
