@@ -649,6 +649,10 @@ def validate_program(p):
                     rep.errors.append((sp, f"loop variable {s.var!r} shadows"))
                 if s.extent < 0:
                     rep.errors.append((sp, "negative loop extent"))
+                last = s.min + s.extent - 1
+                if s.extent > 0 and not (-(2**31) <= s.min and last < 2**31):
+                    rep.errors.append(
+                        (sp, f"loop variable {s.var!r} range {s.min}..{last} overflows i32"))
                 check_stmts(s.body, sp + ".body", bound | {s.var})
             elif isinstance(s, Allocate):
                 if s.length < 1:
