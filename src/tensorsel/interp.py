@@ -203,7 +203,7 @@ def _scalar_ramp(b, s, n):
         return None
     if s == 0 or n == 1:
         return np.full(n, b, np.int64)
-    return np.arange(b, last + s, s, dtype=np.int64)  # |s| <= |last - b|
+    return np.arange(b, last + s, s, dtype=np.int64)  # n >= 2: |s| <= |last - b|
 
 
 def _foldl(groups):

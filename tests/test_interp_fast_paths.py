@@ -224,8 +224,7 @@ class TestCollisions:
             out=interp.Buffer(kind, "mem", start.copy())))
         interp._scatter("out", idx, interp.VectorValue(kind, value), env)
         want = start.copy()
-        collided = scatter_reference(want, idx, np.broadcast_to(value, idx.shape)
-                                     if idx.ndim > 1 else value)
+        collided = scatter_reference(want, idx, value)
         assert_same_bits(env.buffers["out"].data, want)
         assert env.lints == (
             ["store into 'out' has colliding lanes (last wins)"] if collided else [])
