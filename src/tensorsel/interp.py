@@ -182,15 +182,19 @@ def _check_i32(arr):
         hi = np.maximum.reduce(arr, axis=None)
         lo = np.minimum.reduce(arr, axis=None)
         if hi > _I32_MAX or lo < _I32_MIN:
-            raise I32Overflow(f"i32 range exceeded (max {hi}, min {lo})")
+            raise _i32_overflow(hi, lo)
     return arr
+
+
+def _i32_overflow(hi, lo):
+    return I32Overflow(f"i32 range exceeded (max {hi}, min {lo})")
 
 
 def _i32_scalar(v):
     """The one-lane i32 value of the Python int `v`, its range checked on
-    the int; the error text is the one `_check_i32` gives for that lane."""
+    the int."""
     if not _I32_MIN <= v <= _I32_MAX:
-        raise I32Overflow(f"i32 range exceeded (max {v}, min {v})")
+        raise _i32_overflow(v, v)
     return VectorValue("i32", np.array([v], np.int64))
 
 
