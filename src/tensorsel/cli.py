@@ -1,15 +1,18 @@
 """Command-line front end: check | run | select | difftest | layout.
 
 Exit codes: 0 success, 1 semantic/selection/divergence failure, 2 usage or
-parse failure.  All reports go to stdout, as JSON with --json, human text
-otherwise; select --no-timing drops wall-clock fields so reports are
-byte-stable.  difftest compares outputs bit for bit; --trials 0 only selects.
+parse failure; 1 also, without a traceback, when the reader of stdout
+closes it early (as `| head` does).  All reports go to stdout, as JSON
+with --json, human text otherwise; select --no-timing drops wall-clock
+fields so reports are byte-stable.  difftest compares outputs bit for
+bit; --trials 0 only selects.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,9 +41,11 @@ def _usage_error(msg):
 
 def _load(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         _usage_error(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        _usage_error(f"{path}: {e}")
     try:
         return ir.parse_program(text)
     except ir.ParseError as e:
@@ -327,7 +332,15 @@ def main(argv=None):
         args.s = 2
     if getattr(args, "generator", None) == "polyphase" and args.p == 1:
         args.p = 2
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit writes what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -78,7 +78,8 @@ def rel(name, *terms):
 class Guard:
     """Query atom: `fn(graph, env)` is truthy.  All referenced variables
     must be bound by earlier atoms; `env` maps every variable they bind
-    to its class."""
+    to its class.  A guard reads only the nodes of those classes, never
+    facts: a fact a rule needs is a `Rel` atom, where the plan sees it."""
 
     fn: object
     doc: str = ""
@@ -218,10 +219,6 @@ class EGraph:
         self._merged = False
 
     # -- inspection ---------------------------------------------------------
-
-    def facts_about(self, name, cid):
-        """The `name` tuples whose first argument is in `cid`'s class."""
-        return self._fact_index.get(self.find(cid), {}).get(name, ())
 
     def class_ids(self):
         return sorted(self._class_nodes)

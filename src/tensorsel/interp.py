@@ -174,14 +174,11 @@ def _dtype_of(kind):
     return np.int64 if kind == "i32" else np.float32
 
 
-_I32_MIN, _I32_MAX = -(2**31), 2**31 - 1
-
-
 def _check_i32(arr):
     if arr.size:
         hi = np.maximum.reduce(arr, axis=None)
         lo = np.minimum.reduce(arr, axis=None)
-        if hi > _I32_MAX or lo < _I32_MIN:
+        if hi > ir.I32_MAX or lo < ir.I32_MIN:
             raise _i32_overflow(hi, lo)
     return arr
 
@@ -193,18 +190,18 @@ def _i32_overflow(hi, lo):
 def _i32_scalar(v):
     """The one-lane i32 value of the Python int `v`, its range checked on
     the int."""
-    if not _I32_MIN <= v <= _I32_MAX:
+    if not ir.I32_MIN <= v <= ir.I32_MAX:
         raise _i32_overflow(v, v)
     return VectorValue("i32", np.array([v], np.int64))
 
 
 def _scalar_ramp(b, s, n):
-    """The lanes b + s*i, i < n, of a ramp over Python ints (n >= 1), or None
-    if they leave the i32 range.  A ramp is monotone, so its first and last
-    lanes bound the others."""
+    """The lanes b + s*i, i < n, of a ramp over Python ints (n >= 1); raises
+    I32Overflow if they leave the i32 range.  A ramp is monotone, so its
+    first and last lanes bound the others."""
     last = b + s * (n - 1)
-    if not (_I32_MIN <= b <= _I32_MAX and _I32_MIN <= last <= _I32_MAX):
-        return None
+    if not (ir.I32_MIN <= b <= ir.I32_MAX and ir.I32_MIN <= last <= ir.I32_MAX):
+        raise _i32_overflow(max(b, last), min(b, last))
     if s == 0 or n == 1:
         return np.full(n, b, np.int64)
     return np.arange(b, last + s, s, dtype=np.int64)  # n >= 2: |s| <= |last - b|
@@ -257,9 +254,7 @@ def eval_expr(e, env):
         stride = eval_expr(e.stride, env)
         b, s = base.data, stride.data
         if base.kind == "i32" and b.shape == s.shape == (1,) and e.steps > 0:
-            out = _scalar_ramp(int(b[0]), int(s[0]), e.steps)
-            if out is not None:  # else the array check below names the range
-                return VectorValue("i32", out)
+            return VectorValue("i32", _scalar_ramp(int(b[0]), int(s[0]), e.steps))
         steps = np.arange(e.steps).reshape(-1, 1)
         if b.ndim > 1 or s.ndim > 1:  # per trial: (..., steps, lanes)
             b, s = b[..., None, :], s[..., None, :]
@@ -638,6 +633,8 @@ def load_buffers(dirpath):
         raise EvalError(f"malformed manifest.json: {e!r}") from None
     out = BufferStore()
     for name, kind, length, location in entries:
+        if not isinstance(name, str) or not ir.NAME_RE.fullmatch(name):
+            raise EvalError(f"buffer name {name!r} is not a plain name")
         if kind not in ir.SCALAR_KINDS or not isinstance(length, int):
             raise EvalError(f"buffer {name!r} has kind {kind!r} and length "
                             f"{length!r}, not a known kind and an integer")

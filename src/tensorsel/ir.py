@@ -19,12 +19,16 @@ are typed like every other node; `interp` holds only what they compute.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import layout
 
 SCALAR_KINDS = ("bf16", "f16", "f32", "i32")
 LOCATIONS = ("mem", "amx", "wmma")
+I32_MIN, I32_MAX = -(2**31), 2**31 - 1
+# buffer and loop-variable names; a buffer name is also a file name
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _BOP_ATOMS = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%"}
 _ATOM_OF_BOP = {v: k for k, v in _BOP_ATOMS.items()}
@@ -576,7 +580,12 @@ def validate_program(p):
     buffers = {}
     names = set()
 
+    def check_name(path, name):
+        if not NAME_RE.fullmatch(name):
+            rep.errors.append((path, f"bad name {name!r}"))
+
     for prm in p.params:
+        check_name("params", prm.name)
         if prm.name in names:
             rep.errors.append(("params", f"duplicate name {prm.name!r}"))
         names.add(prm.name)
@@ -589,6 +598,7 @@ def validate_program(p):
 
     for path, s in walk_stmts(p.body):
         if isinstance(s, Allocate):
+            check_name(path, s.name)
             if s.name in names:
                 rep.errors.append((path, f"duplicate name {s.name!r}"))
             names.add(s.name)
@@ -619,7 +629,7 @@ def validate_program(p):
                     if isinstance(inner, ExprVar):
                         rep.errors.append((path, "exprvar nested inside exprvar"))
             if isinstance(sub, Imm) and sub.kind == "i32":
-                if not -(2**31) <= int(sub.value) < 2**31:
+                if not I32_MIN <= int(sub.value) <= I32_MAX:
                     rep.errors.append((path, f"i32 immediate {sub.value} overflows"))
 
     def check_stmts(body, path, bound):
@@ -645,12 +655,13 @@ def validate_program(p):
             elif isinstance(s, Evaluate):
                 check_expr(s.value, sp + ".value", bound)
             elif isinstance(s, For):
+                check_name(sp, s.var)
                 if s.var in bound:
                     rep.errors.append((sp, f"loop variable {s.var!r} shadows"))
                 if s.extent < 0:
                     rep.errors.append((sp, "negative loop extent"))
                 last = s.min + s.extent - 1
-                if s.extent > 0 and not (-(2**31) <= s.min and last < 2**31):
+                if s.extent > 0 and not (I32_MIN <= s.min and last <= I32_MAX):
                     rep.errors.append(
                         (sp, f"loop variable {s.var!r} range {s.min}..{last} overflows i32"))
                 check_stmts(s.body, sp + ".body", bound | {s.var})

@@ -4,8 +4,8 @@ rule-soundness fuzzer.
 Categories:
   axiomatic    -- index/vector identities that undo simplifier damage
                   (nest/unnest ramps, push broadcasts through loads/casts).
-                  Index rules are guarded to i32 so no floating-point sum
-                  is ever reassociated.
+                  Index rules end in a has-type atom that requires i32, so
+                  no floating-point sum is ever reassociated.
   application  -- layout recognizers; they only assert tile facts
                   (amx-a-tile, wmma-b-tile, ...) and construct loader
                   terms, never unioning the matched expression.
@@ -238,17 +238,6 @@ def class_type(g, cid):
     return None
 
 
-def expr_type(g, cid):
-    """(kind, lanes) from the has-type facts of `cid`'s class, or None.
-    Should several facts disagree, the one with the least tuple wins;
-    check_type_consistency rejects such a class after saturation."""
-    for _, t in sorted(g.facts_about("has-type", cid)):
-        ty = class_type(g, t)
-        if ty is not None:
-            return ty
-    return None
-
-
 def _tile_dims(g, cid):
     """(rows, cols) of an accelerator tile built from its sizes in `cid`."""
     for op, ch in g.class_nodes(cid):
@@ -277,16 +266,9 @@ def guard_ints(doc, fn, *names):
     return Guard(check, doc)
 
 
-def guard_i32(var):
-    def is_i32(g, env):
-        t = expr_type(g, env[var])
-        return t is not None and t[0] == "i32"
-    return Guard(is_i32, f"{var} has integer kind")
-
-
-def guard_scalar(var):
-    return Guard(lambda g, env: expr_type(g, env[var]) == ("i32", 1),
-                 f"{var} is a scalar i32")
+def has_i32(var, lanes=V("w")):
+    """Query atom: `var` has an i32 type of `lanes` lanes."""
+    return rel("has-type", V(var), ptype("i32", lanes))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +380,7 @@ def _axiomatic_rules(rs):
         g.union(env["e"], g.add(("load",), (env["n"], newt, idx)))
 
     axiom("broadcast-of-load",
-          [Bind("e", pbcast(pload(V("n"), V("t"), V("i")), V("l"))),
-           Guard(lambda g, env: class_type(g, env["t"]) is not None
-                 and g.class_int(env["l"]) is not None, "type and count known")],
+          [Bind("e", pbcast(pload(V("n"), V("t"), V("i")), V("l")))],
           bcast_of_load,
           "push a broadcast inside a load, multiplying the load type's lanes",
           fuzz=_fz_bcast_of_load)
@@ -412,15 +392,13 @@ def _axiomatic_rules(rs):
         g.union(env["e"], g.add(("cast",), (newt, inner)))
 
     axiom("broadcast-of-cast",
-          [Bind("e", pbcast(P(("cast",), V("t"), V("x")), V("l"))),
-           Guard(lambda g, env: class_type(g, env["t"]) is not None
-                 and g.class_int(env["l"]) is not None, "type and count known")],
+          [Bind("e", pbcast(P(("cast",), V("t"), V("x")), V("l")))],
           bcast_of_cast,
           "push a broadcast inside a cast, multiplying the cast type's lanes",
           fuzz=_fz_bcast_of_cast)
 
     axiom("ramp-elim",
-          [Bind("e", pramp(V("x"), V("s"), P(("int", 1)))), guard_i32("e")],
+          [Bind("e", pramp(V("x"), V("s"), P(("int", 1)))), has_i32("e")],
           lambda g, env: g.union(env["e"], env["x"]),
           "(Ramp x s 1) == x on integer indices",
           fuzz=_fz_ramp_elim)
@@ -433,8 +411,9 @@ def _axiomatic_rules(rs):
         g.union(env["e"], g.add(("ramp",), (inner, stride, g.add_int(l // 2))))
 
     axiom("degenerate-ramp-split",
-          [Bind("e", pramp(V("x"), pimm(1), V("l"))), guard_scalar("x"),
-           guard_ints("2 | l and l >= 2", lambda l: l >= 2 and l % 2 == 0, "l")],
+          [Bind("e", pramp(V("x"), pimm(1), V("l"))),
+           guard_ints("2 | l and l >= 2", lambda l: l >= 2 and l % 2 == 0, "l"),
+           has_i32("x", P(("int", 1)))],
           ramp_split,
           "(Ramp x 1 l) == (Ramp (Ramp x 1 2) (Broadcast 2 2) (/ l 2)); "
           "recovers nesting from dense ramps",
@@ -449,8 +428,9 @@ def _axiomatic_rules(rs):
     for suffix, pat in (("", padd(pramp(V("b"), V("s"), V("n")), pbcast(V("x"), V("m")))),
                         ("-r", padd(pbcast(V("x"), V("m")), pramp(V("b"), V("s"), V("n"))))):
         axiom(f"ramp-plus-broadcast{suffix}",
-              [Bind("e", pat), guard_i32("e"),
-               guard_ints("n | m", lambda n, m: m % n == 0, "n", "m")],
+              [Bind("e", pat),
+               guard_ints("n | m", lambda n, m: m % n == 0, "n", "m"),
+               has_i32("e")],
               ramp_plus_bcast,
               "(Add (Ramp b s n) (Broadcast x m)) == "
               "(Ramp (Add b (Broadcast x (/ m n))) s n) when n | m",
@@ -462,7 +442,7 @@ def _axiomatic_rules(rs):
         g.union(env["e"], g.add(("bop", "+"), (ramp, bc)))
 
     axiom("ramp-unnest",
-          [Bind("e", pramp(padd(V("x"), V("a")), V("s"), V("l"))), guard_i32("e")],
+          [Bind("e", pramp(padd(V("x"), V("a")), V("s"), V("l"))), has_i32("e")],
           ramp_unnest,
           "(Ramp (Add x a) s l) == (Add (Ramp x s l) (Broadcast a l)); "
           "the un-nesting partner of ramp-plus-broadcast",
@@ -478,9 +458,10 @@ def _axiomatic_rules(rs):
     for suffix, pat in (("", padd(pramp(V("x"), V("s"), V("l1")), pbcast(V("a"), V("l2")))),
                         ("-r", padd(pbcast(V("a"), V("l2")), pramp(V("x"), V("s"), V("l1"))))):
         axiom(f"sibling-nest-ramp-broadcast{suffix}",
-              [Bind("e", pat), guard_i32("e"),
+              [Bind("e", pat),
                guard_ints("l1 | l2 and l2 > l1",
-                          lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2")],
+                          lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2"),
+               has_i32("e")],
               sibling_rb,
               "re-nest a broadcast using its sibling ramp's count as the hint",
               fuzz=_fz_sibling_rb)
@@ -495,9 +476,10 @@ def _axiomatic_rules(rs):
     for suffix, pat in (("", padd(pbcast(V("a"), V("l2")), pbcast(V("b"), V("l1")))),
                         ("-r", padd(pbcast(V("b"), V("l1")), pbcast(V("a"), V("l2"))))):
         axiom(f"sibling-nest-broadcast-pair{suffix}",
-              [Bind("e", pat), guard_i32("e"),
+              [Bind("e", pat),
                guard_ints("l1 | l2 and l2 > l1",
-                          lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2")],
+                          lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2"),
+               has_i32("e")],
               sibling_bb,
               "re-nest the wider of two sibling broadcasts to equal counts",
               fuzz=_fz_sibling_bb)
@@ -508,7 +490,7 @@ def _axiomatic_rules(rs):
 
     axiom("add-of-broadcasts",
           [Bind("e", padd(pbcast(V("a"), V("l")), pbcast(V("b"), V("l")))),
-           guard_i32("e")],
+           has_i32("e")],
           add_of_bcasts,
           "(Add (Broadcast a l) (Broadcast b l)) == (Broadcast (Add a b) l)",
           fuzz=_fz_add_of_bcasts)
@@ -538,11 +520,11 @@ def _i32_fold(sym):
         vals = []
         for v in ("a", "b"):
             im = g.class_imm(env[v])
-            if im is None or im[0] != "i32" or not -(2**31) <= int(im[1]) < 2**31:
+            if im is None or im[0] != "i32" or not ir.I32_MIN <= int(im[1]) <= ir.I32_MAX:
                 return None
             vals.append(int(im[1]))
         out = vals[0] + vals[1] if sym == "+" else vals[0] * vals[1]
-        return out if -(2**31) <= out < 2**31 else None
+        return out if ir.I32_MIN <= out <= ir.I32_MAX else None
     return fold
 
 
@@ -555,14 +537,12 @@ def _supporting_rules(rs):
                               action=action, doc=doc))
 
     supp("type-of-load",
-         [Bind("e", pload(V("n"), V("t"), V("i"))),
-          Guard(lambda g, env: class_type(g, env["t"]) is not None, "concrete type")],
+         [Bind("e", pload(V("n"), V("t"), V("i")))],
          lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
          "a load has its annotated result type")
 
     supp("type-of-cast",
-         [Bind("e", P(("cast",), V("t"), V("x"))),
-          Guard(lambda g, env: class_type(g, env["t"]) is not None, "concrete type")],
+         [Bind("e", P(("cast",), V("t"), V("x")))],
          lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
          "a cast has its target type")
 
@@ -573,33 +553,24 @@ def _supporting_rules(rs):
              lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
              f"{sym} has its left operand's type")
 
-    def ramp_type(g, env):
-        ty = class_type(g, env["t"])
-        n = g.class_int(env["n"])
-        if ty and n is not None:
-            g.assert_fact("has-type", env["e"], mk_type(g, ty[0], ty[1] * n))
+    def times_n_type(g, env):
+        kind, lanes = class_type(g, env["t"])
+        g.assert_fact("has-type", env["e"],
+                      mk_type(g, kind, lanes * g.class_int(env["n"])))
 
     supp("type-of-ramp",
          [Bind("e", pramp(V("b"), V("s"), V("n"))), rel("has-type", V("b"), V("t"))],
-         ramp_type,
+         times_n_type,
          "a ramp multiplies its base's lanes by the step count")
-
-    def bcast_type(g, env):
-        ty = class_type(g, env["t"])
-        n = g.class_int(env["n"])
-        if ty and n is not None:
-            g.assert_fact("has-type", env["e"], mk_type(g, ty[0], ty[1] * n))
 
     supp("type-of-broadcast",
          [Bind("e", pbcast(V("x"), V("n"))), rel("has-type", V("x"), V("t"))],
-         bcast_type,
+         times_n_type,
          "a broadcast multiplies its operand's lanes by the copy count")
 
     def vra_type(g, env):
-        ty = class_type(g, env["t"])
-        rl = g.class_int(env["rl"])
-        if ty and rl is not None:
-            g.assert_fact("has-type", env["e"], mk_type(g, ty[0], rl))
+        kind, _ = class_type(g, env["t"])
+        g.assert_fact("has-type", env["e"], mk_type(g, kind, g.class_int(env["rl"])))
 
     supp("type-of-vector-reduce-add",
          [Bind("e", pvra(V("rl"), V("x"))), rel("has-type", V("x"), V("t"))],

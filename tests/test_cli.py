@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from tensorsel import cli, interp, ir, rules, selector
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def corpus(name):
@@ -23,6 +26,17 @@ class TestCheck:
     def test_clean_corpus_file(self, capsys):
         assert run_cli("check", corpus("matmul_vnni")) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "u.sexp"
+        bad.write_bytes(b"\xff\xfe(param x f32 4 mem)\n")
+        assert run_cli("check", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+    def test_stdout_closed_from_the_start(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)  # as `tensorsel check F >&-`
+        assert run_cli("check", corpus("matmul_vnni")) == 0
 
     def test_truncated_file(self, tmp_path, capsys):
         bad = tmp_path / "t.sexp"
@@ -120,6 +134,8 @@ BROKEN_INPUT_DIRS = {
     "list-kind": lambda d: _set_first(d, "kind", []),
     "null-length": lambda d: _set_first(d, "length", None),
     "bin-of-wrong-length": lambda d: (d / "K.bin").write_bytes(b"\0" * 6),
+    "name-is-a-path": lambda d: (_set_first(d, "name", "../I"),
+                                 (d / "I.bin").rename(d.parent / "I.bin")),
 }
 
 
@@ -170,6 +186,16 @@ class TestRun:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert not out.out
+
+    def test_buffer_name_that_is_a_path_writes_nothing(self, tmp_path, capsys):
+        prog = tmp_path / "p.sexp"
+        prog.write_text("(param ../../escaped f32 4 mem)\n"
+                        "(store ../../escaped (ramp (imm i32 0) (imm i32 1) 4) "
+                        "(broadcast (imm f32 1.0) 4))\n")
+        out = tmp_path / "a" / "b" / "out"
+        assert run_cli("run", str(prog), "-o", str(out)) == 1
+        assert "bad name '../../escaped'" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "escaped.bin").exists() and not out.exists()
 
     def test_output_onto_a_file_exits_two(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -405,3 +431,19 @@ class TestLayout:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert not out.out
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_stdout_exits_one_quietly(self, unbuffered):
+        # ~500 KB of output: far more than a pipe holds, so writes must fail
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tensorsel.cli", "layout", "toeplitz",
+             "--l", "200", "--k", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b"K0 . . . ."
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

@@ -285,6 +285,16 @@ class TestValidate:
         rep = ir.validate_program(Program((), body))
         assert any("shadow" in msg for _, msg in rep.errors)
 
+    @pytest.mark.parametrize("name, params, body, path", [
+        ("../../escaped", (Param("../../escaped", "f32", 4),), (), "params"),
+        ("9x", (Param("9x", "f32", 4),), (), "params"),
+        ("a/b", (), (Allocate("a/b", "f32", 4, "mem"),), "body[0]"),
+        ("i.j", (), (For("i.j", 0, 2, ()),), "body[0]"),
+    ])
+    def test_name_that_is_not_an_identifier(self, name, params, body, path):
+        rep = ir.validate_program(Program(params, body))
+        assert rep.errors == [(path, f"bad name {name!r}")]
+
 
 class TestParsePrint:
     def test_simple_ramp(self):

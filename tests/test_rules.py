@@ -1,7 +1,9 @@
 import math
 
+import pytest
+
 from tensorsel import ir, rules
-from tensorsel.egraph import ematch, extract_best, run_schedule
+from tensorsel.egraph import EGraph, ematch, extract_best, run_schedule
 from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
@@ -135,6 +137,60 @@ class TestAblation:
     def test_pattern_matched_once_with_axioms(self, default_ruleset):
         g, _ = saturate(matmul_update_stmt(), default_ruleset)
         assert len(ematch(g, rules.matmul_statement_query(16, 32, 16))) == 1
+
+
+def _ramp(g, b, s, n):
+    return g.add(("ramp",), (b, s, g.add_int(n)))
+
+
+def _bcast(g, x, n):
+    return g.add(("bcast",), (x, g.add_int(n)))
+
+
+def _add(g, a, b):
+    return g.add(("bop", "+"), (a, b))
+
+
+# the left side of each i32-only axiom over leaves `v(name)`
+I32_ONLY = {
+    "ramp-elim": lambda g, v: _ramp(g, v("x"), v("s"), 1),
+    "degenerate-ramp-split": lambda g, v: _ramp(g, v("x"), rules.mk_imm(g, 1), 4),
+    "ramp-plus-broadcast":
+        lambda g, v: _add(g, _ramp(g, v("b"), v("s"), 2), _bcast(g, v("x"), 4)),
+    "ramp-plus-broadcast-r":
+        lambda g, v: _add(g, _bcast(g, v("x"), 4), _ramp(g, v("b"), v("s"), 2)),
+    "ramp-unnest": lambda g, v: _ramp(g, _add(g, v("x"), v("a")), v("s"), 3),
+    "sibling-nest-ramp-broadcast":
+        lambda g, v: _add(g, _ramp(g, v("x"), v("s"), 2), _bcast(g, v("a"), 4)),
+    "sibling-nest-ramp-broadcast-r":
+        lambda g, v: _add(g, _bcast(g, v("a"), 4), _ramp(g, v("x"), v("s"), 2)),
+    "sibling-nest-broadcast-pair":
+        lambda g, v: _add(g, _bcast(g, v("a"), 4), _bcast(g, v("b"), 2)),
+    "sibling-nest-broadcast-pair-r":
+        lambda g, v: _add(g, _bcast(g, v("b"), 2), _bcast(g, v("a"), 4)),
+    "add-of-broadcasts":
+        lambda g, v: _add(g, _bcast(g, v("a"), 2), _bcast(g, v("b"), 2)),
+}
+
+
+class TestHasTypeAtoms:
+    """The i32-only axioms read the type of ?e (of ?x for the ramp split)
+    through a has-type atom of their query, with no guard."""
+
+    @pytest.mark.parametrize("name", I32_ONLY)
+    def test_only_the_i32_left_side_matches(self, name, default_ruleset):
+        rule = default_ruleset.named(name)
+        scalar = name == "degenerate-ramp-split"
+        good = ("i32", 1) if scalar else ("i32", 4)
+        for ty in (good, ("i32", 2)) if scalar else (good, ("f32", 4)):
+            g = EGraph()  # no facts but those asserted here
+            root = I32_ONLY[name](g, lambda n: g.add(("var", n)))
+            typed = g.add(("var", "x")) if scalar else root
+            assert ematch(g, rule.query) == []
+            # asserted after the structure is already in the graph
+            g.assert_fact("has-type", typed, rules.mk_type(g, *ty))
+            hits = ematch(g, rule.query)
+            assert [h["e"] for h in hits] == ([root] if ty == good else []), ty
 
 
 class TestSoundness:
