@@ -1,11 +1,12 @@
 """Command-line front end: check | run | select | difftest | layout.
 
 Exit codes: 0 success, 1 semantic/selection/divergence failure, 2 usage or
-parse failure; 1 also, without a traceback, when the reader of stdout
-closes it early (as `| head` does).  All reports go to stdout, as JSON
-with --json, human text otherwise; select --no-timing drops wall-clock
-fields so reports are byte-stable.  difftest compares outputs bit for
-bit; --trials 0 only selects.
+parse failure; 1 also, without a traceback, when writing stdout fails:
+quietly when its reader closes it early (as `| head` does), with one
+`error:` line otherwise (as on a full disk).  All reports go to stdout,
+as JSON with --json, human text otherwise; select --no-timing drops
+wall-clock fields so reports are byte-stable.  difftest compares outputs
+bit for bit; --trials 0 only selects.
 """
 
 from __future__ import annotations
@@ -337,9 +338,11 @@ def main(argv=None):
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
-    except BrokenPipeError:
+    except OSError as e:  # writing stdout; commands report their own files
         # the flush at exit writes what is still buffered to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write to stdout: {e}", file=sys.stderr)
         return 1
 
 

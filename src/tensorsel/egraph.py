@@ -7,32 +7,40 @@ class ids; facts are canonicalized on rebuild.  A fact index files each
 tuple under the root of its first argument and relation; `union` moves the
 losing root's tuples to the winner at once, so a relation atom whose first
 term is already bound is a hash lookup, even between a union and the next
-rebuild.  E-matching runs join plans, as in relational e-matching
-(Zhang et al., POPL 2022): a `RuleDef` compiles its query once, when it
-is built, into a chain of atoms over one list of variable slots.  Each
-`PNode` is an e-node atom (class slot, op, arity, child slots), each
-`Rel` a fact atom that reads the fact index when its first slot is bound,
-and whether a slot is already bound is settled at compile time, so a
-match checks bound slots with `==` and binds free ones by assignment.
-Classes, nodes and tuples are iterated unsorted and `ematch` orders its
-result once at the end.  `rebuild` returns at once when no
-union happened since the last one: `add` and `assert_fact` canonicalize
-their arguments, so a graph without unions is already congruence-closed.
-Each class also keeps its nodes of fewer than two children in
-`class_nodes` order, so constant, name and type reads never sort.
+rebuild.  `rebuild` returns at once when no union happened since the last
+one: `add` and `assert_fact` canonicalize their arguments, so a graph
+without unions is already congruence-closed.  Each class also keeps its
+nodes of fewer than two children in `class_nodes` order, so constant,
+name and type reads never sort.
+
+E-matching runs join plans, as in relational e-matching (Zhang et al.,
+POPL 2022).  A `Query` lays its atoms out as steps over numbered variable
+slots when it is made: each `PNode` an e-node step (class slot, op, arity,
+child slots), each `Rel` a fact step that reads the fact index when its
+first slot is bound, and whether a slot is already bound is settled then.
+On its first `ematch` the layout becomes one generated Python function
+of nested `for` loops over local slot variables, checking bound slots
+with `==` and binding free ones by assignment.  Ops, relation names and
+guard functions are passed to it as constants, never written into its
+source, so the compiled code is cached per process by the layout's
+structure and shared by every query of that shape.  Classes, nodes and
+tuples are iterated unsorted and `ematch` orders its result once.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
 guards) with an imperative action that may construct terms, union classes,
 and assert facts.  The schedule runs supporting rules to fixpoint, then one
 sequential round of axiomatic, application, and lowering rules, then
-rebuilds — for a fixed number of iterations.
+rebuilds — for a fixed number of iterations.  The graph stamps each change
+with its version: per op a new node was added with, per relation that
+gained a fact, and per union.  As in egglog (Zhang et al., PLDI 2023), at
+the granularity of whole rules, the schedule matches a rule again only
+when something its query reads changed since its last run.
 """
-
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
+from typing import NamedTuple
 
 
 class NodeBudgetExceeded(Exception):
@@ -118,7 +126,9 @@ class EGraph:
         self.facts = {}  # relation name -> set of arg tuples
         self._fact_index = {}  # root of first arg -> {relation -> arg tuples}
         self._merged = False  # a union happened since the last rebuild
-        self.version = 0
+        self.version = 0  # counts changes: new nodes, new facts, unions
+        self._stamps = {}  # op or relation -> version of its last new node or fact
+        self._union_stamp = 0  # version of the last union
         self.on_add = on_add
 
     # -- union-find ---------------------------------------------------------
@@ -145,6 +155,7 @@ class EGraph:
             self._fact_index.setdefault(ra, {}).setdefault(name, set()).update(tuples)
         self._merged = True
         self.version += 1
+        self._union_stamp = self.version
         return ra
 
     # -- insertion ----------------------------------------------------------
@@ -162,6 +173,7 @@ class EGraph:
             self._small[cid] = [node]
         self._op_index.setdefault(op, set()).add(cid)
         self.version += 1
+        self._stamps[op] = self.version
         if self.on_add:
             self.on_add(self, op, cid)
         return cid
@@ -176,6 +188,7 @@ class EGraph:
             store.add(tup)
             self._index_fact(name, tup)
             self.version += 1
+            self._stamps[name] = self.version
 
     def _index_fact(self, name, tup):
         if tup:
@@ -217,6 +230,20 @@ class EGraph:
             for t in self.facts[name]:
                 self._index_fact(name, t)
         self._merged = False
+
+    def changed_since(self, query, version):
+        """Whether `query`'s matches may differ from those at `version`: a
+        union came later, or a node of an op or a fact of a relation that
+        it reads, or it reads every class.  Without a union no class gains
+        nodes, so the matches of a query that reads neither depend only on
+        the nodes of its ops and the facts of its relations."""
+        if query.scans or self._union_stamp > version:
+            return True
+        stamps = self._stamps
+        for key in query.reads:
+            if stamps.get(key, 0) > version:
+                return True
+        return False
 
     # -- inspection ---------------------------------------------------------
 
@@ -277,12 +304,23 @@ def _node_key(node):
 
 
 class Query(tuple):
-    """A query's atoms, carrying the join plan they compile to as `plan`."""
+    """A query's atoms, laid out as a join plan when the query is made
+    (which raises TypeError on anything but a query atom).  The plan's code
+    is built on the first `ematch`.  `reads` holds the ops and relation
+    names the query reads, and `scans` whether it reads every class."""
 
     def __new__(cls, atoms):
         query = super().__new__(cls, atoms)
-        query.plan = compile_query(query)
+        query._layout = _layout(query)
+        query._plan = None
+        query.reads, query.scans = query._layout.reads, query._layout.scans
         return query
+
+    @property
+    def plan(self):
+        if self._plan is None:
+            self._plan = _bind(self._layout)
+        return self._plan
 
 
 def ematch(g, query):
@@ -295,21 +333,44 @@ def ematch(g, query):
 
 def compile_query(query):
     """The join plan of `query`: a function of a graph returning the
-    query's matches.  Raises TypeError on anything but a query atom.
+    query's matches.  Raises TypeError on anything but a query atom."""
+    return _bind(_layout(query))
 
-    Variables become slots of one list, in the order atoms first bind
-    them; a `Bind` of one variable to another gives both the same slot.
-    A `PNode` becomes an e-node atom over a class slot and its
-    children's slots (a nested `PNode` gets an anonymous slot and its own
-    atom after its parent's); a `Rel` becomes a fact atom over its terms'
-    slots, read through the fact index when its first slot is bound.
-    Whether a slot is bound when its atom runs is known here, so matching
-    checks a bound slot with `==` and binds a free one by assignment,
-    never undoing it: the next candidate overwrites it.  A guard gets the
-    named variables bound by the atoms before it."""
+
+class Layout(NamedTuple):
+    structure: tuple  # (steps, number of constants, output slots)
+    consts: list  # ops, relation names, guard functions, variable names
+    names: tuple  # the query's variables, in output order
+    reads: frozenset  # the ops and relation names it reads
+    scans: bool  # whether it reads every class
+
+
+def _layout(query):
+    """The `Layout` of `query`'s plan.
+
+    Variables become slots, in the order atoms first bind them; a `Bind`
+    of one variable to another gives both the same slot.  A `PNode`
+    becomes an e-node step over a class slot and its children's slots (a
+    nested `PNode` gets an anonymous slot and its own step after its
+    parent's); a `Rel` becomes a fact step over its terms' slots, read
+    through the fact index when its first slot is bound.  Whether a slot
+    is bound when its step runs is settled here, so the plan checks a
+    bound slot with `==` and binds a free one by assignment.  A guard gets
+    the named variables bound by the steps before it.  Ops, relation
+    names, guard functions and variable names go into the constants, so
+    the structure holds only slot numbers, arities and constant indices,
+    and queries of one shape share their code."""
     slots = {}  # variable name -> its slot, from the atom that binds it on
+    steps = []
+    consts = []
+    reads = []
+    scans = False
+
+    def const(value):
+        consts.append(value)
+        return len(consts) - 1
+
     size = 0
-    steps = []  # (step factory, its arguments) in match order
 
     def new_slot():
         nonlocal size
@@ -335,11 +396,12 @@ def compile_query(query):
                 nested.append((pat, k))
             else:
                 raise TypeError(f"not a pattern: {pat!r}")
-        return binds, checks, nested
+        return tuple(binds), tuple(checks), nested
 
     def enode(pat, c, scan):
         binds, checks, nested = positions(pat.children)
-        steps.append((_enode_step, c, scan, pat.op, len(pat.children), binds, checks))
+        reads.append(pat.op)
+        steps.append(("node", c, scan, const(pat.op), len(pat.children), binds, checks))
         for child, k in nested:
             enode(child, k, False)
 
@@ -356,125 +418,140 @@ def compile_query(query):
                 if scan and v != c:
                     slots[atom.var] = v
                 elif scan:
-                    steps.append((_class_step, c))
+                    steps.append(("class", c))
+                    scans = True
                 elif v != c:
-                    steps.append((_same_step, c, v))
+                    steps.append(("same", c, v))
             else:
                 raise TypeError(f"not a pattern: {atom.pattern!r}")
         elif isinstance(atom, Rel):
             first = atom.terms[0] if atom.terms else None
             lookup = slots.get(first.name) if isinstance(first, PVar) else None
             binds, checks, nested = positions(atom.terms, lookup is not None)
-            steps.append((_fact_step, atom.name, lookup, len(atom.terms), binds, checks))
+            reads.append(atom.name)
+            steps.append(("fact", const(atom.name), lookup, len(atom.terms),
+                          binds, checks))
             for child, k in nested:
                 enode(child, k, False)
         elif isinstance(atom, Guard):
-            steps.append((_guard_step, atom.fn, list(slots.items())))
+            named = tuple((const(name), k) for name, k in slots.items())
+            steps.append(("guard", const(atom.fn), named))
         else:
             raise TypeError(f"not a query atom: {atom!r}")
 
-    names = sorted(slots)
-    order = [slots[n] for n in names]
-    # itemgetter returns a single slot bare and needs at least one
-    key = (itemgetter(*order) if len(order) > 1
-           else lambda s: tuple(s[k] for k in order))
+    names = tuple(sorted(slots))
+    structure = (tuple(steps), len(consts), tuple(slots[n] for n in names))
+    return Layout(structure, consts, names, frozenset(reads), scans)
 
-    def done(g, s, found):
-        found.add(key(s))
 
-    run = done
-    for factory, *args in reversed(steps):
-        run = factory(*args, run)
+_CODE = {}  # plan structure -> its compiled `make`, shared by the process
+_LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
+
+
+def _bind(layout):
+    """The plan of a layout: its structure's code, bound to its constants."""
+    make = _CODE.get(layout.structure)
+    if make is None:
+        scope = {}
+        exec(compile(_source(layout.structure), "<query plan>", "exec"), scope)
+        make = _CODE[layout.structure] = scope["make"]
+    run, names = make(layout.consts), layout.names
 
     def plan(g):
-        found = set()
-        run(g, [None] * size, found)
-        return [dict(zip(names, k)) for k in sorted(found)]
+        return [dict(zip(names, key)) for key in sorted(run(g))]
 
     return plan
 
 
-# Each step factory returns `step(g, slots, found)`, which matches one atom
-# under the slots bound so far and calls `run` for every way it matches.
-# After a union and before the next rebuild (`g._merged`), node children
-# and fact arguments may be stale ids, so they are canonicalized first;
-# otherwise every id in the graph is a root.  The e-node and fact steps
-# repeat one bind-and-check loop inline, as a shared helper would cost a
-# call per candidate.
+def _source(structure):
+    """Python source of `make(K)`, which binds the constants `K` and returns
+    `plan(g)`, the set of the query's matches as tuples of the output slots.
 
+    Each step is one `for` loop (e-node, fact and class steps) or one
+    `if` (same-class and guard steps); a failed test continues the
+    innermost loop.  After a union and before the next rebuild
+    (`g._merged`), node children and fact arguments may be stale ids, so
+    they are canonicalized first; otherwise every id in the graph is a
+    root.  A plan deeper than `_LOOPS` loops goes on in a further function
+    that takes the slots bound so far."""
+    steps, n_consts, out = structure
+    functions = []
+    bound = []
 
-def _enode_step(c, scan, op, arity, binds, checks, run):
-    def step(g, s, found):
-        parent = g._parent if g._merged else None
-        for o, ids in g._class_nodes.get(s[c], ()):
-            if o == op and len(ids) == arity:
-                if parent is not None:
-                    ids = [x if parent[x] == x else g.find(x) for x in ids]
-                for i, k in binds:
-                    s[k] = ids[i]
-                for i, k in checks:
-                    if s[k] != ids[i]:
-                        break
-                else:
-                    run(g, s, found)
+    def start(name):
+        params = "".join(f", s{k}" for k in bound)
+        return [f"    def {name}(g, add{params}):",
+                "        find, merged = g.find, g._merged",
+                "        nodes, ops = g._class_nodes, g._op_index",
+                "        facts, index = g.facts, g._fact_index"]
 
-    if not scan:
-        return step
+    lines = start("part0")
+    depth = 0
 
-    def scan_step(g, s, found):
-        classes = g._op_index.get(op, ())
-        if g._merged:
-            classes = {g.find(x) for x in classes}
-        for cid in classes:
-            s[c] = cid
-            step(g, s, found)
+    def emit(text):
+        lines.append("    " * (depth + 2) + text)
 
-    return scan_step
+    def fail():
+        return "continue" if depth else "return"
 
+    def bind(i, binds, checks):
+        emit(f"if merged: ids{i} = [*map(find, ids{i})]")
+        for pos, k in binds:
+            emit(f"s{k} = ids{i}[{pos}]")
+            bound.append(k)
+        for pos, k in checks:
+            emit(f"if s{k} != ids{i}[{pos}]: continue")
 
-def _fact_step(name, lookup, arity, binds, checks, run):
-    def step(g, s, found):
-        parent = g._parent if g._merged else None
-        tuples = (g.facts.get(name, ()) if lookup is None
-                  else g._fact_index.get(s[lookup], {}).get(name, ()))
-        for ids in tuples:
-            if len(ids) == arity:
-                if parent is not None:
-                    ids = [x if parent[x] == x else g.find(x) for x in ids]
-                for i, k in binds:
-                    s[k] = ids[i]
-                for i, k in checks:
-                    if s[k] != ids[i]:
-                        break
-                else:
-                    run(g, s, found)
+    for i, step in enumerate(steps):
+        kind = step[0]
+        if kind == "node":
+            loops = 2 if step[2] else 1  # a scan loops over classes first
+        else:
+            loops = 1 if kind in ("fact", "class") else 0
+        if loops and depth + loops > _LOOPS:
+            emit(f"part{len(functions) + 1}(g, add{''.join(f', s{k}' for k in bound)})")
+            functions.append(lines)
+            lines, depth = start(f"part{len(functions)}"), 0
+        if kind == "node":
+            _, c, scan, op, arity, binds, checks = step
+            if scan:
+                emit(f"roots = ops.get(k{op}, ())")
+                emit(f"for s{c} in ({{*map(find, roots)}} if merged else roots):")
+                bound.append(c)
+                depth += 1
+            emit(f"for o{i}, ids{i} in nodes.get(s{c}, ()):")
+            depth += 1
+            emit(f"if o{i} != k{op} or len(ids{i}) != {arity}: continue")
+            bind(i, binds, checks)
+        elif kind == "fact":
+            _, name, lookup, arity, binds, checks = step
+            source = (f"facts.get(k{name}, ())" if lookup is None
+                      else f"index.get(s{lookup}, {{}}).get(k{name}, ())")
+            emit(f"for ids{i} in {source}:")
+            depth += 1
+            emit(f"if len(ids{i}) != {arity}: continue")
+            bind(i, binds, checks)
+        elif kind == "class":
+            emit(f"for s{step[1]} in nodes:")
+            bound.append(step[1])
+            depth += 1
+        elif kind == "same":
+            emit(f"if s{step[1]} != s{step[2]}: {fail()}")
+        else:
+            env = ", ".join(f"k{name}: s{k}" for name, k in step[2])
+            emit(f"if not k{step[1]}(g, {{{env}}}): {fail()}")
+    emit(f"add(({''.join(f's{k},' for k in out)}))")
+    functions.append(lines)
 
-    return step
-
-
-def _class_step(c, run):
-    def step(g, s, found):
-        for cid in g._class_nodes:
-            s[c] = cid
-            run(g, s, found)
-
-    return step
-
-
-def _same_step(a, b, run):
-    def step(g, s, found):
-        if s[a] == s[b]:
-            run(g, s, found)
-
-    return step
-
-
-def _guard_step(fn, named, run):
-    def step(g, s, found):
-        if fn(g, {name: s[k] for name, k in named}):
-            run(g, s, found)
-
-    return step
+    head = ["def make(K):"]
+    if n_consts:
+        head.append(f"    {', '.join(f'k{j}' for j in range(n_consts))}, = K")
+    tail = ["    def plan(g):",
+            "        found = set()",
+            "        part0(g, found.add)",
+            "        return found",
+            "    return plan"]
+    return "\n".join(head + [ln for f in functions for ln in f] + tail) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -499,54 +576,67 @@ class SaturationReport:
 
 
 CATEGORY_ORDER = ("axiomatic", "application", "lowering")
-
-
-def _apply_rule(g, rule, report):
-    matches = ematch(g, rule.query)
-    report.matches[rule.category] = report.matches.get(rule.category, 0) + len(matches)
-    before = g.version
-    for env in matches:
-        rule.action(g, env)
-    if g.version != before:
-        report.applications[rule.category] = (
-            report.applications.get(rule.category, 0) + 1)
+SUPPORTING_ROUNDS = 64  # the corpus needs at most 5 to reach a fixpoint
 
 
 def run_schedule(g, rules, iterations, node_budget):
     """Fixed-iteration schedule: supporting rules to fixpoint, then one
     round of axiomatic + application + lowering, then rebuild.  Raises
-    NodeBudgetExceeded (leaving the partial graph intact) when the class
-    count passes `node_budget`."""
+    NodeBudgetExceeded (leaving the partial graph intact) when a rule run
+    leaves more than `node_budget` classes, or when the supporting rules
+    reach no fixpoint in SUPPORTING_ROUNDS rounds.
+
+    A rule is matched again only when the graph changed in what its query
+    reads since the start of its last run (`EGraph.changed_since`);
+    otherwise its last match count is counted again and its action not
+    called, since an action reads only its matched classes and repeating
+    it with the same matches changes nothing."""
     t0 = time.perf_counter()
     report = SaturationReport()
     supporting = [r for r in rules if r.category == "supporting"]
     rounds = {cat: [r for r in rules if r.category == cat]
               for cat in CATEGORY_ORDER}
+    last = {}  # id(rule) -> (version at the start of its last run, its matches)
 
-    def check_budget():
-        if g.n_classes > node_budget:
-            report.ms = (time.perf_counter() - t0) * 1e3
-            report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
-            report.budget_exceeded = True
-            raise NodeBudgetExceeded(
-                f"{g.n_classes} classes exceed budget {node_budget}")
+    def stop(why):
+        report.ms = (time.perf_counter() - t0) * 1e3
+        report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
+        report.budget_exceeded = True
+        raise NodeBudgetExceeded(why)
+
+    def apply(rule):
+        prev = last.get(id(rule))
+        if prev is not None and not g.changed_since(rule.query, prev[0]):
+            n = prev[1]
+        else:
+            start = g.version
+            matches = ematch(g, rule.query)
+            n = len(matches)
+            for env in matches:
+                rule.action(g, env)
+            if g.version != start:
+                report.applications[rule.category] = (
+                    report.applications.get(rule.category, 0) + 1)
+            last[id(rule)] = (start, n)
+            if g.n_classes > node_budget:
+                stop(f"{g.n_classes} classes exceed budget {node_budget}")
+        report.matches[rule.category] = report.matches.get(rule.category, 0) + n
 
     for it in range(iterations):
         report.iterations = it + 1
-        while True:
+        for _ in range(SUPPORTING_ROUNDS):
             before = g.version
             for rule in supporting:
-                _apply_rule(g, rule, report)
+                apply(rule)
             g.rebuild()
-            check_budget()
             if g.version == before:
                 break
+        else:
+            stop(f"supporting rules reached no fixpoint in {SUPPORTING_ROUNDS} rounds")
         for cat in CATEGORY_ORDER:
             for rule in rounds[cat]:
-                _apply_rule(g, rule, report)
-            check_budget()
+                apply(rule)
         g.rebuild()
-        check_budget()
     report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
     report.ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -573,21 +663,29 @@ def extract_best(g, root):
     smallest child ids, so extraction is deterministic."""
     root = g.find(root)
     best = {}  # class -> (cost, op tiebreak key, child ids, node)
+    # each class's nodes in `class_nodes` order, with their cost, tiebreak
+    # key and canonical children
+    classes = [(cid, [(node_cost(op, len(children)), repr(op), children,
+                       tuple(g.find(c) for c in children), op)
+                      for op, children in g.class_nodes(cid)])
+               for cid in g.class_ids()]
 
     changed = True
     while changed:
         changed = False
-        for cid in g.class_ids():
-            for op, children in g.class_nodes(cid):
-                if any(g.find(c) not in best for c in children):
-                    continue
-                total = node_cost(op, len(children)) + sum(
-                    best[g.find(c)][0] for c in children)
-                cand = (total, repr(op), children)
-                cur = best.get(cid)
-                if cur is None or cand < cur[:3]:
-                    best[cid] = (total, repr(op), children, (op, children))
-                    changed = True
+        for cid, entries in classes:
+            for cost, key, children, kids, op in entries:
+                total = cost
+                for k in kids:
+                    b = best.get(k)
+                    if b is None:
+                        break
+                    total += b[0]
+                else:
+                    cur = best.get(cid)
+                    if cur is None or (total, key, children) < cur[:3]:
+                        best[cid] = (total, key, children, (op, children))
+                        changed = True
     if root not in best:
         raise NoFiniteCost(f"class {root} has no finite-cost term")
 

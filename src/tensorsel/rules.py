@@ -1450,6 +1450,23 @@ def corrupted_ruleset():
     return rs
 
 
+def runaway_ruleset():
+    """Default ruleset with broadcast-flatten adding the copy counts where
+    it should multiply them: every round derives broadcasts of new lane
+    counts, and their types, without end, so selection must stop on its
+    budget."""
+    rs = build_default_ruleset()
+    rule = rs.named("broadcast-flatten")
+
+    def bad_act(g, env):
+        g.union(env["e"], g.add(("bcast",), (
+            env["x"], g.add_int(g.class_int(env["l1"]) + g.class_int(env["l2"])))))
+
+    rule.action = bad_act
+    rule.doc += " [CORRUPTED: copy counts added]"
+    return rs
+
+
 # ---------------------------------------------------------------------------
 # diagnostic queries
 

@@ -51,5 +51,6 @@ def test_every_ematch_call_is_traced_with_its_rule_category():
     names = {s[NAME] for s in spans if s[NAME].startswith("egraph.ematch")}
     assert names == {f"egraph.ematch.{c}" for c in CATEGORIES}
     calls = {c: counts[None][f"egraph.ematch.{c}.calls"] for c in CATEGORIES}
-    assert calls == {"axiomatic": 342, "application": 72, "lowering": 198,
-                     "supporting": 390}
+    # rule runs whose reads did not change since their last run are skipped
+    assert calls == {"axiomatic": 135, "application": 24, "lowering": 66,
+                     "supporting": 211}

@@ -447,3 +447,16 @@ class TestLayout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_full_stdout_exits_one_with_an_error_line(self, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tensorsel.cli", "layout", "toeplitz",
+                 "--l", "20", "--k", "20"],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsel import ir, rules
-from tensorsel.egraph import (Bind, EGraph, Guard, NoFiniteCost,
-                              NodeBudgetExceeded, PNode, PVar, Query, Rel,
-                              RuleDef, ematch, extract_best, node_cost, rel,
+from tensorsel import egraph, ir, rules
+from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, EGraph,
+                              Guard, NoFiniteCost, NodeBudgetExceeded, PNode,
+                              PVar, Query, Rel, RuleDef, SaturationReport,
+                              ematch, extract_best, node_cost, rel,
                               run_schedule)
 from tensorsel.selector import SelectionConfig, inject_data_movement
 
-from conftest import corpus_program, target_for
+from conftest import corpus_names, corpus_program, target_for
 
 BUDGET = SelectionConfig().node_budget
 
@@ -565,6 +566,206 @@ class TestSchedule:
         with pytest.raises(NodeBudgetExceeded):
             run_schedule(g, [rule], iterations=50, node_budget=1000)
         assert g.n_classes > 0  # partial graph intact
+
+    def test_supporting_rounds_are_bounded(self):
+        g = EGraph()
+        node(g, "f", leaf(g, "a"))
+
+        def wrap(g_, env):  # one class more per round: never a fixpoint
+            g_.add(("f",), (env["x"],))
+
+        rule = RuleDef("wrap", "supporting",
+                       (Bind("x", PNode(("f",), (PVar("y"),))),), wrap)
+        with pytest.raises(NodeBudgetExceeded, match="no fixpoint"):
+            run_schedule(g, [rule], iterations=1, node_budget=BUDGET)
+        assert g.n_classes == 2 + SUPPORTING_ROUNDS
+
+
+def _naive_schedule(g, rules_, iterations, node_budget):
+    """`run_schedule` matching every rule on every run."""
+    report = SaturationReport()
+    supporting = [r for r in rules_ if r.category == "supporting"]
+    rounds = [r for cat in CATEGORY_ORDER for r in rules_ if r.category == cat]
+
+    def apply(rule):
+        matches = ematch(g, rule.query)
+        report.matches[rule.category] = (
+            report.matches.get(rule.category, 0) + len(matches))
+        before = g.version
+        for env in matches:
+            rule.action(g, env)
+        if g.version != before:
+            report.applications[rule.category] = (
+                report.applications.get(rule.category, 0) + 1)
+        if g.n_classes > node_budget:
+            raise NodeBudgetExceeded("budget")
+
+    for it in range(iterations):
+        report.iterations = it + 1
+        for _ in range(SUPPORTING_ROUNDS):
+            before = g.version
+            for rule in supporting:
+                apply(rule)
+            g.rebuild()
+            if g.version == before:
+                break
+        else:
+            raise NodeBudgetExceeded("no fixpoint")
+        for rule in rounds:
+            apply(rule)
+        g.rebuild()
+    report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
+    return report
+
+
+def _schedule_outcome(schedule, g, rules_, iterations, budget):
+    """The report without its time (or the budget stop) and the graph."""
+    g = copy.deepcopy(g)
+    try:
+        rep = schedule(g, rules_, iterations, budget)
+        out = ({k: v for k, v in rep.as_dict().items() if k != "ms"},
+               rep.applications)
+    except NodeBudgetExceeded:
+        out = "budget"
+    return out, g.dump()
+
+
+def _action(kind):
+    """An action that reads only its matched classes and repeats nothing."""
+    def act(g, env):
+        ids = [env[v] for v in sorted(env)]
+        if not ids:
+            return
+        if kind == "wrap":
+            g.add(("f",), (ids[0],))
+        elif kind == "pair":
+            g.add(("g",), (ids[0], ids[-1]))
+        elif kind == "fact":
+            g.assert_fact("r", ids[-1])
+        elif kind == "fact2":
+            g.assert_fact("s", ids[0], ids[-1])
+        elif kind == "union":
+            g.union(ids[0], ids[-1])
+    return act
+
+
+_rules = st.lists(st.builds(
+    lambda query, cat, kind: RuleDef(kind, cat, tuple(query), _action(kind)),
+    st.lists(_atoms, min_size=1, max_size=3),
+    st.sampled_from(("supporting",) + CATEGORY_ORDER),
+    st.sampled_from(("wrap", "pair", "fact", "fact2", "union", "none"))),
+    min_size=1, max_size=4)
+
+
+class TestStampedSchedule:
+    """Skipping rule runs whose reads did not change is exact: the schedule
+    equals one that matches every rule on every run."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_equals_naive_schedule_on_corpus(self, name):
+        prog = corpus_program(name)
+        inj = inject_data_movement(prog)
+        buffers, shapes = ir.buffer_table(inj), ir.program_shapes(prog)
+        rs = rules.build_default_ruleset().for_target(target_for(name))
+        for _, s in ir.walk_stmts(inj.body):
+            if isinstance(s, (ir.Store, ir.Evaluate)):
+                g = rules.new_graph()
+                rules.encode_stmt(g, s)
+                rules.seed_facts(g, buffers, shapes)
+                iters = SelectionConfig().iterations
+                assert (_schedule_outcome(run_schedule, g, rs, iters, BUDGET)
+                        == _schedule_outcome(_naive_schedule, g, rs, iters, BUDGET))
+
+    @pytest.mark.parametrize("reads, rules_", [
+        ("its own op", [("wrap", (Bind("x", PNode(("f",), (PVar("y"),))),))]),
+        ("a relation", [("none", (rel("r", PVar("x")),)),
+                        ("fact", (Bind("x", PNode(("a",))),))]),
+        ("a class a union fills", [
+            ("none", (Bind("e", PNode(("g",), (PVar("x"), PVar("x")))),)),
+            ("union", (Bind("x", PNode(("a",))), Bind("y", PNode(("b",)))))]),
+        ("every class", [("fact", (Bind("x", PVar("y")),)),
+                         ("wrap", (Bind("x", PNode(("a",))),))]),
+    ])
+    def test_rule_is_matched_again_after_a_change_it_reads(self, reads, rules_):
+        g = EGraph()
+        a, b = leaf(g, "a"), leaf(g, "b")
+        node(g, "f", a)
+        node(g, "g", a, b)
+        rs = [RuleDef(kind, "axiomatic", query, _action(kind)) for kind, query in rules_]
+        assert (_schedule_outcome(run_schedule, g, rs, 3, BUDGET)
+                == _schedule_outcome(_naive_schedule, g, rs, 3, BUDGET))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graphs(), _rules, st.integers(1, 3))
+    def test_equals_naive_schedule_on_random_rules(self, g, rs, iters):
+        assert (_schedule_outcome(run_schedule, g, rs, iters, 300)
+                == _schedule_outcome(_naive_schedule, g, rs, iters, 300))
+
+    def test_unchanged_rule_is_not_matched_again(self, monkeypatch):
+        calls = []
+
+        def counting(g, query):
+            calls.append(names[id(query)])
+            return ematch(g, query)
+
+        monkeypatch.setattr(egraph, "ematch", counting)
+        g = EGraph()
+        leaf(g, "a")
+        mark = RuleDef("mark", "axiomatic", (Bind("x", PNode(("a",))),),
+                       lambda g_, env: g_.assert_fact("seen", env["x"]))
+        seen = RuleDef("seen", "axiomatic", (rel("seen", PVar("x")),),
+                       lambda g_, env: None)
+        names = {id(mark.query): "mark", id(seen.query): "seen"}
+        rep = run_schedule(g, [mark, seen], iterations=3, node_budget=BUDGET)
+        assert calls == ["mark", "seen"]
+        assert rep.matches == {"axiomatic": 6}
+        calls.clear()
+        leaf(g, "a2")  # no op or relation either rule reads
+        run_schedule(g, [mark, seen], iterations=3, node_budget=BUDGET)
+        assert calls == ["mark", "seen"]  # a new schedule matches afresh
+
+
+class TestGeneratedPlans:
+    def test_deep_query_equals_reference(self):
+        # more nested loops than CPython's 20 statically nested blocks
+        g = EGraph()
+        chain = [leaf(g, "a")]
+        for _ in range(26):
+            chain.append(node(g, "f", chain[-1]))
+        for c in chain[::3]:
+            g.assert_fact("r", c)
+        pat = PVar("x")
+        for _ in range(22):
+            pat = PNode(("f",), (pat,))
+        query = (Bind("e", pat), rel("r", PVar("x")), Guard(_even_sum),
+                 Bind("e", PNode(("f",), (PVar("d"),))), rel("r", PVar("y")))
+        assert "part1(" in egraph._source(Query(query)._layout.structure)
+        hits = ematch(g, query)
+        assert hits == _ref_ematch(g, query) and hits
+        g.union(chain[0], leaf(g, "b"))  # mid-round: stale ids until rebuild
+        g.union(chain[24], chain[25])
+        assert ematch(g, query) == _ref_ematch(g, query)
+
+    def test_constants_stay_out_of_the_source(self):
+        op = ("it's", 'a "q"\nb\\', 1)
+        name, var = 'r"\n', "y'\n"
+        g = EGraph()
+        x = g.add(op)
+        g.assert_fact(name, x, x)
+        query = (Bind("x", PNode(op)), rel(name, PVar("x"), PVar(var)))
+        source = egraph._source(Query(query)._layout.structure)
+        assert "it's" not in source and "\\n" not in source
+        assert ematch(g, query) == _ref_ematch(g, query) == [{"x": x, var: x}]
+
+    def test_code_is_built_on_first_match_and_shared(self, monkeypatch):
+        monkeypatch.setattr(egraph, "_CODE", {})
+        first, second = rules.build_default_ruleset(), rules.build_default_ruleset()
+        assert egraph._CODE == {}
+        g = rules.new_graph()
+        rules.encode_stmt(g, corpus_program("conv1d_k8").body[-1])
+        for rs in (first, second):
+            ematch(g, rs.named("type-of-broadcast").query)
+        assert len(egraph._CODE) == 1
 
 
 def _random_graph(rng):

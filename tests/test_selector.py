@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -430,6 +431,16 @@ class TestSelectionErrors:
                       (Store("o", flat(4), Broadcast(Imm("f32", 0.0), 2)),))
         with pytest.raises(selector.SelectionError):
             select_program(bad, SelectionConfig(target="amx"))
+
+    @pytest.mark.parametrize("budget", [5000, SelectionConfig().node_budget])
+    def test_runaway_rule_ends_on_the_budget(self, budget):
+        # the supporting rules never reach a fixpoint: a hang without a cap
+        t0 = time.perf_counter()
+        _, rep = select_program(corpus_program("conv1d_k8"),
+                                SelectionConfig(target="wmma", node_budget=budget),
+                                ruleset=rules.runaway_ruleset())
+        assert time.perf_counter() - t0 < 10
+        assert [s.outcome for s in rep.statements] == ["failed: budget"] * 3
 
 
 class TestRandomProgramFuzz:
