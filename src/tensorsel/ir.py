@@ -80,8 +80,19 @@ class Expr:
 
 @dataclass(frozen=True)
 class Imm(Expr):
+    """Two immediates are equal when their kinds match and their values are
+    equal with the same sign, so the zeros 0.0 and -0.0, which evaluate
+    differently, differ.  The hash is the dataclass's."""
+
     kind: str
     value: float | int
+
+    def __eq__(self, other):
+        if other.__class__ is not Imm:
+            return NotImplemented
+        v, w = self.value, other.value
+        return self.kind == other.kind and (v is w or v == w and (
+            v != 0 or math.copysign(1.0, v) == math.copysign(1.0, w)))
 
 
 @dataclass(frozen=True)

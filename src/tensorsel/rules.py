@@ -27,9 +27,10 @@ row stride), and k%2 (stride 1).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -335,12 +336,20 @@ def _render_atom(atom):
 
 
 def build_default_ruleset():
+    """A new RuleSet of the default rules.  The rules are built once per
+    process; each set holds fresh copies of them that share their laid-out
+    queries, so changing one set's rules leaves the next set as built."""
+    return RuleSet([replace(r) for r in _default_rules()])
+
+
+@functools.cache
+def _default_rules():
     rs = RuleSet()
     _axiomatic_rules(rs)
     _supporting_rules(rs)
     _application_rules(rs)
     _lowering_rules(rs)
-    return rs
+    return tuple(rs)
 
 
 # -- axioms ------------------------------------------------------------------
@@ -1007,13 +1016,20 @@ class SoundnessReport:
         return self.counterexample is None and not self.guard_unsatisfiable
 
 
+def _uniform_lanes(rng, lanes):
+    """`lanes` draws of `rng.uniform(-1, 1)` as float32.  `uniform(a, b)`
+    is `a + (b - a) * random()`, so one `random()` per lane, scaled in
+    float64, gives the same draws and bits."""
+    return (np.array([rng.random() for _ in range(lanes)]) * 2.0 - 1.0).astype(
+        np.float32)
+
+
 def _fresh_vec(rng, buffers, lanes, kind, prefix="buf"):
     name = f"{prefix}{len(buffers)}"
     if kind == "i32":
         data = np.array([rng.randrange(0, 16) for _ in range(lanes)], np.int64)
     else:
-        raw = np.array([rng.uniform(-1, 1) for _ in range(lanes)], np.float32)
-        data = interp.round_to_kind(raw, kind)
+        data = interp.round_to_kind(_uniform_lanes(rng, lanes), kind)
     buffers[name] = interp.Buffer(kind, "mem", data)
     return ir.Load(name, ir.VecType(kind, lanes),
                    ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), lanes))
@@ -1023,52 +1039,145 @@ def _rand_kind(rng):
     return rng.choice(("i32", "f32", "bf16"))
 
 
+def compare_sides(lhs, rhs, buffers, shapes=()):
+    """Evaluate two expressions, or two programs, once over `buffers` (name
+    -> interp.Buffer) and compare them bit for bit.  The buffers' data may
+    carry one leading trial axis, the same for every buffer: each row is
+    then a trial, evaluated as it would be alone.  `shapes` are the extra
+    shapes two expressions may use.  Returns the first row whose sides
+    differ, with its detail, or None (a call without a trial axis is row
+    0).  Raises what the evaluation raises."""
+    lead = next((b.data.shape[:-1] for b in buffers.values()), ())
+    if isinstance(lhs, ir.Program):
+        out_a = interp.run_program(lhs, buffers)
+        out_b = interp.run_program(rhs, buffers)
+        sides = [(prm.name, out_a[prm.name].data, out_b[prm.name].data)
+                 for prm in lhs.params]
+    else:
+        store = interp.BufferStore()
+        for name, buf in buffers.items():
+            store[name] = interp.Buffer(buf.kind, buf.location, buf.data.copy())
+        env = interp.Env(buffers=store, lead=lead,
+                         shapes=interp.shape_registry(ir.Program(shapes=shapes)))
+        va = interp.eval_expr(lhs, env)
+        vb = interp.eval_expr(rhs, env)
+        if va.kind != vb.kind or va.lanes != vb.lanes:
+            return 0, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
+        sides = [("value", va.data, vb.data)]
+    rows = lead[0] if lead else 1
+    first = None
+    for label, a, b in sides:  # a trial's first differing side is reported
+        a = np.broadcast_to(a, (rows,) + a.shape[-1:])
+        b = np.broadcast_to(b, (rows,) + b.shape[-1:])
+        if a.dtype == b.dtype:
+            bits = f"u{a.dtype.itemsize}"
+            differs = (a.view(bits) != b.view(bits)).any(axis=-1)
+        else:
+            differs = [x.tobytes() != y.tobytes() for x, y in zip(a, b)]
+        hit = np.flatnonzero(differs)
+        if hit.size and (first is None or hit[0] < first[0]):
+            t = int(hit[0])
+            lane = interp.first_differing_lane(a[t], b[t])
+            first = t, (label, lane, a[t][lane], b[t][lane])
+    return first
+
+
 def _run_instance(inst):
-    if isinstance(inst.lhs, ir.Program):
-        out_a = interp.run_program(inst.lhs, inst.buffers)
-        out_b = interp.run_program(inst.rhs, inst.buffers)
-        for prm in inst.lhs.params:
-            a, b = out_a[prm.name], out_b[prm.name]
-            if a.data.tobytes() != b.data.tobytes():
-                lane = interp.first_differing_lane(a.data, b.data)
-                return False, (prm.name, lane, a.data[lane], b.data[lane])
-        return True, None
-    store = interp.BufferStore()
-    for name, buf in inst.buffers.items():
-        store[name] = interp.Buffer(buf.kind, buf.location, buf.data.copy())
-    env = interp.Env(buffers=store, shapes=interp.shape_registry(inst))
-    va = interp.eval_expr(inst.lhs, env)
-    vb = interp.eval_expr(inst.rhs, env)
-    if va.kind != vb.kind or va.lanes != vb.lanes:
-        return False, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
-    if va.data.tobytes() != vb.data.tobytes():
-        lane = interp.first_differing_lane(va.data, vb.data)
-        return False, ("value", lane, va.data[lane], vb.data[lane])
-    return True, None
+    """(ok, detail) of one instance, evaluated alone."""
+    hit = compare_sides(inst.lhs, inst.rhs, inst.buffers, inst.shapes)
+    return (True, None) if hit is None else (False, hit[1])
+
+
+def _structure(inst):
+    """Instances of equal structure evaluate as one batch: equal sides and
+    shapes, and buffers of equal names, kinds, locations, dtypes and shapes."""
+    return (inst.lhs, inst.rhs, inst.shapes, tuple(
+        (name, b.kind, b.location, b.data.dtype, b.data.shape)
+        for name, b in inst.buffers.items()))
+
+
+def _check_group(inst, members):
+    """The first of `members`, (index, buffers) pairs in draw order that
+    share the structure of `inst`, that differs or raises: (index,
+    (instance, detail)) or (index, exception); None if none does.  Several
+    members run as one batch; a batch that raises is replayed member by
+    member."""
+    def member(buffers):
+        if buffers is inst.buffers:
+            return inst
+        return FuzzInstance(inst.lhs, inst.rhs, buffers, inst.shapes)
+
+    if len(members) > 1:
+        stacked = {name: interp.Buffer(b.kind, b.location, np.stack(
+            [bufs[name].data for _, bufs in members])) for name, b in inst.buffers.items()}
+        try:
+            hit = compare_sides(inst.lhs, inst.rhs, stacked, inst.shapes)
+        except Exception:  # the replay finds the trial that raises
+            pass
+        else:
+            if hit is None:
+                return None
+            index, buffers = members[hit[0]]
+            return index, (member(buffers), hit[1])
+    for index, buffers in members:
+        one = member(buffers)
+        try:
+            ok, detail = _run_instance(one)
+        except Exception as e:  # raised unless an earlier instance fails
+            return index, e
+        if not ok:
+            return index, (one, detail)
+    return None
 
 
 def check_rule_soundness(rule, trials=500, seed=0):
     """Interpreter-equivalence fuzzing for one semantic rule: `trials`
     random guard-satisfying instances, both sides evaluated and compared
-    bit for bit."""
+    bit for bit.
+
+    The instances are drawn first, then grouped by `_structure`, and each
+    group of several is evaluated once, its buffers stacked along a leading
+    trial axis (`compare_sides`).  A batch that raises is replayed trial by
+    trial.  The report, or the exception raised, is that of checking the
+    instances one by one in draw order: the first trial that differs or
+    raises decides, and `checked` counts the instances up to it.  When the
+    generator raises, the instances drawn before it are checked first."""
     report = SoundnessReport(rule=rule.name, trials=trials)
     if not rule.semantic:
         return report
     assert rule.fuzz is not None, f"semantic rule {rule.name} lacks a generator"
     rng = random.Random(f"soundness:{seed}:{rule.name}")
-    misses = 0
+    # structure -> (its first instance, [(index, buffers), ...]), where an
+    # instance's index counts the instances drawn before it
+    groups = {}
+    drawn, error = 0, None
     for _ in range(trials):
-        inst = rule.fuzz(rng)
-        if inst is None:
-            misses += 1
-            continue
-        report.checked += 1
-        ok, detail = _run_instance(inst)
-        if not ok:
-            report.counterexample = (inst, detail)
-            return report
-    if misses == trials:
-        report.guard_unsatisfiable = True
+        try:
+            inst = rule.fuzz(rng)
+        except Exception as e:  # raised unless an earlier instance fails
+            error = e
+            break
+        if inst is not None:
+            groups.setdefault(_structure(inst), (inst, []))[1].append((drawn, inst.buffers))
+            drawn += 1
+    first = None
+    for inst, members in groups.values():  # in the order of their first instances
+        if first is not None:
+            members = [m for m in members if m[0] < first[0]]
+            if not members:
+                break
+        first = _check_group(inst, members) or first
+    if first is not None:
+        index, outcome = first
+        if isinstance(outcome, Exception):
+            raise outcome
+        report.checked = index + 1
+        report.counterexample = outcome
+        return report
+    if error is not None:
+        raise error
+    report.checked = drawn
+    report.guard_unsatisfiable = drawn == 0
     return report
 
 
@@ -1360,12 +1469,8 @@ def _store_programs(rng, target, flat):
 def _fz_store(target, flat):
     def gen(rng):
         lhs, rhs, params = _store_programs(rng, target, flat)
-        buffers = {}
-        rng2 = rng
-        for prm in params:
-            raw = np.array([rng2.uniform(-1, 1) for _ in range(prm.length)],
-                           np.float32)
-            buffers[prm.name] = interp.Buffer("f32", "mem", raw)
+        buffers = {prm.name: interp.Buffer("f32", "mem", _uniform_lanes(rng, prm.length))
+                   for prm in params}
         return FuzzInstance(lhs, rhs, buffers)
     return gen
 
@@ -1395,12 +1500,8 @@ def _fz_stage(target, loader, b_shape=False):
                 ir.Var("src"), zero, ir.Imm("i32", cols), ir.Imm("i32", rows),
                 ir.Imm("i32", cols)))),
             read_back), shapes)
-        buffers = {}
-        for prm in params:
-            raw = np.array([rng.uniform(-1, 1) for _ in range(prm.length)],
-                           np.float32)
-            buffers[prm.name] = interp.Buffer(kind, "mem",
-                                              interp.round_to_kind(raw, kind))
+        buffers = {prm.name: interp.Buffer(kind, "mem", interp.round_to_kind(
+            _uniform_lanes(rng, prm.length), kind)) for prm in params}
         return FuzzInstance(lhs, rhs, buffers)
     return gen
 

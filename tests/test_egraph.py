@@ -759,13 +759,19 @@ class TestGeneratedPlans:
 
     def test_code_is_built_on_first_match_and_shared(self, monkeypatch):
         monkeypatch.setattr(egraph, "_CODE", {})
+        binds = []
+        bind = egraph._bind
+        monkeypatch.setattr(egraph, "_bind", lambda layout: binds.append(layout) or bind(layout))
+        rules._default_rules.cache_clear()  # rules built afresh, no plan bound yet
         first, second = rules.build_default_ruleset(), rules.build_default_ruleset()
+        for a, b in zip(first, second):
+            assert a.query is b.query and a is not b
         assert egraph._CODE == {}
         g = rules.new_graph()
         rules.encode_stmt(g, corpus_program("conv1d_k8").body[-1])
         for rs in (first, second):
             ematch(g, rs.named("type-of-broadcast").query)
-        assert len(egraph._CODE) == 1
+        assert len(egraph._CODE) == 1 and len(binds) == 1
 
 
 def _random_graph(rng):

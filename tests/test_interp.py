@@ -293,6 +293,19 @@ class TestEvalExpr:
         env.bindings["i"] = 1
         assert list(interp.eval_expr(ev, env).data) == [3, 4]
 
+    def test_exprvar_cache_keeps_signed_zeros_apart(self):
+        # -0.0 + -0.0 is -0.0, but -0.0 + 0.0 is +0.0
+        a = Load("a", VecType("f32", 1), flat(1))
+
+        def sum_with(zero, env):
+            return interp.eval_expr(ir.ExprVar(Bop("+", a, Imm("f32", zero))), env)
+
+        env = env_with(a=("f32", [-0.0]))
+        assert sum_with(-0.0, env).data.tobytes() == np.float32([-0.0]).tobytes()
+        fresh = sum_with(0.0, env_with(a=("f32", [-0.0])))
+        assert fresh.data.tobytes() == np.float32([0.0]).tobytes()
+        assert sum_with(0.0, env).data.tobytes() == fresh.data.tobytes()
+
 
 class TestIntrinsics:
     def test_tile_matmul_smallest(self):

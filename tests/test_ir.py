@@ -79,6 +79,17 @@ class TestTypes:
         with pytest.raises(ir.UnknownBuffer):
             ir.type_of(e, buffers={})
 
+    def test_signed_zero_immediates_differ(self):
+        assert Imm("f32", 0.0) != Imm("f32", -0.0)
+        assert Bop("+", i32(1), Imm("f32", -0.0)) != Bop("+", i32(1), Imm("f32", 0.0))
+        assert {Imm("f32", -0.0): 1}.get(Imm("f32", 0.0)) is None
+        for a, b in ((Imm("f32", -0.0), Imm("f32", -0.0)), (Imm("f32", 1.5), Imm("f32", 1.5)),
+                     (Imm("i32", 0), Imm("i32", 0)), (Imm("f32", 0), Imm("f32", 0.0))):
+            assert a == b and hash(a) == hash(b)
+        assert Imm("f32", 1.0) != Imm("bf16", 1.0)
+        nan = float("nan")
+        assert Imm("f32", nan) == Imm("f32", nan)  # one value object, as a tuple compares
+
 
 def _flat_load(buf, kind, n):
     return Load(buf, VecType(kind, n), Ramp(i32(0), i32(1), n))

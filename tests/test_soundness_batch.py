@@ -1,0 +1,216 @@
+"""Batched soundness checks: `rules.check_rule_soundness` evaluates each
+group of same-structure instances once, along a leading trial axis, and
+must report, or raise, exactly what checking the instances one by one in
+draw order gives."""
+
+import random
+
+import numpy as np
+import pytest
+
+from tensorsel import interp, ir, rules
+from tensorsel.egraph import RuleDef
+from tensorsel.ir import Bop, Imm, Load, Ramp, VecType
+
+
+def run_alone(inst):
+    """One instance evaluated on its own and compared bit for bit."""
+    if isinstance(inst.lhs, ir.Program):
+        out_a = interp.run_program(inst.lhs, inst.buffers)
+        out_b = interp.run_program(inst.rhs, inst.buffers)
+        for prm in inst.lhs.params:
+            a, b = out_a[prm.name].data, out_b[prm.name].data
+            if a.tobytes() != b.tobytes():
+                lane = interp.first_differing_lane(a, b)
+                return False, (prm.name, lane, a[lane], b[lane])
+        return True, None
+    store = interp.BufferStore()
+    for name, buf in inst.buffers.items():
+        store[name] = interp.Buffer(buf.kind, buf.location, buf.data.copy())
+    env = interp.Env(buffers=store, shapes=interp.shape_registry(inst))
+    va, vb = interp.eval_expr(inst.lhs, env), interp.eval_expr(inst.rhs, env)
+    if va.kind != vb.kind or va.lanes != vb.lanes:
+        return False, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
+    if va.data.tobytes() != vb.data.tobytes():
+        lane = interp.first_differing_lane(va.data, vb.data)
+        return False, ("value", lane, va.data[lane], vb.data[lane])
+    return True, None
+
+
+def reference(rule, trials, seed):
+    """The per-trial loop: draw, check, stop at the first difference."""
+    rep = rules.SoundnessReport(rule=rule.name, trials=trials)
+    rng = random.Random(f"soundness:{seed}:{rule.name}")
+    misses = 0
+    for _ in range(trials):
+        inst = rule.fuzz(rng)
+        if inst is None:
+            misses += 1
+            continue
+        rep.checked += 1
+        ok, detail = run_alone(inst)
+        if not ok:
+            rep.counterexample = (inst, detail)
+            return rep
+    rep.guard_unsatisfiable = misses == trials
+    return rep
+
+
+def summary(rep):
+    """What a report says: the count, the failing instance (its sides,
+    shapes and buffer bytes), the detail with its value types, and the flag."""
+    ce = None
+    if rep.counterexample is not None:
+        inst, detail = rep.counterexample
+        bufs = tuple((n, b.kind, b.location, b.data.dtype.str, b.data.tobytes())
+                     for n, b in inst.buffers.items())
+        ce = (inst.lhs, inst.rhs, inst.shapes, bufs, repr(detail),
+              [type(x) for x in detail])
+    return rep.checked, ce, rep.guard_unsatisfiable
+
+
+def outcome(check, rule, trials, seed=0):
+    try:
+        return summary(check(rule, trials, seed))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def fixture_rule(gen):
+    return RuleDef(name="fixture", category="axiomatic", query=(),
+                   action=lambda g, env: None, fuzz=gen)
+
+
+def i32_vec(buffers, values):
+    name = f"buf{len(buffers)}"
+    buffers[name] = interp.Buffer("i32", "mem", np.array(values, np.int64))
+    n = len(values)
+    return Load(name, VecType("i32", n), Ramp(Imm("i32", 0), Imm("i32", 1), n))
+
+
+def counted(make):
+    """A generator that hands `make(rng, t)` its trial number `t`."""
+    trial = [0]
+
+    def gen(rng):
+        trial[0] += 1
+        return make(rng, trial[0] - 1)
+    return gen
+
+
+def square(big_at=(), wrong_at=()):
+    """One structure, a*a against a*a (a+1 at `wrong_at` trials); `a`
+    holds 2^20 at `big_at` trials, so squaring it leaves i32 there."""
+    def make(rng, t):
+        buffers = {}
+        a = i32_vec(buffers, [2**20 if t in big_at else rng.randrange(0, 16), 3])
+        rhs = Bop("*", a, Bop("+", a, Imm("i32", 1)) if t in wrong_at else a)
+        return rules.FuzzInstance(Bop("*", a, a), rhs, buffers)
+    return make
+
+
+def gather(oob_at=(), wrong_at=()):
+    """A load whose index is data, past the end of its 4 lanes at `oob_at`."""
+    def make(rng, t):
+        buffers = {}
+        data = i32_vec(buffers, [rng.randrange(0, 16) for _ in range(4)])
+        idx = i32_vec(buffers, [9 if t in oob_at else rng.randrange(0, 4), 1])
+        lhs = Load(data.buffer, VecType("i32", 2), idx)
+        rhs = Load(data.buffer, VecType("i32", 2),
+                   Bop("+", idx, Imm("i32", 1)) if t in wrong_at else idx)
+        return rules.FuzzInstance(lhs, rhs, buffers)
+    return make
+
+
+def both(gen_factory, trials=12):
+    """The batched and the per-trial outcome over fresh generators."""
+    return (outcome(rules.check_rule_soundness, fixture_rule(gen_factory()), trials),
+            outcome(reference, fixture_rule(gen_factory()), trials))
+
+
+class TestMatchesPerTrialLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_semantic_rule(self, default_ruleset, seed):
+        for rule in default_ruleset:
+            if rule.semantic:
+                for trials in (1, 60):
+                    got = outcome(rules.check_rule_soundness, rule, trials, seed)
+                    assert got == outcome(reference, rule, trials, seed), (rule.name, trials)
+                    assert got[0] == trials and got[1:] == (None, False), rule.name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_corrupted_ramp_rule(self, seed):
+        bad = rules.corrupted_ramp_rule()
+        got = outcome(rules.check_rule_soundness, bad, 200, seed)
+        assert got == outcome(reference, bad, 200, seed)
+        assert got[1] is not None
+
+    @pytest.mark.parametrize("make", [
+        square(big_at={5}),
+        square(big_at={5}, wrong_at={8}),
+        square(big_at={5}, wrong_at={3}),
+        gather(oob_at={4, 7}),
+        gather(oob_at={7}, wrong_at={2, 9}),
+        gather(oob_at={2}, wrong_at={9}),
+    ], ids=["overflow", "overflow-then-wrong", "wrong-then-overflow",
+            "out-of-bounds", "wrong-then-oob", "oob-then-wrong"])
+    def test_a_trial_that_raises(self, make):
+        got, want = both(lambda: counted(make))
+        assert got == want
+        assert isinstance(got[0], int) or issubclass(got[0], interp.EvalError)
+
+    @pytest.mark.parametrize("raise_at, wrong_at", [(6, 5), (4, 5)])
+    def test_trials_of_two_groups_interleaved(self, raise_at, wrong_at):
+        evens, odds = square(big_at={raise_at}), gather(wrong_at={wrong_at})
+        got, want = both(lambda: counted(
+            lambda rng, t: (odds if t % 2 else evens)(rng, t)), 20)
+        assert got == want
+        assert (got[0] == wrong_at + 1) == (wrong_at < raise_at)
+
+    def test_none_mixed_in(self):
+        make = square(wrong_at={7})
+        got, want = both(lambda: counted(
+            lambda rng, t: None if rng.random() < 0.4 else make(rng, t)), 30)
+        assert got == want and got[1] is not None
+        assert both(lambda: (lambda rng: None), 5) == (((0, None, True),) * 2)
+
+    def test_generator_raising_after_a_failure(self):
+        make = square(wrong_at={4})
+
+        def broken(rng, t):
+            if t == 6:
+                raise ValueError("generator broke")
+            return make(rng, t)
+        got, want = both(lambda: counted(broken))
+        assert got == want and got[0] == 5
+        # with no failure before it, the generator's error is raised
+        got, want = both(lambda: (lambda rng: 1 / 0))
+        assert got == want == (ZeroDivisionError, "division by zero")
+
+
+def test_signed_zero_instances_never_share_a_batch():
+    zero, neg = Imm("f32", 0.0), Imm("f32", -0.0)
+    insts = [rules.FuzzInstance(neg, neg), rules.FuzzInstance(zero, neg)]
+    assert rules._structure(insts[0]) != rules._structure(insts[1])
+    it = iter(insts)
+    rep = rules.check_rule_soundness(fixture_rule(lambda rng: next(it)), 2)
+    assert rep.checked == 2 and rep.counterexample[0] is insts[1]
+
+
+@pytest.mark.parametrize("kind", ["i32", "f32", "bf16", "f16"])
+def test_fresh_vec_draws_as_uniform_does(kind):
+    """The float lanes are `rng.uniform(-1, 1)` draws, bit for bit, and the
+    stream goes on where it would."""
+    for seed in range(5):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for lanes in (1, 3, 17):
+            buffers = {}
+            rules._fresh_vec(got_rng, buffers, lanes, kind)
+            if kind == "i32":
+                want = np.array([want_rng.randrange(0, 16) for _ in range(lanes)], np.int64)
+            else:
+                want = interp.round_to_kind(np.array(
+                    [want_rng.uniform(-1, 1) for _ in range(lanes)], np.float32), kind)
+            data = buffers["buf0"].data
+            assert data.dtype == want.dtype and data.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
