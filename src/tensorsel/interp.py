@@ -12,6 +12,8 @@ trial axis runs every trial at once, and each row equals the run of that
 trial alone.  Control flow and addresses built from loop variables and
 immediates are shared by the trials and stay 1-D; an address read from
 data (an i32 buffer) has the leading axes too and is applied per trial.
+`compare_sides` evaluates two expressions or two programs over such
+buffers and names the first trial and lane where they differ.
 
 Every i32 value is range-checked.  Where the value is a Python int the
 check runs on the int, before any array is built: an immediate, a loop
@@ -574,6 +576,48 @@ def _exec_stmts(body, env, path):
                 err.stmt_path = sp
                 err.args = (f"{sp}: {err.args[0]}",) if err.args else (sp,)
             raise
+
+
+def compare_sides(lhs, rhs, buffers, shapes=()):
+    """Evaluate two expressions, or two programs, once over `buffers`
+    (name -> Buffer) and compare them bit for bit.  The buffers' data may
+    carry one leading trial axis, the same for every buffer: each row is
+    then a trial, evaluated as it would be alone.  `shapes` are the extra
+    shapes two expressions may use.  Returns the first row whose sides
+    differ, with its detail, or None (a call without a trial axis is row
+    0).  Raises what the evaluation raises."""
+    lead = next((b.data.shape[:-1] for b in buffers.values()), ())
+    if isinstance(lhs, ir.Program):
+        out_a = run_program(lhs, buffers)
+        out_b = run_program(rhs, buffers)
+        sides = [(prm.name, out_a[prm.name].data, out_b[prm.name].data)
+                 for prm in lhs.params]
+    else:
+        store = BufferStore()
+        for name, buf in buffers.items():
+            store[name] = Buffer(buf.kind, buf.location, buf.data.copy())
+        env = Env(buffers=store, lead=lead, shapes=_shape_registry(tuple(shapes)))
+        va = eval_expr(lhs, env)
+        vb = eval_expr(rhs, env)
+        if va.kind != vb.kind or va.lanes != vb.lanes:
+            return 0, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
+        sides = [("value", va.data, vb.data)]
+    rows = lead[0] if lead else 1
+    first = None
+    for label, a, b in sides:  # a trial's first differing side is reported
+        a = np.broadcast_to(a, (rows,) + a.shape[-1:])
+        b = np.broadcast_to(b, (rows,) + b.shape[-1:])
+        if a.dtype == b.dtype:
+            bits = f"u{a.dtype.itemsize}"
+            differs = (a.view(bits) != b.view(bits)).any(axis=-1)
+        else:
+            differs = [x.tobytes() != y.tobytes() for x, y in zip(a, b)]
+        hit = np.flatnonzero(differs)
+        if hit.size and (first is None or hit[0] < first[0]):
+            t = int(hit[0])
+            lane = first_differing_lane(a[t], b[t])
+            first = t, (label, lane, a[t][lane], b[t][lane])
+    return first
 
 
 def random_inputs(p, seed):

@@ -82,7 +82,8 @@ class Expr:
 class Imm(Expr):
     """Two immediates are equal when their kinds match and their values are
     equal with the same sign, so the zeros 0.0 and -0.0, which evaluate
-    differently, differ.  The hash is the dataclass's."""
+    differently, differ.  The hash stays the dataclass's: equal immediates
+    hash alike, and the two zeros merely collide."""
 
     kind: str
     value: float | int

@@ -1039,52 +1039,9 @@ def _rand_kind(rng):
     return rng.choice(("i32", "f32", "bf16"))
 
 
-def compare_sides(lhs, rhs, buffers, shapes=()):
-    """Evaluate two expressions, or two programs, once over `buffers` (name
-    -> interp.Buffer) and compare them bit for bit.  The buffers' data may
-    carry one leading trial axis, the same for every buffer: each row is
-    then a trial, evaluated as it would be alone.  `shapes` are the extra
-    shapes two expressions may use.  Returns the first row whose sides
-    differ, with its detail, or None (a call without a trial axis is row
-    0).  Raises what the evaluation raises."""
-    lead = next((b.data.shape[:-1] for b in buffers.values()), ())
-    if isinstance(lhs, ir.Program):
-        out_a = interp.run_program(lhs, buffers)
-        out_b = interp.run_program(rhs, buffers)
-        sides = [(prm.name, out_a[prm.name].data, out_b[prm.name].data)
-                 for prm in lhs.params]
-    else:
-        store = interp.BufferStore()
-        for name, buf in buffers.items():
-            store[name] = interp.Buffer(buf.kind, buf.location, buf.data.copy())
-        env = interp.Env(buffers=store, lead=lead,
-                         shapes=interp.shape_registry(ir.Program(shapes=shapes)))
-        va = interp.eval_expr(lhs, env)
-        vb = interp.eval_expr(rhs, env)
-        if va.kind != vb.kind or va.lanes != vb.lanes:
-            return 0, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
-        sides = [("value", va.data, vb.data)]
-    rows = lead[0] if lead else 1
-    first = None
-    for label, a, b in sides:  # a trial's first differing side is reported
-        a = np.broadcast_to(a, (rows,) + a.shape[-1:])
-        b = np.broadcast_to(b, (rows,) + b.shape[-1:])
-        if a.dtype == b.dtype:
-            bits = f"u{a.dtype.itemsize}"
-            differs = (a.view(bits) != b.view(bits)).any(axis=-1)
-        else:
-            differs = [x.tobytes() != y.tobytes() for x, y in zip(a, b)]
-        hit = np.flatnonzero(differs)
-        if hit.size and (first is None or hit[0] < first[0]):
-            t = int(hit[0])
-            lane = interp.first_differing_lane(a[t], b[t])
-            first = t, (label, lane, a[t][lane], b[t][lane])
-    return first
-
-
 def _run_instance(inst):
     """(ok, detail) of one instance, evaluated alone."""
-    hit = compare_sides(inst.lhs, inst.rhs, inst.buffers, inst.shapes)
+    hit = interp.compare_sides(inst.lhs, inst.rhs, inst.buffers, inst.shapes)
     return (True, None) if hit is None else (False, hit[1])
 
 
@@ -1111,7 +1068,7 @@ def _check_group(inst, members):
         stacked = {name: interp.Buffer(b.kind, b.location, np.stack(
             [bufs[name].data for _, bufs in members])) for name, b in inst.buffers.items()}
         try:
-            hit = compare_sides(inst.lhs, inst.rhs, stacked, inst.shapes)
+            hit = interp.compare_sides(inst.lhs, inst.rhs, stacked, inst.shapes)
         except Exception:  # the replay finds the trial that raises
             pass
         else:
@@ -1136,12 +1093,13 @@ def check_rule_soundness(rule, trials=500, seed=0):
     bit for bit.
 
     The instances are drawn first, then grouped by `_structure`, and each
-    group of several is evaluated once, its buffers stacked along a leading
-    trial axis (`compare_sides`).  A batch that raises is replayed trial by
-    trial.  The report, or the exception raised, is that of checking the
-    instances one by one in draw order: the first trial that differs or
-    raises decides, and `checked` counts the instances up to it.  When the
-    generator raises, the instances drawn before it are checked first."""
+    group of several is evaluated once by `interp.compare_sides`, its
+    buffers stacked along a leading trial axis.  A batch that raises is
+    replayed trial by trial.  The report, or the exception raised, is that
+    of checking the instances one by one in draw order: the first trial
+    that differs or raises decides, and `checked` counts the instances up
+    to it.  When the generator raises, the instances drawn before it are
+    checked first."""
     report = SoundnessReport(rule=rule.name, trials=trials)
     if not rule.semantic:
         return report
