@@ -7,24 +7,35 @@ class ids; facts are canonicalized on rebuild.  A fact index files each
 tuple under the root of its first argument and relation; `union` moves the
 losing root's tuples to the winner at once, so a relation atom whose first
 term is already bound is a hash lookup, even between a union and the next
-rebuild.  `rebuild` returns at once when no union happened since the last
-one: `add` and `assert_fact` canonicalize their arguments, so a graph
-without unions is already congruence-closed.  Each class also keeps its
-nodes of fewer than two children in `class_nodes` order, so constant,
-name and type reads never sort.
+rebuild.
+
+As in egg (Willsey et al., POPL 2021), each class lists its parents, the
+nodes with a child in it, and `union` queues the loser's parents: their
+keys are stale.  `rebuild` pops them one by one, moves each to its
+canonical key and merges the classes of two nodes that then share one,
+which queues more, until none is left; it returns at once when no union
+happened since the last one.  Hashcons keys, `class_nodes` and the small
+nodes stay as they were until then, so an `add` between a union and the
+rebuild still misses a stale key.  Each class also keeps its nodes of
+fewer than two children in `class_nodes` order, so constant, name and type
+reads never sort.
 
 E-matching runs join plans, as in relational e-matching (Zhang et al.,
-POPL 2022).  A `Query` lays its atoms out as steps over numbered variable
-slots when it is made: each `PNode` an e-node step (class slot, op, arity,
-child slots), each `Rel` a fact step that reads the fact index when its
-first slot is bound, and whether a slot is already bound is settled then.
-On its first `ematch` the layout becomes one generated Python function
-of nested `for` loops over local slot variables, checking bound slots
-with `==` and binding free ones by assignment.  Ops, relation names and
-guard functions are passed to it as constants, never written into its
-source, so the compiled code is cached per process by the layout's
-structure and shared by every query of that shape.  Classes, nodes and
-tuples are iterated unsorted and `ematch` orders its result once.
+POPL 2022), over a view that `union` keeps canonical: per root and op,
+the canonical child tuples of the class's nodes, and per op the roots
+with a node of it.  `union` merges the loser's view into the winner's and
+re-keys the loser's parents in their owners' views.  A `Query` lays its
+atoms out as steps over numbered variable slots when it is made: each
+`PNode` an e-node step (class slot, op, arity, child slots), each `Rel` a
+fact step that reads the fact index when its first slot is bound, and
+whether a slot is already bound is settled then.  On its first `ematch`
+the layout becomes one generated Python function of nested `for` loops
+over local slot variables, checking bound slots with `==` and binding
+free ones by assignment.  Ops, relation names and guard functions are
+passed to it as constants, never written into its source, so the
+compiled code is cached per process by the layout's structure and shared
+by every query of that shape.  Classes, nodes and tuples are iterated
+unsorted and `ematch` orders its result once.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
 guards) with an imperative action that may construct terms, union classes,
@@ -32,9 +43,10 @@ and assert facts.  The schedule runs supporting rules to fixpoint, then one
 sequential round of axiomatic, application, and lowering rules, then
 rebuilds — for a fixed number of iterations.  The graph stamps each change
 with its version: per op a new node was added with, per relation that
-gained a fact, and per union.  As in egglog (Zhang et al., PLDI 2023), at
-the granularity of whole rules, the schedule matches a rule again only
-when something its query reads changed since its last run.
+gained a fact, per union, and per class a union merged.  As in egglog
+(Zhang et al., PLDI 2023), the schedule matches a rule again only when
+something its query reads changed since its last run, and calls its
+action only on a match that is new or binds a class merged since.
 """
 from __future__ import annotations
 
@@ -119,16 +131,21 @@ class RuleDef:
 class EGraph:
     def __init__(self, on_add=None):
         self._parent = []
-        self._hashcons = {}
-        self._class_nodes = {}  # root -> dict[node -> None]
+        self._keys = []  # node id (its class when added) -> key, None once a twin replaced it
+        self._hashcons = {}  # node key -> node id
+        self._class_nodes = {}  # root -> dict[node key -> None]
         self._small = {}  # root -> its nodes of < 2 children, class_nodes order
-        self._op_index = {}  # op -> set of roots (refreshed on rebuild)
+        self._view = {}  # root -> op -> dict[canonical children -> None]
+        self._op_index = {}  # op -> set of roots with a node of op
+        self._parents = {}  # root -> ids of the nodes with a child in the class
+        self._dirty = []  # ids of nodes whose key a union made stale
         self.facts = {}  # relation name -> set of arg tuples
         self._fact_index = {}  # root of first arg -> {relation -> arg tuples}
         self._merged = False  # a union happened since the last rebuild
         self.version = 0  # counts changes: new nodes, new facts, unions
         self._stamps = {}  # op or relation -> version of its last new node or fact
         self._union_stamp = 0  # version of the last union
+        self._merged_at = {}  # root -> version of the last union into it
         self.on_add = on_add
 
     # -- union-find ---------------------------------------------------------
@@ -145,6 +162,11 @@ class EGraph:
             return ra
         if rb < ra:
             ra, rb = rb, ra
+        find, keys, view = self.find, self._keys, self._view
+        moved = self._parents.pop(rb)
+        # the loser's parents in their owners' views, keyed before linking
+        rekey = [(nid, key[0], tuple(map(find, key[1])))
+                 for nid in moved if (key := keys[nid]) is not None]
         self._parent[rb] = ra
         nodes = self._class_nodes.pop(rb, {})
         self._class_nodes.setdefault(ra, {}).update(nodes)
@@ -153,25 +175,46 @@ class EGraph:
             self._small[ra] = sorted(self._small.get(ra, []) + small, key=_node_key)
         for name, tuples in self._fact_index.pop(rb, {}).items():
             self._fact_index.setdefault(ra, {}).setdefault(name, set()).update(tuples)
+        into = view[ra]
+        for op, kids in view.pop(rb).items():
+            if op in into:
+                into[op].update(kids)
+            else:
+                into[op] = kids
+            roots = self._op_index[op]
+            roots.discard(rb)
+            roots.add(ra)
+        for nid, op, old in rekey:
+            kids = view[find(nid)][op]
+            kids.pop(old, None)
+            kids[tuple(ra if c == rb else c for c in old)] = None
+        self._parents[ra] += moved
+        self._dirty += moved
         self._merged = True
         self.version += 1
-        self._union_stamp = self.version
+        self._union_stamp = self._merged_at[ra] = self.version
         return ra
 
     # -- insertion ----------------------------------------------------------
 
     def add(self, op, children=()):
-        node = (op, tuple(self.find(c) for c in children))
+        kids = tuple(map(self.find, children))
+        node = (op, kids)
         found = self._hashcons.get(node)
         if found is not None:
             return self.find(found)
         cid = len(self._parent)
         self._parent.append(cid)
+        self._keys.append(node)
         self._hashcons[node] = cid
         self._class_nodes[cid] = {node: None}
-        if len(node[1]) < 2:
+        if len(kids) < 2:
             self._small[cid] = [node]
+        self._view[cid] = {op: {kids: None}}
         self._op_index.setdefault(op, set()).add(cid)
+        self._parents[cid] = []
+        for c in dict.fromkeys(kids):
+            self._parents[c].append(cid)
         self.version += 1
         self._stamps[op] = self.version
         if self.on_add:
@@ -197,31 +240,34 @@ class EGraph:
     # -- congruence ---------------------------------------------------------
 
     def rebuild(self):
+        """Restore congruence: give each node a union made stale its
+        canonical key, and merge the classes of two nodes that then share
+        a key, until no stale node is left; then re-sort the small nodes of
+        the classes that changed and canonicalize the facts."""
         if not self._merged:
             return
-        while True:
-            changed = False
-            new_hashcons = {}
-            for node, cid in self._hashcons.items():
-                canon = (node[0], tuple(self.find(c) for c in node[1]))
-                root = self.find(cid)
-                other = new_hashcons.get(canon)
-                if other is not None and self.find(other) != root:
-                    self.union(other, root)
-                    changed = True
-                new_hashcons[canon] = self.find(root)
-            self._hashcons = new_hashcons
-            if not changed:
-                break
-        self._class_nodes = {}
-        self._op_index = {}
-        for node, cid in self._hashcons.items():
-            root = self.find(cid)
-            self._class_nodes.setdefault(root, {})[node] = None
-            self._op_index.setdefault(node[0], set()).add(root)
-        self._small = {}
-        for root, nodes in self._class_nodes.items():
-            small = [n for n in nodes if len(n[1]) < 2]
+        find, keys, hashcons, nodes = self.find, self._keys, self._hashcons, self._class_nodes
+        touched = []
+        while self._dirty:
+            nid = self._dirty.pop()
+            key = keys[nid]
+            if key is None:
+                continue
+            canon = (key[0], tuple(map(find, key[1])))
+            if canon == key:
+                continue
+            owner = find(nid)
+            touched.append(owner)
+            del hashcons[key], nodes[owner][key]
+            other = hashcons.get(canon)
+            if other is None:
+                hashcons[canon], keys[nid] = nid, canon
+                nodes[owner][canon] = None
+            else:  # a congruent node: this one goes, their classes merge
+                keys[nid] = None
+                self.union(other, owner)
+        for root in {find(c) for c in touched}:
+            small = [n for n in nodes[root] if len(n[1]) < 2]
             if small:
                 self._small[root] = sorted(small, key=_node_key)
         self._fact_index = {}
@@ -242,6 +288,14 @@ class EGraph:
         stamps = self._stamps
         for key in query.reads:
             if stamps.get(key, 0) > version:
+                return True
+        return False
+
+    def merged_since(self, roots, version):
+        """Whether a union after `version` merged a class into any of `roots`."""
+        stamps = self._merged_at
+        for c in roots:
+            if stamps.get(c, 0) > version:
                 return True
         return False
 
@@ -469,11 +523,13 @@ def _source(structure):
 
     Each step is one `for` loop (e-node, fact and class steps) or one
     `if` (same-class and guard steps); a failed test continues the
-    innermost loop.  After a union and before the next rebuild
-    (`g._merged`), node children and fact arguments may be stale ids, so
-    they are canonicalized first; otherwise every id in the graph is a
-    root.  A plan deeper than `_LOOPS` loops goes on in a further function
-    that takes the slots bound so far."""
+    innermost loop.  An e-node step loops over the class's canonical child
+    tuples of its op in `g._view`, and a scan over the roots in
+    `g._op_index`, so every id it binds is a root.  After a union and
+    before the next rebuild (`g._merged`), fact arguments may be stale
+    ids, so a fact step canonicalizes them first.  A plan deeper than
+    `_LOOPS` loops goes on in a further function that takes the slots
+    bound so far."""
     steps, n_consts, out = structure
     functions = []
     bound = []
@@ -482,7 +538,7 @@ def _source(structure):
         params = "".join(f", s{k}" for k in bound)
         return [f"    def {name}(g, add{params}):",
                 "        find, merged = g.find, g._merged",
-                "        nodes, ops = g._class_nodes, g._op_index",
+                "        nodes, ops, view = g._class_nodes, g._op_index, g._view",
                 "        facts, index = g.facts, g._fact_index"]
 
     lines = start("part0")
@@ -495,7 +551,6 @@ def _source(structure):
         return "continue" if depth else "return"
 
     def bind(i, binds, checks):
-        emit(f"if merged: ids{i} = [*map(find, ids{i})]")
         for pos, k in binds:
             emit(f"s{k} = ids{i}[{pos}]")
             bound.append(k)
@@ -515,13 +570,14 @@ def _source(structure):
         if kind == "node":
             _, c, scan, op, arity, binds, checks = step
             if scan:
-                emit(f"roots = ops.get(k{op}, ())")
-                emit(f"for s{c} in ({{*map(find, roots)}} if merged else roots):")
+                emit(f"for s{c} in ops.get(k{op}, ()):")
                 bound.append(c)
                 depth += 1
-            emit(f"for o{i}, ids{i} in nodes.get(s{c}, ()):")
+                emit(f"for ids{i} in view[s{c}][k{op}]:")
+            else:
+                emit(f"for ids{i} in view[s{c}].get(k{op}, ()):")
             depth += 1
-            emit(f"if o{i} != k{op} or len(ids{i}) != {arity}: continue")
+            emit(f"if len(ids{i}) != {arity}: continue")
             bind(i, binds, checks)
         elif kind == "fact":
             _, name, lookup, arity, binds, checks = step
@@ -530,6 +586,7 @@ def _source(structure):
             emit(f"for ids{i} in {source}:")
             depth += 1
             emit(f"if len(ids{i}) != {arity}: continue")
+            emit(f"if merged: ids{i} = [*map(find, ids{i})]")
             bind(i, binds, checks)
         elif kind == "class":
             emit(f"for s{step[1]} in nodes:")
@@ -588,9 +645,20 @@ def run_schedule(g, rules, iterations, node_budget):
 
     A rule is matched again only when the graph changed in what its query
     reads since the start of its last run (`EGraph.changed_since`);
-    otherwise its last match count is counted again and its action not
-    called, since an action reads only its matched classes and repeating
-    it with the same matches changes nothing."""
+    otherwise its last match count is counted again.  A rule matched again
+    calls its action only on a match that is new, or binds a class merged
+    since its last run, or comes while a union awaits the rebuild.  An
+    action reads only its matched classes' nodes (and the ints of their
+    children, which a union never changes in a well-typed graph), and
+    its writes are idempotent, so calling it again on an unchanged match
+    changes nothing.  Without a union pending every key and fact is
+    canonical; with one, an `add` of a node built over a class the action
+    itself built may miss its stale key and make a new class, so every
+    action is called then.
+
+    An iteration that leaves the version unchanged is a fixpoint: each
+    later one would count the same matches and change nothing, so they
+    are counted at once and the schedule ends."""
     t0 = time.perf_counter()
     report = SaturationReport()
     supporting = [r for r in rules if r.category == "supporting"]
@@ -607,23 +675,29 @@ def run_schedule(g, rules, iterations, node_budget):
     def apply(rule):
         prev = last.get(id(rule))
         if prev is not None and not g.changed_since(rule.query, prev[0]):
-            n = prev[1]
+            n = len(prev[1])
         else:
             start = g.version
+            since, seen = prev if prev is not None else (start, ())
             matches = ematch(g, rule.query)
             n = len(matches)
+            found = set()
             for env in matches:
-                rule.action(g, env)
+                key = tuple(env.values())
+                found.add(key)
+                if g._merged or key not in seen or g.merged_since(key, since):
+                    rule.action(g, env)
             if g.version != start:
                 report.applications[rule.category] = (
                     report.applications.get(rule.category, 0) + 1)
-            last[id(rule)] = (start, n)
+            last[id(rule)] = (start, found)
             if g.n_classes > node_budget:
                 stop(f"{g.n_classes} classes exceed budget {node_budget}")
         report.matches[rule.category] = report.matches.get(rule.category, 0) + n
 
     for it in range(iterations):
         report.iterations = it + 1
+        start, counted = g.version, dict(report.matches)
         for _ in range(SUPPORTING_ROUNDS):
             before = g.version
             for rule in supporting:
@@ -637,6 +711,11 @@ def run_schedule(g, rules, iterations, node_budget):
             for rule in rounds[cat]:
                 apply(rule)
         g.rebuild()
+        if g.version == start:  # a fixpoint: every later iteration repeats this one
+            for cat, n in report.matches.items():
+                report.matches[cat] = n + (iterations - it - 1) * (n - counted.get(cat, 0))
+            report.iterations = iterations
+            break
     report.n_classes, report.n_nodes = g.n_classes, g.n_nodes
     report.ms = (time.perf_counter() - t0) * 1e3
     return report

@@ -283,6 +283,18 @@ class TestSelect:
         dump = payload["statements"][1]["egraph_dump"]
         assert dump["classes"] and "facts" in dump
 
+    def test_iterations_past_a_fixpoint_are_counted_not_run(self):
+        # every statement reaches a fixpoint within a few iterations
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorsel.cli", "select", corpus("matmul_vnni"),
+             "--target", "amx", "--iters", "1000000000", "--json", "--no-timing",
+             "-o", os.devnull],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 0
+        statements = json.loads(proc.stdout)["statements"]
+        assert [s["egraph"]["iters"] for s in statements] == [1000000000] * 3
+
     def test_missing_output_directory_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "x.sexp"
         assert run_cli("select", corpus("matmul_vnni"), "-o", str(out)) == 2

@@ -416,19 +416,58 @@ class TestRuleConstruction:
         assert replace(rule, name="g").query is rule.query
 
 
+def _full_pass(g):
+    """The state a rebuild of `g` must reach, by an independent full pass:
+    rescan every hashcons key until no two congruent nodes sit in different
+    classes (the smaller id stays the root), then group the nodes, ops and
+    facts by root."""
+    parent = list(g._parent)
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    hashcons, changed = dict(g._hashcons), True
+    while changed:
+        changed, canonical = False, {}
+        for node, cid in hashcons.items():
+            key = (node[0], tuple(map(find, node[1])))
+            other = canonical.get(key)
+            if other is not None and find(other) != find(cid):
+                a, b = sorted((find(other), find(cid)))
+                parent[b] = a
+                changed = True
+            canonical[key] = cid
+        hashcons = canonical
+    roots = {node: find(cid) for node, cid in hashcons.items()}
+    nodes, ops = {}, {}
+    for node, root in roots.items():
+        nodes.setdefault(root, set()).add(node)
+        ops.setdefault(node[0], set()).add(root)
+    small = {root: sorted((n for n in ns if len(n[1]) < 2), key=egraph._node_key)
+             for root, ns in nodes.items()}
+    facts = {name: {tuple(map(find, t)) for t in tuples}
+             for name, tuples in g.facts.items()}
+    index = {}
+    for name, tuples in facts.items():
+        for t in tuples:
+            index.setdefault(t[0], {}).setdefault(name, set()).add(t)
+    return (roots, nodes, ops, facts, index, {r: s for r, s in small.items() if s},
+            [find(i) for i in range(len(parent))])
+
+
 def _state(g):
-    return (list(g._hashcons.items()),
-            [(cid, list(nodes)) for cid, nodes in g._class_nodes.items()],
-            g._op_index, g.facts, g._fact_index, g._small)
+    """`g`'s state in `_full_pass` terms: key -> root, each root's node set,
+    the op index, the facts and their index, the ordered small nodes, and
+    every id's root."""
+    return ({node: g.find(cid) for node, cid in g._hashcons.items()},
+            {root: set(nodes) for root, nodes in g._class_nodes.items()},
+            g._op_index, g.facts, g._fact_index, g._small,
+            [g.find(i) for i in range(len(g._parent))])
 
 
 class TestRebuildSkip:
-    def _forced(self, g):
-        full = copy.deepcopy(g)
-        full._merged = True
-        full.rebuild()
-        return full
-
     def test_skip_after_adds_and_facts_equals_full_pass(self):
         g = EGraph()
         a, b = leaf(g, "a"), leaf(g, "b")
@@ -438,18 +477,18 @@ class TestRebuildSkip:
         c = node(g, "g", a, node(g, "f", b))
         g.assert_fact("r", c, a)
         g.assert_fact("s", b)
-        full = self._forced(g)
-        hashcons = g._hashcons
+        full = _full_pass(g)
+        index = g._fact_index
         g.rebuild()
-        assert g._hashcons is hashcons  # skipped: no union since the last
-        assert _state(g) == _state(full)
+        assert g._fact_index is index  # skipped: no union since the last
+        assert _state(g) == full
 
     @settings(max_examples=100, deadline=None)
     @given(_graphs())
     def test_rebuild_equals_full_pass(self, g):
-        full = self._forced(g)
+        full = _full_pass(g)
         g.rebuild()
-        assert _state(g) == _state(full)
+        assert _state(g) == full
 
 
 def _ref_class_int(g, cid):
@@ -499,32 +538,53 @@ _STEPS = st.lists(st.one_of(
     st.just(("rebuild",))), max_size=40)
 
 
+def _after_each(steps):
+    """Run `steps` on a fresh graph, yielding it after each one."""
+    g = EGraph()
+    ids = [g.add_int(8)]
+
+    def pick(i):
+        return ids[i % len(ids)]
+
+    for step in steps:
+        if step[0] == "leaf":
+            ids.append(g.add(step[1]))
+        elif step[0] == "type":
+            ids.append(g.add(("type", step[1]), (pick(step[2]),)))
+        elif step[0] == "add":
+            ids.append(g.add(("bop", "+"), (pick(step[1]), pick(step[2]))))
+        elif step[0] == "union":
+            g.union(pick(step[1]), pick(step[2]))
+        else:
+            g.rebuild()
+        yield g
+
+
 class TestSmallNodeReaders:
     @settings(max_examples=300, deadline=None)
     @given(_STEPS)
     def test_readers_equal_sorted_scan(self, steps):
-        g = EGraph()
-        ids = [g.add_int(8)]
-
-        def pick(i):
-            return ids[i % len(ids)]
-
-        for step in steps:
-            if step[0] == "leaf":
-                ids.append(g.add(step[1]))
-            elif step[0] == "type":
-                ids.append(g.add(("type", step[1]), (pick(step[2]),)))
-            elif step[0] == "add":
-                ids.append(g.add(("bop", "+"), (pick(step[1]), pick(step[2]))))
-            elif step[0] == "union":
-                g.union(pick(step[1]), pick(step[2]))
-            else:
-                g.rebuild()
+        for g in _after_each(steps):
             for cid in g.class_ids():
                 assert g.class_int(cid) == _ref_class_int(g, cid)
                 assert g.class_imm(cid) == _ref_class_imm(g, cid)
                 assert rules.class_name(g, cid) == _ref_class_name(g, cid)
                 assert rules.class_type(g, cid) == _ref_class_type(g, cid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_STEPS)
+    def test_plan_view_is_canonical_after_every_step(self, steps):
+        # the view the plans read, from each class's nodes with canonical children
+        for g in _after_each(steps):
+            view = {}
+            for root, nodes in g._class_nodes.items():
+                for op, kids in nodes:
+                    view.setdefault(root, {}).setdefault(op, set()).add(
+                        tuple(map(g.find, kids)))
+            assert {root: {op: set(kids) for op, kids in ops.items()}
+                    for root, ops in g._view.items()} == view
+            ops = {op for root in view for op in view[root]}
+            assert g._op_index == {op: {r for r in view if op in view[r]} for op in ops}
 
     def test_type_order_follows_children_canonical_after_rebuild(self):
         g = EGraph()
@@ -657,24 +717,77 @@ _rules = st.lists(st.builds(
     min_size=1, max_size=4)
 
 
+def _statement_graphs(name):
+    """A fresh graph for each statement of corpus program `name`, encoded
+    and seeded as the selector does before saturating it."""
+    prog = corpus_program(name)
+    inj = inject_data_movement(prog)
+    buffers, shapes = ir.buffer_table(inj), ir.program_shapes(prog)
+    for _, s in ir.walk_stmts(inj.body):
+        if isinstance(s, (ir.Store, ir.Evaluate)):
+            g = rules.new_graph()
+            rules.encode_stmt(g, s)
+            rules.seed_facts(g, buffers, shapes)
+            yield g
+
+
 class TestStampedSchedule:
-    """Skipping rule runs whose reads did not change is exact: the schedule
-    equals one that matches every rule on every run."""
+    """Skipping rule runs whose reads did not change, actions that repeat a
+    match, and the iterations after a fixpoint is exact: the schedule equals
+    one that matches every rule and calls every action on every run."""
 
     @pytest.mark.parametrize("name", corpus_names())
     def test_equals_naive_schedule_on_corpus(self, name):
-        prog = corpus_program(name)
-        inj = inject_data_movement(prog)
-        buffers, shapes = ir.buffer_table(inj), ir.program_shapes(prog)
         rs = rules.build_default_ruleset().for_target(target_for(name))
-        for _, s in ir.walk_stmts(inj.body):
-            if isinstance(s, (ir.Store, ir.Evaluate)):
-                g = rules.new_graph()
-                rules.encode_stmt(g, s)
-                rules.seed_facts(g, buffers, shapes)
-                iters = SelectionConfig().iterations
+        for g in _statement_graphs(name):
+            for iters in (SelectionConfig().iterations, 25):  # 25: past every fixpoint
                 assert (_schedule_outcome(run_schedule, g, rs, iters, BUDGET)
                         == _schedule_outcome(_naive_schedule, g, rs, iters, BUDGET))
+
+    def test_equals_naive_schedule_on_a_runaway(self):
+        rs = rules.runaway_ruleset().for_target("wmma")
+        g = next(_statement_graphs("conv1d_k8"))
+        iters = SelectionConfig().iterations
+        stamped = _schedule_outcome(run_schedule, g, rs, iters, 5000)
+        assert stamped[0] == "budget"
+        assert stamped == _schedule_outcome(_naive_schedule, g, rs, iters, 5000)
+
+    def test_action_is_called_again_once_a_union_grew_its_class(self):
+        # `merge` gives a's class the int 3 after `label` first saw it
+        # without one; the match is the same tuple, its class is not
+        def label(g_, env):
+            n = g_.class_int(env["x"])
+            if n is not None:
+                g_.assert_fact("labelled", env["e"], g_.add_int(n))
+
+        g = EGraph()
+        node(g, "f", leaf(g, "a"))
+        g.add_int(3)
+        rs = [RuleDef("label", "axiomatic", (Bind("e", PNode(("f",), (PVar("x"),))),), label),
+              RuleDef("merge", "application",
+                      (Bind("x", PNode(("a",))), Bind("y", PNode(("int", 3)))),
+                      _action("union"))]
+        stamped = _schedule_outcome(run_schedule, g, rs, 3, BUDGET)
+        assert stamped[1]["facts"]["labelled"]
+        assert stamped == _schedule_outcome(_naive_schedule, g, rs, 3, BUDGET)
+
+    def test_action_is_called_again_while_keys_are_stale(self):
+        # `build` nests f(a) in g(.); `merge` then merges f(a)'s class into
+        # the older b, so until the rebuild g(f(a))'s key names a stale id and
+        # `build` called again adds a second g node: not a repeat to skip
+        def build(g_, env):
+            g_.add(("g",), (g_.add(("f",), (env["e"],)),))
+
+        g = EGraph()
+        leaf(g, "a")
+        leaf(g, "b")
+        rs = [RuleDef("merge", "axiomatic",
+                      (Bind("x", PNode(("f",), (PVar("y"),))), Bind("z", PNode(("b",)))),
+                      _action("union")),
+              RuleDef("build", "application", (Bind("e", PNode(("a",))),), build)]
+        stamped = _schedule_outcome(run_schedule, g, rs, 3, BUDGET)
+        assert stamped[0][1] == {"application": 2, "axiomatic": 1}
+        assert stamped == _schedule_outcome(_naive_schedule, g, rs, 3, BUDGET)
 
     @pytest.mark.parametrize("reads, rules_", [
         ("its own op", [("wrap", (Bind("x", PNode(("f",), (PVar("y"),))),))]),
@@ -696,7 +809,7 @@ class TestStampedSchedule:
                 == _schedule_outcome(_naive_schedule, g, rs, 3, BUDGET))
 
     @settings(max_examples=200, deadline=None)
-    @given(_graphs(), _rules, st.integers(1, 3))
+    @given(_graphs(), _rules, st.integers(1, 12))
     def test_equals_naive_schedule_on_random_rules(self, g, rs, iters):
         assert (_schedule_outcome(run_schedule, g, rs, iters, 300)
                 == _schedule_outcome(_naive_schedule, g, rs, iters, 300))
