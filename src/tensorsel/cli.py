@@ -172,14 +172,19 @@ def run_difftest(prog, name, trials, seed, config, ruleset=None):
 
     The seeds run DIFFTEST_CHUNK at a time, as one batched run of each
     program.  A chunk that raises is replayed one seed at a time, so an
-    earlier divergence still wins and an error is the first failing seed's."""
+    earlier divergence still wins and an error is the first failing seed's.
+    Every run, of either program, batched or replayed, shares one
+    `interp.EvalMemo`, so a buffer-free subexpression is evaluated once per
+    loop binding; the memo is dropped on return."""
     result = DiffTestResult(program=name, trials=trials)
     lowered, rep = selector.select_program(prog, config, ruleset=ruleset)
     result.selection_ok = rep.ok
+    memo = interp.EvalMemo()
 
     def run_both(seeds):
         inputs = interp.random_inputs(prog, seeds)
-        return interp.run_program(prog, inputs), interp.run_program(lowered, inputs)
+        return (interp.run_program(prog, inputs, memo=memo),
+                interp.run_program(lowered, inputs, memo=memo))
 
     end = seed + trials
     for start in range(seed, end, DIFFTEST_CHUNK):

@@ -163,6 +163,46 @@ class Env:
     shapes: frozenset = shape_registry(ir.Program())
     lints: list = field(default_factory=list)
     lead: tuple = ()  # the inputs' leading (trial) axes, which allocations take
+    memo: EvalMemo | None = None
+
+
+MEMO_LANES = 1 << 18  # the lanes one EvalMemo stores at most
+
+
+class EvalMemo:
+    """The values of buffer-free subexpressions, kept across the runs that
+    share the memo.  A subexpression is buffer-free when no Load, Call or
+    ExprVar occurs in it: its value depends on the loop bindings alone, so
+    it is keyed by the expression object and `env.bindings`.  Each
+    expression is classified once, when first met, and held, so its id is
+    not reused while the memo lives.  Stored arrays are read-only.  A value
+    that raises is not stored, and storing stops at MEMO_LANES lanes."""
+
+    def __init__(self):
+        self.seen = {}  # id(e) -> (e, whether e is looked up)
+        self.values = {}  # (id(e), bindings) -> VectorValue
+        self.lanes = 0
+
+    def classify(self, e):
+        """The `seen` entry of `e`: looked up if buffer-free.  The parts of
+        a buffer-free expression are evaluated only when it is not found,
+        so those not met before are never looked up."""
+        free = not any(isinstance(x, (ir.Load, ir.Call, ir.ExprVar))
+                       for x in ir.walk_exprs(e))
+        if free:
+            for x in ir.walk_exprs(e):
+                self.seen.setdefault(id(x), (x, False))
+        entry = self.seen[id(e)] = (e, free)
+        return entry
+
+    def looks_up(self, e):
+        return (self.seen.get(id(e)) or self.classify(e))[1]
+
+    def store(self, key, v):
+        if self.lanes + v.data.size <= MEMO_LANES:
+            v.data.flags.writeable = False
+            self.values[key] = v
+            self.lanes += v.data.size
 
 
 def first_differing_lane(a, b):
@@ -235,65 +275,123 @@ def _flat(a):
 
 
 def eval_expr(e, env):
-    if isinstance(e, ir.Imm):
-        if e.kind == "i32":
-            return _i32_scalar(int(e.value))
-        return VectorValue(e.kind, np.array([round_to_kind(e.value, e.kind)], np.float32))
-    if isinstance(e, ir.Var):
-        if e.name not in env.bindings:
-            raise EvalError(f"unbound variable {e.name!r}")
-        return _i32_scalar(env.bindings[e.name])
-    if isinstance(e, ir.Load):
-        idx = eval_expr(e.index, env)
-        return _gather(e.buffer, idx.data, env, e.vtype.kind)
-    if isinstance(e, ir.Cast):
-        v = eval_expr(e.operand, env)
-        return _cast(v, e.vtype.kind)
-    if isinstance(e, ir.Bop):
-        return _bop(e.op, eval_expr(e.lhs, env), eval_expr(e.rhs, env))
-    if isinstance(e, ir.Ramp):
-        base = eval_expr(e.base, env)
-        stride = eval_expr(e.stride, env)
-        b, s = base.data, stride.data
-        if base.kind == "i32" and b.shape == s.shape == (1,) and e.steps > 0:
-            return VectorValue("i32", _scalar_ramp(int(b[0]), int(s[0]), e.steps))
-        steps = np.arange(e.steps).reshape(-1, 1)
-        if b.ndim > 1 or s.ndim > 1:  # per trial: (..., steps, lanes)
-            b, s = b[..., None, :], s[..., None, :]
-        if base.kind == "i32":
-            out = _check_i32(_flat(b + steps * s))
-        else:
-            out = _flat(b + steps.astype(np.float32) * s)
-        return VectorValue(base.kind, out)
-    if isinstance(e, ir.Broadcast):
-        if e.copies < 1:
-            raise EvalError(f"cannot broadcast to {e.copies} copies")
-        v = eval_expr(e.operand, env)
-        # np.tile(data, copies), at a quarter of its time
-        return VectorValue(v.kind, np.concatenate((v.data,) * e.copies, axis=-1))
-    if isinstance(e, ir.VectorReduceAdd):
-        v = eval_expr(e.operand, env)
-        if v.lanes % e.result_lanes:
-            raise EvalError(f"cannot reduce {v.lanes} lanes to {e.result_lanes}")
-        groups = _split(v.data, e.result_lanes, -1)
-        out = _foldl(groups)
-        if v.kind == "i32":
-            _check_i32(out)
-        return VectorValue(v.kind, out)
-    if isinstance(e, ir.LocToLoc):
-        return eval_expr(e.operand, env)
-    if isinstance(e, ir.ExprVar):
-        key = (e.operand, tuple(sorted(
-            (n, env.bindings[n]) for n in ir.free_vars(e.operand) if n in env.bindings)))
-        if key not in env.exprvar_cache:
-            env.exprvar_cache[key] = eval_expr(e.operand, env)
-        return env.exprvar_cache[key]
-    if isinstance(e, ir.Shuffle):
-        src = eval_expr(e.source, env)
-        return VectorValue(src.kind, layout.gather(src.data, e.indices))
-    if isinstance(e, ir.Call):
-        return eval_intrinsic(e.name, e.args, env)
+    """The value of `e` in `env`.  With a memo, a buffer-free `e` is looked
+    up first; the evaluators call back through this function for every
+    subexpression."""
+    memo = env.memo
+    if memo is not None:
+        seen = memo.seen.get(id(e)) or memo.classify(e)
+        if seen[1]:
+            key = (id(e), tuple(env.bindings.items()))
+            v = memo.values.get(key)
+            if v is None:
+                v = _EVAL.get(type(e), _cannot_evaluate)(e, env)
+                memo.store(key, v)
+            return v
+    return _EVAL.get(type(e), _cannot_evaluate)(e, env)
+
+
+def _cannot_evaluate(e, env):
     raise EvalError(f"cannot evaluate {e!r}")
+
+
+def _eval_imm(e, env):
+    if e.kind == "i32":
+        return _i32_scalar(int(e.value))
+    return VectorValue(e.kind, np.array([round_to_kind(e.value, e.kind)], np.float32))
+
+
+def _eval_var(e, env):
+    if e.name not in env.bindings:
+        raise EvalError(f"unbound variable {e.name!r}")
+    return _i32_scalar(env.bindings[e.name])
+
+
+def _eval_load(e, env):
+    idx = eval_expr(e.index, env)
+    return _gather(e.buffer, idx.data, env, e.vtype.kind)
+
+
+def _eval_cast(e, env):
+    return _cast(eval_expr(e.operand, env), e.vtype.kind)
+
+
+def _eval_bop(e, env):
+    return _bop(e.op, eval_expr(e.lhs, env), eval_expr(e.rhs, env))
+
+
+def _eval_ramp(e, env):
+    base = eval_expr(e.base, env)
+    stride = eval_expr(e.stride, env)
+    b, s = base.data, stride.data
+    if base.kind == "i32" and b.shape == s.shape == (1,) and e.steps > 0:
+        return VectorValue("i32", _scalar_ramp(int(b[0]), int(s[0]), e.steps))
+    steps = np.arange(e.steps).reshape(-1, 1)
+    if b.ndim > 1 or s.ndim > 1:  # per trial: (..., steps, lanes)
+        b, s = b[..., None, :], s[..., None, :]
+    if base.kind == "i32":
+        out = _check_i32(_flat(b + steps * s))
+    else:
+        out = _flat(b + steps.astype(np.float32) * s)
+    return VectorValue(base.kind, out)
+
+
+_CONCAT_COPIES = 16  # up to here, concatenating the copies beats np.tile
+
+
+def _eval_broadcast(e, env):
+    """`np.tile(data, copies)` along the last axis, by the cheapest call
+    that gives the same bits: a one-lane operand repeats, a few copies
+    concatenate, and many copies tile."""
+    if e.copies < 1:
+        raise EvalError(f"cannot broadcast to {e.copies} copies")
+    v = eval_expr(e.operand, env)
+    d = v.data
+    if d.shape[-1] == 1:
+        out = np.repeat(d, e.copies, axis=-1)
+    elif e.copies <= _CONCAT_COPIES:
+        out = np.concatenate((d,) * e.copies, axis=-1)
+    else:
+        out = np.tile(d, e.copies)
+    return VectorValue(v.kind, out)
+
+
+def _eval_reduce(e, env):
+    v = eval_expr(e.operand, env)
+    if v.lanes % e.result_lanes:
+        raise EvalError(f"cannot reduce {v.lanes} lanes to {e.result_lanes}")
+    out = _foldl(_split(v.data, e.result_lanes, -1))
+    if v.kind == "i32":
+        _check_i32(out)
+    return VectorValue(v.kind, out)
+
+
+def _eval_loc_to_loc(e, env):
+    return eval_expr(e.operand, env)
+
+
+def _eval_exprvar(e, env):
+    key = (e.operand, tuple(sorted(
+        (n, env.bindings[n]) for n in ir.free_vars(e.operand) if n in env.bindings)))
+    if key not in env.exprvar_cache:
+        env.exprvar_cache[key] = eval_expr(e.operand, env)
+    return env.exprvar_cache[key]
+
+
+def _eval_shuffle(e, env):
+    src = eval_expr(e.source, env)
+    return VectorValue(src.kind, layout.gather(src.data, e.indices))
+
+
+def _eval_call(e, env):
+    return eval_intrinsic(e.name, e.args, env)
+
+
+_EVAL = {ir.Imm: _eval_imm, ir.Var: _eval_var, ir.Load: _eval_load,
+         ir.Cast: _eval_cast, ir.Bop: _eval_bop, ir.Ramp: _eval_ramp,
+         ir.Broadcast: _eval_broadcast, ir.VectorReduceAdd: _eval_reduce,
+         ir.LocToLoc: _eval_loc_to_loc, ir.ExprVar: _eval_exprvar,
+         ir.Shuffle: _eval_shuffle, ir.Call: _eval_call}
 
 
 def _check_bounds(name, idx, length):
@@ -389,13 +487,23 @@ def _scalar_int(v):
 
 def _tile_index(args, env, rows, cols):
     """Addresses base + stride*row + col of a rows x cols tile, row-major,
-    for the (buffer, base, stride, ...) arguments of a load or store."""
+    for the (buffer, base, stride, ...) arguments of a load or store.  A
+    memo keeps the addresses of a buffer-free base and stride."""
+    memo, key = env.memo, None
+    if memo is not None and memo.looks_up(args[1]) and memo.looks_up(args[2]):
+        key = (id(args[1]), id(args[2]), rows, cols, tuple(env.bindings.items()))
+        hit = memo.values.get(key)
+        if hit is not None:
+            return hit.data
     base = _scalar_int(eval_expr(args[1], env))
     stride = _scalar_int(eval_expr(args[2], env))
     if isinstance(base, np.ndarray) or isinstance(stride, np.ndarray):
         # per trial: (..., rows, cols)
         base, stride = np.expand_dims(base, -1), np.expand_dims(stride, -1)
-    return _flat(base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols))
+    idx = _flat(base + stride * np.arange(rows).reshape(-1, 1) + np.arange(cols))
+    if key is not None:
+        memo.store(key, VectorValue("i32", idx))
+    return idx
 
 
 def _read(arg, idx, env):
@@ -515,10 +623,13 @@ def _put(dst, idx, data):
 # program execution
 
 
-def run_program(p, inputs, lint_sink=None):
+def run_program(p, inputs, lint_sink=None, memo=None):
     """Execute `p` over the given parameter buffers; returns the final
     buffer state (parameters, allocations, and temporaries).  Runtime lints
-    (store-lane collisions) are appended to `lint_sink` when given.
+    (store-lane collisions) are appended to `lint_sink` when given.  An
+    `EvalMemo` given as `memo` serves and keeps the values of buffer-free
+    subexpressions, so runs that share it evaluate each once per loop
+    binding; without one, every subexpression is evaluated where it occurs.
 
     Inputs may carry leading axes before their lanes, the same for every
     parameter: then every buffer has them, and each row is the run of that
@@ -541,7 +652,7 @@ def run_program(p, inputs, lint_sink=None):
             raise EvalError(f"input {prm.name!r} has leading axes {data.shape[:-1]}, "
                             f"other inputs {lead}")
         store[prm.name] = Buffer(prm.kind, prm.location, data)
-    env = Env(buffers=store, shapes=shape_registry(p), lead=lead or ())
+    env = Env(buffers=store, shapes=shape_registry(p), lead=lead or (), memo=memo)
     if lint_sink is not None:
         env.lints = lint_sink
     _exec_stmts(p.body, env, "body")

@@ -249,3 +249,88 @@ def test_cli_difftest_output(case, tmp_path, capsys):
     except SystemExit as e:
         got = e.code
     assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+# Programs with buffer-free subexpressions that `run_difftest` memoizes.
+MAX = 2**31 - 1
+# statement 0 reads A at data lanes, out of bounds on some seeds; statement
+# 1's buffer-free index i*MAX - i*MAX overflows i32 only at i = 2
+LATE_OVERFLOW = (
+    "(param idx i32 8 mem)\n(param A f32 15 mem)\n(param out f32 8 mem)\n"
+    f"(store out {RAMP8} (load A (f32 8) (load idx (i32 8) {RAMP8})))\n"
+    f"(for i 0 4 (store out (ramp (sub (mul (var i) (imm i32 {MAX})) "
+    f"(mul (var i) (imm i32 {MAX}))) (imm i32 1) 8) "
+    f"(load A (f32 8) {RAMP8})))\n")
+# per iteration, 3,072 lanes of buffer-free values: the lane cap is reached at i = 85
+RAMP1024 = "(ramp (imm i32 0) (imm i32 1) 1024)"
+PAST_CAP = ("(param A f32 1024 mem)\n(param out f32 1024 mem)\n"
+            f"(for i 0 100 (store out {RAMP1024} (add (load A (f32 1024) {RAMP1024}) "
+            "(cast (f32 1024) (broadcast (var i) 1024)))))\n")
+
+
+def shifted(offset):
+    """A program whose buffer-free index is the ramp from `offset`; those of
+    two offsets differ only in the immediate."""
+    return ir.parse_program(
+        "(param A f32 16 mem)\n(param out f32 16 mem)\n"
+        f"(for i 0 2 (store out (ramp (add (var i) (imm i32 {offset})) (imm i32 1) 8) "
+        f"(mul (load A (f32 8) {RAMP8}) (cast (f32 8) (broadcast (var i) 8)))))\n")
+
+
+def selected(prog):
+    return selector.select_program(prog, selector.SelectionConfig())[0]
+
+
+class TestDifftestMemo:
+    def test_late_overflow_in_a_buffer_free_index(self):
+        prog = ir.parse_program(LATE_OVERFLOW)
+        lowered = selected(prog)
+        texts = {}
+        for seed in range(0, 40, 4):
+            want = reference_difftest(prog, lowered, 12, seed)
+            assert batched_difftest(prog, 12, seed) == want
+            texts[want.split(": ", 1)[0]] = want
+        # the first seed fails at statement 0 on some starts, and at the
+        # overflow, after two iterations were memoized, on others
+        assert sorted(texts) == ["body[0]", "body[1][0]"]
+        assert texts["body[1][0]"] == (
+            "body[1][0]: i32 range exceeded (max 4294967294, min 4294967294)")
+
+    def test_memoized_arrays_are_read_only(self):
+        prog = ir.parse_program(PAST_CAP.replace("0 100", "0 3"))
+        memo = interp.EvalMemo()
+        inputs = interp.random_inputs(prog, [0, 1])
+        first = interp.run_program(prog, inputs, memo=memo)
+        assert len(memo.values) == 9  # three subexpressions at three bindings
+        for v in memo.values.values():
+            with pytest.raises(ValueError, match="read-only"):
+                v.data[0] = 7
+        again = interp.run_program(prog, inputs, memo=memo)
+        assert len(memo.values) == 9
+        singles = [interp.run_program(prog, interp.random_inputs(prog, s)) for s in (0, 1)]
+        assert_rows(first, singles)
+        assert_rows(again, singles)
+        assert batched_difftest(prog, 10, 0) == reference_difftest(
+            prog, selected(prog), 10, 0)
+
+    def test_consecutive_difftests_share_nothing(self, monkeypatch):
+        # the lowered side is a re-parse, so no expression object is shared
+        # and a value served to one side alone diverges
+        monkeypatch.setattr(selector, "select_program", lambda p, config, ruleset=None: (
+            ir.parse_program(ir.print_program(p)), SimpleNamespace(ok=True)))
+        fresh = {off: batched_difftest(shifted(off), 10, 3) for off in (0, 8)}
+        for _ in range(3):
+            for off in (0, 8):
+                prog = shifted(off)
+                got = batched_difftest(prog, 10, 3)
+                assert got == fresh[off] == reference_difftest(prog, shifted(off), 10, 3)
+                del prog
+
+    def test_values_past_the_lane_cap(self):
+        prog = ir.parse_program(PAST_CAP)
+        memo = interp.EvalMemo()
+        interp.run_program(prog, interp.random_inputs(prog, [5]), memo=memo)
+        assert memo.lanes <= interp.MEMO_LANES < 3 * 1024 * 100
+        assert 0 < len(memo.values) < 3 * 100
+        assert batched_difftest(prog, 16, 5) == reference_difftest(
+            prog, selected(prog), 16, 5)

@@ -54,3 +54,19 @@ def test_every_ematch_call_is_traced_with_its_rule_category():
     # rule runs whose reads did not change since their last run are skipped
     assert calls == {"axiomatic": 135, "application": 24, "lowering": 66,
                      "supporting": 211}
+
+
+def test_difftest_serves_buffer_free_values_from_its_memo():
+    ts = import_tensorsel(ROOT)
+    prog = corpus_program("conv1d_k8")
+    tracer = Tracer()
+    tracer.install(ts, frozenset({id(prog)}))
+    try:
+        res, _ = ts.cli.run_difftest(prog, "conv1d_k8", 16, 0,
+                                     ts.selector.SelectionConfig(target="wmma"))
+    finally:
+        tracer.uninstall()
+    _, counts, _ = tracer.take()
+    assert (len(res.seeds), res.divergence) == (16, None)
+    # two chunks of each program: 138 evaluations without the memo
+    assert counts[None]["interp.eval_expr.calls"] == 102

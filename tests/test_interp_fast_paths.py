@@ -2,9 +2,10 @@
 
 One-lane i32 immediates, loop variables and ramps are range-checked on
 Python ints, bounds with one reduction, store collisions with a set of the
-lanes, and broadcasts by concatenation.  Each test here computes the
-expected value or error text on its own, with Python ints or the numpy
-call the fast path replaced, and requires it bit for bit."""
+lanes, and broadcasts repeat one lane, concatenate a few copies or tile
+many.  Each test here computes the expected value or error text on its
+own, with Python ints or the numpy call the fast path replaced, and
+requires it bit for bit."""
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ class TestBroadcast:
     def test_equals_tile(self, lanes, copies, trials, kind):
         lead = () if trials is None else (trials,)
         data = np.arange(np.prod((*lead, lanes))).reshape(*lead, lanes) - 3
+        env = env_with(x=(kind, data))
+        got = interp.eval_expr(Broadcast(load("x", kind, lanes), copies), env)
+        assert got.kind == kind
+        assert_same_bits(got.data, np.tile(env.buffers["x"].data, copies))
+
+    # one lane repeats, up to 16 copies concatenate, more copies tile
+    @pytest.mark.parametrize("lanes,copies", [
+        (1, 1), (1, 3), (1, 16), (1, 17), (1, 512),
+        (3, 2), (32, 16), (3, 17), (32, 256), (256, 2)])
+    @pytest.mark.parametrize("trials", [None, 3])
+    @pytest.mark.parametrize("kind", ["i32", "f32"])
+    def test_each_path_equals_tile(self, lanes, copies, trials, kind):
+        lead = () if trials is None else (trials,)
+        data = np.arange(np.prod((*lead, lanes))).reshape(*lead, lanes) * 7 - 50
+        if kind == "f32":
+            data = data / 3 * np.where(data % 2, 1, -1)
         env = env_with(x=(kind, data))
         got = interp.eval_expr(Broadcast(load("x", kind, lanes), copies), env)
         assert got.kind == kind
