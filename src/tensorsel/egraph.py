@@ -38,18 +38,24 @@ by every query of that shape.  Classes, nodes and tuples are iterated
 unsorted and `ematch` orders its result once.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
-guards) with an imperative action that may construct terms, union classes,
-and assert facts.  The schedule runs supporting rules to fixpoint, then one
-sequential round of axiomatic, application, and lowering rules, then
-rebuilds — for a fixed number of iterations.  The graph stamps each change
-with its version: per op a new node was added with, per relation that
-gained a fact, per union, and per class a union merged.  As in egglog
-(Zhang et al., PLDI 2023), the schedule matches a rule again only when
-something its query reads changed since its last run, and calls its
-action only on a match that is new or binds a class merged since.
+guards) with a right-hand side in the same patterns, as egg uses a
+`Pattern` as an `Applier`, with computed leaves (`Calc`) and `If`.  It
+compiles, like a plan, to one Python function per template structure: the
+rule's action.
+
+The schedule runs supporting rules to fixpoint, then one sequential round
+of axiomatic, application, and lowering rules, then rebuilds — for a fixed
+number of iterations.  The graph stamps each change with its version: per
+op a new node was added with, per relation that gained a fact, per union,
+and per class a union merged.  As in egglog (Zhang et al., PLDI 2023),
+the schedule matches a rule again only when something its query reads
+changed since its last run, and calls its action only on a match that is
+new or binds a class merged since.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -105,27 +111,75 @@ class Guard:
     doc: str = ""
 
 
+@dataclass(frozen=True)
+class Calc:
+    """Computed template leaf: `op` (+ - * // ==) over int literals, matched
+    ints (`PVar`) and Calcs, or `kind`, `lanes` or `name` of a matched type
+    or name.  A Calc or a PVar in a template node's op is computed."""
+
+    op: str
+    args: tuple
+
+
+@dataclass(frozen=True)
+class If:
+    """Template: `then` when the Calc `cond` holds, else `other`."""
+
+    cond: Calc
+    then: object
+    other: object
+
+
+@dataclass(frozen=True)
+class Let:
+    """Effect: build `template` and name its class `var` for later effects."""
+
+    var: str
+    template: object
+
+
 @dataclass
 class RuleDef:
     name: str
     category: str  # axiomatic | application | lowering | supporting
     query: tuple
-    action: object  # fn(graph, env) -> None
+    action: object = None  # fn(graph, env) -> None; compiled from `rhs` if given
+    rhs: tuple = ()  # effects: Bind (union), Rel (assert a fact), Let
     doc: str = ""
     target: str = ""  # "", "amx", or "wmma"
-    fuzz: object = None  # optional fn(rng) -> (lhs Expr, rhs Expr, env inputs)
+    fuzz: object = None  # optional fn(rng) -> FuzzInstance, or None to skip a draw
 
     def __post_init__(self):
-        if not isinstance(self.query, Query):
-            try:
+        try:
+            if not isinstance(self.query, Query):
                 self.query = Query(self.query)
-            except TypeError as e:
-                raise TypeError(f"rule {self.name!r}: {e}") from None
+            if self.rhs:
+                if not isinstance(self.rhs, Rhs):
+                    self.rhs = Rhs(self.rhs, self.query._layout.names)
+                del self.action  # compiled on its first read, as a plan on its first match
+        except TypeError as e:
+            raise TypeError(f"rule {self.name!r}: {e}") from None
+
+    def __getattr__(self, name):
+        """The action of a rule with a right-hand side, compiled on first read."""
+        if name != "action" or "rhs" not in self.__dict__:
+            raise AttributeError(name)
+        self.action = self.rhs.action
+        return self.action
+
+    def __copy__(self):
+        """A copy that reads no action, so compiles none."""
+        rule = object.__new__(RuleDef)
+        rule.__dict__.update(self.__dict__)
+        return rule
 
     @property
     def semantic(self):
         """Unions value terms, so it is subject to soundness fuzzing."""
         return self.category in ("axiomatic", "lowering")
+
+
+del RuleDef.action  # a class default would hide `__getattr__`
 
 
 class EGraph:
@@ -326,6 +380,21 @@ class EGraph:
         for op, _ in self.small_nodes(cid):
             if op[0] == "imm":
                 return op[1], op[2]
+        return None
+
+    def class_name(self, cid):
+        for op, _ in self.small_nodes(cid):
+            if op[0] == "name":
+                return op[1]
+        return None
+
+    def class_type(self, cid):
+        """(kind, lanes) of the first type node in `cid` with a known lane count."""
+        for op, ch in self.small_nodes(cid):
+            if op[0] == "type":
+                lanes = self.class_int(ch[0])
+                if lanes is not None:
+                    return op[1], lanes
         return None
 
     @property
@@ -612,6 +681,128 @@ def _source(structure):
 
 
 # ---------------------------------------------------------------------------
+# right-hand sides
+
+
+class Rhs(tuple):
+    """A rule's effects, checked and laid out as source when made: a `Bind`
+    unions a matched class with its template's class, a `Rel` asserts a
+    fact over its templates' classes, and a `Let` names its template's class
+    for later effects.  Raises TypeError on anything else, or on a variable
+    that neither the query (`bound`) nor an earlier `Let` binds."""
+
+    def __new__(cls, effects, bound):
+        rhs = super().__new__(cls, effects)
+        rhs._source, rhs._consts = _rhs_source(rhs, frozenset(bound))
+        return rhs
+
+    @functools.cached_property
+    def action(self):
+        """`action(g, env)`, compiled on first read."""
+        make = _ACTIONS.get(self._source)
+        if make is None:
+            scope = {}
+            exec(compile(self._source, "<rule action>", "exec"), scope)
+            make = _ACTIONS[self._source] = scope["make"]
+        return make(self._consts)
+
+
+_ACTIONS = {}  # action source -> its compiled `make`, shared by the process
+_CALC_OPS = ("+", "-", "*", "//", "==")
+# a Calc leaf -> the EGraph reader of its class and the part of the result
+_READS = {"int": ("class_int", ""), "kind": ("class_type", "[0]"),
+          "lanes": ("class_type", "[1]"), "name": ("class_name", "")}
+
+
+def _rhs_source(effects, bound):
+    """Python source of `make(K)`, which binds the constants `K` and returns
+    `action(g, env)`, and the constants.
+
+    The action reads each matched class from `env`, and each int, type and
+    name a `Calc` needs, once before its first write.  It then adds each
+    template's nodes children first, left to right, so they are numbered in
+    that order; a `Let` puts a subterm first.  Ops, relation names, variable
+    names and literals are constants, so right-hand sides of one shape
+    share their code."""
+    consts, head, body = [], [], []
+    slots = {}  # variable -> the local holding its class
+    reads = {}  # (reader, variable) -> the local holding its value
+    temps = itertools.count()
+
+    def const(value):
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    def var(name):
+        if name not in slots:
+            if name not in bound:
+                raise TypeError(f"unbound variable ?{name}")
+            slots[name] = f"s{len(slots)}"
+            head.append(f"{slots[name]} = env[{const(name)}]")
+        return slots[name]
+
+    def calc(c):
+        if isinstance(c, int):
+            return const(c)
+        leaf, args = (("int", (c,)) if isinstance(c, PVar)
+                      else (c.op, c.args) if isinstance(c, Calc) else (None, ()))
+        if leaf in _CALC_OPS and len(args) == 2:
+            return f"({calc(args[0])} {leaf} {calc(args[1])})"
+        if leaf not in _READS or len(args) != 1:
+            raise TypeError(f"not a computed leaf: {c!r}")
+        if not isinstance(args[0], PVar) or args[0].name not in bound:
+            raise TypeError(f"not a matched variable: {args[0]!r}")
+        reader, part = _READS[leaf]
+        key = (reader, args[0].name)
+        if key not in reads:
+            reads[key] = f"r{len(reads)}"
+            head.append(f"{reads[key]} = g.{reader}({var(args[0].name)})")
+        return reads[key] + part
+
+    def build(t, depth):
+        """The local holding the class of template `t`, after the lines
+        that add its nodes at indent `depth`."""
+        if isinstance(t, PVar):
+            return var(t.name)
+        if isinstance(t, PNode):
+            kids = "".join(f"{build(c, depth)}, " for c in t.children)
+            out = f"t{next(temps)}"
+            if any(isinstance(x, (Calc, PVar)) for x in t.op):
+                op = "".join(f"{calc(x) if isinstance(x, (Calc, PVar)) else const(x)}, "
+                             for x in t.op)
+                op = f"({op})"
+            else:
+                op = const(t.op)
+            body.append((depth, f"{out} = g.add({op}, ({kids}))"))
+        elif isinstance(t, If):
+            out = f"t{next(temps)}"
+            for line, branch in ((f"if {calc(t.cond)}:", t.then), ("else:", t.other)):
+                body.append((depth, line))
+                body.append((depth + 1, f"{out} = {build(branch, depth + 1)}"))
+        else:
+            raise TypeError(f"not a template: {t!r}")
+        return out
+
+    for eff in effects:
+        if isinstance(eff, Bind):
+            cls = build(eff.pattern, 0)
+            body.append((0, f"g.union({var(eff.var)}, {cls})"))
+        elif isinstance(eff, Rel):
+            args = "".join(f", {build(t, 0)}" for t in eff.terms)
+            body.append((0, f"g.assert_fact({const(eff.name)}{args})"))
+        elif isinstance(eff, Let):
+            if eff.var in bound or eff.var in slots:
+                raise TypeError(f"Let rebinds ?{eff.var}")
+            slots[eff.var] = build(eff.template, 0)
+        else:
+            raise TypeError(f"not an effect: {eff!r}")
+    lines = ["def make(K):", f"    {''.join(f'k{j}, ' for j in range(len(consts)))}= K",
+             "    def action(g, env):", *(f"        {ln}" for ln in head),
+             *("    " * (depth + 2) + ln for depth, ln in body), "    return action"]
+    return "\n".join(lines) + "\n", consts
+
+
+# ---------------------------------------------------------------------------
 # schedule
 
 
@@ -648,10 +839,12 @@ def run_schedule(g, rules, iterations, node_budget):
     otherwise its last match count is counted again.  A rule matched again
     calls its action only on a match that is new, or binds a class merged
     since its last run, or comes while a union awaits the rebuild.  An
-    action reads only its matched classes' nodes (and the ints of their
-    children, which a union never changes in a well-typed graph), and
-    its writes are idempotent, so calling it again on an unchanged match
-    changes nothing.  Without a union pending every key and fact is
+    action reads only its matched classes' nodes: a right-hand side reads
+    their ints, names and types (a type's lanes are the int of its child,
+    which a union never changes in a well-typed graph).  Its writes are
+    adds, unions and facts over those classes and the classes its
+    templates build, all idempotent, so calling it again on an unchanged
+    match changes nothing.  Without a union pending every key and fact is
     canonical; with one, an `add` of a node built over a class the action
     itself built may miss its stale key and make a new class, so every
     action is called then.

@@ -561,10 +561,9 @@ def eval_intrinsic(name, args, env):
             bm[..., 1::2, :] = bv[..., 1::2]
         else:
             bm = _split(b.data, k, n)
-        prods = am[..., None] * bm[..., None, :, :]  # (..., m, k, n), f32
-        s = prods[..., 0, :].copy()
+        s = am[..., 0, None] * bm[..., 0, None, :]  # (..., m, n), f32
         for kk in range(1, k):
-            s = s + prods[..., kk, :]
+            s += am[..., kk, None] * bm[..., kk, None, :]
         out = _split(c.data, m, n) + s
         return VectorValue("f32", _flat(out))
 

@@ -27,6 +27,7 @@ row stride), and k%2 (stride 1).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import random
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import interp, ir
-from .egraph import Bind, EGraph, Guard, PNode, PVar, RuleDef, rel
+from .egraph import Bind, Calc, EGraph, Guard, If, Let, PNode, PVar, RuleDef, rel
 
 EXPR_OPS = {"imm", "var", "load", "cast", "bop", "ramp", "bcast", "vra",
             "call", "l2l", "exprvar", "shuffle"}
@@ -59,10 +60,6 @@ def new_graph():
 
 def mk_type(g, kind, lanes):
     return g.add(("type", kind), (g.add_int(lanes),))
-
-
-def mk_imm(g, v):
-    return g.add(("imm", "i32", int(v)))
 
 
 def mk_name(g, s):
@@ -174,13 +171,17 @@ def _term_type(term):
 
 
 # ---------------------------------------------------------------------------
-# pattern and action helpers
+# pattern helpers
 
 V = PVar
 
 
 def P(op, *children):
     return PNode(op, tuple(children))
+
+
+def C(op, *args):
+    return Calc(op, tuple(args))
 
 
 def pload(name, vtype, idx):
@@ -191,8 +192,22 @@ def ptype(kind, lanes):
     return P(("type", kind), lanes)
 
 
+def pscaled(t, by):
+    """The type of ?t's kind with ?by times its lanes."""
+    return ptype(C("kind", V(t)), pint(C("*", C("lanes", V(t)), V(by))))
+
+
+def pint(v):
+    return P(("int", v))
+
+
 def pimm(v):
-    return P(("imm", "i32", int(v)))
+    return P(("imm", "i32", v if isinstance(v, (Calc, PVar)) else int(v)))
+
+
+def pvar(name):
+    """The `var` node of the buffer named in class ?name."""
+    return P(("var", C("name", V(name))))
 
 
 def padd(a, b):
@@ -221,22 +236,6 @@ def pl2l(src, dst, e):
 
 def ploc(loc):
     return P(("loc", loc))
-
-
-def class_name(g, cid):
-    for op, _ in g.small_nodes(cid):
-        if op[0] == "name":
-            return op[1]
-    return None
-
-
-def class_type(g, cid):
-    for op, ch in g.small_nodes(cid):
-        if op[0] == "type":
-            lanes = g.class_int(ch[0])
-            if lanes is not None:
-                return op[1], lanes
-    return None
 
 
 def _tile_dims(g, cid):
@@ -311,24 +310,37 @@ class RuleSet:
             kind = "semantic" if r.semantic else "relational"
             tgt = f" target={r.target}" if r.target else ""
             lines.append(f"[{r.category}{tgt}] {r.name} ({kind})")
-            lines.append(f"    {r.doc}")
+            if r.doc:
+                lines.append(f"    {r.doc}")
             for atom in r.query:
                 lines.append(f"    where {_render_atom(atom)}")
+            for effect in r.rhs:
+                lines.append(f"    => {_render_atom(effect)}")
         return "\n".join(lines) + "\n"
 
 
 def _render_pattern(p):
     if isinstance(p, PVar):
         return f"?{p.name}"
-    head = "/".join(str(x) for x in p.op if not isinstance(x, tuple))
-    if not p.children:
+    if isinstance(p, Calc):
+        return f"({p.op} {' '.join(_render_pattern(a) for a in p.args)})"
+    if isinstance(p, If):
+        return f"(if {' '.join(_render_pattern(x) for x in (p.cond, p.then, p.other))})"
+    if not isinstance(p, PNode):
+        return str(p)
+    computed = [x for x in p.op if isinstance(x, (Calc, PVar))]
+    head = "/".join(str(x) for x in p.op if not isinstance(x, (tuple, Calc, PVar)))
+    args = [_render_pattern(x) for x in computed + list(p.children)]
+    if not args:
         return head if p.op[0] != "int" else str(p.op[1])
-    return f"({head} {' '.join(_render_pattern(c) for c in p.children)})"
+    return f"({head} {' '.join(args)})"
 
 
 def _render_atom(atom):
     if isinstance(atom, Bind):
         return f"?{atom.var} = {_render_pattern(atom.pattern)}"
+    if isinstance(atom, Let):
+        return f"let ?{atom.var} = {_render_pattern(atom.template)}"
     if isinstance(atom, Guard):
         return f"guard: {atom.doc or 'primitive'}"
     return (f"({atom.name} "
@@ -338,8 +350,10 @@ def _render_atom(atom):
 def build_default_ruleset():
     """A new RuleSet of the default rules.  The rules are built once per
     process; each set holds fresh copies of them that share their laid-out
-    queries, so changing one set's rules leaves the next set as built."""
-    return RuleSet([replace(r) for r in _default_rules()])
+    queries and right-hand sides, so changing one set's rules leaves the
+    next set as built.  `RuleDef.__copy__` reads no action, so none is
+    compiled before its rule first runs."""
+    return RuleSet([copy.copy(r) for r in _default_rules()])
 
 
 @functools.cache
@@ -356,83 +370,50 @@ def _default_rules():
 
 
 def _axiomatic_rules(rs):
-    def axiom(name, query, action, doc, fuzz=None):
+    def axiom(name, query, rhs, doc="", fuzz=None):
         return rs.add(RuleDef(name=name, category="axiomatic", query=tuple(query),
-                              action=action, doc=doc, fuzz=fuzz))
-
-    def bcast_flatten(g, env):
-        g.union(env["e"], g.add(("bcast",), (
-            env["x"], g.add_int(g.class_int(env["l1"]) * g.class_int(env["l2"])))))
+                              rhs=tuple(rhs), doc=doc, fuzz=fuzz))
 
     axiom("broadcast-flatten",
           [Bind("e", pbcast(pbcast(V("x"), V("l1")), V("l2")))],
-          bcast_flatten,
-          "(Broadcast (Broadcast x l1) l2) == (Broadcast x (* l1 l2))",
+          [Bind("e", pbcast(V("x"), pint(C("*", V("l1"), V("l2")))))],
           fuzz=_fz_bcast_flatten)
 
     axiom("broadcast-elim",
-          [Bind("e", pbcast(V("x"), P(("int", 1))))],
-          lambda g, env: g.union(env["e"], env["x"]),
-          "(Broadcast x 1) == x",
+          [Bind("e", pbcast(V("x"), pint(1)))],
+          [Bind("e", V("x"))],
           fuzz=_fz_bcast_elim)
 
     axiom("degenerate-broadcast",
           [rel("is-expr", V("x"))],
-          lambda g, env: g.union(env["x"], g.add(("bcast",), (env["x"], g.add_int(1)))),
-          "x == (Broadcast x 1); recovers the general pattern from scalars",
+          [Bind("x", pbcast(V("x"), pint(1)))],
+          "recovers the general pattern from scalars",
           fuzz=_fz_bcast_elim)
-
-    def bcast_of_load(g, env):
-        kind, lanes = class_type(g, env["t"])
-        newt = mk_type(g, kind, lanes * g.class_int(env["l"]))
-        idx = g.add(("bcast",), (env["i"], env["l"]))
-        g.union(env["e"], g.add(("load",), (env["n"], newt, idx)))
 
     axiom("broadcast-of-load",
           [Bind("e", pbcast(pload(V("n"), V("t"), V("i")), V("l")))],
-          bcast_of_load,
-          "push a broadcast inside a load, multiplying the load type's lanes",
+          [Bind("e", pload(V("n"), pscaled("t", "l"), pbcast(V("i"), V("l"))))],
           fuzz=_fz_bcast_of_load)
-
-    def bcast_of_cast(g, env):
-        kind, lanes = class_type(g, env["t"])
-        newt = mk_type(g, kind, lanes * g.class_int(env["l"]))
-        inner = g.add(("bcast",), (env["x"], env["l"]))
-        g.union(env["e"], g.add(("cast",), (newt, inner)))
 
     axiom("broadcast-of-cast",
           [Bind("e", pbcast(P(("cast",), V("t"), V("x")), V("l")))],
-          bcast_of_cast,
-          "push a broadcast inside a cast, multiplying the cast type's lanes",
+          [Bind("e", P(("cast",), pscaled("t", "l"), pbcast(V("x"), V("l"))))],
           fuzz=_fz_bcast_of_cast)
 
     axiom("ramp-elim",
-          [Bind("e", pramp(V("x"), V("s"), P(("int", 1)))), has_i32("e")],
-          lambda g, env: g.union(env["e"], env["x"]),
-          "(Ramp x s 1) == x on integer indices",
+          [Bind("e", pramp(V("x"), V("s"), pint(1))), has_i32("e")],
+          [Bind("e", V("x"))],
           fuzz=_fz_ramp_elim)
-
-    def ramp_split(g, env):
-        l = g.class_int(env["l"])
-        two = g.add_int(2)
-        inner = g.add(("ramp",), (env["x"], mk_imm(g, 1), two))
-        stride = g.add(("bcast",), (mk_imm(g, 2), two))
-        g.union(env["e"], g.add(("ramp",), (inner, stride, g.add_int(l // 2))))
 
     axiom("degenerate-ramp-split",
           [Bind("e", pramp(V("x"), pimm(1), V("l"))),
            guard_ints("2 | l and l >= 2", lambda l: l >= 2 and l % 2 == 0, "l"),
-           has_i32("x", P(("int", 1)))],
-          ramp_split,
-          "(Ramp x 1 l) == (Ramp (Ramp x 1 2) (Broadcast 2 2) (/ l 2)); "
+           has_i32("x", pint(1))],
+          [Let("two", pint(2)),
+           Bind("e", pramp(pramp(V("x"), pimm(1), V("two")), pbcast(pimm(2), V("two")),
+                           pint(C("//", V("l"), 2))))],
           "recovers nesting from dense ramps",
           fuzz=_fz_ramp_split)
-
-    def ramp_plus_bcast(g, env):
-        n, m = g.class_int(env["n"]), g.class_int(env["m"])
-        inner = env["x"] if m == n else g.add(("bcast",), (env["x"], g.add_int(m // n)))
-        base = g.add(("bop", "+"), (env["b"], inner))
-        g.union(env["e"], g.add(("ramp",), (base, env["s"], env["n"])))
 
     for suffix, pat in (("", padd(pramp(V("b"), V("s"), V("n")), pbcast(V("x"), V("m")))),
                         ("-r", padd(pbcast(V("x"), V("m")), pramp(V("b"), V("s"), V("n"))))):
@@ -440,30 +421,18 @@ def _axiomatic_rules(rs):
               [Bind("e", pat),
                guard_ints("n | m", lambda n, m: m % n == 0, "n", "m"),
                has_i32("e")],
-              ramp_plus_bcast,
-              "(Add (Ramp b s n) (Broadcast x m)) == "
-              "(Ramp (Add b (Broadcast x (/ m n))) s n) when n | m",
+              [Bind("e", pramp(padd(V("b"), If(C("==", V("m"), V("n")), V("x"),
+                                               pbcast(V("x"), pint(C("//", V("m"), V("n")))))),
+                               V("s"), V("n")))],
               fuzz=_fz_ramp_plus_bcast)
-
-    def ramp_unnest(g, env):
-        ramp = g.add(("ramp",), (env["x"], env["s"], env["l"]))
-        bc = g.add(("bcast",), (env["a"], env["l"]))
-        g.union(env["e"], g.add(("bop", "+"), (ramp, bc)))
 
     axiom("ramp-unnest",
           [Bind("e", pramp(padd(V("x"), V("a")), V("s"), V("l"))), has_i32("e")],
-          ramp_unnest,
-          "(Ramp (Add x a) s l) == (Add (Ramp x s l) (Broadcast a l)); "
+          [Bind("e", padd(pramp(V("x"), V("s"), V("l")), pbcast(V("a"), V("l"))))],
           "the un-nesting partner of ramp-plus-broadcast",
           fuzz=_fz_ramp_unnest)
 
-    def sibling_rb(g, env):
-        l1, l2 = g.class_int(env["l1"]), g.class_int(env["l2"])
-        nested = g.add(("bcast",), (
-            g.add(("bcast",), (env["a"], g.add_int(l2 // l1))), env["l1"]))
-        ramp = g.add(("ramp",), (env["x"], env["s"], env["l1"]))
-        g.union(env["e"], g.add(("bop", "+"), (nested, ramp)))
-
+    nested = pbcast(pbcast(V("a"), pint(C("//", V("l2"), V("l1")))), V("l1"))
     for suffix, pat in (("", padd(pramp(V("x"), V("s"), V("l1")), pbcast(V("a"), V("l2")))),
                         ("-r", padd(pbcast(V("a"), V("l2")), pramp(V("x"), V("s"), V("l1"))))):
         axiom(f"sibling-nest-ramp-broadcast{suffix}",
@@ -471,16 +440,9 @@ def _axiomatic_rules(rs):
                guard_ints("l1 | l2 and l2 > l1",
                           lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2"),
                has_i32("e")],
-              sibling_rb,
+              [Bind("e", padd(nested, pramp(V("x"), V("s"), V("l1"))))],
               "re-nest a broadcast using its sibling ramp's count as the hint",
               fuzz=_fz_sibling_rb)
-
-    def sibling_bb(g, env):
-        l1, l2 = g.class_int(env["l1"]), g.class_int(env["l2"])
-        nested = g.add(("bcast",), (
-            g.add(("bcast",), (env["a"], g.add_int(l2 // l1))), env["l1"]))
-        other = g.add(("bcast",), (env["b"], env["l1"]))
-        g.union(env["e"], g.add(("bop", "+"), (nested, other)))
 
     for suffix, pat in (("", padd(pbcast(V("a"), V("l2")), pbcast(V("b"), V("l1")))),
                         ("-r", padd(pbcast(V("b"), V("l1")), pbcast(V("a"), V("l2"))))):
@@ -489,113 +451,77 @@ def _axiomatic_rules(rs):
                guard_ints("l1 | l2 and l2 > l1",
                           lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2"),
                has_i32("e")],
-              sibling_bb,
+              [Bind("e", padd(nested, pbcast(V("b"), V("l1"))))],
               "re-nest the wider of two sibling broadcasts to equal counts",
               fuzz=_fz_sibling_bb)
-
-    def add_of_bcasts(g, env):
-        inner = g.add(("bop", "+"), (env["a"], env["b"]))
-        g.union(env["e"], g.add(("bcast",), (inner, env["l"])))
 
     axiom("add-of-broadcasts",
           [Bind("e", padd(pbcast(V("a"), V("l")), pbcast(V("b"), V("l")))),
            has_i32("e")],
-          add_of_bcasts,
-          "(Add (Broadcast a l) (Broadcast b l)) == (Broadcast (Add a b) l)",
+          [Bind("e", pbcast(padd(V("a"), V("b")), V("l")))],
           fuzz=_fz_add_of_bcasts)
 
     for opname, sym in (("add", "+"), ("mul", "*")):
         axiom(f"{opname}-commute",
               [Bind("e", P(("bop", sym), V("x"), V("y")))],
-              (lambda sym: lambda g, env: g.union(
-                  env["e"], g.add(("bop", sym), (env["y"], env["x"]))))(sym),
-              f"commutativity of {sym}",
+              [Bind("e", P(("bop", sym), V("y"), V("x")))],
               fuzz=_fz_commute(sym))
 
-        fold = _i32_fold(sym)
         axiom(f"int-{opname}-fold",
               [Bind("e", P(("bop", sym), V("a"), V("b"))),
-               Guard(lambda g, env, fold=fold: fold(g, env) is not None,
-                     "both operands and the result are i32 immediates")],
-              lambda g, env, fold=fold: g.union(env["e"], mk_imm(g, fold(g, env))),
-              f"constant-fold scalar i32 {sym}",
+               Guard(_i32_folds(sym), "both operands and the result are i32 immediates")],
+              [Bind("e", pimm(C(sym, V("a"), V("b"))))],
               fuzz=_fz_int_fold(sym))
 
 
-def _i32_fold(sym):
-    """fn(g, env) -> `a sym b` over the i32 immediates in classes a and b,
-    or None when either is not one or the result leaves the i32 range."""
-    def fold(g, env):
+def _i32_folds(sym):
+    """Guard: classes a and b hold in-range i32 immediates, and `a sym b` is in range."""
+    def folds(g, env):
         vals = []
         for v in ("a", "b"):
             im = g.class_imm(env[v])
             if im is None or im[0] != "i32" or not ir.I32_MIN <= int(im[1]) <= ir.I32_MAX:
-                return None
+                return False
             vals.append(int(im[1]))
         out = vals[0] + vals[1] if sym == "+" else vals[0] * vals[1]
-        return out if ir.I32_MIN <= out <= ir.I32_MAX else None
-    return fold
+        return ir.I32_MIN <= out <= ir.I32_MAX
+    return folds
 
 
 # -- supporting --------------------------------------------------------------
 
 
 def _supporting_rules(rs):
-    def supp(name, query, action, doc):
+    def supp(name, query, rhs=(rel("has-type", V("e"), V("t")),)):
         return rs.add(RuleDef(name=name, category="supporting", query=tuple(query),
-                              action=action, doc=doc))
+                              rhs=tuple(rhs)))
 
-    supp("type-of-load",
-         [Bind("e", pload(V("n"), V("t"), V("i")))],
-         lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
-         "a load has its annotated result type")
-
-    supp("type-of-cast",
-         [Bind("e", P(("cast",), V("t"), V("x")))],
-         lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
-         "a cast has its target type")
+    supp("type-of-load", [Bind("e", pload(V("n"), V("t"), V("i")))])
+    supp("type-of-cast", [Bind("e", P(("cast",), V("t"), V("x")))])
 
     for sym in ("+", "-", "*", "/", "%"):
         supp(f"type-of-{ {'+':'add','-':'sub','*':'mul','/':'div','%':'mod'}[sym] }",
              [Bind("e", P(("bop", sym), V("a"), V("b"))),
-              rel("has-type", V("a"), V("t"))],
-             lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
-             f"{sym} has its left operand's type")
-
-    def times_n_type(g, env):
-        kind, lanes = class_type(g, env["t"])
-        g.assert_fact("has-type", env["e"],
-                      mk_type(g, kind, lanes * g.class_int(env["n"])))
+              rel("has-type", V("a"), V("t"))])
 
     supp("type-of-ramp",
          [Bind("e", pramp(V("b"), V("s"), V("n"))), rel("has-type", V("b"), V("t"))],
-         times_n_type,
-         "a ramp multiplies its base's lanes by the step count")
+         [rel("has-type", V("e"), pscaled("t", "n"))])
 
     supp("type-of-broadcast",
          [Bind("e", pbcast(V("x"), V("n"))), rel("has-type", V("x"), V("t"))],
-         times_n_type,
-         "a broadcast multiplies its operand's lanes by the copy count")
-
-    def vra_type(g, env):
-        kind, _ = class_type(g, env["t"])
-        g.assert_fact("has-type", env["e"], mk_type(g, kind, g.class_int(env["rl"])))
+         [rel("has-type", V("e"), pscaled("t", "n"))])
 
     supp("type-of-vector-reduce-add",
          [Bind("e", pvra(V("rl"), V("x"))), rel("has-type", V("x"), V("t"))],
-         vra_type,
-         "a reduction has its stated result lanes at the operand's kind")
+         [rel("has-type", V("e"), ptype(C("kind", V("t")), V("rl")))])
 
     for src, dst in (("mem", "amx"), ("amx", "mem"), ("mem", "wmma"), ("wmma", "mem")):
         supp(f"type-of-{src}2{dst}",
-             [Bind("e", pl2l(src, dst, V("x"))), rel("has-type", V("x"), V("t"))],
-             lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
-             "data movement preserves the value type")
+             [Bind("e", pl2l(src, dst, V("x"))), rel("has-type", V("x"), V("t"))])
 
     supp("type-of-exprvar",
-         [Bind("e", P(("exprvar",), V("x"))), rel("has-type", V("x"), V("t"))],
-         lambda g, env: g.assert_fact("has-type", env["e"], env["t"]),
-         "a materialized temporary has its operand's type")
+         [Bind("e", P(("exprvar",), V("x"))), rel("has-type", V("x"), V("t"))])
 
 
 # -- application -------------------------------------------------------------
@@ -615,24 +541,33 @@ def _pat_b_standard_index(idx_var):
 
 def _pat_b_vnni_index(idx_var):
     return Bind(idx_var, pbcast(
-        pramp(pramp(pramp(V("bbase"), pimm(1), P(("int", 2))),
-                    pbcast(V("vstride"), P(("int", 2))), V("kh")),
+        pramp(pramp(pramp(V("bbase"), pimm(1), pint(2)),
+                    pbcast(V("vstride"), pint(2)), V("kh")),
               pbcast(pimm(2), V("k")), V("n")), V("m")))
 
 
-def _application_rules(rs):
-    def app(name, target, query, action, doc):
-        return rs.add(RuleDef(name=name, category="application", query=tuple(query),
-                              action=action, doc=doc, target=target))
+def _amx_b_vnni_rhs(stride):
+    """The VNNI B tile load, its row stride given by the template `stride`."""
+    return (rel("amx-b-tile", V("origb"), P(
+        ("call", "tile_load"), pvar("bn"), V("bbase"), stride,
+        pimm(C("//", V("k"), 2)), pimm(C("*", 2, V("n"))))),)
 
-    def a_tile_action(loader, fact):
-        def act(g, env):
-            m, k = g.class_int(env["m"]), g.class_int(env["k"])
-            tile = g.add(("call", loader), (
-                g.add(("var", class_name(g, env["an"]))), env["abase"],
-                env["astride"], mk_imm(g, m), mk_imm(g, k)))
-            g.assert_fact(fact, env["origa"], tile)
-        return act
+
+def _toeplitz_rhs(stride, matrix):
+    """Tile facts of a signal load as the A fragment at row stride `stride`
+    and a kernel load as the B fragment of the shuffled `matrix`."""
+    return (rel("wmma-a-tile", V("loadi"), P(
+                ("call", "wmma_load_a"), pvar("iname"), V("basei"), pimm(stride),
+                pimm(V("m")), pimm(V("k")))),
+            rel("wmma-b-tile", V("loadk"), P(
+                ("call", "wmma_load_b"), P(("exprvar",), matrix), pimm(0),
+                pimm(V("n")), pimm(V("k")), pimm(V("n")))))
+
+
+def _application_rules(rs):
+    def app(name, target, query, rhs, doc):
+        return rs.add(RuleDef(name=name, category="application", query=tuple(query),
+                              rhs=tuple(rhs), doc=doc, target=target))
 
     for target, kind, loader in (("amx", "bf16", "tile_load"),
                                  ("wmma", "f16", "wmma_load_a")):
@@ -643,24 +578,11 @@ def _application_rules(rs):
              guard_ints("lanes = m*k*n and kn = k*n",
                         lambda lanes, m, k, n, kn: lanes == m * k * n and kn == k * n,
                         "lanes", "m", "k", "n", "kn")],
-            a_tile_action(loader, f"{target}-a-tile"),
+            [rel(f"{target}-a-tile", V("origa"), P(
+                ("call", loader), pvar("an"), V("abase"), V("astride"),
+                pimm(V("m")), pimm(V("k"))))],
             f"A matrix in row-major three-level nesting loads directly as the "
             f"{target.upper()} A tile")
-
-    def amx_b_standard_act(g, env):
-        m, k, n = (g.class_int(env[v]) for v in ("m", "k", "n"))
-        bname = class_name(g, env["bn"])
-        one = mk_imm(g, 1)
-        rowmajor = g.add(("ramp",), (
-            g.add(("ramp",), (env["bbase"], one, g.add_int(n))),
-            g.add(("bcast",), (env["bstride"], g.add_int(n))), g.add_int(k)))
-        load_b = g.add(("load",), (mk_name(g, bname), mk_type(g, "bf16", k * n),
-                                   rowmajor))
-        shuf = g.add(("exprvar",), (g.add(("call", "KWayInterleave"), (
-            mk_imm(g, 2), mk_imm(g, n), load_b)),))
-        tile = g.add(("call", "tile_load"), (
-            shuf, mk_imm(g, 0), mk_imm(g, 2 * n), mk_imm(g, k // 2), mk_imm(g, 2 * n)))
-        g.assert_fact("amx-b-tile", env["origb"], tile)
 
     app("amx-b-standard", "amx",
         [rel("amx-shape", V("m"), V("k"), V("n")),
@@ -670,16 +592,18 @@ def _application_rules(rs):
          guard_ints("lanes = m*k*n, k even",
                     lambda lanes, m, k, n: lanes == m * k * n and k % 2 == 0,
                     "lanes", "m", "k", "n")],
-        amx_b_standard_act,
+        [Let("rowmajor", pramp(pramp(V("bbase"), pimm(1), V("n")),
+                               pbcast(V("bstride"), V("n")), V("k"))),
+         Let("loadb", pload(V("bn"), ptype("bf16", pint(C("*", V("k"), V("n")))),
+                            V("rowmajor"))),
+         rel("amx-b-tile", V("origb"), P(
+             ("call", "tile_load"),
+             P(("exprvar",), P(("call", "KWayInterleave"), pimm(2), pimm(V("n")),
+                               V("loadb"))),
+             pimm(0), pimm(C("*", 2, V("n"))), pimm(C("//", V("k"), 2)),
+             pimm(C("*", 2, V("n")))))],
         "B in the standard layout: interleave row pairs (VNNI pack) into a "
         "temporary, then tile-load it; only for memory-resident sources")
-
-    def amx_b_vnni_act(g, env):
-        k, n = g.class_int(env["k"]), g.class_int(env["n"])
-        tile = g.add(("call", "tile_load"), (
-            g.add(("var", class_name(g, env["bn"]))), env["bbase"], env["vstride"],
-            mk_imm(g, k // 2), mk_imm(g, 2 * n)))
-        g.assert_fact("amx-b-tile", env["origb"], tile)
 
     app("amx-b-vnni", "amx",
         [rel("amx-shape", V("m"), V("k"), V("n")),
@@ -688,15 +612,8 @@ def _application_rules(rs):
          guard_ints("lanes = m*k*n, kh = k/2",
                     lambda lanes, m, k, n, kh: lanes == m * k * n and kh * 2 == k,
                     "lanes", "m", "k", "n", "kh")],
-        amx_b_vnni_act,
+        _amx_b_vnni_rhs(V("vstride")),
         "B already in the VNNI layout tile-loads verbatim")
-
-    def wmma_b_act(g, env):
-        k, n = g.class_int(env["k"]), g.class_int(env["n"])
-        tile = g.add(("call", "wmma_load_b"), (
-            g.add(("var", class_name(g, env["bn"]))), env["bbase"], env["bstride"],
-            mk_imm(g, k), mk_imm(g, n)))
-        g.assert_fact("wmma-b-tile", env["origb"], tile)
 
     app("wmma-b-standard", "wmma",
         [rel("wmma-shape", V("m"), V("k"), V("n")),
@@ -705,28 +622,10 @@ def _application_rules(rs):
          guard_ints("lanes = m*k*n",
                     lambda lanes, m, k, n: lanes == m * k * n,
                     "lanes", "m", "k", "n")],
-        wmma_b_act,
+        [rel("wmma-b-tile", V("origb"), P(
+            ("call", "wmma_load_b"), pvar("bn"), V("bbase"), V("bstride"),
+            pimm(V("k")), pimm(V("n"))))],
         "row-major f16 B loads directly as the WMMA b fragment")
-
-    def conv_act(g, env):
-        m, k, n = (g.class_int(env[v]) for v in ("m", "k", "n"))
-        s, l = g.class_int(env["s"]), g.class_int(env["l"])
-        af = g.add(("call", "wmma_load_a"), (
-            g.add(("var", class_name(g, env["iname"]))), env["basei"],
-            mk_imm(g, s * n), mk_imm(g, m), mk_imm(g, k)))
-        if s == 1:
-            mat = g.add(("call", "ConvolutionShuffle"), (
-                g.add(("var", class_name(g, env["kname"]))), env["basek"],
-                mk_imm(g, k), mk_imm(g, n)))
-        else:
-            mat = g.add(("call", "PolyphaseShuffle"), (
-                g.add(("var", class_name(g, env["kname"]))), env["basek"],
-                mk_imm(g, l), mk_imm(g, n), mk_imm(g, 1), mk_imm(g, s)))
-        bf = g.add(("call", "wmma_load_b"), (
-            g.add(("exprvar",), (mat,)), mk_imm(g, 0), mk_imm(g, n),
-            mk_imm(g, k), mk_imm(g, n)))
-        g.assert_fact("wmma-a-tile", env["loadi"], af)
-        g.assert_fact("wmma-b-tile", env["loadk"], bf)
 
     conv_mul = [Bind("mul", pmul(P(("cast",), V("tf"), V("loadi")),
                                  P(("cast",), V("tf"), V("loadk")))),
@@ -743,24 +642,14 @@ def _application_rules(rs):
                     s >= 1 and l >= 1 and x == m * n and k == s * n + l
                     and li == x * l,
                     "m", "k", "n", "l", "s", "x", "li")],
-        conv_act,
+        _toeplitz_rhs(C("*", V("s"), V("n")), If(
+            C("==", V("s"), 1),
+            P(("call", "ConvolutionShuffle"), pvar("kname"), V("basek"),
+              pimm(V("k")), pimm(V("n"))),
+            P(("call", "PolyphaseShuffle"), pvar("kname"), V("basek"),
+              pimm(V("l")), pimm(V("n")), pimm(1), pimm(V("s"))))),
         "an overlapped-window signal load times a broadcast kernel load is a "
         "MatMul against the (strided) Toeplitz matrix of the kernel")
-
-    def upsample_act(g, env):
-        m, k, n = (g.class_int(env[v]) for v in ("m", "k", "n"))
-        p, l = g.class_int(env["p"]), g.class_int(env["l"])
-        af = g.add(("call", "wmma_load_a"), (
-            g.add(("var", class_name(g, env["iname"]))), env["basei"],
-            mk_imm(g, n // p), mk_imm(g, m), mk_imm(g, k)))
-        mat = g.add(("call", "PolyphaseShuffle"), (
-            g.add(("var", class_name(g, env["kname"]))), env["basek"],
-            mk_imm(g, l), mk_imm(g, n), mk_imm(g, p), mk_imm(g, 1)))
-        bf = g.add(("call", "wmma_load_b"), (
-            g.add(("exprvar",), (mat,)), mk_imm(g, 0), mk_imm(g, n),
-            mk_imm(g, k), mk_imm(g, n)))
-        g.assert_fact("wmma-a-tile", env["loadi"], af)
-        g.assert_fact("wmma-b-tile", env["loadk"], bf)
 
     app("upsample-polyphase", "wmma",
         [rel("wmma-shape", V("m"), V("k"), V("n"))] + conv_mul + [
@@ -776,21 +665,14 @@ def _application_rules(rs):
                     and mk == m * kp and k == kp + l and li == m * n * l,
                     "m", "k", "n", "l", "p", "pl", "kp", "kpl", "ws", "sk",
                     "mk", "li")],
-        upsample_act,
+        _toeplitz_rhs(C("//", V("n"), V("p")), P(
+            ("call", "PolyphaseShuffle"), pvar("kname"), V("basek"),
+            pimm(V("l")), pimm(V("n")), pimm(V("p")), pimm(1))),
         "a phase-interleaved window load times a phase-decomposed kernel load "
         "is a MatMul against the polyphase Toeplitz matrix")
 
 
 # -- lowering ----------------------------------------------------------------
-
-
-def _pat_rowmajor_2axis(idx_var):
-    return Bind(idx_var, pramp(pramp(V("b"), pimm(1), V("n1")),
-                               pbcast(V("sstr"), V("n1")), V("n0")))
-
-
-def _pat_flat(idx_var, count_var="ll"):
-    return Bind(idx_var, pramp(V("b"), pimm(1), V(count_var)))
 
 
 def _is_zero_imm(g, env):
@@ -800,22 +682,9 @@ def _is_zero_imm(g, env):
 
 
 def _lowering_rules(rs):
-    def low(name, target, query, action, doc, fuzz=None):
+    def low(name, target, query, rhs, doc="", fuzz=None):
         return rs.add(RuleDef(name=name, category="lowering", query=tuple(query),
-                              action=action, doc=doc, target=target, fuzz=fuzz))
-
-    # MatMul lowering: e = C + vra(Mul(cast A, cast B)) with tile facts.
-    def matmul_act(target):
-        def act(g, env):
-            if target == "amx":
-                c_t = g.add(("l2l", "mem", "amx"), (env["c"],))
-                newe = g.add(("call", "tile_matmul"), (c_t, env["ta"], env["tb"]))
-                g.union(env["e"], g.add(("l2l", "amx", "mem"), (newe,)))
-            else:
-                c_t = g.add(("l2l", "mem", "wmma"), (env["c"],))
-                newe = g.add(("call", "wmma_mma"), (env["ta"], env["tb"], c_t))
-                g.union(env["e"], g.add(("l2l", "wmma", "mem"), (newe,)))
-        return act
+                              rhs=tuple(rhs), doc=doc, target=target, fuzz=fuzz))
 
     def matmul_dims_guard(target):
         def chk(g, env):
@@ -828,7 +697,12 @@ def _lowering_rules(rs):
             return ta == (m, k) and tb == want_b
         return Guard(chk, "tile operands carry the matched shape")
 
-    for target, name in (("amx", "amx-matmul"), ("wmma", "wmma-mma")):
+    # MatMul lowering: e = C + vra(Mul(cast A, cast B)) with tile facts.
+    for target, name, call in (
+            ("amx", "amx-matmul", P(("call", "tile_matmul"),
+                                    pl2l("mem", "amx", V("c")), V("ta"), V("tb"))),
+            ("wmma", "wmma-mma", P(("call", "wmma_mma"),
+                                   V("ta"), V("tb"), pl2l("mem", "wmma", V("c"))))):
         low(name, target,
             [rel(f"{target}-shape", V("m"), V("k"), V("n")),
              Bind("e", padd(V("c"), V("vrae"))),
@@ -840,152 +714,95 @@ def _lowering_rules(rs):
              rel(f"{target}-b-tile", V("b"), V("tb")),
              guard_ints("rl = m*n", lambda rl, m, n: rl == m * n, "rl", "m", "n"),
              matmul_dims_guard(target)],
-            matmul_act(target),
-            f"C + sum(A*B) with {target} tile facts becomes the {target} "
-            f"MatMul intrinsic, moved back to memory",
+            [Bind("e", pl2l(target, "mem", call))],
             fuzz=_fz_matmul(target))
 
     for target, zero in (("amx", "tile_zero"), ("wmma", "wmma_zero")):
-        def zero_act(zero=zero):
-            def act(g, env):
-                m, n = g.class_int(env["m"]), g.class_int(env["n"])
-                g.union(env["e"], g.add(("call", zero), (mk_imm(g, m), mk_imm(g, n))))
-            return act
-
         low(f"{target}-zero", target,
             [Bind("e", pl2l("mem", target, pbcast(V("z"), V("l")))),
              rel(f"{target}-shape", V("m"), V("k"), V("n")),
              guard_ints("l = m*n", lambda l, m, n: l == m * n, "l", "m", "n"),
              Guard(_is_zero_imm, "broadcast of +0.0")],
-            zero_act(),
-            f"moving a broadcast zero to {target} is the {zero} intrinsic",
+            [Bind("e", P(("call", zero), pimm(V("m")), pimm(V("n"))))],
             fuzz=_fz_zero(target))
 
+    # a row-major tile index, 2-axis with its row stride ?sstr or flat with
+    # the stride n, whose immediate a Let adds first
+    layouts = (("2axis", pramp(pramp(V("b"), pimm(1), V("n1")), pbcast(V("sstr"), V("n1")),
+                               V("n0")),
+                guard_ints("rows = m, cols = n", lambda n0, n1, m, n: n0 == m and n1 == n,
+                           "n0", "n1", "m", "n"), []),
+               ("flat", pramp(V("b"), pimm(1), V("ll")),
+                guard_ints("lanes = m*n", lambda ll, m, n: ll == m * n, "ll", "m", "n"),
+                [Let("sstr", pimm(V("n")))]))
     for target, store in (("amx", "tile_store"), ("wmma", "wmma_store")):
-        def store_act(store=store):
-            def act(g, env):
-                m, n = g.class_int(env["m"]), g.class_int(env["n"])
-                sstr = env.get("sstr") or mk_imm(g, n)
-                call = g.add(("call", store), (
-                    g.add(("var", class_name(g, env["buf"]))), env["b"], sstr,
-                    mk_imm(g, n), env["tile"]))
-                g.union(env["st"], g.add(("evaluate",), (call,)))
-            return act
-
-        low(f"{store.replace('_', '-')}-2axis", target,
-            [Bind("st", P(("store",), V("buf"), V("idx"),
-                          pl2l(target, "mem", V("tile")))),
-             _pat_rowmajor_2axis("idx"),
-             rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             guard_ints("rows = m, cols = n",
-                        lambda n0, n1, m, n: n0 == m and n1 == n,
-                        "n0", "n1", "m", "n")],
-            store_act(),
-            f"a row-major store of a {target} tile is the {store} intrinsic",
-            fuzz=_fz_store(target, flat=False))
-
-        low(f"{store.replace('_', '-')}-flat", target,
-            [Bind("st", P(("store",), V("buf"), V("idx"),
-                          pl2l(target, "mem", V("tile")))),
-             _pat_flat("idx"),
-             rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             guard_ints("lanes = m*n", lambda ll, m, n: ll == m * n,
-                        "ll", "m", "n")],
-            store_act(),
-            f"a dense store of a {target} tile is the {store} intrinsic",
-            fuzz=_fz_store(target, flat=True))
+        for layout, index, guard, stride in layouts:
+            low(f"{store.replace('_', '-')}-{layout}", target,
+                [Bind("st", P(("store",), V("buf"), V("idx"),
+                              pl2l(target, "mem", V("tile")))),
+                 Bind("idx", index),
+                 rel(f"{target}-shape", V("m"), V("k"), V("n")),
+                 guard],
+                stride + [Bind("st", P(("evaluate",), P(
+                    ("call", store), pvar("buf"), V("b"), V("sstr"), pimm(V("n")),
+                    V("tile"))))],
+                fuzz=_fz_store(target, flat=layout == "flat"))
 
     for target in ("amx", "wmma"):
         low(f"mem2{target}-cancel", target,
             [Bind("e", pl2l("mem", target, pl2l(target, "mem", V("x"))))],
-            lambda g, env: g.union(env["e"], env["x"]),
-            f"mem->{target} of {target}->mem cancels",
+            [Bind("e", V("x"))],
             fuzz=_fz_cancel(target, outer_first=True))
         low(f"{target}2mem-cancel", target,
             [Bind("e", pl2l(target, "mem", pl2l("mem", target, V("x"))))],
-            lambda g, env: g.union(env["e"], env["x"]),
-            f"{target}->mem of mem->{target} cancels",
+            [Bind("e", V("x"))],
             fuzz=_fz_cancel(target, outer_first=False))
         low(f"mem2{target}-of-{target}-load", target,
             [Bind("e", pl2l("mem", target, V("ld"))),
              Bind("ld", pload(V("n"), V("t"), V("i"))),
              rel("buffer-loc", V("n"), ploc(target))],
-            lambda g, env: g.union(env["e"], env["ld"]),
+            [Bind("e", V("ld"))],
             f"a load from a {target}-resident buffer is already on {target}; "
             f"the injected movement is the identity",
             fuzz=_fz_of_load(target))
 
     for target, loader in (("amx", "tile_load"), ("wmma", "wmma_load_c")):
-        def acc_act(loader=loader):
-            def act(g, env):
-                m, n = g.class_int(env["m"]), g.class_int(env["n"])
-                sstr = env.get("sstr") or mk_imm(g, n)
-                g.union(env["e"], g.add(("call", loader), (
-                    g.add(("var", class_name(g, env["bufn"]))), env["b"], sstr,
-                    mk_imm(g, m), mk_imm(g, n))))
-            return act
+        for layout, index, guard, stride in layouts:
+            low(f"{target}-acc-load-{layout}", target,
+                [Bind("e", pl2l("mem", target, V("ld"))),
+                 Bind("ld", pload(V("bufn"), V("t"), V("idx"))),
+                 Bind("idx", index),
+                 rel("buffer-loc", V("bufn"), ploc("mem")),
+                 rel(f"{target}-shape", V("m"), V("k"), V("n")),
+                 guard],
+                stride + [Bind("e", P(("call", loader), pvar("bufn"), V("b"), V("sstr"),
+                                      pimm(V("m")), pimm(V("n"))))],
+                fuzz=_fz_acc_load(target, flat=layout == "flat"))
 
-        low(f"{target}-acc-load-2axis", target,
-            [Bind("e", pl2l("mem", target, V("ld"))),
-             Bind("ld", pload(V("bufn"), V("t"), V("idx"))),
-             _pat_rowmajor_2axis("idx"),
-             rel("buffer-loc", V("bufn"), ploc("mem")),
+    def stage(name, target, loader, rows, cols, lanes_pred, doc, fuzz):
+        low(name, target,
+            [Bind("st", P(("store",), V("buf"), V("sidx"),
+                          pl2l("mem", target, V("ld")))),
+             Bind("sidx", pramp(V("sb"), pimm(1), V("ll"))),
+             Bind("ld", pload(V("mn"), V("t"), pramp(V("lb"), pimm(1), V("ll")))),
+             rel("buffer-loc", V("mn"), ploc("mem")),
+             rel("buffer-loc", V("buf"), ploc(target)),
              rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             guard_ints("rows = m, cols = n",
-                        lambda n0, n1, m, n: n0 == m and n1 == n,
-                        "n0", "n1", "m", "n")],
-            acc_act(),
-            f"moving a row-major accumulator read to {target} is a "
-            f"{loader} at the C shape",
-            fuzz=_fz_acc_load(target, flat=False))
+             guard_ints(doc, lanes_pred, "ll", "m", "k", "n")],
+            [Bind("st", P(("store",), V("buf"), V("sidx"), P(
+                ("call", loader), pvar("mn"), V("lb"), pimm(V(cols)),
+                pimm(V(rows)), pimm(V(cols)))))],
+            fuzz=fuzz)
 
-        low(f"{target}-acc-load-flat", target,
-            [Bind("e", pl2l("mem", target, V("ld"))),
-             Bind("ld", pload(V("bufn"), V("t"), V("idx"))),
-             _pat_flat("idx"),
-             rel("buffer-loc", V("bufn"), ploc("mem")),
-             rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             guard_ints("lanes = m*n", lambda ll, m, n: ll == m * n,
-                        "ll", "m", "n")],
-            acc_act(),
-            f"moving a dense accumulator read to {target} is a {loader}",
-            fuzz=_fz_acc_load(target, flat=True))
-
-    def stage_act(loader, rows_var, cols_var):
-        def act(g, env):
-            r, c = g.class_int(env[rows_var]), g.class_int(env[cols_var])
-            call = g.add(("call", loader), (
-                g.add(("var", class_name(g, env["mn"]))), env["lb"],
-                mk_imm(g, c), mk_imm(g, r), mk_imm(g, c)))
-            g.union(env["st"], g.add(("store",), (env["buf"], env["sidx"], call)))
-        return act
-
-    def stage_query(target, lanes_pred, doc):
-        return [Bind("st", P(("store",), V("buf"), V("sidx"),
-                             pl2l("mem", target, V("ld")))),
-                Bind("sidx", pramp(V("sb"), pimm(1), V("ll"))),
-                Bind("ld", pload(V("mn"), V("t"),
-                                 pramp(V("lb"), pimm(1), V("ll")))),
-                rel("buffer-loc", V("mn"), ploc("mem")),
-                rel("buffer-loc", V("buf"), ploc(target)),
-                rel(f"{target}-shape", V("m"), V("k"), V("n")),
-                guard_ints(doc, lanes_pred, "ll", "m", "k", "n")]
-
-    low("amx-stage-flat", "amx",
-        stage_query("amx", lambda ll, m, k, n: ll == m * k, "lanes = m*k"),
-        stage_act("tile_load", "m", "k"),
-        "a dense copy staged into an AMX-resident buffer is a tile_load",
-        fuzz=_fz_stage("amx", "tile_load"))
-    low("wmma-stage-flat-a", "wmma",
-        stage_query("wmma", lambda ll, m, k, n: ll == m * k, "lanes = m*k"),
-        stage_act("wmma_load_a", "m", "k"),
-        "a dense copy staged into a WMMA-resident buffer at the A shape",
-        fuzz=_fz_stage("wmma", "wmma_load_a"))
-    low("wmma-stage-flat-b", "wmma",
-        stage_query("wmma", lambda ll, m, k, n: ll == k * n, "lanes = k*n"),
-        stage_act("wmma_load_b", "k", "n"),
-        "a dense copy staged into a WMMA-resident buffer at the B shape",
-        fuzz=_fz_stage("wmma", "wmma_load_b", b_shape=True))
+    stage("amx-stage-flat", "amx", "tile_load", "m", "k",
+          lambda ll, m, k, n: ll == m * k, "lanes = m*k",
+          _fz_stage("amx", "tile_load"))
+    stage("wmma-stage-flat-a", "wmma", "wmma_load_a", "m", "k",
+          lambda ll, m, k, n: ll == m * k, "lanes = m*k",
+          _fz_stage("wmma", "wmma_load_a"))
+    stage("wmma-stage-flat-b", "wmma", "wmma_load_b", "k", "n",
+          lambda ll, m, k, n: ll == k * n, "lanes = k*n",
+          _fz_stage("wmma", "wmma_load_b", b_shape=True))
 
 
 # ---------------------------------------------------------------------------
@@ -1488,25 +1305,21 @@ def corrupted_ramp_rule():
                    fuzz=bad_gen)
 
 
+def _mutated(name, rhs, why):
+    """The default ruleset with rule `name`'s right-hand side replaced."""
+    rs = build_default_ruleset()
+    rule = rs.named(name)
+    rs.rules[rs.rules.index(rule)] = replace(
+        rule, rhs=rhs, doc=f"{rule.doc} [CORRUPTED: {why}]".lstrip())
+    return rs
+
+
 def corrupted_ruleset():
     """Default ruleset with the VNNI tile load using a row stride two short:
     selection still succeeds and stays in bounds, but difftests must catch
     the divergent lanes."""
-    rs = build_default_ruleset()
-    rule = rs.named("amx-b-vnni")
-
-    def bad_act(g, env):
-        k, n = g.class_int(env["k"]), g.class_int(env["n"])
-        sval = g.class_int(env["vstride"])
-        stride = env["vstride"] if sval is None else mk_imm(g, max(1, sval - 2))
-        tile = g.add(("call", "tile_load"), (
-            g.add(("var", class_name(g, env["bn"]))), env["bbase"], stride,
-            mk_imm(g, k // 2), mk_imm(g, 2 * n)))
-        g.assert_fact("amx-b-tile", env["origb"], tile)
-
-    rule.action = bad_act
-    rule.doc += " [CORRUPTED: tile row stride off by two]"
-    return rs
+    return _mutated("amx-b-vnni", _amx_b_vnni_rhs(pimm(C("-", V("vstride"), 2))),
+                    "tile row stride off by two")
 
 
 def runaway_ruleset():
@@ -1514,16 +1327,9 @@ def runaway_ruleset():
     it should multiply them: every round derives broadcasts of new lane
     counts, and their types, without end, so selection must stop on its
     budget."""
-    rs = build_default_ruleset()
-    rule = rs.named("broadcast-flatten")
-
-    def bad_act(g, env):
-        g.union(env["e"], g.add(("bcast",), (
-            env["x"], g.add_int(g.class_int(env["l1"]) + g.class_int(env["l2"])))))
-
-    rule.action = bad_act
-    rule.doc += " [CORRUPTED: copy counts added]"
-    return rs
+    return _mutated("broadcast-flatten",
+                    (Bind("e", pbcast(V("x"), pint(C("+", V("l1"), V("l2"))))),),
+                    "copy counts added")
 
 
 # ---------------------------------------------------------------------------
@@ -1557,7 +1363,7 @@ def check_type_consistency(g):
     facts inside one class."""
     seen = {}
     for e, t in g.facts.get("has-type", ()):
-        ty = class_type(g, t)
+        ty = g.class_type(t)
         if ty is None:
             continue
         root = g.find(e)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorsel import egraph, ir, rules
-from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, EGraph,
-                              Guard, NoFiniteCost, NodeBudgetExceeded, PNode,
+from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, Calc, EGraph,
+                              Guard, Let, NoFiniteCost, NodeBudgetExceeded, PNode,
                               PVar, Query, Rel, RuleDef, SaturationReport,
                               ematch, extract_best, node_cost, rel,
                               run_schedule)
@@ -409,6 +409,35 @@ class TestRuleConstruction:
         with pytest.raises(TypeError, match=f"^rule 'bad': {re.escape(what)}$"):
             RuleDef("bad", "axiomatic", query, lambda g, env: None)
 
+    @pytest.mark.parametrize("effect, what", [
+        (Bind("e", PVar("y")), "unbound variable ?y"),
+        (Bind("y", PVar("x")), "unbound variable ?y"),
+        (rel("r", PNode(("int", Calc("*", (PVar("x"), PVar("t")))))),
+         "not a matched variable: PVar(name='t')"),
+        (Let("x", PNode(("f",))), "Let rebinds ?x"),
+        ("e", "not an effect: 'e'"),
+    ])
+    def test_bad_rhs_raises_naming_the_rule(self, effect, what):
+        query = (Bind("e", PNode(("f",), (PVar("x"),))),)
+        with pytest.raises(TypeError, match=f"^rule 'bad': {re.escape(what)}$"):
+            RuleDef("bad", "axiomatic", query, rhs=(effect,))
+
+    def test_rhs_is_the_action(self):
+        query = (Bind("e", PNode(("f",), (PVar("x"),))),)
+        rule = RuleDef("wrap", "axiomatic", query, rhs=(
+            Let("y", PNode(("int", Calc("+", (PVar("x"), 1))))),
+            Bind("e", PNode(("g",), (PVar("x"), PVar("y")))),
+            rel("r", PVar("y"))))
+        g = EGraph()
+        x = g.add_int(2)
+        e = g.add(("f",), (x,))
+        for env in ematch(g, rule.query):
+            rule.action(g, env)
+        three = g.add_int(3)
+        assert g.find(e) == g.find(g.add(("g",), (x, three)))
+        assert g.facts["r"] == {(three,)}
+        assert replace(rule, name="h").action is rule.action
+
     def test_query_compiles_once(self):
         query = (Bind("e", PNode(("f",), (PVar("x"),))),)
         rule = RuleDef("f", "axiomatic", query, lambda g, env: None)
@@ -568,8 +597,8 @@ class TestSmallNodeReaders:
             for cid in g.class_ids():
                 assert g.class_int(cid) == _ref_class_int(g, cid)
                 assert g.class_imm(cid) == _ref_class_imm(g, cid)
-                assert rules.class_name(g, cid) == _ref_class_name(g, cid)
-                assert rules.class_type(g, cid) == _ref_class_type(g, cid)
+                assert g.class_name(cid) == _ref_class_name(g, cid)
+                assert g.class_type(cid) == _ref_class_type(g, cid)
 
     @settings(max_examples=200, deadline=None)
     @given(_STEPS)
@@ -591,11 +620,11 @@ class TestSmallNodeReaders:
         x = g.add(("name", "x"))
         a, b = g.add_int(8), g.add_int(16)
         t = g.union(g.add(("type", "f32"), (a,)), g.add(("type", "f32"), (b,)))
-        assert rules.class_type(g, t) == ("f32", 8)
+        assert g.class_type(t) == ("f32", 8)
         g.union(b, x)  # b's root becomes x, below a: its type node now sorts first
-        assert rules.class_type(g, t) == _ref_class_type(g, t) == ("f32", 8)
+        assert g.class_type(t) == _ref_class_type(g, t) == ("f32", 8)
         g.rebuild()
-        assert rules.class_type(g, t) == _ref_class_type(g, t) == ("f32", 16)
+        assert g.class_type(t) == _ref_class_type(g, t) == ("f32", 16)
 
 
 class TestSchedule:
@@ -872,19 +901,27 @@ class TestGeneratedPlans:
 
     def test_code_is_built_on_first_match_and_shared(self, monkeypatch):
         monkeypatch.setattr(egraph, "_CODE", {})
+        monkeypatch.setattr(egraph, "_ACTIONS", {})
         binds = []
         bind = egraph._bind
         monkeypatch.setattr(egraph, "_bind", lambda layout: binds.append(layout) or bind(layout))
         rules._default_rules.cache_clear()  # rules built afresh, no plan bound yet
         first, second = rules.build_default_ruleset(), rules.build_default_ruleset()
         for a, b in zip(first, second):
-            assert a.query is b.query and a is not b
-        assert egraph._CODE == {}
+            assert a.query is b.query and a.rhs is b.rhs and a is not b
+        assert egraph._CODE == {} and egraph._ACTIONS == {}
         g = rules.new_graph()
         rules.encode_stmt(g, corpus_program("conv1d_k8").body[-1])
         for rs in (first, second):
             ematch(g, rs.named("type-of-broadcast").query)
         assert len(egraph._CODE) == 1 and len(binds) == 1
+        # type-of-ramp's right-hand side has the same shape: one compiled
+        # source, bound to its own constants
+        assert first.named("type-of-broadcast").action is second.named(
+            "type-of-broadcast").action
+        assert first.named("type-of-ramp").action is not first.named(
+            "type-of-broadcast").action
+        assert len(egraph._ACTIONS) == 1
 
 
 def _random_graph(rng):

@@ -50,6 +50,7 @@ class TestCatalog:
         for name in ("broadcast-flatten", "amx-b-vnni", "amx-matmul",
                      "type-of-ramp", "conv-toeplitz"):
             assert name in text
+        assert "    => ?e = (bcast ?x (int (* ?l1 ?l2)))\n" in text
 
     def test_target_filter(self, default_ruleset):
         amx = default_ruleset.for_target("amx")
@@ -104,6 +105,23 @@ class TestInstances:
             assert g.find(cid) == g.find(rep)
         assert sum(len(v) for v in g.facts.values()) > before_facts
 
+    def test_two_axis_store_keeps_a_row_stride_in_class_zero(self, default_ruleset):
+        # the row stride is class 0, which is as bound as any other class
+        g = rules.new_graph()
+        stride = g.add(("imm", "i32", 6))
+        assert stride == 0
+        idx = ir.Ramp(ir.Ramp(i32(0), i32(1), 4), Broadcast(i32(6), 4), 2)
+        st = rules.encode_stmt(g, ir.Store(
+            "out", idx, ir.LocToLoc("amx", "mem", ir.Var("t"))))
+        rules.seed_facts(g, {}, [ir.ShapeDecl("amx", 2, 2, 4)])
+        rule = default_ruleset.named("tile-store-2axis")
+        envs = ematch(g, rule.query)
+        assert [env["sstr"] for env in envs] == [stride]
+        rule.action(g, envs[0])
+        (ev,) = [ch for op, ch in g.class_nodes(st) if op == ("evaluate",)]
+        (call,) = [ch for op, ch in g.class_nodes(ev[0]) if op == ("call", "tile_store")]
+        assert call[2] == stride
+
     def test_type_consistency_after_run(self, default_ruleset):
         g, _ = saturate(matmul_update_stmt(), default_ruleset)
         assert rules.check_type_consistency(g) is None
@@ -154,7 +172,7 @@ def _add(g, a, b):
 # the left side of each i32-only axiom over leaves `v(name)`
 I32_ONLY = {
     "ramp-elim": lambda g, v: _ramp(g, v("x"), v("s"), 1),
-    "degenerate-ramp-split": lambda g, v: _ramp(g, v("x"), rules.mk_imm(g, 1), 4),
+    "degenerate-ramp-split": lambda g, v: _ramp(g, v("x"), g.add(("imm", "i32", 1)), 4),
     "ramp-plus-broadcast":
         lambda g, v: _add(g, _ramp(g, v("b"), v("s"), 2), _bcast(g, v("x"), 4)),
     "ramp-plus-broadcast-r":
