@@ -54,7 +54,6 @@ new or binds a class merged since.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -156,30 +155,14 @@ class RuleDef:
             if self.rhs:
                 if not isinstance(self.rhs, Rhs):
                     self.rhs = Rhs(self.rhs, self.query._layout.names)
-                del self.action  # compiled on its first read, as a plan on its first match
+                self.action = self.rhs.action
         except TypeError as e:
             raise TypeError(f"rule {self.name!r}: {e}") from None
-
-    def __getattr__(self, name):
-        """The action of a rule with a right-hand side, compiled on first read."""
-        if name != "action" or "rhs" not in self.__dict__:
-            raise AttributeError(name)
-        self.action = self.rhs.action
-        return self.action
-
-    def __copy__(self):
-        """A copy that reads no action, so compiles none."""
-        rule = object.__new__(RuleDef)
-        rule.__dict__.update(self.__dict__)
-        return rule
 
     @property
     def semantic(self):
         """Unions value terms, so it is subject to soundness fuzzing."""
         return self.category in ("axiomatic", "lowering")
-
-
-del RuleDef.action  # a class default would hide `__getattr__`
 
 
 class EGraph:
@@ -573,17 +556,24 @@ _LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
 
 def _bind(layout):
     """The plan of a layout: its structure's code, bound to its constants."""
-    make = _CODE.get(layout.structure)
-    if make is None:
-        scope = {}
-        exec(compile(_source(layout.structure), "<query plan>", "exec"), scope)
-        make = _CODE[layout.structure] = scope["make"]
+    make = _make(_CODE, layout.structure, _source, "<query plan>")
     run, names = make(layout.consts), layout.names
 
     def plan(g):
         return [dict(zip(names, key)) for key in sorted(run(g))]
 
     return plan
+
+
+def _make(cache, key, source, filename):
+    """`make` of the generated source `source(key)`, compiled once per
+    process per `key` and kept in `cache`."""
+    make = cache.get(key)
+    if make is None:
+        scope = {}
+        exec(compile(source(key), filename, "exec"), scope)
+        make = cache[key] = scope["make"]
+    return make
 
 
 def _source(structure):
@@ -685,26 +675,18 @@ def _source(structure):
 
 
 class Rhs(tuple):
-    """A rule's effects, checked and laid out as source when made: a `Bind`
-    unions a matched class with its template's class, a `Rel` asserts a
-    fact over its templates' classes, and a `Let` names its template's class
-    for later effects.  Raises TypeError on anything else, or on a variable
-    that neither the query (`bound`) nor an earlier `Let` binds."""
+    """A rule's effects, checked and compiled into `action(g, env)` when
+    made: a `Bind` unions a matched class with its template's class, a
+    `Rel` asserts a fact over its templates' classes, and a `Let` names its
+    template's class for later effects.  Raises TypeError on anything else,
+    or on a variable that neither the query (`bound`) nor an earlier `Let`
+    binds."""
 
     def __new__(cls, effects, bound):
         rhs = super().__new__(cls, effects)
-        rhs._source, rhs._consts = _rhs_source(rhs, frozenset(bound))
+        source, consts = _rhs_source(rhs, frozenset(bound))
+        rhs.action = _make(_ACTIONS, source, str, "<rule action>")(consts)
         return rhs
-
-    @functools.cached_property
-    def action(self):
-        """`action(g, env)`, compiled on first read."""
-        make = _ACTIONS.get(self._source)
-        if make is None:
-            scope = {}
-            exec(compile(self._source, "<rule action>", "exec"), scope)
-            make = _ACTIONS[self._source] = scope["make"]
-        return make(self._consts)
 
 
 _ACTIONS = {}  # action source -> its compiled `make`, shared by the process

@@ -561,9 +561,10 @@ def eval_intrinsic(name, args, env):
             bm[..., 1::2, :] = bv[..., 1::2]
         else:
             bm = _split(b.data, k, n)
-        s = am[..., 0, None] * bm[..., 0, None, :]  # (..., m, n), f32
+        prods = am[..., None] * bm[..., None, :, :]  # (..., m, k, n), f32
+        s = prods[..., 0, :].copy()
         for kk in range(1, k):
-            s += am[..., kk, None] * bm[..., kk, None, :]
+            s = s + prods[..., kk, :]
         out = _split(c.data, m, n) + s
         return VectorValue("f32", _flat(out))
 

@@ -27,7 +27,6 @@ row stride), and k%2 (stride 1).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import random
@@ -350,10 +349,9 @@ def _render_atom(atom):
 def build_default_ruleset():
     """A new RuleSet of the default rules.  The rules are built once per
     process; each set holds fresh copies of them that share their laid-out
-    queries and right-hand sides, so changing one set's rules leaves the
-    next set as built.  `RuleDef.__copy__` reads no action, so none is
-    compiled before its rule first runs."""
-    return RuleSet([copy.copy(r) for r in _default_rules()])
+    queries and compiled right-hand sides, so changing one set's rules
+    leaves the next set as built."""
+    return RuleSet([replace(r) for r in _default_rules()])
 
 
 @functools.cache
@@ -1317,8 +1315,12 @@ def _mutated(name, rhs, why):
 def corrupted_ruleset():
     """Default ruleset with the VNNI tile load using a row stride two short:
     selection still succeeds and stays in bounds, but difftests must catch
-    the divergent lanes."""
-    return _mutated("amx-b-vnni", _amx_b_vnni_rhs(pimm(C("-", V("vstride"), 2))),
+    the divergent lanes.  The stride is read as an int, so the VNNI index
+    must have a constant row stride of at least 3, as every corpus program
+    has; another stride raises in the action or loads at a stride below 1."""
+    return _mutated("amx-b-vnni",
+                    (Let("bad", pimm(C("-", V("vstride"), 2))),
+                     *_amx_b_vnni_rhs(V("bad"))),
                     "tile row stride off by two")
 
 

@@ -908,20 +908,19 @@ class TestGeneratedPlans:
         rules._default_rules.cache_clear()  # rules built afresh, no plan bound yet
         first, second = rules.build_default_ruleset(), rules.build_default_ruleset()
         for a, b in zip(first, second):
-            assert a.query is b.query and a.rhs is b.rhs and a is not b
-        assert egraph._CODE == {} and egraph._ACTIONS == {}
+            assert a.query is b.query and a.action is b.action and a is not b
+        assert egraph._CODE == {}
+        # right-hand sides compile when built, once per template shape:
+        # type-of-ramp's has type-of-broadcast's, bound to its own constants
+        ramp = first.named("type-of-ramp").action
+        bcast = first.named("type-of-broadcast").action
+        assert ramp is not bcast and ramp.__code__ is bcast.__code__
+        assert len(egraph._ACTIONS) < len(first.rules)
         g = rules.new_graph()
         rules.encode_stmt(g, corpus_program("conv1d_k8").body[-1])
         for rs in (first, second):
             ematch(g, rs.named("type-of-broadcast").query)
         assert len(egraph._CODE) == 1 and len(binds) == 1
-        # type-of-ramp's right-hand side has the same shape: one compiled
-        # source, bound to its own constants
-        assert first.named("type-of-broadcast").action is second.named(
-            "type-of-broadcast").action
-        assert first.named("type-of-ramp").action is not first.named(
-            "type-of-broadcast").action
-        assert len(egraph._ACTIONS) == 1
 
 
 def _random_graph(rng):
