@@ -1,13 +1,19 @@
 """Relational equality-saturation engine.
 
 E-nodes are (op, child-ids) with hashconsing; literals are their own
-nullary nodes.  Alongside the term graph, a fact store holds Datalog-style
-relation tuples (has-type, amx-b-tile, amx-shape, ...) whose arguments are
-class ids; facts are canonicalized on rebuild.  A fact index files each
-tuple under the root of its first argument and relation; `union` moves the
-losing root's tuples to the winner at once, so a relation atom whose first
-term is already bound is a hash lookup, even between a union and the next
-rebuild.
+nullary nodes.  The union-find is flat: every id's parent is its class's
+root, so `find` is one list read.  `union` keeps the smaller root, so
+class ids never depend on the order of merges, and relabels the loser's
+members from a per-root member list, in time linear in the loser's size.
+
+Alongside the term graph, a fact store holds Datalog-style relation
+tuples (has-type, amx-b-tile, amx-shape, ...) whose arguments are class
+ids.  A fact index files each tuple under the root of its first argument
+and relation; `union` moves the losing root's tuples to the winner at
+once, so a relation atom whose first term is already bound is a hash
+lookup, even between a union and the next rebuild.  Each tuple is also
+listed under the root of every argument, and `union` queues the loser's
+list: those tuples, and only those, are stale until `rebuild` re-keys them.
 
 As in egg (Willsey et al., POPL 2021), each class lists its parents, the
 nodes with a child in it, and `union` queues the loser's parents: their
@@ -18,7 +24,8 @@ happened since the last one.  Hashcons keys, `class_nodes` and the small
 nodes stay as they were until then, so an `add` between a union and the
 rebuild still misses a stale key.  Each class also keeps its nodes of
 fewer than two children in `class_nodes` order, so constant, name and type
-reads never sort.
+reads never sort, and `class_int` keeps its answer per root until those
+nodes change.
 
 E-matching runs join plans, as in relational e-matching (Zhang et al.,
 POPL 2022), over a view that `union` keeps canonical: per root and op,
@@ -31,17 +38,19 @@ fact step that reads the fact index when its first slot is bound, and
 whether a slot is already bound is settled then.  On its first `ematch`
 the layout becomes one generated Python function of nested `for` loops
 over local slot variables, checking bound slots with `==` and binding
-free ones by assignment.  Ops, relation names and guard functions are
-passed to it as constants, never written into its source, so the
-compiled code is cached per process by the layout's structure and shared
-by every query of that shape.  Classes, nodes and tuples are iterated
-unsorted and `ematch` orders its result once.
+free ones by assignment.  Ops, relation names, guard functions and
+variable names are passed to it as constants, never written into its
+source, so the compiled code is cached per process by the layout's
+structure and shared by every query of that shape.  Classes, nodes and
+tuples are iterated unsorted; the plan orders its matches once and builds
+each into a dict.
 
 Rules pair a query (term patterns joined with relation atoms and primitive
 guards) with a right-hand side in the same patterns, as egg uses a
 `Pattern` as an `Applier`, with computed leaves (`Calc`) and `If`.  It
 compiles, like a plan, to one Python function per template structure: the
-rule's action.
+rule's action, which reads the hashcons itself and calls `add` only for a
+node that is not there yet.
 
 The schedule runs supporting rules to fixpoint, then one sequential round
 of axiomatic, application, and lowering rules, then rebuilds — for a fixed
@@ -167,17 +176,21 @@ class RuleDef:
 
 class EGraph:
     def __init__(self, on_add=None):
-        self._parent = []
+        self._parent = []  # id -> the root of its class, always: find is one read
+        self._members = {}  # root -> every id whose root it is
         self._keys = []  # node id (its class when added) -> key, None once a twin replaced it
         self._hashcons = {}  # node key -> node id
         self._class_nodes = {}  # root -> dict[node key -> None]
         self._small = {}  # root -> its nodes of < 2 children, class_nodes order
+        self._ints = {}  # root -> its `class_int`, until its small nodes change
         self._view = {}  # root -> op -> dict[canonical children -> None]
         self._op_index = {}  # op -> set of roots with a node of op
         self._parents = {}  # root -> ids of the nodes with a child in the class
         self._dirty = []  # ids of nodes whose key a union made stale
         self.facts = {}  # relation name -> set of arg tuples
         self._fact_index = {}  # root of first arg -> {relation -> arg tuples}
+        self._fact_uses = {}  # root -> (relation, tuple) of facts filed with an arg in it
+        self._stale_facts = []  # (relation, tuple) of facts a union may have made stale
         self._merged = False  # a union happened since the last rebuild
         self.version = 0  # counts changes: new nodes, new facts, unions
         self._stamps = {}  # op or relation -> version of its last new node or fact
@@ -188,30 +201,34 @@ class EGraph:
     # -- union-find ---------------------------------------------------------
 
     def find(self, a):
-        while self._parent[a] != a:
-            self._parent[a] = self._parent[self._parent[a]]
-            a = self._parent[a]
-        return a
+        return self._parent[a]
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
+        parent = self._parent
+        ra, rb = parent[a], parent[b]
         if ra == rb:
             return ra
         if rb < ra:
             ra, rb = rb, ra
-        find, keys, view = self.find, self._keys, self._view
+        root, keys, view = parent.__getitem__, self._keys, self._view
         moved = self._parents.pop(rb)
-        # the loser's parents in their owners' views, keyed before linking
-        rekey = [(nid, key[0], tuple(map(find, key[1])))
+        # the loser's parents in their owners' views, keyed before relabeling
+        rekey = [(nid, key[0], tuple(map(root, key[1])))
                  for nid in moved if (key := keys[nid]) is not None]
-        self._parent[rb] = ra
+        members = self._members.pop(rb)
+        for i in members:
+            parent[i] = ra
+        self._members[ra] += members
         nodes = self._class_nodes.pop(rb, {})
         self._class_nodes.setdefault(ra, {}).update(nodes)
         small = self._small.pop(rb, [])
+        self._ints.pop(rb, None)
         if small:
             self._small[ra] = sorted(self._small.get(ra, []) + small, key=_node_key)
+            self._ints.pop(ra, None)
         for name, tuples in self._fact_index.pop(rb, {}).items():
             self._fact_index.setdefault(ra, {}).setdefault(name, set()).update(tuples)
+        self._stale_facts += self._fact_uses.pop(rb, ())
         into = view[ra]
         for op, kids in view.pop(rb).items():
             if op in into:
@@ -222,7 +239,7 @@ class EGraph:
             roots.discard(rb)
             roots.add(ra)
         for nid, op, old in rekey:
-            kids = view[find(nid)][op]
+            kids = view[parent[nid]][op]
             kids.pop(old, None)
             kids[tuple(ra if c == rb else c for c in old)] = None
         self._parents[ra] += moved
@@ -235,13 +252,15 @@ class EGraph:
     # -- insertion ----------------------------------------------------------
 
     def add(self, op, children=()):
-        kids = tuple(map(self.find, children))
+        parent = self._parent
+        kids = tuple(map(parent.__getitem__, children))
         node = (op, kids)
         found = self._hashcons.get(node)
         if found is not None:
-            return self.find(found)
-        cid = len(self._parent)
-        self._parent.append(cid)
+            return parent[found]
+        cid = len(parent)
+        parent.append(cid)
+        self._members[cid] = [cid]
         self._keys.append(node)
         self._hashcons[node] = cid
         self._class_nodes[cid] = {node: None}
@@ -262,7 +281,7 @@ class EGraph:
         return self.add(("int", int(v)))
 
     def assert_fact(self, name, *args):
-        tup = tuple(self.find(a) for a in args)
+        tup = tuple(map(self._parent.__getitem__, args))
         store = self.facts.setdefault(name, set())
         if tup not in store:
             store.add(tup)
@@ -271,8 +290,13 @@ class EGraph:
             self._stamps[name] = self.version
 
     def _index_fact(self, name, tup):
+        """File a new canonical tuple under its first argument's root, and
+        under the root of every argument for the union that stales it."""
         if tup:
             self._fact_index.setdefault(tup[0], {}).setdefault(name, set()).add(tup)
+        uses = self._fact_uses
+        for c in dict.fromkeys(tup):
+            uses.setdefault(c, []).append((name, tup))
 
     # -- congruence ---------------------------------------------------------
 
@@ -280,20 +304,22 @@ class EGraph:
         """Restore congruence: give each node a union made stale its
         canonical key, and merge the classes of two nodes that then share
         a key, until no stale node is left; then re-sort the small nodes of
-        the classes that changed and canonicalize the facts."""
+        the classes that changed, and re-key each fact a union staled (one
+        filed under a loser) in the facts and the fact index."""
         if not self._merged:
             return
-        find, keys, hashcons, nodes = self.find, self._keys, self._hashcons, self._class_nodes
+        parent, keys, hashcons, nodes = self._parent, self._keys, self._hashcons, self._class_nodes
+        root = parent.__getitem__
         touched = []
         while self._dirty:
             nid = self._dirty.pop()
             key = keys[nid]
             if key is None:
                 continue
-            canon = (key[0], tuple(map(find, key[1])))
+            canon = (key[0], tuple(map(root, key[1])))
             if canon == key:
                 continue
-            owner = find(nid)
+            owner = parent[nid]
             touched.append(owner)
             del hashcons[key], nodes[owner][key]
             other = hashcons.get(canon)
@@ -303,15 +329,22 @@ class EGraph:
             else:  # a congruent node: this one goes, their classes merge
                 keys[nid] = None
                 self.union(other, owner)
-        for root in {find(c) for c in touched}:
-            small = [n for n in nodes[root] if len(n[1]) < 2]
+        for r in {parent[c] for c in touched}:
+            small = [n for n in nodes[r] if len(n[1]) < 2]
             if small:
-                self._small[root] = sorted(small, key=_node_key)
-        self._fact_index = {}
-        for name, tuples in self.facts.items():
-            self.facts[name] = {tuple(self.find(a) for a in t) for t in tuples}
-            for t in self.facts[name]:
-                self._index_fact(name, t)
+                self._small[r] = sorted(small, key=_node_key)
+                self._ints.pop(r, None)
+        stale, self._stale_facts = self._stale_facts, []
+        for name, tup in stale:
+            tuples = self.facts[name]
+            if tup not in tuples:  # re-keyed already
+                continue
+            canon = tuple(map(root, tup))
+            tuples.remove(tup)
+            self._fact_index[canon[0]][name].remove(tup)  # unions moved it to the root
+            if canon not in tuples:
+                tuples.add(canon)
+                self._index_fact(name, canon)
         self._merged = False
 
     def changed_since(self, query, version):
@@ -342,15 +375,24 @@ class EGraph:
         return sorted(self._class_nodes)
 
     def class_nodes(self, cid):
-        return sorted(self._class_nodes.get(self.find(cid), ()), key=_node_key)
+        return sorted(self._class_nodes.get(self._parent[cid], ()), key=_node_key)
 
     def small_nodes(self, cid):
         """The class's nodes with fewer than two children (literals, names,
         types), in `class_nodes` order but without sorting."""
-        return self._small.get(self.find(cid), ())
+        return self._small.get(self._parent[cid], ())
 
     def class_int(self, cid):
-        small = self.small_nodes(cid)
+        root = self._parent[cid]
+        try:
+            return self._ints[root]
+        except KeyError:
+            pass
+        n = self._ints[root] = self._scan_int(root)
+        return n
+
+    def _scan_int(self, root):
+        small = self._small.get(root, ())
         for op, _ in small:
             if op[0] == "int":
                 return op[1]
@@ -557,12 +599,7 @@ _LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
 def _bind(layout):
     """The plan of a layout: its structure's code, bound to its constants."""
     make = _make(_CODE, layout.structure, _source, "<query plan>")
-    run, names = make(layout.consts), layout.names
-
-    def plan(g):
-        return [dict(zip(names, key)) for key in sorted(run(g))]
-
-    return plan
+    return make(layout.consts, layout.names)
 
 
 def _make(cache, key, source, filename):
@@ -577,8 +614,10 @@ def _make(cache, key, source, filename):
 
 
 def _source(structure):
-    """Python source of `make(K)`, which binds the constants `K` and returns
-    `plan(g)`, the set of the query's matches as tuples of the output slots.
+    """Python source of `make(K, N)`, which binds the constants `K` and the
+    output variable names `N` and returns `plan(g)`: the query's matches,
+    found as a set of tuples of the output slots, sorted, and each built
+    into a dict literal from `N`.
 
     Each step is one `for` loop (e-node, fact and class steps) or one
     `if` (same-class and guard steps); a failed test continues the
@@ -596,7 +635,7 @@ def _source(structure):
     def start(name):
         params = "".join(f", s{k}" for k in bound)
         return [f"    def {name}(g, add{params}):",
-                "        find, merged = g.find, g._merged",
+                "        find, merged = g._parent.__getitem__, g._merged",
                 "        nodes, ops, view = g._class_nodes, g._op_index, g._view",
                 "        facts, index = g.facts, g._fact_index"]
 
@@ -659,13 +698,15 @@ def _source(structure):
     emit(f"add(({''.join(f's{k},' for k in out)}))")
     functions.append(lines)
 
-    head = ["def make(K):"]
-    if n_consts:
-        head.append(f"    {', '.join(f'k{j}' for j in range(n_consts))}, = K")
+    head = ["def make(K, N):",
+            f"    ({''.join(f'k{j}, ' for j in range(n_consts))}) = K",
+            f"    ({''.join(f'n{j}, ' for j in range(len(out)))}) = N"]
+    row = "".join(f"o{j}, " for j in range(len(out)))
+    env = ", ".join(f"n{j}: o{j}" for j in range(len(out)))
     tail = ["    def plan(g):",
             "        found = set()",
             "        part0(g, found.add)",
-            "        return found",
+            f"        return [{{{env}}} for ({row}) in sorted(found)]",
             "    return plan"]
     return "\n".join(head + [ln for f in functions for ln in f] + tail) + "\n"
 
@@ -703,9 +744,12 @@ def _rhs_source(effects, bound):
     The action reads each matched class from `env`, and each int, type and
     name a `Calc` needs, once before its first write.  It then adds each
     template's nodes children first, left to right, so they are numbered in
-    that order; a `Let` puts a subterm first.  Ops, relation names, variable
-    names and literals are constants, so right-hand sides of one shape
-    share their code."""
+    that order; a `Let` puts a subterm first.  A node already in the graph
+    is found in the hashcons under its canonical key, the read `g.add` would
+    make, and only a miss calls `g.add`; a `Bind` calls `g.union` only on
+    two roots that differ.  Ops, relation names, variable names and
+    literals are constants, so right-hand sides of one shape share their
+    code."""
     consts, head, body = [], [], []
     slots = {}  # variable -> the local holding its class
     reads = {}  # (reader, variable) -> the local holding its value
@@ -747,15 +791,20 @@ def _rhs_source(effects, bound):
         if isinstance(t, PVar):
             return var(t.name)
         if isinstance(t, PNode):
-            kids = "".join(f"{build(c, depth)}, " for c in t.children)
-            out = f"t{next(temps)}"
+            kids = [build(c, depth) for c in t.children]
+            n = next(temps)
+            out = f"t{n}"
             if any(isinstance(x, (Calc, PVar)) for x in t.op):
                 op = "".join(f"{calc(x) if isinstance(x, (Calc, PVar)) else const(x)}, "
                              for x in t.op)
-                op = f"({op})"
+                body.append((depth, f"o{n} = ({op})"))
+                op = f"o{n}"
             else:
                 op = const(t.op)
-            body.append((depth, f"{out} = g.add({op}, ({kids}))"))
+            canon = "".join(f"P[{k}], " for k in kids)
+            body.append((depth, f"{out} = hc_get(({op}, ({canon})))"))
+            body.append((depth, f"{out} = g.add({op}, ({''.join(f'{k}, ' for k in kids)}))"
+                                f" if {out} is None else P[{out}]"))
         elif isinstance(t, If):
             out = f"t{next(temps)}"
             for line, branch in ((f"if {calc(t.cond)}:", t.then), ("else:", t.other)):
@@ -767,8 +816,8 @@ def _rhs_source(effects, bound):
 
     for eff in effects:
         if isinstance(eff, Bind):
-            cls = build(eff.pattern, 0)
-            body.append((0, f"g.union({var(eff.var)}, {cls})"))
+            cls, x = build(eff.pattern, 0), var(eff.var)
+            body.append((0, f"if P[{x}] != P[{cls}]: g.union({x}, {cls})"))
         elif isinstance(eff, Rel):
             args = "".join(f", {build(t, 0)}" for t in eff.terms)
             body.append((0, f"g.assert_fact({const(eff.name)}{args})"))
@@ -779,7 +828,8 @@ def _rhs_source(effects, bound):
         else:
             raise TypeError(f"not an effect: {eff!r}")
     lines = ["def make(K):", f"    {''.join(f'k{j}, ' for j in range(len(consts)))}= K",
-             "    def action(g, env):", *(f"        {ln}" for ln in head),
+             "    def action(g, env):", "        P, hc_get = g._parent, g._hashcons.get",
+             *(f"        {ln}" for ln in head),
              *("    " * (depth + 2) + ln for depth, ln in body), "    return action"]
     return "\n".join(lines) + "\n", consts
 
@@ -826,10 +876,13 @@ def run_schedule(g, rules, iterations, node_budget):
     which a union never changes in a well-typed graph).  Its writes are
     adds, unions and facts over those classes and the classes its
     templates build, all idempotent, so calling it again on an unchanged
-    match changes nothing.  Without a union pending every key and fact is
-    canonical; with one, an `add` of a node built over a class the action
-    itself built may miss its stale key and make a new class, so every
-    action is called then.
+    match changes nothing.  A compiled right-hand side makes exactly the
+    writes of plain `g.add`, `g.union` and `g.assert_fact` calls: it reads
+    a node's canonical key in the hashcons first and calls `g.add` only on
+    a miss, and calls `g.union` only on two different roots.  Without a
+    union pending every key and fact is canonical; with one, an `add` of a
+    node built over a class the action itself built may miss its stale key
+    and make a new class, so every action is called then.
 
     An iteration that leaves the version unchanged is a fixpoint: each
     later one would count the same matches and change nothing, so they
@@ -915,12 +968,13 @@ def extract_best(g, root):
     """Minimal-cost term represented in `root`'s class, as a nested
     (op, children) tree.  Ties break on the smallest operator then the
     smallest child ids, so extraction is deterministic."""
-    root = g.find(root)
+    find = g._parent.__getitem__
+    root = find(root)
     best = {}  # class -> (cost, op tiebreak key, child ids, node)
     # each class's nodes in `class_nodes` order, with their cost, tiebreak
     # key and canonical children
     classes = [(cid, [(node_cost(op, len(children)), repr(op), children,
-                       tuple(g.find(c) for c in children), op)
+                       tuple(map(find, children)), op)
                       for op, children in g.class_nodes(cid)])
                for cid in g.class_ids()]
 
@@ -946,7 +1000,7 @@ def extract_best(g, root):
     memo = {}
 
     def build(cid):
-        cid = g.find(cid)
+        cid = find(cid)
         if cid not in memo:
             op, children = best[cid][3]
             memo[cid] = (op, tuple(build(c) for c in children))

@@ -1,4 +1,5 @@
 import copy
+import operator
 import random
 import re
 from dataclasses import replace
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from tensorsel import egraph, ir, rules
 from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, Calc, EGraph,
-                              Guard, Let, NoFiniteCost, NodeBudgetExceeded, PNode,
+                              Guard, If, Let, NoFiniteCost, NodeBudgetExceeded, PNode,
                               PVar, Query, Rel, RuleDef, SaturationReport,
                               ematch, extract_best, node_cost, rel,
                               run_schedule)
@@ -285,11 +286,27 @@ RELATIONS = (("r", 1), ("s", 2))
 VARS = ("x", "y")
 
 
+class _Drawn(EGraph):
+    """An EGraph that records each node `add` creates, as its op and the
+    children it was given, and whose caller records each union it asks
+    for, so that `_full_pass` can rebuild its state independently."""
+
+    def __init__(self):
+        super().__init__()
+        self.drawn_nodes, self.drawn_unions = [], []
+
+    def add(self, op, children=()):
+        cid = super().add(op, children)
+        if cid == len(self.drawn_nodes):
+            self.drawn_nodes.append((op, tuple(children)))
+        return cid
+
+
 @st.composite
 def _graphs(draw):
     """An e-graph built by a random mix of add, assert_fact, union and
     rebuild, ending with or without a rebuild."""
-    g = EGraph()
+    g = _Drawn()
     ids = [g.add(("a",)), g.add(("b",))]
     for _ in range(draw(st.integers(0, 30))):
         step = draw(st.sampled_from(("add", "add", "fact", "fact", "union", "rebuild")))
@@ -301,7 +318,8 @@ def _graphs(draw):
             name, arity = draw(st.sampled_from(RELATIONS))
             g.assert_fact(name, *(draw(pick) for _ in range(arity)))
         elif step == "union":
-            g.union(draw(pick), draw(pick))
+            g.drawn_unions.append((draw(pick), draw(pick)))
+            g.union(*g.drawn_unions[-1])
         else:
             g.rebuild()
     return g
@@ -446,30 +464,34 @@ class TestRuleConstruction:
 
 
 def _full_pass(g):
-    """The state a rebuild of `g` must reach, by an independent full pass:
-    rescan every hashcons key until no two congruent nodes sit in different
-    classes (the smaller id stays the root), then group the nodes, ops and
-    facts by root."""
-    parent = list(g._parent)
+    """The state a rebuild of the `_Drawn` graph `g` must reach, by an
+    independent full pass in a parent list of its own: replay the unions
+    `g` was asked for, then rescan the nodes it created until no two
+    congruent ones sit in different classes (the smaller id stays the root
+    in both), then group the nodes, ops and facts by root."""
+    parent = list(range(len(g.drawn_nodes)))
 
     def find(a):
         while parent[a] != a:
             a = parent[a]
         return a
 
-    hashcons, changed = dict(g._hashcons), True
+    def merge(a, b):
+        a, b = sorted((find(a), find(b)))
+        parent[b] = a
+
+    for a, b in g.drawn_unions:
+        merge(a, b)
+    changed = True
     while changed:
         changed, canonical = False, {}
-        for node, cid in hashcons.items():
-            key = (node[0], tuple(map(find, node[1])))
-            other = canonical.get(key)
-            if other is not None and find(other) != find(cid):
-                a, b = sorted((find(other), find(cid)))
-                parent[b] = a
+        for cid, (op, kids) in enumerate(g.drawn_nodes):
+            other = canonical.setdefault((op, tuple(map(find, kids))), cid)
+            if find(other) != find(cid):
+                merge(other, cid)
                 changed = True
-            canonical[key] = cid
-        hashcons = canonical
-    roots = {node: find(cid) for node, cid in hashcons.items()}
+    roots = {(op, tuple(map(find, kids))): find(cid)
+             for cid, (op, kids) in enumerate(g.drawn_nodes)}
     nodes, ops = {}, {}
     for node, root in roots.items():
         nodes.setdefault(root, set()).add(node)
@@ -498,9 +520,10 @@ def _state(g):
 
 class TestRebuildSkip:
     def test_skip_after_adds_and_facts_equals_full_pass(self):
-        g = EGraph()
+        g = _Drawn()
         a, b = leaf(g, "a"), leaf(g, "b")
         g.assert_fact("r", node(g, "f", a), b)
+        g.drawn_unions.append((a, b))
         g.union(a, b)
         g.rebuild()
         c = node(g, "g", a, node(g, "f", b))
@@ -614,6 +637,16 @@ class TestSmallNodeReaders:
                     for root, ops in g._view.items()} == view
             ops = {op for root in view for op in view[root]}
             assert g._op_index == {op: {r for r in view if op in view[r]} for op in ops}
+
+    @settings(max_examples=200, deadline=None)
+    @given(_STEPS)
+    def test_every_parent_is_a_root_after_every_step(self, steps):
+        for g in _after_each(steps):
+            assert all(g._parent[i] == i for i in g._parent)
+            members = {}
+            for i, root in enumerate(g._parent):
+                members.setdefault(root, []).append(i)
+            assert {root: sorted(ids) for root, ids in g._members.items()} == members
 
     def test_type_order_follows_children_canonical_after_rebuild(self):
         g = EGraph()
@@ -758,6 +791,68 @@ def _statement_graphs(name):
             rules.encode_stmt(g, s)
             rules.seed_facts(g, buffers, shapes)
             yield g
+
+
+_CALC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "//": operator.floordiv, "==": operator.eq}
+
+
+def _interpreted(rhs):
+    """An action that walks the right-hand side `rhs` with plain `g.add`,
+    `g.union` and `g.assert_fact`: each template's children first, left to
+    right, a `Let` before the effects after it, and an `If` on its `Calc`."""
+    def act(g, env):
+        env = dict(env)
+
+        def calc(c):
+            if isinstance(c, int):
+                return c
+            if isinstance(c, PVar):
+                return g.class_int(env[c.name])
+            if c.op in _CALC:
+                return _CALC[c.op](*map(calc, c.args))
+            cid = env[c.args[0].name]
+            if c.op == "int":
+                return g.class_int(cid)
+            if c.op == "name":
+                return g.class_name(cid)
+            return g.class_type(cid)[("kind", "lanes").index(c.op)]
+
+        def build(t):
+            if isinstance(t, PVar):
+                return env[t.name]
+            if isinstance(t, If):
+                return build(t.then if calc(t.cond) else t.other)
+            kids = tuple(map(build, t.children))
+            return g.add(tuple(calc(x) if isinstance(x, (Calc, PVar)) else x
+                               for x in t.op), kids)
+
+        for eff in rhs:
+            if isinstance(eff, Let):
+                env[eff.var] = build(eff.template)
+            elif isinstance(eff, Bind):
+                g.union(env[eff.var], build(eff.pattern))
+            else:
+                g.assert_fact(eff.name, *map(build, eff.terms))
+    return act
+
+
+class TestCompiledRhs:
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_equals_interpreted_templates_on_corpus(self, name):
+        # the compiled actions under the stamped schedule against the
+        # templates interpreted under the naive one
+        rs = rules.build_default_ruleset().for_target(target_for(name))
+        interpreted = []
+        for rule in rs:
+            rule = copy.copy(rule)
+            if rule.rhs:
+                rule.action = _interpreted(rule.rhs)
+            interpreted.append(rule)
+        for g in _statement_graphs(name):
+            for iters in (SelectionConfig().iterations, 25):  # 25: past every fixpoint
+                assert (_schedule_outcome(run_schedule, g, rs, iters, BUDGET)
+                        == _schedule_outcome(_naive_schedule, g, interpreted, iters, BUDGET))
 
 
 class TestStampedSchedule:
