@@ -17,6 +17,15 @@ MatMul rules are parameterized over registered (M, K, N) shape facts
 rather than hard-coded lane counts, so small shapes fuzz against
 brute-force oracles and both backends share one catalog.
 
+Each semantic rule's generator, `fuzz(rng)`, draws a match of the rule's
+query and builds neither side: a `Draw` whose `match` maps each query
+variable that no query `Bind` defines to its value (an IR expression, an
+int, a `VecType` or a buffer name, for a class of terms, ints, types or
+names), with the buffers those values load and the shapes its facts name,
+and for a statement rule the program around the statement, None in its
+place.  The match satisfies the query, guards and premises included.
+`check_rule_soundness` renders both sides from the rule itself.
+
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
 interleave width is the logical row length N, and a reduction at shape
@@ -29,8 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -380,13 +391,13 @@ def _axiomatic_rules(rs):
     axiom("broadcast-elim",
           [Bind("e", pbcast(V("x"), pint(1)))],
           [Bind("e", V("x"))],
-          fuzz=_fz_bcast_elim)
+          fuzz=_fz_one_vec)
 
     axiom("degenerate-broadcast",
           [rel("is-expr", V("x"))],
           [Bind("x", pbcast(V("x"), pint(1)))],
           "recovers the general pattern from scalars",
-          fuzz=_fz_bcast_elim)
+          fuzz=_fz_one_vec)
 
     axiom("broadcast-of-load",
           [Bind("e", pbcast(pload(V("n"), V("t"), V("i")), V("l")))],
@@ -440,7 +451,7 @@ def _axiomatic_rules(rs):
                has_i32("e")],
               [Bind("e", padd(nested, pramp(V("x"), V("s"), V("l1"))))],
               "re-nest a broadcast using its sibling ramp's count as the hint",
-              fuzz=_fz_sibling_rb)
+              fuzz=_fz_sibling(ramp=True))
 
     for suffix, pat in (("", padd(pbcast(V("a"), V("l2")), pbcast(V("b"), V("l1")))),
                         ("-r", padd(pbcast(V("b"), V("l1")), pbcast(V("a"), V("l2"))))):
@@ -451,7 +462,7 @@ def _axiomatic_rules(rs):
                has_i32("e")],
               [Bind("e", padd(nested, pbcast(V("b"), V("l1"))))],
               "re-nest the wider of two sibling broadcasts to equal counts",
-              fuzz=_fz_sibling_bb)
+              fuzz=_fz_sibling(ramp=False))
 
     axiom("add-of-broadcasts",
           [Bind("e", padd(pbcast(V("a"), V("l")), pbcast(V("b"), V("l")))),
@@ -463,13 +474,13 @@ def _axiomatic_rules(rs):
         axiom(f"{opname}-commute",
               [Bind("e", P(("bop", sym), V("x"), V("y")))],
               [Bind("e", P(("bop", sym), V("y"), V("x")))],
-              fuzz=_fz_commute(sym))
+              fuzz=_fz_commute)
 
         axiom(f"int-{opname}-fold",
               [Bind("e", P(("bop", sym), V("a"), V("b"))),
                Guard(_i32_folds(sym), "both operands and the result are i32 immediates")],
               [Bind("e", pimm(C(sym, V("a"), V("b"))))],
-              fuzz=_fz_int_fold(sym))
+              fuzz=_fz_int_fold)
 
 
 def _i32_folds(sym):
@@ -750,11 +761,11 @@ def _lowering_rules(rs):
         low(f"mem2{target}-cancel", target,
             [Bind("e", pl2l("mem", target, pl2l(target, "mem", V("x"))))],
             [Bind("e", V("x"))],
-            fuzz=_fz_cancel(target, outer_first=True))
+            fuzz=_fz_one_vec)
         low(f"{target}2mem-cancel", target,
             [Bind("e", pl2l(target, "mem", pl2l("mem", target, V("x"))))],
             [Bind("e", V("x"))],
-            fuzz=_fz_cancel(target, outer_first=False))
+            fuzz=_fz_one_vec)
         low(f"mem2{target}-of-{target}-load", target,
             [Bind("e", pl2l("mem", target, V("ld"))),
              Bind("ld", pload(V("n"), V("t"), V("i"))),
@@ -794,17 +805,28 @@ def _lowering_rules(rs):
 
     stage("amx-stage-flat", "amx", "tile_load", "m", "k",
           lambda ll, m, k, n: ll == m * k, "lanes = m*k",
-          _fz_stage("amx", "tile_load"))
+          _fz_stage("amx"))
     stage("wmma-stage-flat-a", "wmma", "wmma_load_a", "m", "k",
           lambda ll, m, k, n: ll == m * k, "lanes = m*k",
-          _fz_stage("wmma", "wmma_load_a"))
+          _fz_stage("wmma"))
     stage("wmma-stage-flat-b", "wmma", "wmma_load_b", "k", "n",
           lambda ll, m, k, n: ll == k * n, "lanes = k*n",
-          _fz_stage("wmma", "wmma_load_b", b_shape=True))
+          _fz_stage("wmma", b_shape=True))
 
 
 # ---------------------------------------------------------------------------
 # soundness fuzzing
+
+
+@dataclass
+class Draw:
+    """One draw of a rule's generator: a match, and the buffers, shapes and
+    program it runs on, as the module docstring sets out."""
+
+    match: dict
+    buffers: dict = field(default_factory=dict)
+    shapes: tuple = ()
+    program: object = None
 
 
 @dataclass
@@ -831,27 +853,82 @@ class SoundnessReport:
         return self.counterexample is None and not self.guard_unsatisfiable
 
 
-def _uniform_lanes(rng, lanes):
-    """`lanes` draws of `rng.uniform(-1, 1)` as float32.  `uniform(a, b)`
-    is `a + (b - a) * random()`, so one `random()` per lane, scaled in
-    float64, gives the same draws and bits."""
-    return (np.array([rng.random() for _ in range(lanes)]) * 2.0 - 1.0).astype(
-        np.float32)
+# stands in for an EGraph, so `encode_expr` returns an expression's term
+# tree, as `extract_best` gives it, not its class
+_TermBuilder = SimpleNamespace(add=lambda op, children=(): (op, children),
+                               add_int=lambda v: (("int", int(v)), ()))
 
 
-def _fresh_vec(rng, buffers, lanes, kind, prefix="buf"):
-    name = f"{prefix}{len(buffers)}"
-    if kind == "i32":
-        data = np.array([rng.randrange(0, 16) for _ in range(lanes)], np.int64)
-    else:
-        data = interp.round_to_kind(_uniform_lanes(rng, lanes), kind)
-    buffers[name] = interp.Buffer(kind, "mem", data)
-    return ir.Load(name, ir.VecType(kind, lanes),
-                   ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), lanes))
+_CALCS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "//": operator.floordiv, "==": operator.eq}
 
 
-def _rand_kind(rng):
-    return rng.choice(("i32", "f32", "bf16"))
+def _value_term(v):
+    if isinstance(v, ir.Expr):
+        return encode_expr(_TermBuilder, v)
+    if isinstance(v, ir.VecType):
+        return mk_type(_TermBuilder, v.kind, v.lanes)
+    if isinstance(v, str):
+        return mk_name(_TermBuilder, v)
+    if isinstance(v, int):
+        return _TermBuilder.add_int(v)
+    raise TypeError(f"not a match value: {v!r}")
+
+
+def _renderer(rule, match):
+    """`term(t)`, the term tree of a pattern or template `t` of `rule` at
+    `match`.  A variable that a query `Bind` or a right-hand side `Let`
+    defines is its pattern's term, any other its value's; a `Calc` reads
+    terms as the compiled action reads classes, and an `If` takes its
+    branch."""
+    binds = {a.var: a.pattern for a in rule.query if isinstance(a, Bind)}
+    binds.update((e.var, e.template) for e in rule.rhs if isinstance(e, Let))
+    terms = {}
+
+    def term(t):
+        if isinstance(t, PVar):
+            if t.name not in terms:
+                terms[t.name] = (term(binds[t.name]) if t.name in binds
+                                 else _value_term(match[t.name]))
+            return terms[t.name]
+        if isinstance(t, If):
+            return term(t.then if calc(t.cond) else t.other)
+        return (tuple(calc(x) if isinstance(x, (Calc, PVar)) else x for x in t.op),
+                tuple(map(term, t.children)))
+
+    def calc(c):
+        if isinstance(c, int):
+            return c
+        if isinstance(c, PVar):  # an int, else an i32 immediate, as `class_int`
+            op = term(c)[0]
+            return int(op[2]) if op[:2] == ("imm", "i32") else _term_int(term(c))
+        if c.op in _CALCS:
+            return _CALCS[c.op](calc(c.args[0]), calc(c.args[1]))
+        if c.op == "name":
+            return _term_name(term(c.args[0]))
+        return getattr(_term_type(term(c.args[0])), c.op)  # kind or lanes
+
+    return term
+
+
+def _sides(rule, match):
+    """`rule`'s two sides at `match`, as IR: the left is the variable of
+    its one `Bind` effect, expanded through the query's `Bind` atoms, the
+    right is that effect's template."""
+    term = _renderer(rule, match)
+    (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
+    return decode_term(term(PVar(bind.var))), decode_term(term(bind.pattern))
+
+
+def _instance(rule, draw):
+    """The two sides of `rule` at `draw`, in the draw's program for a
+    statement rule."""
+    lhs, rhs = _sides(rule, draw.match)
+    if draw.program is not None:
+        lhs, rhs = (ir.Program(draw.program.params, tuple(
+            side if s is None else s for s in draw.program.body), draw.shapes)
+            for side in (lhs, rhs))
+    return FuzzInstance(lhs, rhs, draw.buffers, draw.shapes)
 
 
 def _run_instance(inst):
@@ -860,12 +937,13 @@ def _run_instance(inst):
     return (True, None) if hit is None else (False, hit[1])
 
 
-def _structure(inst):
-    """Instances of equal structure evaluate as one batch: equal sides and
-    shapes, and buffers of equal names, kinds, locations, dtypes and shapes."""
-    return (inst.lhs, inst.rhs, inst.shapes, tuple(
+def _structure(draw):
+    """Draws of equal structure render alike and evaluate as one batch:
+    equal matches, shapes and programs, and buffers of equal names, kinds,
+    locations, dtypes and shapes."""
+    return (tuple(draw.match.items()), draw.shapes, draw.program, tuple(
         (name, b.kind, b.location, b.data.dtype, b.data.shape)
-        for name, b in inst.buffers.items()))
+        for name, b in draw.buffers.items()))
 
 
 def _check_group(inst, members):
@@ -904,41 +982,51 @@ def _check_group(inst, members):
 
 def check_rule_soundness(rule, trials=500, seed=0):
     """Interpreter-equivalence fuzzing for one semantic rule: `trials`
-    random guard-satisfying instances, both sides evaluated and compared
-    bit for bit.
+    draws of its generator, each checked by evaluating the rule's two sides
+    at the draw and comparing them bit for bit.
 
-    The instances are drawn first, then grouped by `_structure`, and each
-    group of several is evaluated once by `interp.compare_sides`, its
-    buffers stacked along a leading trial axis.  A batch that raises is
-    replayed trial by trial.  The report, or the exception raised, is that
-    of checking the instances one by one in draw order: the first trial
-    that differs or raises decides, and `checked` counts the instances up
-    to it.  When the generator raises, the instances drawn before it are
-    checked first."""
+    `rule.fuzz(rng)` returns a `Draw` whose match satisfies the rule's
+    query, guards included, or None to skip a draw; it builds neither side.
+    The draws are grouped by `_structure`.  Once per group, at its first
+    draw, the sides are rendered from the rule itself (`_sides`): the left
+    from its query, the right from its right-hand side.  Each group of
+    several draws is then evaluated once by `interp.compare_sides`, its
+    buffers stacked along a leading trial axis; a batch that raises is
+    replayed draw by draw.  The report, or the exception raised, is that of
+    checking the draws one by one in draw order: the first draw whose
+    render or evaluation raises, or whose sides differ, decides, and
+    `checked` counts the draws up to it.  A render that raises counts at
+    its group's first draw.  When the generator raises, the draws made
+    before it are checked first."""
     report = SoundnessReport(rule=rule.name, trials=trials)
     if not rule.semantic:
         return report
     assert rule.fuzz is not None, f"semantic rule {rule.name} lacks a generator"
     rng = random.Random(f"soundness:{seed}:{rule.name}")
-    # structure -> (its first instance, [(index, buffers), ...]), where an
-    # instance's index counts the instances drawn before it
+    # structure -> (its first draw, [(index, buffers), ...]), where a draw's
+    # index counts the draws made before it
     groups = {}
     drawn, error = 0, None
     for _ in range(trials):
         try:
-            inst = rule.fuzz(rng)
-        except Exception as e:  # raised unless an earlier instance fails
+            draw = rule.fuzz(rng)
+        except Exception as e:  # raised unless an earlier draw fails
             error = e
             break
-        if inst is not None:
-            groups.setdefault(_structure(inst), (inst, []))[1].append((drawn, inst.buffers))
+        if draw is not None:
+            groups.setdefault(_structure(draw), (draw, []))[1].append((drawn, draw.buffers))
             drawn += 1
     first = None
-    for inst, members in groups.values():  # in the order of their first instances
+    for draw, members in groups.values():  # in the order of their first draws
         if first is not None:
             members = [m for m in members if m[0] < first[0]]
             if not members:
                 break
+        try:
+            inst = _instance(rule, draw)
+        except Exception as e:  # raised unless an earlier draw fails
+            first = members[0][0], e
+            continue
         first = _check_group(inst, members) or first
     if first is not None:
         index, outcome = first
@@ -954,231 +1042,175 @@ def check_rule_soundness(rule, trials=500, seed=0):
     return report
 
 
-# -- per-rule instance generators --------------------------------------------
+# -- per-rule match generators -----------------------------------------------
+
+
+def _uniform_lanes(rng, lanes):
+    """`lanes` draws of `rng.uniform(-1, 1)` as float32.  `uniform(a, b)`
+    is `a + (b - a) * random()`, so one `random()` per lane, scaled in
+    float64, gives the same draws and bits."""
+    return (np.array([rng.random() for _ in range(lanes)]) * 2.0 - 1.0).astype(
+        np.float32)
+
+
+@functools.lru_cache(maxsize=1024)  # a few buffer names, kinds and lane counts
+def _dense_load(name, kind, lanes):
+    """A load of lanes 0 .. lanes-1 of buffer `name`."""
+    return ir.Load(name, ir.VecType(kind, lanes),
+                   ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), lanes))
+
+
+def _fresh_vec(rng, buffers, lanes, kind, prefix="buf"):
+    """A dense load of a new buffer of `kind`: i32 lanes uniform on [0, 16),
+    lane j the j-th nibble of one `getrandbits(4 * lanes)`, low nibble
+    first; float lanes `rng.uniform(-1, 1)` draws rounded to `kind`."""
+    name = f"{prefix}{len(buffers)}"
+    if kind == "i32":
+        bits = rng.getrandbits(4 * lanes)
+        data = np.array([bits >> j & 15 for j in range(0, 4 * lanes, 4)], np.int64)
+    else:
+        data = interp.round_to_kind(_uniform_lanes(rng, lanes), kind)
+    buffers[name] = interp.Buffer(kind, "mem", data)
+    return _dense_load(name, kind, lanes)
+
+
+def _rand_kind(rng):
+    return rng.choice(("i32", "f32", "bf16"))
+
+
+def _i32_vecs(rng, buffers, *lanes):
+    return [_fresh_vec(rng, buffers, n, "i32") for n in lanes]
+
+
+def _fz_one_vec(rng):
+    buffers = {}
+    return Draw({"x": _fresh_vec(rng, buffers, rng.randrange(1, 6), _rand_kind(rng))},
+                buffers)
 
 
 def _fz_bcast_flatten(rng):
     buffers = {}
-    v = _fresh_vec(rng, buffers, rng.randrange(1, 5), _rand_kind(rng))
-    l1, l2 = rng.randrange(1, 5), rng.randrange(1, 5)
-    return FuzzInstance(ir.Broadcast(ir.Broadcast(v, l1), l2),
-                        ir.Broadcast(v, l1 * l2), buffers)
-
-
-def _fz_bcast_elim(rng):
-    buffers = {}
-    v = _fresh_vec(rng, buffers, rng.randrange(1, 6), _rand_kind(rng))
-    return FuzzInstance(ir.Broadcast(v, 1), v, buffers)
+    x = _fresh_vec(rng, buffers, rng.randrange(1, 5), _rand_kind(rng))
+    return Draw({"x": x, "l1": rng.randrange(1, 5), "l2": rng.randrange(1, 5)}, buffers)
 
 
 def _fz_bcast_of_load(rng):
+    """A gather from 16 lanes, so any i32 lane indexes them."""
     buffers = {}
     kind = _rand_kind(rng)
-    length = rng.randrange(4, 12)
-    data = _fresh_vec(rng, buffers, length, kind)
+    data = _fresh_vec(rng, buffers, 16, kind)
     n = rng.randrange(1, 5)
-    idx_name = f"buf{len(buffers)}"
-    buffers[idx_name] = interp.Buffer("i32", "mem", np.array(
-        [rng.randrange(0, length) for _ in range(n)], np.int64))
-    idx = ir.Load(idx_name, ir.VecType("i32", n),
-                  ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), n))
-    l = rng.randrange(1, 4)
-    lhs = ir.Broadcast(ir.Load(data.buffer, ir.VecType(kind, n), idx), l)
-    rhs = ir.Load(data.buffer, ir.VecType(kind, n * l), ir.Broadcast(idx, l))
-    return FuzzInstance(lhs, rhs, buffers)
+    return Draw({"n": data.buffer, "t": ir.VecType(kind, n),
+                 "i": _fresh_vec(rng, buffers, n, "i32"), "l": rng.randrange(1, 4)}, buffers)
 
 
 def _fz_bcast_of_cast(rng):
     buffers = {}
     n = rng.randrange(1, 5)
-    v = _fresh_vec(rng, buffers, n, "bf16")
-    l = rng.randrange(1, 4)
-    lhs = ir.Broadcast(ir.Cast(ir.VecType("f32", n), v), l)
-    rhs = ir.Cast(ir.VecType("f32", n * l), ir.Broadcast(v, l))
-    return FuzzInstance(lhs, rhs, buffers)
+    return Draw({"t": ir.VecType("f32", n), "x": _fresh_vec(rng, buffers, n, "bf16"),
+                 "l": rng.randrange(1, 4)}, buffers)
 
 
 def _fz_ramp_elim(rng):
     buffers = {}
     lanes = rng.randrange(1, 5)
-    x = _fresh_vec(rng, buffers, lanes, "i32")
-    s = _fresh_vec(rng, buffers, lanes, "i32")
-    return FuzzInstance(ir.Ramp(x, s, 1), x, buffers)
+    x, s = _i32_vecs(rng, buffers, lanes, lanes)
+    return Draw({"x": x, "s": s, "w": lanes}, buffers)
 
 
 def _fz_ramp_split(rng):
-    x = ir.Imm("i32", rng.randrange(0, 16))
-    l = 2 * rng.randrange(1, 5)
-    one, two = ir.Imm("i32", 1), ir.Imm("i32", 2)
-    lhs = ir.Ramp(x, one, l)
-    rhs = ir.Ramp(ir.Ramp(x, one, 2), ir.Broadcast(two, 2), l // 2)
-    return FuzzInstance(lhs, rhs)
-
-
-def _ramp_plus_bcast_parts(rng, buffers):
-    n = rng.randrange(1, 5)
-    f = rng.randrange(1, 4)
-    m = n * f
-    lx = rng.randrange(1, 4)
-    lb = f * lx
-    b = _fresh_vec(rng, buffers, lb, "i32")
-    s = _fresh_vec(rng, buffers, lb, "i32")
-    x = _fresh_vec(rng, buffers, lx, "i32")
-    inner = x if f == 1 else ir.Broadcast(x, f)
-    rhs = ir.Ramp(ir.Bop("+", b, inner), s, n)
-    return ir.Ramp(b, s, n), ir.Broadcast(x, m), rhs
+    return Draw({"x": ir.Imm("i32", rng.randrange(0, 16)), "l": 2 * rng.randrange(1, 5)})
 
 
 def _fz_ramp_plus_bcast(rng):
+    """A ramp of n steps over f*lx lanes and an m = f*n copy broadcast of
+    lx lanes."""
     buffers = {}
-    ramp, bc, rhs = _ramp_plus_bcast_parts(rng, buffers)
-    lhs = ir.Bop("+", ramp, bc) if rng.random() < 0.5 else ir.Bop("+", bc, ramp)
-    return FuzzInstance(lhs, rhs, buffers)
+    n, f, lx = rng.randrange(1, 5), rng.randrange(1, 4), rng.randrange(1, 4)
+    b, s, x = _i32_vecs(rng, buffers, f * lx, f * lx, lx)
+    return Draw({"b": b, "s": s, "n": n, "x": x, "m": n * f, "w": f * lx * n}, buffers)
 
 
 def _fz_ramp_unnest(rng):
     buffers = {}
     lanes = rng.randrange(1, 4)
-    x = _fresh_vec(rng, buffers, lanes, "i32")
-    a = _fresh_vec(rng, buffers, lanes, "i32")
-    s = _fresh_vec(rng, buffers, lanes, "i32")
+    x, a, s = _i32_vecs(rng, buffers, lanes, lanes, lanes)
     l = rng.randrange(1, 5)
-    lhs = ir.Ramp(ir.Bop("+", x, a), s, l)
-    rhs = ir.Bop("+", ir.Ramp(x, s, l), ir.Broadcast(a, l))
-    return FuzzInstance(lhs, rhs, buffers)
+    return Draw({"x": x, "a": a, "s": s, "l": l, "w": lanes * l}, buffers)
 
 
-def _fz_sibling_rb(rng):
-    buffers = {}
-    l1 = rng.randrange(1, 4)
-    q = rng.randrange(2, 4)
-    l2 = l1 * q
-    la = rng.randrange(1, 3)
-    x = _fresh_vec(rng, buffers, q * la, "i32")
-    s = _fresh_vec(rng, buffers, q * la, "i32")
-    a = _fresh_vec(rng, buffers, la, "i32")
-    ramp = ir.Ramp(x, s, l1)
-    bc = ir.Broadcast(a, l2)
-    lhs = ir.Bop("+", ramp, bc) if rng.random() < 0.5 else ir.Bop("+", bc, ramp)
-    rhs = ir.Bop("+", ir.Broadcast(ir.Broadcast(a, q), l1), ramp)
-    return FuzzInstance(lhs, rhs, buffers)
-
-
-def _fz_sibling_bb(rng):
-    buffers = {}
-    l1 = rng.randrange(1, 4)
-    q = rng.randrange(2, 4)
-    l2 = l1 * q
-    la = rng.randrange(1, 3)
-    a = _fresh_vec(rng, buffers, la, "i32")
-    b = _fresh_vec(rng, buffers, q * la, "i32")
-    lhs_a, lhs_b = ir.Broadcast(a, l2), ir.Broadcast(b, l1)
-    lhs = ir.Bop("+", lhs_a, lhs_b) if rng.random() < 0.5 else ir.Bop("+", lhs_b, lhs_a)
-    rhs = ir.Bop("+", ir.Broadcast(ir.Broadcast(a, q), l1), ir.Broadcast(b, l1))
-    return FuzzInstance(lhs, rhs, buffers)
+def _fz_sibling(ramp):
+    """An l2 = q*l1 copy broadcast of la lanes ?a, and its sibling over
+    q*la lanes: a ramp of ?x and ?s in l1 steps, or l1 copies of ?b."""
+    def gen(rng):
+        buffers = {}
+        l1, q, la = rng.randrange(1, 4), rng.randrange(2, 4), rng.randrange(1, 3)
+        sibling = (dict(zip("xs", _i32_vecs(rng, buffers, q * la, q * la))) if ramp
+                   else {"b": _fresh_vec(rng, buffers, q * la, "i32")})
+        return Draw({**sibling, "l1": l1, "a": _fresh_vec(rng, buffers, la, "i32"),
+                     "l2": l1 * q, "w": q * la * l1}, buffers)
+    return gen
 
 
 def _fz_add_of_bcasts(rng):
     buffers = {}
     lanes = rng.randrange(1, 4)
-    a = _fresh_vec(rng, buffers, lanes, "i32")
-    b = _fresh_vec(rng, buffers, lanes, "i32")
+    a, b = _i32_vecs(rng, buffers, lanes, lanes)
     l = rng.randrange(1, 5)
-    lhs = ir.Bop("+", ir.Broadcast(a, l), ir.Broadcast(b, l))
-    rhs = ir.Broadcast(ir.Bop("+", a, b), l)
-    return FuzzInstance(lhs, rhs, buffers)
+    return Draw({"a": a, "b": b, "l": l, "w": lanes * l}, buffers)
 
 
-def _fz_commute(sym):
-    def gen(rng):
-        buffers = {}
-        kind = rng.choice(("i32", "f32"))
-        lanes = rng.randrange(1, 6)
-        a = _fresh_vec(rng, buffers, lanes, kind)
-        b = _fresh_vec(rng, buffers, lanes, kind)
-        return FuzzInstance(ir.Bop(sym, a, b), ir.Bop(sym, b, a), buffers)
-    return gen
+def _fz_commute(rng):
+    buffers = {}
+    kind = rng.choice(("i32", "f32"))
+    lanes = rng.randrange(1, 6)
+    return Draw({"x": _fresh_vec(rng, buffers, lanes, kind),
+                 "y": _fresh_vec(rng, buffers, lanes, kind)}, buffers)
 
 
-def _fz_int_fold(sym):
-    def gen(rng):
-        a, b = rng.randrange(0, 100), rng.randrange(0, 100)
-        out = a + b if sym == "+" else a * b
-        return FuzzInstance(ir.Bop(sym, ir.Imm("i32", a), ir.Imm("i32", b)),
-                            ir.Imm("i32", out))
-    return gen
-
-
-def _matmul_source(rng, buffers, target, m, k, n):
-    kind = "bf16" if target == "amx" else "f16"
-    astride = k + rng.choice((0, 0, 2))
-    a_buf = _fresh_vec(rng, buffers, m * astride, kind, "A").buffer
-    c_buf = _fresh_vec(rng, buffers, m * n, "f32", "C").buffer
-    zero = ir.Imm("i32", 0)
-    a_load = ir.Load(a_buf, ir.VecType(kind, m * k * n),
-                     ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
-    c_load = ir.Load(c_buf, ir.VecType("f32", m * n),
-                     ir.Ramp(zero, ir.Imm("i32", 1), m * n))
-    if target == "amx":
-        b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
-        b_load = ir.Load(b_buf, ir.VecType(kind, m * k * n),
-                         ir.canonical_index([(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)],
-                                            zero))
-        tb = ir.Call("tile_load", (ir.Var(b_buf), zero, ir.Imm("i32", 2 * n),
-                                   ir.Imm("i32", k // 2), ir.Imm("i32", 2 * n)))
-        ta = ir.Call("tile_load", (ir.Var(a_buf), zero, ir.Imm("i32", astride),
-                                   ir.Imm("i32", m), ir.Imm("i32", k)))
-    else:
-        b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
-        b_load = ir.Load(b_buf, ir.VecType(kind, m * k * n),
-                         ir.canonical_index([(m, 0), (n, 1), (k, n)], zero))
-        tb = ir.Call("wmma_load_b", (ir.Var(b_buf), zero, ir.Imm("i32", n),
-                                     ir.Imm("i32", k), ir.Imm("i32", n)))
-        ta = ir.Call("wmma_load_a", (ir.Var(a_buf), zero, ir.Imm("i32", astride),
-                                     ir.Imm("i32", m), ir.Imm("i32", k)))
-    f32wide = ir.VecType("f32", m * k * n)
-    lhs = ir.Bop("+", c_load, ir.VectorReduceAdd(
-        m * n, ir.Bop("*", ir.Cast(f32wide, a_load), ir.Cast(f32wide, b_load))))
-    return lhs, c_load, ta, tb
+def _fz_int_fold(rng):
+    return Draw({"a": ir.Imm("i32", rng.randrange(0, 100)),
+                 "b": ir.Imm("i32", rng.randrange(0, 100))})
 
 
 def _fz_matmul(target):
+    kind = "bf16" if target == "amx" else "f16"
+
     def gen(rng):
         buffers = {}
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
         k = 2 * rng.randrange(1, 4)
-        lhs, c_load, ta, tb = _matmul_source(rng, buffers, target, m, k, n)
+        astride = k + rng.choice((0, 0, 2))
+        a_buf = _fresh_vec(rng, buffers, m * astride, kind, "A").buffer
+        c = _fresh_vec(rng, buffers, m * n, "f32", "C")
+        b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
+        zero = ir.Imm("i32", 0)
+
+        def tile(loader, buf, *ints):
+            return ir.Call(loader, (ir.Var(buf), zero, *(ir.Imm("i32", v) for v in ints)))
+
         if target == "amx":
-            rhs = ir.LocToLoc("amx", "mem", ir.Call(
-                "tile_matmul", (ir.LocToLoc("mem", "amx", c_load), ta, tb)))
+            ta = tile("tile_load", a_buf, astride, m, k)
+            tb = tile("tile_load", b_buf, 2 * n, k // 2, 2 * n)
+            b_axes = [(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)]
         else:
-            rhs = ir.LocToLoc("wmma", "mem", ir.Call(
-                "wmma_mma", (ta, tb, ir.LocToLoc("mem", "wmma", c_load))))
-        return FuzzInstance(lhs, rhs, buffers,
-                            shapes=(ir.ShapeDecl(target, m, k, n),))
+            ta = tile("wmma_load_a", a_buf, astride, m, k)
+            tb = tile("wmma_load_b", b_buf, n, k, n)
+            b_axes = [(m, 0), (n, 1), (k, n)]
+        wide = ir.VecType(kind, m * k * n)
+        a = ir.Load(a_buf, wide, ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
+        b = ir.Load(b_buf, wide, ir.canonical_index(b_axes, zero))
+        return Draw({"m": m, "k": k, "n": n, "c": c, "rl": m * n, "a": a, "b": b,
+                     "wide": m * k * n, "ta": ta, "tb": tb}, buffers,
+                    (ir.ShapeDecl(target, m, k, n),))
     return gen
 
 
 def _fz_zero(target):
-    zero = "tile_zero" if target == "amx" else "wmma_zero"
-
     def gen(rng):
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
-        lhs = ir.LocToLoc("mem", target, ir.Broadcast(ir.Imm("f32", 0.0), m * n))
-        rhs = ir.Call(zero, (ir.Imm("i32", m), ir.Imm("i32", n)))
-        return FuzzInstance(lhs, rhs, shapes=(ir.ShapeDecl(target, m, 2, n),))
-    return gen
-
-
-def _fz_cancel(target, outer_first):
-    def gen(rng):
-        buffers = {}
-        v = _fresh_vec(rng, buffers, rng.randrange(1, 6), _rand_kind(rng))
-        if outer_first:
-            lhs = ir.LocToLoc("mem", target, ir.LocToLoc(target, "mem", v))
-        else:
-            lhs = ir.LocToLoc(target, "mem", ir.LocToLoc("mem", target, v))
-        return FuzzInstance(lhs, v, buffers)
+        return Draw({"z": ir.Imm("f32", 0.0), "l": m * n, "m": m, "k": 2, "n": n},
+                    shapes=(ir.ShapeDecl(target, m, 2, n),))
     return gen
 
 
@@ -1187,95 +1219,69 @@ def _fz_of_load(target):
         buffers = {}
         v = _fresh_vec(rng, buffers, rng.randrange(1, 6), "f32")
         buffers[v.buffer] = interp.Buffer("f32", target, buffers[v.buffer].data)
-        return FuzzInstance(ir.LocToLoc("mem", target, v), v, buffers)
+        return Draw({"n": v.buffer, "t": v.vtype, "i": v.index}, buffers)
     return gen
+
+
+def _tile_index(rng, m, n, flat, pads):
+    """(row stride, match) of a row-major m x n tile index at buffer offset
+    0: flat at stride n, or 2-axis at n plus one of `pads`."""
+    zero = ir.Imm("i32", 0)
+    if flat:
+        return n, {"b": zero, "ll": m * n}
+    sstr = n + rng.choice(pads)
+    return sstr, {"b": zero, "n1": n, "sstr": ir.Imm("i32", sstr), "n0": m}
 
 
 def _fz_acc_load(target, flat):
-    loader = "tile_load" if target == "amx" else "wmma_load_c"
-
     def gen(rng):
         buffers = {}
         m, n = rng.choice((1, 2, 4)), rng.choice((2, 4))
-        sstr = n if flat else n + rng.choice((0, 1))
+        sstr, index = _tile_index(rng, m, n, flat, (0, 1))
         src = _fresh_vec(rng, buffers, m * sstr + 2, "f32", "acc").buffer
-        zero, one = ir.Imm("i32", 0), ir.Imm("i32", 1)
-        if flat:
-            idx = ir.Ramp(zero, one, m * n)
-        else:
-            idx = ir.Ramp(ir.Ramp(zero, one, n),
-                          ir.Broadcast(ir.Imm("i32", sstr), n), m)
-        lhs = ir.LocToLoc("mem", target, ir.Load(src, ir.VecType("f32", m * n), idx))
-        rhs = ir.Call(loader, (ir.Var(src), zero, ir.Imm("i32", sstr),
-                               ir.Imm("i32", m), ir.Imm("i32", n)))
-        return FuzzInstance(lhs, rhs, buffers, shapes=(ir.ShapeDecl(target, m, 2, n),))
+        return Draw({"bufn": src, "t": ir.VecType("f32", m * n), **index,
+                     "m": m, "k": 2, "n": n}, buffers, (ir.ShapeDecl(target, m, 2, n),))
     return gen
-
-
-def _store_programs(rng, target, flat):
-    m, n = rng.choice((2, 4)), rng.choice((2, 4))
-    sstr = n if flat else n + rng.choice((0, 2))
-    mn = m * n
-    out_len = (m - 1) * sstr + n
-    params = (ir.Param("src", "f32", mn), ir.Param("out", "f32", out_len))
-    zero, one = ir.Imm("i32", 0), ir.Imm("i32", 1)
-    flat_idx = ir.Ramp(zero, one, mn)
-    fill = (ir.Allocate("acc", "f32", mn, target),
-            ir.Store("acc", flat_idx,
-                     ir.Load("src", ir.VecType("f32", mn), flat_idx)))
-    acc_load = ir.Load("acc", ir.VecType("f32", mn), flat_idx)
-    if flat:
-        out_idx = ir.Ramp(zero, one, mn)
-    else:
-        out_idx = ir.Ramp(ir.Ramp(zero, one, n),
-                          ir.Broadcast(ir.Imm("i32", sstr), n), m)
-    store_name = "tile_store" if target == "amx" else "wmma_store"
-    lhs = ir.Program(params, fill + (
-        ir.Store("out", out_idx, ir.LocToLoc(target, "mem", acc_load)),))
-    rhs = ir.Program(params, fill + (
-        ir.Evaluate(ir.Call(store_name, (
-            ir.Var("out"), zero, ir.Imm("i32", sstr), ir.Imm("i32", n),
-            acc_load))),))
-    return lhs, rhs, params
 
 
 def _fz_store(target, flat):
+    """The tile of an `acc` buffer on `target`, filled from `src`, stored
+    to `out`."""
     def gen(rng):
-        lhs, rhs, params = _store_programs(rng, target, flat)
+        m, n = rng.choice((2, 4)), rng.choice((2, 4))
+        sstr, index = _tile_index(rng, m, n, flat, (0, 2))
+        mn = m * n
+        params = (ir.Param("src", "f32", mn), ir.Param("out", "f32", (m - 1) * sstr + n))
+        acc = _dense_load("acc", "f32", mn)
+        program = ir.Program(params, (
+            ir.Allocate("acc", "f32", mn, target),
+            ir.Store("acc", acc.index, _dense_load("src", "f32", mn)), None))
         buffers = {prm.name: interp.Buffer("f32", "mem", _uniform_lanes(rng, prm.length))
                    for prm in params}
-        return FuzzInstance(lhs, rhs, buffers)
+        return Draw({"buf": "out", "tile": acc, **index, "m": m, "k": 2, "n": n},
+                    buffers, (ir.ShapeDecl(target, m, 2, n),), program)
     return gen
 
 
-def _fz_stage(target, loader, b_shape=False):
+def _fz_stage(target, b_shape=False):
+    """`src` staged into a `stage` buffer on `target`, then read back to
+    `out`."""
     kind = "bf16" if target == "amx" else "f16"
 
     def gen(rng):
         m, n = rng.choice((2, 4)), rng.choice((2, 4))
         k = 2 * rng.randrange(1, 3)
-        rows, cols = ((k, n) if b_shape else (m, k))
-        length = rows * cols
+        length = k * n if b_shape else m * k
         params = (ir.Param("src", kind, length), ir.Param("out", kind, length))
-        zero, one = ir.Imm("i32", 0), ir.Imm("i32", 1)
-        idx = ir.Ramp(zero, one, length)
-        load_src = ir.Load("src", ir.VecType(kind, length), idx)
-        read_back = ir.Store("out", idx,
-                             ir.Load("stage", ir.VecType(kind, length), idx))
-        shapes = (ir.ShapeDecl(target, m, k, n),)
-        lhs = ir.Program(params, (
-            ir.Allocate("stage", kind, length, target),
-            ir.Store("stage", idx, ir.LocToLoc("mem", target, load_src)),
-            read_back), shapes)
-        rhs = ir.Program(params, (
-            ir.Allocate("stage", kind, length, target),
-            ir.Store("stage", idx, ir.Call(loader, (
-                ir.Var("src"), zero, ir.Imm("i32", cols), ir.Imm("i32", rows),
-                ir.Imm("i32", cols)))),
-            read_back), shapes)
+        stage = _dense_load("stage", kind, length)
+        program = ir.Program(params, (ir.Allocate("stage", kind, length, target), None,
+                                      ir.Store("out", stage.index, stage)))
         buffers = {prm.name: interp.Buffer(kind, "mem", interp.round_to_kind(
             _uniform_lanes(rng, prm.length), kind)) for prm in params}
-        return FuzzInstance(lhs, rhs, buffers)
+        zero = ir.Imm("i32", 0)
+        return Draw({"buf": "stage", "sb": zero, "ll": length, "mn": "src",
+                     "t": stage.vtype, "lb": zero, "m": m, "k": k, "n": n},
+                    buffers, (ir.ShapeDecl(target, m, k, n),), program)
     return gen
 
 
@@ -1284,23 +1290,15 @@ def _fz_stage(target, loader, b_shape=False):
 
 
 def corrupted_ramp_rule():
-    """ramp-plus-broadcast with the result stride off by one: the soundness
-    fuzzer must find a counterexample."""
-    def bad_gen(rng):
-        buffers = {}
-        ramp, bc, good = _ramp_plus_bcast_parts(rng, buffers)
-        if good.steps < 2:
-            return None  # the stride never applies; force observable steps
-        ls = ir.lanes_of(good.stride)
-        one = (ir.Imm("i32", 1) if ls == 1
-               else ir.Broadcast(ir.Imm("i32", 1), ls))
-        bad = ir.Ramp(good.base, ir.Bop("+", good.stride, one), good.steps)
-        return FuzzInstance(ir.Bop("+", ramp, bc), bad, buffers)
-
-    return RuleDef(name="corrupted-ramp-plus-broadcast", category="axiomatic",
-                   query=(), action=lambda g, env: None,
-                   doc="deliberately wrong: result stride off by one",
-                   fuzz=bad_gen)
+    """ramp-plus-broadcast with one added to each lane of its result
+    stride, which has w // n lanes: the soundness fuzzer must find a
+    counterexample."""
+    name = "ramp-plus-broadcast"
+    (good,) = build_default_ruleset().named(name).rhs
+    base, stride, steps = good.pattern.children
+    one = pbcast(pimm(1), pint(C("//", V("w"), V("n"))))
+    return _mutated(name, (Bind("e", pramp(base, padd(stride, one), steps)),),
+                    "result stride off by one").named(name)
 
 
 def _mutated(name, rhs, why):

@@ -281,7 +281,7 @@ def test_corrupted_ramp_counterexample_is_pinned():
     rep = rules.check_rule_soundness(rules.corrupted_ramp_rule(), 200, 1)
     assert rep.checked == 1
     inst, detail = rep.counterexample
-    assert detail == ("value", 1, 22, 23)
+    assert detail == ("value", 9, 33, 34)
     assert [type(x) for x in detail[2:]] == [np.int64, np.int64]
 
 

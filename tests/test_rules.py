@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
 from tensorsel import ir, rules
-from tensorsel.egraph import EGraph, ematch, extract_best, run_schedule
+from tensorsel.egraph import EGraph, PVar, Rel, ematch, extract_best, run_schedule
 from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
@@ -226,6 +227,47 @@ class TestSoundness:
         rep = rules.check_rule_soundness(bad, trials=200, seed=0)
         assert rep.counterexample is not None
         assert rep.checked <= 200
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_runaway_template_is_caught(self, seed):
+        """broadcast-flatten adding its copy counts: checked from its own
+        template, the sides differ in lanes."""
+        rule = rules.runaway_ruleset().named("broadcast-flatten")
+        rep = rules.check_rule_soundness(rule, trials=500, seed=seed)
+        assert rep.counterexample is not None
+        assert rep.counterexample[1][0] == "type"
+
+    def test_draws_match_the_compiled_query(self, default_ruleset):
+        """The first draws of every semantic rule satisfy its real plan:
+        the rendered left side, encoded with its buffers, shapes and the
+        match's other premises (has-type left to the supporting rules),
+        matches the rule's compiled query, guards included, at exactly the
+        classes of the match."""
+        supporting = default_ruleset.by_category("supporting")
+        for rule in default_ruleset:
+            if not rule.semantic:
+                continue
+            rng = random.Random(f"soundness:0:{rule.name}")
+            for _ in range(5):
+                draw = rule.fuzz(rng)
+                g = rules.new_graph()
+                lhs, _ = rules._sides(rule, draw.match)
+                encode = rules.encode_stmt if isinstance(lhs, ir.Stmt) else rules.encode_expr
+                encode(g, lhs)
+                rules.seed_facts(g, {n: (b.kind, b.data.size, b.location)
+                                     for n, b in draw.buffers.items()},
+                                 ir.program_shapes(draw))
+                term = rules._renderer(rule, draw.match)
+
+                def cls(t):
+                    return g.add(t[0], tuple(cls(k) for k in t[1]))
+                for atom in rule.query:
+                    if isinstance(atom, Rel) and atom.name != "has-type":
+                        g.assert_fact(atom.name, *(cls(term(t)) for t in atom.terms))
+                want = {v: cls(term(PVar(v))) for v in rule.query._layout.names}
+                assert set(draw.match) <= set(want), rule.name
+                run_schedule(g, supporting, 1, BUDGET)
+                assert want in ematch(g, rule.query), (rule.name, draw.match)
 
     def test_signed_zero_is_a_counterexample(self):
         # the bytes differ although no lane compares unequal

@@ -1,7 +1,7 @@
-"""Batched soundness checks: `rules.check_rule_soundness` evaluates each
-group of same-structure instances once, along a leading trial axis, and
-must report, or raise, exactly what checking the instances one by one in
-draw order gives."""
+"""Batched soundness checks: `rules.check_rule_soundness` renders each
+group of same-structure draws once and evaluates it once, along a leading
+trial axis, and must report, or raise, exactly what rendering and checking
+the draws one by one in draw order gives."""
 
 import random
 
@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from tensorsel import interp, ir, rules
-from tensorsel.egraph import RuleDef
+from tensorsel.egraph import Bind, RuleDef, rel
 from tensorsel.ir import Bop, Imm, Load, Ramp, VecType
+from tensorsel.rules import V, padd, pmul
 
 
 def run_alone(inst):
@@ -38,16 +39,17 @@ def run_alone(inst):
 
 
 def reference(rule, trials, seed):
-    """The per-trial loop: draw, check, stop at the first difference."""
+    """The per-trial loop: draw, render, check, stop at the first difference."""
     rep = rules.SoundnessReport(rule=rule.name, trials=trials)
     rng = random.Random(f"soundness:{seed}:{rule.name}")
     misses = 0
     for _ in range(trials):
-        inst = rule.fuzz(rng)
-        if inst is None:
+        draw = rule.fuzz(rng)
+        if draw is None:
             misses += 1
             continue
         rep.checked += 1
+        inst = rules._instance(rule, draw)
         ok, detail = run_alone(inst)
         if not ok:
             rep.counterexample = (inst, detail)
@@ -77,8 +79,16 @@ def outcome(check, rule, trials, seed=0):
 
 
 def fixture_rule(gen):
-    return RuleDef(name="fixture", category="axiomatic", query=(),
-                   action=lambda g, env: None, fuzz=gen)
+    """a * b rewritten to a * (b + d), which is sound only where d is zero."""
+    return RuleDef(name="fixture", category="axiomatic",
+                   query=(Bind("e", pmul(V("a"), V("b"))), rel("is-expr", V("d"))),
+                   rhs=(Bind("e", pmul(V("a"), padd(V("b"), V("d")))),), fuzz=gen)
+
+
+def added(t, wrong_at, bad_at=()):
+    """The fixture's ?d at trial `t`: zero, one at `wrong_at`, and at
+    `bad_at` a name, which no side can hold, so the render raises."""
+    return "bad" if t in bad_at else Imm("i32", int(t in wrong_at))
 
 
 def i32_vec(buffers, values):
@@ -98,27 +108,25 @@ def counted(make):
     return gen
 
 
-def square(big_at=(), wrong_at=()):
-    """One structure, a*a against a*a (a+1 at `wrong_at` trials); `a`
+def square(big_at=(), wrong_at=(), bad_at=()):
+    """One structure, a*a against a*(a+0) (a+1 at `wrong_at` trials); `a`
     holds 2^20 at `big_at` trials, so squaring it leaves i32 there."""
     def make(rng, t):
         buffers = {}
         a = i32_vec(buffers, [2**20 if t in big_at else rng.randrange(0, 16), 3])
-        rhs = Bop("*", a, Bop("+", a, Imm("i32", 1)) if t in wrong_at else a)
-        return rules.FuzzInstance(Bop("*", a, a), rhs, buffers)
+        return rules.Draw({"a": a, "b": a, "d": added(t, wrong_at, bad_at)}, buffers)
     return make
 
 
 def gather(oob_at=(), wrong_at=()):
-    """A load whose index is data, past the end of its 4 lanes at `oob_at`."""
+    """A nonzero load whose index is data, past the end of its 4 lanes at
+    `oob_at`, times 1 against times 1+0 (1+1 at `wrong_at` trials)."""
     def make(rng, t):
         buffers = {}
-        data = i32_vec(buffers, [rng.randrange(0, 16) for _ in range(4)])
+        data = i32_vec(buffers, [rng.randrange(1, 16) for _ in range(4)])
         idx = i32_vec(buffers, [9 if t in oob_at else rng.randrange(0, 4), 1])
-        lhs = Load(data.buffer, VecType("i32", 2), idx)
-        rhs = Load(data.buffer, VecType("i32", 2),
-                   Bop("+", idx, Imm("i32", 1)) if t in wrong_at else idx)
-        return rules.FuzzInstance(lhs, rhs, buffers)
+        load = Load(data.buffer, VecType("i32", 2), idx)
+        return rules.Draw({"a": load, "b": Imm("i32", 1), "d": added(t, wrong_at)}, buffers)
     return make
 
 
@@ -159,6 +167,16 @@ class TestMatchesPerTrialLoop:
         assert got == want
         assert isinstance(got[0], int) or issubclass(got[0], interp.EvalError)
 
+    @pytest.mark.parametrize("bad_at, wrong_at, raises", [
+        ({4, 7}, {5}, True), ({6, 9}, {3}, False), ({2}, {8}, True)])
+    def test_a_render_that_raises(self, bad_at, wrong_at, raises):
+        """Draws whose render raises share a group, and the raise counts at
+        its first draw."""
+        got, want = both(lambda: counted(square(wrong_at=wrong_at, bad_at=bad_at)))
+        assert got == want
+        assert (got[0] is TypeError) == raises
+        assert raises or got[0] == min(wrong_at) + 1
+
     @pytest.mark.parametrize("raise_at, wrong_at", [(6, 5), (4, 5)])
     def test_trials_of_two_groups_interleaved(self, raise_at, wrong_at):
         evens, odds = square(big_at={raise_at}), gather(wrong_at={wrong_at})
@@ -189,17 +207,19 @@ class TestMatchesPerTrialLoop:
 
 
 def test_signed_zero_instances_never_share_a_batch():
-    zero, neg = Imm("f32", 0.0), Imm("f32", -0.0)
-    insts = [rules.FuzzInstance(neg, neg), rules.FuzzInstance(zero, neg)]
-    assert rules._structure(insts[0]) != rules._structure(insts[1])
-    it = iter(insts)
+    one, zero, neg = Imm("f32", 1.0), Imm("f32", 0.0), Imm("f32", -0.0)
+    draws = [rules.Draw({"a": one, "b": neg, "d": d}) for d in (neg, zero)]
+    assert rules._structure(draws[0]) != rules._structure(draws[1])
+    it = iter(draws)
     rep = rules.check_rule_soundness(fixture_rule(lambda rng: next(it)), 2)
-    assert rep.checked == 2 and rep.counterexample[0] is insts[1]
+    assert rep.checked == 2
+    assert rep.counterexample[0].rhs == Bop("*", one, Bop("+", neg, zero))
 
 
 @pytest.mark.parametrize("kind", ["i32", "f32", "bf16", "f16"])
 def test_fresh_vec_draws_as_uniform_does(kind):
-    """The float lanes are `rng.uniform(-1, 1)` draws, bit for bit, and the
+    """The i32 lanes are the nibbles of one `getrandbits(4 * lanes)`, low
+    first, the float lanes `rng.uniform(-1, 1)` draws, bit for bit, and the
     stream goes on where it would."""
     for seed in range(5):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
@@ -207,7 +227,8 @@ def test_fresh_vec_draws_as_uniform_does(kind):
             buffers = {}
             rules._fresh_vec(got_rng, buffers, lanes, kind)
             if kind == "i32":
-                want = np.array([want_rng.randrange(0, 16) for _ in range(lanes)], np.int64)
+                bits = want_rng.getrandbits(4 * lanes)
+                want = np.array([(bits >> (4 * j)) % 16 for j in range(lanes)], np.int64)
             else:
                 want = interp.round_to_kind(np.array(
                     [want_rng.uniform(-1, 1) for _ in range(lanes)], np.float32), kind)
