@@ -209,6 +209,29 @@ class For(Stmt):
     body: tuple
 
 
+# The shape of every node that selection encodes: its e-graph head and its
+# fields in dataclass order, which is also child order.  A field's role is
+# `op` (a value that follows the head in the e-node's operator), `expr` (a
+# child expression), `exprs` (a tuple of them), or `int`, `type` or `name`
+# (a child leaf term holding an int, a VecType or a buffer name).
+TERMS = {
+    Imm: ("imm", (("kind", "op"), ("value", "op"))),
+    Var: ("var", (("name", "op"),)),
+    Load: ("load", (("buffer", "name"), ("vtype", "type"), ("index", "expr"))),
+    Cast: ("cast", (("vtype", "type"), ("operand", "expr"))),
+    Bop: ("bop", (("op", "op"), ("lhs", "expr"), ("rhs", "expr"))),
+    Ramp: ("ramp", (("base", "expr"), ("stride", "expr"), ("steps", "int"))),
+    Broadcast: ("bcast", (("operand", "expr"), ("copies", "int"))),
+    VectorReduceAdd: ("vra", (("result_lanes", "int"), ("operand", "expr"))),
+    Call: ("call", (("name", "op"), ("args", "exprs"))),
+    LocToLoc: ("l2l", (("src", "op"), ("dst", "op"), ("operand", "expr"))),
+    ExprVar: ("exprvar", (("operand", "expr"),)),
+    Shuffle: ("shuffle", (("source", "expr"), ("indices", "op"))),
+    Store: ("store", (("buffer", "name"), ("index", "expr"), ("value", "expr"))),
+    Evaluate: ("evaluate", (("value", "expr"),)),
+}
+
+
 @dataclass(frozen=True)
 class Param:
     name: str
@@ -476,63 +499,41 @@ def _kind_of(e, buffers, path):
 
 def walk_exprs(e):
     yield e
-    for child in _children(e):
+    for child in children(e):
         yield from walk_exprs(child)
 
 
-def _children(e):
-    if isinstance(e, Load):
-        return (e.index,)
-    if isinstance(e, (Cast, Broadcast, VectorReduceAdd, LocToLoc, ExprVar)):
-        return (e.operand,)
-    if isinstance(e, Bop):
-        return (e.lhs, e.rhs)
-    if isinstance(e, Ramp):
-        return (e.base, e.stride)
-    if isinstance(e, Call):
-        return e.args
-    if isinstance(e, Shuffle):
-        return (e.source,)
-    return ()
+# per node class with children, its fields with their TERMS roles
+_CHILD_FIELDS = {cls: fields for cls, (_, fields) in TERMS.items()
+                 if any(role in ("expr", "exprs") for _, role in fields)}
 
 
-def map_expr(e, f):
-    """`e` rebuilt with `f` applied to each direct child (the children
-    `_children` lists); leaves come back as they are."""
-    if isinstance(e, Load):
-        return Load(e.buffer, e.vtype, f(e.index))
-    if isinstance(e, Cast):
-        return Cast(e.vtype, f(e.operand))
-    if isinstance(e, Broadcast):
-        return Broadcast(f(e.operand), e.copies)
-    if isinstance(e, VectorReduceAdd):
-        return VectorReduceAdd(e.result_lanes, f(e.operand))
-    if isinstance(e, LocToLoc):
-        return LocToLoc(e.src, e.dst, f(e.operand))
-    if isinstance(e, ExprVar):
-        return ExprVar(f(e.operand))
-    if isinstance(e, Bop):
-        return Bop(e.op, f(e.lhs), f(e.rhs))
-    if isinstance(e, Ramp):
-        return Ramp(f(e.base), f(e.stride), e.steps)
-    if isinstance(e, Call):
-        return Call(e.name, tuple(f(a) for a in e.args))
-    if isinstance(e, Shuffle):
-        return Shuffle(f(e.source), e.indices)
-    return e
+def children(n):
+    """The child expressions of an expression or statement, in child order."""
+    out = ()
+    for name, role in _CHILD_FIELDS.get(n.__class__, ()):
+        if role == "expr":
+            out += (getattr(n, name),)
+        elif role == "exprs":
+            out += getattr(n, name)
+    return out
+
+
+def map_expr(n, f):
+    """`n`, an expression or statement, rebuilt with `f` applied to each of
+    its `children`; a node without children comes back as it is."""
+    fields = _CHILD_FIELDS.get(n.__class__)
+    if fields is None:
+        return n
+    args = []
+    for name, role in fields:
+        v = getattr(n, name)
+        args.append(f(v) if role == "expr" else tuple(map(f, v)) if role == "exprs" else v)
+    return n.__class__(*args)
 
 
 def free_vars(e):
     return {x.name for x in walk_exprs(e) if isinstance(x, Var)}
-
-
-def stmt_exprs(s):
-    """The expressions a statement evaluates, index before value."""
-    if isinstance(s, Store):
-        return (s.index, s.value)
-    if isinstance(s, Evaluate):
-        return (s.value,)
-    return ()
 
 
 def walk_stmts(body, path="body"):
@@ -762,6 +763,11 @@ def _tokenize(text):
     return toks
 
 
+# the deepest list nesting a program may have; the corpus nests 14 deep, and
+# every pass over a tree recurses once per level
+MAX_DEPTH = 128
+
+
 class _Reader:
     def __init__(self, text):
         self.toks = _tokenize(text)
@@ -781,9 +787,11 @@ class _Reader:
         self.pos += 1
         return t
 
-    def read(self):
+    def read(self, depth=1):
         t = self.next(("expression",))
         if t.text == "(":
+            if depth > MAX_DEPTH:
+                raise ParseError(f"lists nest deeper than {MAX_DEPTH}", t.line, t.col)
             items = []
             while True:
                 nxt = self.peek()
@@ -792,7 +800,7 @@ class _Reader:
                 if nxt.text == ")":
                     self.next()
                     return items, t
-                items.append(self.read())
+                items.append(self.read(depth + 1))
         if t.text == ")":
             raise ParseError("unexpected ')'", t.line, t.col)
         return t, t

@@ -1,5 +1,6 @@
-"""The concrete rewrite-rule catalog, the IR <-> e-graph encoding, and a
-rule-soundness fuzzer.
+"""The concrete rewrite-rule catalog, the IR <-> e-graph codec, and a
+rule-soundness fuzzer.  The codec holds no node shapes of its own: each
+node's head and fields come from `ir.TERMS`.
 
 Categories:
   axiomatic    -- index/vector identities that undo simplifier damage
@@ -48,11 +49,10 @@ import numpy as np
 from . import interp, ir
 from .egraph import Bind, Calc, EGraph, Guard, If, Let, PNode, PVar, RuleDef, rel
 
-EXPR_OPS = {"imm", "var", "load", "cast", "bop", "ramp", "bcast", "vra",
-            "call", "l2l", "exprvar", "shuffle"}
+EXPR_OPS = {head for cls, (head, _) in ir.TERMS.items() if issubclass(cls, ir.Expr)}
 
 # ---------------------------------------------------------------------------
-# IR <-> term encoding
+# IR <-> term encoding, by the node shapes of `ir.TERMS`
 
 
 def _tag_on_add(g, op, cid):
@@ -77,47 +77,27 @@ def mk_name(g, s):
 
 
 def encode_expr(g, e):
-    if isinstance(e, ir.Imm):
-        if e.kind == "i32":
-            return g.add(("imm", "i32", e.value))
+    """The class of `e`, an expression, Store or Evaluate, added to `g`
+    after its children, left to right."""
+    head, fields = ir.TERMS[e.__class__]
+    op, kids = [head], []
+    for name, role in fields:
+        v = getattr(e, name)
+        if role == "op":
+            op.append(v)
+        elif role == "exprs":
+            kids += [encode_expr(g, a) for a in v]
+        else:
+            kids.append(_ENCODE[role](g, v))
+    if head == "imm" and e.kind != "i32":
         # 0.0 == -0.0, so the sign bit keeps the two zeros in separate classes
-        return g.add(("imm", e.kind, e.value, math.copysign(1.0, e.value) < 0))
-    if isinstance(e, ir.Var):
-        return g.add(("var", e.name))
-    if isinstance(e, ir.Load):
-        return g.add(("load",), (mk_name(g, e.buffer),
-                                 mk_type(g, e.vtype.kind, e.vtype.lanes),
-                                 encode_expr(g, e.index)))
-    if isinstance(e, ir.Cast):
-        return g.add(("cast",), (mk_type(g, e.vtype.kind, e.vtype.lanes),
-                                 encode_expr(g, e.operand)))
-    if isinstance(e, ir.Bop):
-        return g.add(("bop", e.op), (encode_expr(g, e.lhs), encode_expr(g, e.rhs)))
-    if isinstance(e, ir.Ramp):
-        return g.add(("ramp",), (encode_expr(g, e.base), encode_expr(g, e.stride),
-                                 g.add_int(e.steps)))
-    if isinstance(e, ir.Broadcast):
-        return g.add(("bcast",), (encode_expr(g, e.operand), g.add_int(e.copies)))
-    if isinstance(e, ir.VectorReduceAdd):
-        return g.add(("vra",), (g.add_int(e.result_lanes), encode_expr(g, e.operand)))
-    if isinstance(e, ir.Call):
-        return g.add(("call", e.name), tuple(encode_expr(g, a) for a in e.args))
-    if isinstance(e, ir.LocToLoc):
-        return g.add(("l2l", e.src, e.dst), (encode_expr(g, e.operand),))
-    if isinstance(e, ir.ExprVar):
-        return g.add(("exprvar",), (encode_expr(g, e.operand),))
-    if isinstance(e, ir.Shuffle):
-        return g.add(("shuffle", tuple(e.indices)), (encode_expr(g, e.source),))
-    raise TypeError(f"cannot encode {e!r}")
+        op.append(math.copysign(1.0, e.value) < 0)
+    return g.add(tuple(op), tuple(kids))
 
 
-def encode_stmt(g, s):
-    if isinstance(s, ir.Store):
-        return g.add(("store",), (mk_name(g, s.buffer), encode_expr(g, s.index),
-                                  encode_expr(g, s.value)))
-    if isinstance(s, ir.Evaluate):
-        return g.add(("evaluate",), (encode_expr(g, s.value),))
-    raise TypeError(f"cannot encode statement {s!r}")
+# a statement encodes as any node does; selection calls it by this name, one
+# call per statement, which tracing times as the encoding layer
+encode_stmt = encode_expr
 
 
 def seed_facts(g, buffers, shapes):
@@ -130,54 +110,40 @@ def seed_facts(g, buffers, shapes):
                       g.add_int(sh.n))
 
 
+_NODES = {head: (cls, fields) for cls, (head, fields) in ir.TERMS.items()}
+
+
 def decode_term(term):
+    """The IR node of a term tree, as `extract_best` gives it."""
     op, kids = term
-    h = op[0]
-    if h == "imm":
-        return ir.Imm(op[1], op[2])
-    if h == "var":
-        return ir.Var(op[1])
-    if h == "load":
-        return ir.Load(_term_name(kids[0]), _term_type(kids[1]), decode_term(kids[2]))
-    if h == "cast":
-        return ir.Cast(_term_type(kids[0]), decode_term(kids[1]))
-    if h == "bop":
-        return ir.Bop(op[1], decode_term(kids[0]), decode_term(kids[1]))
-    if h == "ramp":
-        return ir.Ramp(decode_term(kids[0]), decode_term(kids[1]), _term_int(kids[2]))
-    if h == "bcast":
-        return ir.Broadcast(decode_term(kids[0]), _term_int(kids[1]))
-    if h == "vra":
-        return ir.VectorReduceAdd(_term_int(kids[0]), decode_term(kids[1]))
-    if h == "call":
-        return ir.Call(op[1], tuple(decode_term(a) for a in kids))
-    if h == "l2l":
-        return ir.LocToLoc(op[1], op[2], decode_term(kids[0]))
-    if h == "exprvar":
-        return ir.ExprVar(decode_term(kids[0]))
-    if h == "shuffle":
-        return ir.Shuffle(decode_term(kids[0]), op[1])
-    if h == "store":
-        return ir.Store(_term_name(kids[0]), decode_term(kids[1]), decode_term(kids[2]))
-    if h == "evaluate":
-        return ir.Evaluate(decode_term(kids[0]))
-    raise TypeError(f"cannot decode {op!r}")
+    if op[0] not in _NODES:
+        raise TypeError(f"cannot decode {op!r}")
+    cls, fields = _NODES[op[0]]
+    args, i, k = [], 1, 0
+    for _, role in fields:
+        if role == "op":
+            args.append(op[i])
+            i += 1
+        elif role == "exprs":
+            args.append(tuple(map(decode_term, kids[k:])))
+        else:
+            args.append(_DECODE[role](kids[k]))
+            k += 1
+    return cls(*args)
 
 
-def _term_name(term):
-    assert term[0][0] == "name", term[0]
-    return term[0][1]
+def _leaf(term, head):
+    op = term[0]
+    assert op[0] == head, op
+    return op[1]
 
 
-def _term_int(term):
-    assert term[0][0] == "int", term[0]
-    return term[0][1]
-
-
-def _term_type(term):
-    op, kids = term
-    assert op[0] == "type", op
-    return ir.VecType(op[1], _term_int(kids[0]))
+# per role of a child, its term from a value and back
+_ENCODE = {"expr": encode_expr, "int": lambda g, v: g.add_int(v),
+           "type": lambda g, t: mk_type(g, t.kind, t.lanes), "name": mk_name}
+_DECODE = {"expr": decode_term, "int": lambda t: _leaf(t, "int"),
+           "type": lambda t: ir.VecType(_leaf(t, "type"), _leaf(t[1][0], "int")),
+           "name": lambda t: _leaf(t, "name")}
 
 
 # ---------------------------------------------------------------------------
@@ -864,14 +830,9 @@ _CALCS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def _value_term(v):
-    if isinstance(v, ir.Expr):
-        return encode_expr(_TermBuilder, v)
-    if isinstance(v, ir.VecType):
-        return mk_type(_TermBuilder, v.kind, v.lanes)
-    if isinstance(v, str):
-        return mk_name(_TermBuilder, v)
-    if isinstance(v, int):
-        return _TermBuilder.add_int(v)
+    for cls, role in ((ir.Expr, "expr"), (ir.VecType, "type"), (str, "name"), (int, "int")):
+        if isinstance(v, cls):
+            return _ENCODE[role](_TermBuilder, v)
     raise TypeError(f"not a match value: {v!r}")
 
 
@@ -901,12 +862,12 @@ def _renderer(rule, match):
             return c
         if isinstance(c, PVar):  # an int, else an i32 immediate, as `class_int`
             op = term(c)[0]
-            return int(op[2]) if op[:2] == ("imm", "i32") else _term_int(term(c))
+            return int(op[2]) if op[:2] == ("imm", "i32") else _DECODE["int"](term(c))
         if c.op in _CALCS:
             return _CALCS[c.op](calc(c.args[0]), calc(c.args[1]))
         if c.op == "name":
-            return _term_name(term(c.args[0]))
-        return getattr(_term_type(term(c.args[0])), c.op)  # kind or lanes
+            return _DECODE["name"](term(c.args[0]))
+        return getattr(_DECODE["type"](term(c.args[0])), c.op)  # kind or lanes
 
     return term
 

@@ -100,15 +100,6 @@ def static_loc(e, buffers):
     return "mem"
 
 
-def _map_exprs(s, f):
-    """`s` with `f` applied to each expression it evaluates."""
-    if isinstance(s, ir.Store):
-        return ir.Store(s.buffer, f(s.index), f(s.value))
-    if isinstance(s, ir.Evaluate):
-        return ir.Evaluate(f(s.value))
-    return s
-
-
 def inject_data_movement(p):
     """Wrap cross-location reads in loc_to_loc and move each store's value
     to its buffer's location.  Reads of a buffer co-located with the store
@@ -183,7 +174,7 @@ def realizability_check(s, buffers):
         if expected != "mem":
             diags.append(f"{path}: {type(e).__name__} computes in memory "
                          f"but a {expected} value is required")
-        for i, c in enumerate(ir._children(e)):
+        for i, c in enumerate(ir.children(e)):
             check(c, "mem", f"{path}[{i}]")
 
     if isinstance(s, ir.Store):
@@ -197,7 +188,7 @@ def realizability_check(s, buffers):
 
 def _movement_nodes(s):
     out = []
-    for e in ir.stmt_exprs(s):
+    for e in ir.children(s):
         for sub in ir.walk_exprs(e):
             if isinstance(sub, ir.LocToLoc):
                 out.append(f"{sub.src}->{sub.dst}")
@@ -217,7 +208,7 @@ def _intrinsic_names(s):
 def _touches_accel(s, buffers):
     if isinstance(s, ir.Store) and buffers.get(s.buffer, ("", 0, "mem"))[2] != "mem":
         return True
-    for e in ir.stmt_exprs(s):
+    for e in ir.children(s):
         for sub in ir.walk_exprs(e):
             if isinstance(sub, ir.LocToLoc):
                 return True
@@ -289,7 +280,7 @@ def lower_exprvars(p):
     for path, s in ir.walk_stmts(p.body):
         if isinstance(s, ir.For):
             loop_vars[path] = s.var
-        for e in ir.stmt_exprs(s):
+        for e in ir.children(s):
             for sub in ir.walk_exprs(e):
                 if isinstance(sub, ir.ExprVar) and sub.operand not in names:
                     names[sub.operand] = f"swizzle{len(names)}"
@@ -328,7 +319,7 @@ def lower_exprvars(p):
         temps.append({"name": name, "lanes": t.lanes, "hoist_depth": depth})
 
     def rebuild(path, s):
-        return (*inits.get(path, ()), _map_exprs(s, replace))
+        return (*inits.get(path, ()), ir.map_expr(s, replace))
 
     body = tuple(allocs) + ir.map_stmts(p.body, rebuild)
     return ir.Program(p.params, body, p.shapes), temps
@@ -368,7 +359,7 @@ def desugar_shuffles(p):
                 return spec_shuffle(e)
         return ir.map_expr(e, desugar)
 
-    body = ir.map_stmts(p.body, lambda path, s: (_map_exprs(s, desugar),))
+    body = ir.map_stmts(p.body, lambda path, s: (ir.map_expr(s, desugar),))
     return ir.Program(p.params, body, p.shapes)
 
 

@@ -72,6 +72,38 @@ class TestCheck:
             "error: params: parameter 'x' of length -3"]
 
 
+def _deep_program(depth, chain):
+    """A program whose lists nest `depth` deep: a store of an add chain, of
+    a chain of loads each indexing the next, or of that load chain into an
+    intermediate, which selection saturates."""
+    e = "(imm i32 0)"
+    for _ in range(depth - 2):
+        e = f"(add {e} (imm i32 1))" if chain == "add" else f"(load a (i32 1) {e})"
+    dest = "(allocate t i32 1 mem)\n(store t" if chain == "load-into-t" else "(store out"
+    return f"(param a i32 16 mem)\n(param out i32 1 mem)\n{dest} (imm i32 0) {e})\n"
+
+
+class TestDeepNesting:
+    COMMANDS = [["check"], ["run"], ["select"], ["difftest", "--trials", "2"]]
+
+    @pytest.mark.parametrize("chain", ["add", "load", "load-into-t"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_max_depth_passes_every_command(self, argv, chain, tmp_path, capsys):
+        src = tmp_path / "deep.sexp"
+        src.write_text(_deep_program(ir.MAX_DEPTH, chain))
+        assert run_cli(argv[0], str(src), *argv[1:]) == 0
+
+    @pytest.mark.parametrize("chain", ["add", "load"])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
+    def test_one_deeper_exits_two_with_one_error(self, argv, chain, tmp_path, capsys):
+        src = tmp_path / "deep.sexp"
+        src.write_text(_deep_program(ir.MAX_DEPTH + 1, chain))
+        assert run_cli(argv[0], str(src), *argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: 3:") and err.count("\n") == 1
+        assert f"deeper than {ir.MAX_DEPTH}" in err
+
+
 MALFORMED_CALLS = {
     "buffer-is-immediate": (
         "(param A bf16 512 mem)\n(allocate t bf16 512 amx)\n"

@@ -114,11 +114,21 @@ class TestTraversal:
     def test_every_expr_class_has_an_instance(self):
         assert {type(e) for e in self.EXPRS} == set(ir.Expr.__subclasses__())
 
-    @pytest.mark.parametrize("e", EXPRS, ids=lambda e: type(e).__name__)
+    STMTS = (
+        Store("t", Ramp(i32(0), i32(1), 4), _flat_load("a", "f32", 4)),
+        Evaluate(Var("x")),
+        Allocate("t", "f32", 4, "mem"),
+        For("i", 0, 2, (Evaluate(Var("i")),)),
+    )
+
+    @pytest.mark.parametrize("e", EXPRS + STMTS, ids=lambda e: type(e).__name__)
     def test_map_expr_identity_visits_the_children(self, e):
         seen = []
-        assert ir.map_expr(e, lambda c: seen.append(c) or c) == e
-        assert tuple(seen) == tuple(ir._children(e))
+        out = ir.map_expr(e, lambda c: seen.append(c) or c)
+        assert out == e
+        assert tuple(seen) == ir.children(e)
+        if not seen:  # a node without children comes back as it is
+            assert out is e
 
     BODY = (
         Allocate("t", "f32", 4, "mem"),
@@ -154,11 +164,11 @@ class TestTraversal:
         assert loops[0] == ("body[1].body[1]", ())
         assert loops[1][0] == "body[1]" and loops[1][1][1] == For("j", 0, 3, ())
 
-    def test_stmt_exprs(self):
+    def test_children_of_statements(self):
         store = self.BODY[1].body[0]
-        assert ir.stmt_exprs(store) == (store.index, store.value)
-        assert ir.stmt_exprs(Evaluate(Var("x"))) == (Var("x"),)
-        assert ir.stmt_exprs(self.BODY[0]) == ir.stmt_exprs(self.BODY[1]) == ()
+        assert ir.children(store) == (store.index, store.value)
+        assert ir.children(Evaluate(Var("x"))) == (Var("x"),)
+        assert ir.children(self.BODY[0]) == ir.children(self.BODY[1]) == ()
 
 
 def _flat_load(buf, kind, n):
@@ -324,6 +334,14 @@ class TestParsePrint:
             ir.parse_program("(param x bf16 4 mem)\n(allocate y f99 4 mem)")
         assert exc.value.line == 2
         assert exc.value.expected
+
+    def test_nesting_past_max_depth_is_an_error_at_its_paren(self):
+        # an evaluate whose lists nest one deeper than allowed, (var x) last
+        text = "(evaluate\n" + "(exprvar " * (ir.MAX_DEPTH - 1) + "(var x)" + ")" * ir.MAX_DEPTH
+        with pytest.raises(ir.ParseError, match=f"deeper than {ir.MAX_DEPTH}") as exc:
+            ir.parse_program(text)
+        assert (exc.value.line, exc.value.col) == (2, 1 + len("(exprvar ") * (ir.MAX_DEPTH - 1))
+        ir.parse_program(text.replace("(exprvar ", "", 1)[:-1])  # one level less parses
 
     def test_comments_ignored(self):
         p = ir.parse_program("; a comment\n(param x bf16 4 mem) ; trailing\n")

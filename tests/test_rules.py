@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 
 import pytest
+import test_ir
 
 from tensorsel import ir, rules
 from tensorsel.egraph import EGraph, PVar, Rel, ematch, extract_best, run_schedule
@@ -283,6 +285,21 @@ class TestSoundness:
 
 
 class TestEncodeDecode:
+    # every expression class, then a Store and an Evaluate
+    NODES = test_ir.TestTraversal.EXPRS + test_ir.TestTraversal.STMTS[:2]
+
+    def test_terms_cover_every_encoded_node(self):
+        assert set(ir.TERMS) == {*ir.Expr.__subclasses__(), ir.Store, ir.Evaluate}
+        for cls, (_, fields) in ir.TERMS.items():  # nodes are built positionally
+            assert [name for name, _ in fields] == [f.name for f in dataclasses.fields(cls)]
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_every_node_round_trips(self, node):
+        g = rules.new_graph()
+        term = extract_best(g, rules.encode_expr(g, node))
+        assert rules.decode_term(term) == node
+        assert rules.encode_expr(rules._TermBuilder, node) == term
+
     def test_round_trip_matmul_update(self):
         stmt = matmul_update_stmt()
         g = rules.new_graph()
