@@ -3,13 +3,13 @@ import math
 import random
 
 import pytest
-import test_ir
 
 from tensorsel import ir, rules
 from tensorsel.egraph import EGraph, PVar, Rel, ematch, extract_best, run_schedule
 from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
+import test_ir
 from conftest import corpus_program
 
 
