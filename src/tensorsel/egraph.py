@@ -20,12 +20,12 @@ nodes with a child in it, and `union` queues the loser's parents: their
 keys are stale.  `rebuild` pops them one by one, moves each to its
 canonical key and merges the classes of two nodes that then share one,
 which queues more, until none is left; it returns at once when no union
-happened since the last one.  Hashcons keys, `class_nodes` and the small
-nodes stay as they were until then, so an `add` between a union and the
-rebuild still misses a stale key.  Each class also keeps its nodes of
-fewer than two children in `class_nodes` order, so constant, name and type
-reads never sort, and `class_int` keeps its answer per root until those
-nodes change.
+happened since the last one.  Hashcons keys, and so `class_nodes` (the
+keys of a class's members), and the small nodes stay as they were until
+then, so an `add` between a union and the rebuild still misses a stale
+key.  Each class also keeps its nodes of fewer than two children in
+`class_nodes` order, so constant, name and type reads never sort, and
+`class_int` keeps its answer per root until those nodes change.
 
 E-matching runs join plans, as in relational e-matching (Zhang et al.,
 POPL 2022), over a view that `union` keeps canonical: per root and op,
@@ -180,7 +180,6 @@ class EGraph:
         self._members = {}  # root -> every id whose root it is
         self._keys = []  # node id (its class when added) -> key, None once a twin replaced it
         self._hashcons = {}  # node key -> node id
-        self._class_nodes = {}  # root -> dict[node key -> None]
         self._small = {}  # root -> its nodes of < 2 children, class_nodes order
         self._ints = {}  # root -> its `class_int`, until its small nodes change
         self._view = {}  # root -> op -> dict[canonical children -> None]
@@ -219,8 +218,6 @@ class EGraph:
         for i in members:
             parent[i] = ra
         self._members[ra] += members
-        nodes = self._class_nodes.pop(rb, {})
-        self._class_nodes.setdefault(ra, {}).update(nodes)
         small = self._small.pop(rb, [])
         self._ints.pop(rb, None)
         if small:
@@ -263,7 +260,6 @@ class EGraph:
         self._members[cid] = [cid]
         self._keys.append(node)
         self._hashcons[node] = cid
-        self._class_nodes[cid] = {node: None}
         if len(kids) < 2:
             self._small[cid] = [node]
         self._view[cid] = {op: {kids: None}}
@@ -308,7 +304,7 @@ class EGraph:
         filed under a loser) in the facts and the fact index."""
         if not self._merged:
             return
-        parent, keys, hashcons, nodes = self._parent, self._keys, self._hashcons, self._class_nodes
+        parent, keys, hashcons = self._parent, self._keys, self._hashcons
         root = parent.__getitem__
         touched = []
         while self._dirty:
@@ -321,16 +317,15 @@ class EGraph:
                 continue
             owner = parent[nid]
             touched.append(owner)
-            del hashcons[key], nodes[owner][key]
+            del hashcons[key]
             other = hashcons.get(canon)
             if other is None:
                 hashcons[canon], keys[nid] = nid, canon
-                nodes[owner][canon] = None
             else:  # a congruent node: this one goes, their classes merge
                 keys[nid] = None
                 self.union(other, owner)
         for r in {parent[c] for c in touched}:
-            small = [n for n in nodes[r] if len(n[1]) < 2]
+            small = [n for n in self._keys_of(r) if len(n[1]) < 2]
             if small:
                 self._small[r] = sorted(small, key=_node_key)
                 self._ints.pop(r, None)
@@ -372,10 +367,15 @@ class EGraph:
     # -- inspection ---------------------------------------------------------
 
     def class_ids(self):
-        return sorted(self._class_nodes)
+        return sorted(self._members)
+
+    def _keys_of(self, root):
+        """The keys of the nodes of class `root`, stale until `rebuild`."""
+        keys = self._keys
+        return [key for i in self._members[root] if (key := keys[i]) is not None]
 
     def class_nodes(self, cid):
-        return sorted(self._class_nodes.get(self._parent[cid], ()), key=_node_key)
+        return sorted(self._keys_of(self._parent[cid]), key=_node_key)
 
     def small_nodes(self, cid):
         """The class's nodes with fewer than two children (literals, names,
@@ -424,7 +424,7 @@ class EGraph:
 
     @property
     def n_classes(self):
-        return len(self._class_nodes)
+        return len(self._members)
 
     @property
     def n_nodes(self):
@@ -474,15 +474,8 @@ class Query(tuple):
 def ematch(g, query):
     """All substitutions (variable -> canonical class id) satisfying the
     query's atoms, deduplicated and deterministically ordered.  A `Query`
-    runs its own plan; a plain tuple of atoms is compiled first."""
-    plan = query.plan if isinstance(query, Query) else compile_query(query)
-    return plan(g)
-
-
-def compile_query(query):
-    """The join plan of `query`: a function of a graph returning the
-    query's matches.  Raises TypeError on anything but a query atom."""
-    return _bind(_layout(query))
+    runs its own plan; a plain tuple of atoms is laid out as one first."""
+    return (query if isinstance(query, Query) else Query(query)).plan(g)
 
 
 class Layout(NamedTuple):
@@ -636,7 +629,7 @@ def _source(structure):
         params = "".join(f", s{k}" for k in bound)
         return [f"    def {name}(g, add{params}):",
                 "        find, merged = g._parent.__getitem__, g._merged",
-                "        nodes, ops, view = g._class_nodes, g._op_index, g._view",
+                "        classes, ops, view = g._members, g._op_index, g._view",
                 "        facts, index = g.facts, g._fact_index"]
 
     lines = start("part0")
@@ -687,7 +680,7 @@ def _source(structure):
             emit(f"if merged: ids{i} = [*map(find, ids{i})]")
             bind(i, binds, checks)
         elif kind == "class":
-            emit(f"for s{step[1]} in nodes:")
+            emit(f"for s{step[1]} in classes:")
             bound.append(step[1])
             depth += 1
         elif kind == "same":
@@ -856,7 +849,7 @@ class SaturationReport:
 
 
 CATEGORY_ORDER = ("axiomatic", "application", "lowering")
-SUPPORTING_ROUNDS = 64  # the corpus needs at most 5 to reach a fixpoint
+SUPPORTING_ROUNDS = 64  # rounds that add a node; the corpus needs at most 5
 
 
 def run_schedule(g, rules, iterations, node_budget):
@@ -864,7 +857,10 @@ def run_schedule(g, rules, iterations, node_budget):
     round of axiomatic + application + lowering, then rebuild.  Raises
     NodeBudgetExceeded (leaving the partial graph intact) when a rule run
     leaves more than `node_budget` classes, or when the supporting rules
-    reach no fixpoint in SUPPORTING_ROUNDS rounds.
+    reach no fixpoint in SUPPORTING_ROUNDS rounds that add a node.  A round
+    that adds only facts and unions is not counted: over a fixed set of
+    nodes there are finitely many of those, so such rounds cannot go on
+    forever, while a deep term can take one round per level to type.
 
     A rule is matched again only when the graph changed in what its query
     reads since the start of its last run (`EGraph.changed_since`);
@@ -926,15 +922,18 @@ def run_schedule(g, rules, iterations, node_budget):
     for it in range(iterations):
         report.iterations = it + 1
         start, counted = g.version, dict(report.matches)
-        for _ in range(SUPPORTING_ROUNDS):
-            before = g.version
+        grown = 0  # supporting rounds that created a node
+        while grown < SUPPORTING_ROUNDS:
+            before, ids = g.version, len(g._parent)
             for rule in supporting:
                 apply(rule)
             g.rebuild()
             if g.version == before:
                 break
+            grown += len(g._parent) > ids
         else:
-            stop(f"supporting rules reached no fixpoint in {SUPPORTING_ROUNDS} rounds")
+            stop(f"supporting rules reached no fixpoint in {SUPPORTING_ROUNDS} rounds "
+                 f"that add a node")
         for cat in CATEGORY_ORDER:
             for rule in rounds[cat]:
                 apply(rule)

@@ -25,7 +25,8 @@ int, a `VecType` or a buffer name, for a class of terms, ints, types or
 names), with the buffers those values load and the shapes its facts name,
 and for a statement rule the program around the statement, None in its
 place.  The match satisfies the query, guards and premises included.
-`check_rule_soundness` renders both sides from the rule itself.
+`check_rule_soundness` expands the left side from the rule's query and
+runs its compiled action on term trees for the right.
 
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
@@ -39,10 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -819,14 +819,28 @@ class SoundnessReport:
         return self.counterexample is None and not self.guard_unsatisfiable
 
 
-# stands in for an EGraph, so `encode_expr` returns an expression's term
-# tree, as `extract_best` gives it, not its class
-_TermBuilder = SimpleNamespace(add=lambda op, children=(): (op, children),
-                               add_int=lambda v: (("int", int(v)), ()))
+class _TermBuilder:
+    """Stands in for an EGraph whose classes are term trees, as `extract_best`
+    gives them: through it `encode_expr` returns a term, and a compiled
+    right-hand side builds terms, reads their leaves and records its unions."""
 
+    _parent = property(lambda self: self)  # its own parent table: every term is a root
+    __getitem__ = staticmethod(lambda term: term)
+    _hashcons = MappingProxyType({})  # finds no node, so each one is added
+    add = staticmethod(lambda op, children=(): (op, children))
+    add_int = staticmethod(lambda v: (("int", int(v)), ()))
+    assert_fact = staticmethod(lambda name, *args: None)
+    class_name = staticmethod(_DECODE["name"])
+    class_type = staticmethod(lambda t: (_leaf(t, "type"), _DECODE["int"](t[1][0])))
+    # an int, else an i32 immediate, as `EGraph.class_int` reads one
+    class_int = staticmethod(lambda t: int(t[0][2]) if t[0][:2] == ("imm", "i32")
+                             else _DECODE["int"](t))
 
-_CALCS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "//": operator.floordiv, "==": operator.eq}
+    def __init__(self):
+        self.unions = []
+
+    def union(self, a, b):
+        self.unions.append((a, b))
 
 
 def _value_term(v):
@@ -837,48 +851,32 @@ def _value_term(v):
 
 
 def _renderer(rule, match):
-    """`term(t)`, the term tree of a pattern or template `t` of `rule` at
-    `match`.  A variable that a query `Bind` or a right-hand side `Let`
-    defines is its pattern's term, any other its value's; a `Calc` reads
-    terms as the compiled action reads classes, and an `If` takes its
-    branch."""
+    """`term(p)`, the term tree of `rule`'s query pattern `p` at `match`: a
+    variable a query `Bind` defines is its pattern's term, any other its value's."""
     binds = {a.var: a.pattern for a in rule.query if isinstance(a, Bind)}
-    binds.update((e.var, e.template) for e in rule.rhs if isinstance(e, Let))
     terms = {}
 
-    def term(t):
-        if isinstance(t, PVar):
-            if t.name not in terms:
-                terms[t.name] = (term(binds[t.name]) if t.name in binds
-                                 else _value_term(match[t.name]))
-            return terms[t.name]
-        if isinstance(t, If):
-            return term(t.then if calc(t.cond) else t.other)
-        return (tuple(calc(x) if isinstance(x, (Calc, PVar)) else x for x in t.op),
-                tuple(map(term, t.children)))
-
-    def calc(c):
-        if isinstance(c, int):
-            return c
-        if isinstance(c, PVar):  # an int, else an i32 immediate, as `class_int`
-            op = term(c)[0]
-            return int(op[2]) if op[:2] == ("imm", "i32") else _DECODE["int"](term(c))
-        if c.op in _CALCS:
-            return _CALCS[c.op](calc(c.args[0]), calc(c.args[1]))
-        if c.op == "name":
-            return _DECODE["name"](term(c.args[0]))
-        return getattr(_DECODE["type"](term(c.args[0])), c.op)  # kind or lanes
+    def term(p):
+        if isinstance(p, PVar):
+            if p.name not in terms:
+                terms[p.name] = (term(binds[p.name]) if p.name in binds
+                                 else _value_term(match[p.name]))
+            return terms[p.name]
+        return p.op, tuple(map(term, p.children))
 
     return term
 
 
 def _sides(rule, match):
-    """`rule`'s two sides at `match`, as IR: the left is the variable of
-    its one `Bind` effect, expanded through the query's `Bind` atoms, the
-    right is that effect's template."""
+    """`rule`'s two sides at `match`, as IR: the left is the variable of its
+    one `Bind` effect, expanded through the query's `Bind` atoms; the right
+    is what `rule.action`, run on a `_TermBuilder` with each query variable
+    bound to its term, unions with it, or the left when the two are equal."""
     term = _renderer(rule, match)
     (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
-    return decode_term(term(PVar(bind.var))), decode_term(term(bind.pattern))
+    lhs, g = term(PVar(bind.var)), _TermBuilder()
+    rule.action(g, {v: term(PVar(v)) for v in rule.query._layout.names})
+    return decode_term(lhs), decode_term(g.unions[0][1] if g.unions else lhs)
 
 
 def _instance(rule, draw):
@@ -949,8 +947,8 @@ def check_rule_soundness(rule, trials=500, seed=0):
     `rule.fuzz(rng)` returns a `Draw` whose match satisfies the rule's
     query, guards included, or None to skip a draw; it builds neither side.
     The draws are grouped by `_structure`.  Once per group, at its first
-    draw, the sides are rendered from the rule itself (`_sides`): the left
-    from its query, the right from its right-hand side.  Each group of
+    draw, the sides are built from the rule itself (`_sides`): the left
+    from its query, the right by its compiled action.  Each group of
     several draws is then evaluated once by `interp.compare_sides`, its
     buffers stacked along a leading trial axis; a batch that raises is
     replayed draw by draw.  The report, or the exception raised, is that of

@@ -73,20 +73,20 @@ class TestCheck:
 
 
 def _deep_program(depth, chain):
-    """A program whose lists nest `depth` deep: a store of an add chain, of
-    a chain of loads each indexing the next, or of that load chain into an
+    """A program whose lists nest `depth` deep: a store of an add chain or
+    of a chain of loads each indexing the next, or of either into an
     intermediate, which selection saturates."""
     e = "(imm i32 0)"
     for _ in range(depth - 2):
-        e = f"(add {e} (imm i32 1))" if chain == "add" else f"(load a (i32 1) {e})"
-    dest = "(allocate t i32 1 mem)\n(store t" if chain == "load-into-t" else "(store out"
+        e = f"(add {e} (imm i32 1))" if chain.startswith("add") else f"(load a (i32 1) {e})"
+    dest = "(allocate t i32 1 mem)\n(store t" if chain.endswith("-into-t") else "(store out"
     return f"(param a i32 16 mem)\n(param out i32 1 mem)\n{dest} (imm i32 0) {e})\n"
 
 
 class TestDeepNesting:
     COMMANDS = [["check"], ["run"], ["select"], ["difftest", "--trials", "2"]]
 
-    @pytest.mark.parametrize("chain", ["add", "load", "load-into-t"])
+    @pytest.mark.parametrize("chain", ["add", "load", "add-into-t", "load-into-t"])
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0])
     def test_max_depth_passes_every_command(self, argv, chain, tmp_path, capsys):
         src = tmp_path / "deep.sexp"

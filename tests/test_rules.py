@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -237,6 +238,17 @@ class TestSoundness:
         rule = rules.runaway_ruleset().named("broadcast-flatten")
         rep = rules.check_rule_soundness(rule, trials=500, seed=seed)
         assert rep.counterexample is not None
+        assert rep.counterexample[1][0] == "type"
+
+    @pytest.mark.parametrize("seed, checked", [(0, 2), (1, 1)])
+    def test_wrong_compiled_action_is_caught(self, default_ruleset, seed, checked):
+        """broadcast-flatten's own template, but the runaway rule's compiled
+        action: the right side is what the action builds, so the sum of the
+        copy counts shows although the template multiplies them."""
+        rule = copy.copy(default_ruleset.named("broadcast-flatten"))
+        rule.action = rules.runaway_ruleset().named("broadcast-flatten").action
+        rep = rules.check_rule_soundness(rule, trials=500, seed=seed)
+        assert rep.checked == checked
         assert rep.counterexample[1][0] == "type"
 
     def test_draws_match_the_compiled_query(self, default_ruleset):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per corpus file and selection output, or diff two checkouts.
+"""Print a sha256 per selection output and fuzz report, or diff two checkouts.
 
 For each corpus program, at its own target (`amx` for `matmul*`, `wmma`
 otherwise) and at `--target all`, `tensorsel select` is run three ways and
@@ -10,6 +10,13 @@ each output hashed:
 - `egraph`: its `--json --no-timing --dump-egraph` report
 
 Each line reads `<file> <target> <output> <exit code> <sha256>`.
+
+Then each soundness report of `check_rule_soundness(rule, 500, seed)`, at
+seeds 0 and 1, is hashed: its `checked` count and `guard_unsatisfiable`
+flag, and for a counterexample both printed sides and the detail tuple.
+The rules are the semantic rules of `build_default_ruleset()`, then
+`corrupted_ramp_rule()` and `runaway_ruleset()`'s `broadcast-flatten`.
+Each line reads `fuzz <rule> <seed> <sha256>`.
 
     python3 tools/same_bytes.py [ROOT]        # digests of ROOT (default: this checkout)
     python3 tools/same_bytes.py --against DIR # diff this checkout against DIR
@@ -64,16 +71,50 @@ def file_digests(cli, path):
     return lines
 
 
+FUZZ_SEEDS = (0, 1)
+
+
+def fuzz_rules(rules):
+    """(label, rule) of every rule whose soundness reports are hashed, from
+    the `tensorsel.rules` module `rules`."""
+    out = [(r.name, r) for r in rules.build_default_ruleset() if r.semantic]
+    out.append(("corrupted_ramp_rule", rules.corrupted_ramp_rule()))
+    out.append(("runaway:broadcast-flatten",
+                rules.runaway_ruleset().named("broadcast-flatten")))
+    return out
+
+
+def report_text(ir, rep):
+    """The hashed text of soundness report `rep`."""
+    text = f"checked {rep.checked} guard_unsatisfiable {rep.guard_unsatisfiable}\n"
+    if rep.counterexample is not None:
+        inst, detail = rep.counterexample
+        for side in (inst.lhs, inst.rhs):
+            text += (ir.print_program(side) if isinstance(side, ir.Program)
+                     else ir.print_expr(side)) + "\n"
+        text += f"{detail!r}\n"
+    return text
+
+
+def fuzz_lines(ir, rules, label, rule):
+    """The digest lines of `rule`'s soundness reports, computed through the
+    `tensorsel` modules `ir` and `rules`."""
+    return [f"fuzz {label} {seed} " + hashlib.sha256(report_text(
+        ir, rules.check_rule_soundness(rule, 500, seed)).encode()).hexdigest()
+        for seed in FUZZ_SEEDS]
+
+
 def digests(root):
     """The digest lines of every corpus file of checkout `root`, computed in
     this process from `root`'s own sources."""
     root = Path(root).resolve()
     sys.path.insert(0, str(root / "src"))
-    from tensorsel import cli
+    from tensorsel import cli, ir, rules
     if root / "src" not in Path(cli.__file__).resolve().parents:
         raise SystemExit(f"error: tensorsel was imported from {cli.__file__}, not {root}")
     return [line for path in sorted((root / "corpus").glob("*.sexp"))
-            for line in file_digests(cli, path)]
+            for line in file_digests(cli, path)] + [
+        line for label, rule in fuzz_rules(rules) for line in fuzz_lines(ir, rules, label, rule)]
 
 
 def _digests_of(root):
