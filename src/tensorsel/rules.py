@@ -874,7 +874,8 @@ def _sides(rule, match):
     bound to its term, unions with it, or the left when the two are equal."""
     term = _renderer(rule, match)
     (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
-    lhs, g = term(PVar(bind.var)), _TermBuilder()
+    lhs = term(PVar(bind.var))
+    g = _TermBuilder()
     rule.action(g, {v: term(PVar(v)) for v in rule.query._layout.names})
     return decode_term(lhs), decode_term(g.unions[0][1] if g.unions else lhs)
 
