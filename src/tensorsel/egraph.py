@@ -35,22 +35,25 @@ re-keys the loser's parents in their owners' views.  A `Query` lays its
 atoms out as steps over numbered variable slots when it is made: each
 `PNode` an e-node step (class slot, op, arity, child slots), each `Rel` a
 fact step that reads the fact index when its first slot is bound, and
-whether a slot is already bound is settled then.  On its first `ematch`
-the layout becomes one generated Python function of nested `for` loops
-over local slot variables, checking bound slots with `==` and binding
-free ones by assignment.  Ops, relation names, guard functions and
-variable names are passed to it as constants, never written into its
-source, so the compiled code is cached per process by the layout's
-structure and shared by every query of that shape.  Classes, nodes and
-tuples are iterated unsorted; the plan orders its matches once and builds
-each into a dict.
+each `Calc` a guard step, and whether a slot is already bound is settled
+then.  On its first `ematch` the layout becomes one generated Python
+function of nested `for` loops over local slot variables, checking bound
+slots with `==`, binding free ones by assignment, and testing each guard
+inline as an `if` on the values it reads.  Ops, relation names, guard
+literals and variable names are passed to it as constants, never written
+into its source, so the compiled code is cached per process by the
+layout's structure (guard expressions included) and shared by every
+query of that shape.  Classes, nodes and tuples are iterated unsorted;
+the plan orders its matches once and builds each into a dict.
 
-Rules pair a query (term patterns joined with relation atoms and primitive
-guards) with a right-hand side in the same patterns, as egg uses a
-`Pattern` as an `Applier`, with computed leaves (`Calc`) and `If`.  It
-compiles, like a plan, to one Python function per template structure: the
-rule's action, which reads the hashcons itself and calls `add` only for a
-node that is not there yet.
+Rules pair a query (term patterns joined with relation atoms and guards)
+with a right-hand side in the same patterns, as egg uses a `Pattern` as an
+`Applier`, with computed leaves and `If`.  Guards and computed leaves are
+one language, `Calc`, compiled by one function (`_calc`), as egglog runs
+primitive calls such as `(= 0 (% m n))` inside its queries.  A right-hand
+side compiles, like a plan, to one Python function per template
+structure: the rule's action, which reads the hashcons itself and calls
+`add` only for a node that is not there yet.
 
 The schedule runs supporting rules to fixpoint, then one sequential round
 of axiomatic, application, and lowering rules, then rebuilds — for a fixed
@@ -109,21 +112,15 @@ def rel(name, *terms):
 
 
 @dataclass(frozen=True)
-class Guard:
-    """Query atom: `fn(graph, env)` is truthy.  All referenced variables
-    must be bound by earlier atoms; `env` maps every variable they bind
-    to its class.  A guard reads only the nodes of those classes, never
-    facts: a fact a rule needs is a `Rel` atom, where the plan sees it."""
-
-    fn: object
-    doc: str = ""
-
-
-@dataclass(frozen=True)
 class Calc:
-    """Computed template leaf: `op` (+ - * // ==) over int literals, matched
-    ints (`PVar`) and Calcs, or `kind`, `lanes` or `name` of a matched type
-    or name.  A Calc or a PVar in a template node's op is computed."""
+    """A computed value: `op` (+ - * // % == < <= and in) joining two or
+    more of int and tuple literals, matched ints (`PVar`) and Calcs, as
+    Python joins them, or `int`, `imm`, `kind`, `lanes` or `name` of one
+    matched variable (`_READS`).  A Calc or a PVar in a template node's op
+    is computed.  As a query atom a Calc is a guard: the match holds where
+    it is true.  Its variables must be bound by earlier atoms; it reads only
+    the nodes of their classes, never facts: a fact a rule needs is a `Rel`
+    atom, where the plan sees it."""
 
     op: str
     args: tuple
@@ -402,9 +399,11 @@ class EGraph:
         return None
 
     def class_imm(self, cid):
+        """The fields of the class's first immediate after its head: (kind,
+        value), and for a float kind the sign bit that keeps -0.0 apart."""
         for op, _ in self.small_nodes(cid):
             if op[0] == "imm":
-                return op[1], op[2]
+                return op[1:]
         return None
 
     def class_name(self, cid):
@@ -453,9 +452,10 @@ def _node_key(node):
 
 class Query(tuple):
     """A query's atoms, laid out as a join plan when the query is made
-    (which raises TypeError on anything but a query atom).  The plan's code
-    is built on the first `ematch`.  `reads` holds the ops and relation
-    names the query reads, and `scans` whether it reads every class."""
+    (which raises TypeError on anything but a query atom, and on a guard
+    variable that no earlier atom binds).  The plan's code is built on the
+    first `ematch`.  `reads` holds the ops and relation names the query
+    reads, and `scans` whether it reads every class."""
 
     def __new__(cls, atoms):
         query = super().__new__(cls, atoms)
@@ -480,7 +480,7 @@ def ematch(g, query):
 
 class Layout(NamedTuple):
     structure: tuple  # (steps, number of constants, output slots)
-    consts: list  # ops, relation names, guard functions, variable names
+    consts: list  # ops, relation names, guard literals, variable names
     names: tuple  # the query's variables, in output order
     reads: frozenset  # the ops and relation names it reads
     scans: bool  # whether it reads every class
@@ -496,11 +496,13 @@ def _layout(query):
     parent's); a `Rel` becomes a fact step over its terms' slots, read
     through the fact index when its first slot is bound.  Whether a slot
     is bound when its step runs is settled here, so the plan checks a
-    bound slot with `==` and binds a free one by assignment.  A guard gets
-    the named variables bound by the steps before it.  Ops, relation
-    names, guard functions and variable names go into the constants, so
-    the structure holds only slot numbers, arities and constant indices,
-    and queries of one shape share their code."""
+    bound slot with `==` and binds a free one by assignment.  A `Calc`
+    becomes a guard step: the reads of its variables' slots, each once,
+    and its Python expression over them (`_calc`); it raises TypeError on
+    a variable that no earlier atom binds.  Ops, relation names, guard
+    literals and variable names go into the constants, so the structure
+    holds only slot numbers, arities, constant indices and guard
+    expressions, and queries of one shape share their code."""
     slots = {}  # variable name -> its slot, from the atom that binds it on
     steps = []
     consts = []
@@ -574,9 +576,18 @@ def _layout(query):
                           binds, checks))
             for child, k in nested:
                 enode(child, k, False)
-        elif isinstance(atom, Guard):
-            named = tuple((const(name), k) for name, k in slots.items())
-            steps.append(("guard", const(atom.fn), named))
+        elif isinstance(atom, Calc):
+            values = {}  # (reader, slot) -> the local holding its value
+
+            def read(reader, v):
+                k = slots.get(v.name)
+                if k is None:
+                    raise TypeError(f"unbound variable ?{v.name}")
+                return values.setdefault((reader, k), f"r{len(steps)}_{len(values)}")
+
+            expr = _calc(atom, lambda v: f"k{const(v)}", read)
+            steps.append(("guard", tuple((local, reader, k)
+                                         for (reader, k), local in values.items()), expr))
         else:
             raise TypeError(f"not a query atom: {atom!r}")
 
@@ -614,23 +625,26 @@ def _source(structure):
 
     Each step is one `for` loop (e-node, fact and class steps) or one
     `if` (same-class and guard steps); a failed test continues the
-    innermost loop.  An e-node step loops over the class's canonical child
-    tuples of its op in `g._view`, and a scan over the roots in
-    `g._op_index`, so every id it binds is a root.  After a union and
-    before the next rebuild (`g._merged`), fact arguments may be stale
-    ids, so a fact step canonicalizes them first.  A plan deeper than
-    `_LOOPS` loops goes on in a further function that takes the slots
-    bound so far."""
+    innermost loop.  A guard step reads each of its values once, where it
+    runs, and fails when a read finds none.  An e-node step loops over the
+    class's canonical child tuples of its op in `g._view`, and a scan over
+    the roots in `g._op_index`, so every id it binds is a root.  After a
+    union and before the next rebuild (`g._merged`), fact arguments may be
+    stale ids, so a fact step canonicalizes them first.  A plan deeper
+    than `_LOOPS` loops goes on in a further function that takes the slots
+    bound so far, and every function binds the readers its guards use."""
     steps, n_consts, out = structure
     functions = []
     bound = []
+    readers = sorted({r for step in steps if step[0] == "guard" for _, r, _ in step[1]})
 
     def start(name):
         params = "".join(f", s{k}" for k in bound)
         return [f"    def {name}(g, add{params}):",
                 "        find, merged = g._parent.__getitem__, g._merged",
                 "        classes, ops, view = g._members, g._op_index, g._view",
-                "        facts, index = g.facts, g._fact_index"]
+                "        facts, index = g.facts, g._fact_index",
+                *(f"        {r} = g.{r}" for r in readers)]
 
     lines = start("part0")
     depth = 0
@@ -686,8 +700,8 @@ def _source(structure):
         elif kind == "same":
             emit(f"if s{step[1]} != s{step[2]}: {fail()}")
         else:
-            env = ", ".join(f"k{name}: s{k}" for name, k in step[2])
-            emit(f"if not k{step[1]}(g, {{{env}}}): {fail()}")
+            reads = "".join(f"({local} := {r}(s{k})) is None or " for local, r, k in step[1])
+            emit(f"if {reads}not {step[2]}: {fail()}")
     emit(f"add(({''.join(f's{k},' for k in out)}))")
     functions.append(lines)
 
@@ -724,10 +738,29 @@ class Rhs(tuple):
 
 
 _ACTIONS = {}  # action source -> its compiled `make`, shared by the process
-_CALC_OPS = ("+", "-", "*", "//", "==")
+_CALC_OPS = ("+", "-", "*", "//", "%", "==", "<", "<=", "and", "in")
 # a Calc leaf -> the EGraph reader of its class and the part of the result
-_READS = {"int": ("class_int", ""), "kind": ("class_type", "[0]"),
-          "lanes": ("class_type", "[1]"), "name": ("class_name", "")}
+_READS = {"int": ("class_int", ""), "imm": ("class_imm", ""),
+          "kind": ("class_type", "[0]"), "lanes": ("class_type", "[1]"),
+          "name": ("class_name", "")}
+
+
+def _calc(c, const, read):
+    """Python expression of the Calc `c` (a bare PVar reads an int): each
+    literal is the local `const(value)` names, and each reader's value of
+    a matched variable `v` the local `read(reader, v)` names."""
+    if isinstance(c, (int, tuple)):
+        return const(c)
+    leaf, args = (("int", (c,)) if isinstance(c, PVar)
+                  else (c.op, c.args) if isinstance(c, Calc) else (None, ()))
+    if leaf in _CALC_OPS and len(args) >= 2:
+        return f"({f' {leaf} '.join(_calc(a, const, read) for a in args)})"
+    if leaf not in _READS or len(args) != 1:
+        raise TypeError(f"not a computed leaf: {c!r}")
+    if not isinstance(args[0], PVar):
+        raise TypeError(f"not a matched variable: {args[0]!r}")
+    reader, part = _READS[leaf]
+    return read(reader, args[0]) + part
 
 
 def _rhs_source(effects, bound):
@@ -760,23 +793,14 @@ def _rhs_source(effects, bound):
             head.append(f"{slots[name]} = env[{const(name)}]")
         return slots[name]
 
-    def calc(c):
-        if isinstance(c, int):
-            return const(c)
-        leaf, args = (("int", (c,)) if isinstance(c, PVar)
-                      else (c.op, c.args) if isinstance(c, Calc) else (None, ()))
-        if leaf in _CALC_OPS and len(args) == 2:
-            return f"({calc(args[0])} {leaf} {calc(args[1])})"
-        if leaf not in _READS or len(args) != 1:
-            raise TypeError(f"not a computed leaf: {c!r}")
-        if not isinstance(args[0], PVar) or args[0].name not in bound:
-            raise TypeError(f"not a matched variable: {args[0]!r}")
-        reader, part = _READS[leaf]
-        key = (reader, args[0].name)
+    def read(reader, v):
+        if v.name not in bound:
+            raise TypeError(f"not a matched variable: {v!r}")
+        key = (reader, v.name)
         if key not in reads:
             reads[key] = f"r{len(reads)}"
-            head.append(f"{reads[key]} = g.{reader}({var(args[0].name)})")
-        return reads[key] + part
+            head.append(f"{reads[key]} = g.{reader}({var(v.name)})")
+        return reads[key]
 
     def build(t, depth):
         """The local holding the class of template `t`, after the lines
@@ -788,8 +812,8 @@ def _rhs_source(effects, bound):
             n = next(temps)
             out = f"t{n}"
             if any(isinstance(x, (Calc, PVar)) for x in t.op):
-                op = "".join(f"{calc(x) if isinstance(x, (Calc, PVar)) else const(x)}, "
-                             for x in t.op)
+                op = "".join(f"{_calc(x, const, read)}, " if isinstance(x, (Calc, PVar))
+                             else f"{const(x)}, " for x in t.op)
                 body.append((depth, f"o{n} = ({op})"))
                 op = f"o{n}"
             else:
@@ -800,7 +824,8 @@ def _rhs_source(effects, bound):
                                 f" if {out} is None else P[{out}]"))
         elif isinstance(t, If):
             out = f"t{next(temps)}"
-            for line, branch in ((f"if {calc(t.cond)}:", t.then), ("else:", t.other)):
+            for line, branch in ((f"if {_calc(t.cond, const, read)}:", t.then),
+                                 ("else:", t.other)):
                 body.append((depth, line))
                 body.append((depth + 1, f"{out} = {build(branch, depth + 1)}"))
         else:

@@ -47,7 +47,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import interp, ir
-from .egraph import Bind, Calc, EGraph, Guard, If, Let, PNode, PVar, RuleDef, rel
+from .egraph import Bind, Calc, EGraph, If, Let, PNode, PVar, Rel, RuleDef, rel
 
 EXPR_OPS = {head for cls, (head, _) in ir.TERMS.items() if issubclass(cls, ir.Expr)}
 
@@ -160,6 +160,10 @@ def C(op, *args):
     return Calc(op, tuple(args))
 
 
+def eq(a, b):
+    return C("==", a, b)
+
+
 def pload(name, vtype, idx):
     return P(("load",), name, vtype, idx)
 
@@ -214,32 +218,13 @@ def ploc(loc):
     return P(("loc", loc))
 
 
-def _tile_dims(g, cid):
-    """(rows, cols) of an accelerator tile built from its sizes in `cid`."""
-    for op, ch in g.class_nodes(cid):
-        sig = ir.INTRINSICS.get(op[1]) if op[0] == "call" else None
-        if sig and sig.loc != "mem" and sig.lanes == "sizes":
-            r, c = (g.class_int(ch[i]) for i in sig.size_args)
-            if r is not None and c is not None:
-                return r, c
-    return None
+TILE_ARGS = ("buf", "base", "stride", "rows", "cols")  # a tile load's, `ir.INTRINSICS`
 
 
-def _ints(g, env, *names):
-    out = []
-    for n in names:
-        v = g.class_int(env[n])
-        if v is None:
-            return None
-        out.append(v)
-    return out
-
-
-def guard_ints(doc, fn, *names):
-    def check(g, env):
-        vals = _ints(g, env, *names)
-        return vals is not None and fn(*vals)
-    return Guard(check, doc)
+def ptile(var, loader):
+    """Query atom: ?var holds a `loader` tile load, its arguments bound to
+    ?{var}buf, ?{var}base and so on."""
+    return Bind(var, P(("call", loader), *(V(var + a) for a in TILE_ARGS)))
 
 
 def has_i32(var, lanes=V("w")):
@@ -296,6 +281,8 @@ class RuleSet:
 
 
 def _render_pattern(p):
+    if isinstance(p, tuple):  # a literal of a Calc
+        return f"({' '.join(map(_render_pattern, p))})"
     if isinstance(p, PVar):
         return f"?{p.name}"
     if isinstance(p, Calc):
@@ -317,10 +304,9 @@ def _render_atom(atom):
         return f"?{atom.var} = {_render_pattern(atom.pattern)}"
     if isinstance(atom, Let):
         return f"let ?{atom.var} = {_render_pattern(atom.template)}"
-    if isinstance(atom, Guard):
-        return f"guard: {atom.doc or 'primitive'}"
-    return (f"({atom.name} "
-            f"{' '.join(_render_pattern(t) for t in atom.terms)})")
+    if isinstance(atom, Rel):
+        return f"({atom.name} {' '.join(_render_pattern(t) for t in atom.terms)})"
+    return _render_pattern(atom)  # a guard
 
 
 def build_default_ruleset():
@@ -382,7 +368,7 @@ def _axiomatic_rules(rs):
 
     axiom("degenerate-ramp-split",
           [Bind("e", pramp(V("x"), pimm(1), V("l"))),
-           guard_ints("2 | l and l >= 2", lambda l: l >= 2 and l % 2 == 0, "l"),
+           C("and", C("<=", 2, V("l")), eq(C("%", V("l"), 2), 0)),
            has_i32("x", pint(1))],
           [Let("two", pint(2)),
            Bind("e", pramp(pramp(V("x"), pimm(1), V("two")), pbcast(pimm(2), V("two")),
@@ -394,9 +380,9 @@ def _axiomatic_rules(rs):
                         ("-r", padd(pbcast(V("x"), V("m")), pramp(V("b"), V("s"), V("n"))))):
         axiom(f"ramp-plus-broadcast{suffix}",
               [Bind("e", pat),
-               guard_ints("n | m", lambda n, m: m % n == 0, "n", "m"),
+               eq(C("%", V("m"), V("n")), 0),
                has_i32("e")],
-              [Bind("e", pramp(padd(V("b"), If(C("==", V("m"), V("n")), V("x"),
+              [Bind("e", pramp(padd(V("b"), If(eq(V("m"), V("n")), V("x"),
                                                pbcast(V("x"), pint(C("//", V("m"), V("n")))))),
                                V("s"), V("n")))],
               fuzz=_fz_ramp_plus_bcast)
@@ -412,8 +398,7 @@ def _axiomatic_rules(rs):
                         ("-r", padd(pbcast(V("a"), V("l2")), pramp(V("x"), V("s"), V("l1"))))):
         axiom(f"sibling-nest-ramp-broadcast{suffix}",
               [Bind("e", pat),
-               guard_ints("l1 | l2 and l2 > l1",
-                          lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2"),
+               C("and", C("<", V("l1"), V("l2")), eq(C("%", V("l2"), V("l1")), 0)),
                has_i32("e")],
               [Bind("e", padd(nested, pramp(V("x"), V("s"), V("l1"))))],
               "re-nest a broadcast using its sibling ramp's count as the hint",
@@ -423,8 +408,7 @@ def _axiomatic_rules(rs):
                         ("-r", padd(pbcast(V("b"), V("l1")), pbcast(V("a"), V("l2"))))):
         axiom(f"sibling-nest-broadcast-pair{suffix}",
               [Bind("e", pat),
-               guard_ints("l1 | l2 and l2 > l1",
-                          lambda l1, l2: l2 > l1 and l2 % l1 == 0, "l1", "l2"),
+               C("and", C("<", V("l1"), V("l2")), eq(C("%", V("l2"), V("l1")), 0)),
                has_i32("e")],
               [Bind("e", padd(nested, pbcast(V("b"), V("l1"))))],
               "re-nest the wider of two sibling broadcasts to equal counts",
@@ -444,23 +428,10 @@ def _axiomatic_rules(rs):
 
         axiom(f"int-{opname}-fold",
               [Bind("e", P(("bop", sym), V("a"), V("b"))),
-               Guard(_i32_folds(sym), "both operands and the result are i32 immediates")],
+               C("and", *(C("<=", ir.I32_MIN, x, ir.I32_MAX)
+                          for x in (V("a"), V("b"), C(sym, V("a"), V("b")))))],
               [Bind("e", pimm(C(sym, V("a"), V("b"))))],
               fuzz=_fz_int_fold)
-
-
-def _i32_folds(sym):
-    """Guard: classes a and b hold in-range i32 immediates, and `a sym b` is in range."""
-    def folds(g, env):
-        vals = []
-        for v in ("a", "b"):
-            im = g.class_imm(env[v])
-            if im is None or im[0] != "i32" or not ir.I32_MIN <= int(im[1]) <= ir.I32_MAX:
-                return False
-            vals.append(int(im[1]))
-        out = vals[0] + vals[1] if sym == "+" else vals[0] * vals[1]
-        return ir.I32_MIN <= out <= ir.I32_MAX
-    return folds
 
 
 # -- supporting --------------------------------------------------------------
@@ -550,9 +521,8 @@ def _application_rules(rs):
             [rel(f"{target}-shape", V("m"), V("k"), V("n")),
              Bind("origa", pload(V("an"), ptype(kind, V("lanes")), V("idx"))),
              _pat_a_index("idx"),
-             guard_ints("lanes = m*k*n and kn = k*n",
-                        lambda lanes, m, k, n, kn: lanes == m * k * n and kn == k * n,
-                        "lanes", "m", "k", "n", "kn")],
+             C("and", eq(V("lanes"), C("*", V("m"), V("k"), V("n"))),
+               eq(V("kn"), C("*", V("k"), V("n"))))],
             [rel(f"{target}-a-tile", V("origa"), P(
                 ("call", loader), pvar("an"), V("abase"), V("astride"),
                 pimm(V("m")), pimm(V("k"))))],
@@ -562,11 +532,9 @@ def _application_rules(rs):
     app("amx-b-standard", "amx",
         [rel("amx-shape", V("m"), V("k"), V("n")),
          Bind("origb", pload(V("bn"), ptype("bf16", V("lanes")), V("idx"))),
+         C("and", eq(V("lanes"), C("*", V("m"), V("k"), V("n"))), eq(C("%", V("k"), 2), 0)),
          _pat_b_standard_index("idx"),
-         rel("buffer-loc", V("bn"), ploc("mem")),
-         guard_ints("lanes = m*k*n, k even",
-                    lambda lanes, m, k, n: lanes == m * k * n and k % 2 == 0,
-                    "lanes", "m", "k", "n")],
+         rel("buffer-loc", V("bn"), ploc("mem"))],
         [Let("rowmajor", pramp(pramp(V("bbase"), pimm(1), V("n")),
                                pbcast(V("bstride"), V("n")), V("k"))),
          Let("loadb", pload(V("bn"), ptype("bf16", pint(C("*", V("k"), V("n")))),
@@ -584,19 +552,16 @@ def _application_rules(rs):
         [rel("amx-shape", V("m"), V("k"), V("n")),
          Bind("origb", pload(V("bn"), ptype("bf16", V("lanes")), V("idx"))),
          _pat_b_vnni_index("idx"),
-         guard_ints("lanes = m*k*n, kh = k/2",
-                    lambda lanes, m, k, n, kh: lanes == m * k * n and kh * 2 == k,
-                    "lanes", "m", "k", "n", "kh")],
+         C("and", eq(V("lanes"), C("*", V("m"), V("k"), V("n"))),
+           eq(C("*", V("kh"), 2), V("k")))],
         _amx_b_vnni_rhs(V("vstride")),
         "B already in the VNNI layout tile-loads verbatim")
 
     app("wmma-b-standard", "wmma",
         [rel("wmma-shape", V("m"), V("k"), V("n")),
          Bind("origb", pload(V("bn"), ptype("f16", V("lanes")), V("idx"))),
-         _pat_b_standard_index("idx"),
-         guard_ints("lanes = m*k*n",
-                    lambda lanes, m, k, n: lanes == m * k * n,
-                    "lanes", "m", "k", "n")],
+         eq(V("lanes"), C("*", V("m"), V("k"), V("n"))),
+         _pat_b_standard_index("idx")],
         [rel("wmma-b-tile", V("origb"), P(
             ("call", "wmma_load_b"), pvar("bn"), V("bbase"), V("bstride"),
             pimm(V("k")), pimm(V("n"))))],
@@ -611,14 +576,12 @@ def _application_rules(rs):
         [rel("wmma-shape", V("m"), V("k"), V("n"))] + conv_mul + [
          Bind("idxi", pramp(pramp(V("basei"), pimm(1), V("l")),
                             pbcast(V("s"), V("l")), V("x"))),
-         Bind("idxk", pbcast(pramp(V("basek"), pimm(1), V("l")), V("x"))),
-         guard_ints("windows x = m*n; window k = s*n + l; lanes agree",
-                    lambda m, k, n, l, s, x, li:
-                    s >= 1 and l >= 1 and x == m * n and k == s * n + l
-                    and li == x * l,
-                    "m", "k", "n", "l", "s", "x", "li")],
+         C("and", C("<=", 1, V("s")), C("<=", 1, V("l")), eq(V("x"), C("*", V("m"), V("n"))),
+           eq(V("k"), C("+", C("*", V("s"), V("n")), V("l"))),
+           eq(V("li"), C("*", V("x"), V("l")))),
+         Bind("idxk", pbcast(pramp(V("basek"), pimm(1), V("l")), V("x")))],
         _toeplitz_rhs(C("*", V("s"), V("n")), If(
-            C("==", V("s"), 1),
+            eq(V("s"), 1),
             P(("call", "ConvolutionShuffle"), pvar("kname"), V("basek"),
               pimm(V("k")), pimm(V("n"))),
             P(("call", "PolyphaseShuffle"), pvar("kname"), V("basek"),
@@ -633,13 +596,10 @@ def _application_rules(rs):
                             pbcast(V("ws"), V("kpl")), V("m"))),
          Bind("idxk", pbcast(pramp(pramp(V("basek"), V("sk"), V("l")),
                                    pbcast(pimm(1), V("l")), V("p")), V("mk"))),
-         guard_ints("phase-interleaved window (p phases of l taps, k/p inputs)",
-                    lambda m, k, n, l, p, pl, kp, kpl, ws, sk, mk, li:
-                    p >= 2 and l >= 1 and pl == p * l and kp * p == n
-                    and kpl == kp * pl and ws == kp and sk == p
-                    and mk == m * kp and k == kp + l and li == m * n * l,
-                    "m", "k", "n", "l", "p", "pl", "kp", "kpl", "ws", "sk",
-                    "mk", "li")],
+         C("and", C("<=", 2, V("p")), C("<=", 1, V("l")), eq(V("pl"), C("*", V("p"), V("l"))),
+           eq(C("*", V("kp"), V("p")), V("n")), eq(V("kpl"), C("*", V("kp"), V("pl"))),
+           eq(V("ws"), V("kp")), eq(V("sk"), V("p")), eq(V("mk"), C("*", V("m"), V("kp"))),
+           eq(V("k"), C("+", V("kp"), V("l"))), eq(V("li"), C("*", V("m"), V("n"), V("l"))))],
         _toeplitz_rhs(C("//", V("n"), V("p")), P(
             ("call", "PolyphaseShuffle"), pvar("kname"), V("basek"),
             pimm(V("l")), pimm(V("n")), pimm(V("p")), pimm(1))),
@@ -650,10 +610,8 @@ def _application_rules(rs):
 # -- lowering ----------------------------------------------------------------
 
 
-def _is_zero_imm(g, env):
-    im = g.class_imm(env["z"])
-    return (im is not None and im[0] != "i32" and float(im[1]) == 0.0
-            and math.copysign(1.0, float(im[1])) > 0)
+# +0.0 immediates: the float kinds' zeros with a clear sign bit
+ZEROS = tuple((kind, 0.0, False) for kind in ir.SCALAR_KINDS if kind != "i32")
 
 
 def _lowering_rules(rs):
@@ -661,34 +619,29 @@ def _lowering_rules(rs):
         return rs.add(RuleDef(name=name, category="lowering", query=tuple(query),
                               rhs=tuple(rhs), doc=doc, target=target, fuzz=fuzz))
 
-    def matmul_dims_guard(target):
-        def chk(g, env):
-            dims = _ints(g, env, "m", "k", "n")
-            if dims is None:
-                return False
-            m, k, n = dims
-            ta, tb = _tile_dims(g, env["ta"]), _tile_dims(g, env["tb"])
-            want_b = (k // 2, 2 * n) if target == "amx" else (k, n)
-            return ta == (m, k) and tb == want_b
-        return Guard(chk, "tile operands carry the matched shape")
-
-    # MatMul lowering: e = C + vra(Mul(cast A, cast B)) with tile facts.
-    for target, name, call in (
+    # MatMul lowering: e = C + vra(Mul(cast A, cast B)) with tile facts,
+    # their tiles loaded at the matched shape
+    for target, name, call, loaders, b_rows, b_cols in (
             ("amx", "amx-matmul", P(("call", "tile_matmul"),
-                                    pl2l("mem", "amx", V("c")), V("ta"), V("tb"))),
+                                    pl2l("mem", "amx", V("c")), V("ta"), V("tb")),
+             ("tile_load", "tile_load"), C("//", V("k"), 2), C("*", 2, V("n"))),
             ("wmma", "wmma-mma", P(("call", "wmma_mma"),
-                                   V("ta"), V("tb"), pl2l("mem", "wmma", V("c"))))):
+                                   V("ta"), V("tb"), pl2l("mem", "wmma", V("c"))),
+             ("wmma_load_a", "wmma_load_b"), V("k"), V("n"))):
         low(name, target,
             [rel(f"{target}-shape", V("m"), V("k"), V("n")),
              Bind("e", padd(V("c"), V("vrae"))),
              Bind("vrae", pvra(V("rl"), V("mul"))),
+             eq(V("rl"), C("*", V("m"), V("n"))),
              Bind("mul", pmul(P(("cast",), V("tf"), V("a")),
                               P(("cast",), V("tf"), V("b")))),
              Bind("tf", ptype("f32", V("wide"))),
              rel(f"{target}-a-tile", V("a"), V("ta")),
              rel(f"{target}-b-tile", V("b"), V("tb")),
-             guard_ints("rl = m*n", lambda rl, m, n: rl == m * n, "rl", "m", "n"),
-             matmul_dims_guard(target)],
+             ptile("ta", loaders[0]),
+             ptile("tb", loaders[1]),
+             C("and", eq(V("tarows"), V("m")), eq(V("tacols"), V("k")),
+               eq(V("tbrows"), b_rows), eq(V("tbcols"), b_cols))],
             [Bind("e", pl2l(target, "mem", call))],
             fuzz=_fz_matmul(target))
 
@@ -696,8 +649,8 @@ def _lowering_rules(rs):
         low(f"{target}-zero", target,
             [Bind("e", pl2l("mem", target, pbcast(V("z"), V("l")))),
              rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             guard_ints("l = m*n", lambda l, m, n: l == m * n, "l", "m", "n"),
-             Guard(_is_zero_imm, "broadcast of +0.0")],
+             eq(V("l"), C("*", V("m"), V("n"))),
+             C("in", C("imm", V("z")), ZEROS)],
             [Bind("e", P(("call", zero), pimm(V("m")), pimm(V("n"))))],
             fuzz=_fz_zero(target))
 
@@ -705,10 +658,8 @@ def _lowering_rules(rs):
     # the stride n, whose immediate a Let adds first
     layouts = (("2axis", pramp(pramp(V("b"), pimm(1), V("n1")), pbcast(V("sstr"), V("n1")),
                                V("n0")),
-                guard_ints("rows = m, cols = n", lambda n0, n1, m, n: n0 == m and n1 == n,
-                           "n0", "n1", "m", "n"), []),
-               ("flat", pramp(V("b"), pimm(1), V("ll")),
-                guard_ints("lanes = m*n", lambda ll, m, n: ll == m * n, "ll", "m", "n"),
+                C("and", eq(V("n0"), V("m")), eq(V("n1"), V("n"))), []),
+               ("flat", pramp(V("b"), pimm(1), V("ll")), eq(V("ll"), C("*", V("m"), V("n"))),
                 [Let("sstr", pimm(V("n")))]))
     for target, store in (("amx", "tile_store"), ("wmma", "wmma_store")):
         for layout, index, guard, stride in layouts:
@@ -754,7 +705,7 @@ def _lowering_rules(rs):
                                       pimm(V("m")), pimm(V("n"))))],
                 fuzz=_fz_acc_load(target, flat=layout == "flat"))
 
-    def stage(name, target, loader, rows, cols, lanes_pred, doc, fuzz):
+    def stage(name, target, loader, rows, cols, fuzz):
         low(name, target,
             [Bind("st", P(("store",), V("buf"), V("sidx"),
                           pl2l("mem", target, V("ld")))),
@@ -763,20 +714,15 @@ def _lowering_rules(rs):
              rel("buffer-loc", V("mn"), ploc("mem")),
              rel("buffer-loc", V("buf"), ploc(target)),
              rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             guard_ints(doc, lanes_pred, "ll", "m", "k", "n")],
+             eq(V("ll"), C("*", V(rows), V(cols)))],
             [Bind("st", P(("store",), V("buf"), V("sidx"), P(
                 ("call", loader), pvar("mn"), V("lb"), pimm(V(cols)),
                 pimm(V(rows)), pimm(V(cols)))))],
             fuzz=fuzz)
 
-    stage("amx-stage-flat", "amx", "tile_load", "m", "k",
-          lambda ll, m, k, n: ll == m * k, "lanes = m*k",
-          _fz_stage("amx"))
-    stage("wmma-stage-flat-a", "wmma", "wmma_load_a", "m", "k",
-          lambda ll, m, k, n: ll == m * k, "lanes = m*k",
-          _fz_stage("wmma"))
+    stage("amx-stage-flat", "amx", "tile_load", "m", "k", _fz_stage("amx"))
+    stage("wmma-stage-flat-a", "wmma", "wmma_load_a", "m", "k", _fz_stage("wmma"))
     stage("wmma-stage-flat-b", "wmma", "wmma_load_b", "k", "n",
-          lambda ll, m, k, n: ll == k * n, "lanes = k*n",
           _fz_stage("wmma", b_shape=True))
 
 
@@ -1146,23 +1092,21 @@ def _fz_matmul(target):
         b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
         zero = ir.Imm("i32", 0)
 
-        def tile(loader, buf, *ints):
-            return ir.Call(loader, (ir.Var(buf), zero, *(ir.Imm("i32", v) for v in ints)))
+        def tile(var, buf, *ints):
+            """The arguments of a tile load from `buf`, as `ptile(var, ...)` binds them."""
+            return dict(zip((var + a for a in TILE_ARGS),
+                            (ir.Var(buf), zero, *(ir.Imm("i32", v) for v in ints))))
 
         if target == "amx":
-            ta = tile("tile_load", a_buf, astride, m, k)
-            tb = tile("tile_load", b_buf, 2 * n, k // 2, 2 * n)
-            b_axes = [(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)]
+            b_load, b_axes = (2 * n, k // 2, 2 * n), [(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)]
         else:
-            ta = tile("wmma_load_a", a_buf, astride, m, k)
-            tb = tile("wmma_load_b", b_buf, n, k, n)
-            b_axes = [(m, 0), (n, 1), (k, n)]
+            b_load, b_axes = (n, k, n), [(m, 0), (n, 1), (k, n)]
+        tiles = {**tile("ta", a_buf, astride, m, k), **tile("tb", b_buf, *b_load)}
         wide = ir.VecType(kind, m * k * n)
         a = ir.Load(a_buf, wide, ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
         b = ir.Load(b_buf, wide, ir.canonical_index(b_axes, zero))
         return Draw({"m": m, "k": k, "n": n, "c": c, "rl": m * n, "a": a, "b": b,
-                     "wide": m * k * n, "ta": ta, "tb": tb}, buffers,
-                    (ir.ShapeDecl(target, m, k, n),))
+                     "wide": m * k * n, **tiles}, buffers, (ir.ShapeDecl(target, m, k, n),))
     return gen
 
 

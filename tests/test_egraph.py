@@ -1,4 +1,5 @@
 import copy
+import functools
 import operator
 import random
 import re
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tensorsel import egraph, ir, rules
 from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, Calc, EGraph,
-                              Guard, If, Let, NoFiniteCost, NodeBudgetExceeded, PNode,
+                              If, Let, NoFiniteCost, NodeBudgetExceeded, PNode,
                               PVar, Query, Rel, RuleDef, SaturationReport,
                               ematch, extract_best, node_cost, rel,
                               run_schedule)
@@ -111,8 +112,7 @@ def _mul_div_rules():
         RuleDef("assoc", "axiomatic",
                 (Bind("e", PNode(("div",), (PNode(("mul",), (V("x"), V("two"))),
                                             V("two2")))),
-                 Guard(lambda g, env: g.find(env["two"]) == g.find(env["two2"]),
-                       "same divisor")),
+                 Bind("two2", V("two"))),  # the same divisor
                 r1),
         RuleDef("two-over-two", "axiomatic",
                 (Bind("e", PNode(("div",), (V("t"), V("t")))),), r2),
@@ -176,31 +176,22 @@ class TestEmatch:
         g = EGraph()
         node(g, "f", g.add_int(3))
         node(g, "f", g.add_int(8))
-        q = (Bind("e", PNode(("f",), (PVar("n"),))),
-             Guard(lambda g_, env: g_.class_int(env["n"]) > 4, "n > 4"))
+        q = (Bind("e", PNode(("f",), (PVar("n"),))), Calc("<", (4, PVar("n"))))
         hits = ematch(g, q)
         assert len(hits) == 1 and g.class_int(hits[0]["n"]) == 8
 
     def test_guard_sees_exactly_earlier_bindings(self):
-        from tensorsel.egraph import rel
+        # a guard may read the variables of the atoms before it, and no other
         g = EGraph()
-        a, b = leaf(g, "a"), leaf(g, "b")
-        node(g, "f", a)
-        node(g, "f", b)
-        g.assert_fact("tagged", a, b)
-        seen = []
-
-        def spy(want):
-            return Guard(lambda g_, env: seen.append((want, dict(env))) or True)
-
-        q = (spy(set()),
-             Bind("e", PNode(("f",), (PVar("x"),))),
-             spy({"e", "x"}),
-             rel("tagged", PVar("x"), PVar("y")),
-             spy({"e", "x", "y"}))
-        hits = ematch(g, q)
-        assert [set(h) for h in hits] == [{"e", "x", "y"}]
-        assert seen and all(set(env) == want for want, env in seen)
+        node(g, "f", g.add_int(3))
+        g.assert_fact("tagged", g.add_int(3), g.add_int(5))
+        early = Calc("<", (PVar("x"), PVar("y")))
+        atoms = (Bind("e", PNode(("f",), (PVar("x"),))), rel("tagged", PVar("x"), PVar("y")))
+        rule = RuleDef("early", "axiomatic", atoms + (early,), lambda g_, env: None)
+        assert [g.class_int(h["y"]) for h in ematch(g, rule.query)] == [5]
+        for query, var in ((atoms[:1] + (early,) + atoms[1:], "y"), ((early,) + atoms, "x")):
+            with pytest.raises(TypeError, match=rf"^rule 'late': unbound variable \?{var}$"):
+                RuleDef("late", "axiomatic", query, lambda g_, env: None)
 
     @pytest.mark.parametrize("query, n_hits", [
         ((Bind("x", PVar("y")),), 3),  # neither bound: every class
@@ -252,7 +243,7 @@ def _ref_match_pattern(g, pat, cid, env):
     return results
 
 
-def _ref_match_atom(g, atom, env):
+def _ref_match_atom(g, atom, env, seen=None):
     if isinstance(atom, Bind):
         bound = env.get(atom.var)
         if bound is not None:
@@ -270,19 +261,64 @@ def _ref_match_atom(g, atom, env):
                 envs = [e2 for e in envs for e2 in _ref_match_pattern(g, term, cid, e)]
             out.extend(envs)
         return out
-    return [env] if atom.fn(g, env) else []
+    holds = _ref_guard(g, atom, env)
+    if seen is not None:
+        seen.add(holds)
+    return [env] if holds else []
 
 
-def _ref_ematch(g, query):
+_REF_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "//": operator.floordiv, "%": operator.mod}
+_REF_TESTS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
+              "in": operator.contains}
+
+
+def _ref_guard(g, guard, env):
+    """Whether the Calc `guard` holds at `env`: every value it reads is read
+    first, by the sorted-scan readers, and a read that finds none fails it;
+    then `and` short-circuits, comparisons chain, and `in` tests membership."""
+    values = {}
+
+    def read(c):
+        if isinstance(c, PVar):
+            c = Calc("int", (c,))
+        if isinstance(c, Calc) and c.op in _REF_READS:
+            values[c] = _REF_READS[c.op](g, env[c.args[0].name])
+        elif isinstance(c, Calc):
+            for a in c.args:
+                read(a)
+
+    def value(c):
+        if isinstance(c, PVar):
+            return values[Calc("int", (c,))]
+        if not isinstance(c, Calc):
+            return c
+        if c.op in _REF_READS:
+            return values[c]
+        if c.op == "and":
+            return all(value(a) for a in c.args)
+        args = [value(a) for a in c.args]
+        if c.op in _REF_TESTS:
+            test = _REF_TESTS[c.op]
+            return all(test(b, a) if c.op == "in" else test(a, b)
+                       for a, b in zip(args, args[1:]))
+        return functools.reduce(_REF_OPS[c.op], args)
+
+    read(guard)
+    return None not in values.values() and bool(value(guard))
+
+
+def _ref_ematch(g, query, seen=None):
     envs = [{}]
     for atom in query:
-        envs = [e2 for env in envs for e2 in _ref_match_atom(g, atom, env)]
+        envs = [e2 for env in envs for e2 in _ref_match_atom(g, atom, env, seen)]
     canon = {tuple(sorted((k, g.find(v)) for k, v in env.items())) for env in envs}
     return [dict(key) for key in sorted(canon)]
 
 
 OPS = (("a", 0), ("b", 0), ("f", 1), ("g", 2))
-RELATIONS = (("r", 1), ("s", 2))
+INTS = (-1, 0, 2, 3, 4)  # the int leaves a drawn graph may hold
+RELATIONS = (("r", 1), ("s", 2), ("n", 1))  # "n": the drawn int leaves, and more
 VARS = ("x", "y")
 
 
@@ -309,9 +345,13 @@ def _graphs(draw):
     g = _Drawn()
     ids = [g.add(("a",)), g.add(("b",))]
     for _ in range(draw(st.integers(0, 30))):
-        step = draw(st.sampled_from(("add", "add", "fact", "fact", "union", "rebuild")))
+        step = draw(st.sampled_from(("add", "add", "int", "int", "fact", "fact", "union",
+                                     "rebuild")))
         pick = st.sampled_from(ids)
-        if step == "add":
+        if step == "int":
+            ids.append(g.add_int(draw(st.sampled_from(INTS))))
+            g.assert_fact("n", ids[-1])
+        elif step == "add":
             op, arity = draw(st.sampled_from(OPS))
             ids.append(g.add((op,), tuple(draw(pick) for _ in range(arity))))
         elif step == "fact":
@@ -327,7 +367,8 @@ def _graphs(draw):
 
 def _patterns(depth=2):
     leaf = st.one_of(st.sampled_from(VARS).map(PVar),
-                     st.sampled_from(("a", "b")).map(lambda op: PNode((op,))))
+                     st.sampled_from(("a", "b")).map(lambda op: PNode((op,))),
+                     st.sampled_from(INTS).map(lambda v: PNode(("int", v))))
     if depth == 0:
         return leaf
     kid = _patterns(depth - 1)
@@ -336,8 +377,40 @@ def _patterns(depth=2):
                      st.tuples(kid, kid).map(lambda cs: PNode(("g",), cs)))
 
 
-def _even_sum(g, env):
-    return sum(g.find(v) for v in env.values()) % 2 == 0
+_var = st.sampled_from(VARS).map(PVar)
+_value = st.one_of(_var, st.integers(-1, 4),
+                   st.builds(lambda x, n: Calc("+", (x, n)), _var, st.integers(-1, 2)))
+_test = st.one_of(
+    st.builds(lambda op, a, b: Calc(op, (a, b)), st.sampled_from(("==", "<", "<=")),
+              _var, _value),
+    st.builds(lambda a, x, b: Calc("<=", (a, x, b)), st.integers(-1, 2), _var,
+              st.integers(2, 4)),
+    st.builds(lambda x, m, r: Calc("==", (Calc("%", (x, m)), r)),
+              _var, st.integers(2, 3), st.integers(0, 1)))
+# a guard over the ints of the drawn graphs' int leaves
+_guard = st.one_of(_test, st.lists(_test, min_size=2, max_size=3).map(
+    lambda tests: Calc("and", tuple(tests))))
+
+
+def _pattern_vars(p):
+    if isinstance(p, PVar):
+        return {p.name}
+    if isinstance(p, Calc):
+        return set().union(*map(_pattern_vars, p.args))
+    return set().union(*map(_pattern_vars, getattr(p, "children", ())))
+
+
+def _guards_bound(query):
+    """Whether every guard reads only variables that earlier atoms bind."""
+    bound = set()
+    for atom in query:
+        if isinstance(atom, Calc) and not _pattern_vars(atom) <= bound:
+            return False
+        if isinstance(atom, Bind):
+            bound |= {atom.var} | _pattern_vars(atom.pattern)
+        elif isinstance(atom, Rel):
+            bound |= set().union(*map(_pattern_vars, atom.terms))
+    return True
 
 
 _atoms = st.one_of(
@@ -346,20 +419,34 @@ _atoms = st.one_of(
         Rel, st.just(r[0]), st.tuples(
             st.one_of(st.sampled_from(VARS).map(PVar), _patterns(1)),
             *[_patterns(1)] * (r[1] - 1)))),
-    st.just(Guard(_even_sum, "sum of bound ids is even")))
+    _guard)
+# queries, some of them after atoms that bind variables to int leaves
+_queries = st.tuples(
+    st.sampled_from(((), (rel("n", PVar("x")),), (rel("n", PVar("x")), rel("n", PVar("y"))))),
+    st.lists(_atoms, min_size=1, max_size=3)).map(lambda q: q[0] + tuple(q[1]))
 
 
 class TestIndexedMatching:
-    @settings(max_examples=300, deadline=None)
-    @given(_graphs(), st.lists(_atoms, min_size=2, max_size=4))
-    def test_equals_sorted_scan_reference(self, g, query):
-        assert ematch(g, tuple(query)) == _ref_ematch(g, tuple(query))
+    def test_equals_sorted_scan_reference(self):
+        seen = set()  # what the drawn guards came to
+
+        @settings(max_examples=300, deadline=None)
+        @given(_graphs(), _queries)
+        def check(g, query):
+            if not _guards_bound(query):
+                with pytest.raises(TypeError, match="unbound variable"):
+                    ematch(g, query)
+                return
+            assert ematch(g, query) == _ref_ematch(g, query, seen)
+
+        check()
+        assert seen == {True, False}
 
     @settings(max_examples=300, deadline=None)
-    @given(_graphs(), st.lists(_atoms, min_size=2, max_size=4))
+    @given(_graphs(), _queries.filter(_guards_bound))
     def test_rule_plan_equals_sorted_scan_reference(self, g, query):
-        rule = RuleDef("random", "axiomatic", tuple(query), lambda g_, env: None)
-        assert ematch(g, rule.query) == _ref_ematch(g, tuple(query))
+        rule = RuleDef("random", "axiomatic", query, lambda g_, env: None)
+        assert ematch(g, rule.query) == _ref_ematch(g, query)
 
     @settings(max_examples=200, deadline=None)
     @given(_graphs())
@@ -556,7 +643,7 @@ def _ref_class_int(g, cid):
 def _ref_class_imm(g, cid):
     for op, _ in g.class_nodes(cid):
         if op[0] == "imm":
-            return op[1], op[2]
+            return op[1:]
     return None
 
 
@@ -574,6 +661,18 @@ def _ref_class_type(g, cid):
             if lanes is not None:
                 return op[1], lanes
     return None
+
+
+def _ref_type_part(i):
+    def read(g, cid):
+        ty = _ref_class_type(g, cid)
+        return None if ty is None else ty[i]
+    return read
+
+
+# a Calc reader -> the sorted-scan reader of its value
+_REF_READS = {"int": _ref_class_int, "imm": _ref_class_imm, "name": _ref_class_name,
+              "kind": _ref_type_part(0), "lanes": _ref_type_part(1)}
 
 
 # Leaves whose repr order differs from their value order (9 < 10, "'f32'" <
@@ -775,7 +874,7 @@ def _action(kind):
 
 _rules = st.lists(st.builds(
     lambda query, cat, kind: RuleDef(kind, cat, tuple(query), _action(kind)),
-    st.lists(_atoms, min_size=1, max_size=3),
+    st.lists(_atoms, min_size=1, max_size=3).filter(_guards_bound),
     st.sampled_from(("supporting",) + CATEGORY_ORDER),
     st.sampled_from(("wrap", "pair", "fact", "fact2", "union", "none"))),
     min_size=1, max_size=4)
@@ -968,7 +1067,7 @@ class TestGeneratedPlans:
     def test_deep_query_equals_reference(self):
         # more nested loops than CPython's 20 statically nested blocks
         g = EGraph()
-        chain = [leaf(g, "a")]
+        chain = [g.add_int(5)]  # the one int a guard on ?x finds
         for _ in range(26):
             chain.append(node(g, "f", chain[-1]))
         for c in chain[::3]:
@@ -976,7 +1075,7 @@ class TestGeneratedPlans:
         pat = PVar("x")
         for _ in range(22):
             pat = PNode(("f",), (pat,))
-        query = (Bind("e", pat), rel("r", PVar("x")), Guard(_even_sum),
+        query = (Bind("e", pat), rel("r", PVar("x")), Calc("<", (0, PVar("x"))),
                  Bind("e", PNode(("f",), (PVar("d"),))), rel("r", PVar("y")))
         assert "part1(" in egraph._source(Query(query)._layout.structure)
         hits = ematch(g, query)

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from tensorsel import ir, rules
-from tensorsel.egraph import EGraph, PVar, Rel, ematch, extract_best, run_schedule
+from tensorsel.egraph import (Bind, Calc, EGraph, PVar, Rel, ematch, extract_best,
+                              run_schedule)
 from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
@@ -55,6 +56,13 @@ class TestCatalog:
                      "type-of-ramp", "conv-toeplitz"):
             assert name in text
         assert "    => ?e = (bcast ?x (int (* ?l1 ?l2)))\n" in text
+        # a guard prints as the expression the plan runs, every term of it
+        assert ("    where (and (<= 1 ?s) (<= 1 ?l) (== ?x (* ?m ?n)) "
+                "(== ?k (+ (* ?s ?n) ?l)) (== ?li (* ?x ?l)))\n") in text
+
+    def test_queries_hold_no_python_callable(self, default_ruleset):
+        for r in default_ruleset:
+            assert all(isinstance(a, (Bind, Rel, Calc)) for a in r.query), r.name
 
     def test_target_filter(self, default_ruleset):
         amx = default_ruleset.for_target("amx")
