@@ -16,7 +16,11 @@ Categories:
 
 MatMul rules are parameterized over registered (M, K, N) shape facts
 rather than hard-coded lane counts, so small shapes fuzz against
-brute-force oracles and both backends share one catalog.
+brute-force oracles and both backends share one catalog.  A rule's guards
+are `Calc` query atoms over the ints, immediates and names it matched,
+such as `(== (% ?m ?n) 0)`; the engine compiles each into the rule's plan,
+and the catalog prints it as written.  The MatMul lowerings match their
+tile loads' size arguments as query variables and compare them there.
 
 Each semantic rule's generator, `fuzz(rng)`, draws a match of the rule's
 query and builds neither side: a `Draw` whose `match` maps each query

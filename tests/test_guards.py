@@ -12,18 +12,13 @@ import random
 import pytest
 
 from tensorsel import ir
-from tensorsel.egraph import Bind, EGraph, PNode, Rel, ematch, rel
+from tensorsel.egraph import Bind, EGraph, PNode, Rel, ematch
 
 TRIALS = 120  # per guard
 
 
 def _guards(rule):
     return [a for a in rule.query if not isinstance(a, (Bind, Rel))]
-
-
-def _tile(m, k, n, rows, cols):
-    """A tile-shape witness over m, k, n and a lane count."""
-    return {"m": m, "k": k, "n": n, "rows": rows, "cols": cols}
 
 
 def _grid(rng):
@@ -72,7 +67,8 @@ def _w_toeplitz(rng):
 
 
 def _w_polyphase(rng):
-    m, l, p, kp = rng.randrange(1, 5), rng.randrange(1, 5), rng.randrange(2, 5), rng.randrange(1, 5)
+    m, l, kp = (rng.randrange(1, 5) for _ in range(3))
+    p = rng.randrange(2, 5)
     n = kp * p
     return {"m": m, "k": kp + l, "n": n, "l": l, "p": p, "pl": p * l, "kp": kp,
             "kpl": kp * p * l, "ws": kp, "sk": p, "mk": m * kp, "li": m * n * l}
