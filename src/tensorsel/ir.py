@@ -14,6 +14,13 @@ Every static fact about an intrinsic -- argument roles, where its operands
 and result live, its result kind and lane count -- is one `INTRINSICS`
 record.  `lanes_of` checks each Call against its record, so intrinsic calls
 are typed like every other node; `interp` holds only what they compute.
+
+`TERMS` gives each node that selection encodes its e-graph head and its
+fields with their roles; `SPELLING`, beside it, gives the node's surface
+head word and the reader labels of its fields.  The two tables drive the
+reader and the printer, so no node's syntax is written out by hand except
+the declarations and loops that selection never encodes (`param`,
+`*-shape`, `allocate`, `for`).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import layout
 
@@ -29,17 +37,6 @@ LOCATIONS = ("mem", "amx", "wmma")
 I32_MIN, I32_MAX = -(2**31), 2**31 - 1
 # buffer and loop-variable names; a buffer name is also a file name
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-_BOP_ATOMS = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%"}
-_ATOM_OF_BOP = {v: k for k, v in _BOP_ATOMS.items()}
-
-_MOVE_ATOMS = {
-    "mem2amx": ("mem", "amx"),
-    "amx2mem": ("amx", "mem"),
-    "mem2wmma": ("mem", "wmma"),
-    "wmma2mem": ("wmma", "mem"),
-}
-_ATOM_OF_MOVE = {v: k for k, v in _MOVE_ATOMS.items()}
 
 
 class IRError(Exception):
@@ -229,6 +226,29 @@ TERMS = {
     Shuffle: ("shuffle", (("source", "expr"), ("indices", "op"))),
     Store: ("store", (("buffer", "name"), ("index", "expr"), ("value", "expr"))),
     Evaluate: ("evaluate", (("value", "expr"),)),
+}
+
+# The surface spelling of every TERMS node: its head word, and a reader label
+# for each field whose role does not decide how it is read, which also names
+# the field in the reader's errors.  Bop and LocToLoc have a head word per
+# operator instead, which spells the values of their leading fields.  The
+# reader and the printer are driven by this table and TERMS.
+SPELLING = {
+    Imm: ("imm", {"kind": "scalar kind", "value": "literal"}),
+    Var: ("var", {"name": "name"}),
+    Load: ("load", {"buffer": "buffer name"}),
+    Cast: ("cast", {}),
+    Bop: ({"add": ("+",), "sub": ("-",), "mul": ("*",), "div": ("/",), "mod": ("%",)}, {}),
+    Ramp: ("ramp", {"steps": "step count"}),
+    Broadcast: ("broadcast", {"copies": "copy count"}),
+    VectorReduceAdd: ("vector-reduce-add", {"result_lanes": "result lanes"}),
+    Call: ("call", {"name": "intrinsic name"}),
+    LocToLoc: ({"mem2amx": ("mem", "amx"), "amx2mem": ("amx", "mem"),
+                "mem2wmma": ("mem", "wmma"), "wmma2mem": ("wmma", "mem")}, {}),
+    ExprVar: ("exprvar", {}),
+    Shuffle: ("shuffle", {"indices": "shuffle index"}),
+    Store: ("store", {"buffer": "buffer name"}),
+    Evaluate: ("evaluate", {}),
 }
 
 
@@ -727,39 +747,26 @@ class ParseError(IRError):
         self.line, self.col, self.expected = line, col, tuple(expected)
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
 
 
+# a newline, a comment, or a token: a parenthesis or an atom; the blanks
+# between them (space, tab, carriage return) match nothing and are skipped
+_TOKEN_RE = re.compile(r"(\n)|;[^\n]*|([()]|[^ \t\r\n();]+)")
+
+
 def _tokenize(text):
-    toks, line, col = [], 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
+    """The tokens of `text`, each at its line and column; a tab is one
+    column."""
+    toks, line, line_start = [], 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        if m[2]:
+            toks.append(_Tok(m[2], line, m.start() - line_start + 1))
+        elif m[1]:
+            line, line_start = line + 1, m.end()
     return toks
 
 
@@ -849,6 +856,74 @@ def _parse_type(node):
     return VecType(kind, lanes)
 
 
+def _derive_syntax():
+    """Per SPELLING class, the head word for the values of the leading fields
+    that it spells, those fields' names, and the other fields as (name, role,
+    label); and per head word, its class and the values it spells."""
+    syntax, heads = {}, {}
+    for cls, (words, labels) in SPELLING.items():
+        words = words if isinstance(words, dict) else {words: ()}
+        k = len(next(iter(words.values())))
+        fields = TERMS[cls][1]
+        syntax[cls] = ({v: w for w, v in words.items()}, tuple(f for f, _ in fields[:k]),
+                       tuple((f, role, labels.get(f)) for f, role in fields[k:]))
+        heads.update((w, (cls, v)) for w, v in words.items())
+    return syntax, heads
+
+
+_SYNTAX, _HEADS = _derive_syntax()
+
+
+def _read_term(base, head, htok, args, arity, expected=()):
+    """The `base` (Expr or Stmt) node that `head` spells, its other fields
+    read from `args` left to right by their TERMS role and SPELLING label; None
+    if `head` spells no such node.  A wrong argument count is an error worded
+    by the format string `arity`."""
+    cls, spelled = _HEADS.get(head, (None, ()))
+    if cls is None or not issubclass(cls, base):
+        return None
+    fields = _SYNTAX[cls][2]
+    if fields[-1][1] == "exprs":  # a name, then any number of expressions
+        if len(args) < len(fields) - 1:
+            _fail(htok, f"{head} needs an {fields[0][2]}")
+    elif len(args) != len(fields):
+        n, s = len(fields), "" if len(fields) == 1 else "s"
+        _fail(htok, arity.format(head=head, n=n, got=len(args), s=s), expected)
+    values = list(spelled)
+    for i, (_, role, label) in enumerate(fields):
+        if role == "exprs":
+            values.append(tuple(_parse_expr(a) for a in args[i:]))
+        else:
+            values.append(_read_field(args[i], role, label, values))
+    return cls(*values)
+
+
+def _read_field(node, role, label, before):
+    """A field read by its TERMS role and SPELLING label; `before` holds the
+    fields of its node read so far."""
+    if role == "expr":
+        return _parse_expr(node)
+    if role == "type":
+        return _parse_type(node)
+    if role == "int":
+        return _int_atom(node, label)
+    if label == "scalar kind":
+        return _kind_atom(node)
+    if label == "shuffle index":
+        items, tok = node
+        if isinstance(items, _Tok):
+            _fail(tok, "expected an index list", ("(N*)",))
+        return tuple(_int_atom(n, label) for n in items)
+    text, tok = _atom(node, label)
+    if label != "literal":
+        return text
+    kind = before[-1]  # an immediate's kind precedes its literal
+    try:
+        return int(text) if kind == "i32" else float(text)
+    except ValueError:
+        _fail(tok, f"bad {kind} literal {text!r}")
+
+
 def _parse_expr(node):
     items, tok = node
     if isinstance(items, _Tok):
@@ -856,65 +931,11 @@ def _parse_expr(node):
     if not items:
         _fail(tok, "empty expression")
     head, htok = _atom(items[0], "operator")
-    args = items[1:]
-
-    def arity(n):
-        if len(args) != n:
-            _fail(htok, f"{head} takes {n} argument(s), got {len(args)}", (head,))
-
-    if head == "imm":
-        arity(2)
-        kind = _kind_atom(args[0])
-        text, vtok = _atom(args[1], "literal")
-        try:
-            value = int(text) if kind == "i32" else float(text)
-        except ValueError:
-            _fail(vtok, f"bad {kind} literal {text!r}")
-        return Imm(kind, value)
-    if head == "var":
-        arity(1)
-        return Var(_atom(args[0], "name")[0])
-    if head == "load":
-        arity(3)
-        return Load(_atom(args[0], "buffer name")[0], _parse_type(args[1]),
-                    _parse_expr(args[2]))
-    if head == "cast":
-        arity(2)
-        return Cast(_parse_type(args[0]), _parse_expr(args[1]))
-    if head in _BOP_ATOMS:
-        arity(2)
-        return Bop(_BOP_ATOMS[head], _parse_expr(args[0]), _parse_expr(args[1]))
-    if head == "ramp":
-        arity(3)
-        return Ramp(_parse_expr(args[0]), _parse_expr(args[1]),
-                    _int_atom(args[2], "step count"))
-    if head == "broadcast":
-        arity(2)
-        return Broadcast(_parse_expr(args[0]), _int_atom(args[1], "copy count"))
-    if head == "vector-reduce-add":
-        arity(2)
-        return VectorReduceAdd(_int_atom(args[0], "result lanes"),
-                               _parse_expr(args[1]))
-    if head == "call":
-        if not args:
-            _fail(htok, "call needs an intrinsic name")
-        return Call(_atom(args[0], "intrinsic name")[0],
-                    tuple(_parse_expr(a) for a in args[1:]))
-    if head in _MOVE_ATOMS:
-        arity(1)
-        src, dst = _MOVE_ATOMS[head]
-        return LocToLoc(src, dst, _parse_expr(args[0]))
-    if head == "exprvar":
-        arity(1)
-        return ExprVar(_parse_expr(args[0]))
-    if head == "shuffle":
-        arity(2)
-        src = _parse_expr(args[0])
-        idx_items, it = args[1]
-        if isinstance(idx_items, _Tok):
-            _fail(it, "expected an index list", ("(N*)",))
-        return Shuffle(src, tuple(_int_atom(n, "shuffle index") for n in idx_items))
-    _fail(htok, f"unknown operator {head!r}")
+    e = _read_term(Expr, head, htok, items[1:], "{head} takes {n} argument(s), got {got}",
+                   (head,))
+    if e is None:
+        _fail(htok, f"unknown operator {head!r}")
+    return e
 
 
 def _parse_stmt(node):
@@ -928,23 +949,17 @@ def _parse_stmt(node):
             _fail(htok, f"allocate takes 4 arguments, got {len(args)}")
         return Allocate(_atom(args[0], "name")[0], _kind_atom(args[1]),
                         _int_atom(args[2], "length"), _loc_atom(args[3]))
-    if head == "store":
-        if len(args) != 3:
-            _fail(htok, f"store takes 3 arguments, got {len(args)}")
-        return Store(_atom(args[0], "buffer name")[0], _parse_expr(args[1]),
-                     _parse_expr(args[2]))
-    if head == "evaluate":
-        if len(args) != 1:
-            _fail(htok, f"evaluate takes 1 argument, got {len(args)}")
-        return Evaluate(_parse_expr(args[0]))
     if head == "for":
         if len(args) < 3:
             _fail(htok, "for takes a name, min, extent, and body")
         return For(_atom(args[0], "loop variable")[0], _int_atom(args[1], "min"),
                    _int_atom(args[2], "extent"),
                    tuple(_parse_stmt(s) for s in args[3:]))
-    _fail(htok, f"unknown statement {head!r}",
-          ("allocate", "store", "evaluate", "for"))
+    s = _read_term(Stmt, head, htok, args, "{head} takes {n} argument{s}, got {got}")
+    if s is None:
+        _fail(htok, f"unknown statement {head!r}",
+              ("allocate", "store", "evaluate", "for"))
+    return s
 
 
 def parse_program(text):
@@ -977,56 +992,46 @@ def parse_program(text):
 # printer (byte-exact: lowercase atoms, single spaces, newline per form)
 
 
-def _fmt_imm(kind, value):
-    if kind == "i32":
-        return str(int(value))
-    return repr(float(value))
-
-
 def print_type(t):
     return f"({t.kind} {t.lanes})"
 
 
+def _print_term(n):
+    """`n`, a SPELLING node, as its head word, then its other fields left to
+    right by their TERMS role and SPELLING label."""
+    words, spelled, fields = _SYNTAX[n.__class__]
+    parts = [words[tuple([getattr(n, f) for f in spelled])]]
+    for name, role, label in fields:
+        v = getattr(n, name)
+        if role == "expr":
+            parts.append(print_expr(v))
+        elif role == "exprs":
+            parts += map(print_expr, v)
+        elif role == "type":
+            parts.append(print_type(v))
+        elif label == "literal":
+            parts.append(str(int(v)) if n.kind == "i32" else repr(float(v)))
+        elif label == "shuffle index":
+            parts.append(f"({' '.join(map(str, v))})")
+        else:
+            parts.append(str(v))
+    return f"({' '.join(parts)})"
+
+
 def print_expr(e):
-    if isinstance(e, Imm):
-        return f"(imm {e.kind} {_fmt_imm(e.kind, e.value)})"
-    if isinstance(e, Var):
-        return f"(var {e.name})"
-    if isinstance(e, Load):
-        return f"(load {e.buffer} {print_type(e.vtype)} {print_expr(e.index)})"
-    if isinstance(e, Cast):
-        return f"(cast {print_type(e.vtype)} {print_expr(e.operand)})"
-    if isinstance(e, Bop):
-        return f"({_ATOM_OF_BOP[e.op]} {print_expr(e.lhs)} {print_expr(e.rhs)})"
-    if isinstance(e, Ramp):
-        return f"(ramp {print_expr(e.base)} {print_expr(e.stride)} {e.steps})"
-    if isinstance(e, Broadcast):
-        return f"(broadcast {print_expr(e.operand)} {e.copies})"
-    if isinstance(e, VectorReduceAdd):
-        return f"(vector-reduce-add {e.result_lanes} {print_expr(e.operand)})"
-    if isinstance(e, Call):
-        inner = "".join(" " + print_expr(a) for a in e.args)
-        return f"(call {e.name}{inner})"
-    if isinstance(e, LocToLoc):
-        return f"({_ATOM_OF_MOVE[(e.src, e.dst)]} {print_expr(e.operand)})"
-    if isinstance(e, ExprVar):
-        return f"(exprvar {print_expr(e.operand)})"
-    if isinstance(e, Shuffle):
-        idx = " ".join(str(i) for i in e.indices)
-        return f"(shuffle {print_expr(e.source)} ({idx}))"
-    raise IRError(f"not an Expr: {e!r}")
+    if not isinstance(e, Expr):
+        raise IRError(f"not an Expr: {e!r}")
+    return _print_term(e)
 
 
 def print_stmt(s):
     if isinstance(s, Allocate):
         return f"(allocate {s.name} {s.kind} {s.length} {s.location})"
-    if isinstance(s, Store):
-        return f"(store {s.buffer} {print_expr(s.index)} {print_expr(s.value)})"
-    if isinstance(s, Evaluate):
-        return f"(evaluate {print_expr(s.value)})"
     if isinstance(s, For):
         inner = "".join(" " + print_stmt(b) for b in s.body)
         return f"(for {s.var} {s.min} {s.extent}{inner})"
+    if isinstance(s, Stmt):
+        return _print_term(s)
     raise IRError(f"not a Stmt: {s!r}")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsel import interp, ir, layout
+from tensorsel import interp, ir, layout, rules
 from tensorsel.ir import (Allocate, Bop, Broadcast, Call, Cast, Evaluate,
                           ExprVar, For, Imm, Load, LocToLoc, Param, Program,
                           Ramp, Shuffle, Store, Var, VecType,
                           VectorReduceAdd)
 
+import ir_terms
 from conftest import corpus_names, corpus_program
 
 
@@ -369,6 +371,349 @@ class TestParsePrint:
         assert printed == "(evaluate (broadcast (imm f32 1.5) 3))\n"
 
 
+class TestReaderErrors:
+    """Each way a form can be malformed, for every expression head, statement
+    form and top-level form, with the reader's exact text, position and
+    expected tokens."""
+
+    CASES = [
+        # imm
+        ("(evaluate (imm f32))",
+         "1:12: imm takes 2 argument(s), got 1 (expected imm)", (1, 12), ("imm",)),
+        ("(evaluate (imm i32 1 2))",
+         "1:12: imm takes 2 argument(s), got 3 (expected imm)", (1, 12), ("imm",)),
+        ("(evaluate (imm (f32) 1.0))",
+         "1:16: expected scalar kind, got a list (expected scalar kind)", (1, 16),
+         ("scalar kind",)),
+        ("(evaluate (imm f32 (1.0)))",
+         "1:20: expected literal, got a list (expected literal)", (1, 20), ("literal",)),
+        ("(evaluate (imm f64 1.0))",
+         "1:16: unknown kind 'f64' (expected bf16, f16, f32, i32)", (1, 16),
+         ("bf16", "f16", "f32", "i32")),
+        ("(evaluate (imm I32 1))",
+         "1:16: unknown kind 'I32' (expected bf16, f16, f32, i32)", (1, 16),
+         ("bf16", "f16", "f32", "i32")),
+        ("(evaluate (imm i32 1.5))",
+         "1:20: bad i32 literal '1.5'", (1, 20), ()),
+        ("(evaluate (imm i32 0x10))",
+         "1:20: bad i32 literal '0x10'", (1, 20), ()),
+        ("(evaluate (imm f32 one))",
+         "1:20: bad f32 literal 'one'", (1, 20), ()),
+        ("(evaluate (imm bf16 1,5))",
+         "1:21: bad bf16 literal '1,5'", (1, 21), ()),
+        ("(evaluate (imm f16 1e))",
+         "1:20: bad f16 literal '1e'", (1, 20), ()),
+        # var
+        ("(evaluate (var))",
+         "1:12: var takes 1 argument(s), got 0 (expected var)", (1, 12), ("var",)),
+        ("(evaluate (var x y))",
+         "1:12: var takes 1 argument(s), got 2 (expected var)", (1, 12), ("var",)),
+        ("(evaluate (var (x)))",
+         "1:16: expected name, got a list (expected name)", (1, 16), ("name",)),
+        # load, and the (KIND N) type
+        ("(evaluate (load a (f32 1)))",
+         "1:12: load takes 3 argument(s), got 2 (expected load)", (1, 12), ("load",)),
+        ("(evaluate (load (a) (f32 1) (imm i32 0)))",
+         "1:17: expected buffer name, got a list (expected buffer name)", (1, 17),
+         ("buffer name",)),
+        ("(evaluate (load a f32 (imm i32 0)))",
+         "1:19: expected (KIND N) type (expected (kind lanes))", (1, 19), ("(kind lanes)",)),
+        ("(evaluate (load a (f32) (imm i32 0)))",
+         "1:19: expected (KIND N) type (expected (kind lanes))", (1, 19), ("(kind lanes)",)),
+        ("(evaluate (load a (f32 1 1) (imm i32 0)))",
+         "1:19: expected (KIND N) type (expected (kind lanes))", (1, 19), ("(kind lanes)",)),
+        ("(evaluate (load a ((f32) 1) (imm i32 0)))",
+         "1:20: expected scalar kind, got a list (expected scalar kind)", (1, 20),
+         ("scalar kind",)),
+        ("(evaluate (load a (f64 1) (imm i32 0)))",
+         "1:20: unknown kind 'f64' (expected bf16, f16, f32, i32)", (1, 20),
+         ("bf16", "f16", "f32", "i32")),
+        ("(evaluate (load a (f32 (1)) (imm i32 0)))",
+         "1:24: expected lane count, got a list (expected lane count)", (1, 24), ("lane count",)),
+        ("(evaluate (load a (f32 one) (imm i32 0)))",
+         "1:24: expected lane count, got 'one' (expected lane count)", (1, 24), ("lane count",)),
+        ("(evaluate (load a (f32 0) (imm i32 0)))",
+         "1:24: lane count must be >= 1, got 0", (1, 24), ()),
+        ("(evaluate (load a (f32 -4) (imm i32 0)))",
+         "1:24: lane count must be >= 1, got -4", (1, 24), ()),
+        ("(evaluate (load a (f32 1) 0))",
+         "1:27: expected expression, got atom '0'", (1, 27), ()),
+        # cast
+        ("(evaluate (cast (f32 1)))",
+         "1:12: cast takes 2 argument(s), got 1 (expected cast)", (1, 12), ("cast",)),
+        ("(evaluate (cast f32 (imm f32 1.0)))",
+         "1:17: expected (KIND N) type (expected (kind lanes))", (1, 17), ("(kind lanes)",)),
+        ("(evaluate (cast (f32 1) x))",
+         "1:25: expected expression, got atom 'x'", (1, 25), ()),
+        ("(evaluate (cast (bf16 0) (imm f32 1.0)))",
+         "1:23: lane count must be >= 1, got 0", (1, 23), ()),
+        # add, sub, mul, div, mod
+        ("(evaluate (add (var x)))",
+         "1:12: add takes 2 argument(s), got 1 (expected add)", (1, 12), ("add",)),
+        ("(evaluate (sub (var x) (var x) (var x)))",
+         "1:12: sub takes 2 argument(s), got 3 (expected sub)", (1, 12), ("sub",)),
+        ("(evaluate (mul))",
+         "1:12: mul takes 2 argument(s), got 0 (expected mul)", (1, 12), ("mul",)),
+        ("(evaluate (div x (var x)))",
+         "1:16: expected expression, got atom 'x'", (1, 16), ()),
+        ("(evaluate (mod (var x) 2))",
+         "1:24: expected expression, got atom '2'", (1, 24), ()),
+        ("(evaluate (add 1 (var x)))",
+         "1:16: expected expression, got atom '1'", (1, 16), ()),
+        ("(evaluate (sub (var x) (y)))",
+         "1:25: unknown operator 'y'", (1, 25), ()),
+        # ramp
+        ("(evaluate (ramp (imm i32 0) (imm i32 1)))",
+         "1:12: ramp takes 3 argument(s), got 2 (expected ramp)", (1, 12), ("ramp",)),
+        ("(evaluate (ramp 0 (imm i32 1) 4))",
+         "1:17: expected expression, got atom '0'", (1, 17), ()),
+        ("(evaluate (ramp (imm i32 0) 1 4))",
+         "1:29: expected expression, got atom '1'", (1, 29), ()),
+        ("(evaluate (ramp (imm i32 0) (imm i32 1) (4)))",
+         "1:41: expected step count, got a list (expected step count)", (1, 41), ("step count",)),
+        ("(evaluate (ramp (imm i32 0) (imm i32 1) four))",
+         "1:41: expected step count, got 'four' (expected step count)", (1, 41), ("step count",)),
+        ("(evaluate (ramp (imm i32 0) (imm i32 1) 4.0))",
+         "1:41: expected step count, got '4.0' (expected step count)", (1, 41), ("step count",)),
+        # broadcast
+        ("(evaluate (broadcast (var x)))",
+         "1:12: broadcast takes 2 argument(s), got 1 (expected broadcast)", (1, 12),
+         ("broadcast",)),
+        ("(evaluate (broadcast x 4))",
+         "1:22: expected expression, got atom 'x'", (1, 22), ()),
+        ("(evaluate (broadcast (var x) (4)))",
+         "1:30: expected copy count, got a list (expected copy count)", (1, 30), ("copy count",)),
+        ("(evaluate (broadcast (var x) 4x))",
+         "1:30: expected copy count, got '4x' (expected copy count)", (1, 30), ("copy count",)),
+        # vector-reduce-add
+        ("(evaluate (vector-reduce-add (var a)))",
+         "1:12: vector-reduce-add takes 2 argument(s), got 1 (expected vector-reduce-add)", (1, 12),
+         ("vector-reduce-add",)),
+        ("(evaluate (vector-reduce-add (2) (var a)))",
+         "1:30: expected result lanes, got a list (expected result lanes)", (1, 30),
+         ("result lanes",)),
+        ("(evaluate (vector-reduce-add two (var a)))",
+         "1:30: expected result lanes, got 'two' (expected result lanes)", (1, 30),
+         ("result lanes",)),
+        ("(evaluate (vector-reduce-add 2 a))",
+         "1:32: expected expression, got atom 'a'", (1, 32), ()),
+        # call
+        ("(evaluate (call))",
+         "1:12: call needs an intrinsic name", (1, 12), ()),
+        ("(evaluate (call (tile_zero) (imm i32 1) (imm i32 1)))",
+         "1:17: expected intrinsic name, got a list (expected intrinsic name)", (1, 17),
+         ("intrinsic name",)),
+        ("(evaluate (call tile_zero 2 (imm i32 1)))",
+         "1:27: expected expression, got atom '2'", (1, 27), ()),
+        ("(evaluate (call tile_zero (imm i32 1) ()))",
+         "1:39: empty expression", (1, 39), ()),
+        # mem2amx, amx2mem, mem2wmma, wmma2mem
+        ("(evaluate (mem2amx))",
+         "1:12: mem2amx takes 1 argument(s), got 0 (expected mem2amx)", (1, 12), ("mem2amx",)),
+        ("(evaluate (amx2mem (var x) (var x)))",
+         "1:12: amx2mem takes 1 argument(s), got 2 (expected amx2mem)", (1, 12), ("amx2mem",)),
+        ("(evaluate (mem2wmma x))",
+         "1:21: expected expression, got atom 'x'", (1, 21), ()),
+        ("(evaluate (wmma2mem (x)))",
+         "1:22: unknown operator 'x'", (1, 22), ()),
+        # exprvar
+        ("(evaluate (exprvar))",
+         "1:12: exprvar takes 1 argument(s), got 0 (expected exprvar)", (1, 12), ("exprvar",)),
+        ("(evaluate (exprvar x))",
+         "1:20: expected expression, got atom 'x'", (1, 20), ()),
+        # shuffle
+        ("(evaluate (shuffle (var a)))",
+         "1:12: shuffle takes 2 argument(s), got 1 (expected shuffle)", (1, 12), ("shuffle",)),
+        ("(evaluate (shuffle a (0 1)))",
+         "1:20: expected expression, got atom 'a'", (1, 20), ()),
+        ("(evaluate (shuffle (var a) 0))",
+         "1:28: expected an index list (expected (N*))", (1, 28), ("(N*)",)),
+        ("(evaluate (shuffle (var a) ((0) 1)))",
+         "1:29: expected shuffle index, got a list (expected shuffle index)", (1, 29),
+         ("shuffle index",)),
+        ("(evaluate (shuffle (var a) (0 one)))",
+         "1:31: expected shuffle index, got 'one' (expected shuffle index)", (1, 31),
+         ("shuffle index",)),
+        ("(evaluate (shuffle (var a) (0) (1)))",
+         "1:12: shuffle takes 2 argument(s), got 3 (expected shuffle)", (1, 12), ("shuffle",)),
+        # any expression
+        ("(evaluate (frob (var x)))",
+         "1:12: unknown operator 'frob'", (1, 12), ()),
+        ("(evaluate (Add (var x) (var y)))",
+         "1:12: unknown operator 'Add'", (1, 12), ()),
+        ("(evaluate ((imm) f32 1.0))",
+         "1:12: expected operator, got a list (expected operator)", (1, 12), ("operator",)),
+        ("(evaluate ())",
+         "1:11: empty expression", (1, 11), ()),
+        ("(evaluate x)",
+         "1:11: expected expression, got atom 'x'", (1, 11), ()),
+        ("(evaluate (store o (var i) (var x)))",
+         "1:12: unknown operator 'store'", (1, 12), ()),
+        # allocate
+        ("(allocate t f32 4)",
+         "1:2: allocate takes 4 arguments, got 3", (1, 2), ()),
+        ("(allocate (t) f32 4 mem)",
+         "1:11: expected name, got a list (expected name)", (1, 11), ("name",)),
+        ("(allocate t (f32) 4 mem)",
+         "1:13: expected scalar kind, got a list (expected scalar kind)", (1, 13),
+         ("scalar kind",)),
+        ("(allocate t f99 4 mem)",
+         "1:13: unknown kind 'f99' (expected bf16, f16, f32, i32)", (1, 13),
+         ("bf16", "f16", "f32", "i32")),
+        ("(allocate t f32 (4) mem)",
+         "1:17: expected length, got a list (expected length)", (1, 17), ("length",)),
+        ("(allocate t f32 4.5 mem)",
+         "1:17: expected length, got '4.5' (expected length)", (1, 17), ("length",)),
+        ("(allocate t f32 4 (mem))",
+         "1:19: expected location, got a list (expected location)", (1, 19), ("location",)),
+        ("(allocate t f32 4 gpu)",
+         "1:19: unknown location 'gpu' (expected mem, amx, wmma)", (1, 19), ("mem", "amx", "wmma")),
+        # store
+        ("(store o (var i))",
+         "1:2: store takes 3 arguments, got 2", (1, 2), ()),
+        ("(store o (var i) (var x) (var x))",
+         "1:2: store takes 3 arguments, got 4", (1, 2), ()),
+        ("(store (o) (var i) (var x))",
+         "1:8: expected buffer name, got a list (expected buffer name)", (1, 8), ("buffer name",)),
+        ("(store o i (var x))",
+         "1:10: expected expression, got atom 'i'", (1, 10), ()),
+        ("(store o (var i) x)",
+         "1:18: expected expression, got atom 'x'", (1, 18), ()),
+        ("(store o (vari) (var x))",
+         "1:11: unknown operator 'vari'", (1, 11), ()),
+        # evaluate
+        ("(evaluate)",
+         "1:2: evaluate takes 1 argument, got 0", (1, 2), ()),
+        ("(evaluate (var x) (var x))",
+         "1:2: evaluate takes 1 argument, got 2", (1, 2), ()),
+        ("(evaluate (1))",
+         "1:12: unknown operator '1'", (1, 12), ()),
+        # for
+        ("(for i 0)",
+         "1:2: for takes a name, min, extent, and body", (1, 2), ()),
+        ("(for (i) 0 4 (evaluate (var i)))",
+         "1:6: expected loop variable, got a list (expected loop variable)", (1, 6),
+         ("loop variable",)),
+        ("(for i (0) 4 (evaluate (var i)))",
+         "1:8: expected min, got a list (expected min)", (1, 8), ("min",)),
+        ("(for i zero 4 (evaluate (var i)))",
+         "1:8: expected min, got 'zero' (expected min)", (1, 8), ("min",)),
+        ("(for i 0 (4) (evaluate (var i)))",
+         "1:10: expected extent, got a list (expected extent)", (1, 10), ("extent",)),
+        ("(for i 0 4.0 (evaluate (var i)))",
+         "1:10: expected extent, got '4.0' (expected extent)", (1, 10), ("extent",)),
+        ("(for i 0 4 x)",
+         "1:12: expected a statement form", (1, 12), ()),
+        ("(for i 0 4 ())",
+         "1:12: expected a statement form", (1, 12), ()),
+        ("(for i 0 4 (imm f32 1.0))",
+         "1:13: unknown statement 'imm' (expected allocate, store, evaluate, for)", (1, 13),
+         ("allocate", "store", "evaluate", "for")),
+        ("(for i 0 4 (evaluate (var i)) (evaluate i))",
+         "1:41: expected expression, got atom 'i'", (1, 41), ()),
+        # any statement
+        ("(frob x)",
+         "1:2: unknown statement 'frob' (expected allocate, store, evaluate, for)", (1, 2),
+         ("allocate", "store", "evaluate", "for")),
+        ("(add (var x) (var x))",
+         "1:2: unknown statement 'add' (expected allocate, store, evaluate, for)", (1, 2),
+         ("allocate", "store", "evaluate", "for")),
+        ("((store) o (var i) (var x))",
+         "1:2: expected form, got a list (expected form)", (1, 2), ("form",)),
+        ("(Store o (var i) (var x))",
+         "1:2: unknown statement 'Store' (expected allocate, store, evaluate, for)", (1, 2),
+         ("allocate", "store", "evaluate", "for")),
+        # param
+        ("(param x f32 4)",
+         "1:1: param takes 4 arguments, got 3", (1, 1), ()),
+        ("(param x f32 4 mem amx)",
+         "1:1: param takes 4 arguments, got 5", (1, 1), ()),
+        ("(param (x) f32 4 mem)",
+         "1:8: expected name, got a list (expected name)", (1, 8), ("name",)),
+        ("(param x (f32) 4 mem)",
+         "1:10: expected scalar kind, got a list (expected scalar kind)", (1, 10),
+         ("scalar kind",)),
+        ("(param x f99 4 mem)",
+         "1:10: unknown kind 'f99' (expected bf16, f16, f32, i32)", (1, 10),
+         ("bf16", "f16", "f32", "i32")),
+        ("(param x f32 (4) mem)",
+         "1:14: expected length, got a list (expected length)", (1, 14), ("length",)),
+        ("(param x f32 four mem)",
+         "1:14: expected length, got 'four' (expected length)", (1, 14), ("length",)),
+        ("(param x f32 4 (mem))",
+         "1:16: expected location, got a list (expected location)", (1, 16), ("location",)),
+        ("(param x f32 4 gpu)",
+         "1:16: unknown location 'gpu' (expected mem, amx, wmma)", (1, 16), ("mem", "amx", "wmma")),
+        # amx-shape, wmma-shape
+        ("(amx-shape 16 32)",
+         "1:1: amx-shape takes M K N, got 2 arguments", (1, 1), ()),
+        ("(wmma-shape 16 16 16 16)",
+         "1:1: wmma-shape takes M K N, got 4 arguments", (1, 1), ()),
+        ("(amx-shape (16) 32 16)",
+         "1:12: expected M, got a list (expected M)", (1, 12), ("M",)),
+        ("(wmma-shape 16 k 16)",
+         "1:16: expected K, got 'k' (expected K)", (1, 16), ("K",)),
+        ("(amx-shape 16 32 16.0)",
+         "1:18: expected N, got '16.0' (expected N)", (1, 18), ("N",)),
+        ("(tpu-shape 16 16 16)",
+         "1:2: unknown statement 'tpu-shape' (expected allocate, store, evaluate, for)", (1, 2),
+         ("allocate", "store", "evaluate", "for")),
+        # any top-level form; an early end of input is an unclosed '('
+        ("((param) x f32 4 mem)",
+         "1:2: expected form, got a list (expected form)", (1, 2), ("form",)),
+        ("x",
+         "1:1: expected a top-level form, got atom 'x'", (1, 1), ()),
+        ("()",
+         "1:1: empty top-level form", (1, 1), ()),
+        ("(evaluate (var x)",
+         "1:1: unclosed '(' (expected ))", (1, 1), (")",)),
+        ("(evaluate (var x)))",
+         "1:19: unexpected ')'", (1, 19), ()),
+        (")",
+         "1:1: unexpected ')'", (1, 1), ()),
+        ("(param x f32 4 mem)\n(evaluate",
+         "2:1: unclosed '(' (expected ))", (2, 1), (")",)),
+        # positions across lines, tabs, carriage returns and comments
+        ("(param x f32 4 mem)\n  (store x\n\t(ramp (imm i32 0) (imm i32 1) 4)\n"
+         "\t(load x (f32 4) y))",
+         "4:18: expected expression, got atom 'y'", (4, 18), ()),
+        ("; comment (\n(param x f32 4 mem) ; )\n\t\t(store x (imm i32 0) (imm i32 1.5))",
+         "3:33: bad i32 literal '1.5'", (3, 33), ()),
+        ("(evaluate\r\n  (imm\ti32  x))",
+         "2:13: bad i32 literal 'x'", (2, 13), ()),
+    ]
+
+    @pytest.mark.parametrize("text, msg, pos, expected", CASES, ids=[c[0] for c in CASES])
+    def test_error(self, text, msg, pos, expected):
+        with pytest.raises(ir.ParseError) as exc:
+            ir.parse_program(text)
+        e = exc.value
+        assert (str(e), (e.line, e.col), e.expected) == (msg, pos, expected)
+
+    @pytest.mark.parametrize("text, value", [
+        ("(imm i32 1_000)", Imm("i32", 1000)),
+        ("(imm i32 +5)", Imm("i32", 5)),
+        ("(imm f32 -0.0)", Imm("f32", -0.0)),
+        ("(imm bf16 1_0.5)", Imm("bf16", 10.5)),
+        ("(imm f16 inf)", Imm("f16", float("inf"))),
+        ("(ramp (imm i32 0) (imm i32 -1) +4)", Ramp(i32(0), i32(-1), 4)),
+        ("(broadcast (var x) 0)", Broadcast(Var("x"), 0)),
+        ("(shuffle (var x) (-1 +2))", Shuffle(Var("x"), (-1, 2))),
+    ])
+    def test_lenient_spelling(self, text, value):
+        assert ir.parse_program(f"(evaluate {text})").body == (Evaluate(value),)
+
+    def test_nan_literal(self):
+        (stmt,) = ir.parse_program("(evaluate (imm f32 nan))").body
+        assert stmt.value.kind == "f32" and math.isnan(stmt.value.value)
+
+    def test_lenient_counts_and_empty_loop(self):
+        p = ir.parse_program("(param x f32 1_6 mem)\n(amx-shape +16 32 16)\n(for i -1 4)")
+        assert p.params == (Param("x", "f32", 16),)
+        assert p.shapes == (ir.ShapeDecl("amx", 16, 32, 16),)
+        assert p.body == (For("i", -1, 4, ()),)
+
+
 def _random_expr(rng, depth, lanes=1):
     """Random well-formed index expression with known lane count."""
     if depth == 0 or (lanes == 1 and rng.random() < 0.3):
@@ -404,27 +749,34 @@ class TestExpansionProperty:
             assert interp.eval_expr(e, env).lanes == n
 
 
-@st.composite
-def _program_strategy(draw):
-    n = draw(st.integers(1, 3))
-    body = []
-    params = [Param("buf", "f32", 16)]
-    for i in range(n):
-        lanes = draw(st.sampled_from((1, 2, 4)))
-        value = Broadcast(Imm("f32", draw(st.floats(
-            allow_nan=False, allow_infinity=False, width=32))), lanes)
-        body.append(Store("buf", Ramp(i32(draw(st.integers(0, 3))), i32(1), lanes),
-                          value))
-    return Program(tuple(params), tuple(body))
-
-
 class TestRoundTripProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(_program_strategy())
-    def test_random_program_round_trip(self, prog):
-        text = ir.print_program(prog)
-        assert ir.parse_program(text) == prog
-        assert ir.print_program(ir.parse_program(text)) == text
+    def test_random_program_round_trip(self):
+        seen = set()  # the node classes drawn, and the float corner cases
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            types = data.draw(st.lists(ir_terms.TYPES, min_size=1, max_size=3))
+            body = tuple(data.draw(ir_terms.stmts(t)) for t in types)
+            prog = Program((Param("a", "f32", 16),), body)
+            text = ir.print_program(prog)
+            assert ir.parse_program(text) == prog
+            assert ir.print_program(ir.parse_program(text)) == text
+            for vtype, s in zip(types, body):
+                for term in (s, *ir.children(s)):
+                    assert rules.decode_term(rules.encode_expr(rules._TermBuilder, term)) == term
+                assert ir.type_of(s.value) == vtype
+                if isinstance(s, Store):
+                    assert ir.type_of(s.index) == VecType("i32", vtype.lanes)
+                seen.add(type(s))
+                for e in (e for c in ir.children(s) for e in ir.walk_exprs(c)):
+                    seen.add(type(e))
+                    if isinstance(e, Imm) and e.kind != "i32":
+                        seen.add("-0.0" if e == Imm(e.kind, -0.0) else
+                                 "subnormal" if 0 < abs(e.value) < 2.0**-126 else None)
+
+        check()
+        assert seen - {None} == set(ir.TERMS) - {Call} | {"-0.0", "subnormal"}
 
 
 class TestCanonicalIndex:
