@@ -15,12 +15,10 @@ and result live, its result kind and lane count -- is one `INTRINSICS`
 record.  `lanes_of` checks each Call against its record, so intrinsic calls
 are typed like every other node; `interp` holds only what they compute.
 
-`TERMS` gives each node that selection encodes its e-graph head and its
-fields with their roles; `SPELLING`, beside it, gives the node's surface
-head word and the reader labels of its fields.  The two tables drive the
-reader and the printer, so no node's syntax is written out by hand except
-the declarations and loops that selection never encodes (`param`,
-`*-shape`, `allocate`, `for`).
+`TERMS` gives each encoded node its e-graph head and its fields with their
+roles; `SPELLING`, beside it, gives its surface head word and field labels.
+The two drive the reader and the printer; only `param`, `*-shape`,
+`allocate` and `for`, which selection never encodes, are spelled by hand.
 """
 
 from __future__ import annotations

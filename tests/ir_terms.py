@@ -28,14 +28,14 @@ _MOVES = st.sampled_from(list(ir.SPELLING[LocToLoc][0].values()))
 
 # f32 values that plain draws seldom reach: the zeros, subnormals, and the
 # largest finite f32
-F32_CORNERS = (0.0, -0.0, 2.0**-149, -(2.0**-130), 3.4028234663852886e38)
+_F32_CORNERS = (0.0, -0.0, 2.0**-149, -(2.0**-130), 3.4028234663852886e38)
 
 
 def _imms(kind):
     if kind == "i32":
         values = st.integers(ir.I32_MIN, ir.I32_MAX)
     else:
-        values = st.floats(allow_nan=False, width=32) | st.sampled_from(F32_CORNERS)
+        values = st.floats(allow_nan=False, width=32) | st.sampled_from(_F32_CORNERS)
     return values.map(lambda v: Imm(kind, v))
 
 
