@@ -39,12 +39,15 @@ each `Calc` a guard step, and whether a slot is already bound is settled
 then.  On its first `ematch` the layout becomes one generated Python
 function of nested `for` loops over local slot variables, checking bound
 slots with `==`, binding free ones by assignment, and testing each guard
-inline as an `if` on the values it reads.  Ops, relation names, guard
-literals and variable names are passed to it as constants, never written
-into its source, so the compiled code is cached per process by the
-layout's structure (guard expressions included) and shared by every
-query of that shape.  Classes, nodes and tuples are iterated unsorted;
-the plan orders its matches once and builds each into a dict.
+inline as an `if` on the values it reads.  Ops, relation names and guard
+literals are passed to it as constants, never written into its source,
+so the compiled code is cached per process by the layout's structure
+(guard expressions included) and shared by every query of that shape.
+Classes, nodes and tuples are iterated unsorted; the plan collects its
+matches as rows, tuples of class ids in the order of the query's sorted
+variable names, and sorts them once.  Rows, not dicts, go on through the
+schedule to the actions, as egglog keeps matches as tuple rows (Zhang et
+al., PLDI 2023).
 
 Rules pair a query (term patterns joined with relation atoms and guards)
 with a right-hand side in the same patterns, as egg uses a `Pattern` as an
@@ -52,8 +55,9 @@ with a right-hand side in the same patterns, as egg uses a `Pattern` as an
 one language, `Calc`, compiled by one function (`_calc`), as egglog runs
 primitive calls such as `(= 0 (% m n))` inside its queries.  A right-hand
 side compiles, like a plan, to one Python function per template
-structure: the rule's action, which reads the hashcons itself and calls
-`add` only for a node that is not there yet.
+structure: the rule's action, which reads its classes from a match row,
+reads the hashcons itself and calls `add` only for a node that is not
+there yet.
 
 The schedule runs supporting rules to fixpoint, then one sequential round
 of axiomatic, application, and lowering rules, then rebuilds — for a fixed
@@ -63,9 +67,15 @@ and per class a union merged.  As in egglog (Zhang et al., PLDI 2023),
 the schedule matches a rule again only when something its query reads
 changed since its last run, and calls its action only on a match that is
 new or binds a class merged since.
+
+Extraction is a worklist over the live hashcons keys, in the order of
+Knuth's generalization of Dijkstra's algorithm: a node's cost is summed
+once its children's classes are final, and each class takes the first
+node it pops, the cheapest by (cost, operator, children).
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -145,10 +155,15 @@ class Let:
 
 @dataclass
 class RuleDef:
+    """A rule: its query, made a `Query`, and its action, `fn(graph, row)`
+    on each match row that `ematch` returns for the query (one class per
+    variable of `query.names`).  The action is compiled from `rhs` when that
+    is given, else written by hand."""
+
     name: str
     category: str  # axiomatic | application | lowering | supporting
     query: tuple
-    action: object = None  # fn(graph, env) -> None; compiled from `rhs` if given
+    action: object = None  # fn(graph, row) -> None; compiled from `rhs` if given
     rhs: tuple = ()  # effects: Bind (union), Rel (assert a fact), Let
     doc: str = ""
     target: str = ""  # "", "amx", or "wmma"
@@ -160,7 +175,7 @@ class RuleDef:
                 self.query = Query(self.query)
             if self.rhs:
                 if not isinstance(self.rhs, Rhs):
-                    self.rhs = Rhs(self.rhs, self.query._layout.names)
+                    self.rhs = Rhs(self.rhs, self.query.names)
                 self.action = self.rhs.action
         except TypeError as e:
             raise TypeError(f"rule {self.name!r}: {e}") from None
@@ -353,14 +368,6 @@ class EGraph:
                 return True
         return False
 
-    def merged_since(self, roots, version):
-        """Whether a union after `version` merged a class into any of `roots`."""
-        stamps = self._merged_at
-        for c in roots:
-            if stamps.get(c, 0) > version:
-                return True
-        return False
-
     # -- inspection ---------------------------------------------------------
 
     def class_ids(self):
@@ -454,14 +461,15 @@ class Query(tuple):
     """A query's atoms, laid out as a join plan when the query is made
     (which raises TypeError on anything but a query atom, and on a guard
     variable that no earlier atom binds).  The plan's code is built on the
-    first `ematch`.  `reads` holds the ops and relation names the query
+    first `ematch`.  `names` holds the query's variables, sorted, in the
+    order of each match row; `reads` the ops and relation names the query
     reads, and `scans` whether it reads every class."""
 
     def __new__(cls, atoms):
         query = super().__new__(cls, atoms)
-        query._layout = _layout(query)
+        layout = query._layout = _layout(query)
         query._plan = None
-        query.reads, query.scans = query._layout.reads, query._layout.scans
+        query.names, query.reads, query.scans = layout.names, layout.reads, layout.scans
         return query
 
     @property
@@ -472,16 +480,17 @@ class Query(tuple):
 
 
 def ematch(g, query):
-    """All substitutions (variable -> canonical class id) satisfying the
-    query's atoms, deduplicated and deterministically ordered.  A `Query`
-    runs its own plan; a plain tuple of atoms is laid out as one first."""
+    """All matches of the query's atoms, each a row: a tuple of canonical
+    class ids, one per variable of `Query.names`, in that order.  The rows
+    are deduplicated and sorted.  A `Query` runs its own plan; a plain tuple
+    of atoms is laid out as one first."""
     return (query if isinstance(query, Query) else Query(query)).plan(g)
 
 
 class Layout(NamedTuple):
     structure: tuple  # (steps, number of constants, output slots)
-    consts: list  # ops, relation names, guard literals, variable names
-    names: tuple  # the query's variables, in output order
+    consts: list  # ops, relation names, guard literals
+    names: tuple  # the query's variables, sorted: the order of a row
     reads: frozenset  # the ops and relation names it reads
     scans: bool  # whether it reads every class
 
@@ -499,10 +508,10 @@ def _layout(query):
     bound slot with `==` and binds a free one by assignment.  A `Calc`
     becomes a guard step: the reads of its variables' slots, each once,
     and its Python expression over them (`_calc`); it raises TypeError on
-    a variable that no earlier atom binds.  Ops, relation names, guard
-    literals and variable names go into the constants, so the structure
-    holds only slot numbers, arities, constant indices and guard
-    expressions, and queries of one shape share their code."""
+    a variable that no earlier atom binds.  Ops, relation names and guard
+    literals go into the constants, so the structure holds only slot
+    numbers, arities, constant indices and guard expressions, and queries
+    of one shape share their code."""
     slots = {}  # variable name -> its slot, from the atom that binds it on
     steps = []
     consts = []
@@ -602,8 +611,7 @@ _LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
 
 def _bind(layout):
     """The plan of a layout: its structure's code, bound to its constants."""
-    make = _make(_CODE, layout.structure, _source, "<query plan>")
-    return make(layout.consts, layout.names)
+    return _make(_CODE, layout.structure, _source, "<query plan>")(layout.consts)
 
 
 def _make(cache, key, source, filename):
@@ -618,10 +626,9 @@ def _make(cache, key, source, filename):
 
 
 def _source(structure):
-    """Python source of `make(K, N)`, which binds the constants `K` and the
-    output variable names `N` and returns `plan(g)`: the query's matches,
-    found as a set of tuples of the output slots, sorted, and each built
-    into a dict literal from `N`.
+    """Python source of `make(K)`, which binds the constants `K` and returns
+    `plan(g)`: the query's matches, found as a set of rows (tuples of the
+    output slots) and returned sorted.
 
     Each step is one `for` loop (e-node, fact and class steps) or one
     `if` (same-class and guard steps); a failed test continues the
@@ -705,15 +712,11 @@ def _source(structure):
     emit(f"add(({''.join(f's{k},' for k in out)}))")
     functions.append(lines)
 
-    head = ["def make(K, N):",
-            f"    ({''.join(f'k{j}, ' for j in range(n_consts))}) = K",
-            f"    ({''.join(f'n{j}, ' for j in range(len(out)))}) = N"]
-    row = "".join(f"o{j}, " for j in range(len(out)))
-    env = ", ".join(f"n{j}: o{j}" for j in range(len(out)))
+    head = ["def make(K):", f"    ({''.join(f'k{j}, ' for j in range(n_consts))}) = K"]
     tail = ["    def plan(g):",
             "        found = set()",
             "        part0(g, found.add)",
-            f"        return [{{{env}}} for ({row}) in sorted(found)]",
+            "        return sorted(found)",
             "    return plan"]
     return "\n".join(head + [ln for f in functions for ln in f] + tail) + "\n"
 
@@ -723,16 +726,16 @@ def _source(structure):
 
 
 class Rhs(tuple):
-    """A rule's effects, checked and compiled into `action(g, env)` when
-    made: a `Bind` unions a matched class with its template's class, a
-    `Rel` asserts a fact over its templates' classes, and a `Let` names its
+    """A rule's effects, checked and compiled into `action(g, row)` when
+    made, for the match rows of a query whose variables are `names`: a
+    `Bind` unions a matched class with its template's class, a `Rel`
+    asserts a fact over its templates' classes, and a `Let` names its
     template's class for later effects.  Raises TypeError on anything else,
-    or on a variable that neither the query (`bound`) nor an earlier `Let`
-    binds."""
+    or on a variable that neither the query nor an earlier `Let` binds."""
 
-    def __new__(cls, effects, bound):
+    def __new__(cls, effects, names):
         rhs = super().__new__(cls, effects)
-        source, consts = _rhs_source(rhs, frozenset(bound))
+        source, consts = _rhs_source(rhs, {v: i for i, v in enumerate(names)})
         rhs.action = _make(_ACTIONS, source, str, "<rule action>")(consts)
         return rhs
 
@@ -765,15 +768,17 @@ def _calc(c, const, read):
 
 def _rhs_source(effects, bound):
     """Python source of `make(K)`, which binds the constants `K` and returns
-    `action(g, env)`, and the constants.
+    `action(g, row)`, and the constants; `bound` maps each query variable
+    to its position in a match row.
 
-    The action reads each matched class from `env`, and each int, type and
-    name a `Calc` needs, once before its first write.  It then adds each
-    template's nodes children first, left to right, so they are numbered in
-    that order; a `Let` puts a subterm first.  A node already in the graph
+    The action reads each matched class it uses from `row`, at a position
+    passed as a constant, and each int, type and name a `Calc` needs, once
+    before its first write.  It then adds each template's nodes children
+    first, left to right, so they are numbered in that order; a `Let` puts
+    a subterm first.  A node already in the graph
     is found in the hashcons under its canonical key, the read `g.add` would
     make, and only a miss calls `g.add`; a `Bind` calls `g.union` only on
-    two roots that differ.  Ops, relation names, variable names and
+    two roots that differ.  Ops, relation names, row positions and
     literals are constants, so right-hand sides of one shape share their
     code."""
     consts, head, body = [], [], []
@@ -790,7 +795,7 @@ def _rhs_source(effects, bound):
             if name not in bound:
                 raise TypeError(f"unbound variable ?{name}")
             slots[name] = f"s{len(slots)}"
-            head.append(f"{slots[name]} = env[{const(name)}]")
+            head.append(f"{slots[name]} = row[{const(bound[name])}]")
         return slots[name]
 
     def read(reader, v):
@@ -845,8 +850,8 @@ def _rhs_source(effects, bound):
             slots[eff.var] = build(eff.template, 0)
         else:
             raise TypeError(f"not an effect: {eff!r}")
-    lines = ["def make(K):", f"    {''.join(f'k{j}, ' for j in range(len(consts)))}= K",
-             "    def action(g, env):", "        P, hc_get = g._parent, g._hashcons.get",
+    lines = ["def make(K):", f"    ({''.join(f'k{j}, ' for j in range(len(consts)))}) = K",
+             "    def action(g, row):", "        P, hc_get = g._parent, g._hashcons.get",
              *(f"        {ln}" for ln in head),
              *("    " * (depth + 2) + ln for depth, ln in body), "    return action"]
     return "\n".join(lines) + "\n", consts
@@ -889,12 +894,14 @@ def run_schedule(g, rules, iterations, node_budget):
 
     A rule is matched again only when the graph changed in what its query
     reads since the start of its last run (`EGraph.changed_since`);
-    otherwise its last match count is counted again.  A rule matched again
-    calls its action only on a match that is new, or binds a class merged
-    since its last run, or comes while a union awaits the rebuild.  An
-    action reads only its matched classes' nodes: a right-hand side reads
-    their ints, names and types (a type's lanes are the int of its child,
-    which a union never changes in a well-typed graph).  Its writes are
+    otherwise its last match count is counted again.  The matches are the
+    rows `ematch` returns, each passed as it is to the rule's action.  A
+    rule matched again calls its action only on a row that is new, or binds
+    a class merged since its last run (looked up only when a union came
+    since), or comes while a union awaits the rebuild.  An action reads
+    only its matched classes' nodes: a right-hand side reads their ints,
+    names and types (a type's lanes are the int of its child, which a
+    union never changes in a well-typed graph).  Its writes are
     adds, unions and facts over those classes and the classes its
     templates build, all idempotent, so calling it again on an unchanged
     match changes nothing.  A compiled right-hand side makes exactly the
@@ -913,7 +920,7 @@ def run_schedule(g, rules, iterations, node_budget):
     supporting = [r for r in rules if r.category == "supporting"]
     rounds = {cat: [r for r in rules if r.category == cat]
               for cat in CATEGORY_ORDER}
-    last = {}  # id(rule) -> (version at the start of its last run, its matches)
+    last = {}  # id(rule) -> (version at the start of its last run, its rows)
 
     def stop(why):
         report.ms = (time.perf_counter() - t0) * 1e3
@@ -928,14 +935,19 @@ def run_schedule(g, rules, iterations, node_budget):
         else:
             start = g.version
             since, seen = prev if prev is not None else (start, ())
-            matches = ematch(g, rule.query)
-            n = len(matches)
-            found = set()
-            for env in matches:
-                key = tuple(env.values())
-                found.add(key)
-                if g._merged or key not in seen or g.merged_since(key, since):
-                    rule.action(g, env)
+            rows = ematch(g, rule.query)
+            n = len(rows)
+            found = set(rows)
+            action, merged_at = rule.action, g._merged_at
+            stale = g._union_stamp > since  # a row's class may have grown since
+            for row in rows:
+                if g._merged or row not in seen:
+                    action(g, row)
+                elif stale:
+                    for c in row:
+                        if merged_at.get(c, 0) > since:
+                            action(g, row)
+                            break
             if g.version != start:
                 report.applications[rule.category] = (
                     report.applications.get(rule.category, 0) + 1)
@@ -991,43 +1003,50 @@ def node_cost(op, arity):
 def extract_best(g, root):
     """Minimal-cost term represented in `root`'s class, as a nested
     (op, children) tree.  Ties break on the smallest operator then the
-    smallest child ids, so extraction is deterministic."""
-    find = g._parent.__getitem__
-    root = find(root)
-    best = {}  # class -> (cost, op tiebreak key, child ids, node)
-    # each class's nodes in `class_nodes` order, with their cost, tiebreak
-    # key and canonical children
-    classes = [(cid, [(node_cost(op, len(children)), repr(op), children,
-                       tuple(map(find, children)), op)
-                      for op, children in g.class_nodes(cid)])
-               for cid in g.class_ids()]
+    smallest child ids, so extraction is deterministic.
 
-    changed = True
-    while changed:
-        changed = False
-        for cid, entries in classes:
-            for cost, key, children, kids, op in entries:
-                total = cost
-                for k in kids:
-                    b = best.get(k)
-                    if b is None:
-                        break
-                    total += b[0]
-                else:
-                    cur = best.get(cid)
-                    if cur is None or (total, key, children) < cur[:3]:
-                        best[cid] = (total, key, children, (op, children))
-                        changed = True
+    A worklist, as in Knuth's generalization of Dijkstra's algorithm (IPL
+    1977): a node's total is computed once its last child class is final,
+    and pushed on a heap ordered by (total, repr(op), children); the first
+    pop of a class is its cheapest node.  Every cost is at least 1, so a
+    class popped later has no smaller total, and the cheapest node of each
+    class is the unique minimum of that order.  It stops once `root` is
+    final, which every class of its term is by then."""
+    find, keys = g._parent.__getitem__, g._keys
+    root = find(root)
+    heap, users, waiting = [], {}, {}  # users: class -> nodes with a child in it
+    for (op, children), nid in g._hashcons.items():
+        if children:
+            waiting[nid] = len(children)
+            for c in children:
+                users.setdefault(find(c), []).append(nid)
+        else:
+            heap.append((node_cost(op, 0), repr(op), children, nid))
+    heapq.heapify(heap)
+    best = {}  # class -> (total, id of its cheapest node)
+    while heap and root not in best:
+        total, _, _, nid = heapq.heappop(heap)
+        cid = find(nid)
+        if cid in best:
+            continue
+        best[cid] = total, nid
+        for user in users.get(cid, ()):
+            waiting[user] -= 1
+            if not waiting[user]:
+                op, children = keys[user]
+                cost = node_cost(op, len(children))
+                for c in children:
+                    cost += best[find(c)][0]
+                heapq.heappush(heap, (cost, repr(op), children, user))
     if root not in best:
         raise NoFiniteCost(f"class {root} has no finite-cost term")
 
     memo = {}
 
     def build(cid):
-        cid = find(cid)
         if cid not in memo:
-            op, children = best[cid][3]
-            memo[cid] = (op, tuple(build(c) for c in children))
+            op, children = keys[best[cid][1]]
+            memo[cid] = (op, tuple(build(find(c)) for c in children))
         return memo[cid]
 
     return build(root)

@@ -784,16 +784,15 @@ class _Reader:
     def peek(self):
         return self.toks[self.pos] if not self.at_end() else None
 
-    def next(self, expected=()):
-        if self.at_end():
-            last = self.toks[-1] if self.toks else _Tok("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col, expected)
+    def next(self):
+        """The next token; `parse_program` and `read` call it only before
+        the end of input, where an early end is an unclosed '('."""
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def read(self, depth=1):
-        t = self.next(("expression",))
+        t = self.next()
         if t.text == "(":
             if depth > MAX_DEPTH:
                 raise ParseError(f"lists nest deeper than {MAX_DEPTH}", t.line, t.col)
@@ -936,6 +935,9 @@ def _parse_expr(node):
     return e
 
 
+_STATEMENTS = ("allocate", "store", "evaluate", "for")
+
+
 def _parse_stmt(node):
     items, tok = node
     if isinstance(items, _Tok) or not items:
@@ -955,8 +957,7 @@ def _parse_stmt(node):
                    tuple(_parse_stmt(s) for s in args[3:]))
     s = _read_term(Stmt, head, htok, args, "{head} takes {n} argument{s}, got {got}")
     if s is None:
-        _fail(htok, f"unknown statement {head!r}",
-              ("allocate", "store", "evaluate", "for"))
+        _fail(htok, f"unknown statement {head!r}", _STATEMENTS)
     return s
 
 
@@ -970,19 +971,22 @@ def parse_program(text):
             _fail(tok, f"expected a top-level form, got atom {items.text!r}")
         if not items:
             _fail(tok, "empty top-level form")
-        head, _ = _atom(items[0], "form")
+        head, htok = _atom(items[0], "form")
         if head == "param":
             if len(items) != 5:
-                _fail(tok, f"param takes 4 arguments, got {len(items) - 1}")
+                _fail(htok, f"param takes 4 arguments, got {len(items) - 1}")
             params.append(Param(_atom(items[1], "name")[0], _kind_atom(items[2]),
                                 _int_atom(items[3], "length"), _loc_atom(items[4])))
         elif head in ("amx-shape", "wmma-shape"):
             if len(items) != 4:
-                _fail(tok, f"{head} takes M K N, got {len(items) - 1} arguments")
+                _fail(htok, f"{head} takes M K N, got {len(items) - 1} arguments")
             shapes.append(ShapeDecl(head.split("-")[0], _int_atom(items[1], "M"),
                                     _int_atom(items[2], "K"), _int_atom(items[3], "N")))
-        else:
+        elif head in _STATEMENTS:
             body.append(_parse_stmt(node))
+        else:
+            _fail(htok, f"unknown form {head!r}",
+                  ("param", "amx-shape", "wmma-shape") + _STATEMENTS)
     return Program(tuple(params), tuple(body), tuple(shapes))
 
 

@@ -820,13 +820,13 @@ def _renderer(rule, match):
 def _sides(rule, match):
     """`rule`'s two sides at `match`, as IR: the left is the variable of its
     one `Bind` effect, expanded through the query's `Bind` atoms; the right
-    is what `rule.action`, run on a `_TermBuilder` with each query variable
-    bound to its term, unions with it, or the left when the two are equal."""
+    is what `rule.action`, run on a `_TermBuilder` with a row of each query
+    variable's term, unions with it, or the left when the two are equal."""
     term = _renderer(rule, match)
     (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
     lhs = term(PVar(bind.var))
     g = _TermBuilder()
-    rule.action(g, {v: term(PVar(v)) for v in rule.query._layout.names})
+    rule.action(g, tuple(term(PVar(v)) for v in rule.query.names))
     return decode_term(lhs), decode_term(g.unions[0][1] if g.unions else lhs)
 
 

@@ -24,6 +24,14 @@ def target_for(name):
     return "amx" if name.startswith("matmul") else "wmma"
 
 
+def matches(g, query):
+    """`ematch`'s rows of `query` (a `Query` or a tuple of atoms) on `g`, as
+    dicts from its variable names."""
+    from tensorsel.egraph import Query, ematch
+    query = query if isinstance(query, Query) else Query(query)
+    return [dict(zip(query.names, row)) for row in ematch(g, query)]
+
+
 @pytest.fixture(scope="session")
 def default_ruleset():
     from tensorsel import rules

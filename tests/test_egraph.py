@@ -17,7 +17,7 @@ from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, Calc, EGr
                               run_schedule)
 from tensorsel.selector import SelectionConfig, inject_data_movement
 
-from conftest import corpus_names, corpus_program, target_for
+from conftest import corpus_names, corpus_program, matches, target_for
 
 BUDGET = SelectionConfig().node_budget
 
@@ -98,15 +98,18 @@ def _mul_div_rules():
     # (x*2)/2 -> x*(2/2);   2/2 -> 1;   x*1 -> x
     V = PVar
 
-    def r1(g, env):
-        q = g.add(("div",), (env["two"], env["two2"]))
-        g.union(env["e"], g.add(("mul",), (env["x"], q)))
+    def r1(g, row):
+        e, two, two2, x = row
+        q = g.add(("div",), (two, two2))
+        g.union(e, g.add(("mul",), (x, q)))
 
-    def r2(g, env):
-        g.union(env["e"], g.add(("1",)))
+    def r2(g, row):
+        e, _ = row
+        g.union(e, g.add(("1",)))
 
-    def r3(g, env):
-        g.union(env["e"], env["x"])
+    def r3(g, row):
+        e, x = row
+        g.union(e, x)
 
     return [
         RuleDef("assoc", "axiomatic",
@@ -142,8 +145,8 @@ class TestEmatch:
         g = EGraph()
         v = leaf(g, "v")
         e = node(g, "bcast", v, g.add_int(1))
-        hits = ematch(g, (Bind("e", PNode(("bcast",),
-                                          (PVar("x"), PNode(("int", 1))))),))
+        hits = matches(g, (Bind("e", PNode(("bcast",),
+                                            (PVar("x"), PNode(("int", 1))))),))
         assert len(hits) == 1
         assert hits[0]["x"] == g.find(v)
 
@@ -158,7 +161,7 @@ class TestEmatch:
         fa = node(g, "f", a)
         g.union(a, b)
         g.rebuild()
-        hits = ematch(g, (Bind("e", PNode(("f",), (PNode(("b",)),))),))
+        hits = matches(g, (Bind("e", PNode(("f",), (PNode(("b",)),))),))
         assert [h["e"] for h in hits] == [g.find(fa)]
 
     def test_relation_join(self):
@@ -168,8 +171,8 @@ class TestEmatch:
         fa, fb = node(g, "f", a), node(g, "f", b)
         g.assert_fact("tagged", a)
         # the relation atom restricts the term match to tagged arguments
-        hits = ematch(g, (Bind("e", PNode(("f",), (PVar("x"),))),
-                          rel("tagged", PVar("x"))))
+        hits = matches(g, (Bind("e", PNode(("f",), (PVar("x"),))),
+                           rel("tagged", PVar("x"))))
         assert [h["e"] for h in hits] == [g.find(fa)]
 
     def test_guard_filters(self):
@@ -177,7 +180,7 @@ class TestEmatch:
         node(g, "f", g.add_int(3))
         node(g, "f", g.add_int(8))
         q = (Bind("e", PNode(("f",), (PVar("n"),))), Calc("<", (4, PVar("n"))))
-        hits = ematch(g, q)
+        hits = matches(g, q)
         assert len(hits) == 1 and g.class_int(hits[0]["n"]) == 8
 
     def test_guard_sees_exactly_earlier_bindings(self):
@@ -187,11 +190,11 @@ class TestEmatch:
         g.assert_fact("tagged", g.add_int(3), g.add_int(5))
         early = Calc("<", (PVar("x"), PVar("y")))
         atoms = (Bind("e", PNode(("f",), (PVar("x"),))), rel("tagged", PVar("x"), PVar("y")))
-        rule = RuleDef("early", "axiomatic", atoms + (early,), lambda g_, env: None)
-        assert [g.class_int(h["y"]) for h in ematch(g, rule.query)] == [5]
+        rule = RuleDef("early", "axiomatic", atoms + (early,), lambda g_, row: None)
+        assert [g.class_int(h["y"]) for h in matches(g, rule.query)] == [5]
         for query, var in ((atoms[:1] + (early,) + atoms[1:], "y"), ((early,) + atoms, "x")):
             with pytest.raises(TypeError, match=rf"^rule 'late': unbound variable \?{var}$"):
-                RuleDef("late", "axiomatic", query, lambda g_, env: None)
+                RuleDef("late", "axiomatic", query, lambda g_, row: None)
 
     @pytest.mark.parametrize("query, n_hits", [
         ((Bind("x", PVar("y")),), 3),  # neither bound: every class
@@ -203,22 +206,29 @@ class TestEmatch:
         g = EGraph()
         a, b = leaf(g, "a"), leaf(g, "b")
         node(g, "f", a)
-        hits = ematch(g, query)
+        hits = matches(g, query)
         assert hits == _ref_ematch(g, query) and len(hits) == n_hits
         assert all(h["x"] == h["y"] for h in hits)
         g.union(a, b)
-        assert ematch(g, query) == _ref_ematch(g, query) != []
+        assert matches(g, query) == _ref_ematch(g, query) != []
+
+    def test_rows_follow_the_sorted_names(self):
+        g = EGraph()
+        f = node(g, "f", g.add_int(3), leaf(g, "a"))
+        query = Query((Bind("z", PNode(("f",), (PVar("b"), PVar("m")))),))
+        assert query.names == ("b", "m", "z")
+        assert ematch(g, query) == [(g.add_int(3), g.add(("a",)), f)]
 
     def test_results_are_independent(self):
+        # rows are tuples, and each call returns a list of its own
         g = EGraph()
         node(g, "f", g.add_int(3))
         node(g, "f", g.add_int(8))
         hits = ematch(g, (Bind("e", PNode(("f",), (PVar("n"),))),))
-        assert len(hits) == 2
-        before = [dict(h) for h in hits]
-        hits[0]["n"] = -1
-        hits[0]["extra"] = 0
-        assert hits[1] == before[1]
+        assert len(hits) == 2 and all(type(h) is tuple for h in hits)
+        before = list(hits)
+        hits[0] = (-1, -1)
+        hits.append((0, 0))
         assert ematch(g, (Bind("e", PNode(("f",), (PVar("n"),))),)) == before
 
 
@@ -437,7 +447,7 @@ class TestIndexedMatching:
                 with pytest.raises(TypeError, match="unbound variable"):
                     ematch(g, query)
                 return
-            assert ematch(g, query) == _ref_ematch(g, query, seen)
+            assert matches(g, query) == _ref_ematch(g, query, seen)
 
         check()
         assert seen == {True, False}
@@ -445,8 +455,8 @@ class TestIndexedMatching:
     @settings(max_examples=300, deadline=None)
     @given(_graphs(), _queries.filter(_guards_bound))
     def test_rule_plan_equals_sorted_scan_reference(self, g, query):
-        rule = RuleDef("random", "axiomatic", query, lambda g_, env: None)
-        assert ematch(g, rule.query) == _ref_ematch(g, query)
+        rule = RuleDef("random", "axiomatic", query, lambda g_, row: None)
+        assert matches(g, rule.query) == _ref_ematch(g, query)
 
     @settings(max_examples=200, deadline=None)
     @given(_graphs())
@@ -464,8 +474,8 @@ class TestIndexedMatching:
         g.assert_fact("has-type", a, ty)
         g.union(a, b)
         assert g.find(a) == b
-        hits = ematch(g, (Bind("x", PNode(("a",))),
-                          rel("has-type", PVar("x"), PVar("t"))))
+        hits = matches(g, (Bind("x", PNode(("a",))),
+                           rel("has-type", PVar("x"), PVar("t"))))
         assert hits == [{"x": b, "t": ty}]
 
 
@@ -485,7 +495,7 @@ class TestPlansOnRules:
 
     def _check(self, g, rs):
         for rule in rs:
-            assert ematch(g, rule.query) == _ref_ematch(g, tuple(rule.query)), rule.name
+            assert matches(g, rule.query) == _ref_ematch(g, tuple(rule.query)), rule.name
 
     @pytest.mark.parametrize("name", ["matmul_standard", "conv1d_k8", "downsample2_1d"])
     def test_after_rebuild_and_mid_round(self, name):
@@ -494,8 +504,8 @@ class TestPlansOnRules:
         self._check(self._saturated(name, rs, SelectionConfig().iterations), rs)
         g = self._saturated(name, rs, 2)
         for rule in rs.by_category("axiomatic"):
-            for env in ematch(g, rule.query):
-                rule.action(g, env)
+            for row in ematch(g, rule.query):
+                rule.action(g, row)
             if g._merged:  # unions since the last rebuild
                 break
         assert g._merged
@@ -512,7 +522,7 @@ class TestRuleConstruction:
     def test_bad_atom_raises_naming_the_rule(self, atom, what):
         query = (Bind("e", PNode(("f",), (PVar("x"),))), atom)
         with pytest.raises(TypeError, match=f"^rule 'bad': {re.escape(what)}$"):
-            RuleDef("bad", "axiomatic", query, lambda g, env: None)
+            RuleDef("bad", "axiomatic", query, lambda g, row: None)
 
     @pytest.mark.parametrize("effect, what", [
         (Bind("e", PVar("y")), "unbound variable ?y"),
@@ -536,8 +546,8 @@ class TestRuleConstruction:
         g = EGraph()
         x = g.add_int(2)
         e = g.add(("f",), (x,))
-        for env in ematch(g, rule.query):
-            rule.action(g, env)
+        for row in ematch(g, rule.query):
+            rule.action(g, row)
         three = g.add_int(3)
         assert g.find(e) == g.find(g.add(("g",), (x, three)))
         assert g.facts["r"] == {(three,)}
@@ -545,7 +555,7 @@ class TestRuleConstruction:
 
     def test_query_compiles_once(self):
         query = (Bind("e", PNode(("f",), (PVar("x"),))),)
-        rule = RuleDef("f", "axiomatic", query, lambda g, env: None)
+        rule = RuleDef("f", "axiomatic", query, lambda g, row: None)
         assert rule.query == query and isinstance(rule.query, Query)
         assert replace(rule, name="g").query is rule.query
 
@@ -765,8 +775,9 @@ class TestSchedule:
         a = leaf(g, "a")
         g.assert_fact("seen", a)
 
-        def derive(g_, env):
-            g_.assert_fact("seen2", env["x"])
+        def derive(g_, row):
+            (x,) = row
+            g_.assert_fact("seen2", x)
 
         rule = RuleDef("derive", "supporting",
                        (Bind("x", PNode(("a",))),), derive)
@@ -778,9 +789,10 @@ class TestSchedule:
         g = EGraph()
         a = leaf(g, "a")
 
-        def grow(g_, env):
-            g_.add(("f",), (env["x"],))
-            g_.add(("g",), (env["x"],))
+        def grow(g_, row):
+            _, x = row  # ?v and ?x, one class
+            g_.add(("f",), (x,))
+            g_.add(("g",), (x,))
 
         # every class spawns two fresh wrappers each round: 3^n growth
         rule = RuleDef("grow", "axiomatic", (Bind("x", PVar("v")),), grow)
@@ -792,8 +804,9 @@ class TestSchedule:
         g = EGraph()
         node(g, "f", leaf(g, "a"))
 
-        def wrap(g_, env):  # one class more per round: never a fixpoint
-            g_.add(("f",), (env["x"],))
+        def wrap(g_, row):  # one class more per round: never a fixpoint
+            x, _ = row
+            g_.add(("f",), (x,))
 
         rule = RuleDef("wrap", "supporting",
                        (Bind("x", PNode(("f",), (PVar("y"),))),), wrap)
@@ -809,12 +822,12 @@ def _naive_schedule(g, rules_, iterations, node_budget):
     rounds = [r for cat in CATEGORY_ORDER for r in rules_ if r.category == cat]
 
     def apply(rule):
-        matches = ematch(g, rule.query)
+        rows = ematch(g, rule.query)
         report.matches[rule.category] = (
-            report.matches.get(rule.category, 0) + len(matches))
+            report.matches.get(rule.category, 0) + len(rows))
         before = g.version
-        for env in matches:
-            rule.action(g, env)
+        for row in rows:
+            rule.action(g, row)
         if g.version != before:
             report.applications[rule.category] = (
                 report.applications.get(rule.category, 0) + 1)
@@ -855,8 +868,8 @@ def _schedule_outcome(schedule, g, rules_, iterations, budget):
 
 def _action(kind):
     """An action that reads only its matched classes and repeats nothing."""
-    def act(g, env):
-        ids = [env[v] for v in sorted(env)]
+    def act(g, row):
+        ids = list(row)  # one class per variable, by sorted name
         if not ids:
             return
         if kind == "wrap":
@@ -898,12 +911,13 @@ _CALC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "//": operator.floordiv, "==": operator.eq}
 
 
-def _interpreted(rhs):
-    """An action that walks the right-hand side `rhs` with plain `g.add`,
-    `g.union` and `g.assert_fact`: each template's children first, left to
-    right, a `Let` before the effects after it, and an `If` on its `Calc`."""
-    def act(g, env):
-        env = dict(env)
+def _interpreted(rhs, names):
+    """An action that walks the right-hand side `rhs`, for the rows of a
+    query whose variables are `names`, with plain `g.add`, `g.union` and
+    `g.assert_fact`: each template's children first, left to right, a `Let`
+    before the effects after it, and an `If` on its `Calc`."""
+    def act(g, row):
+        env = dict(zip(names, row))
 
         def calc(c):
             if isinstance(c, int):
@@ -948,7 +962,7 @@ class TestCompiledRhs:
         for rule in rs:
             rule = copy.copy(rule)
             if rule.rhs:
-                rule.action = _interpreted(rule.rhs)
+                rule.action = _interpreted(rule.rhs, rule.query.names)
             interpreted.append(rule)
         for g in _statement_graphs(name):
             for iters in (SelectionConfig().iterations, 25):  # 25: past every fixpoint
@@ -980,10 +994,11 @@ class TestStampedSchedule:
     def test_action_is_called_again_once_a_union_grew_its_class(self):
         # `merge` gives a's class the int 3 after `label` first saw it
         # without one; the match is the same tuple, its class is not
-        def label(g_, env):
-            n = g_.class_int(env["x"])
+        def label(g_, row):
+            e, x = row
+            n = g_.class_int(x)
             if n is not None:
-                g_.assert_fact("labelled", env["e"], g_.add_int(n))
+                g_.assert_fact("labelled", e, g_.add_int(n))
 
         g = EGraph()
         node(g, "f", leaf(g, "a"))
@@ -1000,8 +1015,9 @@ class TestStampedSchedule:
         # `build` nests f(a) in g(.); `merge` then merges f(a)'s class into
         # the older b, so until the rebuild g(f(a))'s key names a stale id and
         # `build` called again adds a second g node: not a repeat to skip
-        def build(g_, env):
-            g_.add(("g",), (g_.add(("f",), (env["e"],)),))
+        def build(g_, row):
+            (e,) = row
+            g_.add(("g",), (g_.add(("f",), (e,)),))
 
         g = EGraph()
         leaf(g, "a")
@@ -1050,9 +1066,9 @@ class TestStampedSchedule:
         g = EGraph()
         leaf(g, "a")
         mark = RuleDef("mark", "axiomatic", (Bind("x", PNode(("a",))),),
-                       lambda g_, env: g_.assert_fact("seen", env["x"]))
+                       lambda g_, row: g_.assert_fact("seen", row[0]))
         seen = RuleDef("seen", "axiomatic", (rel("seen", PVar("x")),),
-                       lambda g_, env: None)
+                       lambda g_, row: None)
         names = {id(mark.query): "mark", id(seen.query): "seen"}
         rep = run_schedule(g, [mark, seen], iterations=3, node_budget=BUDGET)
         assert calls == ["mark", "seen"]
@@ -1078,11 +1094,11 @@ class TestGeneratedPlans:
         query = (Bind("e", pat), rel("r", PVar("x")), Calc("<", (0, PVar("x"))),
                  Bind("e", PNode(("f",), (PVar("d"),))), rel("r", PVar("y")))
         assert "part1(" in egraph._source(Query(query)._layout.structure)
-        hits = ematch(g, query)
+        hits = matches(g, query)
         assert hits == _ref_ematch(g, query) and hits
         g.union(chain[0], leaf(g, "b"))  # mid-round: stale ids until rebuild
         g.union(chain[24], chain[25])
-        assert ematch(g, query) == _ref_ematch(g, query)
+        assert matches(g, query) == _ref_ematch(g, query)
 
     def test_constants_stay_out_of_the_source(self):
         op = ("it's", 'a "q"\nb\\', 1)
@@ -1093,7 +1109,7 @@ class TestGeneratedPlans:
         query = (Bind("x", PNode(op)), rel(name, PVar("x"), PVar(var)))
         source = egraph._source(Query(query)._layout.structure)
         assert "it's" not in source and "\\n" not in source
-        assert ematch(g, query) == _ref_ematch(g, query) == [{"x": x, var: x}]
+        assert matches(g, query) == _ref_ematch(g, query) == [{"x": x, var: x}]
 
     def test_code_is_built_on_first_match_and_shared(self, monkeypatch):
         monkeypatch.setattr(egraph, "_CODE", {})
@@ -1160,6 +1176,55 @@ def _brute_force_min(g, root, max_depth=8):
     return best.get(g.find(root))
 
 
+def _ref_extract(g, root):
+    """The sweep extraction: every class's sorted nodes, swept until no
+    class finds a smaller (total, repr(op), children), then built down from
+    `root`."""
+    find = g.find
+    root = find(root)
+    best = {}  # class -> (total, op tiebreak key, children, node)
+    classes = [(cid, [(node_cost(op, len(children)), repr(op), children,
+                       tuple(map(find, children)), op)
+                      for op, children in g.class_nodes(cid)])
+               for cid in g.class_ids()]
+    changed = True
+    while changed:
+        changed = False
+        for cid, entries in classes:
+            for cost, key, children, kids, op in entries:
+                total = cost
+                for k in kids:
+                    b = best.get(k)
+                    if b is None:
+                        break
+                    total += b[0]
+                else:
+                    cur = best.get(cid)
+                    if cur is None or (total, key, children) < cur[:3]:
+                        best[cid] = (total, key, children, (op, children))
+                        changed = True
+    if root not in best:
+        raise NoFiniteCost(f"class {root} has no finite-cost term")
+
+    def build(cid):
+        op, children = best[find(cid)][3]
+        return op, tuple(build(c) for c in children)
+
+    return build(root)
+
+
+def _tied_graphs():
+    """Random graphs of few ops, leaves and unions, so that a class holds
+    many members of one cost, and its cheapest terms tie on the total and
+    often on the operator too."""
+    ops = st.sampled_from([("f",), ("g",), ("call", "fn"), ("l2l", "amx", "mem")])
+    return st.tuples(
+        st.lists(st.tuples(ops, st.lists(st.integers(0, 99), max_size=3)),
+                 min_size=1, max_size=40),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=12),
+        st.booleans())
+
+
 def _term_cost(term):
     op, kids = term
     return node_cost(op, len(kids)) + sum(_term_cost(k) for k in kids)
@@ -1184,17 +1249,45 @@ class TestExtraction:
 
     def test_no_finite_cost(self):
         # bottom-up insertion can never build a leafless cycle, so force one
-        # white-box: a class whose only node points at itself
+        # white-box: drop the leaf of {a, f(.)} as a rebuild drops a node
+        # whose congruent twin stays, leaving one node that points at itself
         g = EGraph()
         a = leaf(g, "a")
         f = node(g, "f", a)
         g.union(a, f)
         g.rebuild()
         root = g.find(f)
-        nodes = g.class_nodes
-        g.class_nodes = lambda cid: [n for n in nodes(cid) if n[0] != ("a",)]
-        with pytest.raises(NoFiniteCost):
-            extract_best(g, root)
+        del g._hashcons[g._keys[a]]
+        g._keys[a] = None
+        assert g.class_nodes(root) == [(("f",), (root,))]
+        for extract in (extract_best, _ref_extract):
+            with pytest.raises(NoFiniteCost):
+                extract(g, root)
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_equals_the_sweep_on_saturated_corpus_graphs(self, name):
+        rs = rules.build_default_ruleset().for_target(target_for(name))
+        for g in _statement_graphs(name):
+            run_schedule(g, rs, SelectionConfig().iterations, BUDGET)
+            for cid in g.class_ids():
+                assert extract_best(g, cid) == _ref_extract(g, cid), (name, cid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_graphs())
+    def test_equals_the_sweep_on_tied_random_graphs(self, drawn):
+        nodes, unions, rebuild = drawn
+        g = EGraph()
+        for name in ("a", "b"):
+            leaf(g, name)
+        for op, kids in nodes:
+            node_id = len(g._parent)
+            g.add(op, tuple(k % node_id for k in kids))
+        for a, b in unions:
+            g.union(a % len(g._parent), b % len(g._parent))
+        if rebuild:
+            g.rebuild()
+        for cid in g.class_ids():
+            assert extract_best(g, cid) == _ref_extract(g, cid)
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(13)

@@ -14,6 +14,8 @@ import pytest
 from tensorsel import ir
 from tensorsel.egraph import Bind, EGraph, PNode, Rel, ematch
 
+from conftest import matches
+
 TRIALS = 120  # per guard
 
 
@@ -216,7 +218,7 @@ class TestFoldGuards:
                     for k, v in (a, b)]
             e = g.add(("bop", sym), tuple(kids))
             want = _fold_reference(sym, a, b)
-            assert [h["e"] for h in ematch(g, rule.query)] == ([e] if want else []), (a, b)
+            assert [h["e"] for h in matches(g, rule.query)] == ([e] if want else []), (a, b)
             seen.add(want)
         assert seen == {True, False}
 
@@ -236,7 +238,7 @@ class TestZeroGuards:
         z = g.add(("imm", *imm))
         e = g.add(("l2l", "mem", target), (g.add(("bcast",), (z, g.add_int(8))),))
         g.assert_fact(f"{target}-shape", g.add_int(2), g.add_int(4), g.add_int(4))
-        assert [h["e"] for h in ematch(g, rule.query)] == ([e] if accepted else [])
+        assert [h["e"] for h in matches(g, rule.query)] == ([e] if accepted else [])
 
 
 def _matmul_graph(target, built_for, shapes):
@@ -278,7 +280,7 @@ class TestMatmulTileGuards:
         rule = default_ruleset.named(name)
         for built_for in self.SHAPES:
             g, e = _matmul_graph(target, built_for, self.SHAPES)
-            hits = ematch(g, rule.query)
+            hits = matches(g, rule.query)
             assert {h["e"] for h in hits} == {e}
             assert {tuple(g.class_int(h[v]) for v in "mkn") for h in hits} == {built_for}
 

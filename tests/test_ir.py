@@ -613,21 +613,24 @@ class TestReaderErrors:
          "1:41: expected expression, got atom 'i'", (1, 41), ()),
         # any statement
         ("(frob x)",
-         "1:2: unknown statement 'frob' (expected allocate, store, evaluate, for)", (1, 2),
-         ("allocate", "store", "evaluate", "for")),
+         "1:2: unknown form 'frob' (expected param, amx-shape, wmma-shape, allocate, "
+         "store, evaluate, for)", (1, 2),
+         ("param", "amx-shape", "wmma-shape", "allocate", "store", "evaluate", "for")),
         ("(add (var x) (var x))",
-         "1:2: unknown statement 'add' (expected allocate, store, evaluate, for)", (1, 2),
-         ("allocate", "store", "evaluate", "for")),
+         "1:2: unknown form 'add' (expected param, amx-shape, wmma-shape, allocate, "
+         "store, evaluate, for)", (1, 2),
+         ("param", "amx-shape", "wmma-shape", "allocate", "store", "evaluate", "for")),
         ("((store) o (var i) (var x))",
          "1:2: expected form, got a list (expected form)", (1, 2), ("form",)),
         ("(Store o (var i) (var x))",
-         "1:2: unknown statement 'Store' (expected allocate, store, evaluate, for)", (1, 2),
-         ("allocate", "store", "evaluate", "for")),
+         "1:2: unknown form 'Store' (expected param, amx-shape, wmma-shape, allocate, "
+         "store, evaluate, for)", (1, 2),
+         ("param", "amx-shape", "wmma-shape", "allocate", "store", "evaluate", "for")),
         # param
         ("(param x f32 4)",
-         "1:1: param takes 4 arguments, got 3", (1, 1), ()),
+         "1:2: param takes 4 arguments, got 3", (1, 2), ()),
         ("(param x f32 4 mem amx)",
-         "1:1: param takes 4 arguments, got 5", (1, 1), ()),
+         "1:2: param takes 4 arguments, got 5", (1, 2), ()),
         ("(param (x) f32 4 mem)",
          "1:8: expected name, got a list (expected name)", (1, 8), ("name",)),
         ("(param x (f32) 4 mem)",
@@ -646,9 +649,9 @@ class TestReaderErrors:
          "1:16: unknown location 'gpu' (expected mem, amx, wmma)", (1, 16), ("mem", "amx", "wmma")),
         # amx-shape, wmma-shape
         ("(amx-shape 16 32)",
-         "1:1: amx-shape takes M K N, got 2 arguments", (1, 1), ()),
+         "1:2: amx-shape takes M K N, got 2 arguments", (1, 2), ()),
         ("(wmma-shape 16 16 16 16)",
-         "1:1: wmma-shape takes M K N, got 4 arguments", (1, 1), ()),
+         "1:2: wmma-shape takes M K N, got 4 arguments", (1, 2), ()),
         ("(amx-shape (16) 32 16)",
          "1:12: expected M, got a list (expected M)", (1, 12), ("M",)),
         ("(wmma-shape 16 k 16)",
@@ -656,8 +659,9 @@ class TestReaderErrors:
         ("(amx-shape 16 32 16.0)",
          "1:18: expected N, got '16.0' (expected N)", (1, 18), ("N",)),
         ("(tpu-shape 16 16 16)",
-         "1:2: unknown statement 'tpu-shape' (expected allocate, store, evaluate, for)", (1, 2),
-         ("allocate", "store", "evaluate", "for")),
+         "1:2: unknown form 'tpu-shape' (expected param, amx-shape, wmma-shape, allocate, "
+         "store, evaluate, for)", (1, 2),
+         ("param", "amx-shape", "wmma-shape", "allocate", "store", "evaluate", "for")),
         # any top-level form; an early end of input is an unclosed '('
         ("((param) x f32 4 mem)",
          "1:2: expected form, got a list (expected form)", (1, 2), ("form",)),

@@ -12,7 +12,7 @@ from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
 import test_ir
-from conftest import corpus_program
+from conftest import corpus_program, matches
 
 
 BUDGET = SelectionConfig().node_budget
@@ -110,8 +110,8 @@ class TestInstances:
         snapshot = {cid: g.find(cid) for cid in range(len(g._parent))}
         before_facts = sum(len(v) for v in g.facts.values())
         for rule in default_ruleset.by_category("application"):
-            for env in ematch(g, rule.query):
-                rule.action(g, env)
+            for row in ematch(g, rule.query):
+                rule.action(g, row)
         assert any(g.facts.get(n) for n in ("amx-a-tile", "amx-b-tile"))
         for cid, rep in snapshot.items():
             assert g.find(cid) == g.find(rep)
@@ -127,9 +127,9 @@ class TestInstances:
             "out", idx, ir.LocToLoc("amx", "mem", ir.Var("t"))))
         rules.seed_facts(g, {}, [ir.ShapeDecl("amx", 2, 2, 4)])
         rule = default_ruleset.named("tile-store-2axis")
-        envs = ematch(g, rule.query)
-        assert [env["sstr"] for env in envs] == [stride]
-        rule.action(g, envs[0])
+        rows = ematch(g, rule.query)
+        assert [env["sstr"] for env in matches(g, rule.query)] == [stride]
+        rule.action(g, rows[0])
         (ev,) = [ch for op, ch in g.class_nodes(st) if op == ("evaluate",)]
         (call,) = [ch for op, ch in g.class_nodes(ev[0]) if op == ("call", "tile_store")]
         assert call[2] == stride
@@ -219,7 +219,7 @@ class TestHasTypeAtoms:
             assert ematch(g, rule.query) == []
             # asserted after the structure is already in the graph
             g.assert_fact("has-type", typed, rules.mk_type(g, *ty))
-            hits = ematch(g, rule.query)
+            hits = matches(g, rule.query)
             assert [h["e"] for h in hits] == ([root] if ty == good else []), ty
 
 
@@ -286,10 +286,10 @@ class TestSoundness:
                 for atom in rule.query:
                     if isinstance(atom, Rel) and atom.name != "has-type":
                         g.assert_fact(atom.name, *(cls(term(t)) for t in atom.terms))
-                want = {v: cls(term(PVar(v))) for v in rule.query._layout.names}
+                want = {v: cls(term(PVar(v))) for v in rule.query.names}
                 assert set(draw.match) <= set(want), rule.name
                 run_schedule(g, supporting, 1, BUDGET)
-                assert want in ematch(g, rule.query), (rule.name, draw.match)
+                assert want in matches(g, rule.query), (rule.name, draw.match)
 
     def test_signed_zero_is_a_counterexample(self):
         # the bytes differ although no lane compares unequal

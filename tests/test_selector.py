@@ -379,8 +379,8 @@ class TestRulesOffTheCorpus:
         rs = rules.build_default_ruleset()
         fired = set()
         for rule in rs:
-            rule.action = (lambda act, name: lambda g, env: (
-                fired.add(name), act(g, env)))(rule.action, rule.name)
+            rule.action = (lambda act, name: lambda g, row: (
+                fired.add(name), act(g, row)))(rule.action, rule.name)
         low, rep = select_program(prog, SelectionConfig(target=target), ruleset=rs)
         difftest(prog, low, range(3))
         return rep, fired
