@@ -1280,8 +1280,8 @@ class TestExtraction:
         for name in ("a", "b"):
             leaf(g, name)
         for op, kids in nodes:
-            node_id = len(g._parent)
-            g.add(op, tuple(k % node_id for k in kids))
+            n = len(g._parent)
+            g.add(op, tuple(k % n for k in kids))
         for a, b in unions:
             g.union(a % len(g._parent), b % len(g._parent))
         if rebuild:
