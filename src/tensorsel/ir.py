@@ -12,8 +12,11 @@ lane (codegen would realize it by prepending one zero lane to the source).
 
 Every static fact about an intrinsic -- argument roles, where its operands
 and result live, its result kind and lane count -- is one `INTRINSICS`
-record.  `lanes_of` checks each Call against its record, so intrinsic calls
-are typed like every other node; `interp` holds only what they compute.
+record.  One bottom-up walk types a tree: each node's rule reads its own
+fields and its children's kinds and lanes, and a Call's rule checks it
+against its record, so intrinsic calls are typed like every other node.
+`type_of`, `lanes_of` and `validate_program` all read that walk; `interp`
+holds only what calls compute.
 
 `TERMS` gives each encoded node its e-graph head and its fields with their
 roles; `SPELLING`, beside it, gives its surface head word and field labels.
@@ -135,15 +138,12 @@ class Broadcast(Expr):
 class VectorReduceAdd(Expr):
     """Sums contiguous groups of the operand down to `result_lanes` lanes.
 
-    The integer argument is the number of RESULT lanes; the group width is
-    the derived `reduction_factor`.
+    The integer argument is the number of RESULT lanes; each group is the
+    operand's lanes divided by it.
     """
 
     result_lanes: int
     operand: Expr
-
-    def reduction_factor(self):
-        return lanes_of(self.operand) // self.result_lanes
 
 
 @dataclass(frozen=True)
@@ -357,11 +357,33 @@ def _signature(call, path):
     return sig
 
 
-def _call_lanes(call, path):
-    """Lane count of an intrinsic call, checking it against its signature."""
-    sig = _signature(call, path)
-    lanes = []
-    for i, (a, role) in enumerate(zip(call.args, sig.roles)):
+def _call_type(call, kids, buffers, path):
+    """The (kind, lanes) of an intrinsic call, checked against its record;
+    `kids` are its arguments' pairs."""
+    try:
+        sig = _signature(call, path)
+    except LaneMismatch as err:
+        return err, err
+    try:
+        lanes = _call_lanes(call, sig, [n for _, n in kids], path)
+    except IRError as err:
+        lanes = err
+    if isinstance(sig.kind, str):
+        return sig.kind, lanes
+    arg = call.args[sig.kind]
+    if sig.roles[sig.kind] != "buffer" or not isinstance(arg, Var):
+        return kids[sig.kind][0], lanes
+    if buffers is None:
+        return IRError(f"the kind of {call.name} needs a buffer table", path), lanes
+    if arg.name not in buffers:
+        return UnknownBuffer(arg.name), lanes
+    return buffers[arg.name][0], lanes
+
+
+def _call_lanes(call, sig, lanes, path):
+    """Lane count of an intrinsic call whose arguments have `lanes`; raises
+    the first of its arguments' errors and its own."""
+    for i, (a, role, n) in enumerate(zip(call.args, sig.roles, lanes)):
         if role == "buffer" and not isinstance(a, (Var, ExprVar)):
             raise LaneMismatch(f"{call.name} argument {i} must name a buffer, "
                                f"got {print_expr(a)}", path)
@@ -369,7 +391,8 @@ def _call_lanes(call, path):
                                   and int(a.value) >= 1):
             raise LaneMismatch(f"{call.name} argument {i} must be an i32 "
                                f"immediate >= 1, got {print_expr(a)}", path)
-        lanes.append(lanes_of(a, f"{path}.args[{i}]"))
+        if isinstance(n, IRError):
+            raise n
     if sig.lanes == "spec":
         spec = shuffle_spec(call, path)
         return layout.matrix_rows(spec) * spec.k
@@ -412,107 +435,108 @@ def shuffle_spec(call, path="e"):
 
 
 # ---------------------------------------------------------------------------
-# lane and kind analysis
+# typing: one bottom-up walk
+
+
+def _first_error(*halves):
+    return next((h for h in halves if isinstance(h, IRError)), None)
+
+
+def _typed(e, buffers, path, types=None):
+    """The (kind, lanes) pair of `e`, its children typed first.  A half that
+    some rule in the subtree rejects is instead the first such error, and
+    the walk goes on past it, so every node is typed; `types`, when given,
+    maps the id of each node to its pair."""
+    kids = []
+    for name, role in _CHILD_FIELDS.get(e.__class__, ()):
+        v = getattr(e, name)
+        if role == "expr":
+            kids.append(_typed(v, buffers, f"{path}.{name}", types))
+        elif role == "exprs":
+            kids += [_typed(a, buffers, f"{path}.{name}[{i}]", types)
+                     for i, a in enumerate(v)]
+    t = _node_type(e, kids, buffers, path)
+    if types is not None:
+        types[id(e)] = t
+    return t
+
+
+def _node_type(e, kids, buffers, path):
+    """The typing rule of `e`'s class over its children's pairs `kids`.  A
+    lane error in a child wins over the node's own, except for a Broadcast's
+    copy count, which is checked first."""
+    cls = e.__class__
+    if cls is Imm:
+        return e.kind, 1
+    if cls is Var:
+        return "i32", 1
+    if cls is Call:
+        return _call_type(e, kids, buffers, path)
+    if not isinstance(e, Expr) or not kids:  # every other class has a child
+        err = IRError(f"not an Expr: {e!r}", path)
+        return err, err
+    (kind, n), *rest = kids
+    bad = _first_error(*(m for _, m in kids))
+    if cls is Load or cls is Cast:
+        if not isinstance(kind, IRError):
+            kind = (UnknownBuffer(e.buffer) if cls is Load and buffers is not None
+                    and e.buffer not in buffers else e.vtype.kind)
+        if bad is None and n != e.vtype.lanes:
+            bad = LaneMismatch(f"load of {e.vtype.lanes} lanes with {n}-lane index"
+                               if cls is Load else
+                               f"cast to {e.vtype.lanes} lanes of {n}-lane operand", path)
+        return kind, bad or n
+    if cls is Bop:
+        (kr, nr), = rest
+        kind = _first_error(kind, kr) or (
+            KindMismatch(f"{e.op} over {kind} and {kr}", path) if kind != kr else kind)
+        if bad is None and n != nr:
+            bad = LaneMismatch(f"{e.op} over {n} vs {nr} lanes", path)
+        return kind, bad or n
+    if cls is Ramp:
+        (_, ns), = rest  # the stride's kind is not read
+        if bad is None and n != ns:
+            bad = LaneMismatch(f"ramp base {n} lanes, stride {ns}", path)
+        if bad is None and e.steps < 1:
+            bad = LaneMismatch("ramp needs >= 1 step", path)
+        return kind, bad or e.steps * n
+    if cls is Broadcast:
+        if e.copies < 1:
+            bad = LaneMismatch("broadcast needs >= 1 copy", path)
+        return kind, bad or e.copies * n
+    if cls is VectorReduceAdd:
+        if bad is None and (e.result_lanes < 1 or n % e.result_lanes):
+            bad = LaneMismatch(f"cannot reduce {n} lanes to {e.result_lanes}", path)
+        return kind, bad or e.result_lanes
+    if cls is Shuffle and bad is None:
+        out = [i for i in e.indices if i != -1 and not 0 <= i < n]
+        if out:
+            bad = LaneMismatch(f"shuffle index {out[0]} out of [0,{n})", path)
+        elif not e.indices:
+            bad = LaneMismatch("empty shuffle", path)
+        n = len(e.indices)
+    return kind, bad or n  # LocToLoc, ExprVar and Shuffle keep the kind
 
 
 def lanes_of(e, path="e"):
     """Lane count of `e`, raising LaneMismatch (with a node path) on any
     violation of the lane constraints."""
-    if isinstance(e, (Imm, Var)):
-        return 1
-    if isinstance(e, Load):
-        n = lanes_of(e.index, path + ".index")
-        if n != e.vtype.lanes:
-            raise LaneMismatch(
-                f"load of {e.vtype.lanes} lanes with {n}-lane index", path)
-        return n
-    if isinstance(e, Cast):
-        n = lanes_of(e.operand, path + ".operand")
-        if n != e.vtype.lanes:
-            raise LaneMismatch(
-                f"cast to {e.vtype.lanes} lanes of {n}-lane operand", path)
-        return n
-    if isinstance(e, Bop):
-        nl = lanes_of(e.lhs, path + ".lhs")
-        nr = lanes_of(e.rhs, path + ".rhs")
-        if nl != nr:
-            raise LaneMismatch(f"{e.op} over {nl} vs {nr} lanes", path)
-        return nl
-    if isinstance(e, Ramp):
-        nb = lanes_of(e.base, path + ".base")
-        ns = lanes_of(e.stride, path + ".stride")
-        if nb != ns:
-            raise LaneMismatch(f"ramp base {nb} lanes, stride {ns}", path)
-        if e.steps < 1:
-            raise LaneMismatch("ramp needs >= 1 step", path)
-        return e.steps * nb
-    if isinstance(e, Broadcast):
-        if e.copies < 1:
-            raise LaneMismatch("broadcast needs >= 1 copy", path)
-        return e.copies * lanes_of(e.operand, path + ".operand")
-    if isinstance(e, VectorReduceAdd):
-        n = lanes_of(e.operand, path + ".operand")
-        if e.result_lanes < 1 or n % e.result_lanes != 0:
-            raise LaneMismatch(
-                f"cannot reduce {n} lanes to {e.result_lanes}", path)
-        return e.result_lanes
-    if isinstance(e, (LocToLoc, ExprVar)):
-        return lanes_of(e.operand, path + ".operand")
-    if isinstance(e, Shuffle):
-        src = lanes_of(e.source, path + ".source")
-        for i in e.indices:
-            if i != -1 and not (0 <= i < src):
-                raise LaneMismatch(f"shuffle index {i} out of [0,{src})", path)
-        if not e.indices:
-            raise LaneMismatch("empty shuffle", path)
-        return len(e.indices)
-    if isinstance(e, Call):
-        return _call_lanes(e, path)
-    raise IRError(f"not an Expr: {e!r}", path)
+    lanes = _typed(e, None, path)[1]
+    if isinstance(lanes, IRError):
+        raise lanes
+    return lanes
 
 
 def type_of(e, buffers=None, path="e"):
     """Vector type of `e`.  With a declaration table (`buffers`: name ->
-    (kind, length, location)), also checks that loads reference declared
-    buffers."""
-    lanes = lanes_of(e, path)
-    return VecType(_kind_of(e, buffers, path), lanes)
-
-
-def _kind_of(e, buffers, path):
-    if isinstance(e, Imm):
-        return e.kind
-    if isinstance(e, Var):
-        return "i32"
-    if isinstance(e, (Load, Cast)):
-        if isinstance(e, Load) and buffers is not None and e.buffer not in buffers:
-            raise UnknownBuffer(e.buffer)
-        return e.vtype.kind
-    if isinstance(e, Bop):
-        kl = _kind_of(e.lhs, buffers, path + ".lhs")
-        kr = _kind_of(e.rhs, buffers, path + ".rhs")
-        if kl != kr:
-            raise KindMismatch(f"{e.op} over {kl} and {kr}", path)
-        return kl
-    if isinstance(e, Ramp):
-        return _kind_of(e.base, buffers, path + ".base")
-    if isinstance(e, (Broadcast, VectorReduceAdd, LocToLoc, ExprVar)):
-        return _kind_of(e.operand, buffers, path + ".operand")
-    if isinstance(e, Shuffle):
-        return _kind_of(e.source, buffers, path + ".source")
-    if isinstance(e, Call):
-        sig = _signature(e, path)
-        if isinstance(sig.kind, str):
-            return sig.kind
-        arg = e.args[sig.kind]
-        if sig.roles[sig.kind] != "buffer" or not isinstance(arg, Var):
-            return _kind_of(arg, buffers, f"{path}.args[{sig.kind}]")
-        if buffers is None:
-            raise IRError(f"the kind of {e.name} needs a buffer table", path)
-        if arg.name not in buffers:
-            raise UnknownBuffer(arg.name)
-        return buffers[arg.name][0]
-    raise IRError(f"not an Expr: {e!r}", path)
+    (kind, length, location)), also checks that loads and buffer-kinded
+    calls reference declared buffers.  A lane error anywhere is raised
+    before a kind error."""
+    kind, lanes = _typed(e, buffers, path)
+    err = _first_error(lanes, kind)
+    if err is not None:
+        raise err
+    return VecType(kind, lanes)
 
 
 def walk_exprs(e):
@@ -605,6 +629,11 @@ def buffer_table(p):
     return byname
 
 
+def _not_i32(kind):
+    """Whether `kind`, a kind or a typing error, is a kind other than i32."""
+    return isinstance(kind, str) and kind != "i32"
+
+
 def validate_program(p):
     """Full-program scan; collects every violation instead of aborting."""
     rep = ValidationReport()
@@ -636,21 +665,22 @@ def validate_program(p):
             buffers[s.name] = (s.kind, s.length, s.location)
 
     def check_expr(e, path, bound):
-        try:
-            type_of(e, buffers, path)
-        except IRError as err:
+        """Reports the errors in `e`; returns its (kind, lanes)."""
+        types = {}
+        kind, lanes = _typed(e, buffers, path, types)
+        err = _first_error(lanes, kind)
+        if err is not None:
             rep.errors.append((err.path or path, err.msg))
+        # an undeclared buffer that typing reported is not reported again
+        told = err.name if isinstance(err, UnknownBuffer) else None
         for sub in walk_exprs(e):
             if isinstance(sub, Load):
-                if sub.buffer not in buffers:
+                if sub.buffer == told:
+                    told = None
+                elif sub.buffer not in buffers:
                     rep.errors.append((path, str(UnknownBuffer(sub.buffer))))
-                else:
-                    try:
-                        if _kind_of(sub.index, buffers, path) != "i32":
-                            rep.errors.append(
-                                (path, f"load index into {sub.buffer!r} is not i32"))
-                    except IRError:
-                        pass
+                elif _not_i32(types[id(sub.index)][0]):
+                    rep.errors.append((path, f"load index into {sub.buffer!r} is not i32"))
             if isinstance(sub, Var) and sub.name not in bound and sub.name not in buffers:
                 rep.errors.append((path, f"unbound variable {sub.name!r}"))
             if isinstance(sub, LocToLoc) and sub.src == sub.dst:
@@ -662,6 +692,7 @@ def validate_program(p):
             if isinstance(sub, Imm) and sub.kind == "i32":
                 if not I32_MIN <= int(sub.value) <= I32_MAX:
                     rep.errors.append((path, f"i32 immediate {sub.value} overflows"))
+        return kind, lanes
 
     def check_stmts(body, path, bound):
         for i, s in enumerate(body):
@@ -669,20 +700,12 @@ def validate_program(p):
             if isinstance(s, Store):
                 if s.buffer not in buffers:
                     rep.errors.append((sp, str(UnknownBuffer(s.buffer))))
-                check_expr(s.index, sp + ".index", bound)
-                check_expr(s.value, sp + ".value", bound)
-                try:
-                    li, lv = lanes_of(s.index), lanes_of(s.value)
-                    if li != lv:
-                        rep.errors.append(
-                            (sp, f"store index has {li} lanes, value {lv}"))
-                except LaneMismatch:
-                    pass
-                try:
-                    if _kind_of(s.index, buffers, sp) != "i32":
-                        rep.errors.append((sp, "store index is not i32"))
-                except IRError:
-                    pass
+                ki, li = check_expr(s.index, sp + ".index", bound)
+                lv = check_expr(s.value, sp + ".value", bound)[1]
+                if _first_error(li, lv) is None and li != lv:
+                    rep.errors.append((sp, f"store index has {li} lanes, value {lv}"))
+                if _not_i32(ki):
+                    rep.errors.append((sp, "store index is not i32"))
             elif isinstance(s, Evaluate):
                 check_expr(s.value, sp + ".value", bound)
             elif isinstance(s, For):

@@ -11,7 +11,7 @@ import numpy as np
 from tensorsel import cli, interp, ir, layout, rules, selector
 from tensorsel.egraph import ematch, extract_best, run_schedule
 
-from conftest import CORPUS, corpus_names, corpus_program, target_for
+from testkit import CORPUS, corpus_names, corpus_program, target_for
 
 SEEDS_100 = range(100)
 BUDGET = selector.SelectionConfig().node_budget

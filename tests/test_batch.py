@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tensorsel import cli, interp, ir, rules, selector
 
-from conftest import corpus_names, corpus_program, target_for
+from testkit import corpus_names, corpus_program, target_for
 
 SEEDS = list(range(100))
 ODD_SEEDS = [0, 1, -1, -7, 2**63, 2**64 - 1, 2**64, 2**64 + 5, 2**70 + 3, -2**70]

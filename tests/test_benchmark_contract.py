@@ -7,7 +7,7 @@ import sys
 
 from tensorsel import layout
 
-from conftest import ROOT, corpus_program
+from testkit import ROOT, corpus_program
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 

@@ -8,7 +8,7 @@ import pytest
 
 from tensorsel import cli, interp, ir, rules, selector
 
-from conftest import CORPUS, ROOT
+from testkit import CORPUS, ROOT
 
 
 def corpus(name):

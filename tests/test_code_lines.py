@@ -2,7 +2,7 @@
 
 import sys
 
-from conftest import ROOT
+from testkit import ROOT
 
 sys.path.insert(0, str(ROOT / "tools"))
 

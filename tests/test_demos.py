@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import ROOT
+from testkit import ROOT
 
 DEMOS = ("01_vector_ir_tour.py", "02_matmul_to_amx.py",
          "03_convolution_as_matmul.py", "04_support_matrix.py")

@@ -17,7 +17,7 @@ from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, Calc, EGr
                               run_schedule)
 from tensorsel.selector import SelectionConfig, inject_data_movement
 
-from conftest import corpus_names, corpus_program, matches, target_for
+from testkit import corpus_names, corpus_program, matches, target_for
 
 BUDGET = SelectionConfig().node_budget
 

@@ -14,7 +14,7 @@ import pytest
 from tensorsel import ir
 from tensorsel.egraph import Bind, EGraph, PNode, Rel, ematch
 
-from conftest import matches
+from testkit import matches
 
 TRIALS = 120  # per guard
 

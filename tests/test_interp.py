@@ -15,7 +15,7 @@ from tensorsel.ir import (Bop, Broadcast, Call, For, Imm, Load, Param,
                           Program, Ramp, Shuffle, Store, Var, VecType,
                           VectorReduceAdd)
 
-from conftest import corpus_program
+from testkit import corpus_program
 
 
 def i32(v):

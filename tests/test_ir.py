@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tensorsel.ir import (Allocate, Bop, Broadcast, Call, Cast, Evaluate,
                           VectorReduceAdd)
 
 import ir_terms
-from conftest import corpus_names, corpus_program
+from testkit import corpus_names, corpus_program
 
 
 def i32(v):
@@ -34,7 +35,6 @@ class TestLanes:
         op = Ramp(i32(0), i32(1), 24)
         e = VectorReduceAdd(8, op)
         assert ir.lanes_of(e) == 8
-        assert e.reduction_factor() == 3
 
     def test_scalar_leaves(self):
         assert ir.lanes_of(i32(7)) == 1
@@ -317,6 +317,297 @@ class TestValidate:
     def test_name_that_is_not_an_identifier(self, name, params, body, path):
         rep = ir.validate_program(Program(params, body))
         assert rep.errors == [(path, f"bad name {name!r}")]
+
+
+R4 = "(ramp (imm i32 0) (imm i32 1) 4)"
+RF = "(ramp (imm f32 0.0) (imm f32 1.0) 4)"  # an f32 index
+F4 = "(broadcast (imm f32 1.0) 4)"
+F2 = "(broadcast (imm f32 1.0) 2)"
+B4 = "(broadcast (imm bf16 1.0) 4)"
+LA = f"(load a (f32 4) {R4})"
+CONV = "(call ConvolutionShuffle (var K) (imm i32 0) (imm i32 5) (imm i32 2))"
+
+
+def _evaluated(text):
+    return ir.parse_program(f"(evaluate {text})").body[0].value
+
+
+class TestValidatorErrors:
+    """The validator's exact report on malformed programs, and the exact
+    error of `type_of` and `lanes_of` on malformed trees: each lane and kind
+    rule per expression class, intrinsic signatures, and lane and kind errors
+    in sibling subtrees, where a lane error anywhere wins."""
+
+    PARAMS = ("(param a f32 64 mem)\n(param i i32 64 mem)\n(param K bf16 64 mem)\n"
+              "(param o f32 64 mem)\n")
+
+    REPORTS = [
+        # a lane rule per expression class
+        ("(evaluate (load a (f32 4) (ramp (imm i32 0) (imm i32 1) 3)))",
+         "body[0].value: load of 4 lanes with 3-lane index"),
+        (f"(evaluate (cast (f32 4) {F2}))",
+         "body[0].value: cast to 4 lanes of 2-lane operand"),
+        (f"(evaluate (add {F4} {F2}))", "body[0].value: + over 4 vs 2 lanes"),
+        ("(evaluate (ramp (broadcast (imm i32 0) 2) (imm i32 1) 4))",
+         "body[0].value: ramp base 2 lanes, stride 1"),
+        ("(evaluate (ramp (imm i32 0) (imm i32 1) 0))",
+         "body[0].value: ramp needs >= 1 step"),
+        ("(evaluate (broadcast (imm f32 1.0) 0))",
+         "body[0].value: broadcast needs >= 1 copy"),
+        ("(evaluate (broadcast (ramp (imm i32 0) (imm i32 1) 0) 0))",  # copies first
+         "body[0].value: broadcast needs >= 1 copy"),
+        ("(evaluate (vector-reduce-add 3 (ramp (imm i32 0) (imm i32 1) 8)))",
+         "body[0].value: cannot reduce 8 lanes to 3"),
+        ("(evaluate (vector-reduce-add 0 (ramp (imm i32 0) (imm i32 1) 8)))",
+         "body[0].value: cannot reduce 8 lanes to 0"),
+        (f"(evaluate (shuffle {LA} (0 4)))", "body[0].value: shuffle index 4 out of [0,4)"),
+        (f"(evaluate (shuffle {LA} ()))", "body[0].value: empty shuffle"),
+        ("(evaluate (mem2amx (ramp (imm i32 0) (imm i32 1) 0)))",
+         "body[0].value.operand: ramp needs >= 1 step"),
+        ("(evaluate (exprvar (ramp (imm i32 0) (imm i32 1) 0)))",
+         "body[0].value.operand: ramp needs >= 1 step"),
+        # a kind rule per expression class, read by a Bop
+        (f"(evaluate (add {F4} {B4}))", "body[0].value: + over f32 and bf16"),
+        ("(evaluate (add (imm i32 1) (imm f32 1.0)))", "body[0].value: + over i32 and f32"),
+        ("(evaluate (add (var i) (imm f32 1.0)))", "body[0].value: + over i32 and f32"),
+        (f"(evaluate (add {LA} (load a (bf16 4) {R4})))",
+         "body[0].value: + over f32 and bf16"),
+        (f"(evaluate (add (cast (bf16 4) {LA}) {LA}))",
+         "body[0].value: + over bf16 and f32"),
+        (f"(evaluate (add {RF} {R4}))", "body[0].value: + over f32 and i32"),
+        (f"(evaluate (add (vector-reduce-add 4 (broadcast (imm f16 1.0) 8)) {F4}))",
+         "body[0].value: + over f16 and f32"),
+        (f"(evaluate (add (mem2amx {B4}) {F4}))", "body[0].value: + over bf16 and f32"),
+        (f"(evaluate (add (exprvar {B4}) {F4}))", "body[0].value: + over bf16 and f32"),
+        (f"(evaluate (add (shuffle {B4} (0 1 2 3)) {F4}))",
+         "body[0].value: + over bf16 and f32"),
+        (f"(evaluate (sub (add {F4} {B4}) {F4}))", "body[0].value.lhs: + over f32 and bf16"),
+        (f"(evaluate (mul {F4} (add {B4} {F4})))", "body[0].value.rhs: + over bf16 and f32"),
+        # load indices
+        (f"(evaluate (load a (f32 4) {RF}))",
+         "body[0].value: load index into 'a' is not i32"),
+        (f"(evaluate (load a (f32 4) (load i (f32 4) {R4})))",
+         "body[0].value: load index into 'a' is not i32"),
+        (f"(evaluate (load a (f32 4) (load i (i32 4) {RF})))",
+         "body[0].value: load index into 'i' is not i32"),
+        # a kind error inside a load index or a cast operand, at its path
+        ("(evaluate (load a (f32 4) (ramp (add (imm i32 0) (imm f32 1.0)) (imm i32 1) 4)))",
+         "body[0].value.index.base: + over i32 and f32"),
+        (f"(evaluate (cast (f32 4) (add {LA} (load a (bf16 4) {R4}))))",
+         "body[0].value.operand: + over f32 and bf16"),
+        (f"(evaluate (load a (f32 4) (cast (i32 4) (add {LA} {B4}))))",
+         "body[0].value.index.operand: + over f32 and bf16"),
+        # undeclared buffers, once per load
+        (f"(evaluate (load zz (f32 4) {R4}))", "body[0].value: undeclared buffer 'zz'"),
+        (f"(evaluate (add (load zz (f32 4) {R4}) (load zz (f32 4) {R4})))",
+         "body[0].value: undeclared buffer 'zz'", "body[0].value: undeclared buffer 'zz'"),
+        (f"(evaluate (add (load zz (f32 4) {R4}) (load yy (f32 4) {R4})))",
+         "body[0].value: undeclared buffer 'zz'", "body[0].value: undeclared buffer 'yy'"),
+        (f"(evaluate (add {LA} (load zz (bf16 4) {R4})))",
+         "body[0].value: undeclared buffer 'zz'"),
+        (f"(evaluate (load a (f32 4) (load zz (i32 4) {R4})))",
+         "body[0].value: undeclared buffer 'zz'"),
+        (f"(evaluate (add (var q) (load zz (f32 4) {R4})))",
+         "body[0].value: + over 1 vs 4 lanes", "body[0].value: unbound variable 'q'",
+         "body[0].value: undeclared buffer 'zz'"),
+        (f"(evaluate (add (load zz (f32 4) {R4}) {F2}))",
+         "body[0].value: + over 4 vs 2 lanes", "body[0].value: undeclared buffer 'zz'"),
+        # a lane error and a kind error in sibling subtrees
+        (f"(evaluate (add (add {F4} {B4}) (add {F4} {F2})))",
+         "body[0].value.rhs: + over 4 vs 2 lanes"),
+        (f"(evaluate (add (add {F4} {F2}) (add {F4} {B4})))",
+         "body[0].value.lhs: + over 4 vs 2 lanes"),
+        (f"(evaluate (add (add {F4} {B4}) (load a (f32 4) (ramp (imm i32 0) (imm i32 1) 3))))",
+         "body[0].value.rhs: load of 4 lanes with 3-lane index"),
+        (f"(evaluate (add {F2} (load a (f32 4) {RF})))",
+         "body[0].value: + over 2 vs 4 lanes", "body[0].value: load index into 'a' is not i32"),
+        (f"(evaluate (add (load a (f32 4) {RF}) "
+         "(load a (f32 4) (ramp (imm f32 0.0) (imm f32 1.0) 3))))",
+         "body[0].value.rhs: load of 4 lanes with 3-lane index",
+         "body[0].value: load index into 'a' is not i32",
+         "body[0].value: load index into 'a' is not i32"),
+        # stores
+        (f"(store o {R4} {F2})", "body[0]: store index has 4 lanes, value 2"),
+        (f"(store o {RF} {F4})", "body[0]: store index is not i32"),
+        (f"(store o {RF} {F2})",
+         "body[0]: store index has 4 lanes, value 2", "body[0]: store index is not i32"),
+        (f"(store zz {R4} {F4})", "body[0]: undeclared buffer 'zz'"),
+        (f"(store o (ramp (imm i32 0) (imm i32 1) 0) {F4})",
+         "body[0].index: ramp needs >= 1 step"),
+        (f"(store o {R4} (add {F4} {B4}))", "body[0].value: + over f32 and bf16"),
+        (f"(store o (add {R4} {RF}) {F4})", "body[0].index: + over i32 and f32"),
+        (f"(store o (load zz (i32 4) {R4}) {F4})", "body[0].index: undeclared buffer 'zz'"),
+        (f"(store o (cast (i32 4) (add {LA} {B4})) {F4})",
+         "body[0].index.operand: + over f32 and bf16"),
+        # intrinsic signatures and kinds
+        ("(evaluate (call frobnicate (imm i32 1)))",
+         "body[0].value: unknown intrinsic 'frobnicate'"),
+        (f"(evaluate (call frobnicate (load a (f32 4) {RF})))",
+         "body[0].value: unknown intrinsic 'frobnicate'",
+         "body[0].value: load index into 'a' is not i32"),
+        ("(evaluate (call tile_zero (imm i32 2)))",
+         "body[0].value: tile_zero takes 2 arguments, got 1"),
+        ("(evaluate (call tile_load (imm i32 0) (imm i32 0) (imm i32 4) (imm i32 2) (imm i32 2)))",
+         "body[0].value: tile_load argument 0 must name a buffer, got (imm i32 0)"),
+        ("(evaluate (call tile_zero (imm i32 2) (imm i32 0)))",
+         "body[0].value: tile_zero argument 1 must be an i32 immediate >= 1, got (imm i32 0)"),
+        ("(evaluate (call tile_zero (imm i32 2) (imm f32 2.0)))",
+         "body[0].value: tile_zero argument 1 must be an i32 immediate >= 1, got (imm f32 2.0)"),
+        ("(evaluate (call ConvolutionShuffle (var K) (imm i32 0) (imm i32 2) (imm i32 2)))",
+         "body[0].value: ConvolutionShuffle needs rows > cols, got 2 and 2"),
+        ("(evaluate (call PolyphaseShuffle (var K) (imm i32 0) (imm i32 2) (imm i32 4) "
+         "(imm i32 2) (imm i32 2)))",
+         "body[0].value: PolyphaseShuffle phases 2 and stride 2 are exclusive"),
+        ("(evaluate (call KWayInterleave (imm i32 3) (imm i32 2) "
+         "(load a (f32 16) (ramp (imm i32 0) (imm i32 1) 16))))",
+         "body[0].value: KWayInterleave argument 2 has 16 lanes, not a multiple of 6"),
+        ("(evaluate (call KWayInterleave (imm i32 2) (imm i32 2) "
+         "(load a (f32 4) (ramp (imm i32 0) (imm i32 1) 3))))",
+         "body[0].value.args[2]: load of 4 lanes with 3-lane index"),
+        ("(evaluate (call ConvolutionShuffle (var zz) (imm i32 0) (imm i32 5) (imm i32 2)))",
+         "body[0].value: undeclared buffer 'zz'", "body[0].value: unbound variable 'zz'"),
+        (f"(evaluate (add {CONV} (broadcast (imm f32 1.0) 6)))",
+         "body[0].value: + over 10 vs 6 lanes"),
+        (f"(evaluate (add {CONV} (broadcast (imm f32 1.0) 10)))",
+         "body[0].value: + over bf16 and f32"),
+        (f"(evaluate (add (call KWayInterleave (imm i32 2) (imm i32 2) {LA}) {B4}))",
+         "body[0].value: + over f32 and bf16"),
+        (f"(evaluate (add (call tile_zero (imm i32 2) (imm i32 2)) {B4}))",
+         "body[0].value: + over f32 and bf16"),
+    ]
+
+    @pytest.mark.parametrize("case", REPORTS)
+    def test_report(self, case):
+        body, *errors = case
+        rep = ir.validate_program(ir.parse_program(self.PARAMS + body))
+        assert str(rep) == "\n".join(f"error: {e}" for e in errors)
+
+    TYPES = [
+        (ir.lanes_of, f"(add {F4} {F2})", None, (ir.LaneMismatch, "e: + over 4 vs 2 lanes")),
+        (ir.type_of, f"(add {F4} {B4})", None, (ir.KindMismatch, "e: + over f32 and bf16")),
+        (ir.type_of, "(add (imm i32 1) (imm f32 1.0))", None,
+         (ir.KindMismatch, "e: + over i32 and f32")),
+        (ir.type_of, f"(load Q (f32 4) {R4})", {}, (ir.UnknownBuffer, "undeclared buffer 'Q'")),
+        (ir.type_of, f"(load Q (f32 4) {R4})", None, VecType("f32", 4)),
+        (ir.type_of, f"(load a (f32 4) {RF})", None, VecType("f32", 4)),
+        # a buffer-kinded call needs a table for its kind, not for its lanes
+        (ir.type_of, CONV, None,
+         (ir.IRError, "e: the kind of ConvolutionShuffle needs a buffer table")),
+        (ir.lanes_of, CONV, None, 10),
+        (ir.type_of, CONV, {"K": ("bf16", 64, "mem")}, VecType("bf16", 10)),
+        (ir.type_of, CONV, {}, (ir.UnknownBuffer, "undeclared buffer 'K'")),
+        (ir.type_of, "(call tile_zero (imm i32 2) (imm i32 0))", None,
+         (ir.LaneMismatch, "e: tile_zero argument 1 must be an i32 immediate >= 1, "
+                           "got (imm i32 0)")),
+        # a lane error anywhere wins over a kind error
+        (ir.type_of, f"(add (add {F4} {B4}) (add {F4} {F2}))", None,
+         (ir.LaneMismatch, "e.rhs: + over 4 vs 2 lanes")),
+        (ir.type_of, f"(add (load Q (f32 4) {R4}) {F2})", {},
+         (ir.LaneMismatch, "e: + over 4 vs 2 lanes")),
+        (ir.type_of, f"(add {CONV} (broadcast (imm bf16 1.0) 6))", None,
+         (ir.LaneMismatch, "e: + over 10 vs 6 lanes")),
+        # kind errors inside a load index or a cast operand
+        (ir.type_of, "(load a (f32 4) (ramp (add (imm i32 0) (imm f32 1.0)) (imm i32 1) 4))",
+         None, (ir.KindMismatch, "e.index.base: + over i32 and f32")),
+        (ir.type_of, f"(cast (f32 4) (add {LA} (load a (bf16 4) {R4})))", None,
+         (ir.KindMismatch, "e.operand: + over f32 and bf16")),
+    ]
+
+    @pytest.mark.parametrize("f, text, buffers, expected", TYPES)
+    def test_type(self, f, text, buffers, expected):
+        args = (_evaluated(text),) + (() if f is ir.lanes_of else (buffers,))
+        if not isinstance(expected, tuple):
+            assert f(*args) == expected
+            return
+        with pytest.raises(ir.IRError) as exc:
+            f(*args)
+        assert (type(exc.value), str(exc.value)) == expected
+
+    def test_a_statement_is_not_an_expression(self):
+        s = Evaluate(Var("x"))
+        with pytest.raises(ir.IRError) as exc:
+            ir.lanes_of(s)
+        assert type(exc.value) is ir.IRError
+        assert str(exc.value) == f"e: not an Expr: {s!r}"
+
+
+# an interpreter error that a well-typed program cannot raise
+_TYPE_ERROR = re.compile(r" over \w+ and \w+$| lanes| cannot (reduce|broadcast)")
+
+
+def _replace_node(s, k, f):
+    """The statement `s` with the `k`-th node of its expressions, in
+    `walk_exprs` order, replaced by `f(node)`."""
+    left = [k]
+
+    def go(n):
+        left[0] -= 1
+        return f(n) if left[0] == -1 else ir.map_expr(n, go)
+
+    return ir.map_expr(s, go)
+
+
+def _perturbed_programs(data):
+    """A drawn statement with one node wrapped to change its kind or its
+    lanes, in a program that declares its buffers and binds its variables.
+    Each load reads, and each store writes, the buffer named after its kind,
+    which is declared with that kind."""
+    vtype = data.draw(ir_terms.TYPES)
+    s = data.draw(ir_terms.stmts(vtype))
+    nodes = [n for c in ir.children(s) for n in ir.walk_exprs(c)]
+    k = data.draw(st.integers(0, len(nodes) - 1))
+    t = ir.type_of(nodes[k])
+    if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from([x for x in ir.SCALAR_KINDS if x != t.kind]))
+        s = _replace_node(s, k, lambda n: Cast(VecType(kind, t.lanes), n))
+    else:
+        s = _replace_node(s, k, lambda n: Broadcast(n, 2))
+
+    def rename(n):
+        n = ir.map_expr(n, rename)
+        return Load(n.vtype.kind, n.vtype, n.index) if isinstance(n, Load) else n
+
+    s = ir.map_expr(s, rename)
+    if isinstance(s, Store):
+        s = Store("f32", s.index, s.value)
+    for var in ("a", "b", "x"):  # the names that ir_terms draws
+        s = For(var, 0, 2, (s,))
+    return Program(tuple(Param(kind, kind, 64) for kind in ir.SCALAR_KINDS), (s,))
+
+
+class TestValidatorCompleteness:
+    """A program that validates raises no kind or lane error when it runs."""
+
+    def test_perturbed_terms(self):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            p = _perturbed_programs(data)
+            if not ir.validate_program(p).ok:
+                return
+            try:
+                interp.run_program(p, interp.random_inputs(p, 1))
+            except interp.EvalError as err:
+                assert not _TYPE_ERROR.search(str(err)), ir.print_program(p)
+
+        with np.errstate(all="ignore"):
+            check()
+
+    # Known holes: each program validates and then fails to run with a type
+    # error, or with a traceback.
+    @pytest.mark.xfail(strict=True, reason="a load's kind is not checked against "
+                       "its buffer's declared kind")
+    def test_load_kind_matches_its_buffer(self):
+        p = ir.parse_program("(param a f32 64 mem)\n"
+                             "(evaluate (load a (f32 1) (load a (i32 1) (imm i32 0))))")
+        assert not ir.validate_program(p).ok
+
+    @pytest.mark.xfail(strict=True, reason="a ramp's stride kind is not checked "
+                       "against its base's kind")
+    def test_ramp_stride_kind_matches_its_base(self):
+        p = ir.parse_program("(param a f32 64 mem)\n(evaluate (load a (f32 4) (ramp "
+                             "(broadcast (imm i32 0) 2) (broadcast (imm f32 1.0) 2) 2)))")
+        assert not ir.validate_program(p).ok
 
 
 class TestParsePrint:

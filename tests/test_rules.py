@@ -12,7 +12,7 @@ from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
 import test_ir
-from conftest import corpus_program, matches
+from testkit import corpus_program, matches
 
 
 BUDGET = SelectionConfig().node_budget
@@ -344,7 +344,7 @@ class TestEncodeDecode:
 
 class TestCatalogFile:
     def test_committed_catalog_is_current(self, default_ruleset):
-        from conftest import ROOT
+        from testkit import ROOT
         committed = (ROOT / "docs" / "rules_catalog.txt").read_text()
         assert committed == default_ruleset.catalog_text(), \
             "regenerate with tools/dump_rule_catalog.py"

@@ -8,7 +8,7 @@ import sys
 
 from tensorsel import cli, ir, rules, selector
 
-from conftest import CORPUS, ROOT
+from testkit import CORPUS, ROOT
 
 sys.path.insert(0, str(ROOT / "tools"))
 

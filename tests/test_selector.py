@@ -13,7 +13,7 @@ from tensorsel.selector import (SelectionConfig, inject_data_movement,
                                 lower_exprvars, realizability_check,
                                 select_program)
 
-from conftest import (EXPECTED_FAIL, ROOT, corpus_names, corpus_program,
+from testkit import (EXPECTED_FAIL, ROOT, corpus_names, corpus_program,
                       target_for)
 
 
