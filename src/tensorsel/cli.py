@@ -163,19 +163,28 @@ def cmd_select(args):
     return 0
 
 
-DIFFTEST_CHUNK = 8  # seeds per interpreter run; each buffer holds a row per seed
+LANE_BUDGET = 1 << 16  # lanes of a difftest batch's widest value, over its rows
+
+
+def difftest_rows(trials, *programs):
+    """Seeds per batched interpreter run of `programs`: as many as keep
+    the widest value of any of them (`ir.widest_lanes`) within LANE_BUDGET
+    lanes over all rows, at least one and at most `trials`."""
+    widest = max(ir.widest_lanes(p) for p in programs)
+    return max(1, min(trials, LANE_BUDGET // widest))
 
 
 def run_difftest(prog, name, trials, seed, config, ruleset=None):
     """Select, then run source and lowered programs over `trials` seeds and
     compare every output parameter bit for bit, seed by seed.
 
-    The seeds run DIFFTEST_CHUNK at a time, as one batched run of each
-    program.  A chunk that raises is replayed one seed at a time, so an
-    earlier divergence still wins and an error is the first failing seed's.
-    Every run, of either program, batched or replayed, shares one
-    `interp.EvalMemo`, so a buffer-free subexpression is evaluated once per
-    loop binding; the memo is dropped on return."""
+    The seeds run in batches of `difftest_rows` seeds, as one batched run
+    of each program, and the rows are compared in seed order.  A batch
+    that raises is replayed one seed at a time, so an earlier divergence
+    still wins and an error is the first failing seed's.  Every run, of
+    either program, batched or replayed, shares one `interp.EvalMemo`, so a
+    buffer-free subexpression is evaluated once per loop binding; the memo
+    is dropped on return."""
     result = DiffTestResult(program=name, trials=trials)
     lowered, rep = selector.select_program(prog, config, ruleset=ruleset)
     result.selection_ok = rep.ok
@@ -186,9 +195,9 @@ def run_difftest(prog, name, trials, seed, config, ruleset=None):
         return (interp.run_program(prog, inputs, memo=memo),
                 interp.run_program(lowered, inputs, memo=memo))
 
-    end = seed + trials
-    for start in range(seed, end, DIFFTEST_CHUNK):
-        chunk = range(start, min(start + DIFFTEST_CHUNK, end))
+    end, rows = seed + trials, difftest_rows(trials, prog, lowered)
+    for start in range(seed, end, rows):
+        chunk = range(start, min(start + rows, end))
         try:
             batch = run_both(list(chunk))
         except interp.EvalError:

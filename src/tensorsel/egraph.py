@@ -128,9 +128,10 @@ class Calc:
     Python joins them, or `int`, `imm`, `kind`, `lanes` or `name` of one
     matched variable (`_READS`).  A Calc or a PVar in a template node's op
     is computed.  As a query atom a Calc is a guard: the match holds where
-    it is true.  Its variables must be bound by earlier atoms; it reads only
-    the nodes of their classes, never facts: a fact a rule needs is a `Rel`
-    atom, where the plan sees it."""
+    it is true, and fails where a `//` or `%` in it has a divisor of 0.
+    Its variables must be bound by earlier atoms; it reads only the nodes
+    of their classes, never facts: a fact a rule needs is a `Rel` atom,
+    where the plan sees it."""
 
     op: str
     args: tuple
@@ -368,6 +369,14 @@ class EGraph:
                 return True
         return False
 
+    def can_match(self, query):
+        """Whether the graph has held a node of every op and a fact of every
+        relation that `query` reads.  A query's atoms are a conjunction, so
+        one that reads an op or relation the graph never held matches
+        nothing; nodes and facts are never removed, so this stays true
+        once it is."""
+        return self._stamps.keys() >= query.reads
+
     # -- inspection ---------------------------------------------------------
 
     def class_ids(self):
@@ -507,11 +516,12 @@ def _layout(query):
     is bound when its step runs is settled here, so the plan checks a
     bound slot with `==` and binds a free one by assignment.  A `Calc`
     becomes a guard step: the reads of its variables' slots, each once,
-    and its Python expression over them (`_calc`); it raises TypeError on
-    a variable that no earlier atom binds.  Ops, relation names and guard
-    literals go into the constants, so the structure holds only slot
-    numbers, arities, constant indices and guard expressions, and queries
-    of one shape share their code."""
+    and its Python expression over them (`_calc`), which first tests each
+    divisor of a `//` or `%` for 0, so a guard is total; it raises
+    TypeError on a variable that no earlier atom binds.  Ops, relation
+    names and guard literals go into the constants, so the structure holds
+    only slot numbers, arities, constant indices and guard expressions,
+    and queries of one shape share their code."""
     slots = {}  # variable name -> its slot, from the atom that binds it on
     steps = []
     consts = []
@@ -594,7 +604,10 @@ def _layout(query):
                     raise TypeError(f"unbound variable ?{v.name}")
                 return values.setdefault((reader, k), f"r{len(steps)}_{len(values)}")
 
-            expr = _calc(atom, lambda v: f"k{const(v)}", read)
+            divisors = []
+            expr = _calc(atom, lambda v: f"k{const(v)}", read, divisors)
+            if divisors:  # a zero divisor fails the guard, before it could raise
+                expr = f"({' and '.join(divisors)} and {expr})"
             steps.append(("guard", tuple((local, reader, k)
                                          for (reader, k), local in values.items()), expr))
         else:
@@ -748,16 +761,21 @@ _READS = {"int": ("class_int", ""), "imm": ("class_imm", ""),
           "name": ("class_name", "")}
 
 
-def _calc(c, const, read):
+def _calc(c, const, read, divisors=None):
     """Python expression of the Calc `c` (a bare PVar reads an int): each
     literal is the local `const(value)` names, and each reader's value of
-    a matched variable `v` the local `read(reader, v)` names."""
+    a matched variable `v` the local `read(reader, v)` names.  The
+    expressions of the divisors of its `//` and `%` are appended to
+    `divisors` when given, inner ones first."""
     if isinstance(c, (int, tuple)):
         return const(c)
     leaf, args = (("int", (c,)) if isinstance(c, PVar)
                   else (c.op, c.args) if isinstance(c, Calc) else (None, ()))
     if leaf in _CALC_OPS and len(args) >= 2:
-        return f"({f' {leaf} '.join(_calc(a, const, read) for a in args)})"
+        parts = [_calc(a, const, read, divisors) for a in args]
+        if divisors is not None and leaf in ("//", "%"):
+            divisors += parts[1:]
+        return f"({f' {leaf} '.join(parts)})"
     if leaf not in _READS or len(args) != 1:
         raise TypeError(f"not a computed leaf: {c!r}")
     if not isinstance(args[0], PVar):
@@ -894,7 +912,9 @@ def run_schedule(g, rules, iterations, node_budget):
 
     A rule is matched again only when the graph changed in what its query
     reads since the start of its last run (`EGraph.changed_since`);
-    otherwise its last match count is counted again.  The matches are the
+    otherwise its last match count is counted again.  A rule whose query
+    the graph cannot match yet (`EGraph.can_match`) runs as one that
+    matched no rows, without calling `ematch`.  The matches are the
     rows `ematch` returns, each passed as it is to the rule's action.  A
     rule matched again calls its action only on a row that is new, or binds
     a class merged since its last run (looked up only when a union came
@@ -935,7 +955,7 @@ def run_schedule(g, rules, iterations, node_budget):
         else:
             start = g.version
             since, seen = prev if prev is not None else (start, ())
-            rows = ematch(g, rule.query)
+            rows = ematch(g, rule.query) if g.can_match(rule.query) else []
             n = len(rows)
             found = set(rows)
             action, merged_at = rule.action, g._merged_at

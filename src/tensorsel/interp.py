@@ -77,9 +77,15 @@ def round_bf16(x):
     """Round-to-nearest-even into the bf16 value set, in the f32 carrier."""
     a = np.asarray(x, dtype=np.float32)
     bits = a.view(np.uint32)
-    rounded = ((bits.astype(np.uint64) + 0x7FFF + ((bits >> 16) & 1)) >> 16) << 16
-    out = rounded.astype(np.uint32).view(np.float32)
-    out = np.where(np.isnan(a), np.float32(np.nan), out)
+    # uint32 holds every sum but a NaN's: the largest other is 0xFF807FFF
+    rounded = (bits >> 16) & 1
+    rounded += bits
+    rounded += 0x7FFF
+    rounded &= 0xFFFF0000
+    out = rounded.view(np.float32)
+    nan = np.isnan(a)
+    if nan.any():
+        out = np.where(nan, np.float32(np.nan), out)
     return out if out.ndim else np.float32(out)
 
 
@@ -176,12 +182,15 @@ class EvalMemo:
     it is keyed by the expression object and `env.bindings`.  Each
     expression is classified once, when first met, and held, so its id is
     not reused while the memo lives.  Stored arrays are read-only.  A value
-    that raises is not stored, and storing stops at MEMO_LANES lanes."""
+    that raises is not stored, and storing stops at MEMO_LANES lanes.
+    Whether a stored 1-D address has distinct lanes is kept beside it, by
+    the address array's id, so a store through it tests that once."""
 
     def __init__(self):
         self.seen = {}  # id(e) -> (e, whether e is looked up)
         self.values = {}  # (id(e), bindings) -> VectorValue
         self.lanes = 0
+        self.distinct = {}  # id(address) -> (address, whether its lanes differ)
 
     def classify(self, e):
         """The `seen` entry of `e`: looked up if buffer-free.  The parts of
@@ -250,11 +259,22 @@ def _scalar_ramp(b, s, n):
 
 
 def _foldl(groups):
-    """Left-to-right sum along the last axis."""
-    acc = groups[..., 0].copy()
-    for j in range(1, groups.shape[-1]):
-        acc = acc + groups[..., j]
-    return acc
+    """Left-to-right sum along the last axis, over (..., groups, k) data.
+
+    numpy adds along an axis that is not the innermost one in index order,
+    so one reduction over a C-contiguous (..., k, groups) copy is the left
+    fold, started from -0.0, which x + -0.0 leaves as it is (numpy would
+    start from +0.0).  With one group that copy's last axis has size 1 and
+    numpy sums the k axis pairwise instead, which rounds differently; and
+    -0.0 + x quiets a signaling NaN x, which a one-lane group keeps: for
+    both, loop."""
+    if groups.shape[-2] == 1 or groups.shape[-1] == 1:
+        acc = groups[..., 0].copy()
+        for j in range(1, groups.shape[-1]):
+            acc = acc + groups[..., j]
+        return acc
+    return np.add.reduce(np.ascontiguousarray(groups.swapaxes(-1, -2)), axis=-2,
+                         initial=-0.0 if groups.dtype == np.float32 else 0)
 
 
 # Reshapes of the lanes axis; a single run's 1-D data takes the cheaper call.
@@ -563,8 +583,11 @@ def eval_intrinsic(name, args, env):
             bm = _split(b.data, k, n)
         prods = am[..., None] * bm[..., None, :, :]  # (..., m, k, n), f32
         s = prods[..., 0, :].copy()
+        # in place, but not into one element: numpy adds into that as it
+        # reduces, and of two NaNs returns the other one
+        into = s if s.size > 1 else None
         for kk in range(1, k):
-            s = s + prods[..., kk, :]
+            s = np.add(s, prods[..., kk, :], out=into)
         out = _split(c.data, m, n) + s
         return VectorValue("f32", _flat(out))
 
@@ -594,21 +617,39 @@ def _scatter(name, idx, value, env):
     elif buf.kind != "i32" and value.kind == "i32":
         data = data.astype(np.float32)
     if idx.ndim == 1:
-        collided = _put(buf.data, idx, data)
+        collided = _put(buf.data, idx, data, _memo_distinct(idx, env.memo))
     else:  # an address read from data: each trial's row on its own
         data = np.broadcast_to(data, idx.shape)
         collided = False
         for t in np.ndindex(idx.shape[:-1]):
-            collided |= _put(buf.data[t], idx[t], data[t])
+            collided |= _put(buf.data[t], idx[t], data[t], _distinct(idx[t]))
     if collided:
         env.lints.append(f"store into {name!r} has colliding lanes (last wins)")
 
 
-def _put(dst, idx, data):
-    """dst[..., idx] = data along the last axis; True if lanes collided."""
+def _distinct(idx):
+    """Whether the lanes of the 1-D address `idx` differ."""
     # a set of the lanes' ints costs a third of np.unique or less at 8 to
     # 65,536 lanes (numpy 2.4)
-    if len(set(idx.tolist())) == len(idx):
+    return len(set(idx.tolist())) == len(idx)
+
+
+def _memo_distinct(idx, memo):
+    """`_distinct(idx)`, kept in `memo` for a read-only address: the memo
+    serves only read-only arrays, which it holds, and the entry holds the
+    array too, so its id names it while the memo lives."""
+    if memo is None or idx.flags.writeable:
+        return _distinct(idx)
+    hit = memo.distinct.get(id(idx))
+    if hit is None:
+        hit = memo.distinct[id(idx)] = (idx, _distinct(idx))
+    return hit[1]
+
+
+def _put(dst, idx, data, distinct):
+    """dst[..., idx] = data along the last axis, given whether the lanes
+    of `idx` are `distinct`; True if lanes collided."""
+    if distinct:
         if dst.ndim == 1:  # dst[..., idx] takes a single run 1 us more
             dst[idx] = data
         else:

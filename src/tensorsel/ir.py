@@ -302,8 +302,9 @@ class Intrinsic:
     """Static signature of one intrinsic.
 
     roles: per argument, "buffer" (a Var naming a buffer, or an ExprVar
-        before materialization), "expr" (a memory value), "imm" (an i32
-        immediate >= 1, a size) or "tile" (a value living on `accel`).
+        before materialization), "index" (an i32 address), "expr" (a
+        memory value), "imm" (an i32 immediate >= 1, a size) or "tile" (a
+        value living on `accel`).
     accel: where the tile operands live.
     loc: where the result lives; a store's value is spent into memory.
     kind: the result kind, or the position of the argument whose kind it
@@ -325,8 +326,8 @@ class Intrinsic:
         return tuple(i for i, r in enumerate(self.roles) if r == "imm")
 
 
-_LOAD = ("buffer", "expr", "expr", "imm", "imm")
-_STORE = ("buffer", "expr", "expr", "imm", "tile")
+_LOAD = ("buffer", "index", "index", "imm", "imm")
+_STORE = ("buffer", "index", "index", "imm", "tile")
 
 INTRINSICS = {
     "tile_zero": Intrinsic(("imm", "imm"), "amx", "amx", "f32", "sizes"),
@@ -340,10 +341,10 @@ INTRINSICS = {
     "wmma_mma": Intrinsic(("tile",) * 3, "wmma", "wmma", "f32", 2),  # A, B, C
     "wmma_store": Intrinsic(_STORE, "wmma", "mem", "f32", 4),
     "ConvolutionShuffle": Intrinsic(  # kernel, base, rows, cols
-        ("buffer", "expr", "imm", "imm"), "mem", "mem", 0, "spec"),
+        ("buffer", "index", "imm", "imm"), "mem", "mem", 0, "spec"),
     "KWayInterleave": Intrinsic(("imm", "imm", "expr"), "mem", "mem", 2, 2),
     "PolyphaseShuffle": Intrinsic(  # kernel, base, l, k, p, s
-        ("buffer", "expr", "imm", "imm", "imm", "imm"), "mem", "mem", 0, "spec"),
+        ("buffer", "index", "imm", "imm", "imm", "imm"), "mem", "mem", 0, "spec"),
 }
 
 
@@ -359,7 +360,8 @@ def _signature(call, path):
 
 def _call_type(call, kids, buffers, path):
     """The (kind, lanes) of an intrinsic call, checked against its record;
-    `kids` are its arguments' pairs."""
+    `kids` are its arguments' pairs.  The first kind error of an argument
+    is the call's, and then an "index" argument that is not i32."""
     try:
         sig = _signature(call, path)
     except LaneMismatch as err:
@@ -368,6 +370,12 @@ def _call_type(call, kids, buffers, path):
         lanes = _call_lanes(call, sig, [n for _, n in kids], path)
     except IRError as err:
         lanes = err
+    bad = _first_error(*(k for k, _ in kids)) or next((
+        KindMismatch(f"{call.name} argument {i} must be i32, got {k}", path)
+        for i, ((k, _), role) in enumerate(zip(kids, sig.roles))
+        if role == "index" and k != "i32"), None)
+    if bad is not None:
+        return bad, lanes
     if isinstance(sig.kind, str):
         return sig.kind, lanes
     arg = call.args[sig.kind]
@@ -494,7 +502,9 @@ def _node_type(e, kids, buffers, path):
             bad = LaneMismatch(f"{e.op} over {n} vs {nr} lanes", path)
         return kind, bad or n
     if cls is Ramp:
-        (_, ns), = rest  # the stride's kind is not read
+        (ks, ns), = rest
+        kind = _first_error(kind, ks) or (
+            KindMismatch(f"ramp base {kind}, stride {ks}", path) if kind != ks else kind)
         if bad is None and n != ns:
             bad = LaneMismatch(f"ramp base {n} lanes, stride {ns}", path)
         if bad is None and e.steps < 1:
@@ -525,6 +535,17 @@ def lanes_of(e, path="e"):
     if isinstance(lanes, IRError):
         raise lanes
     return lanes
+
+
+def widest_lanes(p):
+    """The most lanes of any expression node of `p`, from one typed walk of
+    each statement's expressions; 1 when it has none.  A node whose lanes
+    are an error counts for none."""
+    types = {}
+    for _, s in walk_stmts(p.body):
+        for e in children(s):
+            _typed(e, None, "e", types)
+    return max((n for _, n in types.values() if isinstance(n, int)), default=1)
 
 
 def type_of(e, buffers=None, path="e"):
@@ -679,8 +700,13 @@ def validate_program(p):
                     told = None
                 elif sub.buffer not in buffers:
                     rep.errors.append((path, str(UnknownBuffer(sub.buffer))))
-                elif _not_i32(types[id(sub.index)][0]):
-                    rep.errors.append((path, f"load index into {sub.buffer!r} is not i32"))
+                else:
+                    if _not_i32(types[id(sub.index)][0]):
+                        rep.errors.append(
+                            (path, f"load index into {sub.buffer!r} is not i32"))
+                    if sub.vtype.kind != buffers[sub.buffer][0]:
+                        rep.errors.append((path, f"load of {sub.vtype.kind} from "
+                                           f"{sub.buffer!r} of kind {buffers[sub.buffer][0]}"))
             if isinstance(sub, Var) and sub.name not in bound and sub.name not in buffers:
                 rep.errors.append((path, f"unbound variable {sub.name!r}"))
             if isinstance(sub, LocToLoc) and sub.src == sub.dst:
@@ -743,17 +769,19 @@ def canonical_index(axes, base):
     base + sum(i_k * s_k), enumerated in row-major lane order.
 
     `axes` is ordered outermost first as (extent, stride) pairs; a zero
-    stride becomes a Broadcast level.  Strides are i32 immediates.
+    stride becomes a Broadcast level.  Strides are i32 immediates.  Each
+    level multiplies the lanes by its extent, so the lanes of the tree so
+    far are those of `base` times the extents so far.
     """
-    e = base
+    e, n = base, lanes_of(base)
     for extent, stride in reversed(axes):
         assert extent >= 1
         if stride == 0:
             e = Broadcast(e, extent)
         else:
-            n = lanes_of(e)
             s = Imm("i32", stride)
             e = Ramp(e, s if n == 1 else Broadcast(s, n), extent)
+        n *= extent
     return e
 
 

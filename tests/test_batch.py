@@ -1,6 +1,6 @@
 """Batched interpretation: inputs with a leading trial axis run as each trial
 runs alone, bit for bit, and `cli.run_difftest`, which interprets its seeds
-a chunk at a time, reports what a loop over single seeds reports."""
+a batch at a time, reports what a loop over single seeds reports."""
 
 from types import SimpleNamespace
 
@@ -191,7 +191,8 @@ class TestDifftest:
         config = selector.SelectionConfig(target=target_for(name))
         lowered = selector.select_program(prog, config,
                                           ruleset=rules.corrupted_ruleset())[0]
-        # four chunks and a partial one
+        # more than one batch: a batch has at most 32 rows on the corpus
+        assert cli.difftest_rows(36, prog, lowered) < 36
         want = reference_difftest(prog, lowered, 36, 0)
         got = batched_difftest(prog, 36, 0, config, rules.corrupted_ruleset())
         assert got == want
@@ -208,6 +209,11 @@ class TestDifftest:
         prog, off = tiny("divide"), ir.parse_program(DIVIDE_OFF)
         monkeypatch.setattr(selector, "select_program",
                             lambda p, config, ruleset=None: (off, SimpleNamespace(ok=True)))
+        # a budget of eight rows of these 4-lane programs, so 24 trials run
+        # as three batches
+        monkeypatch.setattr(cli, "LANE_BUDGET", 32)
+        rows = cli.difftest_rows(24, prog, off)
+        assert rows == 8
         fails = {s for s in range(80)
                  if isinstance(run_or_error(prog, interp.random_inputs(prog, s)), str)}
         seen = set()
@@ -216,15 +222,27 @@ class TestDifftest:
             assert batched_difftest(prog, 24, seed) == want
             if isinstance(want, str):
                 first = min(fails & set(range(seed, seed + 24)))
-                seen.add("error in the first chunk" if first < seed + cli.DIFFTEST_CHUNK
-                         else "error in a later chunk")
+                seen.add("error in the first batch" if first < seed + rows
+                         else "error in a later batch")
             elif want[1] is not None:
                 s = want[1]["seed"]
-                chunk_end = s + cli.DIFFTEST_CHUNK - (s - seed) % cli.DIFFTEST_CHUNK
-                if fails & set(range(s + 1, chunk_end)):
-                    seen.add("divergence before an error in its chunk")
-        assert seen == {"error in the first chunk", "error in a later chunk",
-                        "divergence before an error in its chunk"}
+                batch_end = s + rows - (s - seed) % rows
+                if fails & set(range(s + 1, batch_end)):
+                    seen.add("divergence before an error in its batch")
+        assert seen == {"error in the first batch", "error in a later batch",
+                        "divergence before an error in its batch"}
+
+    def test_batch_rows_follow_the_widest_value(self):
+        # widest values: divide 4 lanes; conv1d_k8 2,048 (source) and 512
+        # (lowered); matmul_standard 8,192
+        divide, conv = tiny("divide"), corpus_program("conv1d_k8")
+        matmul = corpus_program("matmul_standard")
+        assert [ir.widest_lanes(p) for p in (divide, conv, matmul)] == [4, 2048, 8192]
+        assert cli.difftest_rows(100, divide) == 100
+        assert cli.difftest_rows(100, conv) == cli.LANE_BUDGET // 2048
+        assert cli.difftest_rows(100, divide, matmul) == cli.LANE_BUDGET // 8192
+        assert cli.difftest_rows(0, conv) == 1
+        assert ir.widest_lanes(ir.Program()) == 1
 
 
 # `tensorsel difftest` output and exit code, as the one-seed-per-run loop gave

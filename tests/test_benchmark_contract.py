@@ -51,22 +51,28 @@ def test_every_ematch_call_is_traced_with_its_rule_category():
     names = {s[NAME] for s in spans if s[NAME].startswith("egraph.ematch")}
     assert names == {f"egraph.ematch.{c}" for c in CATEGORIES}
     calls = {c: counts[None][f"egraph.ematch.{c}.calls"] for c in CATEGORIES}
-    # rule runs whose reads did not change since their last run are skipped
-    assert calls == {"axiomatic": 135, "application": 24, "lowering": 66,
-                     "supporting": 211}
+    # rule runs whose reads did not change since their last run are skipped,
+    # and so are runs of a query that reads an op or relation the graph
+    # never held
+    assert calls == {"axiomatic": 76, "application": 8, "lowering": 28,
+                     "supporting": 76}
 
 
 def test_difftest_serves_buffer_free_values_from_its_memo():
     ts = import_tensorsel(ROOT)
     prog = corpus_program("conv1d_k8")
+    config = ts.selector.SelectionConfig(target="wmma")
+    lowered = ts.selector.select_program(prog, config)[0]
+    # two whole batches
+    trials = 2 * ts.cli.LANE_BUDGET // max(map(ts.ir.widest_lanes, (prog, lowered)))
+    assert ts.cli.difftest_rows(trials, prog, lowered) == trials // 2
     tracer = Tracer()
     tracer.install(ts, frozenset({id(prog)}))
     try:
-        res, _ = ts.cli.run_difftest(prog, "conv1d_k8", 16, 0,
-                                     ts.selector.SelectionConfig(target="wmma"))
+        res, _ = ts.cli.run_difftest(prog, "conv1d_k8", trials, 0, config)
     finally:
         tracer.uninstall()
     _, counts, _ = tracer.take()
-    assert (len(res.seeds), res.divergence) == (16, None)
-    # two chunks of each program: 138 evaluations without the memo
+    assert (len(res.seeds), res.divergence) == (trials, None)
+    # two batches of each program: 138 evaluations without the memo
     assert counts[None]["interp.eval_expr.calls"] == 102

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorsel import egraph, ir, rules
+from tensorsel import egraph, ir, rules, selector
 from tensorsel.egraph import (CATEGORY_ORDER, SUPPORTING_ROUNDS, Bind, Calc, EGraph,
                               If, Let, NoFiniteCost, NodeBudgetExceeded, PNode,
                               PVar, Query, Rel, RuleDef, SaturationReport,
@@ -466,6 +466,20 @@ class TestIndexedMatching:
                 want = {t for t in tuples if g.find(t[0]) == cid}
                 assert set(g._fact_index.get(cid, {}).get(name, ())) == want
 
+    def test_a_query_the_graph_cannot_match_has_no_rows(self):
+        seen = set()  # whether the drawn graphs could match the drawn queries
+
+        @settings(max_examples=300, deadline=None)
+        @given(_graphs(), _queries.filter(_guards_bound))
+        def check(g, query):
+            query = Query(query)
+            seen.add(g.can_match(query))
+            if not g.can_match(query):
+                assert ematch(g, query) == []
+
+        check()
+        assert seen == {True, False}
+
     def test_union_before_rebuild_keeps_facts_reachable(self):
         g = EGraph()
         b = leaf(g, "b")
@@ -510,6 +524,29 @@ class TestPlansOnRules:
                 break
         assert g._merged
         self._check(g, rs)
+
+
+class TestRunsThatCannotMatch:
+    """`run_schedule` does not e-match a rule whose query reads an op or a
+    relation that the graph never held; it counts the run as one that
+    matched no rows.  Each such query, e-matched anyway where the schedule
+    skips it, has no rows."""
+
+    def test_on_corpus_graphs(self, monkeypatch):
+        can_match, skipped = EGraph.can_match, []
+
+        def checked(g, query):
+            if can_match(g, query):
+                return True
+            assert ematch(g, query) == []
+            skipped.append(query)
+            return False
+
+        monkeypatch.setattr(EGraph, "can_match", checked)
+        for name in corpus_names():
+            config = SelectionConfig(target=target_for(name))
+            assert selector.select_program(corpus_program(name), config)[1].statements
+        assert skipped
 
 
 class TestRuleConstruction:

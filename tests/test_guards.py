@@ -3,9 +3,11 @@
 A rule's guard atoms are the query atoms that are neither `Bind` nor
 `Rel`.  Each guard over matched ints is run by `ematch` alone, after one
 `Bind` per variable to an `int` node, on ints drawn from a seeded grid:
-it must hold exactly when its reference predicate holds, and raise where
-the predicate raises.  The i32 folds, the +0.0 tests and the MatMul
-tile-size guards are checked on e-graph instances of their whole rule."""
+it must hold exactly when its reference predicate holds.  A compiled
+guard is total: where the predicate would divide by zero, the guard
+fails, so the reference counts a `ZeroDivisionError` as false.  The i32
+folds, the +0.0 tests and the MatMul tile-size guards are checked on
+e-graph instances of their whole rule."""
 
 import random
 
@@ -140,11 +142,13 @@ REFERENCE = {
 }
 
 
-def _outcome(fn):
+def _holds(reference, args):
+    """The reference predicate, total as a compiled guard is: false where
+    it divides by zero."""
     try:
-        return bool(fn())
+        return bool(reference(*args))
     except ZeroDivisionError:
-        return "ZeroDivisionError"
+        return False
 
 
 def _draws(rng, variables, witness):
@@ -177,11 +181,28 @@ class TestGuardTruthTables:
             for v in vals.values():
                 g.add_int(v)
             query = (*(Bind(v, PNode(("int", vals[v]))) for v in variables), guard)
-            want = _outcome(lambda: reference(*(vals[v] for v in variables)))
-            got = _outcome(lambda: ematch(g, query))
+            want = _holds(reference, [vals[v] for v in variables])
+            got = bool(ematch(g, query))
             assert got == want, (name, vals)
             seen.add(want)
         assert {True, False} <= seen, name
+
+    @pytest.mark.parametrize("name, vals", [
+        ("ramp-plus-broadcast", {"n": 0, "m": 8}),
+        ("ramp-plus-broadcast", {"n": 0, "m": 0}),
+        ("sibling-nest-ramp-broadcast", {"l1": 0, "l2": 4}),
+        ("sibling-nest-broadcast-pair", {"l1": 0, "l2": 3}),
+    ])
+    def test_a_zero_divisor_fails_the_guard(self, name, vals, default_ruleset):
+        index, variables, reference, _ = REFERENCE[name]
+        with pytest.raises(ZeroDivisionError):
+            reference(*(vals[v] for v in variables))
+        g = EGraph()
+        for v in vals.values():
+            g.add_int(v)
+        guard = _guards(default_ruleset.named(name))[index]
+        assert ematch(g, (*(Bind(v, PNode(("int", vals[v]))) for v in variables),
+                          guard)) == []
 
     def test_a_read_that_finds_no_int_fails_the_guard(self, default_ruleset):
         guard = _guards(default_ruleset.named("degenerate-ramp-split"))[0]

@@ -231,6 +231,26 @@ class TestCollisions:
             ["store into 'out' has colliding lanes (last wins)"] if collided else [])
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(stores().filter(lambda s: s[1].ndim == 1), st.booleans())
+    def test_a_memo_keeps_the_answer_of_a_read_only_address(self, store, read_only):
+        length, idx, trials = store
+        idx.flags.writeable = not read_only
+        lead = () if trials is None else (trials,)
+        value = np.arange(idx.size, dtype=np.float32)
+        memo = interp.EvalMemo()
+        for _ in range(2):  # the second store is answered from the memo
+            env = interp.Env(buffers=interp.BufferStore(
+                out=interp.Buffer("f32", "mem", np.zeros((*lead, length), np.float32))),
+                memo=memo)
+            interp._scatter("out", idx, interp.VectorValue("f32", value), env)
+            want = np.zeros((*lead, length), np.float32)
+            collided = scatter_reference(want, idx, value)
+            assert_same_bits(env.buffers["out"].data, want)
+            assert bool(env.lints) == collided
+        assert memo.distinct == ({id(idx): (idx, not collided)} if read_only else {})
+
+
 class TestBroadcast:
     @settings(max_examples=200)
     @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([None, 1, 4]),

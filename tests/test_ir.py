@@ -370,7 +370,7 @@ class TestValidatorErrors:
         (f"(evaluate (add {F4} {B4}))", "body[0].value: + over f32 and bf16"),
         ("(evaluate (add (imm i32 1) (imm f32 1.0)))", "body[0].value: + over i32 and f32"),
         ("(evaluate (add (var i) (imm f32 1.0)))", "body[0].value: + over i32 and f32"),
-        (f"(evaluate (add {LA} (load a (bf16 4) {R4})))",
+        (f"(evaluate (add {LA} (load K (bf16 4) {R4})))",
          "body[0].value: + over f32 and bf16"),
         (f"(evaluate (add (cast (bf16 4) {LA}) {LA}))",
          "body[0].value: + over bf16 and f32"),
@@ -386,14 +386,14 @@ class TestValidatorErrors:
         # load indices
         (f"(evaluate (load a (f32 4) {RF}))",
          "body[0].value: load index into 'a' is not i32"),
-        (f"(evaluate (load a (f32 4) (load i (f32 4) {R4})))",
+        (f"(evaluate (load a (f32 4) (load a (f32 4) {R4})))",
          "body[0].value: load index into 'a' is not i32"),
         (f"(evaluate (load a (f32 4) (load i (i32 4) {RF})))",
          "body[0].value: load index into 'i' is not i32"),
         # a kind error inside a load index or a cast operand, at its path
         ("(evaluate (load a (f32 4) (ramp (add (imm i32 0) (imm f32 1.0)) (imm i32 1) 4)))",
          "body[0].value.index.base: + over i32 and f32"),
-        (f"(evaluate (cast (f32 4) (add {LA} (load a (bf16 4) {R4}))))",
+        (f"(evaluate (cast (f32 4) (add {LA} (load K (bf16 4) {R4}))))",
          "body[0].value.operand: + over f32 and bf16"),
         (f"(evaluate (load a (f32 4) (cast (i32 4) (add {LA} {B4}))))",
          "body[0].value.index.operand: + over f32 and bf16"),
@@ -474,6 +474,33 @@ class TestValidatorErrors:
          "body[0].value: + over f32 and bf16"),
         (f"(evaluate (add (call tile_zero (imm i32 2) (imm i32 2)) {B4}))",
          "body[0].value: + over f32 and bf16"),
+        # a call's arguments: a kind error inside one, and an address not i32
+        (f"(evaluate (call tile_store (var o) (imm i32 0) (imm i32 2) (imm i32 2) "
+         f"(add {F4} {B4})))", "body[0].value.args[4]: + over f32 and bf16"),
+        (f"(evaluate (call KWayInterleave (imm i32 2) (imm i32 2) (add {F4} {B4})))",
+         "body[0].value.args[2]: + over f32 and bf16"),
+        ("(evaluate (call tile_load (var a) (imm f32 0.0) (imm i32 4) (imm i32 2) "
+         "(imm i32 2)))", "body[0].value: tile_load argument 1 must be i32, got f32"),
+        ("(evaluate (call wmma_store (var o) (imm i32 0) (cast (bf16 1) (var i)) "
+         f"(imm i32 2) {F4}))", "body[0].value: wmma_store argument 2 must be i32, got bf16"),
+        ("(evaluate (call ConvolutionShuffle (var K) (load a (f32 1) (imm i32 0)) "
+         "(imm i32 5) (imm i32 2)))",
+         "body[0].value: ConvolutionShuffle argument 1 must be i32, got f32"),
+        # a load's kind is its buffer's
+        ("(evaluate (load a (f32 1) (load a (i32 1) (imm i32 0))))",
+         "body[0].value: load of i32 from 'a' of kind f32"),
+        (f"(store o {R4} (load K (f32 4) (load i (bf16 4) {R4})))",
+         "body[0].value: load index into 'K' is not i32",
+         "body[0].value: load of f32 from 'K' of kind bf16",
+         "body[0].value: load of bf16 from 'i' of kind i32"),
+        # a ramp's stride has its base's kind
+        ("(evaluate (load a (f32 4) (ramp (broadcast (imm i32 0) 2) "
+         "(broadcast (imm f32 1.0) 2) 2)))", "body[0].value.index: ramp base i32, stride f32"),
+        ("(evaluate (load a (f32 4) (ramp (broadcast (imm i32 0) 2) "
+         "(broadcast (add (cast (bf16 1) (imm i32 0)) (imm i32 0)) 2) 2)))",
+         "body[0].value.index.stride.operand: + over bf16 and i32"),
+        (f"(evaluate (add {RF} (ramp (imm i32 0) (imm f32 1.0) 4)))",
+         "body[0].value.rhs: ramp base i32, stride f32"),
     ]
 
     @pytest.mark.parametrize("case", REPORTS, ids=[case[0] for case in REPORTS])
@@ -548,28 +575,11 @@ def _replace_node(s, k, f):
     return ir.map_expr(s, go)
 
 
-def _stride_kind_differs(ramp):
-    """Whether `ramp`'s stride holds a kind error or differs in kind from
-    its base, which the validator does not report."""
-    try:
-        stride = ir.type_of(ramp.stride).kind
-    except ir.LaneMismatch:  # reported
-        return False
-    except ir.IRError:
-        return True
-    try:
-        return stride != ir.type_of(ramp.base).kind
-    except ir.IRError:  # reported
-        return False
-
-
 def _perturbed_program(data):
     """A drawn statement with one node wrapped to change its kind or its
     lanes, in a program that declares its buffers and binds its variables.
     Each load reads the buffer named after its kind, declared with that
-    kind, and a store writes the f32 buffer.  No ramp's stride may differ
-    in kind from its base or hold a kind error, as no rule reads a stride's
-    kind (a known hole, pinned below)."""
+    kind, and a store writes the f32 buffer."""
     vtype = data.draw(ir_terms.TYPES)
     s = data.draw(ir_terms.stmts(vtype))
     nodes = [n for c in ir.children(s) for n in ir.walk_exprs(c)]
@@ -585,8 +595,6 @@ def _perturbed_program(data):
     else:
         s = _replace_node(s, data.draw(st.integers(0, len(nodes) - 1)),
                           lambda n: Broadcast(n, 2))
-    assume(not any(_stride_kind_differs(r) for c in ir.children(s)
-                   for r in ir.walk_exprs(c) if isinstance(r, Ramp)))
 
     def rename(n):
         n = ir.map_expr(n, rename)
@@ -618,16 +626,13 @@ class TestValidatorCompleteness:
         with np.errstate(all="ignore"):
             check()
 
-    # Known holes: each program validates and then fails to run with a type
-    # error, or with a traceback.
-    @pytest.mark.xfail(strict=True, reason="a load's kind is not checked against "
-                       "its buffer's declared kind")
+    # Each program fails to run with a type error, or with a traceback, so
+    # it must not validate.
     def test_load_kind_matches_its_buffer(self):
         p = ir.parse_program("(param a f32 64 mem)\n"
                              "(evaluate (load a (f32 1) (load a (i32 1) (imm i32 0))))")
         assert not ir.validate_program(p).ok
 
-    @pytest.mark.xfail(strict=True, reason="no rule reads a ramp's stride kind")
     @pytest.mark.parametrize("stride", [
         "(broadcast (imm f32 1.0) 2)",  # a traceback when run
         "(broadcast (add (cast (bf16 1) (imm i32 0)) (imm i32 0)) 2)",  # + over bf16 and i32
@@ -637,8 +642,6 @@ class TestValidatorCompleteness:
                              f"(ramp (broadcast (imm i32 0) 2) {stride} 2)))")
         assert not ir.validate_program(p).ok
 
-    @pytest.mark.xfail(strict=True, reason="a call's arguments are not typed for "
-                       "kind unless the call's kind is read from them")
     def test_call_argument_kinds_are_checked(self):
         p = ir.parse_program(f"(param a f32 64 mem)\n(param o f32 64 mem)\n"
                              f"(evaluate (call tile_store (var o) (imm i32 0) (imm i32 2) "
