@@ -230,7 +230,6 @@ class TestCollisions:
         assert env.lints == (
             ["store into 'out' has colliding lanes (last wins)"] if collided else [])
 
-
     @settings(max_examples=100, deadline=None)
     @given(stores().filter(lambda s: s[1].ndim == 1), st.booleans())
     def test_a_memo_keeps_the_answer_of_a_read_only_address(self, store, read_only):
