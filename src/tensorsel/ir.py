@@ -302,7 +302,7 @@ class Intrinsic:
     """Static signature of one intrinsic.
 
     roles: per argument, "buffer" (a Var naming a buffer, or an ExprVar
-        before materialization), "index" (an i32 address), "expr" (a
+        before materialization), "index" (a one-lane i32 address), "expr" (a
         memory value), "imm" (an i32 immediate >= 1, a size) or "tile" (a
         value living on `accel`).
     accel: where the tile operands live.
@@ -401,6 +401,8 @@ def _call_lanes(call, sig, lanes, path):
                                f"immediate >= 1, got {print_expr(a)}", path)
         if isinstance(n, IRError):
             raise n
+        if role == "index" and n != 1:
+            raise LaneMismatch(f"{call.name} argument {i} has {n} lanes, not 1", path)
     if sig.lanes == "spec":
         spec = shuffle_spec(call, path)
         return layout.matrix_rows(spec) * spec.k

@@ -43,6 +43,7 @@ row stride), and k%2 (stride 1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
@@ -830,15 +831,41 @@ def _sides(rule, match):
     return decode_term(lhs), decode_term(g.unions[0][1] if g.unions else lhs)
 
 
-def _instance(rule, draw):
+def _render(rule, draw):
     """The two sides of `rule` at `draw`, in the draw's program for a
     statement rule."""
     lhs, rhs = _sides(rule, draw.match)
-    if draw.program is not None:
-        lhs, rhs = (ir.Program(draw.program.params, tuple(
-            side if s is None else s for s in draw.program.body), draw.shapes)
-            for side in (lhs, rhs))
-    return FuzzInstance(lhs, rhs, draw.buffers, draw.shapes)
+    if draw.program is None:
+        return lhs, rhs
+    return (ir.Program(draw.program.params, tuple(
+        side if s is None else s for s in draw.program.body), draw.shapes)
+        for side in (lhs, rhs))
+
+
+def _instance(rule, draw):
+    """The two sides of `rule` at `draw`, with the draw's buffers as arrays."""
+    return FuzzInstance(*_render(rule, draw), _row(_arrays([draw.buffers]), 0),
+                        draw.shapes)
+
+
+def _arrays(rows):
+    """The buffers of `rows`, a list of one structure's drawn buffer tables,
+    each as one array with a row per table: its i32 lanes as int64, its
+    float lanes as float64 rounded to its kind, through float32."""
+    out = {}
+    for name, b in rows[0].items():
+        lanes = len(b.data)
+        data = np.fromiter(itertools.chain.from_iterable(bufs[name].data for bufs in rows),
+                           np.int64 if b.kind == "i32" else np.float64, len(rows) * lanes)
+        if b.kind != "i32":
+            data = interp.round_to_kind(data, b.kind)
+        out[name] = interp.Buffer(b.kind, b.location, data.reshape(len(rows), lanes))
+    return out
+
+
+def _row(arrays, i):
+    """Row `i` of the buffers `_arrays` built."""
+    return {name: interp.Buffer(b.kind, b.location, b.data[i]) for name, b in arrays.items()}
 
 
 def _run_instance(inst):
@@ -850,37 +877,34 @@ def _run_instance(inst):
 def _structure(draw):
     """Draws of equal structure render alike and evaluate as one batch:
     equal matches, shapes and programs, and buffers of equal names, kinds,
-    locations, dtypes and shapes."""
+    locations and lane counts."""
     return (tuple(draw.match.items()), draw.shapes, draw.program, tuple(
-        (name, b.kind, b.location, b.data.dtype, b.data.shape)
-        for name, b in draw.buffers.items()))
+        (name, b.kind, b.location, len(b.data)) for name, b in draw.buffers.items()))
 
 
-def _check_group(inst, members):
-    """The first of `members`, (index, buffers) pairs in draw order that
-    share the structure of `inst`, that differs or raises: (index,
-    (instance, detail)) or (index, exception); None if none does.  Several
-    members run as one batch; a batch that raises is replayed member by
-    member."""
-    def member(buffers):
-        if buffers is inst.buffers:
-            return inst
-        return FuzzInstance(inst.lhs, inst.rhs, buffers, inst.shapes)
+def _check_group(lhs, rhs, shapes, members):
+    """The first of `members`, (index, buffers) pairs in draw order whose
+    draws share a structure with sides `lhs` and `rhs`, that differs or
+    raises: (index, (instance, detail)) or (index, exception); None if none
+    does.  The members' buffers are built as one array each, and a
+    member's instance holds its rows.  Several members run as one batch; a
+    batch that raises is replayed member by member."""
+    arrays = _arrays([bufs for _, bufs in members])
+
+    def member(i):
+        return FuzzInstance(lhs, rhs, _row(arrays, i), shapes)
 
     if len(members) > 1:
-        stacked = {name: interp.Buffer(b.kind, b.location, np.stack(
-            [bufs[name].data for _, bufs in members])) for name, b in inst.buffers.items()}
         try:
-            hit = interp.compare_sides(inst.lhs, inst.rhs, stacked, inst.shapes)
+            hit = interp.compare_sides(lhs, rhs, arrays, shapes)
         except Exception:  # the replay finds the trial that raises
             pass
         else:
             if hit is None:
                 return None
-            index, buffers = members[hit[0]]
-            return index, (member(buffers), hit[1])
-    for index, buffers in members:
-        one = member(buffers)
+            return members[hit[0]][0], (member(hit[0]), hit[1])
+    for i, (index, _) in enumerate(members):
+        one = member(i)
         try:
             ok, detail = _run_instance(one)
         except Exception as e:  # raised unless an earlier instance fails
@@ -933,11 +957,11 @@ def check_rule_soundness(rule, trials=500, seed=0):
             if not members:
                 break
         try:
-            inst = _instance(rule, draw)
+            lhs, rhs = _render(rule, draw)
         except Exception as e:  # raised unless an earlier draw fails
             first = members[0][0], e
             continue
-        first = _check_group(inst, members) or first
+        first = _check_group(lhs, rhs, draw.shapes, members) or first
     if first is not None:
         index, outcome = first
         if isinstance(outcome, Exception):
@@ -956,11 +980,9 @@ def check_rule_soundness(rule, trials=500, seed=0):
 
 
 def _uniform_lanes(rng, lanes):
-    """`lanes` draws of `rng.uniform(-1, 1)` as float32.  `uniform(a, b)`
-    is `a + (b - a) * random()`, so one `random()` per lane, scaled in
-    float64, gives the same draws and bits."""
-    return (np.array([rng.random() for _ in range(lanes)]) * 2.0 - 1.0).astype(
-        np.float32)
+    """`lanes` draws of `rng.uniform(-1, 1)`, as floats: `uniform(a, b)` is
+    `a + (b - a) * random()`, so each is one `random()`, scaled in float64."""
+    return [rng.random() * 2.0 - 1.0 for _ in range(lanes)]
 
 
 @functools.lru_cache(maxsize=1024)  # a few buffer names, kinds and lane counts
@@ -971,15 +993,16 @@ def _dense_load(name, kind, lanes):
 
 
 def _fresh_vec(rng, buffers, lanes, kind, prefix="buf"):
-    """A dense load of a new buffer of `kind`: i32 lanes uniform on [0, 16),
-    lane j the j-th nibble of one `getrandbits(4 * lanes)`, low nibble
-    first; float lanes `rng.uniform(-1, 1)` draws rounded to `kind`."""
+    """A dense load of a new buffer of `kind`, its lanes drawn as numbers:
+    i32 lanes uniform on [0, 16), lane j the j-th nibble of one
+    `getrandbits(4 * lanes)`, low nibble first; float lanes
+    `rng.uniform(-1, 1)` draws, which `_arrays` rounds to `kind`."""
     name = f"{prefix}{len(buffers)}"
     if kind == "i32":
         bits = rng.getrandbits(4 * lanes)
-        data = np.array([bits >> j & 15 for j in range(0, 4 * lanes, 4)], np.int64)
+        data = [bits >> j & 15 for j in range(0, 4 * lanes, 4)]
     else:
-        data = interp.round_to_kind(_uniform_lanes(rng, lanes), kind)
+        data = _uniform_lanes(rng, lanes)
     buffers[name] = interp.Buffer(kind, "mem", data)
     return _dense_load(name, kind, lanes)
 
@@ -1184,8 +1207,8 @@ def _fz_stage(target, b_shape=False):
         stage = _dense_load("stage", kind, length)
         program = ir.Program(params, (ir.Allocate("stage", kind, length, target), None,
                                       ir.Store("out", stage.index, stage)))
-        buffers = {prm.name: interp.Buffer(kind, "mem", interp.round_to_kind(
-            _uniform_lanes(rng, prm.length), kind)) for prm in params}
+        buffers = {prm.name: interp.Buffer(kind, "mem", _uniform_lanes(rng, prm.length))
+                   for prm in params}
         zero = ir.Imm("i32", 0)
         return Draw({"buf": "stage", "sb": zero, "ll": length, "mn": "src",
                      "t": stage.vtype, "lb": zero, "m": m, "k": k, "n": n},

@@ -486,6 +486,10 @@ class TestValidatorErrors:
         ("(evaluate (call ConvolutionShuffle (var K) (load a (f32 1) (imm i32 0)) "
          "(imm i32 5) (imm i32 2)))",
          "body[0].value: ConvolutionShuffle argument 1 must be i32, got f32"),
+        # an address is one lane
+        ("(store o (ramp (imm i32 0) (imm i32 1) 4) (call tile_load (var a) "
+         "(ramp (imm i32 0) (imm i32 1) 2) (imm i32 4) (imm i32 2) (imm i32 2)))",
+         "body[0].value: tile_load argument 1 has 2 lanes, not 1"),
         # a load's kind is its buffer's
         ("(evaluate (load a (f32 1) (load a (i32 1) (imm i32 0))))",
          "body[0].value: load of i32 from 'a' of kind f32"),

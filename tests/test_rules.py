@@ -276,7 +276,7 @@ class TestSoundness:
                 lhs, _ = rules._sides(rule, draw.match)
                 encode = rules.encode_stmt if isinstance(lhs, ir.Stmt) else rules.encode_expr
                 encode(g, lhs)
-                rules.seed_facts(g, {n: (b.kind, b.data.size, b.location)
+                rules.seed_facts(g, {n: (b.kind, len(b.data), b.location)
                                      for n, b in draw.buffers.items()},
                                  ir.program_shapes(draw))
                 term = rules._renderer(rule, draw.match)

@@ -219,8 +219,9 @@ def test_signed_zero_instances_never_share_a_batch():
 @pytest.mark.parametrize("kind", ["i32", "f32", "bf16", "f16"])
 def test_fresh_vec_draws_as_uniform_does(kind):
     """The i32 lanes are the nibbles of one `getrandbits(4 * lanes)`, low
-    first, the float lanes `rng.uniform(-1, 1)` draws, bit for bit, and the
-    stream goes on where it would."""
+    first, the float lanes `rng.uniform(-1, 1)` draws; the array built from
+    them holds those lanes bit for bit, and the stream goes on where it
+    would."""
     for seed in range(5):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         for lanes in (1, 3, 17):
@@ -232,6 +233,56 @@ def test_fresh_vec_draws_as_uniform_does(kind):
             else:
                 want = interp.round_to_kind(np.array(
                     [want_rng.uniform(-1, 1) for _ in range(lanes)], np.float32), kind)
-            data = buffers["buf0"].data
+            data = rules._arrays([buffers])["buf0"].data[0]
             assert data.dtype == want.dtype and data.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
+
+
+def per_draw_uniform_lanes(rng, lanes):
+    """`_uniform_lanes` as an array of its own per draw, scaled in float64."""
+    return (np.array([rng.random() for _ in range(lanes)]) * 2.0 - 1.0).astype(np.float32)
+
+
+def per_draw_arrays(buffers):
+    """The arrays of one draw's buffers, each built alone: i32 lanes as
+    int64, float lanes rounded to their kind."""
+    return {name: np.array(b.data, np.int64) if b.kind == "i32"
+            else interp.round_to_kind(b.data, b.kind) for name, b in buffers.items()}
+
+
+def fresh(kind, lanes):
+    def gen(rng):
+        buffers = {}
+        rules._fresh_vec(rng, buffers, lanes, kind)
+        return rules.Draw({}, buffers)
+    return gen
+
+
+@pytest.mark.parametrize("gen", [
+    *(fresh(kind, lanes) for kind in ("i32", "f32", "bf16", "f16") for lanes in (1, 3, 17)),
+    rules._fz_store("amx", flat=True), rules._fz_store("wmma", flat=False),
+    rules._fz_stage("amx"), rules._fz_stage("wmma", b_shape=True),
+], ids=[*(f"{kind}x{lanes}" for kind in ("i32", "f32", "bf16", "f16") for lanes in (1, 3, 17)),
+        "store-amx-flat", "store-wmma-2axis", "stage-amx", "stage-wmma-b"])
+def test_group_arrays_equal_per_draw_arrays(gen, monkeypatch):
+    """The arrays built once per structure group hold, row for row and bit
+    for bit, the arrays each draw's buffers give when built alone, for one
+    row and for several."""
+    for seed in range(3):
+        rng = random.Random(seed)
+        draws = [gen(rng) for _ in range(12)]
+        with monkeypatch.context() as m:
+            m.setattr(rules, "_uniform_lanes", per_draw_uniform_lanes)
+            rng = random.Random(seed)
+            alone = [per_draw_arrays(gen(rng).buffers) for _ in range(12)]
+        groups = {}
+        for draw, want in zip(draws, alone):
+            groups.setdefault(rules._structure(draw), []).append((draw.buffers, want))
+        assert max(map(len, groups.values())) > 1
+        for members in groups.values():
+            for rows in (members, members[:1]):
+                built = rules._arrays([bufs for bufs, _ in rows])
+                for i, (_, want) in enumerate(rows):
+                    for name, data in want.items():
+                        got = built[name].data[i]
+                        assert got.dtype == data.dtype and got.tobytes() == data.tobytes()
