@@ -28,9 +28,11 @@ variable that no query `Bind` defines to its value (an IR expression, an
 int, a `VecType` or a buffer name, for a class of terms, ints, types or
 names), with the buffers those values load and the shapes its facts name,
 and for a statement rule the program around the statement, None in its
-place.  The match satisfies the query, guards and premises included.
+place.  A drawn buffer holds its lanes as plain numbers, unrounded.  The
+match satisfies the query, guards and premises included.
 `check_rule_soundness` expands the left side from the rule's query and
-runs its compiled action on term trees for the right.
+runs its compiled action on term trees for the right, and builds the
+buffers of each group of like draws as one array each.
 
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
@@ -738,7 +740,9 @@ def _lowering_rules(rs):
 @dataclass
 class Draw:
     """One draw of a rule's generator: a match, and the buffers, shapes and
-    program it runs on, as the module docstring sets out."""
+    program it runs on, as the module docstring sets out.  Each buffer's
+    data is a list of its lanes: ints for i32, else float64 draws that
+    `_arrays` rounds to the buffer's kind."""
 
     match: dict
     buffers: dict = field(default_factory=dict)
@@ -877,7 +881,8 @@ def _run_instance(inst):
 def _structure(draw):
     """Draws of equal structure render alike and evaluate as one batch:
     equal matches, shapes and programs, and buffers of equal names, kinds,
-    locations and lane counts."""
+    locations and lane counts, whose drawn lanes `_arrays` builds into one
+    array per buffer."""
     return (tuple(draw.match.items()), draw.shapes, draw.program, tuple(
         (name, b.kind, b.location, len(b.data)) for name, b in draw.buffers.items()))
 
@@ -923,15 +928,16 @@ def check_rule_soundness(rule, trials=500, seed=0):
     query, guards included, or None to skip a draw; it builds neither side.
     The draws are grouped by `_structure`.  Once per group, at its first
     draw, the sides are built from the rule itself (`_sides`): the left
-    from its query, the right by its compiled action.  Each group of
-    several draws is then evaluated once by `interp.compare_sides`, its
-    buffers stacked along a leading trial axis; a batch that raises is
-    replayed draw by draw.  The report, or the exception raised, is that of
-    checking the draws one by one in draw order: the first draw whose
-    render or evaluation raises, or whose sides differ, decides, and
-    `checked` counts the draws up to it.  A render that raises counts at
-    its group's first draw.  When the generator raises, the draws made
-    before it are checked first."""
+    from its query, the right by its compiled action.  The group's drawn
+    lanes are built by `_arrays` into one array per buffer, a row per
+    draw.  Each group of several draws is then evaluated once by
+    `interp.compare_sides` along that leading trial axis; a batch that
+    raises is replayed draw by draw, each on its rows.  The report, or
+    the exception raised, is that of checking the draws one by one in
+    draw order: the first draw whose render or evaluation raises, or
+    whose sides differ, decides, and `checked` counts the draws up to it.
+    A render that raises counts at its group's first draw.  When the
+    generator raises, the draws made before it are checked first."""
     report = SoundnessReport(rule=rule.name, trials=trials)
     if not rule.semantic:
         return report
