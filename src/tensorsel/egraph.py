@@ -168,7 +168,7 @@ class RuleDef:
     rhs: tuple = ()  # effects: Bind (union), Rel (assert a fact), Let
     doc: str = ""
     target: str = ""  # "", "amx", or "wmma"
-    fuzz: object = None  # optional fn(rng) -> rules.Draw, a match, or None to skip a draw
+    fuzz: object = None  # optional fn(rng) -> a draw, (rules.Structure, lanes), or None
 
     def __post_init__(self):
         try:

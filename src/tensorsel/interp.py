@@ -486,17 +486,6 @@ def _bop(op, a, b):
 # intrinsic semantics (signatures live in ir.INTRINSICS)
 
 
-def _derive_mkn(la, lb, lc):
-    """Unique (M, K, N) with M*K = la, K*N = lb, M*N = lc, or None."""
-    if la * lc % lb or lb * lc % la or la * lb % lc:
-        return None
-    m2, n2, k2 = la * lc // lb, lb * lc // la, la * lb // lc
-    m, n, k = math.isqrt(m2), math.isqrt(n2), math.isqrt(k2)
-    if m * m != m2 or n * n != n2 or k * k != k2 or not (m and n and k):
-        return None
-    return m, k, n
-
-
 def _scalar_int(v):
     """A scalar i32 argument: an int, or an array of one lane per trial when
     it was read from data."""
@@ -565,7 +554,7 @@ def eval_intrinsic(name, args, env):
             c, a, b = (eval_expr(x, env) for x in args)
         else:
             a, b, c = (eval_expr(x, env) for x in args)
-        mkn = _derive_mkn(a.lanes, b.lanes, c.lanes)
+        mkn = ir.derive_mkn(a.lanes, b.lanes, c.lanes)
         if mkn is None:
             raise ShapeUnregistered(
                 f"{name}: no (M,K,N) fits lanes A={a.lanes} B={b.lanes} C={c.lanes}")

@@ -41,11 +41,22 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class IRError(Exception):
-    """`msg` about the node at `path` (such as body[0].value.lhs), if known."""
+    """`msg` about the node at `path` (such as body[0].value.lhs), if known:
+    a string, or a step of the typed walk, which is spelled here."""
 
     def __init__(self, msg, path=""):
+        path = _spelled(path)
         super().__init__(f"{path}: {msg}" if path else msg)
         self.msg, self.path = msg, path
+
+
+def _spelled(path):
+    """A node path: a string, or a (parent path, field) or (parent path,
+    field, index) step of the typed walk, which spells it only for an error."""
+    if isinstance(path, str):
+        return path
+    parent, name, *index = path
+    return f"{_spelled(parent)}.{name}" + "".join(f"[{i}]" for i in index)
 
 
 class LaneMismatch(IRError):
@@ -348,6 +359,17 @@ INTRINSICS = {
 }
 
 
+def derive_mkn(la, lb, lc):
+    """Unique (M, K, N) with M*K = la, K*N = lb, M*N = lc, or None."""
+    if la * lc % lb or lb * lc % la or la * lb % lc:
+        return None
+    m2, n2, k2 = la * lc // lb, lb * lc // la, la * lb // lc
+    m, n, k = math.isqrt(m2), math.isqrt(n2), math.isqrt(k2)
+    if m * m != m2 or n * n != n2 or k * k != k2 or not (m and n and k):
+        return None
+    return m, k, n
+
+
 def _signature(call, path):
     sig = INTRINSICS.get(call.name)
     if sig is None:
@@ -419,6 +441,10 @@ def _call_lanes(call, sig, lanes, path):
             layout.check_interleave(k, n // row_len, row_len)
         except ValueError as e:  # too many entries
             raise LaneMismatch(f"{call.name}: {e}", path) from None
+    if set(sig.roles) == {"tile"}:  # a MatMul: C, then A and B in their order
+        a, b = (m for i, m in enumerate(lanes) if i != sig.lanes)
+        if derive_mkn(a, b, n) is None:
+            raise LaneMismatch(f"{call.name}: no (M,K,N) fits lanes A={a} B={b} C={n}", path)
     return n
 
 
@@ -456,15 +482,15 @@ def _typed(e, buffers, path, types=None):
     """The (kind, lanes) pair of `e`, its children typed first.  A half that
     some rule in the subtree rejects is instead the first such error, and
     the walk goes on past it, so every node is typed; `types`, when given,
-    maps the id of each node to its pair."""
+    maps the id of each node to its pair.  A child's path is a step from
+    `path`, which `IRError` spells only for an error (`_spelled`)."""
     kids = []
     for name, role in _CHILD_FIELDS.get(e.__class__, ()):
         v = getattr(e, name)
         if role == "expr":
-            kids.append(_typed(v, buffers, f"{path}.{name}", types))
+            kids.append(_typed(v, buffers, (path, name), types))
         elif role == "exprs":
-            kids += [_typed(a, buffers, f"{path}.{name}[{i}]", types)
-                     for i, a in enumerate(v)]
+            kids += [_typed(a, buffers, (path, name, i), types) for i, a in enumerate(v)]
     t = _node_type(e, kids, buffers, path)
     if types is not None:
         types[id(e)] = t

@@ -23,16 +23,19 @@ and the catalog prints it as written.  The MatMul lowerings match their
 tile loads' size arguments as query variables and compare them there.
 
 Each semantic rule's generator, `fuzz(rng)`, draws a match of the rule's
-query and builds neither side: a `Draw` whose `match` maps each query
-variable that no query `Bind` defines to its value (an IR expression, an
-int, a `VecType` or a buffer name, for a class of terms, ints, types or
-names), with the buffers those values load and the shapes its facts name,
-and for a statement rule the program around the statement, None in its
-place.  A drawn buffer holds its lanes as plain numbers, unrounded.  The
-match satisfies the query, guards and premises included.
-`check_rule_soundness` expands the left side from the rule's query and
-runs its compiled action on term trees for the right, and builds the
-buffers of each group of like draws as one array each.
+query and builds neither side.  A draw is a shared `Structure` plus its
+lanes.  The structure's `match` maps each query variable that no query
+`Bind` defines to its value (an IR expression, an int, a `VecType` or a
+buffer name, for a class of terms, ints, types or names); its layout
+lists the buffers those values load; it holds the shapes its facts name
+and, for a statement rule, the program around the statement, None in its
+place.  The lanes are a list per buffer, plain numbers, unrounded.  The
+structure depends only on the few ints a generator draws, so it is built
+once and shared by every draw of those ints.  The match satisfies the
+query, guards and premises included.  `check_rule_soundness` groups the
+draws by structure, expands the left side from the rule's query and runs
+its compiled action on term trees for the right, and builds the buffers
+of each group as one array each.
 
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
@@ -265,12 +268,7 @@ class RuleSet:
 
     def for_target(self, target):
         """The rules of `target` plus the target-neutral ones."""
-        out = []
-        for r in self.rules:
-            if r.target and target != "all" and r.target != target:
-                continue
-            out.append(r)
-        return out
+        return [r for r in self.rules if not r.target or target in ("all", r.target)]
 
     def catalog_text(self):
         lines = []
@@ -737,17 +735,30 @@ def _lowering_rules(rs):
 # soundness fuzzing
 
 
-@dataclass
-class Draw:
-    """One draw of a rule's generator: a match, and the buffers, shapes and
-    program it runs on, as the module docstring sets out.  Each buffer's
-    data is a list of its lanes: ints for i32, else float64 draws that
-    `_arrays` rounds to the buffer's kind."""
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """What like draws of a rule share, as the module docstring sets out:
+    the match, read-only; the layout of the drawn buffers, a (name, kind,
+    location, lanes) entry per buffer in order; the shapes; and the
+    program or None.  Structures compare and hash by value, so the two
+    zero immediates differ, and each computes its hash once."""
 
     match: dict
-    buffers: dict = field(default_factory=dict)
+    layout: tuple = ()
     shapes: tuple = ()
     program: object = None
+
+    def __post_init__(self):
+        match, layout = MappingProxyType(dict(self.match)), tuple(self.layout)
+        key = (tuple(match.items()), layout, self.shapes, self.program)
+        for name, value in (("match", match), ("layout", layout), ("_key", (hash(key), key))):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, Structure) and self._key == other._key
+
+    def __hash__(self):
+        return self._key[0]
 
 
 @dataclass
@@ -835,35 +846,34 @@ def _sides(rule, match):
     return decode_term(lhs), decode_term(g.unions[0][1] if g.unions else lhs)
 
 
-def _render(rule, draw):
-    """The two sides of `rule` at `draw`, in the draw's program for a
+def _render(rule, structure):
+    """The two sides of `rule` at `structure`, in its program for a
     statement rule."""
-    lhs, rhs = _sides(rule, draw.match)
-    if draw.program is None:
+    lhs, rhs = _sides(rule, structure.match)
+    if structure.program is None:
         return lhs, rhs
-    return (ir.Program(draw.program.params, tuple(
-        side if s is None else s for s in draw.program.body), draw.shapes)
+    return (ir.Program(structure.program.params, tuple(
+        side if s is None else s for s in structure.program.body), structure.shapes)
         for side in (lhs, rhs))
 
 
-def _instance(rule, draw):
-    """The two sides of `rule` at `draw`, with the draw's buffers as arrays."""
-    return FuzzInstance(*_render(rule, draw), _row(_arrays([draw.buffers]), 0),
-                        draw.shapes)
+def _instance(rule, structure, lanes):
+    """The two sides of `rule` at one draw, with its buffers as arrays."""
+    return FuzzInstance(*_render(rule, structure), _row(_arrays(structure.layout, [lanes]), 0),
+                        structure.shapes)
 
 
-def _arrays(rows):
-    """The buffers of `rows`, a list of one structure's drawn buffer tables,
-    each as one array with a row per table: its i32 lanes as int64, its
-    float lanes as float64 rounded to its kind, through float32."""
+def _arrays(layout, rows):
+    """The buffers of `layout`, each as one array with a row per draw of
+    `rows`, lists of a draw's lanes in layout order: i32 lanes as int64,
+    float lanes as float64 rounded to their kind, through float32."""
     out = {}
-    for name, b in rows[0].items():
-        lanes = len(b.data)
-        data = np.fromiter(itertools.chain.from_iterable(bufs[name].data for bufs in rows),
-                           np.int64 if b.kind == "i32" else np.float64, len(rows) * lanes)
-        if b.kind != "i32":
-            data = interp.round_to_kind(data, b.kind)
-        out[name] = interp.Buffer(b.kind, b.location, data.reshape(len(rows), lanes))
+    for j, (name, kind, location, lanes) in enumerate(layout):
+        data = np.fromiter(itertools.chain.from_iterable(row[j] for row in rows),
+                           np.int64 if kind == "i32" else np.float64, len(rows) * lanes)
+        if kind != "i32":
+            data = interp.round_to_kind(data, kind)
+        out[name] = interp.Buffer(kind, location, data.reshape(len(rows), lanes))
     return out
 
 
@@ -878,30 +888,21 @@ def _run_instance(inst):
     return (True, None) if hit is None else (False, hit[1])
 
 
-def _structure(draw):
-    """Draws of equal structure render alike and evaluate as one batch:
-    equal matches, shapes and programs, and buffers of equal names, kinds,
-    locations and lane counts, whose drawn lanes `_arrays` builds into one
-    array per buffer."""
-    return (tuple(draw.match.items()), draw.shapes, draw.program, tuple(
-        (name, b.kind, b.location, len(b.data)) for name, b in draw.buffers.items()))
-
-
-def _check_group(lhs, rhs, shapes, members):
-    """The first of `members`, (index, buffers) pairs in draw order whose
-    draws share a structure with sides `lhs` and `rhs`, that differs or
+def _check_group(structure, lhs, rhs, members):
+    """The first of `members`, (index, lanes) pairs in draw order of the
+    draws of `structure`, with sides `lhs` and `rhs`, that differs or
     raises: (index, (instance, detail)) or (index, exception); None if none
     does.  The members' buffers are built as one array each, and a
     member's instance holds its rows.  Several members run as one batch; a
     batch that raises is replayed member by member."""
-    arrays = _arrays([bufs for _, bufs in members])
+    arrays = _arrays(structure.layout, [lanes for _, lanes in members])
 
     def member(i):
-        return FuzzInstance(lhs, rhs, _row(arrays, i), shapes)
+        return FuzzInstance(lhs, rhs, _row(arrays, i), structure.shapes)
 
     if len(members) > 1:
         try:
-            hit = interp.compare_sides(lhs, rhs, arrays, shapes)
+            hit = interp.compare_sides(lhs, rhs, arrays, structure.shapes)
         except Exception:  # the replay finds the trial that raises
             pass
         else:
@@ -919,18 +920,39 @@ def _check_group(lhs, rhs, shapes, members):
     return None
 
 
+def _groups(rule, rng, trials):
+    """(groups, drawn, error) of `trials` draws of `rule.fuzz(rng)`: the
+    groups map each structure to its draws, (index, lanes) pairs, where a
+    draw's index counts the draws made before it, in the order of their
+    first draws; `drawn` counts the draws, and `error` is what the
+    generator raised, which ends the draws, or None."""
+    groups, drawn = {}, 0
+    for _ in range(trials):
+        try:
+            draw = rule.fuzz(rng)
+        except Exception as e:  # raised unless an earlier draw fails
+            return groups, drawn, e
+        if draw is not None:
+            groups.setdefault(draw[0], []).append((drawn, draw[1]))
+            drawn += 1
+    return groups, drawn, None
+
+
 def check_rule_soundness(rule, trials=500, seed=0):
     """Interpreter-equivalence fuzzing for one semantic rule: `trials`
     draws of its generator, each checked by evaluating the rule's two sides
     at the draw and comparing them bit for bit.
 
-    `rule.fuzz(rng)` returns a `Draw` whose match satisfies the rule's
-    query, guards included, or None to skip a draw; it builds neither side.
-    The draws are grouped by `_structure`.  Once per group, at its first
-    draw, the sides are built from the rule itself (`_sides`): the left
-    from its query, the right by its compiled action.  The group's drawn
-    lanes are built by `_arrays` into one array per buffer, a row per
-    draw.  Each group of several draws is then evaluated once by
+    `rule.fuzz(rng)` returns a draw, a `Structure` whose match satisfies
+    the rule's query, guards included, and its drawn lanes, a list per
+    buffer in layout order; or None to skip a draw.  It builds neither
+    side, and draws of the same ints share one structure, which `_shared`
+    keeps for the length of this call.  The draws are grouped by
+    structure (`_groups`), one dict lookup each.  Once per
+    group the sides are built from the rule itself (`_sides`): the left
+    from its query, the right by its compiled action.  The group's lanes
+    are built by `_arrays` into one array per buffer, a row per draw.
+    Each group of several draws is then evaluated once by
     `interp.compare_sides` along that leading trial axis; a batch that
     raises is replayed draw by draw, each on its rows.  The report, or
     the exception raised, is that of checking the draws one by one in
@@ -943,37 +965,25 @@ def check_rule_soundness(rule, trials=500, seed=0):
         return report
     assert rule.fuzz is not None, f"semantic rule {rule.name} lacks a generator"
     rng = random.Random(f"soundness:{seed}:{rule.name}")
-    # structure -> (its first draw, [(index, buffers), ...]), where a draw's
-    # index counts the draws made before it
-    groups = {}
-    drawn, error = 0, None
-    for _ in range(trials):
-        try:
-            draw = rule.fuzz(rng)
-        except Exception as e:  # raised unless an earlier draw fails
-            error = e
-            break
-        if draw is not None:
-            groups.setdefault(_structure(draw), (draw, []))[1].append((drawn, draw.buffers))
-            drawn += 1
+    groups, drawn, error = _groups(rule, rng, trials)
+    _shared.cache_clear()  # the groups hold this call's structures; the memo lets them go
     first = None
-    for draw, members in groups.values():  # in the order of their first draws
+    for structure, members in groups.items():  # in the order of their first draws
         if first is not None:
             members = [m for m in members if m[0] < first[0]]
             if not members:
                 break
         try:
-            lhs, rhs = _render(rule, draw)
+            lhs, rhs = _render(rule, structure)
         except Exception as e:  # raised unless an earlier draw fails
             first = members[0][0], e
             continue
-        first = _check_group(lhs, rhs, draw.shapes, members) or first
+        first = _check_group(structure, lhs, rhs, members) or first
     if first is not None:
         index, outcome = first
         if isinstance(outcome, Exception):
             raise outcome
-        report.checked = index + 1
-        report.counterexample = outcome
+        report.checked, report.counterexample = index + 1, outcome
         return report
     if error is not None:
         raise error
@@ -983,12 +993,41 @@ def check_rule_soundness(rule, trials=500, seed=0):
 
 
 # -- per-rule match generators -----------------------------------------------
+#
+# A generator draws its ints, looks up the structure they make (`_shared`),
+# and draws its buffers' lanes.  One that draws lanes between ints draws
+# them there: `tests/draw_stream.json` pins each rule's random stream.
+
+
+@functools.lru_cache(maxsize=1024)  # above one call's 500 draws
+def _shared(build, *args, **kw):
+    """`build(*args, **kw)`: the structure of the draws that drew `args`.
+    `check_rule_soundness` clears it after its draws."""
+    return build(*args, **kw)
+
+
+def _drawn(rng, build, *args, **kw):
+    """The draw of the structure `build` makes of `args`: it and its
+    buffers' lanes, drawn in layout order."""
+    s = _shared(build, *args, **kw)
+    return s, [_lanes(rng, lanes, kind) for _, kind, _, lanes in s.layout]
 
 
 def _uniform_lanes(rng, lanes):
     """`lanes` draws of `rng.uniform(-1, 1)`, as floats: `uniform(a, b)` is
     `a + (b - a) * random()`, so each is one `random()`, scaled in float64."""
     return [rng.random() * 2.0 - 1.0 for _ in range(lanes)]
+
+
+def _lanes(rng, lanes, kind):
+    """The lanes of a new buffer of `kind`, as numbers: i32 lanes uniform on
+    [0, 16), lane j the j-th nibble of one `getrandbits(4 * lanes)`, low
+    nibble first; float lanes `rng.uniform(-1, 1)` draws, which `_arrays`
+    rounds to `kind`."""
+    if kind != "i32":
+        return _uniform_lanes(rng, lanes)
+    bits = rng.getrandbits(4 * lanes)
+    return [bits >> j & 15 for j in range(0, 4 * lanes, 4)]
 
 
 @functools.lru_cache(maxsize=1024)  # a few buffer names, kinds and lane counts
@@ -998,187 +1037,182 @@ def _dense_load(name, kind, lanes):
                    ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), lanes))
 
 
-def _fresh_vec(rng, buffers, lanes, kind, prefix="buf"):
-    """A dense load of a new buffer of `kind`, its lanes drawn as numbers:
-    i32 lanes uniform on [0, 16), lane j the j-th nibble of one
-    `getrandbits(4 * lanes)`, low nibble first; float lanes
-    `rng.uniform(-1, 1)` draws, which `_arrays` rounds to `kind`."""
-    name = f"{prefix}{len(buffers)}"
-    if kind == "i32":
-        bits = rng.getrandbits(4 * lanes)
-        data = [bits >> j & 15 for j in range(0, 4 * lanes, 4)]
-    else:
-        data = _uniform_lanes(rng, lanes)
-    buffers[name] = interp.Buffer(kind, "mem", data)
+def _vec(layout, lanes, kind, prefix="buf", location="mem"):
+    """A dense load of a new buffer of `kind`, added to `layout`."""
+    name = f"{prefix}{len(layout)}"
+    layout.append((name, kind, location, lanes))
     return _dense_load(name, kind, lanes)
 
 
-def _rand_kind(rng):
-    return rng.choice(("i32", "f32", "bf16"))
-
-
-def _i32_vecs(rng, buffers, *lanes):
-    return [_fresh_vec(rng, buffers, n, "i32") for n in lanes]
+def _loads(*items, shapes=()):
+    """The structure whose match holds `items`, (variable, value) pairs in
+    order, with each (lanes, kind) value a dense load of a new buffer."""
+    layout = []
+    return Structure({var: _vec(layout, *v) if isinstance(v, tuple) else v
+                      for var, v in items}, layout, shapes)
 
 
 def _fz_one_vec(rng):
-    buffers = {}
-    return Draw({"x": _fresh_vec(rng, buffers, rng.randrange(1, 6), _rand_kind(rng))},
-                buffers)
+    n, kind = rng.randrange(1, 6), rng.choice(("i32", "f32", "bf16"))
+    return _drawn(rng, _loads, ("x", (n, kind)))
 
 
 def _fz_bcast_flatten(rng):
-    buffers = {}
-    x = _fresh_vec(rng, buffers, rng.randrange(1, 5), _rand_kind(rng))
-    return Draw({"x": x, "l1": rng.randrange(1, 5), "l2": rng.randrange(1, 5)}, buffers)
+    n, kind = rng.randrange(1, 5), rng.choice(("i32", "f32", "bf16"))
+    x, l1 = _lanes(rng, n, kind), rng.randrange(1, 5)
+    return _shared(_loads, ("x", (n, kind)), ("l1", l1), ("l2", rng.randrange(1, 5))), [x]
 
 
 def _fz_bcast_of_load(rng):
     """A gather from 16 lanes, so any i32 lane indexes them."""
-    buffers = {}
-    kind = _rand_kind(rng)
-    data = _fresh_vec(rng, buffers, 16, kind)
-    n = rng.randrange(1, 5)
-    return Draw({"n": data.buffer, "t": ir.VecType(kind, n),
-                 "i": _fresh_vec(rng, buffers, n, "i32"), "l": rng.randrange(1, 4)}, buffers)
+    kind = rng.choice(("i32", "f32", "bf16"))
+    data, n = _lanes(rng, 16, kind), rng.randrange(1, 5)
+    lanes = [data, _lanes(rng, n, "i32")]
+    return _shared(_bcast_of_load, kind, n, rng.randrange(1, 4)), lanes
+
+
+def _bcast_of_load(kind, n, l):
+    layout = []  # buf0, the gathered lanes, then buf1, the index
+    return Structure({"n": _vec(layout, 16, kind).buffer, "t": ir.VecType(kind, n),
+                      "i": _vec(layout, n, "i32"), "l": l}, layout)
 
 
 def _fz_bcast_of_cast(rng):
-    buffers = {}
     n = rng.randrange(1, 5)
-    return Draw({"t": ir.VecType("f32", n), "x": _fresh_vec(rng, buffers, n, "bf16"),
-                 "l": rng.randrange(1, 4)}, buffers)
+    x, l = _lanes(rng, n, "bf16"), rng.randrange(1, 4)
+    return _shared(_loads, ("t", ir.VecType("f32", n)), ("x", (n, "bf16")), ("l", l)), [x]
 
 
 def _fz_ramp_elim(rng):
-    buffers = {}
-    lanes = rng.randrange(1, 5)
-    x, s = _i32_vecs(rng, buffers, lanes, lanes)
-    return Draw({"x": x, "s": s, "w": lanes}, buffers)
+    w = rng.randrange(1, 5)
+    return _drawn(rng, _loads, ("x", (w, "i32")), ("s", (w, "i32")), ("w", w))
 
 
 def _fz_ramp_split(rng):
-    return Draw({"x": ir.Imm("i32", rng.randrange(0, 16)), "l": 2 * rng.randrange(1, 5)})
+    return _drawn(rng, _loads, ("x", ir.Imm("i32", rng.randrange(0, 16))),
+                  ("l", 2 * rng.randrange(1, 5)))
 
 
 def _fz_ramp_plus_bcast(rng):
     """A ramp of n steps over f*lx lanes and an m = f*n copy broadcast of
     lx lanes."""
-    buffers = {}
     n, f, lx = rng.randrange(1, 5), rng.randrange(1, 4), rng.randrange(1, 4)
-    b, s, x = _i32_vecs(rng, buffers, f * lx, f * lx, lx)
-    return Draw({"b": b, "s": s, "n": n, "x": x, "m": n * f, "w": f * lx * n}, buffers)
+    v = (f * lx, "i32")
+    return _drawn(rng, _loads, ("b", v), ("s", v), ("n", n), ("x", (lx, "i32")),
+                  ("m", n * f), ("w", f * lx * n))
 
 
 def _fz_ramp_unnest(rng):
-    buffers = {}
     lanes = rng.randrange(1, 4)
-    x, a, s = _i32_vecs(rng, buffers, lanes, lanes, lanes)
-    l = rng.randrange(1, 5)
-    return Draw({"x": x, "a": a, "s": s, "l": l, "w": lanes * l}, buffers)
+    rows = [_lanes(rng, lanes, "i32") for _ in range(3)]
+    l, v = rng.randrange(1, 5), (lanes, "i32")
+    return _shared(_loads, ("x", v), ("a", v), ("s", v), ("l", l), ("w", lanes * l)), rows
 
 
 def _fz_sibling(ramp):
     """An l2 = q*l1 copy broadcast of la lanes ?a, and its sibling over
     q*la lanes: a ramp of ?x and ?s in l1 steps, or l1 copies of ?b."""
     def gen(rng):
-        buffers = {}
         l1, q, la = rng.randrange(1, 4), rng.randrange(2, 4), rng.randrange(1, 3)
-        sibling = (dict(zip("xs", _i32_vecs(rng, buffers, q * la, q * la))) if ramp
-                   else {"b": _fresh_vec(rng, buffers, q * la, "i32")})
-        return Draw({**sibling, "l1": l1, "a": _fresh_vec(rng, buffers, la, "i32"),
-                     "l2": l1 * q, "w": q * la * l1}, buffers)
+        v = (q * la, "i32")
+        return _drawn(rng, _loads, *((("x", v), ("s", v)) if ramp else (("b", v),)),
+                      ("l1", l1), ("a", (la, "i32")), ("l2", l1 * q), ("w", q * la * l1))
     return gen
 
 
 def _fz_add_of_bcasts(rng):
-    buffers = {}
     lanes = rng.randrange(1, 4)
-    a, b = _i32_vecs(rng, buffers, lanes, lanes)
-    l = rng.randrange(1, 5)
-    return Draw({"a": a, "b": b, "l": l, "w": lanes * l}, buffers)
+    rows = [_lanes(rng, lanes, "i32") for _ in range(2)]
+    l, v = rng.randrange(1, 5), (lanes, "i32")
+    return _shared(_loads, ("a", v), ("b", v), ("l", l), ("w", lanes * l)), rows
 
 
 def _fz_commute(rng):
-    buffers = {}
     kind = rng.choice(("i32", "f32"))
-    lanes = rng.randrange(1, 6)
-    return Draw({"x": _fresh_vec(rng, buffers, lanes, kind),
-                 "y": _fresh_vec(rng, buffers, lanes, kind)}, buffers)
+    v = (rng.randrange(1, 6), kind)
+    return _drawn(rng, _loads, ("x", v), ("y", v))
 
 
 def _fz_int_fold(rng):
-    return Draw({"a": ir.Imm("i32", rng.randrange(0, 100)),
-                 "b": ir.Imm("i32", rng.randrange(0, 100))})
+    return _drawn(rng, _loads, ("a", ir.Imm("i32", rng.randrange(0, 100))),
+                  ("b", ir.Imm("i32", rng.randrange(0, 100))))
 
 
 def _fz_matmul(target):
-    kind = "bf16" if target == "amx" else "f16"
-
     def gen(rng):
-        buffers = {}
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
         k = 2 * rng.randrange(1, 4)
-        astride = k + rng.choice((0, 0, 2))
-        a_buf = _fresh_vec(rng, buffers, m * astride, kind, "A").buffer
-        c = _fresh_vec(rng, buffers, m * n, "f32", "C")
-        b_buf = _fresh_vec(rng, buffers, k * n, kind, "B").buffer
-        zero = ir.Imm("i32", 0)
-
-        def tile(var, buf, *ints):
-            """The arguments of a tile load from `buf`, as `ptile(var, ...)` binds them."""
-            return dict(zip((var + a for a in TILE_ARGS),
-                            (ir.Var(buf), zero, *(ir.Imm("i32", v) for v in ints))))
-
-        if target == "amx":
-            b_load, b_axes = (2 * n, k // 2, 2 * n), [(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)]
-        else:
-            b_load, b_axes = (n, k, n), [(m, 0), (n, 1), (k, n)]
-        tiles = {**tile("ta", a_buf, astride, m, k), **tile("tb", b_buf, *b_load)}
-        wide = ir.VecType(kind, m * k * n)
-        a = ir.Load(a_buf, wide, ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
-        b = ir.Load(b_buf, wide, ir.canonical_index(b_axes, zero))
-        return Draw({"m": m, "k": k, "n": n, "c": c, "rl": m * n, "a": a, "b": b,
-                     "wide": m * k * n, **tiles}, buffers, (ir.ShapeDecl(target, m, k, n),))
+        return _drawn(rng, _matmul, target, m, k, n, k + rng.choice((0, 0, 2)))
     return gen
+
+
+def _matmul(target, m, k, n, astride):
+    kind = "bf16" if target == "amx" else "f16"
+    layout, zero = [], ir.Imm("i32", 0)
+    a_buf = _vec(layout, m * astride, kind, "A").buffer
+    c = _vec(layout, m * n, "f32", "C")
+    b_buf = _vec(layout, k * n, kind, "B").buffer
+
+    def tile(var, buf, *ints):
+        """The arguments of a tile load from `buf`, as `ptile(var, ...)` binds them."""
+        return dict(zip((var + a for a in TILE_ARGS),
+                        (ir.Var(buf), zero, *(ir.Imm("i32", v) for v in ints))))
+
+    if target == "amx":
+        b_load, b_axes = (2 * n, k // 2, 2 * n), [(m, 0), (n, 2), (k // 2, 2 * n), (2, 1)]
+    else:
+        b_load, b_axes = (n, k, n), [(m, 0), (n, 1), (k, n)]
+    tiles = {**tile("ta", a_buf, astride, m, k), **tile("tb", b_buf, *b_load)}
+    wide = ir.VecType(kind, m * k * n)
+    a = ir.Load(a_buf, wide, ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
+    b = ir.Load(b_buf, wide, ir.canonical_index(b_axes, zero))
+    return Structure({"m": m, "k": k, "n": n, "c": c, "rl": m * n, "a": a, "b": b,
+                      "wide": m * k * n, **tiles}, layout, (ir.ShapeDecl(target, m, k, n),))
 
 
 def _fz_zero(target):
     def gen(rng):
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
-        return Draw({"z": ir.Imm("f32", 0.0), "l": m * n, "m": m, "k": 2, "n": n},
-                    shapes=(ir.ShapeDecl(target, m, 2, n),))
+        return _drawn(rng, _loads, ("z", ir.Imm("f32", 0.0)), ("l", m * n), ("m", m),
+                      ("k", 2), ("n", n), shapes=(ir.ShapeDecl(target, m, 2, n),))
     return gen
 
 
 def _fz_of_load(target):
-    def gen(rng):
-        buffers = {}
-        v = _fresh_vec(rng, buffers, rng.randrange(1, 6), "f32")
-        buffers[v.buffer] = interp.Buffer("f32", target, buffers[v.buffer].data)
-        return Draw({"n": v.buffer, "t": v.vtype, "i": v.index}, buffers)
-    return gen
+    return lambda rng: _drawn(rng, _of_load, target, rng.randrange(1, 6))
 
 
-def _tile_index(rng, m, n, flat, pads):
-    """(row stride, match) of a row-major m x n tile index at buffer offset
-    0: flat at stride n, or 2-axis at n plus one of `pads`."""
+def _of_load(target, lanes):
+    layout = []
+    v = _vec(layout, lanes, "f32", location=target)
+    return Structure({"n": v.buffer, "t": v.vtype, "i": v.index}, layout)
+
+
+def _tile_index(m, n, pad, flat):
+    """The match of a row-major m x n tile index at buffer offset 0: flat
+    at stride n, or 2-axis at row stride n + `pad`."""
     zero = ir.Imm("i32", 0)
-    if flat:
-        return n, {"b": zero, "ll": m * n}
-    sstr = n + rng.choice(pads)
-    return sstr, {"b": zero, "n1": n, "sstr": ir.Imm("i32", sstr), "n0": m}
+    return ({"b": zero, "ll": m * n} if flat
+            else {"b": zero, "n1": n, "sstr": ir.Imm("i32", n + pad), "n0": m})
 
 
 def _fz_acc_load(target, flat):
     def gen(rng):
-        buffers = {}
         m, n = rng.choice((1, 2, 4)), rng.choice((2, 4))
-        sstr, index = _tile_index(rng, m, n, flat, (0, 1))
-        src = _fresh_vec(rng, buffers, m * sstr + 2, "f32", "acc").buffer
-        return Draw({"bufn": src, "t": ir.VecType("f32", m * n), **index,
-                     "m": m, "k": 2, "n": n}, buffers, (ir.ShapeDecl(target, m, 2, n),))
+        return _drawn(rng, _acc_load, target, flat, m, n, 0 if flat else rng.choice((0, 1)))
     return gen
+
+
+def _acc_load(target, flat, m, n, pad):
+    layout = []
+    return Structure({"bufn": _vec(layout, m * (n + pad) + 2, "f32", "acc").buffer,
+                      "t": ir.VecType("f32", m * n), **_tile_index(m, n, pad, flat),
+                      "m": m, "k": 2, "n": n}, layout, (ir.ShapeDecl(target, m, 2, n),))
+
+
+def _program(params, body):
+    """The layout of `params`, and the program of `body` over them."""
+    return [(p.name, p.kind, p.location, p.length) for p in params], ir.Program(params, body)
 
 
 def _fz_store(target, flat):
@@ -1186,40 +1220,42 @@ def _fz_store(target, flat):
     to `out`."""
     def gen(rng):
         m, n = rng.choice((2, 4)), rng.choice((2, 4))
-        sstr, index = _tile_index(rng, m, n, flat, (0, 2))
-        mn = m * n
-        params = (ir.Param("src", "f32", mn), ir.Param("out", "f32", (m - 1) * sstr + n))
-        acc = _dense_load("acc", "f32", mn)
-        program = ir.Program(params, (
-            ir.Allocate("acc", "f32", mn, target),
-            ir.Store("acc", acc.index, _dense_load("src", "f32", mn)), None))
-        buffers = {prm.name: interp.Buffer("f32", "mem", _uniform_lanes(rng, prm.length))
-                   for prm in params}
-        return Draw({"buf": "out", "tile": acc, **index, "m": m, "k": 2, "n": n},
-                    buffers, (ir.ShapeDecl(target, m, 2, n),), program)
+        return _drawn(rng, _store, target, flat, m, n, 0 if flat else rng.choice((0, 2)))
     return gen
+
+
+def _store(target, flat, m, n, pad):
+    mn = m * n
+    acc = _dense_load("acc", "f32", mn)
+    layout, program = _program(
+        (ir.Param("src", "f32", mn), ir.Param("out", "f32", (m - 1) * (n + pad) + n)),
+        (ir.Allocate("acc", "f32", mn, target),
+         ir.Store("acc", acc.index, _dense_load("src", "f32", mn)), None))
+    return Structure({"buf": "out", "tile": acc, **_tile_index(m, n, pad, flat), "m": m,
+                      "k": 2, "n": n}, layout, (ir.ShapeDecl(target, m, 2, n),), program)
 
 
 def _fz_stage(target, b_shape=False):
     """`src` staged into a `stage` buffer on `target`, then read back to
     `out`."""
-    kind = "bf16" if target == "amx" else "f16"
-
     def gen(rng):
         m, n = rng.choice((2, 4)), rng.choice((2, 4))
-        k = 2 * rng.randrange(1, 3)
-        length = k * n if b_shape else m * k
-        params = (ir.Param("src", kind, length), ir.Param("out", kind, length))
-        stage = _dense_load("stage", kind, length)
-        program = ir.Program(params, (ir.Allocate("stage", kind, length, target), None,
-                                      ir.Store("out", stage.index, stage)))
-        buffers = {prm.name: interp.Buffer(kind, "mem", _uniform_lanes(rng, prm.length))
-                   for prm in params}
-        zero = ir.Imm("i32", 0)
-        return Draw({"buf": "stage", "sb": zero, "ll": length, "mn": "src",
-                     "t": stage.vtype, "lb": zero, "m": m, "k": k, "n": n},
-                    buffers, (ir.ShapeDecl(target, m, k, n),), program)
+        return _drawn(rng, _stage, target, b_shape, m, 2 * rng.randrange(1, 3), n)
     return gen
+
+
+def _stage(target, b_shape, m, k, n):
+    kind = "bf16" if target == "amx" else "f16"
+    length = k * n if b_shape else m * k
+    stage = _dense_load("stage", kind, length)
+    layout, program = _program(
+        (ir.Param("src", kind, length), ir.Param("out", kind, length)),
+        (ir.Allocate("stage", kind, length, target), None,
+         ir.Store("out", stage.index, stage)))
+    zero = ir.Imm("i32", 0)
+    return Structure({"buf": "stage", "sb": zero, "ll": length, "mn": "src",
+                      "t": stage.vtype, "lb": zero, "m": m, "k": k, "n": n},
+                     layout, (ir.ShapeDecl(target, m, k, n),), program)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,18 @@ class TestDeepNesting:
         assert f"deeper than {ir.MAX_DEPTH}" in err
 
 
+def _matmul_program(a_lanes, b_lanes, m, n, a_tile, b_tile):
+    """An AMX tile_matmul of A and B tiles (rows, cols) into an m x n zero
+    tile, stored to C."""
+    loads = " ".join(f"(call tile_load (var {buf}) (imm i32 0) (imm i32 {cols}) "
+                     f"(imm i32 {rows}) (imm i32 {cols}))"
+                     for buf, (rows, cols) in (("A", a_tile), ("B", b_tile)))
+    return (f"(param A bf16 {a_lanes} mem)\n(param B bf16 {b_lanes} mem)\n"
+            f"(param C f32 {m * n} mem)\n(store C (ramp (imm i32 0) (imm i32 1) {m * n}) "
+            f"(amx2mem (call tile_matmul (call tile_zero (imm i32 {m}) (imm i32 {n})) "
+            f"{loads})))\n")
+
+
 MALFORMED_CALLS = {
     "buffer-is-immediate": (
         "(param A bf16 512 mem)\n(allocate t bf16 512 amx)\n"
@@ -130,12 +142,32 @@ MALFORMED_CALLS = {
         "(call ConvolutionShuffle (var K) (imm i32 0) (imm i32 8000) (imm i32 5000)))\n",
         "body[0].value: ConvolutionShuffle: a 8000 x 5000 kernel matrix exceeds "
         "1048576 entries"),
+    "matmul-lanes-fit-no-shape": (
+        _matmul_program(480, 512, 16, 16, (16, 30), (16, 32)),
+        "body[0].value.operand: tile_matmul: no (M,K,N) fits lanes A=480 B=512 C=256"),
     "oversized-interleave": (
         "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 4) "
         "(call KWayInterleave (imm i32 2) (imm i32 1) "
         "(ramp (imm i32 0) (imm i32 1) 2097152)))\n",
         "body[0].value: KWayInterleave: 2097152 rows of 1 exceed 1048576 entries"),
 }
+
+
+# calls that `check` passes although `run` fails on them
+CHECK_MISSES = {
+    # a registered 8x32x8 shape would run; none is declared
+    "unregistered-shape": _matmul_program(256, 256, 8, 8, (8, 32), (16, 16)),
+}
+
+
+class TestCheckImpliesRun:
+    @pytest.mark.xfail(strict=True, reason="the validator does not read the shape registry")
+    @pytest.mark.parametrize("case", CHECK_MISSES)
+    def test_check_fails_what_run_fails(self, case, tmp_path, capsys):
+        src = tmp_path / "p.sexp"
+        src.write_text(CHECK_MISSES[case])
+        assert run_cli("run", str(src)) == 1
+        assert run_cli("check", str(src)) == 1
 
 
 class TestMalformedCalls:

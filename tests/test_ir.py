@@ -490,6 +490,11 @@ class TestValidatorErrors:
         ("(store o (ramp (imm i32 0) (imm i32 1) 4) (call tile_load (var a) "
          "(ramp (imm i32 0) (imm i32 1) 2) (imm i32 4) (imm i32 2) (imm i32 2)))",
          "body[0].value: tile_load argument 1 has 2 lanes, not 1"),
+        # a MatMul's operand lanes fit one (M, K, N)
+        ("(evaluate (call tile_matmul (call tile_zero (imm i32 2) (imm i32 2)) "
+         "(call tile_load (var K) (imm i32 0) (imm i32 3) (imm i32 2) (imm i32 3)) "
+         "(call tile_load (var K) (imm i32 0) (imm i32 2) (imm i32 2) (imm i32 2))))",
+         "body[0].value: tile_matmul: no (M,K,N) fits lanes A=6 B=4 C=4"),
         # a load's kind is its buffer's
         ("(evaluate (load a (f32 1) (load a (i32 1) (imm i32 0))))",
          "body[0].value: load of i32 from 'a' of kind f32"),

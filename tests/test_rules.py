@@ -271,13 +271,13 @@ class TestSoundness:
                 continue
             rng = random.Random(f"soundness:0:{rule.name}")
             for _ in range(5):
-                draw = rule.fuzz(rng)
+                draw, _ = rule.fuzz(rng)
                 g = rules.new_graph()
                 lhs, _ = rules._sides(rule, draw.match)
                 encode = rules.encode_stmt if isinstance(lhs, ir.Stmt) else rules.encode_expr
                 encode(g, lhs)
-                rules.seed_facts(g, {n: (b.kind, len(b.data), b.location)
-                                     for n, b in draw.buffers.items()},
+                rules.seed_facts(g, {n: (kind, lanes, loc)
+                                     for n, kind, loc, lanes in draw.layout},
                                  ir.program_shapes(draw))
                 term = rules._renderer(rule, draw.match)
 

@@ -49,7 +49,7 @@ def reference(rule, trials, seed):
             misses += 1
             continue
         rep.checked += 1
-        inst = rules._instance(rule, draw)
+        inst = rules._instance(rule, *draw)
         ok, detail = run_alone(inst)
         if not ok:
             rep.counterexample = (inst, detail)
@@ -91,10 +91,12 @@ def added(t, wrong_at, bad_at=()):
     return "bad" if t in bad_at else Imm("i32", int(t in wrong_at))
 
 
-def i32_vec(buffers, values):
-    name = f"buf{len(buffers)}"
-    buffers[name] = interp.Buffer("i32", "mem", np.array(values, np.int64))
-    n = len(values)
+def i32_vec(layout, lanes, values):
+    """A dense load of a new i32 buffer: its entry is added to `layout`,
+    and `values`, its lanes, to `lanes`."""
+    name, n = f"buf{len(layout)}", len(values)
+    layout.append((name, "i32", "mem", n))
+    lanes.append(values)
     return Load(name, VecType("i32", n), Ramp(Imm("i32", 0), Imm("i32", 1), n))
 
 
@@ -112,9 +114,9 @@ def square(big_at=(), wrong_at=(), bad_at=()):
     """One structure, a*a against a*(a+0) (a+1 at `wrong_at` trials); `a`
     holds 2^20 at `big_at` trials, so squaring it leaves i32 there."""
     def make(rng, t):
-        buffers = {}
-        a = i32_vec(buffers, [2**20 if t in big_at else rng.randrange(0, 16), 3])
-        return rules.Draw({"a": a, "b": a, "d": added(t, wrong_at, bad_at)}, buffers)
+        layout, lanes = [], []
+        a = i32_vec(layout, lanes, [2**20 if t in big_at else rng.randrange(0, 16), 3])
+        return rules.Structure({"a": a, "b": a, "d": added(t, wrong_at, bad_at)}, layout), lanes
     return make
 
 
@@ -122,11 +124,12 @@ def gather(oob_at=(), wrong_at=()):
     """A nonzero load whose index is data, past the end of its 4 lanes at
     `oob_at`, times 1 against times 1+0 (1+1 at `wrong_at` trials)."""
     def make(rng, t):
-        buffers = {}
-        data = i32_vec(buffers, [rng.randrange(1, 16) for _ in range(4)])
-        idx = i32_vec(buffers, [9 if t in oob_at else rng.randrange(0, 4), 1])
+        layout, lanes = [], []
+        data = i32_vec(layout, lanes, [rng.randrange(1, 16) for _ in range(4)])
+        idx = i32_vec(layout, lanes, [9 if t in oob_at else rng.randrange(0, 4), 1])
         load = Load(data.buffer, VecType("i32", 2), idx)
-        return rules.Draw({"a": load, "b": Imm("i32", 1), "d": added(t, wrong_at)}, buffers)
+        return (rules.Structure({"a": load, "b": Imm("i32", 1), "d": added(t, wrong_at)},
+                                layout), lanes)
     return make
 
 
@@ -208,32 +211,35 @@ class TestMatchesPerTrialLoop:
 
 def test_signed_zero_instances_never_share_a_batch():
     one, zero, neg = Imm("f32", 1.0), Imm("f32", 0.0), Imm("f32", -0.0)
-    draws = [rules.Draw({"a": one, "b": neg, "d": d}) for d in (neg, zero)]
-    assert rules._structure(draws[0]) != rules._structure(draws[1])
-    it = iter(draws)
-    rep = rules.check_rule_soundness(fixture_rule(lambda rng: next(it)), 2)
+    structures = [rules.Structure({"a": one, "b": neg, "d": d}) for d in (neg, zero)]
+    assert structures[0] != structures[1] and len(set(structures)) == 2
+    it = iter(structures)
+    rule = fixture_rule(lambda rng: (next(it), []))
+    groups, _, _ = rules._groups(rule, random.Random(0), 2)
+    assert list(groups.values()) == [[(0, [])], [(1, [])]]
+    it = iter(structures)
+    rep = rules.check_rule_soundness(rule, 2)
     assert rep.checked == 2
     assert rep.counterexample[0].rhs == Bop("*", one, Bop("+", neg, zero))
 
 
 @pytest.mark.parametrize("kind", ["i32", "f32", "bf16", "f16"])
 def test_fresh_vec_draws_as_uniform_does(kind):
-    """The i32 lanes are the nibbles of one `getrandbits(4 * lanes)`, low
-    first, the float lanes `rng.uniform(-1, 1)` draws; the array built from
-    them holds those lanes bit for bit, and the stream goes on where it
-    would."""
+    """The i32 lanes of a fresh vector are the nibbles of one
+    `getrandbits(4 * lanes)`, low first, the float lanes `rng.uniform(-1,
+    1)` draws; the array built from them holds those lanes bit for bit,
+    and the stream goes on where it would."""
     for seed in range(5):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         for lanes in (1, 3, 17):
-            buffers = {}
-            rules._fresh_vec(got_rng, buffers, lanes, kind)
+            row = rules._lanes(got_rng, lanes, kind)
             if kind == "i32":
                 bits = want_rng.getrandbits(4 * lanes)
                 want = np.array([(bits >> (4 * j)) % 16 for j in range(lanes)], np.int64)
             else:
                 want = interp.round_to_kind(np.array(
                     [want_rng.uniform(-1, 1) for _ in range(lanes)], np.float32), kind)
-            data = rules._arrays([buffers])["buf0"].data[0]
+            data = rules._arrays((("buf0", kind, "mem", lanes),), [[row]])["buf0"].data[0]
             assert data.dtype == want.dtype and data.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
 
@@ -243,19 +249,16 @@ def per_draw_uniform_lanes(rng, lanes):
     return (np.array([rng.random() for _ in range(lanes)]) * 2.0 - 1.0).astype(np.float32)
 
 
-def per_draw_arrays(buffers):
+def per_draw_arrays(structure, lanes):
     """The arrays of one draw's buffers, each built alone: i32 lanes as
     int64, float lanes rounded to their kind."""
-    return {name: np.array(b.data, np.int64) if b.kind == "i32"
-            else interp.round_to_kind(b.data, b.kind) for name, b in buffers.items()}
+    return {name: np.array(row, np.int64) if kind == "i32"
+            else interp.round_to_kind(row, kind)
+            for (name, kind, _, _), row in zip(structure.layout, lanes, strict=True)}
 
 
 def fresh(kind, lanes):
-    def gen(rng):
-        buffers = {}
-        rules._fresh_vec(rng, buffers, lanes, kind)
-        return rules.Draw({}, buffers)
-    return gen
+    return lambda rng: rules._drawn(rng, rules._loads, ("x", (lanes, kind)))
 
 
 @pytest.mark.parametrize("gen", [
@@ -274,14 +277,14 @@ def test_group_arrays_equal_per_draw_arrays(gen, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(rules, "_uniform_lanes", per_draw_uniform_lanes)
             rng = random.Random(seed)
-            alone = [per_draw_arrays(gen(rng).buffers) for _ in range(12)]
+            alone = [per_draw_arrays(*gen(rng)) for _ in range(12)]
         groups = {}
-        for draw, want in zip(draws, alone):
-            groups.setdefault(rules._structure(draw), []).append((draw.buffers, want))
+        for (structure, lanes), want in zip(draws, alone):
+            groups.setdefault(structure, []).append((lanes, want))
         assert max(map(len, groups.values())) > 1
-        for members in groups.values():
+        for structure, members in groups.items():
             for rows in (members, members[:1]):
-                built = rules._arrays([bufs for bufs, _ in rows])
+                built = rules._arrays(structure.layout, [lanes for lanes, _ in rows])
                 for i, (_, want) in enumerate(rows):
                     for name, data in want.items():
                         got = built[name].data[i]
