@@ -178,43 +178,36 @@ def run_difftest(prog, name, trials, seed, config, ruleset=None):
     """Select, then run source and lowered programs over `trials` seeds and
     compare every output parameter bit for bit, seed by seed.
 
-    The seeds run in batches of `difftest_rows` seeds, as one batched run
-    of each program, and the rows are compared in seed order.  A batch
-    that raises is replayed one seed at a time, so an earlier divergence
-    still wins and an error is the first failing seed's.  Every run, of
-    either program, batched or replayed, shares one `interp.EvalMemo`, so a
-    buffer-free subexpression is evaluated once per loop binding; the memo
-    is dropped on return."""
+    The seeds run in batches of `difftest_rows` seeds: each batch is one
+    `interp.compare_sides` of the two programs over `interp.random_inputs`
+    of its seeds, the fill and the comparison the soundness fuzzer uses.
+    A batch that raises is replayed one seed at a time, so an earlier
+    divergence still wins and an error is the first failing seed's.  Every
+    run, of either program, batched or replayed, shares one
+    `interp.EvalMemo`, so a buffer-free subexpression is evaluated once
+    per loop binding; the memo is dropped on return."""
     result = DiffTestResult(program=name, trials=trials)
     lowered, rep = selector.select_program(prog, config, ruleset=ruleset)
     result.selection_ok = rep.ok
     memo = interp.EvalMemo()
 
-    def run_both(seeds):
-        inputs = interp.random_inputs(prog, seeds)
-        return (interp.run_program(prog, inputs, memo=memo),
-                interp.run_program(lowered, inputs, memo=memo))
+    def compare(seeds):
+        return interp.compare_sides(prog, lowered, interp.random_inputs(prog, seeds), memo=memo)
 
     end, rows = seed + trials, difftest_rows(trials, prog, lowered)
     for start in range(seed, end, rows):
-        chunk = range(start, min(start + rows, end))
+        chunk = list(range(start, min(start + rows, end)))
         try:
-            batch = run_both(list(chunk))
-        except interp.EvalError:
-            batch = None
-        for row, s in enumerate(chunk):
-            result.seeds.append(s)
-            # a replayed seed runs unbatched: data[()] is all of its 1-D data
-            out_a, out_b = batch or run_both(s)
-            at = row if batch else ()
-            for prm in prog.params:
-                a, b = out_a[prm.name].data[at], out_b[prm.name].data[at]
-                if a.tobytes() != b.tobytes():
-                    lane = interp.first_differing_lane(a, b)
-                    result.divergence = {
-                        "seed": s, "buffer": prm.name, "lane": lane,
-                        "lhs": float(a[lane]), "rhs": float(b[lane])}
-                    return result, rep
+            batches = [(chunk, compare(chunk))]
+        except interp.EvalError:  # replayed lazily, so an earlier divergence wins
+            batches = (([s], compare(s)) for s in chunk)
+        for seeds, hit in batches:
+            result.seeds += seeds if hit is None else seeds[:hit[0] + 1]
+            if hit is not None:
+                buffer, lane, lhs, rhs = hit[1]
+                result.divergence = {"seed": result.seeds[-1], "buffer": buffer, "lane": lane,
+                                     "lhs": float(lhs), "rhs": float(rhs)}
+                return result, rep
     return result, rep
 
 

@@ -719,18 +719,21 @@ def _exec_stmts(body, env, path):
             raise
 
 
-def compare_sides(lhs, rhs, buffers, shapes=()):
+def compare_sides(lhs, rhs, buffers, shapes=(), memo=None):
     """Evaluate two expressions, or two programs, once over `buffers`
-    (name -> Buffer) and compare them bit for bit.  The buffers' data may
-    carry one leading trial axis, the same for every buffer: each row is
-    then a trial, evaluated as it would be alone.  `shapes` are the extra
-    shapes two expressions may use.  Returns the first row whose sides
-    differ, with its detail, or None (a call without a trial axis is row
-    0).  Raises what the evaluation raises."""
+    (name -> Buffer) and compare them bit for bit: the one comparison of
+    both judges, the soundness fuzzer and `cli.run_difftest`.  The
+    buffers' data may carry one leading trial axis, the same for every
+    buffer: each row is then a trial, evaluated as it would be alone.
+    `shapes` are the extra shapes two expressions may use; two programs
+    run with `memo`, an `EvalMemo` or None.  Returns the first row whose
+    sides differ, with its detail, or None (a call without a trial axis is
+    row 0).  A program's detail names the first output parameter that
+    differs in that row.  Raises what the evaluation raises."""
     lead = next((b.data.shape[:-1] for b in buffers.values()), ())
     if isinstance(lhs, ir.Program):
-        out_a = run_program(lhs, buffers)
-        out_b = run_program(rhs, buffers)
+        out_a = run_program(lhs, buffers, memo=memo)
+        out_b = run_program(rhs, buffers, memo=memo)
         sides = [(prm.name, out_a[prm.name].data, out_b[prm.name].data)
                  for prm in lhs.params]
     else:
@@ -762,11 +765,13 @@ def compare_sides(lhs, rhs, buffers, shapes=()):
 
 
 def random_inputs(p, seed):
-    """Deterministic parameter fill: one SplitMix64 stream per program seed,
-    consumed in parameter declaration order.  An i32 lane is a draw's top 4
-    bits; a float lane is (draw >> 11) / 2^53 * 2 - 1 in float64, rounded to
-    f32 and then to the parameter's kind.  Given a sequence of seeds, each
-    buffer has one row per seed, equal to that seed's fill."""
+    """Deterministic fill of the parameters of `p` (a Program, or anything
+    else with `params`, such as a fuzz `rules.Structure`): one SplitMix64
+    stream per seed, consumed in parameter declaration order.  An i32 lane
+    is a draw's top 4 bits; a float lane is (draw >> 11) / 2^53 * 2 - 1 in
+    float64, rounded to f32 and then to the parameter's kind.  Given a
+    sequence of seeds, each buffer has one row per seed, equal to that
+    seed's fill."""
     batch = np.ndim(seed) > 0
     # one stream state per seed, a column so draws run along the rows
     state = np.array([int(s) % 2**64 for s in (seed if batch else [seed])],

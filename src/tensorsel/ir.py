@@ -441,11 +441,19 @@ def _call_lanes(call, sig, lanes, path):
             layout.check_interleave(k, n // row_len, row_len)
         except ValueError as e:  # too many entries
             raise LaneMismatch(f"{call.name}: {e}", path) from None
-    if set(sig.roles) == {"tile"}:  # a MatMul: C, then A and B in their order
-        a, b = (m for i, m in enumerate(lanes) if i != sig.lanes)
+    if set(sig.roles) == {"tile"}:  # a MatMul
+        a, b, n = _matmul_lanes(sig, lanes)
         if derive_mkn(a, b, n) is None:
             raise LaneMismatch(f"{call.name}: no (M,K,N) fits lanes A={a} B={b} C={n}", path)
     return n
+
+
+def _matmul_lanes(sig, lanes):
+    """The (A, B, C) lanes of a MatMul call whose arguments have `lanes`:
+    C is the argument whose lanes the result has, A and B the others in
+    their order."""
+    a, b = (m for i, m in enumerate(lanes) if i != sig.lanes)
+    return a, b, lanes[sig.lanes]
 
 
 def shuffle_spec(call, path="e"):
@@ -688,6 +696,7 @@ def validate_program(p):
     rep = ValidationReport()
     buffers = {}
     names = set()
+    shapes = set(program_shapes(p))
 
     def check_name(path, name):
         if not NAME_RE.fullmatch(name):
@@ -746,6 +755,13 @@ def validate_program(p):
             if isinstance(sub, Imm) and sub.kind == "i32":
                 if not I32_MIN <= int(sub.value) <= I32_MAX:
                     rep.errors.append((path, f"i32 immediate {sub.value} overflows"))
+            if (isinstance(sub, Call) and sub.name in ("tile_matmul", "wmma_mma")
+                    and not isinstance(types[id(sub)][1], IRError)):
+                sig = INTRINSICS[sub.name]
+                m, k, n = derive_mkn(*_matmul_lanes(sig, [types[id(a)][1] for a in sub.args]))
+                if ShapeDecl(sig.accel, m, k, n) not in shapes:
+                    rep.errors.append(
+                        (path, f"{sub.name}: shape {sig.accel} {m}x{k}x{n} not registered"))
         return kind, lanes
 
     def check_stmts(body, path, bound):

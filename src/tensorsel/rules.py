@@ -23,19 +23,19 @@ and the catalog prints it as written.  The MatMul lowerings match their
 tile loads' size arguments as query variables and compare them there.
 
 Each semantic rule's generator, `fuzz(rng)`, draws a match of the rule's
-query and builds neither side.  A draw is a shared `Structure` plus its
-lanes.  The structure's `match` maps each query variable that no query
-`Bind` defines to its value (an IR expression, an int, a `VecType` or a
-buffer name, for a class of terms, ints, types or names); its layout
-lists the buffers those values load; it holds the shapes its facts name
-and, for a statement rule, the program around the statement, None in its
-place.  The lanes are a list per buffer, plain numbers, unrounded.  The
+query and builds neither side.  A draw is a shared `Structure`: its
+`match` maps each query variable that no query `Bind` defines to its
+value (an IR expression, an int, a `VecType` or a buffer name, for a class
+of terms, ints, types or names); its `params` are the buffers those values
+load, as `ir.Param`s; it holds the shapes its facts name and, for a
+statement rule, the program around the statement, None in its place.  The
 structure depends only on the few ints a generator draws, so it is built
 once and shared by every draw of those ints.  The match satisfies the
 query, guards and premises included.  `check_rule_soundness` groups the
 draws by structure, expands the left side from the rule's query and runs
-its compiled action on term trees for the right, and builds the buffers
-of each group as one array each.
+its compiled action on term trees for the right, and fills each group's
+buffers with `interp.random_inputs`, a row per draw's seed: the fill and
+the comparison (`interp.compare_sides`) of `cli.run_difftest`.
 
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
@@ -48,13 +48,10 @@ row stride), and k%2 (stride 1).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-
-import numpy as np
 
 from . import interp, ir
 from .egraph import Bind, Calc, EGraph, If, Let, PNode, PVar, Rel, RuleDef, rel
@@ -738,20 +735,21 @@ def _lowering_rules(rs):
 @dataclass(frozen=True, eq=False)
 class Structure:
     """What like draws of a rule share, as the module docstring sets out:
-    the match, read-only; the layout of the drawn buffers, a (name, kind,
-    location, lanes) entry per buffer in order; the shapes; and the
-    program or None.  Structures compare and hash by value, so the two
-    zero immediates differ, and each computes its hash once."""
+    the match, read-only; the parameters its buffers fill, a tuple of
+    `ir.Param` in order, which `interp.random_inputs` reads as a program's;
+    the shapes; and the program or None.  Structures compare and hash by
+    value, so the two zero immediates differ, and each computes its hash
+    once."""
 
     match: dict
-    layout: tuple = ()
+    params: tuple = ()
     shapes: tuple = ()
     program: object = None
 
     def __post_init__(self):
-        match, layout = MappingProxyType(dict(self.match)), tuple(self.layout)
-        key = (tuple(match.items()), layout, self.shapes, self.program)
-        for name, value in (("match", match), ("layout", layout), ("_key", (hash(key), key))):
+        match, params = MappingProxyType(dict(self.match)), tuple(self.params)
+        key = (tuple(match.items()), params, self.shapes, self.program)
+        for name, value in (("match", match), ("params", params), ("_key", (hash(key), key))):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -857,31 +855,6 @@ def _render(rule, structure):
         for side in (lhs, rhs))
 
 
-def _instance(rule, structure, lanes):
-    """The two sides of `rule` at one draw, with its buffers as arrays."""
-    return FuzzInstance(*_render(rule, structure), _row(_arrays(structure.layout, [lanes]), 0),
-                        structure.shapes)
-
-
-def _arrays(layout, rows):
-    """The buffers of `layout`, each as one array with a row per draw of
-    `rows`, lists of a draw's lanes in layout order: i32 lanes as int64,
-    float lanes as float64 rounded to their kind, through float32."""
-    out = {}
-    for j, (name, kind, location, lanes) in enumerate(layout):
-        data = np.fromiter(itertools.chain.from_iterable(row[j] for row in rows),
-                           np.int64 if kind == "i32" else np.float64, len(rows) * lanes)
-        if kind != "i32":
-            data = interp.round_to_kind(data, kind)
-        out[name] = interp.Buffer(kind, location, data.reshape(len(rows), lanes))
-    return out
-
-
-def _row(arrays, i):
-    """Row `i` of the buffers `_arrays` built."""
-    return {name: interp.Buffer(b.kind, b.location, b.data[i]) for name, b in arrays.items()}
-
-
 def _run_instance(inst):
     """(ok, detail) of one instance, evaluated alone."""
     hit = interp.compare_sides(inst.lhs, inst.rhs, inst.buffers, inst.shapes)
@@ -889,28 +862,30 @@ def _run_instance(inst):
 
 
 def _check_group(structure, lhs, rhs, members):
-    """The first of `members`, (index, lanes) pairs in draw order of the
+    """The first of `members`, (index, seed) pairs in draw order of the
     draws of `structure`, with sides `lhs` and `rhs`, that differs or
     raises: (index, (instance, detail)) or (index, exception); None if none
-    does.  The members' buffers are built as one array each, and a
-    member's instance holds its rows.  Several members run as one batch; a
-    batch that raises is replayed member by member."""
-    arrays = _arrays(structure.layout, [lanes for _, lanes in members])
-
-    def member(i):
-        return FuzzInstance(lhs, rhs, _row(arrays, i), structure.shapes)
+    does.  A member's buffers are `interp.random_inputs` of the structure
+    at its seed.  Several members run as one batch, a row per member; a
+    batch that raises is replayed member by member.  A member's instance
+    holds its single-seed fill, which equals its row."""
+    def member(seed):
+        return FuzzInstance(lhs, rhs, interp.random_inputs(structure, seed), structure.shapes)
 
     if len(members) > 1:
         try:
-            hit = interp.compare_sides(lhs, rhs, arrays, structure.shapes)
+            hit = interp.compare_sides(
+                lhs, rhs, interp.random_inputs(structure, [s for _, s in members]),
+                structure.shapes)
         except Exception:  # the replay finds the trial that raises
             pass
         else:
             if hit is None:
                 return None
-            return members[hit[0]][0], (member(hit[0]), hit[1])
-    for i, (index, _) in enumerate(members):
-        one = member(i)
+            index, seed = members[hit[0]]
+            return index, (member(seed), hit[1])
+    for index, seed in members:
+        one = member(seed)
         try:
             ok, detail = _run_instance(one)
         except Exception as e:  # raised unless an earlier instance fails
@@ -922,20 +897,24 @@ def _check_group(structure, lhs, rhs, members):
 
 def _groups(rule, rng, trials):
     """(groups, drawn, error) of `trials` draws of `rule.fuzz(rng)`: the
-    groups map each structure to its draws, (index, lanes) pairs, where a
+    groups map each structure to its draws, (index, seed) pairs, where a
     draw's index counts the draws made before it, in the order of their
     first draws; `drawn` counts the draws, and `error` is what the
-    generator raised, which ends the draws, or None."""
-    groups, drawn = {}, 0
+    generator raised, which ends the draws, or None.  A draw's fill seed
+    is its index plus one `rng.getrandbits(63)` drawn after the draws."""
+    groups, drawn, error = {}, 0, None
     for _ in range(trials):
         try:
-            draw = rule.fuzz(rng)
+            structure = rule.fuzz(rng)
         except Exception as e:  # raised unless an earlier draw fails
-            return groups, drawn, e
-        if draw is not None:
-            groups.setdefault(draw[0], []).append((drawn, draw[1]))
+            error = e
+            break
+        if structure is not None:
+            groups.setdefault(structure, []).append(drawn)
             drawn += 1
-    return groups, drawn, None
+    base = rng.getrandbits(63)
+    return ({s: [(i, base + i) for i in members] for s, members in groups.items()},
+            drawn, error)
 
 
 def check_rule_soundness(rule, trials=500, seed=0):
@@ -944,17 +923,18 @@ def check_rule_soundness(rule, trials=500, seed=0):
     at the draw and comparing them bit for bit.
 
     `rule.fuzz(rng)` returns a draw, a `Structure` whose match satisfies
-    the rule's query, guards included, and its drawn lanes, a list per
-    buffer in layout order; or None to skip a draw.  It builds neither
-    side, and draws of the same ints share one structure, which `_shared`
-    keeps for the length of this call.  The draws are grouped by
-    structure (`_groups`), one dict lookup each.  Once per
-    group the sides are built from the rule itself (`_sides`): the left
-    from its query, the right by its compiled action.  The group's lanes
-    are built by `_arrays` into one array per buffer, a row per draw.
-    Each group of several draws is then evaluated once by
+    the rule's query, guards included; or None to skip a draw.  It builds
+    neither side, and draws of the same ints share one structure, which
+    `_shared` keeps for the length of this call.  The draws are grouped by
+    structure (`_groups`), one dict lookup each, and each draw gets a fill
+    seed from `rng`, drawn after the draws, so a report is a function of
+    (rule, trials, seed).  Once per group the sides are built from the
+    rule itself (`_sides`): the left from its query, the right by its
+    compiled action.  The group's buffers are `interp.random_inputs` of
+    the structure over its draws' seeds, the fill `run_difftest` uses, a
+    row per draw.  Each group of several draws is then evaluated once by
     `interp.compare_sides` along that leading trial axis; a batch that
-    raises is replayed draw by draw, each on its rows.  The report, or
+    raises is replayed draw by draw, each on its own fill.  The report, or
     the exception raised, is that of checking the draws one by one in
     draw order: the first draw whose render or evaluation raises, or
     whose sides differ, decides, and `checked` counts the draws up to it.
@@ -994,9 +974,8 @@ def check_rule_soundness(rule, trials=500, seed=0):
 
 # -- per-rule match generators -----------------------------------------------
 #
-# A generator draws its ints, looks up the structure they make (`_shared`),
-# and draws its buffers' lanes.  One that draws lanes between ints draws
-# them there: `tests/draw_stream.json` pins each rule's random stream.
+# A generator draws its ints and returns the structure they make (`_shared`).
+# `tests/draw_stream.json` pins each rule's random stream.
 
 
 @functools.lru_cache(maxsize=1024)  # above one call's 500 draws
@@ -1006,30 +985,6 @@ def _shared(build, *args, **kw):
     return build(*args, **kw)
 
 
-def _drawn(rng, build, *args, **kw):
-    """The draw of the structure `build` makes of `args`: it and its
-    buffers' lanes, drawn in layout order."""
-    s = _shared(build, *args, **kw)
-    return s, [_lanes(rng, lanes, kind) for _, kind, _, lanes in s.layout]
-
-
-def _uniform_lanes(rng, lanes):
-    """`lanes` draws of `rng.uniform(-1, 1)`, as floats: `uniform(a, b)` is
-    `a + (b - a) * random()`, so each is one `random()`, scaled in float64."""
-    return [rng.random() * 2.0 - 1.0 for _ in range(lanes)]
-
-
-def _lanes(rng, lanes, kind):
-    """The lanes of a new buffer of `kind`, as numbers: i32 lanes uniform on
-    [0, 16), lane j the j-th nibble of one `getrandbits(4 * lanes)`, low
-    nibble first; float lanes `rng.uniform(-1, 1)` draws, which `_arrays`
-    rounds to `kind`."""
-    if kind != "i32":
-        return _uniform_lanes(rng, lanes)
-    bits = rng.getrandbits(4 * lanes)
-    return [bits >> j & 15 for j in range(0, 4 * lanes, 4)]
-
-
 @functools.lru_cache(maxsize=1024)  # a few buffer names, kinds and lane counts
 def _dense_load(name, kind, lanes):
     """A load of lanes 0 .. lanes-1 of buffer `name`."""
@@ -1037,60 +992,58 @@ def _dense_load(name, kind, lanes):
                    ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), lanes))
 
 
-def _vec(layout, lanes, kind, prefix="buf", location="mem"):
-    """A dense load of a new buffer of `kind`, added to `layout`."""
-    name = f"{prefix}{len(layout)}"
-    layout.append((name, kind, location, lanes))
+def _vec(params, lanes, kind, prefix="buf", location="mem"):
+    """A dense load of a new buffer of `kind`, its parameter added to `params`."""
+    name = f"{prefix}{len(params)}"
+    params.append(ir.Param(name, kind, lanes, location))
     return _dense_load(name, kind, lanes)
 
 
 def _loads(*items, shapes=()):
     """The structure whose match holds `items`, (variable, value) pairs in
     order, with each (lanes, kind) value a dense load of a new buffer."""
-    layout = []
-    return Structure({var: _vec(layout, *v) if isinstance(v, tuple) else v
-                      for var, v in items}, layout, shapes)
+    params = []
+    return Structure({var: _vec(params, *v) if isinstance(v, tuple) else v
+                      for var, v in items}, params, shapes)
 
 
 def _fz_one_vec(rng):
     n, kind = rng.randrange(1, 6), rng.choice(("i32", "f32", "bf16"))
-    return _drawn(rng, _loads, ("x", (n, kind)))
+    return _shared(_loads, ("x", (n, kind)))
 
 
 def _fz_bcast_flatten(rng):
     n, kind = rng.randrange(1, 5), rng.choice(("i32", "f32", "bf16"))
-    x, l1 = _lanes(rng, n, kind), rng.randrange(1, 5)
-    return _shared(_loads, ("x", (n, kind)), ("l1", l1), ("l2", rng.randrange(1, 5))), [x]
+    return _shared(_loads, ("x", (n, kind)), ("l1", rng.randrange(1, 5)),
+                   ("l2", rng.randrange(1, 5)))
 
 
 def _fz_bcast_of_load(rng):
     """A gather from 16 lanes, so any i32 lane indexes them."""
-    kind = rng.choice(("i32", "f32", "bf16"))
-    data, n = _lanes(rng, 16, kind), rng.randrange(1, 5)
-    lanes = [data, _lanes(rng, n, "i32")]
-    return _shared(_bcast_of_load, kind, n, rng.randrange(1, 4)), lanes
+    kind, n = rng.choice(("i32", "f32", "bf16")), rng.randrange(1, 5)
+    return _shared(_bcast_of_load, kind, n, rng.randrange(1, 4))
 
 
 def _bcast_of_load(kind, n, l):
-    layout = []  # buf0, the gathered lanes, then buf1, the index
-    return Structure({"n": _vec(layout, 16, kind).buffer, "t": ir.VecType(kind, n),
-                      "i": _vec(layout, n, "i32"), "l": l}, layout)
+    params = []  # buf0, the gathered lanes, then buf1, the index
+    return Structure({"n": _vec(params, 16, kind).buffer, "t": ir.VecType(kind, n),
+                      "i": _vec(params, n, "i32"), "l": l}, params)
 
 
 def _fz_bcast_of_cast(rng):
     n = rng.randrange(1, 5)
-    x, l = _lanes(rng, n, "bf16"), rng.randrange(1, 4)
-    return _shared(_loads, ("t", ir.VecType("f32", n)), ("x", (n, "bf16")), ("l", l)), [x]
+    return _shared(_loads, ("t", ir.VecType("f32", n)), ("x", (n, "bf16")),
+                   ("l", rng.randrange(1, 4)))
 
 
 def _fz_ramp_elim(rng):
     w = rng.randrange(1, 5)
-    return _drawn(rng, _loads, ("x", (w, "i32")), ("s", (w, "i32")), ("w", w))
+    return _shared(_loads, ("x", (w, "i32")), ("s", (w, "i32")), ("w", w))
 
 
 def _fz_ramp_split(rng):
-    return _drawn(rng, _loads, ("x", ir.Imm("i32", rng.randrange(0, 16))),
-                  ("l", 2 * rng.randrange(1, 5)))
+    return _shared(_loads, ("x", ir.Imm("i32", rng.randrange(0, 16))),
+                   ("l", 2 * rng.randrange(1, 5)))
 
 
 def _fz_ramp_plus_bcast(rng):
@@ -1098,15 +1051,14 @@ def _fz_ramp_plus_bcast(rng):
     lx lanes."""
     n, f, lx = rng.randrange(1, 5), rng.randrange(1, 4), rng.randrange(1, 4)
     v = (f * lx, "i32")
-    return _drawn(rng, _loads, ("b", v), ("s", v), ("n", n), ("x", (lx, "i32")),
-                  ("m", n * f), ("w", f * lx * n))
+    return _shared(_loads, ("b", v), ("s", v), ("n", n), ("x", (lx, "i32")),
+                   ("m", n * f), ("w", f * lx * n))
 
 
 def _fz_ramp_unnest(rng):
-    lanes = rng.randrange(1, 4)
-    rows = [_lanes(rng, lanes, "i32") for _ in range(3)]
-    l, v = rng.randrange(1, 5), (lanes, "i32")
-    return _shared(_loads, ("x", v), ("a", v), ("s", v), ("l", l), ("w", lanes * l)), rows
+    lanes, l = rng.randrange(1, 4), rng.randrange(1, 5)
+    v = (lanes, "i32")
+    return _shared(_loads, ("x", v), ("a", v), ("s", v), ("l", l), ("w", lanes * l))
 
 
 def _fz_sibling(ramp):
@@ -1115,43 +1067,46 @@ def _fz_sibling(ramp):
     def gen(rng):
         l1, q, la = rng.randrange(1, 4), rng.randrange(2, 4), rng.randrange(1, 3)
         v = (q * la, "i32")
-        return _drawn(rng, _loads, *((("x", v), ("s", v)) if ramp else (("b", v),)),
-                      ("l1", l1), ("a", (la, "i32")), ("l2", l1 * q), ("w", q * la * l1))
+        return _shared(_loads, *((("x", v), ("s", v)) if ramp else (("b", v),)),
+                       ("l1", l1), ("a", (la, "i32")), ("l2", l1 * q), ("w", q * la * l1))
     return gen
 
 
 def _fz_add_of_bcasts(rng):
-    lanes = rng.randrange(1, 4)
-    rows = [_lanes(rng, lanes, "i32") for _ in range(2)]
-    l, v = rng.randrange(1, 5), (lanes, "i32")
-    return _shared(_loads, ("a", v), ("b", v), ("l", l), ("w", lanes * l)), rows
+    lanes, l = rng.randrange(1, 4), rng.randrange(1, 5)
+    v = (lanes, "i32")
+    return _shared(_loads, ("a", v), ("b", v), ("l", l), ("w", lanes * l))
 
 
 def _fz_commute(rng):
     kind = rng.choice(("i32", "f32"))
     v = (rng.randrange(1, 6), kind)
-    return _drawn(rng, _loads, ("x", v), ("y", v))
+    return _shared(_loads, ("x", v), ("y", v))
+
+
+# both signs, magnitudes up to 2^15: any two's sum and product stay in i32
+FOLD_OPERANDS = (-2**15, -100, -17, -8, -2, -1, 0, 1, 2, 3, 8, 17, 99, 100, 12345, 2**15)
 
 
 def _fz_int_fold(rng):
-    return _drawn(rng, _loads, ("a", ir.Imm("i32", rng.randrange(0, 100))),
-                  ("b", ir.Imm("i32", rng.randrange(0, 100))))
+    return _shared(_loads, ("a", ir.Imm("i32", rng.choice(FOLD_OPERANDS))),
+                   ("b", ir.Imm("i32", rng.choice(FOLD_OPERANDS))))
 
 
 def _fz_matmul(target):
     def gen(rng):
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
         k = 2 * rng.randrange(1, 4)
-        return _drawn(rng, _matmul, target, m, k, n, k + rng.choice((0, 0, 2)))
+        return _shared(_matmul, target, m, k, n, k + rng.choice((0, 0, 2)))
     return gen
 
 
 def _matmul(target, m, k, n, astride):
     kind = "bf16" if target == "amx" else "f16"
-    layout, zero = [], ir.Imm("i32", 0)
-    a_buf = _vec(layout, m * astride, kind, "A").buffer
-    c = _vec(layout, m * n, "f32", "C")
-    b_buf = _vec(layout, k * n, kind, "B").buffer
+    params, zero = [], ir.Imm("i32", 0)
+    a_buf = _vec(params, m * astride, kind, "A").buffer
+    c = _vec(params, m * n, "f32", "C")
+    b_buf = _vec(params, k * n, kind, "B").buffer
 
     def tile(var, buf, *ints):
         """The arguments of a tile load from `buf`, as `ptile(var, ...)` binds them."""
@@ -1167,25 +1122,25 @@ def _matmul(target, m, k, n, astride):
     a = ir.Load(a_buf, wide, ir.canonical_index([(m, astride), (n, 0), (k, 1)], zero))
     b = ir.Load(b_buf, wide, ir.canonical_index(b_axes, zero))
     return Structure({"m": m, "k": k, "n": n, "c": c, "rl": m * n, "a": a, "b": b,
-                      "wide": m * k * n, **tiles}, layout, (ir.ShapeDecl(target, m, k, n),))
+                      "wide": m * k * n, **tiles}, params, (ir.ShapeDecl(target, m, k, n),))
 
 
 def _fz_zero(target):
     def gen(rng):
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
-        return _drawn(rng, _loads, ("z", ir.Imm("f32", 0.0)), ("l", m * n), ("m", m),
-                      ("k", 2), ("n", n), shapes=(ir.ShapeDecl(target, m, 2, n),))
+        return _shared(_loads, ("z", ir.Imm("f32", 0.0)), ("l", m * n), ("m", m),
+                       ("k", 2), ("n", n), shapes=(ir.ShapeDecl(target, m, 2, n),))
     return gen
 
 
 def _fz_of_load(target):
-    return lambda rng: _drawn(rng, _of_load, target, rng.randrange(1, 6))
+    return lambda rng: _shared(_of_load, target, rng.randrange(1, 6))
 
 
 def _of_load(target, lanes):
-    layout = []
-    v = _vec(layout, lanes, "f32", location=target)
-    return Structure({"n": v.buffer, "t": v.vtype, "i": v.index}, layout)
+    params = []
+    v = _vec(params, lanes, "f32", location=target)
+    return Structure({"n": v.buffer, "t": v.vtype, "i": v.index}, params)
 
 
 def _tile_index(m, n, pad, flat):
@@ -1199,20 +1154,15 @@ def _tile_index(m, n, pad, flat):
 def _fz_acc_load(target, flat):
     def gen(rng):
         m, n = rng.choice((1, 2, 4)), rng.choice((2, 4))
-        return _drawn(rng, _acc_load, target, flat, m, n, 0 if flat else rng.choice((0, 1)))
+        return _shared(_acc_load, target, flat, m, n, 0 if flat else rng.choice((0, 1)))
     return gen
 
 
 def _acc_load(target, flat, m, n, pad):
-    layout = []
-    return Structure({"bufn": _vec(layout, m * (n + pad) + 2, "f32", "acc").buffer,
+    params = []
+    return Structure({"bufn": _vec(params, m * (n + pad) + 2, "f32", "acc").buffer,
                       "t": ir.VecType("f32", m * n), **_tile_index(m, n, pad, flat),
-                      "m": m, "k": 2, "n": n}, layout, (ir.ShapeDecl(target, m, 2, n),))
-
-
-def _program(params, body):
-    """The layout of `params`, and the program of `body` over them."""
-    return [(p.name, p.kind, p.location, p.length) for p in params], ir.Program(params, body)
+                      "m": m, "k": 2, "n": n}, params, (ir.ShapeDecl(target, m, 2, n),))
 
 
 def _fz_store(target, flat):
@@ -1220,19 +1170,19 @@ def _fz_store(target, flat):
     to `out`."""
     def gen(rng):
         m, n = rng.choice((2, 4)), rng.choice((2, 4))
-        return _drawn(rng, _store, target, flat, m, n, 0 if flat else rng.choice((0, 2)))
+        return _shared(_store, target, flat, m, n, 0 if flat else rng.choice((0, 2)))
     return gen
 
 
 def _store(target, flat, m, n, pad):
     mn = m * n
     acc = _dense_load("acc", "f32", mn)
-    layout, program = _program(
-        (ir.Param("src", "f32", mn), ir.Param("out", "f32", (m - 1) * (n + pad) + n)),
-        (ir.Allocate("acc", "f32", mn, target),
-         ir.Store("acc", acc.index, _dense_load("src", "f32", mn)), None))
+    params = (ir.Param("src", "f32", mn), ir.Param("out", "f32", (m - 1) * (n + pad) + n))
+    program = ir.Program(params, (ir.Allocate("acc", "f32", mn, target),
+                                  ir.Store("acc", acc.index, _dense_load("src", "f32", mn)),
+                                  None))
     return Structure({"buf": "out", "tile": acc, **_tile_index(m, n, pad, flat), "m": m,
-                      "k": 2, "n": n}, layout, (ir.ShapeDecl(target, m, 2, n),), program)
+                      "k": 2, "n": n}, params, (ir.ShapeDecl(target, m, 2, n),), program)
 
 
 def _fz_stage(target, b_shape=False):
@@ -1240,7 +1190,7 @@ def _fz_stage(target, b_shape=False):
     `out`."""
     def gen(rng):
         m, n = rng.choice((2, 4)), rng.choice((2, 4))
-        return _drawn(rng, _stage, target, b_shape, m, 2 * rng.randrange(1, 3), n)
+        return _shared(_stage, target, b_shape, m, 2 * rng.randrange(1, 3), n)
     return gen
 
 
@@ -1248,14 +1198,13 @@ def _stage(target, b_shape, m, k, n):
     kind = "bf16" if target == "amx" else "f16"
     length = k * n if b_shape else m * k
     stage = _dense_load("stage", kind, length)
-    layout, program = _program(
-        (ir.Param("src", kind, length), ir.Param("out", kind, length)),
-        (ir.Allocate("stage", kind, length, target), None,
-         ir.Store("out", stage.index, stage)))
+    params = (ir.Param("src", kind, length), ir.Param("out", kind, length))
+    program = ir.Program(params, (ir.Allocate("stage", kind, length, target), None,
+                                  ir.Store("out", stage.index, stage)))
     zero = ir.Imm("i32", 0)
     return Structure({"buf": "stage", "sb": zero, "ll": length, "mn": "src",
                       "t": stage.vtype, "lb": zero, "m": m, "k": k, "n": n},
-                     layout, (ir.ShapeDecl(target, m, k, n),), program)
+                     params, (ir.ShapeDecl(target, m, k, n),), program)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The text of a drawn fuzz stream, for `test_draw_stream.py`: one digest
-per semantic rule and seed over the draws its generator makes, so a change
-to how draws are built can show it draws the same matches, shapes,
-programs and lanes from the same random stream.
+per semantic rule and seed over the structures its generator draws, so a
+change to how draws are built can show it draws the same matches, shapes,
+programs and buffer parameters from the same random stream.
 
     PYTHONPATH=src python3 tests/draw_stream.py > tests/draw_stream.json
 
@@ -29,26 +29,17 @@ def value_text(v):
     return repr(v)
 
 
-def lane_text(x):
-    return str(x) if isinstance(x, int) else float.hex(x)
-
-
-def draw_text(match, shapes, program, buffers):
-    """One draw as text: `buffers` lists (name, kind, location, lanes) in
-    the draw's order, and `program` holds None at the statement's place."""
-    lines = [f"{k} = {value_text(v)}" for k, v in match.items()]
-    lines += [f"shape {sh.target} {sh.m} {sh.k} {sh.n}" for sh in shapes]
-    if program is not None:
-        lines += [f"param {p.name} {p.kind} {p.length} {p.location}" for p in program.params]
-        lines += ["hole" if s is None else ir.print_stmt(s) for s in program.body]
-    lines += [f"buffer {name} {kind} {loc} {' '.join(map(lane_text, lanes))}"
-              for name, kind, loc, lanes in buffers]
+def draw_text(structure):
+    """One draw as text: its match, shapes, program (None at the
+    statement's place) and the parameters its buffers fill."""
+    lines = [f"{k} = {value_text(v)}" for k, v in structure.match.items()]
+    lines += [f"shape {sh.target} {sh.m} {sh.k} {sh.n}" for sh in structure.shapes]
+    if structure.program is not None:
+        lines += [f"param {p.name} {p.kind} {p.length} {p.location}"
+                  for p in structure.program.params]
+        lines += ["hole" if s is None else ir.print_stmt(s) for s in structure.program.body]
+    lines += [f"buffer {p.name} {p.kind} {p.location} {p.length}" for p in structure.params]
     return "\n".join(lines) + "\n\n"
-
-
-def drawn_buffers(structure, lanes):
-    """A draw's buffers as `draw_text` takes them."""
-    return [(*spec[:3], row) for spec, row in zip(structure.layout, lanes, strict=True)]
 
 
 def stream_digest(rule, seed):
@@ -57,12 +48,8 @@ def stream_digest(rule, seed):
     rng = random.Random(f"soundness:{seed}:{rule.name}")
     h = hashlib.sha256()
     for _ in range(TRIALS):
-        draw = rule.fuzz(rng)
-        if draw is None:
-            h.update(b"none\n\n")
-            continue
-        s, lanes = draw
-        h.update(draw_text(s.match, s.shapes, s.program, drawn_buffers(s, lanes)).encode())
+        structure = rule.fuzz(rng)
+        h.update(b"none\n\n" if structure is None else draw_text(structure).encode())
     h.update(repr(rng.getstate()).encode())
     return h.hexdigest()
 

@@ -145,6 +145,9 @@ MALFORMED_CALLS = {
     "matmul-lanes-fit-no-shape": (
         _matmul_program(480, 512, 16, 16, (16, 30), (16, 32)),
         "body[0].value.operand: tile_matmul: no (M,K,N) fits lanes A=480 B=512 C=256"),
+    "matmul-shape-unregistered": (
+        _matmul_program(256, 256, 8, 8, (8, 32), (16, 16)),
+        "body[0].value: tile_matmul: shape amx 8x32x8 not registered"),
     "oversized-interleave": (
         "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 4) "
         "(call KWayInterleave (imm i32 2) (imm i32 1) "
@@ -153,7 +156,7 @@ MALFORMED_CALLS = {
 }
 
 
-# calls that `check` passes although `run` fails on them
+# calls that `run` fails on, which `check` once passed
 CHECK_MISSES = {
     # a registered 8x32x8 shape would run; none is declared
     "unregistered-shape": _matmul_program(256, 256, 8, 8, (8, 32), (16, 16)),
@@ -161,7 +164,6 @@ CHECK_MISSES = {
 
 
 class TestCheckImpliesRun:
-    @pytest.mark.xfail(strict=True, reason="the validator does not read the shape registry")
     @pytest.mark.parametrize("case", CHECK_MISSES)
     def test_check_fails_what_run_fails(self, case, tmp_path, capsys):
         src = tmp_path / "p.sexp"

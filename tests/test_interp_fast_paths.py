@@ -296,11 +296,11 @@ class TestShapeRegistry:
 
 def test_corrupted_ramp_counterexample_is_pinned():
     """The counterexample the soundness fuzzer finds for the off-by-one
-    ramp rule at seed 1, as the array-checked interpreter found it."""
+    ramp rule at seed 1, its buffers filled by `interp.random_inputs`."""
     rep = rules.check_rule_soundness(rules.corrupted_ramp_rule(), 200, 1)
     assert rep.checked == 1
     inst, detail = rep.counterexample
-    assert detail == ("value", 9, 33, 34)
+    assert detail == ("value", 9, 13, 14)
     assert [type(x) for x in detail[2:]] == [np.int64, np.int64]
 
 

@@ -326,6 +326,7 @@ F2 = "(broadcast (imm f32 1.0) 2)"
 B4 = "(broadcast (imm bf16 1.0) 4)"
 LA = f"(load a (f32 4) {R4})"
 CONV = "(call ConvolutionShuffle (var K) (imm i32 0) (imm i32 5) (imm i32 2))"
+MMA = f"(call wmma_mma (mem2wmma {F4}) (mem2wmma {F4}) (mem2wmma {F4}))"  # 2x2x2
 
 
 def _evaluated(text):
@@ -495,6 +496,15 @@ class TestValidatorErrors:
          "(call tile_load (var K) (imm i32 0) (imm i32 3) (imm i32 2) (imm i32 3)) "
          "(call tile_load (var K) (imm i32 0) (imm i32 2) (imm i32 2) (imm i32 2))))",
          "body[0].value: tile_matmul: no (M,K,N) fits lanes A=6 B=4 C=4"),
+        # a MatMul's shape is registered, as the interpreter requires
+        (f"(evaluate {MMA})", "body[0].value: wmma_mma: shape wmma 2x2x2 not registered"),
+        (f"(for j 0 2 (evaluate (add {MMA} {F2})))",
+         "body[0].body[0].value: + over 4 vs 2 lanes",
+         "body[0].body[0].value: wmma_mma: shape wmma 2x2x2 not registered"),
+        (f"(wmma-shape 2 2 2)\n(evaluate (add {MMA} {F2}))",
+         "body[0].value: + over 4 vs 2 lanes"),
+        (f"(amx-shape 2 2 2)\n(evaluate {MMA})",
+         "body[0].value: wmma_mma: shape wmma 2x2x2 not registered"),
         # a load's kind is its buffer's
         ("(evaluate (load a (f32 1) (load a (i32 1) (imm i32 0))))",
          "body[0].value: load of i32 from 'a' of kind f32"),

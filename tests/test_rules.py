@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import random
 
@@ -233,6 +234,17 @@ class TestSoundness:
             assert rep.ok, (rule.name, rep.counterexample)
             assert rep.checked > 0, rule.name
 
+    def test_int_fold_operands_meet_the_guard(self, default_ruleset):
+        """The fold operands take both signs, and every sum and product of
+        two of them is an i32, so every draw meets the fold rules' guard."""
+        ops = rules.FOLD_OPERANDS
+        assert min(ops) < 0 < max(ops) and len(set(ops)) == len(ops)
+        for a, b in itertools.product(ops, repeat=2):
+            assert ir.I32_MIN <= a + b <= ir.I32_MAX and ir.I32_MIN <= a * b <= ir.I32_MAX
+        for name in ("int-add-fold", "int-mul-fold"):
+            rep = rules.check_rule_soundness(default_ruleset.named(name), trials=500, seed=0)
+            assert rep.ok and rep.checked == 500, name
+
     def test_corrupted_rule_is_caught(self):
         bad = rules.corrupted_ramp_rule()
         rep = rules.check_rule_soundness(bad, trials=200, seed=0)
@@ -271,13 +283,13 @@ class TestSoundness:
                 continue
             rng = random.Random(f"soundness:0:{rule.name}")
             for _ in range(5):
-                draw, _ = rule.fuzz(rng)
+                draw = rule.fuzz(rng)
                 g = rules.new_graph()
                 lhs, _ = rules._sides(rule, draw.match)
                 encode = rules.encode_stmt if isinstance(lhs, ir.Stmt) else rules.encode_expr
                 encode(g, lhs)
-                rules.seed_facts(g, {n: (kind, lanes, loc)
-                                     for n, kind, loc, lanes in draw.layout},
+                rules.seed_facts(g, {p.name: (p.kind, p.length, p.location)
+                                     for p in draw.params},
                                  ir.program_shapes(draw))
                 term = rules._renderer(rule, draw.match)
 
