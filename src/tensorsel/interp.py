@@ -571,6 +571,10 @@ def eval_intrinsic(name, args, env):
         else:
             bm = _split(b.data, k, n)
         prods = am[..., None] * bm[..., None, :, :]  # (..., m, k, n), f32
+        # the k slices summed left to right, one add each: a single
+        # `np.add.reduce(prods, axis=-2, initial=-0.0)` gives other NaN bits
+        # where a 0*inf product meets a NaN (a 3x3x3 wmma_mma of
+        # TestMatmul::test_equals_the_loop), so the loop stays
         s = prods[..., 0, :].copy()
         # in place, but not into one element: numpy adds into that as it
         # reduces, and of two NaNs returns the other one
@@ -749,8 +753,8 @@ def compare_sides(lhs, rhs, buffers, shapes=(), memo=None):
     rows = lead[0] if lead else 1
     first = None
     for label, a, b in sides:  # a trial's first differing side is reported
-        a = np.broadcast_to(a, (rows,) + a.shape[-1:])
-        b = np.broadcast_to(b, (rows,) + b.shape[-1:])
+        # a side that lacks the trial axis holds every row
+        a, b = (x if x.ndim > 1 else np.broadcast_to(x, (rows, x.size)) for x in (a, b))
         if a.dtype == b.dtype:
             bits = f"u{a.dtype.itemsize}"
             differs = (a.view(bits) != b.view(bits)).any(axis=-1)

@@ -15,8 +15,9 @@ and result live, its result kind and lane count -- is one `INTRINSICS`
 record.  One bottom-up walk types a tree: each node's rule reads its own
 fields and its children's kinds and lanes, and a Call's rule checks it
 against its record, so intrinsic calls are typed like every other node.
-`type_of`, `lanes_of` and `validate_program` all read that walk; `interp`
-holds only what calls compute.
+`type_of`, `lanes_of` and `validate_program` all read that walk; a node's
+rule is its lane rule (`_node_lanes`) and its kind, and `widest_lanes`
+walks the lane rules alone.  `interp` holds only what calls compute.
 
 `TERMS` gives each encoded node its e-graph head and its fields with their
 roles; `SPELLING`, beside it, gives its surface head word and field labels.
@@ -380,34 +381,30 @@ def _signature(call, path):
     return sig
 
 
-def _call_type(call, kids, buffers, path):
-    """The (kind, lanes) of an intrinsic call, checked against its record;
-    `kids` are its arguments' pairs.  The first kind error of an argument
-    is the call's, and then an "index" argument that is not i32."""
+def _call_kind(call, kids, buffers, path):
+    """The kind of an intrinsic call, checked against its record; `kids`
+    are its arguments' pairs.  The first kind error of an argument is the
+    call's, and then an "index" argument that is not i32."""
     try:
         sig = _signature(call, path)
     except LaneMismatch as err:
-        return err, err
-    try:
-        lanes = _call_lanes(call, sig, [n for _, n in kids], path)
-    except IRError as err:
-        lanes = err
+        return err
     bad = _first_error(*(k for k, _ in kids)) or next((
         KindMismatch(f"{call.name} argument {i} must be i32, got {k}", path)
         for i, ((k, _), role) in enumerate(zip(kids, sig.roles))
         if role == "index" and k != "i32"), None)
     if bad is not None:
-        return bad, lanes
+        return bad
     if isinstance(sig.kind, str):
-        return sig.kind, lanes
+        return sig.kind
     arg = call.args[sig.kind]
     if sig.roles[sig.kind] != "buffer" or not isinstance(arg, Var):
-        return kids[sig.kind][0], lanes
+        return kids[sig.kind][0]
     if buffers is None:
-        return IRError(f"the kind of {call.name} needs a buffer table", path), lanes
+        return IRError(f"the kind of {call.name} needs a buffer table", path)
     if arg.name not in buffers:
-        return UnknownBuffer(arg.name), lanes
-    return buffers[arg.name][0], lanes
+        return UnknownBuffer(arg.name)
+    return buffers[arg.name][0]
 
 
 def _call_lanes(call, sig, lanes, path):
@@ -506,62 +503,68 @@ def _typed(e, buffers, path, types=None):
 
 
 def _node_type(e, kids, buffers, path):
-    """The typing rule of `e`'s class over its children's pairs `kids`.  A
-    lane error in a child wins over the node's own, except for a Broadcast's
-    copy count, which is checked first."""
+    """The typing rule of `e`'s class over its children's pairs `kids`:
+    its lanes by `_node_lanes`, and its kind."""
     cls = e.__class__
-    if cls is Imm:
-        return e.kind, 1
-    if cls is Var:
-        return "i32", 1
+    if cls is Imm or cls is Var:
+        return ("i32" if cls is Var else e.kind), 1
+    lanes = _node_lanes(e, [n for _, n in kids], path)
     if cls is Call:
-        return _call_type(e, kids, buffers, path)
-    if not isinstance(e, Expr) or not kids:  # every other class has a child
-        err = IRError(f"not an Expr: {e!r}", path)
-        return err, err
-    (kind, n), *rest = kids
-    bad = _first_error(*(m for _, m in kids))
-    if cls is Load or cls is Cast:
-        if not isinstance(kind, IRError):
-            kind = (UnknownBuffer(e.buffer) if cls is Load and buffers is not None
-                    and e.buffer not in buffers else e.vtype.kind)
-        if bad is None and n != e.vtype.lanes:
-            bad = LaneMismatch(f"load of {e.vtype.lanes} lanes with {n}-lane index"
-                               if cls is Load else
-                               f"cast to {e.vtype.lanes} lanes of {n}-lane operand", path)
-        return kind, bad or n
-    if cls is Bop:
-        (kr, nr), = rest
-        kind = _first_error(kind, kr) or (
-            KindMismatch(f"{e.op} over {kind} and {kr}", path) if kind != kr else kind)
-        if bad is None and n != nr:
-            bad = LaneMismatch(f"{e.op} over {n} vs {nr} lanes", path)
-        return kind, bad or n
+        return _call_kind(e, kids, buffers, path), lanes
+    if not isinstance(e, Expr) or not kids:  # lanes is the error
+        return lanes, lanes
+    kind = kids[0][0]
+    if (cls is Load or cls is Cast) and not isinstance(kind, IRError):
+        kind = (UnknownBuffer(e.buffer) if cls is Load and buffers is not None
+                and e.buffer not in buffers else e.vtype.kind)
+    elif cls is Bop or cls is Ramp:
+        other = kids[1][0]
+        kind = _first_error(kind, other) or (kind if kind == other else KindMismatch(
+            f"{e.op} over {kind} and {other}" if cls is Bop
+            else f"ramp base {kind}, stride {other}", path))
+    return kind, lanes  # LocToLoc, ExprVar and Shuffle keep the kind
+
+
+def _node_lanes(e, lanes, path):
+    """The lane rule of `e`'s class over its children's lanes: an int, or
+    an error.  A lane error in a child wins over the node's own, except
+    for a Broadcast's copy count, which is checked first."""
+    cls = e.__class__
+    if cls is Imm or cls is Var:
+        return 1
+    if cls is Call:
+        try:
+            return _call_lanes(e, _signature(e, path), lanes, path)
+        except IRError as err:
+            return err
+    if not isinstance(e, Expr) or not lanes:  # every other class has a child
+        return IRError(f"not an Expr: {e!r}", path)
+    if cls is Broadcast and e.copies < 1:
+        return LaneMismatch("broadcast needs >= 1 copy", path)
+    bad = _first_error(*lanes)
+    if bad is not None:
+        return bad
+    n = lanes[0]
+    if (cls is Load or cls is Cast) and n != e.vtype.lanes:
+        return LaneMismatch(f"load of {e.vtype.lanes} lanes with {n}-lane index"
+                            if cls is Load else
+                            f"cast to {e.vtype.lanes} lanes of {n}-lane operand", path)
+    if (cls is Bop or cls is Ramp) and n != lanes[1]:
+        return LaneMismatch(f"{e.op} over {n} vs {lanes[1]} lanes" if cls is Bop
+                            else f"ramp base {n} lanes, stride {lanes[1]}", path)
     if cls is Ramp:
-        (ks, ns), = rest
-        kind = _first_error(kind, ks) or (
-            KindMismatch(f"ramp base {kind}, stride {ks}", path) if kind != ks else kind)
-        if bad is None and n != ns:
-            bad = LaneMismatch(f"ramp base {n} lanes, stride {ns}", path)
-        if bad is None and e.steps < 1:
-            bad = LaneMismatch("ramp needs >= 1 step", path)
-        return kind, bad or e.steps * n
+        return e.steps * n if e.steps >= 1 else LaneMismatch("ramp needs >= 1 step", path)
     if cls is Broadcast:
-        if e.copies < 1:
-            bad = LaneMismatch("broadcast needs >= 1 copy", path)
-        return kind, bad or e.copies * n
+        return e.copies * n
     if cls is VectorReduceAdd:
-        if bad is None and (e.result_lanes < 1 or n % e.result_lanes):
-            bad = LaneMismatch(f"cannot reduce {n} lanes to {e.result_lanes}", path)
-        return kind, bad or e.result_lanes
-    if cls is Shuffle and bad is None:
+        r = e.result_lanes
+        return r if r >= 1 and not n % r else LaneMismatch(f"cannot reduce {n} lanes to {r}", path)
+    if cls is Shuffle:
         out = [i for i in e.indices if i != -1 and not 0 <= i < n]
         if out:
-            bad = LaneMismatch(f"shuffle index {out[0]} out of [0,{n})", path)
-        elif not e.indices:
-            bad = LaneMismatch("empty shuffle", path)
-        n = len(e.indices)
-    return kind, bad or n  # LocToLoc, ExprVar and Shuffle keep the kind
+            return LaneMismatch(f"shuffle index {out[0]} out of [0,{n})", path)
+        return len(e.indices) or LaneMismatch("empty shuffle", path)
+    return n  # Load, Cast, Bop, LocToLoc and ExprVar
 
 
 def lanes_of(e, path="e"):
@@ -574,14 +577,30 @@ def lanes_of(e, path="e"):
 
 
 def widest_lanes(p):
-    """The most lanes of any expression node of `p`, from one typed walk of
-    each statement's expressions; 1 when it has none.  A node whose lanes
-    are an error counts for none."""
-    types = {}
-    for _, s in walk_stmts(p.body):
+    """The most lanes of any expression node of `p`, by `_node_lanes`
+    alone: no kinds, and the path of a node only in an error; 1 when it
+    has none.  A node whose lanes are an error counts for none."""
+    found, stack = [1], list(p.body)
+    while stack:
+        s = stack.pop()
+        if isinstance(s, For):
+            stack += s.body
         for e in children(s):
-            _typed(e, None, "e", types)
-    return max((n for _, n in types.values() if isinstance(n, int)), default=1)
+            _lanes(e, found)
+    return max(n for n in found if isinstance(n, int))
+
+
+def _lanes(e, found):
+    """`_node_lanes` of `e`, its children's first, appended to `found`
+    after theirs."""
+    lanes = []
+    for name, role in _CHILD_FIELDS.get(e.__class__, ()):
+        if role == "expr":
+            lanes.append(_lanes(getattr(e, name), found))
+        elif role == "exprs":
+            lanes += [_lanes(a, found) for a in getattr(e, name)]
+    found.append(_node_lanes(e, lanes, "e"))
+    return found[-1]
 
 
 def type_of(e, buffers=None, path="e"):
@@ -677,13 +696,8 @@ class ValidationReport:
 
 
 def buffer_table(p):
-    byname = {}
-    for prm in p.params:
-        byname[prm.name] = (prm.kind, prm.length, prm.location)
-    for _, s in walk_stmts(p.body):
-        if isinstance(s, Allocate):
-            byname[s.name] = (s.kind, s.length, s.location)
-    return byname
+    decls = [*p.params, *(s for _, s in walk_stmts(p.body) if isinstance(s, Allocate))]
+    return {d.name: (d.kind, d.length, d.location) for d in decls}
 
 
 def _not_i32(kind):

@@ -32,10 +32,11 @@ statement rule, the program around the statement, None in its place.  The
 structure depends only on the few ints a generator draws, so it is built
 once and shared by every draw of those ints.  The match satisfies the
 query, guards and premises included.  `check_rule_soundness` groups the
-draws by structure, expands the left side from the rule's query and runs
-its compiled action on term trees for the right, and fills each group's
-buffers with `interp.random_inputs`, a row per draw's seed: the fill and
-the comparison (`interp.compare_sides`) of `cli.run_difftest`.
+draws by structure, expands the left side from the rule's query straight
+to IR and runs its compiled action on an IR stand-in for the e-graph
+(`_IRBuilder`) for the right, with no term trees between, and fills each
+group's buffers with `interp.random_inputs`, a row per draw's seed: the
+fill and the comparison (`interp.compare_sides`) of `cli.run_difftest`.
 
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
@@ -48,10 +49,11 @@ row stride), and k%2 (stride 1).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from . import interp, ir
 from .egraph import Bind, Calc, EGraph, If, Let, PNode, PVar, Rel, RuleDef, rel
@@ -117,40 +119,56 @@ def seed_facts(g, buffers, shapes):
                       g.add_int(sh.n))
 
 
-_NODES = {head: (cls, fields) for cls, (head, fields) in ir.TERMS.items()}
+# per role of a child, the class its value has
+_KID_CLASS = {"expr": ir.Expr, "exprs": ir.Expr, "int": int, "type": ir.VecType, "name": str}
+
+
+def _builder(cls, fields):
+    """(build, classes) of a `cls` node: `build(op, kids)` takes its `op`
+    fields from the e-node's operator, after the head, and the rest from
+    `kids`, its children's values, in field order, an `exprs` field taking
+    every child left; `classes` are the classes of those values, in order."""
+    roles = [role for _, role in fields]
+    n = roles.count("op")
+    classes = tuple(_KID_CLASS[role] for role in roles if role != "op")
+    if roles[n:] == ["exprs"]:
+        return (lambda op, kids: cls(*op[1:n + 1], tuple(kids))), itertools.repeat(ir.Expr)
+    if "op" not in roles[n:]:
+        return (lambda op, kids: cls(*op[1:n + 1], *kids)), classes
+    assert roles[-n:] == ["op"] * n and "op" not in roles[:-n], cls  # a Shuffle
+    return (lambda op, kids: cls(*kids, *op[1:n + 1])), classes
+
+
+# per head, how a node of it builds its value over its children's values (an
+# IR node, or the int, VecType or buffer name of a leaf term), and their classes
+_BUILD = {head: _builder(cls, fields) for cls, (head, fields) in ir.TERMS.items()}
+_BUILD.update({"int": ((lambda op, kids: op[1]), ()), "name": ((lambda op, kids: op[1]), ()),
+               "type": ((lambda op, kids: ir.VecType(op[1], *kids)), (int,))})
+
+
+def build_node(op, kids=()):
+    """The IR value of the e-node `op` over `kids`, its children's values:
+    one level of `decode_term`.  Raises TypeError on a head that builds no
+    IR value, or on a child whose value its role cannot hold."""
+    if op[0] not in _BUILD:
+        raise TypeError(f"cannot decode {op!r}")
+    build, classes = _BUILD[op[0]]
+    if kids:
+        for kid, cls in zip(kids, classes):
+            if not isinstance(kid, cls):
+                raise TypeError(f"cannot decode {op!r} over {kid!r}")
+    return build(op, kids)
 
 
 def decode_term(term):
-    """The IR node of a term tree, as `extract_best` gives it."""
+    """The IR value of a term tree, as `extract_best` gives it."""
     op, kids = term
-    if op[0] not in _NODES:
-        raise TypeError(f"cannot decode {op!r}")
-    cls, fields = _NODES[op[0]]
-    args, i, k = [], 1, 0
-    for _, role in fields:
-        if role == "op":
-            args.append(op[i])
-            i += 1
-        elif role == "exprs":
-            args.append(tuple(map(decode_term, kids[k:])))
-        else:
-            args.append(_DECODE[role](kids[k]))
-            k += 1
-    return cls(*args)
+    return build_node(op, tuple(map(decode_term, kids)) if kids else ())
 
 
-def _leaf(term, head):
-    op = term[0]
-    assert op[0] == head, op
-    return op[1]
-
-
-# per role of a child, its term from a value and back
+# per role of a child, its class from a value
 _ENCODE = {"expr": encode_expr, "int": lambda g, v: g.add_int(v),
            "type": lambda g, t: mk_type(g, t.kind, t.lanes), "name": mk_name}
-_DECODE = {"expr": decode_term, "int": lambda t: _leaf(t, "int"),
-           "type": lambda t: ir.VecType(_leaf(t, "type"), _leaf(t[1][0], "int")),
-           "name": lambda t: _leaf(t, "name")}
 
 
 # ---------------------------------------------------------------------------
@@ -783,22 +801,29 @@ class SoundnessReport:
         return self.counterexample is None and not self.guard_unsatisfiable
 
 
-class _TermBuilder:
-    """Stands in for an EGraph whose classes are term trees, as `extract_best`
-    gives them: through it `encode_expr` returns a term, and a compiled
-    right-hand side builds terms, reads their leaves and records its unions."""
+def _read(value, cls):
+    if not isinstance(value, cls):
+        raise TypeError(f"not a {cls.__name__}: {value!r}")
+    return value
 
-    _parent = property(lambda self: self)  # its own parent table: every term is a root
-    __getitem__ = staticmethod(lambda term: term)
-    _hashcons = MappingProxyType({})  # finds no node, so each one is added
-    add = staticmethod(lambda op, children=(): (op, children))
-    add_int = staticmethod(lambda v: (("int", int(v)), ()))
+
+class _IRBuilder:
+    """Stands in for an EGraph whose classes are the IR values they stand
+    for: nodes, and the ints, VecTypes and buffer names of leaves.  Through
+    it a compiled right-hand side builds each node over its children's
+    values (`build_node`), reads the leaves it matched, and records its
+    unions; it finds no node, so it builds every one."""
+
+    _parent = property(lambda self: self)  # its own parent table: every value is a root
+    __getitem__ = staticmethod(lambda value: value)
+    _hashcons = SimpleNamespace(get=lambda key: None)  # hashes no key
+    add = staticmethod(build_node)
     assert_fact = staticmethod(lambda name, *args: None)
-    class_name = staticmethod(_DECODE["name"])
-    class_type = staticmethod(lambda t: (_leaf(t, "type"), _DECODE["int"](t[1][0])))
-    # an int, else an i32 immediate, as `EGraph.class_int` reads one
-    class_int = staticmethod(lambda t: int(t[0][2]) if t[0][:2] == ("imm", "i32")
-                             else _DECODE["int"](t))
+    class_name = staticmethod(lambda v: _read(v, str))
+    class_type = staticmethod(lambda v: (_read(v, ir.VecType).kind, v.lanes))
+    # an int, else an i32 immediate's value, as `EGraph.class_int` reads one
+    class_int = staticmethod(lambda v: int(v.value) if v.__class__ is ir.Imm
+                             and v.kind == "i32" else _read(v, int))
 
     def __init__(self):
         self.unions = []
@@ -807,41 +832,28 @@ class _TermBuilder:
         self.unions.append((a, b))
 
 
-def _value_term(v):
-    for cls, role in ((ir.Expr, "expr"), (ir.VecType, "type"), (str, "name"), (int, "int")):
-        if isinstance(v, cls):
-            return _ENCODE[role](_TermBuilder, v)
-    raise TypeError(f"not a match value: {v!r}")
-
-
-def _renderer(rule, match):
-    """`term(p)`, the term tree of `rule`'s query pattern `p` at `match`: a
-    variable a query `Bind` defines is its pattern's term, any other its value's."""
-    binds = {a.var: a.pattern for a in rule.query if isinstance(a, Bind)}
-    terms = {}
-
-    def term(p):
-        if isinstance(p, PVar):
-            if p.name not in terms:
-                terms[p.name] = (term(binds[p.name]) if p.name in binds
-                                 else _value_term(match[p.name]))
-            return terms[p.name]
-        return p.op, tuple(map(term, p.children))
-
-    return term
-
-
 def _sides(rule, match):
     """`rule`'s two sides at `match`, as IR: the left is the variable of its
-    one `Bind` effect, expanded through the query's `Bind` atoms; the right
-    is what `rule.action`, run on a `_TermBuilder` with a row of each query
-    variable's term, unions with it, or the left when the two are equal."""
-    term = _renderer(rule, match)
+    one `Bind` effect, expanded through the query's `Bind` atoms by
+    `build_node`; the right is what `rule.action`, run on an `_IRBuilder`
+    with a row of each query variable's value, unions with it, or the left
+    when the two are equal.  A variable that no query `Bind` defines is
+    its value in `match`."""
+    binds = {a.var: a.pattern for a in rule.query if isinstance(a, Bind)}
+    values = dict(match)
+
+    def value(p):
+        if isinstance(p, PVar):
+            if p.name not in values:
+                values[p.name] = value(binds[p.name])
+            return values[p.name]
+        return build_node(p.op, tuple(map(value, p.children)))
+
     (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
-    lhs = term(PVar(bind.var))
-    g = _TermBuilder()
-    rule.action(g, tuple(term(PVar(v)) for v in rule.query.names))
-    return decode_term(lhs), decode_term(g.unions[0][1] if g.unions else lhs)
+    lhs = value(PVar(bind.var))
+    g = _IRBuilder()
+    rule.action(g, tuple(value(PVar(v)) for v in rule.query.names))
+    return lhs, g.unions[0][1] if g.unions else lhs
 
 
 def _render(rule, structure):
@@ -928,18 +940,22 @@ def check_rule_soundness(rule, trials=500, seed=0):
     `_shared` keeps for the length of this call.  The draws are grouped by
     structure (`_groups`), one dict lookup each, and each draw gets a fill
     seed from `rng`, drawn after the draws, so a report is a function of
-    (rule, trials, seed).  Once per group the sides are built from the
-    rule itself (`_sides`): the left from its query, the right by its
-    compiled action.  The group's buffers are `interp.random_inputs` of
-    the structure over its draws' seeds, the fill `run_difftest` uses, a
-    row per draw.  Each group of several draws is then evaluated once by
-    `interp.compare_sides` along that leading trial axis; a batch that
-    raises is replayed draw by draw, each on its own fill.  The report, or
-    the exception raised, is that of checking the draws one by one in
-    draw order: the first draw whose render or evaluation raises, or
-    whose sides differ, decides, and `checked` counts the draws up to it.
-    A render that raises counts at its group's first draw.  When the
-    generator raises, the draws made before it are checked first."""
+    (rule, trials, seed).  The seeds start from one base drawn after all
+    the draws, so a counterexample's lanes depend on `trials` as well: at
+    other trials the same first failing draw may fail on other lanes.
+    Once per group the sides are built from the rule itself, straight to
+    IR (`_sides`): the left from its query, the right by its compiled
+    action run on an `_IRBuilder`.  The group's buffers are
+    `interp.random_inputs` of the structure over its draws' seeds, the
+    fill `run_difftest` uses, a row per draw.  Each group of several
+    draws is then evaluated once by `interp.compare_sides` along that
+    leading trial axis; a batch that raises is replayed draw by draw,
+    each on its own fill.  The report, or the exception raised, is that of
+    checking the draws one by one in draw order: the first draw whose
+    render or evaluation raises, or whose sides differ, decides, and
+    `checked` counts the draws up to it.  A render that raises counts at
+    its group's first draw.  When the generator raises, the draws made
+    before it are checked first."""
     report = SoundnessReport(rule=rule.name, trials=trials)
     if not rule.semantic:
         return report
@@ -1263,20 +1279,16 @@ def matmul_statement_query(m=16, k=32, n=16, kind="bf16"):
     for the phase-ordering ablation: zero matches before axiom saturation,
     exactly one after."""
     lanes = m * k * n
-
-    def ilit(v):
-        return P(("int", v))
-
     return (
-        Bind("e", padd(V("c"), pvra(ilit(m * n), V("mul")))),
-        Bind("mul", pmul(P(("cast",), ptype("f32", ilit(lanes)), V("a")),
-                         P(("cast",), ptype("f32", ilit(lanes)), V("b")))),
-        Bind("a", pload(V("an"), ptype(kind, ilit(lanes)), V("idxa"))),
-        Bind("idxa", pramp(pbcast(pramp(V("abase"), pimm(1), ilit(k)), ilit(n)),
-                           pbcast(V("astride"), ilit(k * n)), ilit(m))),
-        Bind("b", pload(V("bn"), ptype(kind, ilit(lanes)), V("idxb"))),
-        Bind("idxb", pbcast(pramp(pramp(V("bbase"), V("bstride"), ilit(k)),
-                                  pbcast(pimm(1), ilit(k)), ilit(n)), ilit(m))),
+        Bind("e", padd(V("c"), pvra(pint(m * n), V("mul")))),
+        Bind("mul", pmul(P(("cast",), ptype("f32", pint(lanes)), V("a")),
+                         P(("cast",), ptype("f32", pint(lanes)), V("b")))),
+        Bind("a", pload(V("an"), ptype(kind, pint(lanes)), V("idxa"))),
+        Bind("idxa", pramp(pbcast(pramp(V("abase"), pimm(1), pint(k)), pint(n)),
+                           pbcast(V("astride"), pint(k * n)), pint(m))),
+        Bind("b", pload(V("bn"), ptype(kind, pint(lanes)), V("idxb"))),
+        Bind("idxb", pbcast(pramp(pramp(V("bbase"), V("bstride"), pint(k)),
+                                  pbcast(pimm(1), pint(k)), pint(n)), pint(m))),
     )
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from tensorsel import cli, interp, ir, rules, selector
 
+import ir_terms
+import test_cli
 from testkit import corpus_names, corpus_program, target_for
 
 SEEDS = list(range(100))
@@ -243,6 +245,46 @@ class TestDifftest:
         assert cli.difftest_rows(100, divide, matmul) == cli.LANE_BUDGET // 8192
         assert cli.difftest_rows(0, conv) == 1
         assert ir.widest_lanes(ir.Program()) == 1
+
+
+def typed_widest_lanes(p):
+    """`ir.widest_lanes` as one full typed walk gives it: the most lanes of
+    any node `ir._typed` types without a lane error, else 1."""
+    types = {}
+    for _, s in ir.walk_stmts(p.body):
+        for e in ir.children(s):
+            ir._typed(e, None, "e", types)
+    return max((n for _, n in types.values() if isinstance(n, int)), default=1)
+
+
+class TestWidestLanes:
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_corpus_and_lowered(self, name, lowered_corpus):
+        for prog in (corpus_program(name), lowered_corpus[name]):
+            assert ir.widest_lanes(prog) == typed_widest_lanes(prog)
+
+    @pytest.mark.parametrize("case", test_cli.MALFORMED_CALLS)
+    def test_malformed_calls(self, case):
+        prog = ir.parse_program(test_cli.MALFORMED_CALLS[case][0])
+        assert ir.widest_lanes(prog) == typed_widest_lanes(prog)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_drawn_terms_and_lane_errors_over_them(self, data):
+        """Well-typed draws, and draws under a node whose lanes are an
+        error, broadcast three times so that an error that fails to pass up
+        would show: a sum with a wider broadcast of itself, a shuffle index
+        past its source, a reduction that does not divide, a cast to other
+        lanes; and a loop around them all."""
+        vtype = data.draw(ir_terms.TYPES)
+        s = data.draw(ir_terms.stmts(vtype))
+        e, n = s.value, vtype.lanes
+        bad = tuple(ir.Evaluate(ir.Broadcast(x, 3)) for x in (
+            ir.Bop("+", e, ir.Broadcast(e, 2)), ir.Shuffle(e, (0, n)),
+            ir.VectorReduceAdd(n + 1, e), ir.Cast(ir.VecType(vtype.kind, n + 1), e)))
+        for body in ((s,), bad, (ir.For("i", 0, 2, (s, *bad)),)):
+            prog = ir.Program((), body)
+            assert ir.widest_lanes(prog) == typed_widest_lanes(prog)
 
 
 # `tensorsel difftest` output and exit code, as the one-seed-per-run loop gave

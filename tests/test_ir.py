@@ -14,7 +14,7 @@ from tensorsel.ir import (Allocate, Bop, Broadcast, Call, Cast, Evaluate,
                           VectorReduceAdd)
 
 import ir_terms
-from testkit import corpus_names, corpus_program
+from testkit import TermTrees, corpus_names, corpus_program
 
 
 def i32(v):
@@ -1117,7 +1117,7 @@ class TestRoundTripProperty:
             assert ir.print_program(ir.parse_program(text)) == text
             for vtype, s in zip(types, body):
                 for term in (s, *ir.children(s)):
-                    assert rules.decode_term(rules.encode_expr(rules._TermBuilder, term)) == term
+                    assert rules.decode_term(rules.encode_expr(TermTrees, term)) == term
                 assert ir.type_of(s.value) == vtype
                 if isinstance(s, Store):
                     assert ir.type_of(s.index) == VecType("i32", vtype.lanes)

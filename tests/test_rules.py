@@ -13,7 +13,7 @@ from tensorsel.ir import Broadcast, Imm
 from tensorsel.selector import SelectionConfig
 
 import test_ir
-from testkit import corpus_program, matches
+from testkit import TermTrees, corpus_program, matches, query_terms
 
 
 BUDGET = SelectionConfig().node_budget
@@ -291,7 +291,7 @@ class TestSoundness:
                 rules.seed_facts(g, {p.name: (p.kind, p.length, p.location)
                                      for p in draw.params},
                                  ir.program_shapes(draw))
-                term = rules._renderer(rule, draw.match)
+                term = query_terms(rule, draw.match)
 
                 def cls(t):
                     return g.add(t[0], tuple(cls(k) for k in t[1]))
@@ -302,6 +302,41 @@ class TestSoundness:
                 assert set(draw.match) <= set(want), rule.name
                 run_schedule(g, supporting, 1, BUDGET)
                 assert want in matches(g, rule.query), (rule.name, draw.match)
+
+    @staticmethod
+    def term_round_trip_sides(rule, match):
+        """`rule`'s two sides at `match` through term trees: the query
+        expanded as terms, its match values encoded by the codec, the
+        action run on `TermTrees`, and both sides decoded by `decode_term`."""
+        term = query_terms(rule, match)
+        (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
+        lhs = term(PVar(bind.var))
+        g = TermTrees()
+        rule.action(g, tuple(term(PVar(v)) for v in rule.query.names))
+        return rules.decode_term(lhs), rules.decode_term(g.unions[0][1] if g.unions else lhs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sides_equal_the_term_round_trip(self, default_ruleset, seed):
+        """The first 20 draws of every semantic rule and of both mutation
+        fixtures render, straight to IR, the very sides of the term round
+        trip, to the sign of a zero and the type of a number."""
+        fixtures = [r for r in default_ruleset if r.semantic] + [
+            rules.corrupted_ramp_rule(), rules.runaway_ruleset().named("broadcast-flatten")]
+        for rule in fixtures:
+            rng = random.Random(f"soundness:{seed}:{rule.name}")
+            for _ in range(20):
+                draw = rule.fuzz(rng)
+                want = self.term_round_trip_sides(rule, draw.match)
+                assert repr(rules._sides(rule, draw.match)) == repr(want), rule.name
+
+    def test_counterexample_lanes_depend_on_trials(self):
+        """The fill seeds start from a base drawn after all the draws, so at
+        200 and 500 trials the same first draw fails, on its own lanes."""
+        small, large = (rules.check_rule_soundness(rules.corrupted_ramp_rule(), trials, 1)
+                        for trials in (200, 500))
+        assert small.checked == large.checked == 1
+        (one, _), (other, _) = small.counterexample, large.counterexample
+        assert (one.lhs, one.rhs) == (other.lhs, other.rhs)
 
     def test_signed_zero_is_a_counterexample(self):
         # the bytes differ although no lane compares unequal
@@ -330,7 +365,24 @@ class TestEncodeDecode:
         g = rules.new_graph()
         term = extract_best(g, rules.encode_expr(g, node))
         assert rules.decode_term(term) == node
-        assert rules.encode_expr(rules._TermBuilder, node) == term
+        assert rules.encode_expr(TermTrees, node) == term
+
+    def test_decode_raises_on_what_builds_no_ir(self):
+        # a head outside the codec, and a name where an expression goes
+        for term in ((("loc", "mem"), ()),
+                     (("bcast",), ((("name", "a"), ()), (("int", 2), ())))):
+            with pytest.raises(TypeError, match="cannot decode"):
+                rules.decode_term(term)
+
+    def test_ir_builder_reads_only_leaves(self):
+        g = rules._IRBuilder()
+        assert (g.class_int(3), g.class_int(Imm("i32", 5))) == (3, 5)
+        assert g.class_type(ir.VecType("f32", 4)) == ("f32", 4)
+        assert g.class_name("a") == "a"
+        for read, value in ((g.class_int, Broadcast(i32(1), 2)), (g.class_int, Imm("f32", 1.0)),
+                            (g.class_type, Broadcast(i32(1), 2)), (g.class_name, ir.Var("a"))):
+            with pytest.raises(TypeError):
+                read(value)
 
     def test_round_trip_matmul_update(self):
         stmt = matmul_update_stmt()
