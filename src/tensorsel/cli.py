@@ -163,14 +163,16 @@ def cmd_select(args):
     return 0
 
 
-LANE_BUDGET = 1 << 16  # lanes of a difftest batch's widest value, over its rows
+LANE_BUDGET = 1 << 16  # lanes of a difftest batch's widest value or buffer, over its rows
 
 
 def difftest_rows(trials, *programs):
     """Seeds per batched interpreter run of `programs`: as many as keep
-    the widest value of any of them (`ir.widest_lanes`) within LANE_BUDGET
-    lanes over all rows, at least one and at most `trials`."""
-    widest = max(ir.widest_lanes(p) for p in programs)
+    the widest value (`ir.widest_lanes`) or buffer (`ir.buffer_table`) of
+    any of them within LANE_BUDGET lanes over all rows, at least one and at
+    most `trials`.  Every value and buffer takes the trial axis."""
+    widest = max(n for p in programs for n in (
+        ir.widest_lanes(p), *(length for _, length, _ in ir.buffer_table(p).values())))
     return max(1, min(trials, LANE_BUDGET // widest))
 
 
@@ -178,36 +180,30 @@ def run_difftest(prog, name, trials, seed, config, ruleset=None):
     """Select, then run source and lowered programs over `trials` seeds and
     compare every output parameter bit for bit, seed by seed.
 
-    The seeds run in batches of `difftest_rows` seeds: each batch is one
-    `interp.compare_sides` of the two programs over `interp.random_inputs`
-    of its seeds, the fill and the comparison the soundness fuzzer uses.
-    A batch that raises is replayed one seed at a time, so an earlier
-    divergence still wins and an error is the first failing seed's.  Every
-    run, of either program, batched or replayed, shares one
-    `interp.EvalMemo`, so a buffer-free subexpression is evaluated once
-    per loop binding; the memo is dropped on return."""
+    The seeds are judged by `interp.first_failure`, the judge the
+    soundness fuzzer uses: batches of `difftest_rows` seeds, each one
+    `interp.compare_sides` of the two programs over
+    `interp.random_inputs` of its seeds, a raising batch replayed seed by
+    seed.  `seeds` lists the seeds up to the first divergence; an error is
+    the first failing seed's and is raised.  Every run, of either program,
+    batched or replayed, shares one `interp.EvalMemo`, so a buffer-free
+    subexpression is evaluated once per loop binding; the memo is dropped
+    on return."""
     result = DiffTestResult(program=name, trials=trials)
     lowered, rep = selector.select_program(prog, config, ruleset=ruleset)
     result.selection_ok = rep.ok
-    memo = interp.EvalMemo()
-
-    def compare(seeds):
-        return interp.compare_sides(prog, lowered, interp.random_inputs(prog, seeds), memo=memo)
-
-    end, rows = seed + trials, difftest_rows(trials, prog, lowered)
-    for start in range(seed, end, rows):
-        chunk = list(range(start, min(start + rows, end)))
-        try:
-            batches = [(chunk, compare(chunk))]
-        except interp.EvalError:  # replayed lazily, so an earlier divergence wins
-            batches = (([s], compare(s)) for s in chunk)
-        for seeds, hit in batches:
-            result.seeds += seeds if hit is None else seeds[:hit[0] + 1]
-            if hit is not None:
-                buffer, lane, lhs, rhs = hit[1]
-                result.divergence = {"seed": result.seeds[-1], "buffer": buffer, "lane": lane,
-                                     "lhs": float(lhs), "rhs": float(rhs)}
-                return result, rep
+    seeds = list(range(seed, seed + trials))
+    first = interp.first_failure(prog, lowered, prog, seeds, memo=interp.EvalMemo(),
+                                 rows=difftest_rows(trials, prog, lowered))
+    if first is not None:
+        pos, outcome = first
+        if isinstance(outcome, Exception):
+            raise outcome
+        seeds = seeds[:pos + 1]
+        buffer, lane, lhs, rhs = outcome
+        result.divergence = {"seed": seeds[-1], "buffer": buffer, "lane": lane,
+                             "lhs": float(lhs), "rhs": float(rhs)}
+    result.seeds = seeds
     return result, rep
 
 

@@ -168,7 +168,7 @@ class RuleDef:
     rhs: tuple = ()  # effects: Bind (union), Rel (assert a fact), Let
     doc: str = ""
     target: str = ""  # "", "amx", or "wmma"
-    fuzz: object = None  # optional fn(rng) -> a draw, (rules.Structure, lanes), or None
+    fuzz: object = None  # optional fn(rng) -> a draw, a rules.Structure, or None
 
     def __post_init__(self):
         try:

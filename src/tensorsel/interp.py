@@ -14,6 +14,10 @@ immediates are shared by the trials and stay 1-D; an address read from
 data (an i32 buffer) has the leading axes too and is applied per trial.
 `compare_sides` evaluates two expressions or two programs over such
 buffers and names the first trial and lane where they differ.
+`first_failure` is the one judge of `tensorsel difftest` and the rule
+fuzzer: it fills seeds with `random_inputs`, runs them in batches through
+`compare_sides`, replays a batch that raises seed by seed, and reports
+the first failing seed.
 
 Every i32 value is range-checked.  Where the value is a Python int the
 check runs on the int, before any array is built: an immediate, a loop
@@ -725,15 +729,17 @@ def _exec_stmts(body, env, path):
 
 def compare_sides(lhs, rhs, buffers, shapes=(), memo=None):
     """Evaluate two expressions, or two programs, once over `buffers`
-    (name -> Buffer) and compare them bit for bit: the one comparison of
-    both judges, the soundness fuzzer and `cli.run_difftest`.  The
-    buffers' data may carry one leading trial axis, the same for every
-    buffer: each row is then a trial, evaluated as it would be alone.
-    `shapes` are the extra shapes two expressions may use; two programs
-    run with `memo`, an `EvalMemo` or None.  Returns the first row whose
-    sides differ, with its detail, or None (a call without a trial axis is
-    row 0).  A program's detail names the first output parameter that
-    differs in that row.  Raises what the evaluation raises."""
+    (name -> Buffer) and compare them bit for bit: one batch of
+    `first_failure`.  The buffers' data may carry one leading trial axis,
+    the same for every buffer: each row is then a trial, evaluated as it
+    would be alone.  `shapes` are the extra shapes two expressions may
+    use; two programs run with `memo`, an `EvalMemo` or None.  Returns the
+    first row whose sides differ, with its detail, or None (a call without
+    a trial axis is row 0).  A program's detail names the first output
+    parameter that differs in that row.  The two sides of a pair hold one
+    dtype: programs write their parameters in place, and expressions are
+    compared once their kinds are equal.  Raises what the evaluation
+    raises."""
     lead = next((b.data.shape[:-1] for b in buffers.values()), ())
     if isinstance(lhs, ir.Program):
         out_a = run_program(lhs, buffers, memo=memo)
@@ -755,17 +761,46 @@ def compare_sides(lhs, rhs, buffers, shapes=(), memo=None):
     for label, a, b in sides:  # a trial's first differing side is reported
         # a side that lacks the trial axis holds every row
         a, b = (x if x.ndim > 1 else np.broadcast_to(x, (rows, x.size)) for x in (a, b))
-        if a.dtype == b.dtype:
-            bits = f"u{a.dtype.itemsize}"
-            differs = (a.view(bits) != b.view(bits)).any(axis=-1)
-        else:
-            differs = [x.tobytes() != y.tobytes() for x, y in zip(a, b)]
-        hit = np.flatnonzero(differs)
+        bits = f"u{a.dtype.itemsize}"
+        hit = np.flatnonzero((a.view(bits) != b.view(bits)).any(axis=-1))
         if hit.size and (first is None or hit[0] < first[0]):
             t = int(hit[0])
             lane = first_differing_lane(a[t], b[t])
             first = t, (label, lane, a[t][lane], b[t][lane])
     return first
+
+
+def first_failure(lhs, rhs, params, seeds, shapes=(), memo=None, rows=None):
+    """The judge of both `cli.run_difftest` and the soundness fuzzer: the
+    first of `seeds` at which the sides `lhs` and `rhs` differ or raise,
+    as `(position in seeds, detail)` or `(position, exception)`; None if
+    none does.  A seed's buffers are `random_inputs(params, seed)`.  The
+    seeds run in batches of `rows` (all of them when None), each one
+    `compare_sides` over `random_inputs(params, batch)`, a row per seed.
+    A batch of several seeds that raises any exception is replayed seed by
+    seed on single-seed fills, so a difference before the raising seed
+    still wins and the error is the first failing seed's; a lone seed
+    always runs alone.  `shapes` and `memo` go to `compare_sides`."""
+    step = rows or max(1, len(seeds))
+    for start in range(0, len(seeds), step):
+        batch = seeds[start:start + step]
+        if len(batch) > 1:
+            try:
+                hit = compare_sides(lhs, rhs, random_inputs(params, batch), shapes, memo)
+            except Exception:  # the replay finds the seed that raises
+                pass
+            else:
+                if hit is not None:
+                    return start + hit[0], hit[1]
+                continue
+        for pos, seed in enumerate(batch, start):
+            try:
+                hit = compare_sides(lhs, rhs, random_inputs(params, seed), shapes, memo)
+            except Exception as e:  # raised unless an earlier seed fails
+                return pos, e
+            if hit is not None:
+                return pos, hit[1]
+    return None
 
 
 def random_inputs(p, seed):

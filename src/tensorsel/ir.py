@@ -432,12 +432,6 @@ def _call_lanes(call, sig, lanes, path):
     if n % sizes:
         raise LaneMismatch(f"{call.name} argument {sig.lanes} has {n} lanes, "
                            f"not a multiple of {sizes}", path)
-    if call.name == "KWayInterleave":
-        k, row_len = (int(call.args[i].value) for i in sig.size_args)
-        try:
-            layout.check_interleave(k, n // row_len, row_len)
-        except ValueError as e:  # too many entries
-            raise LaneMismatch(f"{call.name}: {e}", path) from None
     if set(sig.roles) == {"tile"}:  # a MatMul
         a, b, n = _matmul_lanes(sig, lanes)
         if derive_mkn(a, b, n) is None:
@@ -526,9 +520,19 @@ def _node_type(e, kids, buffers, path):
 
 
 def _node_lanes(e, lanes, path):
-    """The lane rule of `e`'s class over its children's lanes: an int, or
-    an error.  A lane error in a child wins over the node's own, except
-    for a Broadcast's copy count, which is checked first."""
+    """`_lane_rule` of `e` over its children's lanes: an int, or an error,
+    which lanes past `layout.MAX_MATRIX_ENTRIES` are too, so that bound
+    holds for the memory of every value."""
+    n = _lane_rule(e, lanes, path)
+    if n.__class__ is int and n > layout.MAX_MATRIX_ENTRIES:
+        return LaneMismatch(f"{n} lanes exceed {layout.MAX_MATRIX_ENTRIES}", path)
+    return n
+
+
+def _lane_rule(e, lanes, path):
+    """The lanes of `e` by its class's rule: an int, or an error.  A lane
+    error in a child wins over the node's own, except for a Broadcast's
+    copy count, which is checked first."""
     cls = e.__class__
     if cls is Imm or cls is Var:
         return 1
@@ -726,6 +730,9 @@ def validate_program(p):
                 ("params", f"external parameter {prm.name!r} must be mem-located"))
         if prm.length < 1:
             rep.errors.append(("params", f"parameter {prm.name!r} of length {prm.length}"))
+        elif prm.length > layout.MAX_MATRIX_ENTRIES:
+            rep.errors.append(("params", f"parameter {prm.name!r} of length {prm.length} "
+                               f"exceeds {layout.MAX_MATRIX_ENTRIES}"))
         buffers[prm.name] = (prm.kind, prm.length, prm.location)
 
     for path, s in walk_stmts(p.body):
@@ -806,10 +813,18 @@ def validate_program(p):
             elif isinstance(s, Allocate):
                 if s.length < 1:
                     rep.errors.append((sp, f"allocate {s.name!r} of length {s.length}"))
+                elif s.length > layout.MAX_MATRIX_ENTRIES:
+                    rep.errors.append((sp, f"allocate {s.name!r} of length {s.length} "
+                                       f"exceeds {layout.MAX_MATRIX_ENTRIES}"))
             else:
                 rep.errors.append((sp, f"not a Stmt: {s!r}"))
 
     check_stmts(p.body, "body", set())
+    for sh in p.shapes:  # a MatMul evaluates its m*k*n products at once
+        if sh.m * sh.k * sh.n > layout.MAX_MATRIX_ENTRIES:
+            rep.errors.append(("shapes", f"shape {sh.target} {sh.m}x{sh.k}x{sh.n} has "
+                               f"{sh.m * sh.k * sh.n} products, over "
+                               f"{layout.MAX_MATRIX_ENTRIES}"))
 
     amx_lanes = sum(length for kind, length, loc in buffers.values() if loc == "amx")
     if amx_lanes > 8 * 16 * 32:

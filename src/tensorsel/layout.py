@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# bounds the memory of a kernel matrix or an interleave; the corpus needs
-# 192 and 512 entries
+# bounds the memory of a kernel matrix or an interleave, and through
+# `ir.validate_program` of every value, buffer and MatMul product array;
+# the corpus needs 192 and 512 entries and values of at most 8,192 lanes
 MAX_MATRIX_ENTRIES = 1 << 20
 
 
@@ -124,9 +125,11 @@ def shuffle_indices_for(spec):
     return np.where((0 <= u) & (u < spec.l), taps + 1, -1).reshape(-1).tolist()
 
 
-def check_interleave(k, rows, row_len):
-    """Raise ValueError unless `rows` rows of `row_len` elements, at most
-    MAX_MATRIX_ENTRIES in all, interleave `k` ways."""
+def kway_interleave_indices(k, rows, row_len):
+    """Gather permutation for the k-way row interleave over `rows` input
+    rows of `row_len` elements; k=2 is the VNNI pack
+    (out[p][2j+d] = in[k*p+d][j]).  Raises ValueError unless the rows, at
+    most MAX_MATRIX_ENTRIES elements in all, interleave `k` ways."""
     if min(rows, row_len) < 1:
         raise ValueError(f"rows and row length must be >= 1, "
                          f"got {rows} rows of {row_len}")
@@ -135,12 +138,5 @@ def check_interleave(k, rows, row_len):
     if rows * row_len > MAX_MATRIX_ENTRIES:
         raise ValueError(f"{rows} rows of {row_len} exceed "
                          f"{MAX_MATRIX_ENTRIES} entries")
-
-
-def kway_interleave_indices(k, rows, row_len):
-    """Gather permutation for the k-way row interleave over `rows` input
-    rows of `row_len` elements; k=2 is the VNNI pack
-    (out[p][2j+d] = in[k*p+d][j])."""
-    check_interleave(k, rows, row_len)
     src = np.arange(rows * row_len).reshape(rows // k, k, row_len)  # [p][d][j]
     return src.transpose(0, 2, 1).reshape(-1).tolist()

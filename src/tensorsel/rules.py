@@ -34,9 +34,9 @@ once and shared by every draw of those ints.  The match satisfies the
 query, guards and premises included.  `check_rule_soundness` groups the
 draws by structure, expands the left side from the rule's query straight
 to IR and runs its compiled action on an IR stand-in for the e-graph
-(`_IRBuilder`) for the right, with no term trees between, and fills each
-group's buffers with `interp.random_inputs`, a row per draw's seed: the
-fill and the comparison (`interp.compare_sides`) of `cli.run_difftest`.
+(`_IRBuilder`) for the right, with no term trees between, and checks each
+group's draws with `interp.first_failure`, a row of `interp.random_inputs`
+per draw's seed: the judge of `cli.run_difftest`.
 
 Lane conventions, all derived from canonical index construction: the
 standard-layout B re-load reads N contiguous lanes per logical row, the
@@ -867,46 +867,6 @@ def _render(rule, structure):
         for side in (lhs, rhs))
 
 
-def _run_instance(inst):
-    """(ok, detail) of one instance, evaluated alone."""
-    hit = interp.compare_sides(inst.lhs, inst.rhs, inst.buffers, inst.shapes)
-    return (True, None) if hit is None else (False, hit[1])
-
-
-def _check_group(structure, lhs, rhs, members):
-    """The first of `members`, (index, seed) pairs in draw order of the
-    draws of `structure`, with sides `lhs` and `rhs`, that differs or
-    raises: (index, (instance, detail)) or (index, exception); None if none
-    does.  A member's buffers are `interp.random_inputs` of the structure
-    at its seed.  Several members run as one batch, a row per member; a
-    batch that raises is replayed member by member.  A member's instance
-    holds its single-seed fill, which equals its row."""
-    def member(seed):
-        return FuzzInstance(lhs, rhs, interp.random_inputs(structure, seed), structure.shapes)
-
-    if len(members) > 1:
-        try:
-            hit = interp.compare_sides(
-                lhs, rhs, interp.random_inputs(structure, [s for _, s in members]),
-                structure.shapes)
-        except Exception:  # the replay finds the trial that raises
-            pass
-        else:
-            if hit is None:
-                return None
-            index, seed = members[hit[0]]
-            return index, (member(seed), hit[1])
-    for index, seed in members:
-        one = member(seed)
-        try:
-            ok, detail = _run_instance(one)
-        except Exception as e:  # raised unless an earlier instance fails
-            return index, e
-        if not ok:
-            return index, (one, detail)
-    return None
-
-
 def _groups(rule, rng, trials):
     """(groups, drawn, error) of `trials` draws of `rule.fuzz(rng)`: the
     groups map each structure to its draws, (index, seed) pairs, where a
@@ -945,12 +905,12 @@ def check_rule_soundness(rule, trials=500, seed=0):
     other trials the same first failing draw may fail on other lanes.
     Once per group the sides are built from the rule itself, straight to
     IR (`_sides`): the left from its query, the right by its compiled
-    action run on an `_IRBuilder`.  The group's buffers are
-    `interp.random_inputs` of the structure over its draws' seeds, the
-    fill `run_difftest` uses, a row per draw.  Each group of several
-    draws is then evaluated once by `interp.compare_sides` along that
-    leading trial axis; a batch that raises is replayed draw by draw,
-    each on its own fill.  The report, or the exception raised, is that of
+    action run on an `_IRBuilder`.  Then `interp.first_failure`, the
+    judge `cli.run_difftest` uses, checks the group's draws at their
+    seeds: one `interp.compare_sides` over `interp.random_inputs` of the
+    structure, a row per draw, replayed draw by draw if it raises.  A
+    counterexample's `FuzzInstance` holds its draw's single-seed fill,
+    which equals its row.  The report, or the exception raised, is that of
     checking the draws one by one in draw order: the first draw whose
     render or evaluation raises, or whose sides differ, decides, and
     `checked` counts the draws up to it.  A render that raises counts at
@@ -974,7 +934,14 @@ def check_rule_soundness(rule, trials=500, seed=0):
         except Exception as e:  # raised unless an earlier draw fails
             first = members[0][0], e
             continue
-        first = _check_group(structure, lhs, rhs, members) or first
+        hit = interp.first_failure(lhs, rhs, structure, [s for _, s in members],
+                                   structure.shapes)
+        if hit is not None:
+            (index, fill), outcome = members[hit[0]], hit[1]
+            if not isinstance(outcome, Exception):  # its instance holds its own fill
+                outcome = FuzzInstance(lhs, rhs, interp.random_inputs(structure, fill),
+                                       structure.shapes), outcome
+            first = index, outcome
     if first is not None:
         index, outcome = first
         if isinstance(outcome, Exception):

@@ -247,6 +247,71 @@ class TestDifftest:
         assert ir.widest_lanes(ir.Program()) == 1
 
 
+    def test_batch_rows_follow_the_widest_buffer(self):
+        # every buffer takes the trial axis: a 131,072-lane parameter read
+        # one lane at a time, and conv2d_outer_ry's 2,112-lane buffer
+        wide = ir.parse_program("(param a f32 131072 mem)\n(param o f32 1 mem)\n"
+                                "(store o (imm i32 0) (load a (f32 1) (imm i32 0)))\n")
+        conv = corpus_program("conv2d_outer_ry")
+        assert [ir.widest_lanes(p) for p in (wide, conv)] == [1, 2048]
+        assert cli.difftest_rows(100, wide) == 1
+        assert cli.difftest_rows(100, conv) == cli.LANE_BUDGET // 2112 == 31
+
+
+class TestFirstFailure:
+    # d[a] against d[a] % 13 over one lane: the read raises where a is 14
+    # or 15, past d's 14 lanes, and the sides differ where d[a] is 13 or more
+    PARAMS = ir.Program((ir.Param("a", "i32", 1), ir.Param("d", "i32", 14)))
+    LHS = ir.Load("d", ir.VecType("i32", 1), ir.Load("a", ir.VecType("i32", 1), ir.Imm("i32", 0)))
+    RHS = ir.Bop("%", LHS, ir.Imm("i32", 13))
+
+    def test_expression_sides_in_batches(self, monkeypatch):
+        """Over expression sides, with `rows` set, `first_failure` reports
+        what checking the seeds one at a time reports, at the position in
+        `seeds`: a difference before a raising seed in its batch wins, an
+        error in a later batch is its first failing seed's, and a lone
+        seed, a whole call's or a last batch's, runs without a trial axis."""
+        seeds = [7 * i + 1000 for i in range(150)]  # a position is not a seed's offset
+        alone = []
+        for s in seeds:
+            try:
+                alone.append(interp.compare_sides(
+                    self.LHS, self.RHS, interp.random_inputs(self.PARAMS, s)))
+            except interp.EvalError as e:
+                alone.append(e)
+        fails = [i for i, o in enumerate(alone) if o is not None]
+        compare, batch_rows = interp.compare_sides, []
+
+        def spy(lhs, rhs, buffers, shapes=(), memo=None):
+            batch_rows.append(buffers["a"].data.shape[:-1])
+            return compare(lhs, rhs, buffers, shapes, memo)
+
+        monkeypatch.setattr(interp, "compare_sides", spy)
+        seen = set()
+        for rows in (None, 1, 3, 5):
+            for start in range(0, 110):
+                window = seeds[start:start + 1 + start % 40]
+                first = next((i for i in fails if start <= i < start + len(window)), None)
+                got = interp.first_failure(self.LHS, self.RHS, self.PARAMS, window, rows=rows)
+                if first is None:
+                    assert got is None
+                    continue
+                pos, want = first - start, alone[first]
+                assert got[0] == pos
+                if isinstance(want, Exception):
+                    assert (type(got[1]), str(got[1])) == (type(want), str(want))
+                    seen.add("error in a later batch" if rows and pos >= rows else "error")
+                else:
+                    assert repr(got[1]) == repr(want[1])
+                    batch_end = (pos // rows + 1) * rows if rows else len(window)
+                    if any(isinstance(alone[i], Exception)
+                           for i in range(first + 1, start + min(batch_end, len(window)))):
+                        seen.add("difference before an error in its batch")
+        assert seen == {"error", "error in a later batch",
+                        "difference before an error in its batch"}
+        assert () in batch_rows and (1,) not in batch_rows
+
+
 def typed_widest_lanes(p):
     """`ir.widest_lanes` as one full typed walk gives it: the most lanes of
     any node `ir._typed` types without a lane error, else 1."""

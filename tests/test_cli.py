@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -152,7 +153,7 @@ MALFORMED_CALLS = {
         "(param A f32 16 mem)\n(store A (ramp (imm i32 0) (imm i32 1) 4) "
         "(call KWayInterleave (imm i32 2) (imm i32 1) "
         "(ramp (imm i32 0) (imm i32 1) 2097152)))\n",
-        "body[0].value: KWayInterleave: 2097152 rows of 1 exceed 1048576 entries"),
+        "body[0].value.args[2]: 2097152 lanes exceed 1048576"),
 }
 
 
@@ -170,6 +171,48 @@ class TestCheckImpliesRun:
         src.write_text(CHECK_MISSES[case])
         assert run_cli("run", str(src)) == 1
         assert run_cli("check", str(src)) == 1
+
+
+# programs whose allocations numpy refuses, each bounded in the validator by
+# layout.MAX_MATRIX_ENTRIES: a value's lanes, a parameter's length, and a
+# declared shape whose wmma_mma builds an (m, k, n) product array of 4 GiB
+_FRAGMENT = ("(call wmma_load_{} (var a) (imm i32 0) (imm i32 1024) (imm i32 1024) "
+             "(imm i32 1024))")
+OVERSIZE = {
+    "value": ("(evaluate (broadcast (imm f32 0.0) 1099511627776))\n",
+              "body[0].value: 1099511627776 lanes exceed 1048576"),
+    "parameter": ("(param o f32 1099511627776 mem)\n",
+                  "params: parameter 'o' of length 1099511627776 exceeds 1048576"),
+    "products": ("(param a f16 1048576 mem)\n(param o f32 1048576 mem)\n"
+                 "(wmma-shape 1024 1024 1024)\n(evaluate (call wmma_store (var o) "
+                 "(imm i32 0) (imm i32 1024) (imm i32 1024) (call wmma_mma "
+                 f"{_FRAGMENT.format('a')} {_FRAGMENT.format('b')} "
+                 "(call wmma_zero (imm i32 1024) (imm i32 1024)))))\n",
+                 "shapes: shape wmma 1024x1024x1024 has 1073741824 products, over 1048576"),
+}
+
+
+class TestOversize:
+    @pytest.mark.parametrize("case", OVERSIZE)
+    def test_exits_one_with_one_error_line(self, case, tmp_path, capsys):
+        """`check` reports the bound; `run` and `difftest`, in a process
+        limited to 3 GB of address space, exit 1 with the same line and no
+        traceback."""
+        text, error = OVERSIZE[case]
+        src = tmp_path / "p.sexp"
+        src.write_text(text)
+        assert run_cli("check", str(src)) == 1
+        assert capsys.readouterr().out == f"error: {error}\n"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        for command in ("run", "difftest"):
+            proc = subprocess.run([sys.executable, "-m", "tensorsel.cli", command, str(src)],
+                                  capture_output=True, text=True, env=env, timeout=120,
+                                  preexec_fn=limit)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {error}\n")
 
 
 class TestMalformedCalls:

@@ -520,6 +520,19 @@ class TestValidatorErrors:
          "body[0].value.index.stride.operand: + over bf16 and i32"),
         (f"(evaluate (add {RF} (ramp (imm i32 0) (imm f32 1.0) 4)))",
          "body[0].value.rhs: ramp base i32, stride f32"),
+        # no value, buffer or MatMul product array past layout.MAX_MATRIX_ENTRIES
+        ("(evaluate (broadcast (imm f32 0.0) 1099511627776))",
+         "body[0].value: 1099511627776 lanes exceed 1048576"),
+        ("(evaluate (add (ramp (imm i32 0) (imm i32 1) 1048577) (imm i32 1)))",
+         "body[0].value.lhs: 1048577 lanes exceed 1048576"),
+        ("(evaluate (call tile_zero (imm i32 2048) (imm i32 1024)))",
+         "body[0].value: 2097152 lanes exceed 1048576"),
+        ("(param w f32 1099511627776 mem)",
+         "params: parameter 'w' of length 1099511627776 exceeds 1048576"),
+        ("(allocate t f32 1048577 mem)",
+         "body[0]: allocate 't' of length 1048577 exceeds 1048576"),
+        ("(wmma-shape 1024 1024 1024)",
+         "shapes: shape wmma 1024x1024x1024 has 1073741824 products, over 1048576"),
     ]
 
     @pytest.mark.parametrize("case", REPORTS, ids=[case[0] for case in REPORTS])

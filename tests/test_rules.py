@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tensorsel import ir, rules
+from tensorsel import interp, ir, rules
 from tensorsel.egraph import (Bind, Calc, EGraph, PVar, Rel, ematch, extract_best,
                               run_schedule)
 from tensorsel.ir import Broadcast, Imm
@@ -340,10 +340,9 @@ class TestSoundness:
 
     def test_signed_zero_is_a_counterexample(self):
         # the bytes differ although no lane compares unequal
-        inst = rules.FuzzInstance(Imm("f32", 0.0), Imm("f32", -0.0))
-        ok, detail = rules._run_instance(inst)
-        assert not ok
-        assert detail[:2] == ("value", 0)
+        hit = interp.first_failure(Imm("f32", 0.0), Imm("f32", -0.0), ir.Program(), [0])
+        assert hit is not None and hit[0] == 0
+        assert hit[1][:2] == ("value", 0)
 
     def test_relational_rules_skipped(self, default_ruleset):
         rule = default_ruleset.named("amx-b-vnni")

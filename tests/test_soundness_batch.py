@@ -293,11 +293,12 @@ def fills_equal(got, want):
 
 @pytest.mark.parametrize("replayed", [False, True])
 def test_group_buffers_are_fill_rows(default_ruleset, monkeypatch, replayed):
-    """A group's buffers are `interp.random_inputs` of its structure over
-    its members' seeds, a row per member in draw order, and a member's
-    instance, batched or replayed, holds its single-seed fill, which is
-    its row."""
-    batches = []
+    """A group's buffers, as `interp.first_failure` checks them, are
+    `interp.random_inputs` of its structure over its members' seeds, a row
+    per member in draw order; a replayed member's buffers are its
+    single-seed fill, which is its row, and the replay stops at the first
+    failing member, whose position in the seeds the hit names."""
+    batches, alone = [], []
     compare = interp.compare_sides
 
     def spy(lhs, rhs, buffers, shapes=(), memo=None):
@@ -305,6 +306,8 @@ def test_group_buffers_are_fill_rows(default_ruleset, monkeypatch, replayed):
             batches.append(buffers)
             if replayed:
                 raise interp.EvalError("replay this batch")
+        else:
+            alone.append(buffers)
         return compare(lhs, rhs, buffers, shapes, memo)
 
     monkeypatch.setattr(interp, "compare_sides", spy)
@@ -317,19 +320,25 @@ def test_group_buffers_are_fill_rows(default_ruleset, monkeypatch, replayed):
                 continue
             kinds.update(p.kind for p in structure.params)
             lhs, rhs = rules._render(rule, structure)
-            del batches[:]
-            hit = rules._check_group(structure, lhs, rhs, members)
+            del batches[:], alone[:]
+            hit = interp.first_failure(lhs, rhs, structure, [s for _, s in members],
+                                       structure.shapes)
             (batch,) = batches
             rows = [{n: interp.Buffer(b.kind, b.location, b.data[row]) for n, b in batch.items()}
                     for row in range(len(members))]
             for row, (_, seed) in zip(rows, members):
                 fills_equal(row, interp.random_inputs(structure, seed))
             assert hit is None or rule is bad
-            if hit is not None:
+            if replayed:
+                assert len(alone) == (len(members) if hit is None else hit[0] + 1)
+                for got, row in zip(alone, rows):
+                    fills_equal(got, row)
+            else:
+                assert not alone
+            if hit is not None:  # the failing member's row, alone, is its counterexample
                 caught += 1
-                index, (inst, _) = hit
-                (row,) = [r for r, (i, _) in zip(rows, members) if i == index]
-                fills_equal(inst.buffers, row)
+                pos, detail = hit
+                assert repr(compare(lhs, rhs, rows[pos], structure.shapes)) == repr((0, detail))
     assert kinds == set(ir.SCALAR_KINDS) and caught
 
 
@@ -377,9 +386,10 @@ def fresh(kind, lanes):
 ], ids=[*(f"{kind}x{lanes}" for kind in ("i32", "f32", "bf16", "f16") for lanes in (1, 3, 17)),
         "store-amx-flat", "store-wmma-2axis", "stage-amx", "stage-wmma-b"])
 def test_group_arrays_equal_per_draw_arrays(gen, monkeypatch):
-    """The buffers `_check_group` checks a group on hold, row for row and
-    bit for bit, each member's single-seed fill: as one batch, and member
-    by member when the batch raises, for one member and for several."""
+    """The buffers `interp.first_failure` checks a group on hold, row for
+    row and bit for bit, each member's single-seed fill: as one batch, and
+    member by member when the batch raises, for one member and for
+    several."""
     seen, compare = [], interp.compare_sides
 
     def spy(lhs, rhs, buffers, shapes=(), memo=None):
@@ -398,7 +408,8 @@ def test_group_arrays_equal_per_draw_arrays(gen, monkeypatch):
             for rows in (members, members[:1]):
                 for raise_batches in (False, True):
                     del seen[:]
-                    assert rules._check_group(structure, lhs, rhs, rows) is None
+                    assert interp.first_failure(lhs, rhs, structure, [s for _, s in rows],
+                                                structure.shapes) is None
                     fills = [interp.random_inputs(structure, s) for _, s in rows]
                     if len(rows) > 1:
                         batch = seen.pop(0)
