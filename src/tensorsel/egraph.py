@@ -31,23 +31,22 @@ E-matching runs join plans, as in relational e-matching (Zhang et al.,
 POPL 2022), over a view that `union` keeps canonical: per root and op,
 the canonical child tuples of the class's nodes, and per op the roots
 with a node of it.  `union` merges the loser's view into the winner's and
-re-keys the loser's parents in their owners' views.  A `Query` lays its
-atoms out as steps over numbered variable slots when it is made: each
-`PNode` an e-node step (class slot, op, arity, child slots), each `Rel` a
-fact step that reads the fact index when its first slot is bound, and
-each `Calc` a guard step, and whether a slot is already bound is settled
-then.  On its first `ematch` the layout becomes one generated Python
-function of nested `for` loops over local slot variables, checking bound
-slots with `==`, binding free ones by assignment, and testing each guard
-inline as an `if` on the values it reads.  Ops, relation names and guard
-literals are passed to it as constants, never written into its source,
-so the compiled code is cached per process by the layout's structure
-(guard expressions included) and shared by every query of that shape.
-Classes, nodes and tuples are iterated unsorted; the plan collects its
-matches as rows, tuples of class ids in the order of the query's sorted
-variable names, and sorts them once.  Rows, not dicts, go on through the
-schedule to the actions, as egglog keeps matches as tuple rows (Zhang et
-al., PLDI 2023).
+re-keys the loser's parents in their owners' views.  A `Query` writes its
+plan's Python source in one pass over its atoms when it is made: nested
+`for` loops over local slot variables, numbered in the order atoms first
+bind them, with an e-node loop for each `PNode`, a fact loop for each
+`Rel` (through the fact index when its first slot is bound), and an `if`
+on the values it reads for each `Calc` guard.  Whether a slot is already
+bound is settled as the source is written, so the plan checks bound slots
+with `==` and binds free ones by assignment.  Ops, relation names and
+guard literals are passed to it as constants, never written into its
+source, so the code, compiled on the query's first `ematch`, is cached
+per process by its source text and shared by every query of that shape,
+as a right-hand side's is.  Classes, nodes and tuples are iterated
+unsorted; the plan collects its matches as rows, tuples of class ids in
+the order of the query's sorted variable names, and sorts them once.
+Rows, not dicts, go on through the schedule to the actions, as egglog
+keeps matches as tuple rows (Zhang et al., PLDI 2023).
 
 Rules pair a query (term patterns joined with relation atoms and guards)
 with a right-hand side in the same patterns, as egg uses a `Pattern` as an
@@ -79,7 +78,6 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 
 class NodeBudgetExceeded(Exception):
@@ -103,7 +101,8 @@ class PNode:
 
 @dataclass(frozen=True)
 class Bind:
-    """Query atom: `var`'s class contains a term matching `pattern`."""
+    """Query atom: `var`'s class contains a term matching `pattern`, a
+    `PNode`.  As an effect, `var`'s class is unioned with the template's."""
 
     var: str
     pattern: object
@@ -128,8 +127,9 @@ class Calc:
     Python joins them, or `int`, `imm`, `kind`, `lanes` or `name` of one
     matched variable (`_READS`).  A Calc or a PVar in a template node's op
     is computed.  As a query atom a Calc is a guard: the match holds where
-    it is true, and fails where a `//` or `%` in it has a divisor of 0.
-    Its variables must be bound by earlier atoms; it reads only the nodes
+    it is true, and fails where a read finds no value or a `//` or `%` in
+    it has a divisor of 0; where a template's Calc meets either, the rule's
+    action writes nothing.  Its variables must be bound by earlier atoms; it reads only the nodes
     of their classes, never facts: a fact a rule needs is a `Rel` atom,
     where the plan sees it."""
 
@@ -358,10 +358,10 @@ class EGraph:
     def changed_since(self, query, version):
         """Whether `query`'s matches may differ from those at `version`: a
         union came later, or a node of an op or a fact of a relation that
-        it reads, or it reads every class.  Without a union no class gains
-        nodes, so the matches of a query that reads neither depend only on
-        the nodes of its ops and the facts of its relations."""
-        if query.scans or self._union_stamp > version:
+        it reads.  Without a union no class gains nodes, so the matches of
+        a query depend only on the nodes of its ops and the facts of its
+        relations."""
+        if self._union_stamp > version:
             return True
         stamps = self._stamps
         for key in query.reads:
@@ -467,24 +467,24 @@ def _node_key(node):
 
 
 class Query(tuple):
-    """A query's atoms, laid out as a join plan when the query is made
-    (which raises TypeError on anything but a query atom, and on a guard
-    variable that no earlier atom binds).  The plan's code is built on the
-    first `ematch`.  `names` holds the query's variables, sorted, in the
-    order of each match row; `reads` the ops and relation names the query
-    reads, and `scans` whether it reads every class."""
+    """A query's atoms and the Python source of its join plan, written when
+    the query is made (which raises TypeError on anything but a query atom,
+    on a `Bind` whose pattern is not a `PNode`, and on a guard variable
+    that no earlier atom binds).  The plan's code is
+    compiled on the first `ematch`.  `names` holds the query's variables,
+    sorted, in the order of each match row; `reads` the ops and relation
+    names the query reads."""
 
     def __new__(cls, atoms):
         query = super().__new__(cls, atoms)
-        layout = query._layout = _layout(query)
+        query._source, query._consts, query.names, query.reads = _plan_source(query)
         query._plan = None
-        query.names, query.reads, query.scans = layout.names, layout.reads, layout.scans
         return query
 
     @property
     def plan(self):
         if self._plan is None:
-            self._plan = _bind(self._layout)
+            self._plan = _make(_CODE, self._source, "<query plan>")(self._consts)
         return self._plan
 
 
@@ -492,246 +492,177 @@ def ematch(g, query):
     """All matches of the query's atoms, each a row: a tuple of canonical
     class ids, one per variable of `Query.names`, in that order.  The rows
     are deduplicated and sorted.  A `Query` runs its own plan; a plain tuple
-    of atoms is laid out as one first."""
+    of atoms is made one first."""
     return (query if isinstance(query, Query) else Query(query)).plan(g)
 
 
-class Layout(NamedTuple):
-    structure: tuple  # (steps, number of constants, output slots)
-    consts: list  # ops, relation names, guard literals
-    names: tuple  # the query's variables, sorted: the order of a row
-    reads: frozenset  # the ops and relation names it reads
-    scans: bool  # whether it reads every class
+_CODE = {}  # plan source -> its compiled `make`, shared by the process
+_LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
 
 
-def _layout(query):
-    """The `Layout` of `query`'s plan.
+def _make(cache, source, filename):
+    """`make` of the generated `source`, compiled once per process and kept
+    in `cache`."""
+    make = cache.get(source)
+    if make is None:
+        scope = {}
+        exec(compile(source, filename, "exec"), scope)
+        make = cache[source] = scope["make"]
+    return make
 
-    Variables become slots, in the order atoms first bind them; a `Bind`
-    of one variable to another gives both the same slot.  A `PNode`
-    becomes an e-node step over a class slot and its children's slots (a
-    nested `PNode` gets an anonymous slot and its own step after its
-    parent's); a `Rel` becomes a fact step over its terms' slots, read
-    through the fact index when its first slot is bound.  Whether a slot
-    is bound when its step runs is settled here, so the plan checks a
-    bound slot with `==` and binds a free one by assignment.  A `Calc`
-    becomes a guard step: the reads of its variables' slots, each once,
-    and its Python expression over them (`_calc`), which first tests each
-    divisor of a `//` or `%` for 0, so a guard is total; it raises
-    TypeError on a variable that no earlier atom binds.  Ops, relation
-    names and guard literals go into the constants, so the structure holds
-    only slot numbers, arities, constant indices and guard expressions,
-    and queries of one shape share their code."""
-    slots = {}  # variable name -> its slot, from the atom that binds it on
-    steps = []
-    consts = []
-    reads = []
-    scans = False
+
+def _plan_source(query):
+    """Python source of `make(K)`, which binds the constants `K` and returns
+    `plan(g)`: the query's matches, found as a set of rows and returned
+    sorted.  Also the constants, the query's variables, sorted (the order
+    of a row), and the ops and relation names it reads.
+
+    Variables become slots `s0, s1, ...`, in the order atoms first bind
+    them, and each step one `for` loop, or one `if` for a guard, nested
+    inside the steps before it; a failed test continues the innermost loop.
+    Whether a slot is already bound is settled as the source is written, so
+    the plan checks a bound slot with `==` and binds a free one by
+    assignment.  A `PNode` is an e-node step over the class's canonical
+    child tuples of its op in `g._view`, first scanning the roots in
+    `g._op_index` when its class is not bound yet, so every id it binds is
+    a root; a nested `PNode` gets an anonymous slot and its own step after
+    its parent's.  A `Rel` is a fact step over its terms, read through the
+    fact index when its first slot is bound.  After a union and before the
+    next rebuild (`g._merged`), fact arguments may be stale ids, so a fact
+    step canonicalizes them first.  A `Calc` is a guard step: it reads
+    each value it needs once, where it runs, into a local, fails when a
+    read finds none, and tests each divisor of a `//` or `%` for 0 before
+    its expression (`_calc`), so a guard is total.  A plan deeper than
+    `_LOOPS` loops goes on in a further function that takes the slots bound
+    so far, and every function binds the readers its guards use.  Ops,
+    relation names and guard literals are constants, never written into the
+    source, so queries of one shape share their code."""
+    slots, consts, reads, readers = {}, [], [], set()
+    bound = []  # slots in the order the plan binds them
+    lines = []
+    parts = [("", lines)]  # (parameters, body lines) of each function
+    depth = 0
+    new_slot, new_step = itertools.count().__next__, itertools.count().__next__
 
     def const(value):
         consts.append(value)
-        return len(consts) - 1
+        return f"k{len(consts) - 1}"
 
-    size = 0
+    def emit(text):
+        lines.append("    " * (depth + 2) + text)
 
-    def new_slot():
-        nonlocal size
-        size += 1
-        return size - 1
+    def step(loops):
+        """The number of a new step of `loops` loops, which goes on in a
+        new function when it would nest them deeper than `_LOOPS`."""
+        nonlocal lines, depth
+        if loops and depth + loops > _LOOPS:
+            params = "".join(f", s{k}" for k in bound)
+            emit(f"part{len(parts)}(g, add{params})")
+            lines, depth = [], 0
+            parts.append((params, lines))
+        return new_step()
 
-    def positions(pats, indexed=False):
-        """(position, slot) pairs of `pats` binding a free slot and checking
-        a bound one, and the nested PNodes with the slots they match in.
-        An `indexed` position 0 is neither: the index lookup matched it."""
+    def unify(i, pats, indexed=False):
+        """Bind the free slots and check the bound ones of `pats` against
+        `ids{i}`, and return the nested PNodes with the slots they match
+        in.  An `indexed` position 0 is neither: the index lookup matched
+        it."""
         binds, checks, nested = [], [], []
-        for i, pat in enumerate(pats):
+        for pos, pat in enumerate(pats):
             if isinstance(pat, PVar):
                 k = slots.get(pat.name)
                 if k is None:
                     k = slots[pat.name] = new_slot()
-                    binds.append((i, k))
-                elif i or not indexed:
-                    checks.append((i, k))
+                    binds.append((pos, k))
+                elif pos or not indexed:
+                    checks.append((pos, k))
             elif isinstance(pat, PNode):
                 k = new_slot()
-                binds.append((i, k))
+                binds.append((pos, k))
                 nested.append((pat, k))
             else:
                 raise TypeError(f"not a pattern: {pat!r}")
-        return tuple(binds), tuple(checks), nested
+        for pos, k in binds:
+            emit(f"s{k} = ids{i}[{pos}]")
+            bound.append(k)
+        for pos, k in checks:
+            emit(f"if s{k} != ids{i}[{pos}]: continue")
+        return nested
 
     def enode(pat, c, scan):
-        binds, checks, nested = positions(pat.children)
+        nonlocal depth
+        i = step(2 if scan else 1)
+        op = const(pat.op)
         reads.append(pat.op)
-        steps.append(("node", c, scan, const(pat.op), len(pat.children), binds, checks))
-        for child, k in nested:
+        if scan:
+            emit(f"for s{c} in ops.get({op}, ()):")
+            bound.append(c)
+            depth += 1
+            emit(f"for ids{i} in view[s{c}][{op}]:")
+        else:
+            emit(f"for ids{i} in view[s{c}].get({op}, ()):")
+        depth += 1
+        emit(f"if len(ids{i}) != {len(pat.children)}: continue")
+        for child, k in unify(i, pat.children):
             enode(child, k, False)
 
     for atom in query:
         if isinstance(atom, Bind):
-            c = slots.get(atom.var)
-            scan = c is None
-            if scan:
-                c = slots[atom.var] = new_slot()
-            if isinstance(atom.pattern, PNode):
-                enode(atom.pattern, c, scan)
-            elif isinstance(atom.pattern, PVar):  # one class: share a slot
-                v = slots.setdefault(atom.pattern.name, c)
-                if scan and v != c:
-                    slots[atom.var] = v
-                elif scan:
-                    steps.append(("class", c))
-                    scans = True
-                elif v != c:
-                    steps.append(("same", c, v))
-            else:
+            if not isinstance(atom.pattern, PNode):
                 raise TypeError(f"not a pattern: {atom.pattern!r}")
+            scan = atom.var not in slots
+            if scan:
+                slots[atom.var] = new_slot()
+            enode(atom.pattern, slots[atom.var], scan)
         elif isinstance(atom, Rel):
             first = atom.terms[0] if atom.terms else None
             lookup = slots.get(first.name) if isinstance(first, PVar) else None
-            binds, checks, nested = positions(atom.terms, lookup is not None)
+            i = step(1)
+            name = const(atom.name)
             reads.append(atom.name)
-            steps.append(("fact", const(atom.name), lookup, len(atom.terms),
-                          binds, checks))
-            for child, k in nested:
+            emit(f"for ids{i} in " + (f"facts.get({name}, ())" if lookup is None else
+                                      f"index.get(s{lookup}, {{}}).get({name}, ())") + ":")
+            depth += 1
+            emit(f"if len(ids{i}) != {len(atom.terms)}: continue")
+            emit(f"if merged: ids{i} = [*map(find, ids{i})]")
+            for child, k in unify(i, atom.terms, lookup is not None):
                 enode(child, k, False)
         elif isinstance(atom, Calc):
+            i = step(0)
             values = {}  # (reader, slot) -> the local holding its value
 
             def read(reader, v):
                 k = slots.get(v.name)
                 if k is None:
                     raise TypeError(f"unbound variable ?{v.name}")
-                return values.setdefault((reader, k), f"r{len(steps)}_{len(values)}")
+                return values.setdefault((reader, k), f"r{i}_{len(values)}")
 
             divisors = []
-            expr = _calc(atom, lambda v: f"k{const(v)}", read, divisors)
+            expr = _calc(atom, const, read, divisors)
             if divisors:  # a zero divisor fails the guard, before it could raise
                 expr = f"({' and '.join(divisors)} and {expr})"
-            steps.append(("guard", tuple((local, reader, k)
-                                         for (reader, k), local in values.items()), expr))
+            readers.update(r for r, _ in values)
+            tests = "".join(f"({local} := {r}(s{k})) is None or "
+                            for (r, k), local in values.items())
+            emit(f"if {tests}not {expr}: {'continue' if depth else 'return'}")
         else:
             raise TypeError(f"not a query atom: {atom!r}")
 
     names = tuple(sorted(slots))
-    structure = (tuple(steps), len(consts), tuple(slots[n] for n in names))
-    return Layout(structure, consts, names, frozenset(reads), scans)
-
-
-_CODE = {}  # plan structure -> its compiled `make`, shared by the process
-_LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
-
-
-def _bind(layout):
-    """The plan of a layout: its structure's code, bound to its constants."""
-    return _make(_CODE, layout.structure, _source, "<query plan>")(layout.consts)
-
-
-def _make(cache, key, source, filename):
-    """`make` of the generated source `source(key)`, compiled once per
-    process per `key` and kept in `cache`."""
-    make = cache.get(key)
-    if make is None:
-        scope = {}
-        exec(compile(source(key), filename, "exec"), scope)
-        make = cache[key] = scope["make"]
-    return make
-
-
-def _source(structure):
-    """Python source of `make(K)`, which binds the constants `K` and returns
-    `plan(g)`: the query's matches, found as a set of rows (tuples of the
-    output slots) and returned sorted.
-
-    Each step is one `for` loop (e-node, fact and class steps) or one
-    `if` (same-class and guard steps); a failed test continues the
-    innermost loop.  A guard step reads each of its values once, where it
-    runs, and fails when a read finds none.  An e-node step loops over the
-    class's canonical child tuples of its op in `g._view`, and a scan over
-    the roots in `g._op_index`, so every id it binds is a root.  After a
-    union and before the next rebuild (`g._merged`), fact arguments may be
-    stale ids, so a fact step canonicalizes them first.  A plan deeper
-    than `_LOOPS` loops goes on in a further function that takes the slots
-    bound so far, and every function binds the readers its guards use."""
-    steps, n_consts, out = structure
-    functions = []
-    bound = []
-    readers = sorted({r for step in steps if step[0] == "guard" for _, r, _ in step[1]})
-
-    def start(name):
-        params = "".join(f", s{k}" for k in bound)
-        return [f"    def {name}(g, add{params}):",
-                "        find, merged = g._parent.__getitem__, g._merged",
-                "        classes, ops, view = g._members, g._op_index, g._view",
-                "        facts, index = g.facts, g._fact_index",
-                *(f"        {r} = g.{r}" for r in readers)]
-
-    lines = start("part0")
-    depth = 0
-
-    def emit(text):
-        lines.append("    " * (depth + 2) + text)
-
-    def fail():
-        return "continue" if depth else "return"
-
-    def bind(i, binds, checks):
-        for pos, k in binds:
-            emit(f"s{k} = ids{i}[{pos}]")
-            bound.append(k)
-        for pos, k in checks:
-            emit(f"if s{k} != ids{i}[{pos}]: continue")
-
-    for i, step in enumerate(steps):
-        kind = step[0]
-        if kind == "node":
-            loops = 2 if step[2] else 1  # a scan loops over classes first
-        else:
-            loops = 1 if kind in ("fact", "class") else 0
-        if loops and depth + loops > _LOOPS:
-            emit(f"part{len(functions) + 1}(g, add{''.join(f', s{k}' for k in bound)})")
-            functions.append(lines)
-            lines, depth = start(f"part{len(functions)}"), 0
-        if kind == "node":
-            _, c, scan, op, arity, binds, checks = step
-            if scan:
-                emit(f"for s{c} in ops.get(k{op}, ()):")
-                bound.append(c)
-                depth += 1
-                emit(f"for ids{i} in view[s{c}][k{op}]:")
-            else:
-                emit(f"for ids{i} in view[s{c}].get(k{op}, ()):")
-            depth += 1
-            emit(f"if len(ids{i}) != {arity}: continue")
-            bind(i, binds, checks)
-        elif kind == "fact":
-            _, name, lookup, arity, binds, checks = step
-            source = (f"facts.get(k{name}, ())" if lookup is None
-                      else f"index.get(s{lookup}, {{}}).get(k{name}, ())")
-            emit(f"for ids{i} in {source}:")
-            depth += 1
-            emit(f"if len(ids{i}) != {arity}: continue")
-            emit(f"if merged: ids{i} = [*map(find, ids{i})]")
-            bind(i, binds, checks)
-        elif kind == "class":
-            emit(f"for s{step[1]} in classes:")
-            bound.append(step[1])
-            depth += 1
-        elif kind == "same":
-            emit(f"if s{step[1]} != s{step[2]}: {fail()}")
-        else:
-            reads = "".join(f"({local} := {r}(s{k})) is None or " for local, r, k in step[1])
-            emit(f"if {reads}not {step[2]}: {fail()}")
-    emit(f"add(({''.join(f's{k},' for k in out)}))")
-    functions.append(lines)
-
-    head = ["def make(K):", f"    ({''.join(f'k{j}, ' for j in range(n_consts))}) = K"]
-    tail = ["    def plan(g):",
-            "        found = set()",
-            "        part0(g, found.add)",
-            "        return sorted(found)",
-            "    return plan"]
-    return "\n".join(head + [ln for f in functions for ln in f] + tail) + "\n"
+    emit(f"add(({''.join(f's{slots[n]},' for n in names)}))")
+    source = ["def make(K):", f"    ({''.join(f'k{j}, ' for j in range(len(consts)))}) = K"]
+    for j, (params, body) in enumerate(parts):
+        source += [f"    def part{j}(g, add{params}):",
+                   "        find, merged = g._parent.__getitem__, g._merged",
+                   "        ops, view = g._op_index, g._view",
+                   "        facts, index = g.facts, g._fact_index",
+                   *(f"        {r} = g.{r}" for r in sorted(readers)), *body]
+    source += ["    def plan(g):",
+               "        found = set()",
+               "        part0(g, found.add)",
+               "        return sorted(found)",
+               "    return plan"]
+    return "\n".join(source) + "\n", consts, names, frozenset(reads)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +680,7 @@ class Rhs(tuple):
     def __new__(cls, effects, names):
         rhs = super().__new__(cls, effects)
         source, consts = _rhs_source(rhs, {v: i for i, v in enumerate(names)})
-        rhs.action = _make(_ACTIONS, source, str, "<rule action>")(consts)
+        rhs.action = _make(_ACTIONS, source, "<rule action>")(consts)
         return rhs
 
 
@@ -791,17 +722,20 @@ def _rhs_source(effects, bound):
 
     The action reads each matched class it uses from `row`, at a position
     passed as a constant, and each int, type and name a `Calc` needs, once
-    before its first write.  It then adds each template's nodes children
-    first, left to right, so they are numbered in that order; a `Let` puts
-    a subterm first.  A node already in the graph
-    is found in the hashcons under its canonical key, the read `g.add` would
-    make, and only a miss calls `g.add`; a `Bind` calls `g.union` only on
-    two roots that differ.  Ops, relation names, row positions and
+    before its first write.  When a read finds none, or a `//` or `%` has
+    a divisor of 0 (in any template or `If` condition, taken or not), the
+    action returns before it writes, as a guard fails the match.  It then
+    adds each template's nodes children first, left to right, so they are
+    numbered in that order; a `Let` puts a subterm first.  A node already
+    in the graph is found in the hashcons under its canonical key, the read
+    `g.add` would make, and only a miss calls `g.add`; a `Bind` calls
+    `g.union` only on two roots that differ.  Ops, relation names, row positions and
     literals are constants, so right-hand sides of one shape share their
     code."""
     consts, head, body = [], [], []
     slots = {}  # variable -> the local holding its class
     reads = {}  # (reader, variable) -> the local holding its value
+    divisors = []  # the expressions of every `//` and `%` divisor
     temps = itertools.count()
 
     def const(value):
@@ -835,7 +769,7 @@ def _rhs_source(effects, bound):
             n = next(temps)
             out = f"t{n}"
             if any(isinstance(x, (Calc, PVar)) for x in t.op):
-                op = "".join(f"{_calc(x, const, read)}, " if isinstance(x, (Calc, PVar))
+                op = "".join(f"{_calc(x, const, read, divisors)}, " if isinstance(x, (Calc, PVar))
                              else f"{const(x)}, " for x in t.op)
                 body.append((depth, f"o{n} = ({op})"))
                 op = f"o{n}"
@@ -847,7 +781,7 @@ def _rhs_source(effects, bound):
                                 f" if {out} is None else P[{out}]"))
         elif isinstance(t, If):
             out = f"t{next(temps)}"
-            for line, branch in ((f"if {_calc(t.cond, const, read)}:", t.then),
+            for line, branch in ((f"if {_calc(t.cond, const, read, divisors)}:", t.then),
                                  ("else:", t.other)):
                 body.append((depth, line))
                 body.append((depth + 1, f"{out} = {build(branch, depth + 1)}"))
@@ -868,6 +802,10 @@ def _rhs_source(effects, bound):
             slots[eff.var] = build(eff.template, 0)
         else:
             raise TypeError(f"not an effect: {eff!r}")
+    fails = [*(f"{r} is None" for r in reads.values()),
+             *(f"not {d}" for d in divisors if not d.startswith("k"))]  # k…: a literal
+    if fails:
+        head.append(f"if {' or '.join(fails)}: return")
     lines = ["def make(K):", f"    ({''.join(f'k{j}, ' for j in range(len(consts)))}) = K",
              "    def action(g, row):", "        P, hc_get = g._parent, g._hashcons.get",
              *(f"        {ln}" for ln in head),

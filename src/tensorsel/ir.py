@@ -15,9 +15,9 @@ and result live, its result kind and lane count -- is one `INTRINSICS`
 record.  One bottom-up walk types a tree: each node's rule reads its own
 fields and its children's kinds and lanes, and a Call's rule checks it
 against its record, so intrinsic calls are typed like every other node.
-`type_of`, `lanes_of` and `validate_program` all read that walk; a node's
-rule is its lane rule (`_node_lanes`) and its kind, and `widest_lanes`
-walks the lane rules alone.  `interp` holds only what calls compute.
+`type_of`, `lanes_of`, `validate_program` and `widest_lanes` all read
+that walk; a node's rule is its lane rule (`_node_lanes`) and its kind.
+`interp` holds only what calls compute.
 
 `TERMS` gives each encoded node its e-graph head and its fields with their
 roles; `SPELLING`, beside it, gives its surface head word and field labels.
@@ -581,30 +581,14 @@ def lanes_of(e, path="e"):
 
 
 def widest_lanes(p):
-    """The most lanes of any expression node of `p`, by `_node_lanes`
-    alone: no kinds, and the path of a node only in an error; 1 when it
-    has none.  A node whose lanes are an error counts for none."""
-    found, stack = [1], list(p.body)
-    while stack:
-        s = stack.pop()
-        if isinstance(s, For):
-            stack += s.body
+    """The most lanes of any expression node of `p`, by the typed walk of
+    each statement's expressions; 1 when it has none.  A node whose lanes
+    are an error counts for none."""
+    types = {}
+    for _, s in walk_stmts(p.body):
         for e in children(s):
-            _lanes(e, found)
-    return max(n for n in found if isinstance(n, int))
-
-
-def _lanes(e, found):
-    """`_node_lanes` of `e`, its children's first, appended to `found`
-    after theirs."""
-    lanes = []
-    for name, role in _CHILD_FIELDS.get(e.__class__, ()):
-        if role == "expr":
-            lanes.append(_lanes(getattr(e, name), found))
-        elif role == "exprs":
-            lanes += [_lanes(a, found) for a in getattr(e, name)]
-    found.append(_node_lanes(e, lanes, "e"))
-    return found[-1]
+            _typed(e, None, "e", types)
+    return max((n for _, n in types.values() if isinstance(n, int)), default=1)
 
 
 def type_of(e, buffers=None, path="e"):

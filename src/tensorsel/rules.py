@@ -331,9 +331,9 @@ def _render_atom(atom):
 
 def build_default_ruleset():
     """A new RuleSet of the default rules.  The rules are built once per
-    process; each set holds fresh copies of them that share their laid-out
-    queries and compiled right-hand sides, so changing one set's rules
-    leaves the next set as built."""
+    process; each set holds fresh copies of them that share their queries
+    (plans included) and compiled right-hand sides, so changing one set's
+    rules leaves the next set as built."""
     return RuleSet([replace(r) for r in _default_rules()])
 
 

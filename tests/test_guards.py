@@ -10,13 +10,15 @@ folds, the +0.0 tests and the MatMul tile-size guards are checked on
 e-graph instances of their whole rule."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from tensorsel import ir
+from tensorsel import ir, rules
 from tensorsel.egraph import Bind, EGraph, PNode, Rel, ematch
+from tensorsel.selector import SelectionConfig, select_program
 
-from testkit import matches
+from testkit import corpus_program, matches
 
 TRIALS = 120  # per guard
 
@@ -312,3 +314,25 @@ class TestMatmulTileGuards:
         assert ematch(g, rule.query) == []
         g.assert_fact(f"{target}-shape", *map(g.add_int, (2, 4, 4)))
         assert ematch(g, rule.query) != []
+
+
+class TestGuardlessRules:
+    """A rule rebuilt without its guards may match where its right-hand
+    side cannot be computed (a read finds no int, a divisor is 0): there
+    its action writes nothing, as the guard would have failed the match,
+    and selection goes on without a Python error."""
+
+    @pytest.mark.parametrize("name, outcomes", [
+        ("int-add-fold", ["lowered"] * 3),
+        ("sibling-nest-broadcast-pair", ["lowered", "failed: budget", "lowered"]),
+    ])
+    def test_selects_matmul_standard(self, name, outcomes):
+        rs = rules.build_default_ruleset()
+        i = next(j for j, r in enumerate(rs.rules) if r.name == name)
+        rule = rs.rules[i]
+        assert _guards(rule)
+        rs.rules[i] = replace(rule, query=tuple(a for a in rule.query
+                                                if isinstance(a, (Bind, Rel))))
+        _, report = select_program(corpus_program("matmul_standard"),
+                                   SelectionConfig(target="amx"), rs)
+        assert [s.outcome for s in report.statements] == outcomes
