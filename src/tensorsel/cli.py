@@ -268,7 +268,7 @@ def _add_common(p):
 
 def _add_select_opts(p):
     defaults = selector.SelectionConfig
-    p.add_argument("--target", choices=("amx", "wmma", "all"),
+    p.add_argument("--target", choices=selector.TARGETS,
                    default=defaults.target)
     p.add_argument("--iters", type=int, default=defaults.iterations,
                    help="saturation iterations (default %(default)s)")

@@ -14,6 +14,14 @@ Categories:
   supporting   -- type derivation (has-type facts); run to fixpoint
                   between iterations.
 
+Each rule is written as one line of text per atom, in the spelling that
+`docs/rules_catalog.txt` prints (`RuleSet.catalog_text`), such as
+`?e = (bcast (bcast ?x ?l1) ?l2)`, and read back into atoms by
+`read_atom`, the printer's inverse, with `ir`'s tokenizer and each head's
+operator fields taken from `ir.TERMS`.  Python adds only the loops over
+targets and mirrored operands, the sub-patterns rules share, and each
+rule's generator.
+
 MatMul rules are parameterized over registered (M, K, N) shape facts
 rather than hard-coded lane counts, so small shapes fuzz against
 brute-force oracles and both backends share one catalog.  A rule's guards
@@ -52,11 +60,12 @@ import functools
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType, SimpleNamespace
 
 from . import interp, ir
-from .egraph import Bind, Calc, EGraph, If, Let, PNode, PVar, Rel, RuleDef, rel
+from .egraph import _CALC_OPS, _READS, Bind, Calc, EGraph, If, Let, PNode, PVar, Rel, RuleDef
 
 EXPR_OPS = {head for cls, (head, _) in ir.TERMS.items() if issubclass(cls, ir.Expr)}
 
@@ -172,92 +181,6 @@ _ENCODE = {"expr": encode_expr, "int": lambda g, v: g.add_int(v),
 
 
 # ---------------------------------------------------------------------------
-# pattern helpers
-
-V = PVar
-
-
-def P(op, *children):
-    return PNode(op, tuple(children))
-
-
-def C(op, *args):
-    return Calc(op, tuple(args))
-
-
-def eq(a, b):
-    return C("==", a, b)
-
-
-def pload(name, vtype, idx):
-    return P(("load",), name, vtype, idx)
-
-
-def ptype(kind, lanes):
-    return P(("type", kind), lanes)
-
-
-def pscaled(t, by):
-    """The type of ?t's kind with ?by times its lanes."""
-    return ptype(C("kind", V(t)), pint(C("*", C("lanes", V(t)), V(by))))
-
-
-def pint(v):
-    return P(("int", v))
-
-
-def pimm(v):
-    return P(("imm", "i32", v if isinstance(v, (Calc, PVar)) else int(v)))
-
-
-def pvar(name):
-    """The `var` node of the buffer named in class ?name."""
-    return P(("var", C("name", V(name))))
-
-
-def padd(a, b):
-    return P(("bop", "+"), a, b)
-
-
-def pmul(a, b):
-    return P(("bop", "*"), a, b)
-
-
-def pramp(base, stride, n):
-    return P(("ramp",), base, stride, n)
-
-
-def pbcast(e, n):
-    return P(("bcast",), e, n)
-
-
-def pvra(rl, e):
-    return P(("vra",), rl, e)
-
-
-def pl2l(src, dst, e):
-    return P(("l2l", src, dst), e)
-
-
-def ploc(loc):
-    return P(("loc", loc))
-
-
-TILE_ARGS = ("buf", "base", "stride", "rows", "cols")  # a tile load's, `ir.INTRINSICS`
-
-
-def ptile(var, loader):
-    """Query atom: ?var holds a `loader` tile load, its arguments bound to
-    ?{var}buf, ?{var}base and so on."""
-    return Bind(var, P(("call", loader), *(V(var + a) for a in TILE_ARGS)))
-
-
-def has_i32(var, lanes=V("w")):
-    """Query atom: `var` has an i32 type of `lanes` lanes."""
-    return rel("has-type", V(var), ptype("i32", lanes))
-
-
-# ---------------------------------------------------------------------------
 # rule set
 
 
@@ -329,6 +252,109 @@ def _render_atom(atom):
     return _render_pattern(atom)  # a guard
 
 
+# per head, how many fields of its e-node's operator follow it: `ir.TERMS`'s
+# `op` fields, and one for each leaf head
+_OP_FIELDS = {head: [role for _, role in fields].count("op") for head, fields in ir.TERMS.values()}
+_OP_FIELDS.update(type=1, int=1, name=1, loc=1)
+_CALC_HEADS = (*_CALC_OPS, *_READS)
+
+
+def read_atom(text):
+    """The query atom or effect that `text` spells in the catalog's
+    notation, the inverse of `_render_atom`: `?v = P` (a `Bind`),
+    `let ?v = P` (a `Let`), or `(name P ...)`, a `Rel`, or a guard where
+    `name` heads a `Calc`.  In a pattern P, `?x` is a variable and a bare
+    int an `int` leaf; a head's `/`-separated parts are its operator's
+    leading fields, and its first arguments, read as `Calc`s, the fields
+    that follow, up to the count of `_OP_FIELDS`; the other arguments are
+    its children, and `(if C P P)` is an `If`.  Malformed text raises
+    TypeError at its line and column."""
+    reader = ir._Reader(text)
+    try:
+        nodes = []
+        while not reader.at_end():
+            nodes.append(reader.read())
+        if not nodes:
+            raise ir.ParseError("expected an atom, got nothing", 1, 1)
+        items, tok = nodes[0]
+        if isinstance(items, list):
+            head = ir._atom(items[0], "head")[0] if items else ir._fail(tok, "empty atom")
+            atom, size = (_read_calc(nodes[0]) if head in _CALC_HEADS else
+                          Rel(sys.intern(head), tuple(map(_read_pattern, items[1:])))), 1
+        else:
+            size = 3 + (tok.text == "let")
+            var, is_, pattern = (nodes + [None] * 3)[size - 3:size]
+            if pattern is None or is_[1].text != "=":
+                ir._fail(nodes[-1][1], "expected '?v = pattern'")
+            atom = (Let if size == 4 else Bind)(_read_var(var), _read_pattern(pattern))
+        if len(nodes) > size:
+            ir._fail(nodes[size][1], "expected the end of the atom")
+        return atom
+    except ir.ParseError as e:
+        raise TypeError(str(e)) from None
+
+
+def _read_var(node):
+    name = ir._atom(node, "variable")[0]
+    if name[:1] != "?" or len(name) < 2:
+        ir._fail(node[1], f"expected a variable, got {name!r}")
+    return name[1:]
+
+
+_BOOLS = {"True": True, "False": False}
+
+
+def _literal(text):
+    """The int, float (with a point) or bool that `text` spells as Python
+    prints it, else `text` interned.  A word read from a rule is interned,
+    as a word in Python source is, so the e-graph's dicts, on the hot path
+    of matching, find the ops and relation names it makes by identity."""
+    digits = text.removeprefix("-")
+    if digits.isdecimal():
+        return int(text)
+    if digits.replace(".", "", 1).isdecimal():
+        return float(text)
+    return _BOOLS.get(text, sys.intern(text))
+
+
+def _read_calc(node):
+    """A `Calc`, a matched variable, or a literal: an int, or a tuple."""
+    items, tok = node
+    if not isinstance(items, list):
+        return PVar(_read_var(node)) if tok.text[:1] == "?" else _literal(tok.text)
+    if items and isinstance(items[0][0], ir._Tok) and items[0][0].text in _CALC_HEADS:
+        return Calc(items[0][0].text, tuple(map(_read_calc, items[1:])))
+    return tuple(map(_read_calc, items))
+
+
+def _read_pattern(node):
+    items, tok = node
+    if not isinstance(items, list):
+        if tok.text[:1] == "?":
+            return PVar(_read_var(node))
+        value = _literal(tok.text)
+        return PNode(("int", value)) if type(value) is int else _read_node(tok, [])
+    head, htok = ir._atom(items[0], "head") if items else ir._fail(tok, "empty pattern")
+    if head == "if":
+        if len(items) != 4:
+            ir._fail(htok, "if takes a guard and two templates")
+        return If(_read_calc(items[1]), *map(_read_pattern, items[2:]))
+    return _read_node(htok, items[1:])
+
+
+def _read_node(tok, args):
+    """The `PNode` headed `tok` over the argument nodes `args`."""
+    word = sys.intern(tok.text.split("/")[0])
+    if word not in _OP_FIELDS:
+        ir._fail(tok, f"unknown head {word!r}")
+    fields = tok.text.split("/", _OP_FIELDS[word])
+    computed = _OP_FIELDS[word] + 1 - len(fields)
+    if len(args) < computed:
+        ir._fail(tok, f"{word} needs {_OP_FIELDS[word]} operator field(s)")
+    return PNode((word, *map(_literal, fields[1:]), *map(_read_calc, args[:computed])),
+                 tuple(map(_read_pattern, args[computed:])))
+
+
 def build_default_ruleset():
     """A new RuleSet of the default rules.  The rules are built once per
     process; each set holds fresh copies of them that share their queries
@@ -347,403 +373,272 @@ def _default_rules():
     return tuple(rs)
 
 
+def _atoms(rule, texts):
+    """The atoms that `texts` spell (`read_atom`); a malformed one raises
+    TypeError naming `rule`, as `RuleDef` does for a bad atom."""
+    try:
+        return tuple(map(read_atom, texts))
+    except TypeError as e:
+        raise TypeError(f"rule {rule!r}: {e}") from None
+
+
+def _rule(rs, category, name, query, rhs, doc="", target="", fuzz=None):
+    """Adds to `rs` the rule whose query and right-hand side are the atoms
+    written in `query` and `rhs`, in the catalog's spelling."""
+    rs.add(RuleDef(name, category, _atoms(name, query), rhs=_atoms(name, rhs), doc=doc,
+                   target=target, fuzz=fuzz))
+
+
+def _mirrored(a, b):
+    """The sum of the patterns `a` and `b`, and the sum of `b` and `a`, each
+    with the suffix of its rule's name."""
+    return ("", f"(bop/+ {a} {b})"), ("-r", f"(bop/+ {b} {a})")
+
+
 # -- axioms ------------------------------------------------------------------
 
 
 def _axiomatic_rules(rs):
-    def axiom(name, query, rhs, doc="", fuzz=None):
-        return rs.add(RuleDef(name=name, category="axiomatic", query=tuple(query),
-                              rhs=tuple(rhs), doc=doc, fuzz=fuzz))
-
-    axiom("broadcast-flatten",
-          [Bind("e", pbcast(pbcast(V("x"), V("l1")), V("l2")))],
-          [Bind("e", pbcast(V("x"), pint(C("*", V("l1"), V("l2")))))],
-          fuzz=_fz_bcast_flatten)
-
-    axiom("broadcast-elim",
-          [Bind("e", pbcast(V("x"), pint(1)))],
-          [Bind("e", V("x"))],
-          fuzz=_fz_one_vec)
-
-    axiom("degenerate-broadcast",
-          [rel("is-expr", V("x"))],
-          [Bind("x", pbcast(V("x"), pint(1)))],
-          "recovers the general pattern from scalars",
-          fuzz=_fz_one_vec)
-
-    axiom("broadcast-of-load",
-          [Bind("e", pbcast(pload(V("n"), V("t"), V("i")), V("l")))],
-          [Bind("e", pload(V("n"), pscaled("t", "l"), pbcast(V("i"), V("l"))))],
+    axiom = functools.partial(_rule, rs, "axiomatic")
+    i32 = "(has-type ?e (type/i32 ?w))"
+    axiom("broadcast-flatten", ["?e = (bcast (bcast ?x ?l1) ?l2)"],
+          ["?e = (bcast ?x (int (* ?l1 ?l2)))"], fuzz=_fz_bcast_flatten)
+    axiom("broadcast-elim", ["?e = (bcast ?x 1)"], ["?e = ?x"], fuzz=_fz_one_vec)
+    axiom("degenerate-broadcast", ["(is-expr ?x)"], ["?x = (bcast ?x 1)"],
+          "recovers the general pattern from scalars", fuzz=_fz_one_vec)
+    axiom("broadcast-of-load", ["?e = (bcast (load ?n ?t ?i) ?l)"],
+          ["?e = (load ?n (type (kind ?t) (int (* (lanes ?t) ?l))) (bcast ?i ?l))"],
           fuzz=_fz_bcast_of_load)
-
-    axiom("broadcast-of-cast",
-          [Bind("e", pbcast(P(("cast",), V("t"), V("x")), V("l")))],
-          [Bind("e", P(("cast",), pscaled("t", "l"), pbcast(V("x"), V("l"))))],
+    axiom("broadcast-of-cast", ["?e = (bcast (cast ?t ?x) ?l)"],
+          ["?e = (cast (type (kind ?t) (int (* (lanes ?t) ?l))) (bcast ?x ?l))"],
           fuzz=_fz_bcast_of_cast)
-
-    axiom("ramp-elim",
-          [Bind("e", pramp(V("x"), V("s"), pint(1))), has_i32("e")],
-          [Bind("e", V("x"))],
-          fuzz=_fz_ramp_elim)
-
+    axiom("ramp-elim", ["?e = (ramp ?x ?s 1)", i32], ["?e = ?x"], fuzz=_fz_ramp_elim)
     axiom("degenerate-ramp-split",
-          [Bind("e", pramp(V("x"), pimm(1), V("l"))),
-           C("and", C("<=", 2, V("l")), eq(C("%", V("l"), 2), 0)),
-           has_i32("x", pint(1))],
-          [Let("two", pint(2)),
-           Bind("e", pramp(pramp(V("x"), pimm(1), V("two")), pbcast(pimm(2), V("two")),
-                           pint(C("//", V("l"), 2))))],
-          "recovers nesting from dense ramps",
-          fuzz=_fz_ramp_split)
-
-    for suffix, pat in (("", padd(pramp(V("b"), V("s"), V("n")), pbcast(V("x"), V("m")))),
-                        ("-r", padd(pbcast(V("x"), V("m")), pramp(V("b"), V("s"), V("n"))))):
-        axiom(f"ramp-plus-broadcast{suffix}",
-              [Bind("e", pat),
-               eq(C("%", V("m"), V("n")), 0),
-               has_i32("e")],
-              [Bind("e", pramp(padd(V("b"), If(eq(V("m"), V("n")), V("x"),
-                                               pbcast(V("x"), pint(C("//", V("m"), V("n")))))),
-                               V("s"), V("n")))],
+          ["?e = (ramp ?x imm/i32/1 ?l)", "(and (<= 2 ?l) (== (% ?l 2) 0))",
+           "(has-type ?x (type/i32 1))"],
+          ["let ?two = 2",
+           "?e = (ramp (ramp ?x imm/i32/1 ?two) (bcast imm/i32/2 ?two) (int (// ?l 2)))"],
+          "recovers nesting from dense ramps", fuzz=_fz_ramp_split)
+    for suffix, pat in _mirrored("(ramp ?b ?s ?n)", "(bcast ?x ?m)"):
+        axiom(f"ramp-plus-broadcast{suffix}", [f"?e = {pat}", "(== (% ?m ?n) 0)", i32],
+              ["?e = (ramp (bop/+ ?b (if (== ?m ?n) ?x (bcast ?x (int (// ?m ?n))))) ?s ?n)"],
               fuzz=_fz_ramp_plus_bcast)
-
-    axiom("ramp-unnest",
-          [Bind("e", pramp(padd(V("x"), V("a")), V("s"), V("l"))), has_i32("e")],
-          [Bind("e", padd(pramp(V("x"), V("s"), V("l")), pbcast(V("a"), V("l"))))],
-          "the un-nesting partner of ramp-plus-broadcast",
-          fuzz=_fz_ramp_unnest)
-
-    nested = pbcast(pbcast(V("a"), pint(C("//", V("l2"), V("l1")))), V("l1"))
-    for suffix, pat in (("", padd(pramp(V("x"), V("s"), V("l1")), pbcast(V("a"), V("l2")))),
-                        ("-r", padd(pbcast(V("a"), V("l2")), pramp(V("x"), V("s"), V("l1"))))):
-        axiom(f"sibling-nest-ramp-broadcast{suffix}",
-              [Bind("e", pat),
-               C("and", C("<", V("l1"), V("l2")), eq(C("%", V("l2"), V("l1")), 0)),
-               has_i32("e")],
-              [Bind("e", padd(nested, pramp(V("x"), V("s"), V("l1"))))],
+    axiom("ramp-unnest", ["?e = (ramp (bop/+ ?x ?a) ?s ?l)", i32],
+          ["?e = (bop/+ (ramp ?x ?s ?l) (bcast ?a ?l))"],
+          "the un-nesting partner of ramp-plus-broadcast", fuzz=_fz_ramp_unnest)
+    nest = ["(and (< ?l1 ?l2) (== (% ?l2 ?l1) 0))", i32]
+    nested = "(bcast (bcast ?a (int (// ?l2 ?l1))) ?l1)"
+    for suffix, pat in _mirrored("(ramp ?x ?s ?l1)", "(bcast ?a ?l2)"):
+        axiom(f"sibling-nest-ramp-broadcast{suffix}", [f"?e = {pat}", *nest],
+              [f"?e = (bop/+ {nested} (ramp ?x ?s ?l1))"],
               "re-nest a broadcast using its sibling ramp's count as the hint",
               fuzz=_fz_sibling(ramp=True))
-
-    for suffix, pat in (("", padd(pbcast(V("a"), V("l2")), pbcast(V("b"), V("l1")))),
-                        ("-r", padd(pbcast(V("b"), V("l1")), pbcast(V("a"), V("l2"))))):
-        axiom(f"sibling-nest-broadcast-pair{suffix}",
-              [Bind("e", pat),
-               C("and", C("<", V("l1"), V("l2")), eq(C("%", V("l2"), V("l1")), 0)),
-               has_i32("e")],
-              [Bind("e", padd(nested, pbcast(V("b"), V("l1"))))],
+    for suffix, pat in _mirrored("(bcast ?a ?l2)", "(bcast ?b ?l1)"):
+        axiom(f"sibling-nest-broadcast-pair{suffix}", [f"?e = {pat}", *nest],
+              [f"?e = (bop/+ {nested} (bcast ?b ?l1))"],
               "re-nest the wider of two sibling broadcasts to equal counts",
               fuzz=_fz_sibling(ramp=False))
-
-    axiom("add-of-broadcasts",
-          [Bind("e", padd(pbcast(V("a"), V("l")), pbcast(V("b"), V("l")))),
-           has_i32("e")],
-          [Bind("e", pbcast(padd(V("a"), V("b")), V("l")))],
-          fuzz=_fz_add_of_bcasts)
-
+    axiom("add-of-broadcasts", ["?e = (bop/+ (bcast ?a ?l) (bcast ?b ?l))", i32],
+          ["?e = (bcast (bop/+ ?a ?b) ?l)"], fuzz=_fz_add_of_bcasts)
     for opname, sym in (("add", "+"), ("mul", "*")):
-        axiom(f"{opname}-commute",
-              [Bind("e", P(("bop", sym), V("x"), V("y")))],
-              [Bind("e", P(("bop", sym), V("y"), V("x")))],
+        axiom(f"{opname}-commute", [f"?e = (bop/{sym} ?x ?y)"], [f"?e = (bop/{sym} ?y ?x)"],
               fuzz=_fz_commute)
-
-        axiom(f"int-{opname}-fold",
-              [Bind("e", P(("bop", sym), V("a"), V("b"))),
-               C("and", *(C("<=", ir.I32_MIN, x, ir.I32_MAX)
-                          for x in (V("a"), V("b"), C(sym, V("a"), V("b")))))],
-              [Bind("e", pimm(C(sym, V("a"), V("b"))))],
-              fuzz=_fz_int_fold)
+        in_i32 = " ".join(f"(<= {ir.I32_MIN} {x} {ir.I32_MAX})"
+                          for x in ("?a", "?b", f"({sym} ?a ?b)"))
+        axiom(f"int-{opname}-fold", [f"?e = (bop/{sym} ?a ?b)", f"(and {in_i32})"],
+              [f"?e = (imm/i32 ({sym} ?a ?b))"], fuzz=_fz_int_fold)
 
 
 # -- supporting --------------------------------------------------------------
 
 
 def _supporting_rules(rs):
-    def supp(name, query, rhs=(rel("has-type", V("e"), V("t")),)):
-        return rs.add(RuleDef(name=name, category="supporting", query=tuple(query),
-                              rhs=tuple(rhs)))
+    def supp(name, query, rhs="(has-type ?e ?t)"):
+        _rule(rs, "supporting", name, query, [rhs])
 
-    supp("type-of-load", [Bind("e", pload(V("n"), V("t"), V("i")))])
-    supp("type-of-cast", [Bind("e", P(("cast",), V("t"), V("x")))])
-
-    for sym in ("+", "-", "*", "/", "%"):
-        supp(f"type-of-{ {'+':'add','-':'sub','*':'mul','/':'div','%':'mod'}[sym] }",
-             [Bind("e", P(("bop", sym), V("a"), V("b"))),
-              rel("has-type", V("a"), V("t"))])
-
-    supp("type-of-ramp",
-         [Bind("e", pramp(V("b"), V("s"), V("n"))), rel("has-type", V("b"), V("t"))],
-         [rel("has-type", V("e"), pscaled("t", "n"))])
-
-    supp("type-of-broadcast",
-         [Bind("e", pbcast(V("x"), V("n"))), rel("has-type", V("x"), V("t"))],
-         [rel("has-type", V("e"), pscaled("t", "n"))])
-
-    supp("type-of-vector-reduce-add",
-         [Bind("e", pvra(V("rl"), V("x"))), rel("has-type", V("x"), V("t"))],
-         [rel("has-type", V("e"), ptype(C("kind", V("t")), V("rl")))])
-
+    scaled = "(has-type ?e (type (kind ?t) (int (* (lanes ?t) ?n))))"
+    supp("type-of-load", ["?e = (load ?n ?t ?i)"])
+    supp("type-of-cast", ["?e = (cast ?t ?x)"])
+    for opname, sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("div", "/"), ("mod", "%")):
+        supp(f"type-of-{opname}", [f"?e = (bop/{sym} ?a ?b)", "(has-type ?a ?t)"])
+    supp("type-of-ramp", ["?e = (ramp ?b ?s ?n)", "(has-type ?b ?t)"], scaled)
+    supp("type-of-broadcast", ["?e = (bcast ?x ?n)", "(has-type ?x ?t)"], scaled)
+    supp("type-of-vector-reduce-add", ["?e = (vra ?rl ?x)", "(has-type ?x ?t)"],
+         "(has-type ?e (type (kind ?t) ?rl))")
     for src, dst in (("mem", "amx"), ("amx", "mem"), ("mem", "wmma"), ("wmma", "mem")):
-        supp(f"type-of-{src}2{dst}",
-             [Bind("e", pl2l(src, dst, V("x"))), rel("has-type", V("x"), V("t"))])
-
-    supp("type-of-exprvar",
-         [Bind("e", P(("exprvar",), V("x"))), rel("has-type", V("x"), V("t"))])
+        supp(f"type-of-{src}2{dst}", [f"?e = (l2l/{src}/{dst} ?x)", "(has-type ?x ?t)"])
+    supp("type-of-exprvar", ["?e = (exprvar ?x)", "(has-type ?x ?t)"])
 
 
 # -- application -------------------------------------------------------------
 
 
-def _pat_a_index(idx_var):
-    return Bind(idx_var, pramp(
-        pbcast(pramp(V("abase"), pimm(1), V("k")), V("n")),
-        pbcast(V("astride"), V("kn")), V("m")))
-
-
-def _pat_b_standard_index(idx_var):
-    return Bind(idx_var, pbcast(
-        pramp(pramp(V("bbase"), V("bstride"), V("k")),
-              pbcast(pimm(1), V("k")), V("n")), V("m")))
-
-
-def _pat_b_vnni_index(idx_var):
-    return Bind(idx_var, pbcast(
-        pramp(pramp(pramp(V("bbase"), pimm(1), pint(2)),
-                    pbcast(V("vstride"), pint(2)), V("kh")),
-              pbcast(pimm(2), V("k")), V("n")), V("m")))
-
-
-def _amx_b_vnni_rhs(stride):
-    """The VNNI B tile load, its row stride given by the template `stride`."""
-    return (rel("amx-b-tile", V("origb"), P(
-        ("call", "tile_load"), pvar("bn"), V("bbase"), stride,
-        pimm(C("//", V("k"), 2)), pimm(C("*", 2, V("n"))))),)
-
-
-def _toeplitz_rhs(stride, matrix):
-    """Tile facts of a signal load as the A fragment at row stride `stride`
-    and a kernel load as the B fragment of the shuffled `matrix`."""
-    return (rel("wmma-a-tile", V("loadi"), P(
-                ("call", "wmma_load_a"), pvar("iname"), V("basei"), pimm(stride),
-                pimm(V("m")), pimm(V("k")))),
-            rel("wmma-b-tile", V("loadk"), P(
-                ("call", "wmma_load_b"), P(("exprvar",), matrix), pimm(0),
-                pimm(V("n")), pimm(V("k")), pimm(V("n")))))
-
-
 def _application_rules(rs):
-    def app(name, target, query, rhs, doc):
-        return rs.add(RuleDef(name=name, category="application", query=tuple(query),
-                              rhs=tuple(rhs), doc=doc, target=target))
-
-    for target, kind, loader in (("amx", "bf16", "tile_load"),
-                                 ("wmma", "f16", "wmma_load_a")):
-        app(f"{target}-a-standard", target,
-            [rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             Bind("origa", pload(V("an"), ptype(kind, V("lanes")), V("idx"))),
-             _pat_a_index("idx"),
-             C("and", eq(V("lanes"), C("*", V("m"), V("k"), V("n"))),
-               eq(V("kn"), C("*", V("k"), V("n"))))],
-            [rel(f"{target}-a-tile", V("origa"), P(
-                ("call", loader), pvar("an"), V("abase"), V("astride"),
-                pimm(V("m")), pimm(V("k"))))],
+    app = functools.partial(_rule, rs, "application")
+    a_index = "?idx = (ramp (bcast (ramp ?abase imm/i32/1 ?k) ?n) (bcast ?astride ?kn) ?m)"
+    b_index = "?idx = (bcast (ramp (ramp ?bbase ?bstride ?k) (bcast imm/i32/1 ?k) ?n) ?m)"
+    for target, kind, loader in (("amx", "bf16", "tile_load"), ("wmma", "f16", "wmma_load_a")):
+        app(f"{target}-a-standard",
+            [f"({target}-shape ?m ?k ?n)", f"?origa = (load ?an (type/{kind} ?lanes) ?idx)",
+             a_index, "(and (== ?lanes (* ?m ?k ?n)) (== ?kn (* ?k ?n)))"],
+            [f"({target}-a-tile ?origa (call/{loader} (var (name ?an)) ?abase ?astride "
+             "(imm/i32 ?m) (imm/i32 ?k)))"],
             f"A matrix in row-major three-level nesting loads directly as the "
-            f"{target.upper()} A tile")
+            f"{target.upper()} A tile", target)
 
-    app("amx-b-standard", "amx",
-        [rel("amx-shape", V("m"), V("k"), V("n")),
-         Bind("origb", pload(V("bn"), ptype("bf16", V("lanes")), V("idx"))),
-         C("and", eq(V("lanes"), C("*", V("m"), V("k"), V("n"))), eq(C("%", V("k"), 2), 0)),
-         _pat_b_standard_index("idx"),
-         rel("buffer-loc", V("bn"), ploc("mem"))],
-        [Let("rowmajor", pramp(pramp(V("bbase"), pimm(1), V("n")),
-                               pbcast(V("bstride"), V("n")), V("k"))),
-         Let("loadb", pload(V("bn"), ptype("bf16", pint(C("*", V("k"), V("n")))),
-                            V("rowmajor"))),
-         rel("amx-b-tile", V("origb"), P(
-             ("call", "tile_load"),
-             P(("exprvar",), P(("call", "KWayInterleave"), pimm(2), pimm(V("n")),
-                               V("loadb"))),
-             pimm(0), pimm(C("*", 2, V("n"))), pimm(C("//", V("k"), 2)),
-             pimm(C("*", 2, V("n")))))],
+    app("amx-b-standard",
+        ["(amx-shape ?m ?k ?n)", "?origb = (load ?bn (type/bf16 ?lanes) ?idx)",
+         "(and (== ?lanes (* ?m ?k ?n)) (== (% ?k 2) 0))", b_index, "(buffer-loc ?bn loc/mem)"],
+        ["let ?rowmajor = (ramp (ramp ?bbase imm/i32/1 ?n) (bcast ?bstride ?n) ?k)",
+         "let ?loadb = (load ?bn (type/bf16 (int (* ?k ?n))) ?rowmajor)",
+         "(amx-b-tile ?origb (call/tile_load (exprvar (call/KWayInterleave imm/i32/2 (imm/i32 ?n)"
+         " ?loadb)) imm/i32/0 (imm/i32 (* 2 ?n)) (imm/i32 (// ?k 2)) (imm/i32 (* 2 ?n))))"],
         "B in the standard layout: interleave row pairs (VNNI pack) into a "
-        "temporary, then tile-load it; only for memory-resident sources")
+        "temporary, then tile-load it; only for memory-resident sources", "amx")
 
-    app("amx-b-vnni", "amx",
-        [rel("amx-shape", V("m"), V("k"), V("n")),
-         Bind("origb", pload(V("bn"), ptype("bf16", V("lanes")), V("idx"))),
-         _pat_b_vnni_index("idx"),
-         C("and", eq(V("lanes"), C("*", V("m"), V("k"), V("n"))),
-           eq(C("*", V("kh"), 2), V("k")))],
-        _amx_b_vnni_rhs(V("vstride")),
-        "B already in the VNNI layout tile-loads verbatim")
+    app("amx-b-vnni",
+        ["(amx-shape ?m ?k ?n)", "?origb = (load ?bn (type/bf16 ?lanes) ?idx)",
+         "?idx = (bcast (ramp (ramp (ramp ?bbase imm/i32/1 2) (bcast ?vstride 2) ?kh) "
+         "(bcast imm/i32/2 ?k) ?n) ?m)",
+         "(and (== ?lanes (* ?m ?k ?n)) (== (* ?kh 2) ?k))"],
+        [_AMX_B_VNNI.format("?vstride")], "B already in the VNNI layout tile-loads verbatim",
+        "amx")
 
-    app("wmma-b-standard", "wmma",
-        [rel("wmma-shape", V("m"), V("k"), V("n")),
-         Bind("origb", pload(V("bn"), ptype("f16", V("lanes")), V("idx"))),
-         eq(V("lanes"), C("*", V("m"), V("k"), V("n"))),
-         _pat_b_standard_index("idx")],
-        [rel("wmma-b-tile", V("origb"), P(
-            ("call", "wmma_load_b"), pvar("bn"), V("bbase"), V("bstride"),
-            pimm(V("k")), pimm(V("n"))))],
-        "row-major f16 B loads directly as the WMMA b fragment")
+    app("wmma-b-standard",
+        ["(wmma-shape ?m ?k ?n)", "?origb = (load ?bn (type/f16 ?lanes) ?idx)",
+         "(== ?lanes (* ?m ?k ?n))", b_index],
+        ["(wmma-b-tile ?origb (call/wmma_load_b (var (name ?bn)) ?bbase ?bstride (imm/i32 ?k)"
+         " (imm/i32 ?n)))"],
+        "row-major f16 B loads directly as the WMMA b fragment", "wmma")
 
-    conv_mul = [Bind("mul", pmul(P(("cast",), V("tf"), V("loadi")),
-                                 P(("cast",), V("tf"), V("loadk")))),
-                Bind("loadi", pload(V("iname"), ptype("f16", V("li")), V("idxi"))),
-                Bind("loadk", pload(V("kname"), ptype("f16", V("li")), V("idxk")))]
+    conv_mul = ["(wmma-shape ?m ?k ?n)", "?mul = (bop/* (cast ?tf ?loadi) (cast ?tf ?loadk))",
+                "?loadi = (load ?iname (type/f16 ?li) ?idxi)",
+                "?loadk = (load ?kname (type/f16 ?li) ?idxk)"]
 
-    app("conv-toeplitz", "wmma",
-        [rel("wmma-shape", V("m"), V("k"), V("n"))] + conv_mul + [
-         Bind("idxi", pramp(pramp(V("basei"), pimm(1), V("l")),
-                            pbcast(V("s"), V("l")), V("x"))),
-         C("and", C("<=", 1, V("s")), C("<=", 1, V("l")), eq(V("x"), C("*", V("m"), V("n"))),
-           eq(V("k"), C("+", C("*", V("s"), V("n")), V("l"))),
-           eq(V("li"), C("*", V("x"), V("l")))),
-         Bind("idxk", pbcast(pramp(V("basek"), pimm(1), V("l")), V("x")))],
-        _toeplitz_rhs(C("*", V("s"), V("n")), If(
-            eq(V("s"), 1),
-            P(("call", "ConvolutionShuffle"), pvar("kname"), V("basek"),
-              pimm(V("k")), pimm(V("n"))),
-            P(("call", "PolyphaseShuffle"), pvar("kname"), V("basek"),
-              pimm(V("l")), pimm(V("n")), pimm(1), pimm(V("s"))))),
+    def toeplitz(stride, matrix):
+        """Tile facts of a signal load as the A fragment at row stride
+        `stride` and a kernel load as the B fragment of the shuffled `matrix`."""
+        return [f"(wmma-a-tile ?loadi (call/wmma_load_a (var (name ?iname)) ?basei "
+                f"(imm/i32 {stride}) (imm/i32 ?m) (imm/i32 ?k)))",
+                f"(wmma-b-tile ?loadk (call/wmma_load_b (exprvar {matrix}) imm/i32/0 "
+                "(imm/i32 ?n) (imm/i32 ?k) (imm/i32 ?n)))"]
+
+    app("conv-toeplitz",
+        [*conv_mul, "?idxi = (ramp (ramp ?basei imm/i32/1 ?l) (bcast ?s ?l) ?x)",
+         "(and (<= 1 ?s) (<= 1 ?l) (== ?x (* ?m ?n)) (== ?k (+ (* ?s ?n) ?l)) "
+         "(== ?li (* ?x ?l)))",
+         "?idxk = (bcast (ramp ?basek imm/i32/1 ?l) ?x)"],
+        toeplitz("(* ?s ?n)", "(if (== ?s 1) (call/ConvolutionShuffle (var (name ?kname)) "
+                 "?basek (imm/i32 ?k) (imm/i32 ?n)) (call/PolyphaseShuffle (var (name ?kname)) "
+                 "?basek (imm/i32 ?l) (imm/i32 ?n) imm/i32/1 (imm/i32 ?s)))"),
         "an overlapped-window signal load times a broadcast kernel load is a "
-        "MatMul against the (strided) Toeplitz matrix of the kernel")
+        "MatMul against the (strided) Toeplitz matrix of the kernel", "wmma")
 
-    app("upsample-polyphase", "wmma",
-        [rel("wmma-shape", V("m"), V("k"), V("n"))] + conv_mul + [
-         Bind("idxi", pramp(pramp(pbcast(pramp(V("basei"), pimm(1), V("l")), V("p")),
-                                  pbcast(pimm(1), V("pl")), V("kp")),
-                            pbcast(V("ws"), V("kpl")), V("m"))),
-         Bind("idxk", pbcast(pramp(pramp(V("basek"), V("sk"), V("l")),
-                                   pbcast(pimm(1), V("l")), V("p")), V("mk"))),
-         C("and", C("<=", 2, V("p")), C("<=", 1, V("l")), eq(V("pl"), C("*", V("p"), V("l"))),
-           eq(C("*", V("kp"), V("p")), V("n")), eq(V("kpl"), C("*", V("kp"), V("pl"))),
-           eq(V("ws"), V("kp")), eq(V("sk"), V("p")), eq(V("mk"), C("*", V("m"), V("kp"))),
-           eq(V("k"), C("+", V("kp"), V("l"))), eq(V("li"), C("*", V("m"), V("n"), V("l"))))],
-        _toeplitz_rhs(C("//", V("n"), V("p")), P(
-            ("call", "PolyphaseShuffle"), pvar("kname"), V("basek"),
-            pimm(V("l")), pimm(V("n")), pimm(V("p")), pimm(1))),
+    app("upsample-polyphase",
+        [*conv_mul, "?idxi = (ramp (ramp (bcast (ramp ?basei imm/i32/1 ?l) ?p) "
+         "(bcast imm/i32/1 ?pl) ?kp) (bcast ?ws ?kpl) ?m)",
+         "?idxk = (bcast (ramp (ramp ?basek ?sk ?l) (bcast imm/i32/1 ?l) ?p) ?mk)",
+         "(and (<= 2 ?p) (<= 1 ?l) (== ?pl (* ?p ?l)) (== (* ?kp ?p) ?n) (== ?kpl (* ?kp ?pl)) "
+         "(== ?ws ?kp) (== ?sk ?p) (== ?mk (* ?m ?kp)) (== ?k (+ ?kp ?l)) "
+         "(== ?li (* ?m ?n ?l)))"],
+        toeplitz("(// ?n ?p)", "(call/PolyphaseShuffle (var (name ?kname)) ?basek (imm/i32 ?l)"
+                 " (imm/i32 ?n) (imm/i32 ?p) imm/i32/1)"),
         "a phase-interleaved window load times a phase-decomposed kernel load "
-        "is a MatMul against the polyphase Toeplitz matrix")
+        "is a MatMul against the polyphase Toeplitz matrix", "wmma")
+
+
+# the VNNI B tile load, its row stride the template in its braces
+_AMX_B_VNNI = ("(amx-b-tile ?origb (call/tile_load (var (name ?bn)) ?bbase {} "
+               "(imm/i32 (// ?k 2)) (imm/i32 (* 2 ?n))))")
 
 
 # -- lowering ----------------------------------------------------------------
 
+
+TILE_ARGS = ("buf", "base", "stride", "rows", "cols")  # a tile load's, `ir.INTRINSICS`
 
 # +0.0 immediates: the float kinds' zeros with a clear sign bit
 ZEROS = tuple((kind, 0.0, False) for kind in ir.SCALAR_KINDS if kind != "i32")
 
 
 def _lowering_rules(rs):
-    def low(name, target, query, rhs, doc="", fuzz=None):
-        return rs.add(RuleDef(name=name, category="lowering", query=tuple(query),
-                              rhs=tuple(rhs), doc=doc, target=target, fuzz=fuzz))
+    low = functools.partial(_rule, rs, "lowering")
 
     # MatMul lowering: e = C + vra(Mul(cast A, cast B)) with tile facts,
     # their tiles loaded at the matched shape
     for target, name, call, loaders, b_rows, b_cols in (
-            ("amx", "amx-matmul", P(("call", "tile_matmul"),
-                                    pl2l("mem", "amx", V("c")), V("ta"), V("tb")),
-             ("tile_load", "tile_load"), C("//", V("k"), 2), C("*", 2, V("n"))),
-            ("wmma", "wmma-mma", P(("call", "wmma_mma"),
-                                   V("ta"), V("tb"), pl2l("mem", "wmma", V("c"))),
-             ("wmma_load_a", "wmma_load_b"), V("k"), V("n"))):
-        low(name, target,
-            [rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             Bind("e", padd(V("c"), V("vrae"))),
-             Bind("vrae", pvra(V("rl"), V("mul"))),
-             eq(V("rl"), C("*", V("m"), V("n"))),
-             Bind("mul", pmul(P(("cast",), V("tf"), V("a")),
-                              P(("cast",), V("tf"), V("b")))),
-             Bind("tf", ptype("f32", V("wide"))),
-             rel(f"{target}-a-tile", V("a"), V("ta")),
-             rel(f"{target}-b-tile", V("b"), V("tb")),
-             ptile("ta", loaders[0]),
-             ptile("tb", loaders[1]),
-             C("and", eq(V("tarows"), V("m")), eq(V("tacols"), V("k")),
-               eq(V("tbrows"), b_rows), eq(V("tbcols"), b_cols))],
-            [Bind("e", pl2l(target, "mem", call))],
-            fuzz=_fz_matmul(target))
+            ("amx", "amx-matmul", "(call/tile_matmul (l2l/mem/amx ?c) ?ta ?tb)",
+             ("tile_load", "tile_load"), "(// ?k 2)", "(* 2 ?n)"),
+            ("wmma", "wmma-mma", "(call/wmma_mma ?ta ?tb (l2l/mem/wmma ?c))",
+             ("wmma_load_a", "wmma_load_b"), "?k", "?n")):
+        low(name,
+            [f"({target}-shape ?m ?k ?n)", "?e = (bop/+ ?c ?vrae)", "?vrae = (vra ?rl ?mul)",
+             "(== ?rl (* ?m ?n))", "?mul = (bop/* (cast ?tf ?a) (cast ?tf ?b))",
+             "?tf = (type/f32 ?wide)", f"({target}-a-tile ?a ?ta)", f"({target}-b-tile ?b ?tb)",
+             # each tile load's arguments bound to ?{tile}buf, ?{tile}base and so on
+             *(f"?{t} = (call/{loader} {' '.join(f'?{t}{a}' for a in TILE_ARGS)})"
+               for t, loader in zip(("ta", "tb"), loaders)),
+             f"(and (== ?tarows ?m) (== ?tacols ?k) (== ?tbrows {b_rows}) "
+             f"(== ?tbcols {b_cols}))"],
+            [f"?e = (l2l/{target}/mem {call})"], target=target, fuzz=_fz_matmul(target))
 
     for target, zero in (("amx", "tile_zero"), ("wmma", "wmma_zero")):
-        low(f"{target}-zero", target,
-            [Bind("e", pl2l("mem", target, pbcast(V("z"), V("l")))),
-             rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             eq(V("l"), C("*", V("m"), V("n"))),
-             C("in", C("imm", V("z")), ZEROS)],
-            [Bind("e", P(("call", zero), pimm(V("m")), pimm(V("n"))))],
+        low(f"{target}-zero",
+            [f"?e = (l2l/mem/{target} (bcast ?z ?l))", f"({target}-shape ?m ?k ?n)",
+             "(== ?l (* ?m ?n))", f"(in (imm ?z) {_render_pattern(ZEROS)})"],
+            [f"?e = (call/{zero} (imm/i32 ?m) (imm/i32 ?n))"], target=target,
             fuzz=_fz_zero(target))
 
     # a row-major tile index, 2-axis with its row stride ?sstr or flat with
     # the stride n, whose immediate a Let adds first
-    layouts = (("2axis", pramp(pramp(V("b"), pimm(1), V("n1")), pbcast(V("sstr"), V("n1")),
-                               V("n0")),
-                C("and", eq(V("n0"), V("m")), eq(V("n1"), V("n"))), []),
-               ("flat", pramp(V("b"), pimm(1), V("ll")), eq(V("ll"), C("*", V("m"), V("n"))),
-                [Let("sstr", pimm(V("n")))]))
+    layouts = (("2axis", "(ramp (ramp ?b imm/i32/1 ?n1) (bcast ?sstr ?n1) ?n0)",
+                "(and (== ?n0 ?m) (== ?n1 ?n))", []),
+               ("flat", "(ramp ?b imm/i32/1 ?ll)", "(== ?ll (* ?m ?n))",
+                ["let ?sstr = (imm/i32 ?n)"]))
     for target, store in (("amx", "tile_store"), ("wmma", "wmma_store")):
         for layout, index, guard, stride in layouts:
-            low(f"{store.replace('_', '-')}-{layout}", target,
-                [Bind("st", P(("store",), V("buf"), V("idx"),
-                              pl2l(target, "mem", V("tile")))),
-                 Bind("idx", index),
-                 rel(f"{target}-shape", V("m"), V("k"), V("n")),
-                 guard],
-                stride + [Bind("st", P(("evaluate",), P(
-                    ("call", store), pvar("buf"), V("b"), V("sstr"), pimm(V("n")),
-                    V("tile"))))],
-                fuzz=_fz_store(target, flat=layout == "flat"))
+            low(f"{store.replace('_', '-')}-{layout}",
+                [f"?st = (store ?buf ?idx (l2l/{target}/mem ?tile))", f"?idx = {index}",
+                 f"({target}-shape ?m ?k ?n)", guard],
+                [*stride, f"?st = (evaluate (call/{store} (var (name ?buf)) ?b ?sstr "
+                          "(imm/i32 ?n) ?tile))"],
+                target=target, fuzz=_fz_store(target, flat=layout == "flat"))
 
     for target in ("amx", "wmma"):
-        low(f"mem2{target}-cancel", target,
-            [Bind("e", pl2l("mem", target, pl2l(target, "mem", V("x"))))],
-            [Bind("e", V("x"))],
-            fuzz=_fz_one_vec)
-        low(f"{target}2mem-cancel", target,
-            [Bind("e", pl2l(target, "mem", pl2l("mem", target, V("x"))))],
-            [Bind("e", V("x"))],
-            fuzz=_fz_one_vec)
-        low(f"mem2{target}-of-{target}-load", target,
-            [Bind("e", pl2l("mem", target, V("ld"))),
-             Bind("ld", pload(V("n"), V("t"), V("i"))),
-             rel("buffer-loc", V("n"), ploc(target))],
-            [Bind("e", V("ld"))],
+        low(f"mem2{target}-cancel", [f"?e = (l2l/mem/{target} (l2l/{target}/mem ?x))"],
+            ["?e = ?x"], target=target, fuzz=_fz_one_vec)
+        low(f"{target}2mem-cancel", [f"?e = (l2l/{target}/mem (l2l/mem/{target} ?x))"],
+            ["?e = ?x"], target=target, fuzz=_fz_one_vec)
+        low(f"mem2{target}-of-{target}-load",
+            [f"?e = (l2l/mem/{target} ?ld)", "?ld = (load ?n ?t ?i)",
+             f"(buffer-loc ?n loc/{target})"],
+            ["?e = ?ld"],
             f"a load from a {target}-resident buffer is already on {target}; "
-            f"the injected movement is the identity",
-            fuzz=_fz_of_load(target))
+            f"the injected movement is the identity", target, _fz_of_load(target))
 
     for target, loader in (("amx", "tile_load"), ("wmma", "wmma_load_c")):
         for layout, index, guard, stride in layouts:
-            low(f"{target}-acc-load-{layout}", target,
-                [Bind("e", pl2l("mem", target, V("ld"))),
-                 Bind("ld", pload(V("bufn"), V("t"), V("idx"))),
-                 Bind("idx", index),
-                 rel("buffer-loc", V("bufn"), ploc("mem")),
-                 rel(f"{target}-shape", V("m"), V("k"), V("n")),
-                 guard],
-                stride + [Bind("e", P(("call", loader), pvar("bufn"), V("b"), V("sstr"),
-                                      pimm(V("m")), pimm(V("n"))))],
-                fuzz=_fz_acc_load(target, flat=layout == "flat"))
+            low(f"{target}-acc-load-{layout}",
+                [f"?e = (l2l/mem/{target} ?ld)", "?ld = (load ?bufn ?t ?idx)", f"?idx = {index}",
+                 "(buffer-loc ?bufn loc/mem)", f"({target}-shape ?m ?k ?n)", guard],
+                [*stride, f"?e = (call/{loader} (var (name ?bufn)) ?b ?sstr (imm/i32 ?m) "
+                          "(imm/i32 ?n))"],
+                target=target, fuzz=_fz_acc_load(target, flat=layout == "flat"))
 
-    def stage(name, target, loader, rows, cols, fuzz):
-        low(name, target,
-            [Bind("st", P(("store",), V("buf"), V("sidx"),
-                          pl2l("mem", target, V("ld")))),
-             Bind("sidx", pramp(V("sb"), pimm(1), V("ll"))),
-             Bind("ld", pload(V("mn"), V("t"), pramp(V("lb"), pimm(1), V("ll")))),
-             rel("buffer-loc", V("mn"), ploc("mem")),
-             rel("buffer-loc", V("buf"), ploc(target)),
-             rel(f"{target}-shape", V("m"), V("k"), V("n")),
-             eq(V("ll"), C("*", V(rows), V(cols)))],
-            [Bind("st", P(("store",), V("buf"), V("sidx"), P(
-                ("call", loader), pvar("mn"), V("lb"), pimm(V(cols)),
-                pimm(V(rows)), pimm(V(cols)))))],
-            fuzz=fuzz)
-
-    stage("amx-stage-flat", "amx", "tile_load", "m", "k", _fz_stage("amx"))
-    stage("wmma-stage-flat-a", "wmma", "wmma_load_a", "m", "k", _fz_stage("wmma"))
-    stage("wmma-stage-flat-b", "wmma", "wmma_load_b", "k", "n",
-          _fz_stage("wmma", b_shape=True))
+    for name, target, loader, rows, cols, fuzz in (
+            ("amx-stage-flat", "amx", "tile_load", "m", "k", _fz_stage("amx")),
+            ("wmma-stage-flat-a", "wmma", "wmma_load_a", "m", "k", _fz_stage("wmma")),
+            ("wmma-stage-flat-b", "wmma", "wmma_load_b", "k", "n",
+             _fz_stage("wmma", b_shape=True))):
+        low(name,
+            [f"?st = (store ?buf ?sidx (l2l/mem/{target} ?ld))",
+             "?sidx = (ramp ?sb imm/i32/1 ?ll)", "?ld = (load ?mn ?t (ramp ?lb imm/i32/1 ?ll))",
+             "(buffer-loc ?mn loc/mem)",
+             f"(buffer-loc ?buf loc/{target})", f"({target}-shape ?m ?k ?n)",
+             f"(== ?ll (* ?{rows} ?{cols}))"],
+            [f"?st = (store ?buf ?sidx (call/{loader} (var (name ?mn)) ?lb (imm/i32 ?{cols}) "
+             f"(imm/i32 ?{rows}) (imm/i32 ?{cols})))"],
+            target=target, fuzz=fuzz)
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +707,12 @@ class _IRBuilder:
     for: nodes, and the ints, VecTypes and buffer names of leaves.  Through
     it a compiled right-hand side builds each node over its children's
     values (`build_node`), reads the leaves it matched, and records its
-    unions; it finds no node, so it builds every one."""
+    unions; it finds no node, so it builds every one.  Its parent table
+    gives each lookup a new token, so no two values share a root: each
+    `Bind` the action reaches unions, of two equal values too."""
 
-    _parent = property(lambda self: self)  # its own parent table: every value is a root
-    __getitem__ = staticmethod(lambda value: value)
+    _parent = property(lambda self: self)  # its own parent table
+    __getitem__ = staticmethod(lambda value: object())
     _hashcons = SimpleNamespace(get=lambda key: None)  # hashes no key
     add = staticmethod(build_node)
     assert_fact = staticmethod(lambda name, *args: None)
@@ -836,9 +733,10 @@ def _sides(rule, match):
     """`rule`'s two sides at `match`, as IR: the left is the variable of its
     one `Bind` effect, expanded through the query's `Bind` atoms by
     `build_node`; the right is what `rule.action`, run on an `_IRBuilder`
-    with a row of each query variable's value, unions with it, or the left
-    when the two are equal.  A variable that no query `Bind` defines is
-    its value in `match`."""
+    with a row of each query variable's value, unions with it, equal to it
+    or not.  An action that writes nothing, since a template cannot be
+    computed at `match`, raises ValueError naming the rule.  A variable
+    that no query `Bind` defines is its value in `match`."""
     binds = {a.var: a.pattern for a in rule.query if isinstance(a, Bind)}
     values = dict(match)
 
@@ -853,7 +751,9 @@ def _sides(rule, match):
     lhs = value(PVar(bind.var))
     g = _IRBuilder()
     rule.action(g, tuple(value(PVar(v)) for v in rule.query.names))
-    return lhs, g.unions[0][1] if g.unions else lhs
+    if not g.unions:
+        raise ValueError(f"rule {rule.name!r}: the action writes nothing at this match")
+    return lhs, g.unions[0][1]
 
 
 def _render(rule, structure):
@@ -1092,7 +992,7 @@ def _matmul(target, m, k, n, astride):
     b_buf = _vec(params, k * n, kind, "B").buffer
 
     def tile(var, buf, *ints):
-        """The arguments of a tile load from `buf`, as `ptile(var, ...)` binds them."""
+        """The arguments of a tile load from `buf`, bound as the lowering binds them."""
         return dict(zip((var + a for a in TILE_ARGS),
                         (ir.Var(buf), zero, *(ir.Imm("i32", v) for v in ints))))
 
@@ -1199,19 +1099,18 @@ def corrupted_ramp_rule():
     stride, which has w // n lanes: the soundness fuzzer must find a
     counterexample."""
     name = "ramp-plus-broadcast"
-    (good,) = build_default_ruleset().named(name).rhs
-    base, stride, steps = good.pattern.children
-    one = pbcast(pimm(1), pint(C("//", V("w"), V("n"))))
-    return _mutated(name, (Bind("e", pramp(base, padd(stride, one), steps)),),
+    return _mutated(name, ["?e = (ramp (bop/+ ?b (if (== ?m ?n) ?x (bcast ?x (int (// ?m ?n))))) "
+                           "(bop/+ ?s (bcast imm/i32/1 (int (// ?w ?n)))) ?n)"],
                     "result stride off by one").named(name)
 
 
 def _mutated(name, rhs, why):
-    """The default ruleset with rule `name`'s right-hand side replaced."""
+    """The default ruleset with rule `name`'s right-hand side replaced by
+    the atoms written in `rhs`."""
     rs = build_default_ruleset()
     rule = rs.named(name)
     rs.rules[rs.rules.index(rule)] = replace(
-        rule, rhs=rhs, doc=f"{rule.doc} [CORRUPTED: {why}]".lstrip())
+        rule, rhs=_atoms(name, rhs), doc=f"{rule.doc} [CORRUPTED: {why}]".lstrip())
     return rs
 
 
@@ -1221,9 +1120,8 @@ def corrupted_ruleset():
     the divergent lanes.  The stride is read as an int, so the VNNI index
     must have a constant row stride of at least 3, as every corpus program
     has; another stride raises in the action or loads at a stride below 1."""
-    return _mutated("amx-b-vnni",
-                    (Let("bad", pimm(C("-", V("vstride"), 2))),
-                     *_amx_b_vnni_rhs(V("bad"))),
+    return _mutated("amx-b-vnni", ["let ?bad = (imm/i32 (- ?vstride 2))",
+                                   _AMX_B_VNNI.format("?bad")],
                     "tile row stride off by two")
 
 
@@ -1232,8 +1130,7 @@ def runaway_ruleset():
     it should multiply them: every round derives broadcasts of new lane
     counts, and their types, without end, so selection must stop on its
     budget."""
-    return _mutated("broadcast-flatten",
-                    (Bind("e", pbcast(V("x"), pint(C("+", V("l1"), V("l2"))))),),
+    return _mutated("broadcast-flatten", ["?e = (bcast ?x (int (+ ?l1 ?l2)))"],
                     "copy counts added")
 
 
@@ -1245,18 +1142,14 @@ def matmul_statement_query(m=16, k=32, n=16, kind="bf16"):
     """The canonical three-level MatMul statement pattern at one shape, used
     for the phase-ordering ablation: zero matches before axiom saturation,
     exactly one after."""
-    lanes = m * k * n
-    return (
-        Bind("e", padd(V("c"), pvra(pint(m * n), V("mul")))),
-        Bind("mul", pmul(P(("cast",), ptype("f32", pint(lanes)), V("a")),
-                         P(("cast",), ptype("f32", pint(lanes)), V("b")))),
-        Bind("a", pload(V("an"), ptype(kind, pint(lanes)), V("idxa"))),
-        Bind("idxa", pramp(pbcast(pramp(V("abase"), pimm(1), pint(k)), pint(n)),
-                           pbcast(V("astride"), pint(k * n)), pint(m))),
-        Bind("b", pload(V("bn"), ptype(kind, pint(lanes)), V("idxb"))),
-        Bind("idxb", pbcast(pramp(pramp(V("bbase"), V("bstride"), pint(k)),
-                                  pbcast(pimm(1), pint(k)), pint(n)), pint(m))),
-    )
+    wide = f"(type/f32 {m * k * n})"
+    return tuple(map(read_atom, (
+        f"?e = (bop/+ ?c (vra {m * n} ?mul))",
+        f"?mul = (bop/* (cast {wide} ?a) (cast {wide} ?b))",
+        f"?a = (load ?an (type/{kind} {m * k * n}) ?idxa)",
+        f"?idxa = (ramp (bcast (ramp ?abase imm/i32/1 {k}) {n}) (bcast ?astride {k * n}) {m})",
+        f"?b = (load ?bn (type/{kind} {m * k * n}) ?idxb)",
+        f"?idxb = (bcast (ramp (ramp ?bbase ?bstride {k}) (bcast imm/i32/1 {k}) {n}) {m})")))
 
 
 def check_type_consistency(g):

@@ -18,6 +18,10 @@ from . import ir, layout, rules
 from .egraph import NodeBudgetExceeded, extract_best, run_schedule
 
 
+# what `SelectionConfig.target` may name: one accelerator's rules, or both
+TARGETS = ("amx", "wmma", "all")
+
+
 class SelectionError(Exception):
     pass
 
@@ -28,12 +32,14 @@ class LocationConflict(SelectionError):
 
 @dataclass
 class SelectionConfig:
-    target: str = "all"  # amx | wmma | all
+    target: str = "all"  # one of TARGETS
     iterations: int = 6
     node_budget: int = 1_000_000
     dump_egraph: bool = False
 
     def __post_init__(self):
+        if self.target not in TARGETS:
+            raise ValueError(f"target must be one of {', '.join(TARGETS)}, got {self.target!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {self.iterations}")
         if self.node_budget < 1000:

@@ -540,16 +540,25 @@ class TestRunsThatCannotMatch:
 
 class TestRuleConstruction:
     @pytest.mark.parametrize("atom, what", [
-        ("e", "not a query atom: 'e'"),
+        (3, "not a query atom: 3"),
         (Bind("e", "f"), "not a pattern: 'f'"),
         (Bind("e", PNode(("f",), (PVar("x"), 3))), "not a pattern: 3"),
         (rel("r", PVar("x"), None), "not a pattern: None"),
         (Bind("y", PVar("e")), "not a pattern: PVar(name='e')"),
+        # written as text, as the default rules are
+        ("e", "1:1: expected '?v = pattern'"),
+        ("(bcast ?x", "1:1: unclosed '(' (expected ))"),
+        ("?y =", "1:4: expected '?v = pattern'"),
+        ("?y = (bcast ?x 2) ?x", "1:19: expected the end of the atom"),
+        ("", "1:1: expected an atom, got nothing"),
     ])
     def test_bad_atom_raises_naming_the_rule(self, atom, what):
-        query = (Bind("e", PNode(("f",), (PVar("x"),))), atom)
         with pytest.raises(TypeError, match=f"^rule 'bad': {re.escape(what)}$"):
-            RuleDef("bad", "axiomatic", query, lambda g, row: None)
+            if isinstance(atom, str):
+                rules._rule(rules.RuleSet(), "axiomatic", "bad", ["?e = (bcast ?x 2)", atom], [])
+            else:
+                RuleDef("bad", "axiomatic", (Bind("e", PNode(("f",), (PVar("x"),))), atom),
+                        lambda g, row: None)
 
     @pytest.mark.parametrize("effect, what", [
         (Bind("e", PVar("y")), "unbound variable ?y"),

@@ -344,6 +344,18 @@ class TestSoundness:
         assert hit is not None and hit[0] == 0
         assert hit[1][:2] == ("value", 0)
 
+    def test_an_action_that_writes_nothing_raises(self, default_ruleset):
+        """A template dividing by a ?n drawn as 0 cannot be computed, so its
+        action writes nothing, and the draw raises rather than count as
+        checked; sides that are already equal still render."""
+        rule = rules.RuleDef("div-by-n", "axiomatic", (rules.read_atom("?e = (bcast ?a ?n)"),),
+                             rhs=(rules.read_atom("?e = (bcast ?a (int (// 8 ?n)))"),))
+        with pytest.raises(ValueError, match="^rule 'div-by-n': the action writes nothing"):
+            rules._sides(rule, {"a": i32(3), "n": 0})
+        x = Imm("f32", 1.5)
+        sides = rules._sides(default_ruleset.named("add-commute"), {"x": x, "y": x})
+        assert sides == (ir.Bop("+", x, x),) * 2
+
     def test_relational_rules_skipped(self, default_ruleset):
         rule = default_ruleset.named("amx-b-vnni")
         rep = rules.check_rule_soundness(rule, trials=10)
@@ -411,3 +423,20 @@ class TestCatalogFile:
         committed = (ROOT / "docs" / "rules_catalog.txt").read_text()
         assert committed == default_ruleset.catalog_text(), \
             "regenerate with tools/dump_rule_catalog.py"
+
+
+class TestRuleText:
+    @staticmethod
+    def atoms():
+        """Every atom of the default rules, of the three mutation fixtures
+        and of `matmul_statement_query` at two shapes."""
+        fixtures = [*rules.build_default_ruleset(), rules.corrupted_ramp_rule(),
+                    *rules.corrupted_ruleset(), *rules.runaway_ruleset()]
+        yield from (a for r in fixtures for a in (*r.query, *r.rhs))
+        yield from rules.matmul_statement_query()
+        yield from rules.matmul_statement_query(2, 4, 2, "f16")
+
+    def test_read_atom_inverts_the_catalog_printer(self):
+        for atom in self.atoms():
+            text = rules._render_atom(atom)
+            assert repr(rules.read_atom(text)) == repr(atom), text

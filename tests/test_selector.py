@@ -222,6 +222,12 @@ class TestDesugar:
         difftest(p, out, range(5))
 
 
+class TestSelectionConfig:
+    def test_an_unknown_target_raises(self):
+        with pytest.raises(ValueError, match="^target must be one of amx, wmma, all, got 'AMX'$"):
+            SelectionConfig(target="AMX")
+
+
 class TestSelectProgram:
     def test_matmul_three_intrinsic_statements(self):
         prog = corpus_program("matmul_standard")

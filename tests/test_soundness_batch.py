@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from tensorsel import interp, ir, rules
-from tensorsel.egraph import Bind, RuleDef, rel
+from tensorsel.egraph import RuleDef
 from tensorsel.ir import Bop, Imm, Load, Ramp, VecType
-from tensorsel.rules import V, padd, pmul
+from tensorsel.rules import read_atom
 
 
 def run_alone(inst):
@@ -96,8 +96,8 @@ def outcome(check, rule, trials, seed=0):
 def fixture_rule(gen):
     """a * b rewritten to a * (b + d), which is sound only where d is zero."""
     return RuleDef(name="fixture", category="axiomatic",
-                   query=(Bind("e", pmul(V("a"), V("b"))), rel("is-expr", V("d"))),
-                   rhs=(Bind("e", pmul(V("a"), padd(V("b"), V("d")))),), fuzz=gen)
+                   query=(read_atom("?e = (bop/* ?a ?b)"), read_atom("(is-expr ?d)")),
+                   rhs=(read_atom("?e = (bop/* ?a (bop/+ ?b ?d))"),), fuzz=gen)
 
 
 def added(t, wrong_at, bad_at=()):

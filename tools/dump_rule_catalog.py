@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate docs/rules_catalog.txt from the default ruleset.
 
-The committed catalog makes rule changes visible in review diffs; a test
-asserts it stays in sync.
+`tensorsel.rules` writes each rule's atoms in the spelling this catalog
+prints, and `rules.read_atom` reads that spelling back, so a rule's
+catalog lines are its source text under a header of its category,
+target, name and doc.  The committed catalog makes rule changes visible
+in review diffs; a test asserts it stays in sync.
 """
 
 import sys
