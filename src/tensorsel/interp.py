@@ -121,12 +121,14 @@ _GAMMA = 0x9E3779B97F4A7C15
 def _splitmix64(state, n):
     """The next `n` draws of the SplitMix64 stream at `state` (an int, or an
     array of states with the draws along a new last axis): draw i (from 1)
-    mixes state + i*_GAMMA, so wrapping uint64 array arithmetic yields them all."""
-    z = (np.asarray(state, np.uint64)
-         + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    mixes state + i*_GAMMA, so wrapping uint64 array arithmetic, in place
+    in the one array returned, yields them all."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.asarray(state, np.uint64)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mul)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +740,9 @@ def compare_sides(lhs, rhs, buffers, shapes=(), memo=None):
     a trial axis is row 0).  A program's detail names the first output
     parameter that differs in that row.  The two sides of a pair hold one
     dtype: programs write their parameters in place, and expressions are
-    compared once their kinds are equal.  Raises what the evaluation
+    compared once their kinds are equal.  Sides of one shape and the same
+    bytes are passed over; a side without the trial axis (it reads no
+    buffer) is one row, which numpy broadcasts.  Raises what the evaluation
     raises."""
     lead = next((b.data.shape[:-1] for b in buffers.values()), ())
     if isinstance(lhs, ir.Program):
@@ -756,17 +760,19 @@ def compare_sides(lhs, rhs, buffers, shapes=(), memo=None):
         if va.kind != vb.kind or va.lanes != vb.lanes:
             return 0, ("type", 0, (va.kind, va.lanes), (vb.kind, vb.lanes))
         sides = [("value", va.data, vb.data)]
-    rows = lead[0] if lead else 1
     first = None
     for label, a, b in sides:  # a trial's first differing side is reported
-        # a side that lacks the trial axis holds every row
-        a, b = (x if x.ndim > 1 else np.broadcast_to(x, (rows, x.size)) for x in (a, b))
+        if a.shape == b.shape and a.tobytes() == b.tobytes():
+            continue
         bits = f"u{a.dtype.itemsize}"
-        hit = np.flatnonzero((a.view(bits) != b.view(bits)).any(axis=-1))
+        # a side that lacks the trial axis is one row, which numpy broadcasts
+        diff = np.atleast_2d(a.view(bits) != b.view(bits))
+        hit = np.flatnonzero(diff.any(axis=-1))
         if hit.size and (first is None or hit[0] < first[0]):
             t = int(hit[0])
-            lane = first_differing_lane(a[t], b[t])
-            first = t, (label, lane, a[t][lane], b[t][lane])
+            a, b = (x if x.ndim == 1 else x[t] for x in (a, b))
+            lane = first_differing_lane(a, b)
+            first = t, (label, lane, a[lane], b[lane])
     return first
 
 
@@ -780,7 +786,8 @@ def first_failure(lhs, rhs, params, seeds, shapes=(), memo=None, rows=None):
     A batch of several seeds that raises any exception is replayed seed by
     seed on single-seed fills, so a difference before the raising seed
     still wins and the error is the first failing seed's; a lone seed
-    always runs alone.  `shapes` and `memo` go to `compare_sides`."""
+    always runs alone.  `shapes` and `memo` go to `compare_sides`; a batch
+    whose sides agree costs their evaluation and one bytes test per output."""
     step = rows or max(1, len(seeds))
     for start in range(0, len(seeds), step):
         batch = seeds[start:start + step]
@@ -808,9 +815,12 @@ def random_inputs(p, seed):
     else with `params`, such as a fuzz `rules.Structure`): one SplitMix64
     stream per seed, consumed in parameter declaration order.  An i32 lane
     is a draw's top 4 bits; a float lane is (draw >> 11) / 2^53 * 2 - 1 in
-    float64, rounded to f32 and then to the parameter's kind.  Given a
+    float64, computed as (draw >> 11) * 2^-52 - 1 (every step of both is
+    exact), rounded to f32 and then to the parameter's kind.  Given a
     sequence of seeds, each buffer has one row per seed, equal to that
-    seed's fill."""
+    seed's fill; without parameters the fill is {}."""
+    if not p.params:
+        return {}
     batch = np.ndim(seed) > 0
     # one stream state per seed, a column so draws run along the rows
     state = np.array([int(s) % 2**64 for s in (seed if batch else [seed])],
@@ -819,11 +829,11 @@ def random_inputs(p, seed):
     for prm in p.params:
         z = _splitmix64(state, prm.length)
         state = state + np.uint64(prm.length * _GAMMA % 2**64)  # wraps mod 2^64
+        z >>= np.uint64(60 if prm.kind == "i32" else 11)
         if prm.kind == "i32":
-            data = (z >> np.uint64(60)).astype(np.int64)
+            data = z.astype(np.int64)
         else:
-            raw = ((z >> np.uint64(11)) / 2.0**53 * 2.0 - 1.0).astype(np.float32)
-            data = round_to_kind(raw, prm.kind)
+            data = round_to_kind((z * 2.0**-52 - 1.0).astype(np.float32), prm.kind)
         out[prm.name] = Buffer(prm.kind, prm.location, data if batch else data[0])
     return out
 

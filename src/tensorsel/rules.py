@@ -740,17 +740,19 @@ def _sides(rule, match):
     binds = {a.var: a.pattern for a in rule.query if isinstance(a, Bind)}
     values = dict(match)
 
+    def var(name):
+        if name not in values:
+            values[name] = value(binds[name])
+        return values[name]
+
     def value(p):
-        if isinstance(p, PVar):
-            if p.name not in values:
-                values[p.name] = value(binds[p.name])
-            return values[p.name]
-        return build_node(p.op, tuple(map(value, p.children)))
+        return var(p.name) if isinstance(p, PVar) else build_node(
+            p.op, tuple(map(value, p.children)))
 
     (bind,) = [e for e in rule.rhs if isinstance(e, Bind)]
-    lhs = value(PVar(bind.var))
+    lhs = var(bind.var)
     g = _IRBuilder()
-    rule.action(g, tuple(value(PVar(v)) for v in rule.query.names))
+    rule.action(g, tuple(map(var, rule.query.names)))
     if not g.unions:
         raise ValueError(f"rule {rule.name!r}: the action writes nothing at this match")
     return lhs, g.unions[0][1]
@@ -857,7 +859,8 @@ def check_rule_soundness(rule, trials=500, seed=0):
 
 # -- per-rule match generators -----------------------------------------------
 #
-# A generator draws its ints and returns the structure they make (`_shared`).
+# A generator draws its ints and returns the structure they make (`_shared`),
+# passing it only what it drew: the builder makes every IR value, once.
 # `tests/draw_stream.json` pins each rule's random stream.
 
 
@@ -914,9 +917,11 @@ def _bcast_of_load(kind, n, l):
 
 
 def _fz_bcast_of_cast(rng):
-    n = rng.randrange(1, 5)
-    return _shared(_loads, ("t", ir.VecType("f32", n)), ("x", (n, "bf16")),
-                   ("l", rng.randrange(1, 4)))
+    return _shared(_bcast_of_cast, rng.randrange(1, 5), rng.randrange(1, 4))
+
+
+def _bcast_of_cast(n, l):
+    return _loads(("t", ir.VecType("f32", n)), ("x", (n, "bf16")), ("l", l))
 
 
 def _fz_ramp_elim(rng):
@@ -925,8 +930,11 @@ def _fz_ramp_elim(rng):
 
 
 def _fz_ramp_split(rng):
-    return _shared(_loads, ("x", ir.Imm("i32", rng.randrange(0, 16))),
-                   ("l", 2 * rng.randrange(1, 5)))
+    return _shared(_ramp_split, rng.randrange(0, 16), 2 * rng.randrange(1, 5))
+
+
+def _ramp_split(x, l):
+    return _loads(("x", ir.Imm("i32", x)), ("l", l))
 
 
 def _fz_ramp_plus_bcast(rng):
@@ -972,8 +980,11 @@ FOLD_OPERANDS = (-2**15, -100, -17, -8, -2, -1, 0, 1, 2, 3, 8, 17, 99, 100, 1234
 
 
 def _fz_int_fold(rng):
-    return _shared(_loads, ("a", ir.Imm("i32", rng.choice(FOLD_OPERANDS))),
-                   ("b", ir.Imm("i32", rng.choice(FOLD_OPERANDS))))
+    return _shared(_int_fold, rng.choice(FOLD_OPERANDS), rng.choice(FOLD_OPERANDS))
+
+
+def _int_fold(a, b):
+    return _loads(("a", ir.Imm("i32", a)), ("b", ir.Imm("i32", b)))
 
 
 def _fz_matmul(target):
@@ -1011,9 +1022,13 @@ def _matmul(target, m, k, n, astride):
 def _fz_zero(target):
     def gen(rng):
         m, n = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
-        return _shared(_loads, ("z", ir.Imm("f32", 0.0)), ("l", m * n), ("m", m),
-                       ("k", 2), ("n", n), shapes=(ir.ShapeDecl(target, m, 2, n),))
+        return _shared(_zero, target, m, n)
     return gen
+
+
+def _zero(target, m, n):
+    return _loads(("z", ir.Imm("f32", 0.0)), ("l", m * n), ("m", m), ("k", 2), ("n", n),
+                  shapes=(ir.ShapeDecl(target, m, 2, n),))
 
 
 def _fz_of_load(target):

@@ -312,6 +312,109 @@ class TestFirstFailure:
         assert () in batch_rows and (1,) not in batch_rows
 
 
+def rowwise_compare(lhs, rhs, buffers):
+    """What `compare_sides` reports, by a loop over the rows of `buffers`:
+    each row's sides evaluated alone and compared byte by byte, then lane by
+    lane; the first differing row and its (label, lane, lhs, rhs), or None."""
+    rows = next(iter(buffers.values())).data.shape[0]
+    for t in range(rows):
+        row = {name: interp.Buffer(b.kind, b.location, b.data[t].copy())
+               for name, b in buffers.items()}
+        if isinstance(lhs, ir.Program):
+            out_a, out_b = interp.run_program(lhs, row), interp.run_program(rhs, row)
+            sides = [(prm.name, out_a[prm.name].data, out_b[prm.name].data)
+                     for prm in lhs.params]
+        else:
+            sides = [("value", *(interp.eval_expr(side, interp.Env(
+                buffers=interp.BufferStore(row))).data for side in (lhs, rhs)))]
+        for label, a, b in sides:
+            for lane in range(a.size):
+                if a[lane:lane + 1].tobytes() != b[lane:lane + 1].tobytes():
+                    return t, (label, lane, a[lane], b[lane])
+    return None
+
+
+def exact(hit):
+    """`hit` with its two values as (dtype, bytes), so NaN payloads compare."""
+    if hit is None:
+        return None
+    t, (label, lane, a, b) = hit
+    return t, label, lane, *((np.asarray(v).dtype.str, np.asarray(v).tobytes())
+                             for v in (a, b))
+
+
+def f32_bits(*words):
+    return np.array(words, np.uint32).view(np.float32)
+
+
+class TestCompareSides:
+    """`compare_sides` over a trial axis reports what a loop over the rows
+    reports, where a side may lack the trial axis; +0.0 against -0.0 and
+    two NaN payloads differ."""
+
+    # rows of x: equal to 0.0 throughout, then -0.0 in lane 2, then a NaN
+    # payload in lane 1, then equal again; y's rows: the canonical NaN, then
+    # a NaN of another payload in lane 0
+    X = f32_bits(*[0] * 3, 0, 0, 0x80000000, 0, 0x7FC00001, 0, *[0] * 3).reshape(4, 3)
+    Y = f32_bits(*[0x7FC00000] * 3, 0x7FC00002, 0x7FC00000, 0x7FC00000).reshape(2, 3)
+    ZERO3 = ir.Broadcast(ir.Imm("f32", 0.0), 3)
+    NAN3 = ir.Broadcast(ir.Imm("f32", float("nan")), 3)
+
+    @staticmethod
+    def buffers(**data):
+        return {name: interp.Buffer("f32", "mem", d) for name, d in data.items()}
+
+    @staticmethod
+    def load(name):
+        return ir.Load(name, ir.VecType("f32", 3), ir.Ramp(ir.Imm("i32", 0), ir.Imm("i32", 1), 3))
+
+    def check(self, lhs, rhs, buffers):
+        want = rowwise_compare(lhs, rhs, buffers)
+        assert exact(interp.compare_sides(lhs, rhs, buffers)) == exact(want)
+        return want
+
+    def test_one_side_lacks_the_trial_axis(self):
+        """A constant side against a side that reads a buffer, in both
+        orders: rows that differ in one lane only, and rows equal throughout."""
+        x, y = self.buffers(x=self.X), self.buffers(y=self.Y)
+        for lhs, rhs in ((self.load("x"), self.ZERO3), (self.ZERO3, self.load("x"))):
+            hit = self.check(lhs, rhs, x)
+            assert (hit[0], hit[1][:2]) == (1, ("value", 2))  # -0.0 against 0.0
+            assert self.check(lhs, rhs, self.buffers(x=self.X[2:]))[0] == 0
+            assert self.check(lhs, rhs, self.buffers(x=self.X[[0, 3]])) is None
+        for lhs, rhs in ((self.load("y"), self.NAN3), (self.NAN3, self.load("y"))):
+            assert self.check(lhs, rhs, y)[0] == 1  # row 0 holds the canonical NaN
+
+    def test_both_sides_lack_it(self):
+        x = self.buffers(x=self.X)
+        for lhs, rhs, lane in ((self.ZERO3, ir.Broadcast(ir.Imm("f32", -0.0), 3), 0),
+                               (self.NAN3, ir.Broadcast(ir.Imm("f32", -float("nan")), 3), 0),
+                               (ir.Broadcast(ir.Imm("i32", 3), 2),
+                                ir.Ramp(ir.Imm("i32", 3), ir.Imm("i32", 1), 2), 1)):
+            want = self.check(lhs, rhs, x)
+            assert (want[0], want[1][1]) == (0, lane)
+            assert self.check(lhs, lhs, x) is None
+        alone = interp.compare_sides(self.ZERO3, ir.Broadcast(ir.Imm("f32", -0.0), 3), {})
+        assert exact(alone) == exact((0, ("value", 0, np.float32(0.0), np.float32(-0.0))))
+
+    def test_program_sides(self):
+        prog, off = ir.parse_program(TINY["divide"]), ir.parse_program(DIVIDE_OFF)
+        runs = [s for s in SEEDS  # the seeds where no divisor is 0
+                if not isinstance(run_or_error(off, interp.random_inputs(off, s)), str)]
+        inputs = interp.random_inputs(prog, runs)
+        assert interp.compare_sides(prog, prog, inputs) is None
+        assert self.check(prog, off, inputs) is not None
+        ramp3 = "(ramp (imm i32 0) (imm i32 1) 3)"
+        params = "(param x f32 3 mem)\n(param o f32 3 mem)\n"
+        copy = ir.parse_program(f"{params}(store o {ramp3} (load x (f32 3) {ramp3}))\n")
+        held = ir.parse_program(params)  # o keeps its zeros
+        both = {"x": interp.Buffer("f32", "mem", self.X),
+                "o": interp.Buffer("f32", "mem", np.zeros((4, 3), np.float32))}
+        assert self.check(copy, copy, both) is None
+        hit = self.check(held, copy, both)
+        assert (hit[0], hit[1][:2]) == (1, ("o", 2))
+
+
 def typed_widest_lanes(p):
     """`ir.widest_lanes` as one full typed walk gives it: the most lanes of
     any node `ir._typed` types without a lane error, else 1."""

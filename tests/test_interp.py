@@ -199,6 +199,25 @@ class TestRandomInputs:
             got = interp.random_inputs(prog, seed)
         assert_same_buffers(got, reference_inputs(prog, seed))
 
+    def test_no_parameters(self):
+        prog = Program((), ())
+        assert interp.random_inputs(prog, 3) == {}
+        assert interp.random_inputs(prog, [0, 1, 2**64 - 1]) == {}
+
+    @pytest.mark.parametrize("length", (1, 2, 17, 300))
+    def test_batched_rows_equal_scalar_reference(self, length):
+        """Each row of a batched fill of every kind is its seed's scalar fill."""
+        prog = Program(tuple(Param(f"p{i}", kind, length)
+                             for i, kind in enumerate(ir.SCALAR_KINDS)), ())
+        seeds = [0, 1, -1, 2**63, 2**64 - 1, 2**70 + 3]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = interp.random_inputs(prog, seeds)
+        assert all(b.data.shape == (len(seeds), length) for b in got.values())
+        for t, seed in enumerate(seeds):
+            row = {name: interp.Buffer(b.kind, b.location, b.data[t]) for name, b in got.items()}
+            assert_same_buffers(row, reference_inputs(prog, seed))
+
     @pytest.mark.parametrize("name", sorted(PINNED_FILLS))
     def test_corpus_fills_are_pinned(self, name):
         prog = corpus_program(name)
